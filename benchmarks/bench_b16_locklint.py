@@ -3,16 +3,21 @@
 ISSUE 4's lockdep pass only earns its keep if it can stay attached to a
 live workload: docs/ANALYSIS.md promises the recorder is cheap enough to
 run in tests and staging by default.  This benchmark replays the B9-style
-composite mixed workload through the deterministic simulator three ways —
-no recorder, recorder with acquisition-stack capture disabled, and the
-full default recorder — and measures wall-clock per run plus the per-lock
-cost the observer adds.
+composite mixed workload through the deterministic simulator four ways —
+no recorder, recorder with acquisition-stack capture disabled, the
+recorder exactly as ``ReproServer`` attaches it to every served database
+by default, and the full default (library) recorder — and measures
+wall-clock per run plus the per-lock cost the observer adds.
 
 Asserted shape:
 
 * recording changes no outcomes (same commits, same lock decisions),
 * the full recorder stays within 3x of the bare run (stack capture is
-  the expensive part; the no-stack mode must be cheaper than full), and
+  the expensive part; the no-stack mode must be cheaper than full),
+* the server's always-on recorder costs what the stack-less one does
+  (within 1.10x): it reads the transaction's site labels, it walks no
+  frames — the per-grant stack walk it used to do was ~20% of a served
+  request's CPU (EXPERIMENTS.md, BENCH_13), and
 * the analysis itself (graph fold + cycle scan) is milliseconds, not
   seconds, at this scale.
 """
@@ -22,12 +27,15 @@ import time
 from repro import Database
 from repro.analysis.lockdep import LockOrderRecorder
 from repro.bench import print_table
+from repro.locking.modes import LockMode
+from repro.locking.table import LockTable
 from repro.sim import ConcurrencySimulator
 from repro.workloads import composite_mix
 from repro.workloads.parts import build_assembly
 
 TRANSACTIONS = 40
 ROUNDS = 5
+MODES = ("off", "nostacks", "server", "stacks")
 
 
 def _env(composites=6, fanout=4):
@@ -45,14 +53,27 @@ def _scripts(roots, components):
     )
 
 
+def _attach(db, table, mode):
+    """Attach the recorder *mode* names to *table* (None for "off")."""
+    if mode == "off":
+        return None
+    if mode == "server":
+        # Built by the server's own constructor (never started), then
+        # pointed at *table*: whatever ReproServer attaches by default
+        # is what this row measures.
+        from repro.server.server import ReproServer
+
+        recorder = ReproServer(database=db, mvcc=False).lockdep
+        recorder.detach()
+        recorder.attach(table)
+        return recorder
+    return LockOrderRecorder(table, capture_stacks=(mode == "stacks"))
+
+
 def _run(db, roots, components, mode):
     """One simulator run; returns (seconds, result, recorder or None)."""
     simulator = ConcurrencySimulator(db, "composite")
-    recorder = None
-    if mode != "off":
-        recorder = LockOrderRecorder(
-            simulator.table, capture_stacks=(mode == "stacks")
-        )
+    recorder = _attach(db, simulator.table, mode)
     scripts = _scripts(roots, components)
     start = time.perf_counter()
     result = simulator.run(scripts)
@@ -65,7 +86,8 @@ def test_b16_recorder_overhead(benchmark, recorder):
     best = {}
     outcomes = {}
     edges = {}
-    for mode in ("off", "nostacks", "stacks"):
+    recorders = {}
+    for mode in MODES:
         times = []
         for _ in range(ROUNDS):
             elapsed, result, order_recorder = _run(db, roots, components, mode)
@@ -74,10 +96,11 @@ def test_b16_recorder_overhead(benchmark, recorder):
         outcomes[mode] = (result.committed, result.lock_requests)
         if order_recorder is not None:
             edges[mode] = order_recorder.stats_row()
+            recorders[mode] = order_recorder
 
     # Observation must not change behaviour: identical commits and lock
     # traffic whether or not the observer is attached.
-    assert outcomes["off"] == outcomes["nostacks"] == outcomes["stacks"]
+    assert all(outcomes[mode] == outcomes["off"] for mode in MODES)
     assert outcomes["off"][0] == TRANSACTIONS
 
     # The analysis fold itself, timed separately from recording.
@@ -89,6 +112,9 @@ def test_b16_recorder_overhead(benchmark, recorder):
     # class-granular composite locks in both orders — the Section 7
     # trade-off B9 measures is a latent-deadlock hazard lockdep surfaces.
     assert report.by_rule("LOCKDEP-INVERSION")
+    # ... and the server's recorder finds it too, from the same orders.
+    assert recorders["server"].analyze().by_rule("LOCKDEP-INVERSION")
+    assert edges["server"] == edges["nostacks"]
 
     locks = outcomes["off"][1]
     rows = [
@@ -101,7 +127,7 @@ def test_b16_recorder_overhead(benchmark, recorder):
             ) if mode != "off" else 0,
             "order_edges": edges.get(mode, {}).get("order_edges", 0),
         }
-        for mode in ("off", "nostacks", "stacks")
+        for mode in MODES
     ]
 
     # Overhead bound: generous 3x so CI noise cannot flake it, but tight
@@ -109,6 +135,10 @@ def test_b16_recorder_overhead(benchmark, recorder):
     assert best["stacks"] <= best["off"] * 3.0, (
         f"full recorder overhead {best['stacks'] / best['off']:.2f}x "
         "exceeds the 3x budget"
+    )
+    assert best["server"] <= best["nostacks"] * 1.10, (
+        f"the server's recorder costs {best['server'] / best['nostacks']:.2f}x "
+        "the stack-less recorder: it must do constant work per grant"
     )
     assert analyze_seconds < 0.5
 
@@ -130,6 +160,52 @@ def test_b16_recorder_overhead(benchmark, recorder):
         "B16", "lockdep recorder overhead on the B9 composite mix", rows,
         ["observer changes no outcomes (same commits and lock calls)",
          "full recording stays within 3x of the bare run",
+         "the recorder ReproServer attaches by default stays within 1.10x "
+         "of the stack-less recorder",
          "graph analysis is sub-second and surfaces the mixed-access "
          "inversion hazard of Section 7"],
+    )
+
+
+def test_b16_per_grant_cost(recorder):
+    """The same four modes with nothing but the lock table underneath —
+    three grants and a release per transaction, the shape of one served
+    request — so the recorder's own cost is not diluted by the simulator
+    (above, even full stack capture is only ~1.1x of a run)."""
+    from repro.txn.transaction import Transaction
+
+    db = Database()
+    plan = ((("class", "Root"), LockMode.IS), (("class", "Part"), LockMode.IS),
+            (("instance", 7), LockMode.S))
+    transactions = 20_000
+    best = {}
+    for mode in MODES:
+        times = []
+        for _ in range(3):
+            table = LockTable()
+            _attach(db, table, mode)
+            start = time.perf_counter()
+            for _ in range(transactions):
+                txn = Transaction()
+                for resource, lock_mode in plan:
+                    table.acquire(txn, resource, lock_mode)
+                table.release_all(txn)
+            times.append(time.perf_counter() - start)
+        best[mode] = min(times)
+    grants = transactions * len(plan)
+    rows = [
+        {
+            "mode": mode,
+            "ns_per_grant": round((best[mode] - best["off"]) / grants * 1e9),
+            "vs_nostacks": round(best[mode] / best["nostacks"], 2),
+        }
+        for mode in MODES
+    ]
+    assert best["server"] <= best["nostacks"] * 1.10
+    assert best["server"] < best["stacks"]
+    print_table(rows, title="B16b — recorder cost per grant on a bare table")
+    recorder.record(
+        "B16b", "lockdep recorder cost per grant, bare lock table", rows,
+        ["the server's recorder does constant work per grant: within "
+         "1.10x of the stack-less recorder, below the stack-walking one"],
     )

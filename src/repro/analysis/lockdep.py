@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable, Optional
+from typing import Any, Hashable, Iterable, NamedTuple, Optional
 
 from ..locking.deadlock import find_cycle
 from ..locking.modes import COMPATIBILITY, LockMode
@@ -75,16 +75,18 @@ def conflicts_with_any(mode: LockMode, held: Iterable[LockMode]) -> bool:
     return any(not COMPATIBILITY[(mode, other)] for other in held)
 
 
-@dataclass(frozen=True, slots=True)
-class Acquisition:
-    """One granted (resource, mode) with its acquisition context."""
+class Acquisition(NamedTuple):
+    """One granted (resource, mode) with its acquisition context (a
+    tuple: the recorder builds one per grant)."""
 
     resource: Hashable
     mode: LockMode
     #: 0-based position in the transaction's acquisition sequence.
     order: int
-    #: Trimmed call stack ("file:line in func"), innermost last; empty
-    #: when stack capture is off or the trace was synthesized statically.
+    #: Where the grant came from: a trimmed call stack ("file:line in
+    #: func", innermost last), or the transaction's ``site`` labels when
+    #: stack capture is off; empty when the transaction has none or the
+    #: trace was synthesized statically.
     stack: tuple[str, ...] = ()
 
 
@@ -179,6 +181,7 @@ class LockOrderGraph:
     def add_trace(self, txn: Any, acquisitions: Iterable[Acquisition]) -> None:
         """Fold one completed transaction's acquisition sequence in."""
         self.traces += 1
+        label = _txn_label(txn)
         held: dict[Hashable, set[LockMode]] = {}
         first_stack: dict[Hashable, tuple[str, ...]] = {}
         for acq in acquisitions:
@@ -190,9 +193,7 @@ class LockOrderGraph:
                     acq.mode, modes_here
                 ):
                     key = (acq.resource, frozenset(modes_here), acq.mode)
-                    self._upgrades.setdefault(
-                        key, (_txn_label(txn), acq.stack)
-                    )
+                    self._upgrades.setdefault(key, (label, acq.stack))
                 modes_here.add(acq.mode)
                 continue
             for src, src_modes in held.items():
@@ -203,7 +204,7 @@ class LockOrderGraph:
                 edge.count += 1
                 if len(edge.witnesses) < MAX_WITNESSES_PER_EDGE:
                     edge.witnesses.append(_Witness(
-                        txn=_txn_label(txn),
+                        txn=label,
                         held_modes=frozenset(src_modes),
                         acquired_mode=acq.mode,
                         src_stack=first_stack.get(src, ()),
@@ -362,8 +363,13 @@ class LockOrderRecorder(LockObserver):
     table:
         When given, :meth:`attach` is called immediately.
     capture_stacks:
-        Record a trimmed acquisition stack per grant (diagnosis quality
-        vs. a few microseconds per grant; benchmark B16 quantifies it).
+        Record a trimmed Python stack per grant: a frame walk and a
+        formatted string per frame, on every grant (benchmark B16
+        quantifies it).  With ``False`` the acquisition site is the
+        transaction's own ``site`` labels -- one attribute read -- which
+        is how the network server attaches its always-on recorder: there
+        every grant's Python stack is the same serve-loop chain, and the
+        wire op, session and transaction say more.
     """
 
     def __init__(
@@ -399,11 +405,14 @@ class LockOrderRecorder(LockObserver):
     # -- LockObserver ------------------------------------------------------
 
     def on_grant(self, txn: Any, resource: Hashable, mode: LockMode) -> None:
-        trace = self._live.setdefault(txn, [])
-        stack = capture_stack() if self.capture_stacks else ()
-        trace.append(Acquisition(
-            resource=resource, mode=mode, order=len(trace), stack=stack
-        ))
+        trace = self._live.get(txn)
+        if trace is None:
+            trace = self._live[txn] = []
+        stack = (
+            capture_stack() if self.capture_stacks
+            else getattr(txn, "site", ())
+        )
+        trace.append(Acquisition(resource, mode, len(trace), stack))
 
     def on_release(self, txn: Any) -> None:
         trace = self._live.pop(txn, None)

@@ -21,7 +21,9 @@ Figure 6 benchmark.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .atoms import AuthType, Authorization, FIGURE6_ATOMS, parse_atom
 
@@ -97,8 +99,15 @@ def combine(authorizations):
     by any strong atom is voided entirely (with all its implications).
     Contradictions between strong atoms — or between surviving weak atoms,
     which have no override order — are a Conflict.
+
+    The outcome depends only on the *set* of atoms, so it is computed
+    once per distinct set; the shared result is read-only.
     """
-    atoms = {parse_atom(raw) for raw in authorizations}
+    return _combine_atoms(frozenset(parse_atom(raw) for raw in authorizations))
+
+
+@functools.lru_cache(maxsize=None)  # at most 2**8 sets of the eight atoms
+def _combine_atoms(atoms):
     strong = [atom for atom in atoms if atom.strong]
     weak = [atom for atom in atoms if not atom.strong]
     for i, atom_a in enumerate(strong):
@@ -119,7 +128,7 @@ def combine(authorizations):
     for atom in surviving_weak:
         for auth_type, positive in atom.implied_types():
             effective.setdefault(auth_type, (positive, False))
-    return Resolution(conflict=False, effective=effective)
+    return Resolution(conflict=False, effective=MappingProxyType(effective))
 
 
 def conflicts(auth_a, auth_b):

@@ -17,6 +17,24 @@ Grant targets are ``("class", name)``, ``("instance", uid)``, or
 ``("database",)``.  Checks combine every authorization implied on the
 object (:func:`repro.authorization.combine.combine`); a user may act when
 the combined resolution positively authorizes the type.
+
+Implicit authorizations stay *deduced, never stored* -- but the deduction
+for one (user, object) pair is remembered until something it read can
+change.  An entry of the resolution cache is dropped exactly when its
+implied set may differ:
+
+* ``grant`` / ``revoke`` -- the user's entries;
+* a composite link added or removed (``Database.on_link`` /
+  ``on_unlink``, which the Deletion Rule also fires) -- the child and
+  every component below it, whose ancestors just changed;
+* ``Database.on_delete`` -- the object;
+* a change to the class lattice or the version registry (their
+  ``version`` counters) and ``Database.on_topology_reset`` (undo
+  resurrection, recovery, replica apply, deferred evolution catch-up) --
+  everything.
+
+A stale "permit" would be an authorization bypass, so every path that
+touches reverse references must go through one of these.
 """
 
 from __future__ import annotations
@@ -25,7 +43,7 @@ from dataclasses import dataclass
 
 from ..errors import AccessDenied, AuthorizationConflict
 from .atoms import AuthType, parse_atom
-from .combine import Resolution, combine
+from .combine import combine
 
 DATABASE_SCOPE = ("database",)
 
@@ -51,6 +69,10 @@ class AuthorizationEngine:
         #: authorizations are deduced, which is the storage saving
         #: benchmark B3 measures).
         self._grants = {}
+        #: user -> scope -> list of Grant: the same records by the scope
+        #: they were granted on, so deduction looks up the scopes that
+        #: cover an object instead of testing every grant of the user.
+        self._by_scope = {}
         #: Optional :class:`repro.versions.VersionRegistry`: when given,
         #: a grant on a *generic instance* implies the same authorization
         #: on every version instance of that versionable object (the
@@ -58,7 +80,25 @@ class AuthorizationEngine:
         self._versions = version_registry
         #: Access checks performed (benchmark metric).
         self.checks = 0
+        #: The resolution cache: uid -> user -> Resolution.
+        self._cache = {}
+        #: :meth:`_generation` when the cache was last known good.
+        self._cache_generation = self._generation()
+        self.attach()
+
+    def attach(self):
+        """Register with the database and start observing it, with an
+        empty cache.  Construction does this; a holder that rebuilds the
+        database in place (a replica swapping recovered state into the
+        object it serves) calls it again because the swap drops every
+        hook."""
+        database = self._db
+        self._cache.clear()
         database.auth_engine = self
+        database.on_link.append(self._forget_components)
+        database.on_unlink.append(self._forget_components)
+        database.on_delete.append(self._forget_object)
+        database.on_topology_reset.append(self._cache.clear)
 
     # ------------------------------------------------------------------
     # Granting
@@ -89,18 +129,25 @@ class AuthorizationEngine:
                 )
         record = Grant(user=user, atom=atom, scope=scope)
         self._grants.setdefault(user, []).append(record)
+        self._by_scope.setdefault(user, {}).setdefault(scope, []).append(record)
+        self._forget_subject(user)
         return record
 
     def revoke(self, user, atom, on_class=None, on_instance=None, database=False):
         """Remove a previously granted record (exact match)."""
         atom = parse_atom(atom)
         scope = self._scope(on_class, on_instance, database)
-        records = self._grants.get(user, [])
-        for record in records:
-            if record.atom == atom and record.scope == scope:
-                records.remove(record)
-                return True
-        return False
+        record = Grant(user=user, atom=atom, scope=scope)
+        try:
+            self._grants.get(user, []).remove(record)
+        except ValueError:
+            return False
+        by_scope = self._by_scope[user]
+        by_scope[scope].remove(record)
+        if not by_scope[scope]:
+            del by_scope[scope]
+        self._forget_subject(user)
+        return True
 
     def grants_of(self, user):
         """Explicit grants stored for *user*."""
@@ -115,12 +162,26 @@ class AuthorizationEngine:
     # ------------------------------------------------------------------
 
     def resolve(self, user, uid):
-        """Combine every authorization implied for *user* on object *uid*."""
+        """Combine every authorization implied for *user* on object *uid*.
+
+        Answered from the resolution cache; a miss runs the deduction
+        (:meth:`_implied_with_reason`, the only one there is)."""
         self.checks += 1
-        atoms = [g.atom for g in self._implied_grants(user, uid)]
-        if not atoms:
-            return Resolution(conflict=False, effective={})
-        return combine(atoms)
+        generation = self._generation()
+        if generation != self._cache_generation:
+            self._cache.clear()
+            self._cache_generation = generation
+        resolutions = self._cache.get(uid)
+        resolution = None if resolutions is None else resolutions.get(user)
+        if resolution is None:
+            resolution = combine(
+                [grant.atom for grant in self._implied_grants(user, uid)]
+            )
+            # Only live objects are remembered: their entries go when
+            # they are deleted, so the cache is bounded by the database.
+            if self._db.peek(uid) is not None:
+                self._cache.setdefault(uid, {})[user] = resolution
+        return resolution
 
     def check(self, user, auth_type, uid):
         """True when *user* positively holds *auth_type* on *uid*."""
@@ -154,60 +215,103 @@ class AuthorizationEngine:
         return [grant for grant, _why in self._implied_with_reason(user, uid)]
 
     def _implied_with_reason(self, user, uid):
-        """Every explicit grant that (explicitly or implicitly) covers *uid*."""
-        instance = self._db.peek(uid)
-        if instance is None:
+        """Every explicit grant that (explicitly or implicitly) covers *uid*.
+
+        Enumerates the scopes that cover the object, widest first -- the
+        database, its class and superclasses, the object itself, its
+        generic, then every composite ancestor with *its* classes and
+        generic -- and looks each up in the user's scope index: the cost
+        follows the object's ancestors and superclasses, not the number
+        of grants the user holds.  A scope reached two ways keeps its
+        first (most direct) reason.
+        """
+        db = self._db
+        instance = db.peek(uid)
+        by_scope = self._by_scope.get(user)
+        if instance is None or not by_scope:
             return
-        class_scope = {instance.class_name}
-        class_scope.update(self._db.lattice.all_superclasses(instance.class_name))
-        ancestors = None  # computed lazily; composite walks can be pricey
-        for grant in self._grants.get(user, ()):
-            kind = grant.scope[0]
-            if kind == "database":
-                yield grant, "database-wide grant"
-            elif kind == "class":
-                name = grant.scope[1]
-                if name in class_scope:
-                    yield grant, f"grant on class {name} covers its instances"
-                    continue
-                if ancestors is None:
-                    ancestors = self._db.ancestors_of(uid)
-                if any(self._db.class_of(a) == name or
-                       self._db.lattice.is_subclass(self._db.class_of(a), name)
-                       for a in ancestors):
-                    yield grant, (
-                        f"grant on composite class {name} covers components "
-                        f"of its instances"
-                    )
-            elif kind == "instance":
-                target = grant.scope[1]
-                if target == uid:
-                    yield grant, "explicit grant on the object"
-                    continue
-                if (
-                    self._versions is not None
-                    and self._versions.generic_of(uid) == target
-                ):
-                    yield grant, (
-                        f"grant on versionable object {target} covers its "
-                        f"version instances"
-                    )
-                    continue
-                if ancestors is None:
-                    ancestors = self._db.ancestors_of(uid)
-                if target in ancestors:
-                    yield grant, (
-                        f"grant on composite object {target} covers its "
-                        f"components"
-                    )
-                elif self._versions is not None and any(
-                    self._versions.generic_of(ancestor) == target
-                    for ancestor in ancestors
-                ):
-                    yield grant, (
-                        f"grant on versionable object {target} covers "
-                        f"components of its version instances"
-                    )
+        lattice, versions = db.lattice, self._versions
+        # scope -> (reason template, its subject); formatted only for the
+        # scopes the user actually holds a grant on.
+        covering = {DATABASE_SCOPE: ("database-wide grant", None)}
+        for name in [instance.class_name] + lattice.all_superclasses(
+            instance.class_name
+        ):
+            covering[("class", name)] = (
+                "grant on class {} covers its instances", name)
+        covering[("instance", uid)] = ("explicit grant on the object", None)
+        generic = versions.generic_of(uid) if versions is not None else None
+        if generic is not None:
+            covering.setdefault(("instance", generic), (
+                "grant on versionable object {} covers its version "
+                "instances", generic))
+        if all(scope in covering for scope in by_scope):
+            ancestors = ()  # every grant already placed: skip the walk
+        else:
+            ancestors = db.ancestors_of(uid)
+        for ancestor in ancestors:
+            covering.setdefault(("instance", ancestor), (
+                "grant on composite object {} covers its components",
+                ancestor))
+            owner = db.class_of(ancestor)
+            for name in [owner] + lattice.all_superclasses(owner):
+                covering.setdefault(("class", name), (
+                    "grant on composite class {} covers components of its "
+                    "instances", name))
+        if versions is not None:
+            for ancestor in ancestors:
+                generic = versions.generic_of(ancestor)
+                if generic is not None:
+                    covering.setdefault(("instance", generic), (
+                        "grant on versionable object {} covers components "
+                        "of its version instances", generic))
+        for scope, (template, subject) in covering.items():
+            grants = by_scope.get(scope)
+            if grants:
+                why = template.format(subject)
+                for grant in grants:
+                    yield grant, why
+
+    # ------------------------------------------------------------------
+    # Resolution cache
+    # ------------------------------------------------------------------
+
+    def _generation(self):
+        """Sum of the ``version`` counters the deduction depends on (each
+        only ever grows, so the sum moves whenever one of them does)."""
+        versions = self._versions
+        return self._db.lattice.version + (
+            versions.version if versions is not None else 0
+        )
+
+    def _forget_subject(self, subject):
+        """*subject*'s grants changed: drop the entries computed from them."""
+        for resolutions in self._cache.values():
+            resolutions.pop(subject, None)
+
+    def _forget_object(self, uid):
+        self._cache.pop(uid, None)
+
+    def _forget_components(self, _parent, _spec, child):
+        """A composite link to *child* was added or removed: it and every
+        component below it gained or lost ancestors."""
+        cache = self._cache
+        if not cache:
+            return
+        db = self._db
+        seen = set()
+        pending = [child.uid]
+        while pending:
+            uid = pending.pop()
+            if uid in seen:
+                continue
+            seen.add(uid)
+            cache.pop(uid, None)
+            instance = db.peek(uid)
+            if instance is not None:
+                pending.extend(
+                    member for _attr, member in db.iter_composite_values(instance)
+                )
 
     def _covered_objects(self, scope):
         """Objects a grant on *scope* covers (for grant-time conflict checks)."""

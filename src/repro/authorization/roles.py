@@ -30,6 +30,10 @@ class RoleManager:
     def __init__(self):
         self._juniors = {}   # role -> set of directly junior roles
         self._members = {}   # user -> set of roles directly held
+        #: Bumped by every change to the role DAG or to memberships: a
+        #: user's principals may have changed, so resolutions cached by
+        #: any engine sharing this manager are stale.
+        self.version = 0
 
     # -- roles ------------------------------------------------------------
 
@@ -43,6 +47,7 @@ class RoleManager:
                 )
             self._juniors.setdefault(junior, set())
             entry.add(junior)
+        self.version += 1
         return role
 
     def add_seniority(self, senior, junior):
@@ -70,9 +75,11 @@ class RoleManager:
         if role not in self._juniors:
             raise AuthorizationError(f"unknown role {role!r}")
         self._members.setdefault(user, set()).add(role)
+        self.version += 1
 
     def unassign(self, user, role):
         self._members.get(user, set()).discard(role)
+        self.version += 1
 
     def roles_of(self, user):
         """Roles directly held by *user*."""
@@ -94,8 +101,16 @@ class RoleAuthorizationEngine(AuthorizationEngine):
     """
 
     def __init__(self, database, role_manager=None):
-        super().__init__(database)
         self.roles = role_manager if role_manager is not None else RoleManager()
+        super().__init__(database)
+
+    def _generation(self):
+        return super()._generation() + self.roles.version
+
+    def _forget_subject(self, subject):
+        # A grant to a role reaches every user holding it through the
+        # seniority DAG: no single subject's entries bound the change.
+        self._cache.clear()
 
     def _implied_with_reason(self, user, uid):
         for principal in sorted(self.roles.principals(user)):

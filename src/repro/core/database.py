@@ -132,6 +132,12 @@ class Database:
         #: so snapshot readers below the current epoch still see the
         #: committed state while a writer holds X-locks.
         self.on_before_change = []
+        #: Callbacks ``()`` fired by :meth:`topology_reset`: instances
+        #: were installed, dropped or re-referenced *behind* ``on_link`` /
+        #: ``on_unlink`` / ``on_delete``, so whatever is derived from the
+        #: composite topology (the authorization engine's resolution
+        #: cache) must be thrown away whole.
+        self.on_topology_reset = []
         #: Callbacks ``(uid, attribute, epoch)`` fired by the MVCC
         #: snapshot-read path (attribute ``None`` for whole-object
         #: footprints).  The isolation-history recorder subscribes here
@@ -306,6 +312,20 @@ class Database:
             self._extents.setdefault(instance.class_name, set()).add(
                 instance.uid
             )
+
+    def topology_reset(self):
+        """Announce a change to the object table or to reverse composite
+        references that bypassed the mutation funnels.
+
+        Every path that writes ``_objects`` or patches reverse references
+        directly calls this when it is done: undo resurrection of a
+        deleted cascade, journal recovery, in-doubt 2PC resolution,
+        replica apply, deferred schema-evolution catch-up.  Forgetting
+        the call leaves a stale implicit authorization in force -- a
+        bypass, not a slow path.
+        """
+        for callback in self.on_topology_reset:
+            callback()
 
     def discard(self, uid):
         """Remove *uid* from the object table and store (deletion engine)."""

@@ -153,25 +153,28 @@ def would_delete(database, uid):
     implementation of the rule.
     """
     root = database.resolve(uid)
-    deleted = {root.uid}
-    # Iterate to a fixed point: an object dies when (a) it is the root, or
-    # (b) some dying parent holds a dependent exclusive reference to it, or
-    # (c) ALL parents in its Ds set are dying and Ds is non-empty, and it
-    # has no dependent-exclusive parent outside the dying set.
-    changed = True
-    while changed:
-        changed = False
-        for instance in database.live_instances():
-            if instance.uid in deleted:
+    dying = {root.uid}
+    # An object dies when (a) it is the root, or (b) its dependent
+    # exclusive parent is dying, or (c) its Ds set is non-empty and ALL of
+    # it is dying.  Either way a dying parent holds a composite reference
+    # to it, so only the components of dying objects are ever examined —
+    # and a component is examined again each time another of its parents
+    # dies, which is when condition (c) can newly hold.  The cost follows
+    # the cascade, not the database.
+    worklist = [root]
+    while worklist:
+        parent = worklist.pop()
+        for _attribute, child_uid in database.iter_composite_values(parent):
+            if child_uid in dying:
                 continue
-            dx = instance.dx_parents()
-            ds = instance.ds_parents()
-            dies = False
-            if dx and dx[0] in deleted:
-                dies = True
-            elif ds and all(parent in deleted for parent in ds):
-                dies = True
-            if dies:
-                deleted.add(instance.uid)
-                changed = True
-    return deleted
+            child = database.peek(child_uid)
+            if child is None:
+                continue
+            dx = child.dx_parents()
+            ds = child.ds_parents()
+            if (dx and dx[0] in dying) or (
+                ds and all(holder in dying for holder in ds)
+            ):
+                dying.add(child_uid)
+                worklist.append(child)
+    return dying

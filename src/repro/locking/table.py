@@ -21,7 +21,7 @@ touching the grant path when disabled.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Hashable, Optional
 
@@ -76,8 +76,13 @@ class LockTable:
     """All locks of one database."""
 
     def __init__(self) -> None:
-        #: resource -> OrderedDict txn -> set of LockMode
-        self._granted: dict[Hashable, OrderedDict[Any, set[LockMode]]] = {}
+        #: resource -> txn (in grant order) -> set of LockMode
+        self._granted: dict[Hashable, dict[Any, set[LockMode]]] = {}
+        #: txn -> the resources it holds a mode on, in first-grant order
+        #: (a dict used as an ordered set): the index that makes
+        #: :meth:`release_all` cost the transaction's own locks instead
+        #: of a scan of every granted resource.
+        self._held: dict[Any, dict[Hashable, None]] = {}
         #: resource -> deque of LockRequest (blocked requests, FIFO)
         self._waiting: dict[Hashable, deque[LockRequest]] = {}
         self.stats = LockStats()
@@ -96,8 +101,9 @@ class LockTable:
         return set(self._granted.get(resource, {}).get(txn, ()))
 
     def held_resources(self, txn: Any) -> list[Hashable]:
-        """Resources on which *txn* holds at least one mode."""
-        return [r for r, grants in self._granted.items() if txn in grants]
+        """Resources on which *txn* holds at least one mode, in the order
+        it first acquired them."""
+        return list(self._held.get(txn, ()))
 
     def waiters(self, resource: Hashable) -> list[LockRequest]:
         """Blocked requests queued on *resource*, in FIFO order."""
@@ -132,11 +138,14 @@ class LockTable:
         self, txn: Any, resource: Hashable, mode: LockMode
     ) -> bool:
         """True when granting (*txn*, *mode*) now would not conflict."""
-        for holder, modes in self._granted.get(resource, {}).items():
-            if holder is txn:
-                continue  # own locks never conflict; this is a conversion
-            if not all(COMPATIBILITY[(mode, held)] for held in modes):
-                return False
+        grants = self._granted.get(resource)
+        if grants:
+            for holder, modes in grants.items():
+                if holder is txn:
+                    continue  # own locks never conflict: a conversion
+                for held in modes:
+                    if not COMPATIBILITY[(mode, held)]:
+                        return False
         return True
 
     # -- acquisition -----------------------------------------------------------
@@ -164,23 +173,28 @@ class LockTable:
         if not isinstance(mode, LockMode):
             raise TypeError(f"mode must be a LockMode, got {mode!r}")
         self.stats.requests += 1
-        held = self._granted.get(resource, {}).get(txn, set())
-        if mode in held:
+        grants = self._granted.get(resource)
+        held = grants.get(txn) if grants else None
+        if held and mode in held:
             self.stats.grants += 1
             return True
-        # A re-issued request that is already queued stays queued once
-        # (pollers retry without duplicating their queue entry).
-        for pending in self._waiting.get(resource, ()):
-            if pending.txn is txn and pending.mode is mode:
-                return False
-        # FIFO fairness: a fresh (non-conversion) request must also wait
-        # behind earlier incompatible waiters.
         behind_waiter = False
-        if not held:
-            for prior in self._waiting.get(resource, ()):
-                if prior.txn is not txn and not COMPATIBILITY[(mode, prior.mode)]:
-                    behind_waiter = True
-                    break
+        queue = self._waiting.get(resource) if self._waiting else None
+        if queue:
+            # A re-issued request that is already queued stays queued
+            # once (pollers retry without duplicating their queue entry).
+            for pending in queue:
+                if pending.txn is txn and pending.mode is mode:
+                    return False
+            # FIFO fairness: a fresh (non-conversion) request must also
+            # wait behind earlier incompatible waiters.
+            if not held:
+                for prior in queue:
+                    if prior.txn is not txn and not COMPATIBILITY[
+                        (mode, prior.mode)
+                    ]:
+                        behind_waiter = True
+                        break
         if not behind_waiter and self.is_compatible(txn, resource, mode):
             self._grant(txn, resource, mode)
             self.stats.grants += 1
@@ -201,8 +215,18 @@ class LockTable:
         return False
 
     def _grant(self, txn: Any, resource: Hashable, mode: LockMode) -> None:
-        grants = self._granted.setdefault(resource, OrderedDict())
-        grants.setdefault(txn, set()).add(mode)
+        grants = self._granted.get(resource)
+        if grants is None:
+            grants = self._granted[resource] = {}
+        modes = grants.get(txn)
+        if modes is None:
+            grants[txn] = {mode}
+            held = self._held.get(txn)
+            if held is None:
+                held = self._held[txn] = {}
+            held[resource] = None
+        else:
+            modes.add(mode)
         for observer in self.observers:
             observer.on_grant(txn, resource, mode)
 
@@ -247,16 +271,14 @@ class LockTable:
         Returns the requests newly granted to other transactions, so a
         scheduler can resume them.
         """
-        held_any = False
-        for resource in list(self._granted):
-            grants = self._granted[resource]
-            if txn in grants:
-                held_any = True
+        held = self._held.pop(txn, None)
+        if held:
+            for resource in held:
+                grants = self._granted[resource]
                 del grants[txn]
-                self.stats.releases += 1
                 if not grants:
                     del self._granted[resource]
-        if held_any:
+            self.stats.releases += len(held)
             for observer in self.observers:
                 observer.on_release(txn)
         for resource in list(self._waiting):

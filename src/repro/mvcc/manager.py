@@ -391,6 +391,7 @@ class SnapshotManager:
                 del epochs[:drop]
                 del images[:drop]
                 self.versions_pruned += drop
+        db.topology_reset()
         if epoch > db.commit_epoch:
             db.commit_epoch = epoch
 

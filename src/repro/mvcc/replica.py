@@ -108,8 +108,13 @@ class JournalFollower:
         if self.snapshots is not None:
             self.snapshots.close()
         db = self.database
+        engine = db.auth_engine
         db.__dict__.clear()
         db.__dict__.update(fresh.__dict__)
+        if engine is not None:
+            # The swap dropped the engine's hooks along with everything
+            # it had deduced from the old state.
+            engine.attach()
         self.snapshots = SnapshotManager(db, max_versions=self.max_versions)
         self.applied_epoch = db.commit_epoch
         self._in_doubt = {

@@ -415,6 +415,8 @@ class SchemaEvolutionManager(TaxonomyMixin):
         instance.change_count = current
         if pending:
             self._db.persist(instance)
+            # Reverse references were patched outside on_link/on_unlink.
+            self._db.topology_reset()
 
     def catch_up_all(self):
         """Eagerly apply pending deferred changes to every live instance."""

@@ -47,6 +47,12 @@ class ClassLattice:
     def __init__(self):
         self._classes = {}
         self._subclasses = {}  # name -> set of direct subclass names
+        #: Bumped by every change to the lattice (define, remove, and the
+        #: re-resolution every schema-evolution operation ends with), so
+        #: whatever is derived from IS-A or attribute semantics -- the
+        #: authorization engine's resolution cache -- can tell it is stale
+        #: with one integer comparison.
+        self.version = 0
         root = ClassDef(name=ROOT_CLASS, superclasses=())
         self._classes[ROOT_CLASS] = root
         self._subclasses[ROOT_CLASS] = set()
@@ -93,6 +99,7 @@ class ClassLattice:
         self._subclasses[classdef.name] = set()
         for sup in supers:
             self._subclasses[sup].add(classdef.name)
+        self.version += 1
         return classdef
 
     def remove(self, name):
@@ -214,6 +221,7 @@ class ClassLattice:
 
     def _reresolve_from(self, names):
         """Re-resolve effective attributes for *names* and their subclasses."""
+        self.version += 1
         pending = list(dict.fromkeys(names))
         seen = set()
         while pending:

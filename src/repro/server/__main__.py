@@ -54,8 +54,7 @@ def build_parser():
                              "repro-check iso reads the same file offline)")
     parser.add_argument("--no-lockdep", action="store_true",
                         help="disable the lock-order recorder (drops the "
-                             "check op's lockdep plane; saves the per-grant "
-                             "recording cost)")
+                             "check op's lockdep plane)")
     parser.add_argument("--no-mvcc", action="store_true",
                         help="disable the MVCC snapshot manager (drops the "
                              "snapshot_read op and snapshot transactions; "

@@ -635,4 +635,5 @@ async def dispatch(session, op, args):
         raise ReadOnlyError(
             f"{reason}; {op!r} was rejected (reads are still served)"
         )
+    session.op = op
     return await handler(session, args)

@@ -282,6 +282,11 @@ class Session:
         #: reads it per request to know which acks need the batch fsync.
         self.sync_pending = False
         self.txn = None
+        #: The wire op being executed (set by ``dispatch``); with the
+        #: session it is the acquisition site :meth:`txn_scope` stamps
+        #: on the transaction for the lock-order recorder.
+        self.op = ""
+        self._label = f"session {session_id}"
         #: Gtid of a 2PC-prepared transaction awaiting its decision
         #: (set by the ``prepare`` op, cleared by ``decide``/park).
         self.prepared_gtid = None
@@ -385,6 +390,7 @@ class Session:
                     f"transaction {self.txn.txn_id} is "
                     f"{self.txn.state.value}; abort it first"
                 )
+            self._stamp(self.txn)
             try:
                 yield self.txn
             except DeadlockError:
@@ -394,6 +400,7 @@ class Session:
                 raise
             return
         txn = self.server.tm.begin()
+        self._stamp(txn)
         try:
             yield txn
         except Exception as error:
@@ -408,6 +415,14 @@ class Session:
             self.stats.commits += 1
             # Auto-commit acks like any commit: after the group fsync.
             await self.durability_point()
+
+    def _stamp(self, txn):
+        """Name the op, session and transaction as *txn*'s acquisition
+        site: every grant this request takes has the same Python stack
+        (serve loop, dispatch, handler, lock service), so this is all a
+        stack would say -- at one tuple per request instead of a frame
+        walk per grant."""
+        txn.site = (self.op, self._label, f"txn {txn.txn_id}")
 
     async def durability_point(self):
         """A commit acknowledgement's durability barrier.
@@ -477,8 +492,11 @@ class ReproServer:
         the shared lock table, so ``check(plane="lockdep")`` reports
         latent deadlocks (lock-order inversions) across everything every
         session acquired — even runs where no deadlock ever formed.
-        On by default; disable (``repro-server --no-lockdep``) to shave
-        the per-grant recording cost (benchmark B16 measures it).
+        The recorder stores the wire op, session and transaction as
+        each grant's acquisition site instead of walking the Python
+        stack, so it costs a constant per grant (benchmark B16 holds it
+        to the stack-less recorder's cost).  On by default;
+        ``repro-server --no-lockdep`` turns the plane off.
     record_history:
         Attach a :class:`repro.analysis.history.HistoryRecorder` to the
         served database, so ``check(plane="iso")`` can replay the
@@ -544,7 +562,9 @@ class ReproServer:
         if lockdep:
             from ..analysis.lockdep import LockOrderRecorder
 
-            self.lockdep = LockOrderRecorder(self.tm.table)
+            self.lockdep = LockOrderRecorder(
+                self.tm.table, capture_stacks=False
+            )
         # MVCC before the history recorder: the recorder snapshots
         # ``db.snapshot_manager`` at construction to decide whether to
         # track commit-epoch/version timelines for snapshot reads.

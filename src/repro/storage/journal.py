@@ -949,6 +949,7 @@ class Journal:
 
         database.allocator = UIDAllocator(start=max_uid + 1)
         database.rebuild_extents()
+        database.topology_reset()
         database.in_doubt = in_doubt
         database.commit_epoch = commit_seq
         return restored, replayed
@@ -967,3 +968,4 @@ class Journal:
             else:
                 instance.deleted = False
                 database._objects[instance.uid] = instance
+        database.topology_reset()

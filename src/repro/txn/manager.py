@@ -276,3 +276,4 @@ class TransactionManager:
             db._objects[instance.uid] = instance
             db._extents.setdefault(instance.class_name, set()).add(instance.uid)
             db.persist(instance)
+        db.topology_reset()

@@ -67,6 +67,11 @@ class Transaction:
         #: writes of a snapshot transaction are validated under
         #: first-updater-wins (docs/REPLICATION.md).
         self.snapshot_epoch = None
+        #: What the transaction is doing, as a tuple of labels -- the
+        #: network server names the wire op, session and transaction
+        #: here, so a lock observer can say where a grant came from
+        #: without walking the Python stack (repro.analysis.lockdep).
+        self.site = ()
         #: UIDs this transaction wrote (read-your-writes routing: a
         #: snapshot transaction reads its own writes from the live,
         #: X-locked object instead of the version chain).
@@ -95,11 +100,9 @@ class Transaction:
     def __repr__(self):
         return f"<Txn {self.txn_id} {self.state.value} undo={len(self.undo_log)}>"
 
-    def __hash__(self):
-        return hash(self.txn_id)
-
-    def __eq__(self, other):
-        return isinstance(other, Transaction) and other.txn_id == self.txn_id
+    # Identity is equality: ids are unique per process, and the lock
+    # table keys a dozen dict operations per request by transaction, so
+    # hashing stays the interpreter's own.
 
     def __lt__(self, other):
         return self.txn_id < other.txn_id

@@ -56,12 +56,17 @@ class VersionRegistry:
     def __init__(self):
         self._generics = {}
         self._versions = {}
+        #: Bumped whenever a generic or version is registered or
+        #: forgotten: :meth:`generic_of` answers may have changed, so the
+        #: authorization engine's resolution cache must be dropped.
+        self.version = 0
 
     # -- registration -------------------------------------------------------
 
     def register_generic(self, uid, class_name):
         info = GenericInfo(uid=uid, class_name=class_name)
         self._generics[uid] = info
+        self.version += 1
         return info
 
     def register_version(self, uid, generic_uid, derived_from=None):
@@ -80,6 +85,7 @@ class VersionRegistry:
         generic.versions.append(uid)
         generic.derived_from[uid] = derived_from
         self._versions[uid] = info
+        self.version += 1
         return info
 
     def forget_version(self, uid):
@@ -87,6 +93,7 @@ class VersionRegistry:
         info = self._versions.pop(uid, None)
         if info is None:
             return None
+        self.version += 1
         generic = self._generics.get(info.generic)
         if generic is not None:
             if uid in generic.versions:
@@ -97,6 +104,7 @@ class VersionRegistry:
         return info.generic
 
     def forget_generic(self, uid):
+        self.version += 1
         return self._generics.pop(uid, None)
 
     # -- queries --------------------------------------------------------------

@@ -196,3 +196,38 @@ class TestWouldDelete:
         would_delete(database, h["doc_a"])
         assert len(database) == before
         database.validate()
+
+    def test_cost_follows_the_cascade_not_the_database(self, document_db):
+        """The prediction walks the dying objects' components only: a
+        scan of every live instance made each transactional delete cost
+        O(database)."""
+        database, h = document_db
+
+        def no_scan():
+            raise AssertionError("would_delete scanned the object table")
+
+        database.live_instances = no_scan
+        predicted = would_delete(database, h["doc_a"])
+        del database.live_instances
+        assert predicted == set(database.delete(h["doc_a"]).deleted)
+
+    def test_shared_component_dies_with_its_last_holder_only(self, db):
+        """A dependent shared component is re-examined as each holder
+        dies: one dying holder spares it, both dying take it along."""
+        db.make_class("Leaf")
+        db.make_class("Holder", attributes=[
+            AttributeSpec("Items", domain=SetOf("Leaf"), composite=True,
+                          exclusive=False, dependent=True)])
+        db.make_class("Top", attributes=[
+            AttributeSpec("Holders", domain=SetOf("Holder"), composite=True,
+                          exclusive=True, dependent=True)])
+        top = db.make("Top")
+        first = db.make("Holder", parents=[(top, "Holders")])
+        second = db.make("Holder", parents=[(top, "Holders")])
+        outside = db.make("Holder")
+        shared = db.make("Leaf", parents=[(first, "Items"), (second, "Items")])
+        kept = db.make("Leaf", parents=[(first, "Items"), (outside, "Items")])
+        assert would_delete(db, first) == {first}
+        assert would_delete(db, top) == {top, first, second, shared}
+        assert kept not in would_delete(db, top)
+        assert would_delete(db, top) == set(db.delete(top).deleted)

@@ -122,6 +122,29 @@ class TestReleaseAndPromotion:
         table.acquire("T1", "b", M.S)
         assert set(table.held_resources("T1")) == {"a", "b"}
 
+    def test_held_resources_follow_grants_and_releases(self):
+        """The per-transaction index behind release_all: acquisition
+        order, one entry per resource however many modes, a promoted
+        waiter's grant included, nothing left after release."""
+        table = LockTable()
+        table.acquire("T1", "b", M.IX)
+        table.acquire("T1", "a", M.S)
+        table.acquire("T1", "b", M.IXO)  # a second mode, not a second entry
+        table.acquire("T2", "a", M.S)
+        table.acquire("T2", "b", M.X, wait=True)  # queued behind T1
+        assert table.held_resources("T1") == ["b", "a"]
+        assert table.held_resources("T2") == ["a"]
+        before = table.stats.releases
+        granted = table.release_all("T1")
+        assert table.stats.releases - before == 2
+        assert [request.txn for request in granted] == ["T2"]
+        assert table.held_resources("T1") == []
+        assert table.held_resources("T2") == ["a", "b"]
+        assert table.holders("a") == ["T2"] and table.holders("b") == ["T2"]
+        table.release_all("T2")
+        assert table.lock_count() == 0 and table.held_resources("T2") == []
+        assert table.release_all("T2") == []  # nothing held: a no-op
+
     def test_stats_counters(self):
         table = LockTable()
         table.acquire("T1", "r", M.X)

@@ -499,6 +499,42 @@ class TestCrossClientLocking:
         assert client.value(v2, "Color") == "y2"
 
 
+class TestLockdepSites:
+    def test_inversion_witnesses_name_the_ops_and_sessions(
+        self, client, client2
+    ):
+        """The server's recorder stores the wire op, session and
+        transaction as each grant's acquisition site: an inversion's two
+        witnesses say which request of which connection took the locks,
+        which the (identical) serve-loop Python stack never did."""
+        vehicle_schema(client)
+        v1 = client.make("Vehicle", values={"Color": "a"})
+        v2 = client.make("Vehicle", values={"Color": "b"})
+        # Opposite orders on two connections, one after the other: no
+        # lock ever waited, the inversion is latent.
+        for connection, ordering in ((client, (v1, v2)), (client2, (v2, v1))):
+            connection.begin()
+            for vehicle in ordering:
+                connection.set_value(vehicle, "Color", "x")
+            connection.commit()
+        findings = client.check(plane="lockdep")["lockdep"]["findings"]
+        inversion = next(
+            finding["detail"] for finding in findings
+            if finding["rule"] == "LOCKDEP-INVERSION"
+        )
+        witnesses = [inversion["witness_forward"], inversion["witness_reverse"]]
+        sessions = set()
+        for witness in witnesses:
+            for stack in (witness["held_stack"], witness["acquire_stack"]):
+                op, session, txn = stack
+                assert op == "set_value"
+                assert txn == f"txn {witness['txn']}"
+                sessions.add(session)
+        assert sessions == {
+            f"session {client.session_id}", f"session {client2.session_id}"
+        }
+
+
 class TestAuthorization:
     def test_access_checks_route_through_engine(self):
         from repro.authorization.engine import AuthorizationEngine
