@@ -281,6 +281,8 @@ class LockTable:
             self.stats.releases += len(held)
             for observer in self.observers:
                 observer.on_release(txn)
+        if not self._waiting:
+            return []  # nobody queued: nothing to withdraw or promote
         for resource in list(self._waiting):
             queue = self._waiting[resource]
             remaining = deque(r for r in queue if r.txn is not txn)
