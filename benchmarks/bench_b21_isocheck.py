@@ -19,11 +19,11 @@ Analysis plane 5 has two price tags worth publishing:
   call: it is a property of the stopwatch, proportional to the number of
   callbacks and not to what the recorder does in them, and at ~3 200
   callbacks per run it was a quarter of the numerator.  (It used to be
-  left in as slack.  PR 13 made the mix itself ~25% faster — lock-table
-  bookkeeping — so the same recorder work, stopwatch included, went from
-  4.0% to 5.3% of the run; without the stopwatch it is 3.9%.  The
-  cross-run A/B, which also sees hook dispatch, reads ~2.7 ms per run on
-  both sides of that change: EXPERIMENTS.md.)
+  left in as slack.  PR 13 made the mix itself ~30% faster — lock-table
+  and UID bookkeeping — so the same recorder work, stopwatch included,
+  went from 4.0% to 5.3% of the run; without the stopwatch it is ~4.1%.
+  The cross-run A/B, which also sees hook dispatch, reads ~2.7 ms per
+  run on both sides of that change: EXPERIMENTS.md.)
 * **Checker throughput** — ``check_history`` builds the Adya DSG and
   hunts cycles; CI feeds it multi-thousand-event histories from the
   crash sweep, so events/second is the number that bounds gate latency.
