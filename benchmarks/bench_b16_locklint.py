@@ -27,8 +27,6 @@ import time
 from repro import Database
 from repro.analysis.lockdep import LockOrderRecorder
 from repro.bench import print_table
-from repro.locking.modes import LockMode
-from repro.locking.table import LockTable
 from repro.sim import ConcurrencySimulator
 from repro.workloads import composite_mix
 from repro.workloads.parts import build_assembly
@@ -166,46 +164,3 @@ def test_b16_recorder_overhead(benchmark, recorder):
          "inversion hazard of Section 7"],
     )
 
-
-def test_b16_per_grant_cost(recorder):
-    """The same four modes with nothing but the lock table underneath —
-    three grants and a release per transaction, the shape of one served
-    request — so the recorder's own cost is not diluted by the simulator
-    (above, even full stack capture is only ~1.1x of a run)."""
-    from repro.txn.transaction import Transaction
-
-    db = Database()
-    plan = ((("class", "Root"), LockMode.IS), (("class", "Part"), LockMode.IS),
-            (("instance", 7), LockMode.S))
-    transactions = 20_000
-    best = {}
-    for mode in MODES:
-        times = []
-        for _ in range(3):
-            table = LockTable()
-            _attach(db, table, mode)
-            start = time.perf_counter()
-            for _ in range(transactions):
-                txn = Transaction()
-                for resource, lock_mode in plan:
-                    table.acquire(txn, resource, lock_mode)
-                table.release_all(txn)
-            times.append(time.perf_counter() - start)
-        best[mode] = min(times)
-    grants = transactions * len(plan)
-    rows = [
-        {
-            "mode": mode,
-            "ns_per_grant": round((best[mode] - best["off"]) / grants * 1e9),
-            "vs_nostacks": round(best[mode] / best["nostacks"], 2),
-        }
-        for mode in MODES
-    ]
-    assert best["server"] <= best["nostacks"] * 1.10
-    assert best["server"] < best["stacks"]
-    print_table(rows, title="B16b — recorder cost per grant on a bare table")
-    recorder.record(
-        "B16b", "lockdep recorder cost per grant, bare lock table", rows,
-        ["the server's recorder does constant work per grant: within "
-         "1.10x of the stack-less recorder, below the stack-walking one"],
-    )

@@ -80,7 +80,7 @@ class AuthorizationEngine:
         self._versions = version_registry
         #: Access checks performed (benchmark metric).
         self.checks = 0
-        #: The resolution cache: uid -> user -> Resolution.
+        #: The resolution cache: user -> uid -> Resolution.
         self._cache = {}
         #: :meth:`_generation` when the cache was last known good.
         self._cache_generation = self._generation()
@@ -171,8 +171,8 @@ class AuthorizationEngine:
         if generation != self._cache_generation:
             self._cache.clear()
             self._cache_generation = generation
-        resolutions = self._cache.get(uid)
-        resolution = None if resolutions is None else resolutions.get(user)
+        resolutions = self._cache.get(user)
+        resolution = None if resolutions is None else resolutions.get(uid)
         if resolution is None:
             resolution = combine(
                 [grant.atom for grant in self._implied_grants(user, uid)]
@@ -180,19 +180,19 @@ class AuthorizationEngine:
             # Only live objects are remembered: their entries go when
             # they are deleted, so the cache is bounded by the database.
             if self._db.peek(uid) is not None:
-                self._cache.setdefault(uid, {})[user] = resolution
+                self._cache.setdefault(user, {})[uid] = resolution
         return resolution
 
     def check(self, user, auth_type, uid):
         """True when *user* positively holds *auth_type* on *uid*."""
-        return self.resolve(user, uid).permits(auth_type)
+        return self.resolve(user, uid).permits(AuthType(auth_type))
 
     def require(self, user, auth_type, uid):
         """Raise :class:`AccessDenied` unless the check passes."""
         resolution = self.resolve(user, uid)
+        auth_type = AuthType(auth_type)
         if resolution.permits(auth_type):
             return True
-        auth_type = AuthType(auth_type)
         if resolution.conflict:
             reason = "conflicting implied authorizations"
         elif resolution.denies(auth_type):
@@ -286,17 +286,16 @@ class AuthorizationEngine:
 
     def _forget_subject(self, subject):
         """*subject*'s grants changed: drop the entries computed from them."""
-        for resolutions in self._cache.values():
-            resolutions.pop(subject, None)
+        self._cache.pop(subject, None)
 
     def _forget_object(self, uid):
-        self._cache.pop(uid, None)
+        for resolutions in self._cache.values():
+            resolutions.pop(uid, None)
 
     def _forget_components(self, _parent, _spec, child):
         """A composite link to *child* was added or removed: it and every
         component below it gained or lost ancestors."""
-        cache = self._cache
-        if not cache:
+        if not self._cache:
             return
         db = self._db
         seen = set()
@@ -306,12 +305,14 @@ class AuthorizationEngine:
             if uid in seen:
                 continue
             seen.add(uid)
-            cache.pop(uid, None)
             instance = db.peek(uid)
             if instance is not None:
                 pending.extend(
                     member for _attr, member in db.iter_composite_values(instance)
                 )
+        for resolutions in self._cache.values():
+            for uid in seen:
+                resolutions.pop(uid, None)
 
     def _covered_objects(self, scope):
         """Objects a grant on *scope* covers (for grant-time conflict checks)."""

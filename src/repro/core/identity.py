@@ -31,15 +31,6 @@ class UID:
     #: Name of the class the object belongs to (ORION-style segmented OID).
     class_name: str = field(compare=False)
 
-    # Spelled out rather than generated: the object table, the lock table
-    # and the authorization cache key some twenty dict operations per
-    # request by UID, and the generated methods build a tuple for each.
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and other.number == self.number
-
-    def __hash__(self):
-        return hash(self.number)
-
     def __repr__(self):
         return f"UID({self.number}:{self.class_name})"
 

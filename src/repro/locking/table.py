@@ -21,7 +21,7 @@ touching the grant path when disabled.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Any, Hashable, Optional
 
@@ -76,8 +76,8 @@ class LockTable:
     """All locks of one database."""
 
     def __init__(self) -> None:
-        #: resource -> txn (in grant order) -> set of LockMode
-        self._granted: dict[Hashable, dict[Any, set[LockMode]]] = {}
+        #: resource -> OrderedDict txn -> set of LockMode
+        self._granted: dict[Hashable, OrderedDict[Any, set[LockMode]]] = {}
         #: txn -> the resources it holds a mode on, in first-grant order
         #: (a dict used as an ordered set): the index that makes
         #: :meth:`release_all` cost the transaction's own locks instead
@@ -138,14 +138,11 @@ class LockTable:
         self, txn: Any, resource: Hashable, mode: LockMode
     ) -> bool:
         """True when granting (*txn*, *mode*) now would not conflict."""
-        grants = self._granted.get(resource)
-        if grants:
-            for holder, modes in grants.items():
-                if holder is txn:
-                    continue  # own locks never conflict: a conversion
-                for held in modes:
-                    if not COMPATIBILITY[(mode, held)]:
-                        return False
+        for holder, modes in self._granted.get(resource, {}).items():
+            if holder is txn:
+                continue  # own locks never conflict; this is a conversion
+            if not all(COMPATIBILITY[(mode, held)] for held in modes):
+                return False
         return True
 
     # -- acquisition -----------------------------------------------------------
@@ -173,28 +170,23 @@ class LockTable:
         if not isinstance(mode, LockMode):
             raise TypeError(f"mode must be a LockMode, got {mode!r}")
         self.stats.requests += 1
-        grants = self._granted.get(resource)
-        held = grants.get(txn) if grants else None
-        if held and mode in held:
+        held = self._granted.get(resource, {}).get(txn, set())
+        if mode in held:
             self.stats.grants += 1
             return True
+        # A re-issued request that is already queued stays queued once
+        # (pollers retry without duplicating their queue entry).
+        for pending in self._waiting.get(resource, ()):
+            if pending.txn is txn and pending.mode is mode:
+                return False
+        # FIFO fairness: a fresh (non-conversion) request must also wait
+        # behind earlier incompatible waiters.
         behind_waiter = False
-        queue = self._waiting.get(resource) if self._waiting else None
-        if queue:
-            # A re-issued request that is already queued stays queued
-            # once (pollers retry without duplicating their queue entry).
-            for pending in queue:
-                if pending.txn is txn and pending.mode is mode:
-                    return False
-            # FIFO fairness: a fresh (non-conversion) request must also
-            # wait behind earlier incompatible waiters.
-            if not held:
-                for prior in queue:
-                    if prior.txn is not txn and not COMPATIBILITY[
-                        (mode, prior.mode)
-                    ]:
-                        behind_waiter = True
-                        break
+        if not held:
+            for prior in self._waiting.get(resource, ()):
+                if prior.txn is not txn and not COMPATIBILITY[(mode, prior.mode)]:
+                    behind_waiter = True
+                    break
         if not behind_waiter and self.is_compatible(txn, resource, mode):
             self._grant(txn, resource, mode)
             self.stats.grants += 1
@@ -215,18 +207,9 @@ class LockTable:
         return False
 
     def _grant(self, txn: Any, resource: Hashable, mode: LockMode) -> None:
-        grants = self._granted.get(resource)
-        if grants is None:
-            grants = self._granted[resource] = {}
-        modes = grants.get(txn)
-        if modes is None:
-            grants[txn] = {mode}
-            held = self._held.get(txn)
-            if held is None:
-                held = self._held[txn] = {}
-            held[resource] = None
-        else:
-            modes.add(mode)
+        grants = self._granted.setdefault(resource, OrderedDict())
+        grants.setdefault(txn, set()).add(mode)
+        self._held.setdefault(txn, {})[resource] = None
         for observer in self.observers:
             observer.on_grant(txn, resource, mode)
 
@@ -276,13 +259,11 @@ class LockTable:
             for resource in held:
                 grants = self._granted[resource]
                 del grants[txn]
+                self.stats.releases += 1
                 if not grants:
                     del self._granted[resource]
-            self.stats.releases += len(held)
             for observer in self.observers:
                 observer.on_release(txn)
-        if not self._waiting:
-            return []  # nobody queued: nothing to withdraw or promote
         for resource in list(self._waiting):
             queue = self._waiting[resource]
             remaining = deque(r for r in queue if r.txn is not txn)

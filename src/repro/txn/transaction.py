@@ -100,9 +100,11 @@ class Transaction:
     def __repr__(self):
         return f"<Txn {self.txn_id} {self.state.value} undo={len(self.undo_log)}>"
 
-    # Identity is equality: ids are unique per process, and the lock
-    # table keys a dozen dict operations per request by transaction, so
-    # hashing stays the interpreter's own.
+    def __hash__(self):
+        return hash(self.txn_id)
+
+    def __eq__(self, other):
+        return isinstance(other, Transaction) and other.txn_id == self.txn_id
 
     def __lt__(self, other):
         return self.txn_id < other.txn_id

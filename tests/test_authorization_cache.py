@@ -355,7 +355,7 @@ class TestInProcess:
         db, engine, root, part = one_composite()
         ghost = UID(10_000, "Part")
         assert not engine.check("u", "R", ghost)
-        assert ghost not in engine._cache
+        assert ghost not in engine._cache.get("u", {})
 
 
 class TestOverTheWire:
