@@ -4,10 +4,9 @@ The protocol plane's value rests on *exhaustiveness*: CI sweeps every
 interleaving of message delivery, crash-at-site, and recovery for a
 small scope on every push, so the sweep must stay far inside the CI
 budget as the model grows.  This benchmark times the standard CI scope
-(2 workers, 2 concurrent cross-shard transactions, 1-crash budget)
-under both exploration strategies and records states/second plus the
-sleep-set reduction's pruning ratio.  The acceptance bound mirrors the
-ISSUE: the full sweep finishes in well under 60 seconds.
+(2 workers, 2 concurrent cross-shard transactions, 1-crash budget) and
+records states/second.  The acceptance bound mirrors the ISSUE: the
+full sweep finishes in well under 60 seconds.
 """
 
 import time
@@ -21,11 +20,11 @@ ROUNDS = 3
 BUDGET_SECONDS = 60.0
 
 
-def _measure(strategy):
+def _measure():
     best = None
     for _ in range(ROUNDS):
         started = time.perf_counter()
-        result = explore(SCOPE, strategy=strategy)
+        result = explore(SCOPE)
         elapsed = time.perf_counter() - started
         assert result.ok, result.summary()
         if best is None or elapsed < best[0]:
@@ -34,44 +33,26 @@ def _measure(strategy):
 
 
 def test_b19_protocheck_throughput(benchmark, recorder):
-    measured = {
-        strategy: _measure(strategy) for strategy in ("bfs", "dfs")
-    }
-    # Reduction soundness rides along: both strategies must agree on
-    # the reachable state count while DFS prunes transitions.
-    assert measured["bfs"][1].states == measured["dfs"][1].states
-    assert measured["dfs"][1].sleep_skips > 0
-
-    rows = [
-        {
-            "strategy": strategy,
-            "states": result.states,
-            "transitions": result.transitions,
-            "sleep_pruned": result.sleep_skips,
-            "seconds": round(elapsed, 3),
-            "states_per_sec": round(result.states / elapsed),
-        }
-        for strategy, (elapsed, result) in measured.items()
-    ]
+    elapsed, result = _measure()
+    rows = [{
+        "states": result.states,
+        "transitions": result.transitions,
+        "seconds": round(elapsed, 3),
+        "states_per_sec": round(result.states / elapsed),
+    }]
     print_table(
         rows,
         title=f"B19 — 2PC model checker, scope "
               f"{SCOPE.workers}w/{SCOPE.txns}t/{SCOPE.max_crashes}c",
     )
 
-    for strategy, (elapsed, _) in measured.items():
-        assert elapsed < BUDGET_SECONDS, (
-            f"{strategy} sweep took {elapsed:.1f}s "
-            f"(CI budget {BUDGET_SECONDS:.0f}s)"
-        )
-
-    benchmark.pedantic(
-        lambda: explore(SCOPE, strategy="dfs"), rounds=3, iterations=1
+    assert elapsed < BUDGET_SECONDS, (
+        f"sweep took {elapsed:.1f}s (CI budget {BUDGET_SECONDS:.0f}s)"
     )
+
+    benchmark.pedantic(lambda: explore(SCOPE), rounds=3, iterations=1)
 
     recorder.record(
         "B19", "exhaustive 2PC exploration throughput (CI scope)", rows,
-        ["bfs and sleep-set dfs agree on the reachable state count",
-         "the full CI sweep finishes far inside the 60s budget",
-         "sleep sets prune transitions without losing states"],
+        ["the full CI sweep finishes far inside the 60s budget"],
     )

@@ -43,14 +43,13 @@ Nine commands, all reporting through the shared findings model:
     ``--impl-traces`` additionally check recorded/live durable traces
     as refinements of the model.  ``--self-test`` verifies the checker
     itself: a seeded presumed-*commit* bug must yield a shortest
-    counterexample, the clean model must explore violation-free, and
-    the DFS sleep-set reduction must agree with plain BFS — CI runs
-    this form.
+    counterexample and the clean model must explore violation-free —
+    CI runs this form.
 
 ``repro-check iso [HISTORY...] [--templates FILE... --store DIR]``
     Check recorded transaction histories (JSONL files written by
-    ``repro-server --record-history``, the crash sweep's
-    ``--record-histories``, or shard workers) for isolation anomalies:
+    ``repro-server --record-history``, ``repro-sweep
+    --record-histories``, or shard workers) for isolation anomalies:
     Adya's Direct Serialization Graph with typed G0/G1/G2 findings,
     each cycle carrying a minimal witness.  With ``--templates`` the
     same anomalies are *predicted* statically from transaction-template
@@ -361,7 +360,7 @@ def _cmd_proto(options: argparse.Namespace) -> int:
         max_crashes=options.max_crashes,
     )
     report, result = protocheck.check_protocol(
-        scope, strategy=options.strategy, spontaneous=options.spontaneous
+        scope, spontaneous=options.spontaneous
     )
     notes = [result.summary()]
     if options.replay:
@@ -394,20 +393,18 @@ def _proto_self_test(options: argparse.Namespace) -> int:
     """CI gate: the model checker must find a seeded protocol bug and
     stay quiet on the faithful model.
 
-    Four checks, all required:
+    Three checks, all required:
 
     1. the seeded presumed-*commit* bug (an in-doubt participant that
        commits instead of aborting when the coordinator log is silent)
        is reported as ``PROTO-CONSISTENCY`` with a shortest (4-step)
-       BFS counterexample trace;
+       counterexample trace;
     2. the faithful model explores violation-free at two scopes;
     3. the seeded guard-drop bug (``presume-eager``: presuming abort
        while the coordinator could still decide commit) is caught once
        spontaneous crashes are enabled — and the faithful model stays
        clean under the same spontaneous-crash schedule, which is what
-       justifies the grace-period guard in ``shard/worker.py``;
-    4. DFS with the sleep-set reduction visits exactly the states plain
-       BFS does (reduction soundness, checked empirically).
+       justifies the grace-period guard in ``shard/worker.py``.
     """
     from . import protocheck
     from .proto_model import Scope
@@ -421,9 +418,7 @@ def _proto_self_test(options: argparse.Namespace) -> int:
     tiny = Scope(workers=1, txns=1, max_crashes=1)
     small = Scope(workers=2, txns=1, max_crashes=1)
 
-    seeded, result = protocheck.check_protocol(
-        tiny, bug="presumed-commit", strategy="bfs"
-    )
+    seeded, result = protocheck.check_protocol(tiny, bug="presumed-commit")
     witnesses = [
         example for example in result.counterexamples
         if example.rule == "PROTO-CONSISTENCY"
@@ -447,7 +442,7 @@ def _proto_self_test(options: argparse.Namespace) -> int:
     )
 
     for scope in (tiny, small):
-        _, clean = protocheck.check_protocol(scope, strategy="bfs")
+        _, clean = protocheck.check_protocol(scope)
         ok = clean.ok
         if not ok:
             failures.append(
@@ -455,10 +450,8 @@ def _proto_self_test(options: argparse.Namespace) -> int:
             )
         note(ok, f"clean model: {clean.summary()}")
 
-    eager = protocheck.explore(
-        small, bug="presume-eager", strategy="bfs", spontaneous=True
-    )
-    guarded = protocheck.explore(small, strategy="bfs", spontaneous=True)
+    eager = protocheck.explore(small, bug="presume-eager", spontaneous=True)
+    guarded = protocheck.explore(small, spontaneous=True)
     if eager.ok:
         failures.append(
             "dropping the presume-abort grace guard was NOT caught "
@@ -473,19 +466,6 @@ def _proto_self_test(options: argparse.Namespace) -> int:
         not eager.ok and guarded.ok,
         f"grace guard: eager={len(eager.counterexamples)} violation(s), "
         f"guarded={len(guarded.counterexamples)}",
-    )
-
-    bfs = protocheck.explore(small, strategy="bfs")
-    dfs = protocheck.explore(small, strategy="dfs")
-    if bfs.states != dfs.states:
-        failures.append(
-            f"sleep-set DFS visited {dfs.states} state(s), plain BFS "
-            f"{bfs.states} — the reduction is unsound or stale"
-        )
-    note(
-        bfs.states == dfs.states,
-        f"reduction soundness: bfs={bfs.states} dfs={dfs.states} "
-        f"({dfs.sleep_skips} transition(s) sleep-pruned)",
     )
 
     for failure in failures:
@@ -618,8 +598,7 @@ def _iso_self_test(options: argparse.Namespace) -> int:
     import tempfile
 
     from ..core.database import Database
-    from ..faults.crashsim import CrashSim
-    from ..faults.plan import random_plan
+    from ..faults.drill import run_sweep
     from ..workloads.txmix import composite_mix, memory_fixture, run_tm_mix
     from .history import History, HistoryRecorder
     from .isocheck import check_history, predict_isolation
@@ -738,10 +717,10 @@ def _iso_self_test(options: argparse.Namespace) -> int:
     # survive the JSONL round-trip (torn tail included).
     sweep_problems: list[str] = []
     events_checked = 0
-    for index in range(50):
-        plan = random_plan(20260807 + index * 7919)
-        with tempfile.TemporaryDirectory(prefix="iso-crashsim-") as scratch:
-            crash = CrashSim(plan, scratch, record_history=True).run()
+    with tempfile.TemporaryDirectory(prefix="iso-crashsim-") as scratch:
+        drills = run_sweep("crash", 20260807, 50, record_histories=scratch)
+    for crash in drills:
+        plan = crash.plan
         iso_problems = [
             problem for problem in crash.problems
             if problem.startswith("isolation:")
@@ -1034,11 +1013,6 @@ def build_parser() -> argparse.ArgumentParser:
     proto.add_argument(
         "--max-crashes", type=int, default=1,
         help="crash budget per schedule (default 1)",
-    )
-    proto.add_argument(
-        "--strategy", default="dfs", choices=("dfs", "bfs"),
-        help="dfs: sleep-set reduced sweep (default); bfs: shortest "
-        "counterexamples",
     )
     proto.add_argument(
         "--spontaneous",

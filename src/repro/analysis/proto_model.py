@@ -124,25 +124,13 @@ class State(NamedTuple):
 
 @dataclass(frozen=True)
 class Action:
-    """One transition: a protocol step, optionally dying at a site.
-
-    ``reads``/``writes`` are footprints over abstract state regions,
-    used for the independence relation of the partial-order reduction:
-    two actions commute when neither writes a region the other reads
-    or writes.
-    """
+    """One transition: a protocol step, optionally dying at a site."""
 
     name: str
     txn: int = -1
     worker: int = -1
     crash: Optional[str] = None
     note: str = ""
-    reads: frozenset[object] = frozenset()
-    writes: frozenset[object] = frozenset()
-
-    @property
-    def key(self) -> tuple[str, int, int, Optional[str]]:
-        return (self.name, self.txn, self.worker, self.crash)
 
     def label(self) -> str:
         bits = [self.name]
@@ -156,13 +144,6 @@ class Action:
         if self.crash:
             head += f" +crash@{self.crash}"
         return head
-
-
-def independent(a: Action, b: Action) -> bool:
-    """True when *a* and *b* commute (footprint-disjoint)."""
-    return not (
-        a.writes & b.writes or a.writes & b.reads or a.reads & b.writes
-    )
 
 
 def initial_state(scope: Scope) -> State:
@@ -226,24 +207,6 @@ def _crash_coord(state: State) -> State:
     )
 
 
-# -- footprint regions ------------------------------------------------------
-
-_CL = ("coord",)
-_BUDGET = ("budget",)
-
-
-def _wl(worker: int) -> tuple[str, int]:
-    return ("w", worker)
-
-
-def _ct(txn: int) -> tuple[str, int]:
-    return ("ct", txn)
-
-
-def _pt(txn: int, worker: int) -> tuple[str, int, int]:
-    return ("p", txn, worker)
-
-
 def commit_possible(state: State, txn: int) -> bool:
     """Can the coordinator still log *commit* for *txn*?
 
@@ -296,41 +259,28 @@ def successors(
     can_crash = state.crashes_left > 0
     if spontaneous and can_crash:
         if state.coord_alive:
-            regions = frozenset(
-                [_CL, _BUDGET] + [_ct(t) for t in range(scope.txns)]
-            )
             out.append((
-                Action("crash_coord", note="spontaneous",
-                       reads=regions, writes=regions),
+                Action("crash_coord", note="spontaneous"),
                 _crash_coord(state),
             ))
         for worker in range(scope.workers):
             if state.workers_alive[worker]:
-                regions = frozenset(
-                    [_wl(worker), _BUDGET]
-                    + [_pt(t, worker) for t in range(scope.txns)]
-                )
                 out.append((
                     Action("crash_worker", worker=worker,
-                           note="spontaneous",
-                           reads=regions, writes=regions),
+                           note="spontaneous"),
                     _crash_worker(state, worker),
                 ))
     for txn in range(scope.txns):
         _txn_successors(state, scope, txn, bug, can_crash, out)
     for worker in range(scope.workers):
         if not state.workers_alive[worker]:
-            regions = frozenset(
-                [_wl(worker)] + [_pt(t, worker) for t in range(scope.txns)]
-            )
             parts = tuple(
                 _set(row, worker, ABORTED if row[worker] == LOST
                      else row[worker])
                 for row in state.parts
             )
             out.append((
-                Action("restart_worker", worker=worker,
-                       reads=regions, writes=regions),
+                Action("restart_worker", worker=worker),
                 state._replace(
                     workers_alive=state.workers_alive[:worker] + (True,)
                     + state.workers_alive[worker + 1:],
@@ -339,9 +289,7 @@ def successors(
             ))
     if not state.coord_alive:
         out.append((
-            Action("restart_coord", reads=frozenset([_CL]),
-                   writes=frozenset([_CL])),
-            state._replace(coord_alive=True),
+            Action("restart_coord"), state._replace(coord_alive=True),
         ))
     return out
 
@@ -368,9 +316,7 @@ def _txn_successors(
             ):
                 # The router's prepare loop is sequential per txn.
                 out.append((
-                    Action("send_prepare", txn, worker,
-                           reads=frozenset([_CL, _ct(txn)]),
-                           writes=frozenset([_ct(txn)])),
+                    Action("send_prepare", txn, worker),
                     state._replace(votes=_set2(state.votes, txn, worker,
                                                "req")),
                 ))
@@ -380,11 +326,7 @@ def _txn_successors(
                 # The request can never produce a yes vote any more:
                 # the participant died (or its batch did).
                 out.append((
-                    Action("vote_fail", txn, worker,
-                           reads=frozenset(
-                               [_CL, _ct(txn), _wl(worker),
-                                _pt(txn, worker)]),
-                           writes=frozenset([_ct(txn)])),
+                    Action("vote_fail", txn, worker),
                     state._replace(votes=_set2(state.votes, txn, worker,
                                                "fail")),
                 ))
@@ -392,7 +334,7 @@ def _txn_successors(
     for worker in range(scope.workers):
         if (state.workers_alive[worker] and votes[worker] == "req"
                 and parts[worker] == ACTIVE):
-            _worker_prepare(state, scope, txn, worker, can_crash, out)
+            _worker_prepare(state, txn, worker, can_crash, out)
 
     # -- the decision ------------------------------------------------------
     if coord_up and phase == RUN:
@@ -402,13 +344,13 @@ def _txn_successors(
         elif any(vote == "fail" for vote in votes):
             outcome = "abort"
         if outcome is not None:
-            _log_decision(state, scope, txn, outcome, "log_decision",
+            _log_decision(state, txn, outcome, "log_decision",
                           can_crash, out)
     if coord_up and phase == DEAD:
         # Reconcile-on-start: an undecided gtid from a previous
         # incarnation gets an explicit abort line (presumed abort made
         # durable), exactly like ``Router.reconcile``.
-        _log_decision(state, scope, txn, "abort", "reconcile",
+        _log_decision(state, txn, "abort", "reconcile",
                       can_crash, out)
 
     # -- phase 2: decide delivery, acks ------------------------------------
@@ -419,15 +361,13 @@ def _txn_successors(
                 state.delivered[txn][prior] != "-"
                 for prior in range(worker)
             ):
-                _send_decide(state, scope, txn, worker, decision,
+                _send_decide(state, txn, worker, decision,
                              can_crash, out)
                 break
         if (state.acked[txn] == "none"
                 and all(d != "-" for d in state.delivered[txn])):
             out.append((
-                Action("ack", txn, note=decision,
-                       reads=frozenset([_CL, _ct(txn)]),
-                       writes=frozenset([_ct(txn)])),
+                Action("ack", txn, note=decision),
                 state._replace(acked=_set(state.acked, txn, decision)),
             ))
 
@@ -439,10 +379,7 @@ def _txn_successors(
             # _settle_in_doubt / reconcile: the coord.log line exists,
             # the worker applies it (journals R).
             out.append((
-                Action("poll_log", txn, worker, note=decision,
-                       reads=frozenset(
-                           [_wl(worker), _ct(txn), _pt(txn, worker)]),
-                       writes=frozenset([_pt(txn, worker)])),
+                Action("poll_log", txn, worker, note=decision),
                 state._replace(parts=_set2(
                     state.parts, txn, worker,
                     COMMITTED if decision == "commit" else ABORTED)),
@@ -450,15 +387,7 @@ def _txn_successors(
         elif bug == "presume-eager" or not commit_possible(state, txn):
             resolved = COMMITTED if bug == "presumed-commit" else ABORTED
             out.append((
-                Action("presume_abort", txn, worker,
-                       # commit_possible reads every participant's
-                       # liveness and part, so they are all in the
-                       # footprint (a crash elsewhere can enable this).
-                       reads=frozenset(
-                           [_CL, _ct(txn)]
-                           + [_wl(w) for w in range(scope.workers)]
-                           + [_pt(txn, w) for w in range(scope.workers)]),
-                       writes=frozenset([_pt(txn, worker)])),
+                Action("presume_abort", txn, worker),
                 state._replace(parts=_set2(state.parts, txn, worker,
                                            resolved)),
             ))
@@ -466,38 +395,24 @@ def _txn_successors(
 
 def _worker_prepare(
     state: State,
-    scope: Scope,
     txn: int,
     worker: int,
     can_crash: bool,
     out: list[tuple[Action, State]],
 ) -> None:
     """A live participant processes the prepare request."""
-    reads = frozenset([_wl(worker), _ct(txn), _pt(txn, worker)])
-    writes = frozenset([_ct(txn), _pt(txn, worker)])
-    crash_regions = frozenset(
-        [_wl(worker), _BUDGET]
-        + [_pt(t, worker) for t in range(scope.txns)]
-    )
     prepared = state._replace(
         votes=_set2(state.votes, txn, worker, "yes"),
         parts=_set2(state.parts, txn, worker, PREPARED),
     )
-    out.append((
-        Action("worker_prepare", txn, worker, reads=reads, writes=writes),
-        prepared,
-    ))
+    out.append((Action("worker_prepare", txn, worker), prepared))
     if can_crash:
         out.append((
-            Action("worker_prepare", txn, worker, crash="twopc.prepare",
-                   reads=reads | crash_regions,
-                   writes=writes | crash_regions),
+            Action("worker_prepare", txn, worker, crash="twopc.prepare"),
             _crash_worker(state, worker),   # nothing durable: batch lost
         ))
         out.append((
-            Action("worker_prepare", txn, worker, crash="twopc.prepared",
-                   reads=reads | crash_regions,
-                   writes=writes | crash_regions),
+            Action("worker_prepare", txn, worker, crash="twopc.prepared"),
             _crash_worker(
                 state._replace(
                     parts=_set2(state.parts, txn, worker, PREPARED)
@@ -509,7 +424,6 @@ def _worker_prepare(
 
 def _log_decision(
     state: State,
-    scope: Scope,
     txn: int,
     outcome: str,
     name: str,
@@ -517,38 +431,25 @@ def _log_decision(
     out: list[tuple[Action, State]],
 ) -> None:
     """The coordinator fsyncs a decision line (the 2PC commit point)."""
-    reads = frozenset([_CL, _ct(txn)])
-    writes = frozenset([_ct(txn)])
-    crash_regions = frozenset(
-        [_CL, _BUDGET] + [_ct(t) for t in range(scope.txns)]
-    )
     logged = state._replace(
         phases=_set(state.phases, txn, DECIDED),
         decisions=state.decisions[:txn] + (outcome,)
         + state.decisions[txn + 1:],
     )
-    out.append((
-        Action(name, txn, note=outcome, reads=reads, writes=writes),
-        logged,
-    ))
+    out.append((Action(name, txn, note=outcome), logged))
     if can_crash:
         out.append((
-            Action(name, txn, note=outcome, crash="coord.log_decision",
-                   reads=reads | crash_regions,
-                   writes=writes | crash_regions),
+            Action(name, txn, note=outcome, crash="coord.log_decision"),
             _crash_coord(state),            # nothing logged
         ))
         out.append((
-            Action(name, txn, note=outcome, crash="coord.decided",
-                   reads=reads | crash_regions,
-                   writes=writes | crash_regions),
+            Action(name, txn, note=outcome, crash="coord.decided"),
             _crash_coord(logged),           # line fsynced, nothing sent
         ))
 
 
 def _send_decide(
     state: State,
-    scope: Scope,
     txn: int,
     worker: int,
     outcome: str,
@@ -557,20 +458,10 @@ def _send_decide(
 ) -> None:
     """Deliver the decision to one participant (the router's decide
     loop is sequential; a failed delivery never blocks the loop)."""
-    reads = frozenset([_CL, _ct(txn), _wl(worker), _pt(txn, worker)])
-    writes = frozenset([_ct(txn), _pt(txn, worker)])
-    coord_crash = frozenset(
-        [_CL, _BUDGET] + [_ct(t) for t in range(scope.txns)]
-    )
-    worker_crash = frozenset(
-        [_wl(worker), _BUDGET]
-        + [_pt(t, worker) for t in range(scope.txns)]
-    )
     if can_crash:
         out.append((
             Action("send_decide", txn, worker, note=outcome,
-                   crash="coord.send_decide",
-                   reads=reads | coord_crash, writes=writes | coord_crash),
+                   crash="coord.send_decide"),
             _crash_coord(state),   # decision durable; delivery never left
         ))
     part = state.parts[txn][worker]
@@ -583,8 +474,8 @@ def _send_decide(
         # Connection refused / already resolved: the router logs and
         # moves on — recovery (poll_log) owns this participant now.
         out.append((
-            Action("send_decide", txn, worker, note=f"{outcome}, undeliverable",
-                   reads=reads, writes=writes),
+            Action("send_decide", txn, worker,
+                   note=f"{outcome}, undeliverable"),
             sent,
         ))
         return
@@ -593,24 +484,18 @@ def _send_decide(
         parts=_set2(sent.parts, txn, worker, resolved)
     )
     out.append((
-        Action("send_decide", txn, worker, note=outcome,
-               reads=reads, writes=writes),
-        applied,
+        Action("send_decide", txn, worker, note=outcome), applied,
     ))
     if can_crash:
         out.append((
             Action("send_decide", txn, worker, note=outcome,
-                   crash="twopc.decide",
-                   reads=reads | worker_crash,
-                   writes=writes | worker_crash),
+                   crash="twopc.decide"),
             # R not durable: active → lost / prepared, doubt → doubt.
             _crash_worker(sent, worker),
         ))
         out.append((
             Action("send_decide", txn, worker, note=outcome,
-                   crash="twopc.decided",
-                   reads=reads | worker_crash,
-                   writes=writes | worker_crash),
+                   crash="twopc.decided"),
             _crash_worker(applied, worker),   # R durable, ack lost
         ))
 

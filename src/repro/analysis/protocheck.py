@@ -6,12 +6,8 @@ Three layers, all reporting through the shared findings model:
 the :mod:`~repro.analysis.proto_model` state machine for a small scope
 (workers x transactions x crash budget), checking the protocol
 invariants on each state and emitting a *minimal counterexample trace*
-(BFS) or a witness path (DFS) for any violation.  The DFS strategy
-carries a sleep-set partial-order reduction: transitions with disjoint
-read/write footprints commute, so only one interleaving of each
-commuting pair is expanded — with the explored-transition memoization
-that keeps sleep sets sound under state caching (a revisited state
-re-expands exactly the transitions no earlier visit covered).
+for any violation (breadth-first: states are visited in distance
+order, so the first witness of each rule is a shortest one).
 
 **Conformance** — the implementation must *refine* the model.
 :func:`extract_trace` reads the durable artifacts a real cluster run
@@ -24,7 +20,7 @@ no line at all (presumed abort), and no prepared batch is left in
 doubt.  :func:`gather_impl_traces` drives the *real* journal, recovery,
 and coordinator-log code through seeded 2PC schedules (including
 crashes via ``Journal.abandon``) to produce traces in-process;
-``repro-shardsweep --record-traces`` records them from full
+``repro-sweep shard --record-traces`` records them from full
 multi-process runs.
 
 **Drift lints** — ``PROTO-SITE-DRIFT`` (:func:`lint_protocol_sites`)
@@ -57,7 +53,6 @@ from .proto_model import (
     Action,
     Scope,
     State,
-    independent,
     initial_state,
     successors,
     violations,
@@ -88,13 +83,11 @@ class ExplorationResult:
     """What one exhaustive run covered and found."""
 
     scope: Scope
-    strategy: str
     bug: Optional[str] = None
     spontaneous: bool = False
     states: int = 0
     transitions: int = 0
     terminals: int = 0
-    sleep_skips: int = 0
     elapsed: float = 0.0
     counterexamples: list[Counterexample] = field(default_factory=list)
 
@@ -105,34 +98,13 @@ class ExplorationResult:
     def summary(self) -> str:
         rate = self.states / self.elapsed if self.elapsed > 0 else 0.0
         return (
-            f"{self.strategy} scope={self.scope.workers}w/"
+            f"scope={self.scope.workers}w/"
             f"{self.scope.txns}t/{self.scope.max_crashes}c: "
-            f"{self.states} states, {self.transitions} transitions "
-            f"({self.sleep_skips} sleep-pruned), "
+            f"{self.states} states, {self.transitions} transitions, "
             f"{self.terminals} quiescent, "
             f"{len(self.counterexamples)} violation(s), "
             f"{self.elapsed:.2f}s ({rate:,.0f} states/s)"
         )
-
-
-def explore(
-    scope: Scope,
-    bug: Optional[str] = None,
-    strategy: str = "dfs",
-    spontaneous: bool = False,
-) -> ExplorationResult:
-    """Enumerate every reachable state of *scope* and check invariants.
-
-    ``strategy="bfs"`` visits states in distance order, so the first
-    counterexample for each rule is a *shortest* one.  ``strategy="dfs"``
-    applies the sleep-set reduction — same reachable states, fewer
-    expanded transitions — and is the default for the big sweep.
-    """
-    if strategy == "bfs":
-        return _explore_bfs(scope, bug, spontaneous)
-    if strategy == "dfs":
-        return _explore_dfs(scope, bug, spontaneous)
-    raise ValueError(f"unknown exploration strategy {strategy!r}")
 
 
 def _record(
@@ -155,10 +127,17 @@ def _record(
             ))
 
 
-def _explore_bfs(
-    scope: Scope, bug: Optional[str], spontaneous: bool
+def explore(
+    scope: Scope,
+    bug: Optional[str] = None,
+    spontaneous: bool = False,
 ) -> ExplorationResult:
-    result = ExplorationResult(scope, "bfs", bug, spontaneous)
+    """Enumerate every reachable state of *scope* and check invariants.
+
+    States are visited breadth-first, so the first counterexample for
+    each rule is a *shortest* one.
+    """
+    result = ExplorationResult(scope, bug, spontaneous)
     per_rule: dict[str, int] = {}
     started = time.perf_counter()
     init = initial_state(scope)
@@ -194,80 +173,6 @@ def _explore_bfs(
     return result
 
 
-def _explore_dfs(
-    scope: Scope, bug: Optional[str], spontaneous: bool
-) -> ExplorationResult:
-    """Sleep-set DFS with state caching.
-
-    ``explored[s]`` remembers which transitions any visit has expanded
-    from ``s``.  A revisit (whether via a different path or a smaller
-    sleep set) expands exactly the enabled transitions not yet covered
-    — Godefroid's fix that keeps sleep sets sound when combined with a
-    visited-state cache.  The sleep set itself is the classic one: when
-    exploring ``a`` after siblings ``a_1..a_{i-1}``, the child inherits
-    every sleeping or earlier-sibling action that commutes with ``a``.
-    """
-    result = ExplorationResult(scope, "dfs", bug, spontaneous)
-    per_rule: dict[str, int] = {}
-    started = time.perf_counter()
-    init = initial_state(scope)
-    explored: dict[State, set[tuple[str, int, int, Optional[str]]]] = {}
-    # Each frame: (state, worklist, index, sleep map, path depth).
-    path: list[str] = []
-    stack: list[
-        tuple[State, list[tuple[Action, State]], dict[Any, Action]]
-    ] = []
-
-    def enter(state: State, sleep: dict[Any, Action]) -> None:
-        first = state not in explored
-        done = explored.setdefault(state, set())
-        succ = successors(state, scope, bug, spontaneous)
-        if first:
-            result.states += 1
-            terminal = not succ
-            if terminal:
-                result.terminals += 1
-            if _may_violate(state, terminal):
-                _record(result, per_rule, state, terminal, tuple(path))
-        work: list[tuple[Action, State]] = []
-        for action, nxt in succ:
-            if action.key in done:
-                continue
-            if action.key in sleep:
-                result.sleep_skips += 1
-                continue
-            done.add(action.key)
-            work.append((action, nxt))
-        stack.append((state, work, dict(sleep)))
-
-    enter(init, {})
-    while stack:
-        state, work, sleep = stack[-1]
-        if not work:
-            stack.pop()
-            if path:
-                path.pop()
-            continue
-        action, nxt = work.pop(0)
-        result.transitions += 1
-        child_sleep = {
-            key: other
-            for key, other in sleep.items()
-            if independent(other, action)
-        }
-        # Earlier-explored siblings go to sleep in this child: their
-        # interleaving with `action` commutes, so the other order —
-        # already expanded from `state` — covers it.
-        sleep[action.key] = action
-        path.append(action.label())
-        enter(nxt, child_sleep)
-    # The final pop of `enter(init)` leaves one stale path slot; the
-    # loop's pop bookkeeping is off-by-one only for the root, which has
-    # no label — nothing to correct.
-    result.elapsed = time.perf_counter() - started
-    return result
-
-
 def _may_violate(state: State, terminal: bool) -> bool:
     """Cheap pre-filter: can this state possibly violate an invariant?
 
@@ -290,11 +195,10 @@ def _may_violate(state: State, terminal: bool) -> bool:
 def check_protocol(
     scope: Scope = Scope(),
     bug: Optional[str] = None,
-    strategy: str = "dfs",
     spontaneous: bool = False,
 ) -> tuple[Report, ExplorationResult]:
     """Run one exploration and fold it into a findings report."""
-    result = explore(scope, bug, strategy, spontaneous)
+    result = explore(scope, bug, spontaneous)
     report = Report(plane="proto")
     report.checked = result.states
     for example in result.counterexamples:
@@ -653,7 +557,6 @@ SCANNED_FILES = (
     "shard/worker.py",
     "shard/crashsim.py",
     "shard/placement.py",
-    "shard/sweep.py",
     "storage/journal.py",
     "server/dispatch.py",
 )

@@ -8,11 +8,14 @@ Layers (low to high):
   :func:`fault_scope` is active).
 - :mod:`repro.faults.plan` — seeded, deterministic :class:`FaultPlan`\\ s
   bundling rules, workload size, sync policy, and crash point.
-- :mod:`repro.faults.crashsim` — the :class:`CrashSim` harness: run a
-  seeded workload under a plan, simulate ``kill -9`` (or a power cut),
-  recover, and check committed-prefix durability plus a clean fsck.
-- :mod:`repro.faults.sweep` — the CLI sweeping hundreds of plans in CI
-  (``python -m repro.faults.sweep`` / ``repro-crashsweep``).
+- :mod:`repro.faults.drill` — the crash-drill engine every scenario
+  runs on: the one :class:`DrillReport`, the journal-cut disk model,
+  the shared oracles, the seeded primary harness, and the sweep CLI
+  (``python -m repro.faults.drill`` / ``repro-sweep``).
+- :mod:`repro.faults.crashsim` — :class:`CrashSim`, the ``crash``
+  scenario: run the seeded workload under a plan, simulate ``kill -9``
+  (or a power cut), recover, and check committed-prefix durability
+  above the durable floor plus a clean fsck.
 
 Only the registry is imported eagerly: the storage/server/client
 modules import ``fire`` from here at module load, and pulling the
@@ -44,17 +47,20 @@ __all__ = [
     "FaultPlan",
     "random_plan",
     "CrashSim",
-    "CrashReport",
+    "DrillReport",
 ]
 
 
+#: Lazily exported name -> the submodule defining it.
+_LAZY = {
+    "CRASH_MODES": "plan", "FaultPlan": "plan", "random_plan": "plan",
+    "CrashSim": "crashsim", "DrillReport": "drill",
+}
+
+
 def __getattr__(name):
-    if name in ("FaultPlan", "random_plan", "CRASH_MODES"):
-        from . import plan
+    if name in _LAZY:
+        from importlib import import_module
 
-        return getattr(plan, name)
-    if name in ("CrashSim", "CrashReport"):
-        from . import crashsim
-
-        return getattr(crashsim, name)
+        return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,40 +1,25 @@
-"""CrashSim: run a seeded workload under a fault plan, crash, recover.
+"""CrashSim: the ``crash`` drill scenario — one journal, one kill.
 
-The harness generalizes the hand-rolled torn-final-batch sweep of
-``tests/test_group_commit.py`` into a reusable oracle:
+On the shared engine (:mod:`repro.faults.drill`, which owns the seeded
+primary, the disk model, recovery, the fsck and isolation oracles and
+the report), CrashSim adds:
 
-1. Open a :class:`~repro.storage.durable.DurableDatabase` under the
-   plan's sync policy with the plan's failpoint rules armed.
-2. Run a deterministic workload (transactions, bare operations, aborts,
-   deletion cascades, syncs, checkpoints — all derived from the plan
-   seed), capturing a *fingerprint* of the database state at every
-   operation and unit boundary, together with how many journal bytes
-   were flushed and how many were truly fsynced at that moment.
-3. Crash: either at the plan's stop unit or at the first injected
-   :class:`~repro.errors.StorageError`, whichever comes first.  The
-   simulated ``kill -9`` copies the store as the disk would see it —
-   under ``kill`` mode everything the OS received survives; under
-   ``power`` mode a seeded cut lands anywhere past the truly-fsynced
-   watermark (so a "lying fsync" plan loses exactly the bytes the lie
-   pretended were safe).
-4. Recover the copy offline via :meth:`Journal.recover_into` — with no
-   faults armed — and check the two invariants every plan must satisfy:
+* a *boundary* capture at every operation and unit of the seeded
+  workload: the state fingerprint plus how many journal bytes were
+  flushed, whether the journal was sealed, and whether a transaction
+  was open;
+* the crash: at the plan's stop unit or the first injected
+  :class:`~repro.errors.StorageError`.  Under ``kill`` everything the OS
+  received survives; under ``power`` a seeded cut lands anywhere past
+  the truly-fsynced watermark (so a "lying fsync" plan loses exactly the
+  bytes the lie pretended were safe);
+* its own oracle, the **durable floor**: the recovered state must equal
+  a captured boundary *at or after* the last state the sync policy
+  actually guaranteed, given real fsyncs.
 
-   * **committed prefix** — the recovered state byte-equals one of the
-     captured boundary states, at or after the *durable floor* (the
-     last state the policy actually guaranteed, given real fsyncs);
-   * **fsck-clean** — :func:`repro.analysis.fsck.fsck_database` reports
-     zero findings on the recovered database.
-
-With ``record_history`` a
-:class:`~repro.analysis.history.HistoryRecorder` rides along (attached
-after the store opens, detached at the crash) and the run additionally
-checks the captured transaction history for isolation anomalies via
-:func:`repro.analysis.isocheck.check_history` — the workload is
-single-threaded strict execution, so any ``ISO-*`` error is a recorder
-or undo-path bug, not a storage failure.  Reads from the transaction
-the crash interrupted surface as *warnings* (that transaction is
-legitimately unfinished) and do not fail the plan.
+With ``record_history`` the transaction history is isolation-checked
+too — the workload is single-threaded strict execution, so any ``ISO-*``
+error is a recorder or undo-path bug, not a storage failure.
 
 Everything is derived from ``plan.seed``: two runs of one plan produce
 identical journals, identical crashes, and identical verdicts.
@@ -42,58 +27,21 @@ identical journals, identical crashes, and identical verdicts.
 
 from __future__ import annotations
 
-import shutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from random import Random
 
-from ..core.database import Database
-from ..errors import StorageError
-from ..schema.attribute import AttributeSpec, SetOf
-from ..storage.durable import DurableDatabase
-from ..storage.journal import JOURNAL_NAME, SNAPSHOT_NAME, Journal
-from ..txn import TransactionManager
-from .registry import fault_scope
-
-
-def _canonical_value(value):
-    """Order-insensitive rendering of one attribute value.
-
-    Set-of attributes store their members as a list whose order is an
-    implementation accident, not semantics — an abort's undo pass, for
-    instance, re-inserts a removed member at the tail.  Canonicalizing
-    keeps the oracle from flagging two logically identical states as
-    different.
-    """
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return ("set",) + tuple(sorted(repr(member) for member in value))
-    return repr(value)
-
-
-def state_fingerprint(database):
-    """Canonical state map ``{uid: canonical form}`` of live instances.
-
-    Two fingerprints are equal exactly when the databases hold the same
-    instances with the same attribute values, set memberships, and
-    composite (reverse-reference) topology — member and reference
-    *order* is normalized away.
-    """
-    state = {}
-    for instance in database.live_instances():
-        state[instance.uid] = (
-            instance.class_name,
-            instance.change_count,
-            tuple(sorted(
-                (attribute, _canonical_value(value))
-                for attribute, value in instance.values.items()
-            )),
-            tuple(sorted(
-                (repr(ref.parent), ref.attribute, ref.dependent,
-                 ref.exclusive)
-                for ref in instance.reverse_references
-            )),
-        )
-    return state
+from ..storage.journal import SYNC_POLICIES
+from .drill import (
+    DrillReport,
+    Scenario,
+    check_fsck,
+    crash_copy,
+    last_match,
+    primary_run,
+    recover_copy,
+    state_fingerprint,
+)
+from .plan import random_plan
 
 
 @dataclass
@@ -116,173 +64,6 @@ class _Boundary:
     quiescent: bool = True
 
 
-@dataclass
-class CrashReport:
-    """Outcome of one CrashSim run.  ``ok`` is the verdict; the rest is
-    forensics for the sweep CLI and for debugging a failing seed."""
-
-    plan: object
-    crash_mode: str
-    completed_units: int
-    crashed_by_fault: bool
-    faults_triggered: list = field(default_factory=list)
-    boundaries: int = 0
-    surviving_bytes: int = 0
-    recovered_index: int | None = None
-    durable_floor: int = 0
-    fsck_clean: bool = False
-    fsck_summary: str = ""
-    #: Captured transaction history (``record_history`` runs only).
-    history: object | None = None
-    iso_summary: str = ""
-    problems: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return not self.problems
-
-    def summary(self):
-        verdict = "ok" if self.ok else "FAIL " + "; ".join(self.problems)
-        return (
-            f"{self.plan.describe()} -> units={self.completed_units} "
-            f"fault={'yes' if self.crashed_by_fault else 'no'} "
-            f"survived={self.surviving_bytes}B "
-            f"recovered@{self.recovered_index}/floor={self.durable_floor} "
-            f"[{verdict}]"
-        )
-
-
-class SeededWorkload:
-    """Deterministic mixed workload over the Paragraph/Section schema
-    (the same composite shape the crash-consistency sweep uses)."""
-
-    def __init__(self, database, rng):
-        self.db = database
-        self.tm = TransactionManager(database)
-        self.rng = rng
-
-    def define_schema(self):
-        self.db.make_class("Paragraph", attributes=[
-            AttributeSpec("Text", domain="string"),
-        ])
-        self.db.make_class("Section", attributes=[
-            AttributeSpec("Content", domain=SetOf("Paragraph"),
-                          composite=True, exclusive=False, dependent=True),
-        ])
-
-    # -- pools -----------------------------------------------------------
-
-    def _paragraphs(self):
-        return sorted(
-            (i.uid for i in self.db.instances_of("Paragraph")),
-            key=lambda uid: uid.number,
-        )
-
-    def _sections(self):
-        return sorted(
-            (i.uid for i in self.db.instances_of("Section")),
-            key=lambda uid: uid.number,
-        )
-
-    # -- units -----------------------------------------------------------
-
-    def run_unit(self, index, capture):
-        """Run one workload unit; *capture(label)* records a boundary
-        after every completed operation."""
-        rng = self.rng
-        roll = rng.random()
-        if roll < 0.35:
-            self._txn_unit(index, capture, commit=True)
-        elif roll < 0.50:
-            self._txn_unit(index, capture, commit=False)
-        elif roll < 0.75:
-            self._bare_unit(index, capture)
-        elif roll < 0.85:
-            self._delete_unit(index, capture)
-        elif roll < 0.92:
-            if self.db.journal.needs_sync:
-                self.db.journal.sync()
-            capture(f"u{index}:sync")
-        else:
-            self.db.checkpoint()
-            capture(f"u{index}:checkpoint")
-
-    def _txn_unit(self, index, capture, commit):
-        tm, rng = self.tm, self.rng
-        txn = tm.begin()
-        for op in range(rng.randint(1, 3) if not commit else rng.randint(2, 4)):
-            self._txn_op(txn, f"u{index}.{op}")
-            # Mid-transaction boundaries matter under the write-through
-            # ``always`` policy, where every operation seals its own
-            # batch; under batching policies they are never recoverable
-            # alone and simply sit unused in the candidate list.
-            capture(f"u{index}:op{op}", quiescent=False)
-        if commit:
-            tm.commit(txn)
-            capture(f"u{index}:commit")
-        else:
-            tm.abort(txn)
-            capture(f"u{index}:abort")
-
-    def _txn_op(self, txn, tag):
-        tm, rng = self.tm, self.rng
-        paragraphs, sections = self._paragraphs(), self._sections()
-        roll = rng.random()
-        if roll < 0.35 or not paragraphs:
-            if len(paragraphs) >= 40:
-                return
-            tm.make(txn, "Paragraph", values={"Text": f"t-{tag}"})
-        elif roll < 0.60:
-            tm.write(txn, rng.choice(paragraphs), "Text", f"w-{tag}")
-        elif roll < 0.75 or not sections:
-            if sections and rng.random() < 0.5:
-                tm.make(txn, "Paragraph", values={"Text": f"m-{tag}"},
-                        parents=[(rng.choice(sections), "Content")])
-            else:
-                tm.make(txn, "Section")
-        elif roll < 0.90:
-            tm.insert(txn, rng.choice(sections), "Content",
-                      rng.choice(paragraphs))
-        else:
-            section = rng.choice(sections)
-            # Attribute the read to the open transaction (not a bare
-            # auto-txn, which could observe this txn's own dirty state).
-            with self.db.txn_context(txn):
-                content = self.db.value(section, "Content")
-            if content:
-                tm.remove(txn, section, "Content",
-                          rng.choice(sorted(content, key=lambda u: u.number)))
-
-    def _bare_unit(self, index, capture):
-        db, rng = self.db, self.rng
-        for op in range(rng.randint(1, 3)):
-            paragraphs, sections = self._paragraphs(), self._sections()
-            roll = rng.random()
-            if roll < 0.40 or not paragraphs:
-                if sections and rng.random() < 0.4:
-                    db.make("Paragraph", values={"Text": f"b-u{index}.{op}"},
-                            parents=[(rng.choice(sections), "Content")])
-                else:
-                    db.make("Paragraph", values={"Text": f"b-u{index}.{op}"})
-            elif roll < 0.70:
-                db.set_value(rng.choice(paragraphs), "Text", f"e-u{index}.{op}")
-            elif roll < 0.85 or not sections:
-                db.make("Section")
-            else:
-                db.insert_into(rng.choice(sections), "Content",
-                               rng.choice(paragraphs))
-            capture(f"u{index}:bare{op}")
-
-    def _delete_unit(self, index, capture):
-        db, rng = self.db, self.rng
-        sections, paragraphs = self._sections(), self._paragraphs()
-        if sections and rng.random() < 0.6:
-            db.delete(rng.choice(sections))  # may cascade to dependents
-        elif paragraphs:
-            db.delete(rng.choice(paragraphs))
-        capture(f"u{index}:delete")
-
-
 class CrashSim:
     """Run *plan* inside *root* (a scratch directory the caller owns).
 
@@ -301,16 +82,14 @@ class CrashSim:
 
     def run(self):
         plan = self.plan
-        report = CrashReport(
-            plan=plan, crash_mode=plan.crash_mode,
-            completed_units=0, crashed_by_fault=False,
-        )
-        registry = plan.build_registry()
+        report = DrillReport(plan=plan, scenario="crash")
+        boundaries = []
         # The durable watermark: bytes of the current journal epoch
         # covered by a *real* fsync.  A lying fsync never fires the
         # observer-only "journal.fsynced" site, so the watermark stays
         # put while the counters claim otherwise — exactly the gap the
-        # power-cut model then exploits.
+        # power-cut model then exploits.  The floor starts at boundary 0:
+        # schema DDL checkpoints, so nothing before it can be lost.
         marks = {"synced": 0, "floor_base": 0}
 
         def on_fsynced(ctx):
@@ -323,28 +102,15 @@ class CrashSim:
             marks["synced"] = 0
             marks["floor_base"] = len(boundaries)
 
-        registry.observe("journal.fsynced", on_fsynced)
-        registry.observe("journal.checkpointed", on_checkpointed)
-
-        boundaries = []
-        rng = Random(plan.seed)
-        with fault_scope(registry):
-            db = DurableDatabase(
-                self.store, sync_policy=plan.policy,
-                group_size=plan.group_size,
-            )
+        with primary_run(
+            plan, self.store, report,
+            observers={"journal.fsynced": on_fsynced,
+                       "journal.checkpointed": on_checkpointed},
+            record_history=self.record_history,
+        ) as (db, rng, drive):
             journal = db.journal
-            workload = SeededWorkload(db, rng)
-            recorder = None
-            if self.record_history:
-                from ..analysis.history import HistoryRecorder
-
-                path = (None if self.record_history is True
-                        else str(self.record_history))
-                recorder = HistoryRecorder(db, path=path)
 
             def capture(label, sealed=None, quiescent=True):
-                flushed = journal.journal_path.stat().st_size
                 if sealed is None:
                     sealed = (
                         journal._unsealed_records == 0
@@ -356,25 +122,14 @@ class CrashSim:
                 boundaries.append(_Boundary(
                     label=label,
                     state=state_fingerprint(db),
-                    flushed=flushed,
+                    flushed=journal.journal_path.stat().st_size,
                     sealed=sealed,
                     epoch=journal.epoch,
                     quiescent=quiescent,
                 ))
 
-            try:
-                workload.define_schema()
-                capture("schema")
-                # Schema DDL checkpoints; nothing before this capture
-                # can be lost, so the floor starts here.
-                marks["floor_base"] = len(boundaries) - 1
-                for index in range(1, plan.units + 1):
-                    workload.run_unit(index, capture)
-                    report.completed_units = index
-                    if index == plan.stop_at_unit:
-                        break
-            except StorageError:
-                report.crashed_by_fault = True
+            drive(capture, lambda index: index == plan.stop_at_unit)
+            if report.facts["crashed_by_fault"]:
                 # The operation that hit the fault may have become
                 # durable anyway (e.g. under ``always`` an fsync error
                 # fires after the commit marker was flushed), so the
@@ -382,87 +137,40 @@ class CrashSim:
                 # never a *floor*: the operation raised, so it carries
                 # no durability guarantee.
                 capture("crash", sealed=False, quiescent=False)
+            report.facts["boundaries"] = len(boundaries)
 
-            if recorder is not None:
-                recorder.close()
-                report.history = recorder.history
-            report.faults_triggered = [
-                (t.site, t.hit, t.action) for t in registry.triggered
-            ]
-            report.boundaries = len(boundaries)
-            self._simulate_crash(journal, rng, marks, report)
-            journal.abandon()
+            def power_cut(flushed):
+                # A power cut preserves only what a real fsync covered;
+                # the tail past the watermark survives to a seeded cut.
+                return rng.randint(min(marks["synced"], flushed), flushed)
+
+            report.facts["surviving_bytes"] = crash_copy(
+                self.store, self.scratch,
+                power_cut if plan.crash_mode == "power" else None,
+            )
 
         self._recover_and_check(boundaries, marks, report)
-        if report.history is not None:
-            self._check_history(report)
         return report
 
-    def _check_history(self, report):
-        """Isolation-check the captured history (errors gate; reads from
-        the crash-interrupted transaction are expected warnings)."""
-        from ..analysis.isocheck import check_history
-
-        iso = check_history(report.history)
-        report.iso_summary = iso.summary()
-        for finding in iso.errors:
-            report.problems.append(f"isolation: {finding}")
-
-    def _simulate_crash(self, journal, rng, marks, report):
-        """Copy the store as the disk would survive the crash."""
-        self.scratch.mkdir(parents=True, exist_ok=True)
-        snapshot = self.store / SNAPSHOT_NAME
-        if snapshot.exists():
-            shutil.copyfile(snapshot, self.scratch / SNAPSHOT_NAME)
-        # Reading the path sees what reached the OS — bytes still in
-        # the writer's userspace buffer are lost, as in a real kill -9.
-        data = (self.store / JOURNAL_NAME).read_bytes()
-        if self.plan.crash_mode == "power":
-            # A power cut preserves only what a real fsync covered; the
-            # tail past the watermark survives to a seeded cut point.
-            cut = rng.randint(min(marks["synced"], len(data)), len(data))
-            data = data[:cut]
-        report.surviving_bytes = len(data)
-        (self.scratch / JOURNAL_NAME).write_bytes(data)
-
     def _recover_and_check(self, boundaries, marks, report):
-        recovered = Database()
-        Journal.recover_into(recovered, self.scratch)
-        state = state_fingerprint(recovered)
-
-        from ..analysis.fsck import fsck_database
-
-        fsck = fsck_database(recovered)
-        report.fsck_clean = fsck.clean
-        report.fsck_summary = fsck.summary()
-        if not fsck.clean:
-            report.problems.append(f"fsck not clean: {fsck.summary()}")
-
-        if not boundaries:
-            if state:
-                report.problems.append(
-                    "recovered instances although no boundary was captured"
-                )
-            return
-
-        matches = [
-            j for j, boundary in enumerate(boundaries)
-            if boundary.state == state
-        ]
-        if not matches:
+        recovered = recover_copy(self.scratch)
+        check_fsck(report, recovered)
+        index = last_match([b.state for b in boundaries],
+                           state_fingerprint(recovered))
+        report.facts["recovered_index"] = index
+        if index is None:
             report.problems.append(
                 "recovered state matches no captured boundary state "
                 "(not a committed prefix)"
             )
             return
-        report.recovered_index = matches[-1]
-        report.durable_floor = self._durable_floor(boundaries, marks, report)
-        if report.recovered_index < report.durable_floor:
-            lost = boundaries[report.durable_floor].label
+        floor = self._durable_floor(boundaries, marks, report)
+        report.facts["durable_floor"] = floor
+        if index < floor:
             report.problems.append(
-                f"durable state {lost!r} (floor {report.durable_floor}) "
-                f"lost: recovery landed on index {report.recovered_index} "
-                f"({boundaries[report.recovered_index].label!r})"
+                f"durable state {boundaries[floor].label!r} (floor {floor}) "
+                f"lost: recovery landed on index {index} "
+                f"({boundaries[index].label!r})"
             )
 
     def _durable_floor(self, boundaries, marks, report):
@@ -478,13 +186,22 @@ class CrashSim:
         """
         floor = marks["floor_base"]
         final_epoch = boundaries[-1].epoch
+        limit = report.facts["surviving_bytes"]
         if self.plan.crash_mode == "power":
-            limit = min(marks["synced"], report.surviving_bytes)
-        else:
-            limit = report.surviving_bytes
+            limit = min(marks["synced"], limit)
         for j, boundary in enumerate(boundaries):
             if (j > floor and boundary.sealed and boundary.quiescent
                     and boundary.epoch == final_epoch
                     and boundary.flushed <= limit):
                 floor = j
         return floor
+
+
+def _drill(plan, root, history_dir):
+    record = history_dir / "history.jsonl" if history_dir else False
+    return [CrashSim(plan, root, record_history=record).run()]
+
+
+#: Plans are dealt round-robin across all four sync policies, so a sweep
+#: of N plans exercises N/4 seeded workloads per policy.
+SCENARIO = Scenario("crash", random_plan, _drill, policies=SYNC_POLICIES)

@@ -10,15 +10,15 @@ architecture of docs/REPLICATION.md:
   sealed group-commit batches and serving stale-bounded reads with an
   advertised replication lag (the ``repro-replica`` entry point).
 * :mod:`repro.mvcc.crashsim` — replica failover drills (kill-replica /
-  kill-primary-mid-ship) under the fault-plan harness.
+  kill-primary-mid-ship), the ``replica`` scenario of the drill engine
+  (:mod:`repro.faults.drill`, ``repro-sweep replica``).
 """
 
-from .crashsim import DrillReport, ReplicaDrill
+from .crashsim import ReplicaDrill
 from .manager import SnapshotManager
 from .replica import JournalFollower, ReadRouter, ReplicaServer, ReplicaThread
 
 __all__ = [
-    "DrillReport",
     "JournalFollower",
     "ReadRouter",
     "ReplicaDrill",

@@ -1,8 +1,9 @@
 """Replica failover drills under the fault-plan harness.
 
-Two scripted disasters, each run against the seeded Paragraph/Section
-workload of :mod:`repro.faults.crashsim` with a
-:class:`~repro.mvcc.replica.JournalFollower` tailing the primary:
+The ``replica`` drill scenario of :mod:`repro.faults.drill`: two
+scripted disasters, each run against the engine's seeded primary
+(:func:`~repro.faults.drill.primary_run`) with a
+:class:`~repro.mvcc.replica.JournalFollower` tailing it:
 
 ``kill-replica``
     The replica process dies mid-stream and restarts.  A replica holds
@@ -11,11 +12,12 @@ workload of :mod:`repro.faults.crashsim` with a
     converges back to the primary's newest sealed state.
 
 ``kill-primary``
-    The primary dies mid-ship (a seeded cut of its journal, same disk
-    model as :class:`~repro.faults.crashsim.CrashSim`).  The replica
-    keeps serving the committed prefix it applied, and *failover* is
-    promotion: recovering a fresh primary from the surviving bytes must
-    land on the same state the replica refused to read past.
+    The primary dies mid-ship (a seeded cut of its journal through the
+    engine's disk model, :func:`~repro.faults.drill.crash_copy`).  The
+    replica keeps serving the committed prefix it applied, and
+    *failover* is promotion: recovering a fresh primary from the
+    surviving bytes must land on the same state the replica refused to
+    read past.
 
 Oracles checked throughout (not only at the end):
 
@@ -35,59 +37,34 @@ Oracles checked throughout (not only at the end):
 from __future__ import annotations
 
 import contextlib
-import shutil
-from dataclasses import dataclass, field
 from pathlib import Path
-from random import Random
 
-from ..core.database import Database
 from ..errors import ReplicaLagError, StorageError
-from ..faults.crashsim import SeededWorkload, state_fingerprint
-from ..faults.registry import fault_scope
+from ..faults.drill import (
+    DrillReport,
+    Scenario,
+    crash_copy,
+    last_match,
+    primary_run,
+    recover_copy,
+    state_fingerprint,
+)
+from ..faults.plan import random_plan
 from ..storage.durable import DurableDatabase
-from ..storage.journal import JOURNAL_NAME, SNAPSHOT_NAME, Journal
+from ..storage.journal import SYNC_POLICIES
 from .replica import JournalFollower
 
 DRILL_KINDS = ("kill-replica", "kill-primary")
-
-
-@dataclass
-class DrillReport:
-    """Outcome of one failover drill (``ok`` is the verdict)."""
-
-    plan: object
-    kind: str
-    completed_units: int = 0
-    crashed_by_fault: bool = False
-    boundaries: int = 0
-    polls: int = 0
-    replica_rebuilds: int = 0
-    applied_epoch: int = 0
-    primary_epoch: int = 0
-    matched_label: str = ""
-    problems: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return not self.problems
-
-    def summary(self):
-        verdict = "ok" if self.ok else "FAIL " + "; ".join(self.problems)
-        return (
-            f"{self.kind} seed={self.plan.seed} policy={self.plan.policy} "
-            f"units={self.completed_units} polls={self.polls} "
-            f"epoch={self.applied_epoch}/{self.primary_epoch} "
-            f"matched={self.matched_label!r} [{verdict}]"
-        )
 
 
 class ReplicaDrill:
     """Run one failover drill inside *root* (a caller-owned scratch
     directory).  *plan* is a :class:`repro.faults.FaultPlan`: its seed
     drives the workload, its policy the primary's journal, its rules
-    (if any) inject primary-side faults exactly as in CrashSim."""
+    (if any) inject primary-side faults exactly as in CrashSim.
+    *record_history* is passed to the primary harness."""
 
-    def __init__(self, plan, root, kind="kill-replica"):
+    def __init__(self, plan, root, kind="kill-replica", record_history=False):
         if kind not in DRILL_KINDS:
             raise ValueError(
                 f"unknown drill kind {kind!r}; expected one of "
@@ -98,87 +75,104 @@ class ReplicaDrill:
         self.root = Path(root)
         self.store = self.root / "store"
         self.scratch = self.root / "crash"
+        self.record_history = record_history
 
     def run(self):
         plan = self.plan
-        report = DrillReport(plan=plan, kind=self.kind)
-        boundaries = []  # (label, fingerprint) of sealed commit points
-        states = []
-        rng = Random(plan.seed)
+        report = DrillReport(plan=plan, scenario="replica")
+        facts = report.facts
+        facts.update(kind=self.kind, polls=0, replica_rebuilds=0,
+                     applied_epoch=0, primary_epoch=0, matched_label="")
+        labels, states = [], []  # sealed commit points, in capture order
         kill_at = plan.stop_at_unit or max(1, plan.units // 2)
 
-        with fault_scope(plan.build_registry()):
-            db = DurableDatabase(
-                self.store, sync_policy=plan.policy,
-                group_size=plan.group_size,
-            )
+        with primary_run(
+            plan, self.store, report, record_history=self.record_history,
+        ) as (db, rng, drive):
             journal = db.journal
-            workload = SeededWorkload(db, rng)
 
-            def capture(label, sealed=None, quiescent=True):
+            def capture(label, **_):
                 # Non-quiescent boundaries are legal replica states too:
                 # under the ``always`` policy every operation seals its
                 # own batch, so a shipped prefix can land mid-transaction
                 # exactly where crash recovery would (aborts compensate).
-                boundaries.append((label, journal.commit_seq))
+                labels.append(label)
                 states.append(state_fingerprint(db))
 
+            def poll(follower):
+                follower.poll()
+                facts["polls"] += 1
+                self._check_prefix(follower, states, labels, report)
+                self._check_stale_bound(follower, db, report)
+
             follower = JournalFollower(self.store)
-            try:
-                workload.define_schema()
-                capture("schema")
-                for index in range(1, plan.units + 1):
-                    workload.run_unit(index, capture)
-                    report.completed_units = index
-                    if follower is not None:
-                        follower.poll()
-                        report.polls += 1
-                        self._check_prefix(follower, states, boundaries,
-                                           report)
-                        self._check_stale_bound(follower, db, report)
+
+            def after_unit(index):
+                nonlocal follower
+                if follower is not None:
+                    poll(follower)
                     if self.kind == "kill-replica" and index == kill_at:
                         # Replica process dies: nothing survives it.
                         follower = None
-                    elif follower is None:
-                        # ... and restarts: a fresh follower rebuilds
-                        # from the primary's directory alone.
-                        follower = JournalFollower(self.store)
-                        report.replica_rebuilds += 1
-            except StorageError:
-                report.crashed_by_fault = True
+                else:
+                    # ... and restarts: a fresh follower rebuilds from
+                    # the primary's directory alone.
+                    follower = JournalFollower(self.store)
+                    facts["replica_rebuilds"] += 1
 
+            drive(capture, after_unit)
             if follower is None:
                 follower = JournalFollower(self.store)
-                report.replica_rebuilds += 1
+                facts["replica_rebuilds"] += 1
 
-            if self.kind == "kill-primary":
-                self._kill_primary(db, journal, rng, follower,
-                                   states, boundaries, report)
+            if self.kind == "kill-replica":
+                # The restarted replica must catch up to the primary's
+                # newest sealed state.
+                if journal.needs_sync:
+                    with contextlib.suppress(StorageError):
+                        journal.sync()
+                capture("final")
+                poll(follower)
+                # Everything sealed is in the journal file (flushed per
+                # seal), so it must reach the last sealed boundary, not
+                # merely *some* prefix.  Buffered-but-unsealed txn
+                # batches legally lag: accept any boundary at the
+                # primary's commit_seq.
+                if (state_fingerprint(follower.database) != states[-1]
+                        and follower.applied_epoch != journal.commit_seq):
+                    report.problems.append(
+                        f"restarted replica converged to epoch "
+                        f"{follower.applied_epoch}, primary sealed "
+                        f"{journal.commit_seq}"
+                    )
             else:
-                self._converge(db, journal, follower,
-                               states, boundaries, report)
+                # Mid-ship: the cut can land anywhere in the flushed
+                # stream, including inside a record (a torn batch the
+                # replica must refuse to apply).
+                crash_copy(self.store, self.scratch,
+                           lambda flushed: rng.randint(0, flushed))
+                facts["primary_epoch"] = db.commit_epoch
+            facts["boundaries"] = len(states)
+
+        if self.kind == "kill-primary":
+            self._check_promotion(states, labels, report)
         return report
 
     # -- oracles ----------------------------------------------------------
 
-    def _check_prefix(self, follower, states, boundaries, report):
-        if follower is None:
-            return
-        state = state_fingerprint(follower.database)
-        matches = [j for j, known in enumerate(states) if known == state]
-        if not matches:
+    def _check_prefix(self, follower, states, labels, report):
+        index = last_match(states, state_fingerprint(follower.database))
+        if index is None:
             report.problems.append(
-                f"replica state after poll {report.polls} matches no "
-                f"captured commit point (not a committed prefix)"
+                f"replica state after poll {report.facts['polls']} matches "
+                f"no captured commit point (not a committed prefix)"
             )
         else:
-            report.matched_label = boundaries[matches[-1]][0]
+            report.facts["matched_label"] = labels[index]
 
     def _check_stale_bound(self, follower, db, report):
-        if follower is None:
-            return
-        report.applied_epoch = follower.applied_epoch
-        report.primary_epoch = db.commit_epoch
+        report.facts["applied_epoch"] = follower.applied_epoch
+        report.facts["primary_epoch"] = db.commit_epoch
         if follower.applied_epoch > db.commit_epoch:
             report.problems.append(
                 f"replica applied epoch {follower.applied_epoch} beyond "
@@ -198,76 +192,29 @@ class ReplicaDrill:
         except ReplicaLagError:
             pass
 
-    # -- endings ----------------------------------------------------------
-
-    def _converge(self, db, journal, follower, states, boundaries, report):
-        """kill-replica ending: the restarted replica must catch up to
-        the primary's newest sealed state."""
-        if journal.needs_sync:
-            with contextlib.suppress(StorageError):
-                journal.sync()
-        capture_state = state_fingerprint(db)
-        boundaries.append(("final", journal.commit_seq))
-        states.append(capture_state)
-        follower.poll()
-        report.polls += 1
-        self._check_prefix(follower, states, boundaries, report)
-        self._check_stale_bound(follower, db, report)
-        report.boundaries = len(boundaries)
-        replica_state = state_fingerprint(follower.database)
-        # Everything sealed is in the journal file (flushed per seal),
-        # so the restarted replica must reach the last sealed boundary,
-        # not merely *some* prefix.
-        if replica_state != capture_state:
-            # Buffered-but-unsealed txn batches legally lag; accept any
-            # boundary at the primary's commit_seq.
-            if follower.applied_epoch != journal.commit_seq:
-                report.problems.append(
-                    f"restarted replica converged to epoch "
-                    f"{follower.applied_epoch}, primary sealed "
-                    f"{journal.commit_seq}"
-                )
-        journal.abandon()
-
-    def _kill_primary(self, db, journal, rng, follower,
-                      states, boundaries, report):
-        """kill-primary ending: cut the journal mid-ship, let the
-        replica apply what survived, then promote."""
-        self.scratch.mkdir(parents=True, exist_ok=True)
-        snapshot = self.store / SNAPSHOT_NAME
-        if snapshot.exists():
-            shutil.copyfile(snapshot, self.scratch / SNAPSHOT_NAME)
-        data = (self.store / JOURNAL_NAME).read_bytes()
-        # Mid-ship: the cut can land anywhere in the flushed stream,
-        # including inside a record (a torn batch the replica must
-        # refuse to apply).
-        cut = rng.randint(0, len(data))
-        (self.scratch / JOURNAL_NAME).write_bytes(data[:cut])
-        journal.abandon()
-
+    def _check_promotion(self, states, labels, report):
+        """kill-primary ending: the replica applies what survived the
+        cut, then a fresh primary is promoted from the same bytes."""
+        facts = report.facts
         survivor = JournalFollower(self.scratch)
-        report.polls += 1
-        report.replica_rebuilds += 1
+        facts["polls"] += 1
+        facts["replica_rebuilds"] += 1
         state = state_fingerprint(survivor.database)
-        matches = [j for j, known in enumerate(states) if known == state]
-        if not matches:
+        index = last_match(states, state)
+        if index is None:
             report.problems.append(
                 "replica state after the primary crash matches no "
                 "captured commit point"
             )
         else:
-            report.matched_label = boundaries[matches[-1]][0]
-        report.applied_epoch = survivor.applied_epoch
-        report.primary_epoch = db.commit_epoch
-        report.boundaries = len(boundaries)
+            facts["matched_label"] = labels[index]
+        facts["applied_epoch"] = survivor.applied_epoch
 
         # Promotion: recover a fresh primary from the same survivors —
         # it must land exactly on the replica's prefix (refinement: the
         # replica's incremental parser and recovery agree byte-for-byte
         # on what a journal prefix means)...
-        recovered = Database()
-        Journal.recover_into(recovered, self.scratch)
-        if state_fingerprint(recovered) != state:
+        if state_fingerprint(recover_copy(self.scratch)) != state:
             report.problems.append(
                 "promotion diverged: recovery over the surviving bytes "
                 "disagrees with the replica's applied prefix"
@@ -278,11 +225,26 @@ class ReplicaDrill:
             uid = promoted.make("Paragraph", values={"Text": "post-failover"})
             if not promoted.exists(uid):
                 report.problems.append("promoted primary lost a write")
-            if promoted.commit_epoch <= report.applied_epoch - 1:
+            if promoted.commit_epoch <= facts["applied_epoch"] - 1:
                 report.problems.append(
                     f"promoted primary's epoch {promoted.commit_epoch} "
                     f"regressed below the replica's "
-                    f"{report.applied_epoch}"
+                    f"{facts['applied_epoch']}"
                 )
         finally:
             promoted.close()
+
+
+def _drill(plan, root, history_dir):
+    """Both disasters per plan, each in its own sub-directory."""
+    return [
+        ReplicaDrill(
+            plan, root / kind, kind,
+            record_history=history_dir / f"{kind}.jsonl" if history_dir
+            else False,
+        ).run()
+        for kind in DRILL_KINDS
+    ]
+
+
+SCENARIO = Scenario("replica", random_plan, _drill, policies=SYNC_POLICIES)

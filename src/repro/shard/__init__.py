@@ -22,16 +22,18 @@ Layers
     journal.
 :mod:`repro.shard.twopc`
     The coordinator decision log and in-doubt resolution helpers.
-:mod:`repro.shard.crashsim` / :mod:`repro.shard.sweep`
-    Multi-process crash testing: seeded workloads with worker and
-    coordinator kills at every 2PC state, checked against a
-    committed-prefix oracle plus clean fsck on every shard.
+:mod:`repro.shard.crashsim`
+    Multi-process crash testing, the ``shard`` scenario of the drill
+    engine (:mod:`repro.faults.drill`, ``repro-sweep shard``): seeded
+    workloads with worker and coordinator kills at every 2PC state,
+    checked against a committed-prefix oracle plus clean fsck on every
+    shard.
 
 See docs/SHARDING.md for placement rules, the 2PC state machine, and
 the recovery matrix.
 """
 
-from .crashsim import ShardCrashSim, ShardPlan, random_plans
+from .crashsim import ShardCrashSim, ShardPlan, random_plan
 from .placement import Manifest, shard_of_uid
 from .router import ShardRouter
 from .twopc import CoordinatorLog
@@ -45,6 +47,6 @@ __all__ = [
     "ShardPlan",
     "ShardRouter",
     "WorkerSpec",
-    "random_plans",
+    "random_plan",
     "shard_of_uid",
 ]

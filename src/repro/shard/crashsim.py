@@ -1,8 +1,10 @@
 """Multi-process crash simulation for the sharded cluster.
 
-The single-process crash simulator (:mod:`repro.faults.crashsim`)
-replays one journal against an in-process oracle.  Here the failure
-domain is a *process*: a seeded plan arms a ``kill`` failpoint — a hard
+The ``shard`` drill scenario of :mod:`repro.faults.drill` (which owns
+the report type, the isolation oracle and the ``repro-sweep`` CLI).
+The single-process scenario (:mod:`repro.faults.crashsim`) replays one
+journal against an in-process oracle.  Here the failure domain is a
+*process*: a seeded plan arms a ``kill`` failpoint — a hard
 ``os._exit`` — inside one worker or the router at an exact 2PC state
 (``twopc.prepare``/``prepared``/``decide``/``decided`` for workers,
 ``coord.log_decision``/``decided``/``send_decide`` for the coordinator),
@@ -28,11 +30,12 @@ directly from the recovered values — no shadow database needed.
 from __future__ import annotations
 
 import contextlib
+import json
 import random
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
-from ..errors import ShardError
+from ..faults.drill import DrillReport, Scenario, check_isolation
+from ..faults.registry import FaultRule
 from .placement import audit_cluster, shard_of_uid
 from .worker import ShardCluster
 
@@ -64,63 +67,64 @@ class ShardPlan:
     #: Probability a transaction spans two shards (and so commits by 2PC).
     cross_ratio: float = 0.7
 
+    def __post_init__(self):
+        self.kill_rule()  # an unknown site would silently never fire
+
+    @property
+    def kind(self):
+        return self.target.split(":")[0]
+
+    @property
+    def shard_id(self):
+        """The targeted worker's shard (None when the router dies)."""
+        return None if self.target == "router" else int(
+            self.target.split(":")[1])
+
     def describe(self):
         return (f"seed={self.seed} shards={self.shards} "
                 f"sync={self.sync_policy} kill={self.target}@{self.site}"
                 f"#{self.nth}")
 
     def kill_rule(self):
-        return {"site": self.site, "action": "kill", "nth": self.nth,
-                "count": 1, "torn_bytes": 8, "delay_s": 0.0, "message": ""}
+        return FaultRule(self.site, "kill", self.nth).to_dict()
 
 
-def random_plans(count=100, seed=20260807, shard_choices=(2, 3)):
-    """*count* seeded plans cycling through every (target kind, site)
-    pair, so any sweep of >= ``len(grid)`` plans kills both a worker and
-    the coordinator at every 2PC state."""
+#: Every (target kind, 2PC site) pair a kill can land on.
+GRID = tuple(("worker", site) for site in WORKER_SITES) \
+    + tuple(("router", site) for site in ROUTER_SITES)
+
+
+def random_plan(seed):
+    """The plan of *seed* — a pure function of it.
+
+    The kill lands on ``GRID[seed % len(GRID)]``: a sweep's seeds step
+    by :data:`repro.faults.drill.SEED_STRIDE`, which is coprime with the
+    grid size, so any ``len(GRID)`` consecutive plans kill both a worker
+    and the coordinator at every 2PC state.
+    """
     rng = random.Random(seed)
-    grid = [("worker", site) for site in WORKER_SITES]
-    grid += [("router", site) for site in ROUTER_SITES]
-    plans = []
-    for index in range(count):
-        kind, site = grid[index % len(grid)]
-        shards = rng.choice(shard_choices)
-        target = ("router" if kind == "router"
-                  else f"worker:{rng.randrange(shards)}")
-        plans.append(ShardPlan(
-            seed=rng.randrange(2**31),
-            shards=shards,
-            sync_policy=rng.choice(("commit", "commit", "group")),
-            target=target,
-            site=site,
-            nth=rng.randint(1, 3),
-        ))
-    return plans
-
-
-@dataclass
-class ShardCrashResult:
-    """What one plan did and whether the oracle held."""
-
-    plan: ShardPlan
-    acked: int = 0
-    kill_fired: bool = False
-    inflight_error: str = ""
-    problems: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return not self.problems
+    kind, site = GRID[seed % len(GRID)]
+    shards = rng.choice((2, 3))
+    return ShardPlan(
+        seed=seed,
+        shards=shards,
+        sync_policy=rng.choice(("commit", "commit", "group")),
+        target=("router" if kind == "router"
+                else f"worker:{rng.randrange(shards)}"),
+        site=site,
+        nth=rng.randint(1, 3),
+    )
 
 
 class ShardCrashSim:
     """Run one :class:`ShardPlan` in *root* (a fresh directory)."""
 
-    def __init__(self, root, plan, client_timeout=30.0,
-                 record_history_dir=None):
-        self.root = root
+    #: Seconds a client call may take before it counts as failed.
+    client_timeout = 30.0
+
+    def __init__(self, plan, root, record_history_dir=None):
         self.plan = plan
-        self.client_timeout = client_timeout
+        self.root = root
         #: Directory for per-shard transaction histories
         #: (``history-NN.jsonl``; a crashed worker leaves at most one
         #: torn tail line, and the restarted worker's boot marker splits
@@ -132,27 +136,22 @@ class ShardCrashSim:
 
     def _cluster(self):
         plan = self.plan
-        worker_failpoints, router_failpoints = {}, []
-        if plan.target == "router":
-            router_failpoints = [plan.kill_rule()]
-        else:
-            shard_id = int(plan.target.split(":", 1)[1])
-            worker_failpoints = {shard_id: [plan.kill_rule()]}
+        rules, router = [plan.kill_rule()], plan.kind == "router"
         return ShardCluster(
             self.root,
             shards=plan.shards,
             sync_policy=plan.sync_policy,
             grace=1.0,
             router_connect_timeout=3.0,
-            worker_failpoints=worker_failpoints,
-            router_failpoints=router_failpoints,
+            worker_failpoints={} if router else {plan.shard_id: rules},
+            router_failpoints=rules if router else [],
             record_history_dir=self.record_history_dir,
         )
 
     def _target_proc(self, cluster):
-        if self.plan.target == "router":
+        if self.plan.kind == "router":
             return cluster.router_proc
-        return cluster.workers[int(self.plan.target.split(":", 1)[1])]
+        return cluster.workers[self.plan.shard_id]
 
     # -- the run ----------------------------------------------------------
 
@@ -160,7 +159,8 @@ class ShardCrashSim:
         from ..server.client import Client
 
         plan = self.plan
-        result = ShardCrashResult(plan=plan)
+        result = DrillReport(plan=plan, scenario="shard")
+        result.facts.update(acked=0, kill_fired=False, inflight_error="")
         rng = random.Random(plan.seed)
         acked = []          # (stamp, targets) the client saw committed
         inflight = None     # (stamp, targets) of the commit that raised
@@ -197,14 +197,16 @@ class ShardCrashSim:
                     acked.append((stamp, targets))
                 except Exception as error:
                     inflight = (stamp, targets)
-                    result.inflight_error = repr(error)
+                    result.facts["inflight_error"] = repr(error)
                     break
             with contextlib.suppress(Exception):
                 client.close()
-            result.acked = len(acked)
-            result.kill_fired = self._reap_and_restart(
+            result.facts["acked"] = len(acked)
+            if self._reap_and_restart(
                 cluster, result, saw_error=inflight is not None
-            )
+            ):
+                result.facts["kill_fired"] = True
+                result.fired.append(f"{plan.kind}@{plan.site}#{plan.nth}")
             self._verify(cluster, roots, acked, inflight, result)
         finally:
             cluster.stop()
@@ -221,30 +223,8 @@ class ShardCrashSim:
                     f"{finding.detail}"
                 )
         if self.record_history_dir is not None:
-            self._check_histories(result)
+            check_isolation(result, self.record_history_dir)
         return result
-
-    def _check_histories(self, result):
-        """Isolation-check the recorded per-shard histories.
-
-        A crash-interrupted transaction reads as *unfinished* (warning,
-        expected under a kill plan); only hard ``ISO-*`` errors — a real
-        serialization-graph cycle or a read of aborted state — fail the
-        plan.
-        """
-        from ..analysis.history import History
-        from ..analysis.isocheck import check_history
-
-        for path in sorted(Path(self.record_history_dir).glob("*.jsonl")):
-            try:
-                iso = check_history(History.load(path))
-            except ValueError as error:
-                result.problems.append(f"history {path.name}: {error}")
-                continue
-            for finding in iso.errors:
-                result.problems.append(
-                    f"isolation ({path.name}): {finding}"
-                )
 
     def _reap_and_restart(self, cluster, result, saw_error):
         """Restart whatever the plan killed; flag unexpected deaths."""
@@ -265,13 +245,12 @@ class ShardCrashSim:
             # registry, and e.g. a coord.log_decision kill would fire
             # again the moment the new router reconciles the in-doubt
             # transaction the first kill left behind.
-            if self.plan.target == "router":
+            if self.plan.kind == "router":
                 cluster.router_failpoints = []
                 cluster.restart_router()
             else:
-                shard_id = int(self.plan.target.split(":", 1)[1])
-                cluster.worker_failpoints.pop(shard_id, None)
-                cluster.restart_worker(shard_id)
+                cluster.worker_failpoints.pop(self.plan.shard_id, None)
+                cluster.restart_worker(self.plan.shard_id)
         for shard_id, worker in list(cluster.workers.items()):
             if not worker.is_alive():
                 result.problems.append(
@@ -281,7 +260,7 @@ class ShardCrashSim:
                 cluster.restart_worker(shard_id)
         if cluster.router_proc is not None \
                 and not cluster.router_proc.is_alive():
-            if self.plan.target != "router" or not fired:
+            if self.plan.kind != "router" or not fired:
                 result.problems.append(
                     f"router died unexpectedly "
                     f"(exit {cluster.router_proc.exitcode})"
@@ -344,12 +323,16 @@ class ShardCrashSim:
             )
 
 
-def run_plan(root, plan):
-    """Convenience: run one plan in *root*; raise on oracle violation."""
-    result = ShardCrashSim(root, plan).run()
-    if not result.ok:
-        raise ShardError(
-            f"crash plan [{plan.describe()}] violated the oracle: "
-            + "; ".join(result.problems)
-        )
-    return result
+def record_trace(root, path):
+    """Extract the stopped cluster's durable 2PC trace into *path*."""
+    from ..analysis.protocheck import extract_trace
+
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(extract_trace(root), handle, indent=1, sort_keys=True)
+
+
+def _drill(plan, root, history_dir):
+    return [ShardCrashSim(plan, root, history_dir).run()]
+
+
+SCENARIO = Scenario("shard", random_plan, _drill, record_trace=record_trace)

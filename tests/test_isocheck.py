@@ -643,7 +643,7 @@ class TestCrashSimHistories:
                           record_history=path).run()
         assert report.ok, report.summary()
         assert report.history is not None
-        assert report.iso_summary.startswith("iso:")
+        assert report.facts["iso_summary"].startswith("iso:")
         streamed = History.load(path)
         assert [e.to_dict() for e in streamed] == [
             e.to_dict() for e in report.history

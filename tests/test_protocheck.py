@@ -1,9 +1,8 @@
 """The protocol plane (analysis plane 4): 2PC model checker + lints.
 
 Three layers under test: the pure state machine and its explorer
-(seeded protocol bugs must yield minimal counterexamples, the faithful
-model must sweep clean, and the sleep-set reduction must agree with
-plain BFS); trace refinement (durable traces from the *real*
+(seeded protocol bugs must yield minimal counterexamples and the
+faithful model must sweep clean); trace refinement (durable traces from the *real*
 journal/recovery stack must be linearizations the model allows); and
 the drift lints that keep the model honest against the implementation
 (failpoint sites and wire-op tables).
@@ -12,8 +11,6 @@ the drift lints that keep the model honest against the implementation
 from __future__ import annotations
 
 import json
-
-import pytest
 
 from repro.analysis import protocheck
 from repro.analysis.cli import main as cli_main
@@ -42,9 +39,7 @@ class TestModelExploration:
             assert result.states > 0
 
     def test_seeded_presumed_commit_minimal_counterexample(self):
-        result = protocheck.explore(
-            Scope(1, 1, 1), bug="presumed-commit", strategy="bfs"
-        )
+        result = protocheck.explore(Scope(1, 1, 1), bug="presumed-commit")
         witnesses = [
             c for c in result.counterexamples
             if c.rule == "PROTO-CONSISTENCY"
@@ -54,13 +49,6 @@ class TestModelExploration:
         # crash at twopc.prepared, restart, presume (wrongly) commit.
         assert len(witnesses[0].trace) == 4
         assert "presume_abort" in witnesses[0].trace[-1]
-
-    def test_seeded_bug_found_by_dfs_too(self):
-        result = protocheck.explore(Scope(1, 1, 1), bug="presumed-commit")
-        assert not result.ok
-        assert any(
-            c.rule == "PROTO-CONSISTENCY" for c in result.counterexamples
-        )
 
     def test_grace_guard_needs_spontaneous_crashes_to_falsify(self):
         scope = Scope(2, 1, 1)
@@ -80,21 +68,9 @@ class TestModelExploration:
         # The guarded (faithful) model stays clean on the same space.
         assert protocheck.explore(scope, spontaneous=True).ok
 
-    def test_sleep_set_reduction_is_sound(self):
-        for scope in (Scope(2, 1, 1), Scope(2, 2, 1)):
-            bfs = protocheck.explore(scope, strategy="bfs")
-            dfs = protocheck.explore(scope, strategy="dfs")
-            assert bfs.states == dfs.states
-            assert bfs.ok and dfs.ok
-        assert dfs.sleep_skips > 0  # the reduction actually pruned
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError, match="strategy"):
-            protocheck.explore(Scope(1, 1, 1), strategy="random")
-
     def test_check_protocol_folds_into_report(self):
         report, result = protocheck.check_protocol(
-            Scope(1, 1, 1), bug="presumed-commit", strategy="bfs"
+            Scope(1, 1, 1), bug="presumed-commit"
         )
         assert report.checked == result.states
         assert report.errors

@@ -9,7 +9,8 @@ Five layers:
    ``snapshot_read``/``read_epoch``, advertises lag, and rejects
    writes with a typed error naming it a replica.
 3. **Failover drills** — the kill-replica / kill-primary-mid-ship
-   scripts of :mod:`repro.mvcc.crashsim` under seeded fault plans:
+   scripts of :mod:`repro.mvcc.crashsim` (the ``replica`` scenario of
+   the drill engine) under seeded fault plans:
    committed-prefix and stale-bound oracles hold through both.
 4. **ReadRouter** — replica-first routing with primary fallback on
    lag and on dead replicas.
@@ -232,15 +233,16 @@ class TestFailoverDrills:
         plan = FaultPlan(seed=SMOKE_SEED, policy=policy, units=8)
         report = ReplicaDrill(plan, tmp_path, kind="kill-replica").run()
         assert report.ok, report.summary()
-        assert report.replica_rebuilds >= 1
-        assert report.applied_epoch <= report.primary_epoch
+        assert report.facts["replica_rebuilds"] >= 1
+        assert report.facts["applied_epoch"] <= report.facts["primary_epoch"]
 
     @pytest.mark.parametrize("policy", ["commit", "group", "always"])
     def test_kill_primary_mid_ship_promotes(self, tmp_path, policy):
         plan = FaultPlan(seed=SMOKE_SEED, policy=policy, units=8)
         report = ReplicaDrill(plan, tmp_path, kind="kill-primary").run()
         assert report.ok, report.summary()
-        assert report.matched_label  # landed on a captured commit point
+        # landed on a captured commit point
+        assert report.facts["matched_label"]
 
     @pytest.mark.parametrize("seed", [3, 11, 77])
     def test_drill_seed_sweep(self, tmp_path, seed):
@@ -249,6 +251,35 @@ class TestFailoverDrills:
             plan = FaultPlan(seed=seed, policy="commit", units=6)
             report = ReplicaDrill(plan, root, kind=kind).run()
             assert report.ok, report.summary()
+
+    def test_sweep_runs_both_kinds_per_plan_under_fault_rules(self):
+        # The replica scenario on the shared engine: seeded fault plans
+        # (not only the rule-free ones above), both disasters per plan.
+        from repro.faults.drill import run_sweep
+
+        reports = run_sweep("replica", 20260808, 8)
+        assert [r.facts["kind"] for r in reports] == \
+            ["kill-replica", "kill-primary"] * 8
+        assert any(r.fired for r in reports)
+        failures = [r for r in reports if not r.ok]
+        assert failures == [], [f.summary() for f in failures]
+
+    def test_broken_prefix_oracle_fails_the_drill(self, tmp_path,
+                                                  monkeypatch):
+        from repro.mvcc import crashsim
+
+        monkeypatch.setattr(crashsim, "last_match", lambda states, s: None)
+        plan = FaultPlan(seed=SMOKE_SEED, policy="commit", units=4)
+        report = ReplicaDrill(plan, tmp_path, kind="kill-primary").run()
+        assert not report.ok
+        assert report.problems[0] == (
+            "replica state after poll 1 matches no captured commit point "
+            "(not a committed prefix)"
+        )
+        assert report.problems[-1] == (
+            "replica state after the primary crash matches no captured "
+            "commit point"
+        )
 
     def test_unknown_drill_kind_rejected(self, tmp_path):
         plan = FaultPlan(seed=1, policy="commit", units=2)
