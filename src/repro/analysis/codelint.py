@@ -95,7 +95,9 @@ DB_MUTATORS = frozenset({
 })
 
 #: Private LockTable state nobody outside locking/ may read or write.
-LOCK_PRIVATE_ATTRS = frozenset({"_granted", "_held", "_waiting"})
+LOCK_PRIVATE_ATTRS = frozenset(
+    {"_granted", "_held", "_waiting", "_covered"}
+)
 
 #: Private LockTable methods nobody outside locking/ may call.
 LOCK_PRIVATE_CALLS = frozenset({"_grant", "_promote"})

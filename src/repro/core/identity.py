@@ -31,6 +31,16 @@ class UID:
     #: Name of the class the object belongs to (ORION-style segmented OID).
     class_name: str = field(compare=False)
 
+    # Spelled out: every object-table, lock-table and authorization-cache
+    # probe hashes a UID, and the generated methods build a tuple each time.
+    def __eq__(self, other):
+        if other.__class__ is UID:
+            return self.number == other.number
+        return NotImplemented
+
+    def __hash__(self):
+        return self.number
+
     def __repr__(self):
         return f"UID({self.number}:{self.class_name})"
 

@@ -41,6 +41,10 @@ class LockMode(enum.Enum):
     def __str__(self) -> str:
         return self.value
 
+    #: Members are singletons: identity hashing is exact, and C code
+    #: where ``Enum.__hash__`` is a Python call per set or dict probe.
+    __hash__ = object.__hash__
+
 
 #: What each mode grants, in the claims model.
 MODE_CLAIMS = {
@@ -75,6 +79,14 @@ FIGURE8_MODES = FIGURE7_MODES + (LockMode.ISOS, LockMode.IXOS, LockMode.SIXOS)
 #: Derived compatibility over all eleven modes:
 #: ``COMPATIBILITY[(requested, current)] -> bool``.
 COMPATIBILITY = derive_matrix(MODE_CLAIMS)
+
+#: ``CONFLICTS[requested]``: the modes *requested* cannot be granted
+#: alongside -- ``COMPATIBILITY`` regrouped by row (never edited by hand),
+#: so the lock table checks another holder with one ``isdisjoint``.
+CONFLICTS = {
+    mode: frozenset(m for m in LockMode if not COMPATIBILITY[(mode, m)])
+    for mode in LockMode
+}
 
 #: Figure 7 restricted matrix.
 FIGURE7_MATRIX = {

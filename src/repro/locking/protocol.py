@@ -54,6 +54,12 @@ class LockPlan:
     """The ordered (resource, mode) pairs one operation acquires."""
 
     steps: list[tuple[Hashable, LockMode]] = field(default_factory=list)
+    #: Set by :class:`CompositeLockingProtocol`: the granule the plan
+    #: locks, the coverage bit to record once every step is held, and
+    #: the lattice version the steps were derived at.
+    granule: Hashable = None
+    bit: int = 0
+    version: int = -1
 
     def add(self, resource: Hashable, mode: LockMode) -> None:
         self.steps.append((resource, mode))
@@ -65,16 +71,78 @@ class LockPlan:
         return len(self.steps)
 
 
+#: Coverage bits, ``_COVER[composite][intent]`` -> (the bit recorded once
+#: the plan is granted, the recorded bits that answer such a request).
+#: A plan answers the plans it dominates claim for claim: write answers
+#: read, and the composite plan on a root answers the instance plan on
+#: that root -- never the reverse.
+_COVER = (
+    {"read": (1, 0b1111), "write": (2, 0b1010)},
+    {"read": (4, 0b1100), "write": (8, 0b1000)},
+)
+
+_Step = tuple[Hashable, LockMode]
+
+
 class CompositeLockingProtocol:
-    """The Section 7 protocol: a composite object is one lockable granule."""
+    """The Section 7 protocol: a composite object is one lockable granule.
+
+    A plan is the instance's own step between steps that depend only on
+    its class and the intent; those are derived from the schema once and
+    kept until ``ClassLattice.version`` moves.  A granule whose plan the
+    transaction was granted in full is *covered*: under strict 2PL locks
+    only grow until commit or abort, so asking again (same intent, or
+    read under write) is answered without planning or a table request.
+    """
 
     def __init__(
         self, database: Any, lock_table: Optional[LockTable] = None
     ) -> None:
         self._db = database
         self.table = lock_table if lock_table is not None else LockTable()
+        #: (class name, intent) -> (class step, instance mode,
+        #: component-class steps), valid at lattice version ``_version``.
+        self._class_steps: dict[
+            tuple[str, str], tuple[_Step, LockMode, tuple[_Step, ...]]
+        ] = {}
+        self._version = -1
 
     # -- planning (pure; also used by benchmarks to count lock calls) ------
+
+    def _schema_moved(self) -> bool:
+        """Drop what was derived from an older schema: the class steps,
+        and all coverage (a granted composite plan may lack a component
+        class it would have now)."""
+        version = self._db.lattice.version
+        if version == self._version:
+            return False
+        self._version = version
+        self._class_steps.clear()
+        self.table.uncover()
+        return True
+
+    def _plan(self, uid: Any, intent: str, composite: bool) -> LockPlan:
+        class_name = self._db.resolve(uid).class_name
+        self._schema_moved()
+        steps = self._class_steps.get((class_name, intent))
+        if steps is None:
+            class_intent, instance_mode, ex_mode, sh_mode = _modes_for(intent)
+            # A dict keeps first-reached order and drops repeated steps.
+            components = dict.fromkeys(
+                (("class", link.component), ex_mode if link.exclusive else sh_mode)
+                for link in self._db.lattice.composite_class_hierarchy(class_name)
+            )
+            steps = self._class_steps[(class_name, intent)] = (
+                (("class", class_name), class_intent),
+                instance_mode,
+                tuple(components),
+            )
+        return LockPlan(
+            [steps[0], (("instance", uid), steps[1]), *(steps[2] if composite else ())],
+            uid,
+            _COVER[composite][intent][0],
+            self._version,
+        )
 
     def plan_composite(self, root_uid: Any, intent: str = "read") -> LockPlan:
         """The locks required to read/update the whole composite at *root_uid*.
@@ -82,31 +150,50 @@ class CompositeLockingProtocol:
         Component classes reached through both exclusive and shared links
         are locked in both corresponding modes (the claims union).
         """
-        class_intent, instance_mode, ex_mode, sh_mode = _modes_for(intent)
-        root = self._db.resolve(root_uid)
-        plan = LockPlan()
-        plan.add(("class", root.class_name), class_intent)
-        plan.add(("instance", root_uid), instance_mode)
-        seen = set()
-        for link in self._db.lattice.composite_class_hierarchy(root.class_name):
-            mode = ex_mode if link.exclusive else sh_mode
-            key = (link.component, mode)
-            if key in seen:
-                continue
-            seen.add(key)
-            plan.add(("class", link.component), mode)
-        return plan
+        return self._plan(root_uid, intent, True)
 
     def plan_instance(self, uid: Any, intent: str = "read") -> LockPlan:
         """Direct access to a single instance: class intent + instance lock."""
-        class_intent, instance_mode, _, _ = _modes_for(intent)
-        instance = self._db.resolve(uid)
-        plan = LockPlan()
-        plan.add(("class", instance.class_name), class_intent)
-        plan.add(("instance", uid), instance_mode)
-        return plan
+        return self._plan(uid, intent, False)
+
+    def pending(
+        self, txn: Any, uid: Any, intent: str, composite: bool
+    ) -> Optional[LockPlan]:
+        """The plan *txn* still has to acquire for this access, or None
+        when it already covers the granule.  The caller acquires every
+        step, then reports the plan :meth:`granted`: :meth:`lock_instance`
+        and :meth:`lock_composite` without waiting, the network server
+        awaiting each step."""
+        cover = _COVER[composite].get(intent)
+        if (
+            cover is not None
+            and self.table.coverage(txn, uid) & cover[1]
+            and not self._schema_moved()
+        ):
+            self.table.stats.covered += 1
+            return None
+        plan = self.plan_composite if composite else self.plan_instance
+        return plan(uid, intent)
+
+    def granted(self, txn: Any, plan: LockPlan) -> None:
+        """Every step of *plan* is now held by *txn*: the granule is
+        covered, unless the schema moved while the steps were awaited."""
+        if plan.version == self._db.lattice.version:
+            self.table.cover(txn, plan.granule, plan.bit)
 
     # -- acquisition -------------------------------------------------------------
+
+    def _lock(
+        self, txn: Any, uid: Any, intent: str, wait: bool, composite: bool
+    ) -> LockPlan:
+        plan = self.pending(txn, uid, intent, composite)
+        if plan is None:
+            return LockPlan()
+        acquire = self.table.acquire
+        # Every step is requested; one that queued is not held yet.
+        if all([acquire(txn, resource, mode, wait) for resource, mode in plan.steps]):
+            self.granted(txn, plan)
+        return plan
 
     def lock_composite(
         self,
@@ -115,22 +202,17 @@ class CompositeLockingProtocol:
         intent: str = "read",
         wait: bool = False,
     ) -> LockPlan:
-        """Acquire the whole plan; returns it.  Raises on conflict when
-        ``wait=False`` (locks already granted stay held — release via the
-        transaction's abort, as in a real system)."""
-        plan = self.plan_composite(root_uid, intent)
-        for resource, mode in plan:
-            self.table.acquire(txn, resource, mode, wait=wait)
-        return plan
+        """Acquire the whole plan and return it (empty when *txn* already
+        covers the composite).  Raises on conflict when ``wait=False``
+        (locks already granted stay held — release via the transaction's
+        abort, as in a real system)."""
+        return self._lock(txn, root_uid, intent, wait, True)
 
     def lock_instance(
         self, txn: Any, uid: Any, intent: str = "read", wait: bool = False
     ) -> LockPlan:
         """Acquire a direct-access plan for one instance."""
-        plan = self.plan_instance(uid, intent)
-        for resource, mode in plan:
-            self.table.acquire(txn, resource, mode, wait=wait)
-        return plan
+        return self._lock(txn, uid, intent, wait, False)
 
     def release(self, txn: Any) -> list[Any]:
         """Release everything *txn* holds."""

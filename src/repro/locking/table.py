@@ -21,12 +21,12 @@ touching the grant path when disabled.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Hashable, Optional
 
 from ..errors import LockConflictError
-from .modes import COMPATIBILITY, LockMode
+from .modes import CONFLICTS, LockMode
 
 
 class LockObserver:
@@ -63,6 +63,8 @@ class LockStats:
     blocks: int = 0
     denials: int = 0
     releases: int = 0
+    #: Accesses answered from a transaction's coverage, not by a request.
+    covered: int = 0
 
     def reset(self) -> None:
         self.requests = 0
@@ -70,21 +72,39 @@ class LockStats:
         self.blocks = 0
         self.denials = 0
         self.releases = 0
+        self.covered = 0
+
+
+def _grantable(
+    grants: Optional[dict[Any, set[LockMode]]],
+    txn: Any,
+    conflicts: frozenset[LockMode],
+) -> bool:
+    """True when no holder in *grants* other than *txn* holds a mode in
+    *conflicts* (own locks never conflict; that is a conversion)."""
+    if grants:
+        for holder, modes in grants.items():
+            if holder is not txn and not conflicts.isdisjoint(modes):
+                return False
+    return True
 
 
 class LockTable:
     """All locks of one database."""
 
     def __init__(self) -> None:
-        #: resource -> OrderedDict txn -> set of LockMode
-        self._granted: dict[Hashable, OrderedDict[Any, set[LockMode]]] = {}
-        #: txn -> the resources it holds a mode on, in first-grant order
-        #: (a dict used as an ordered set): the index that makes
-        #: :meth:`release_all` cost the transaction's own locks instead
-        #: of a scan of every granted resource.
-        self._held: dict[Any, dict[Hashable, None]] = {}
+        #: resource -> txn (in first-grant order) -> set of LockMode
+        self._granted: dict[Hashable, dict[Any, set[LockMode]]] = {}
+        #: txn -> the resources it holds a mode on, in first-grant order:
+        #: the index that makes :meth:`release_all` cost the transaction's
+        #: own locks instead of a scan of every granted resource.
+        self._held: dict[Any, list[Hashable]] = {}
         #: resource -> deque of LockRequest (blocked requests, FIFO)
         self._waiting: dict[Hashable, deque[LockRequest]] = {}
+        #: txn -> granule -> bits: plans a protocol saw granted in full
+        #: (:meth:`cover`).  Locks only grow until :meth:`release_all`,
+        #: which drops the entry, so what is recorded here is still held.
+        self._covered: dict[Any, dict[Hashable, int]] = {}
         self.stats = LockStats()
         #: Passive :class:`LockObserver` instances notified on every grant
         #: and full release (see :mod:`repro.analysis.lockdep`).
@@ -117,19 +137,17 @@ class LockTable:
         """
         edges: list[tuple[Any, Any]] = []
         for resource, queue in self._waiting.items():
+            grants = self._granted.get(resource, {})
             earlier: list[LockRequest] = []
             for request in queue:
-                for holder, modes in self._granted.get(resource, {}).items():
-                    if holder is request.txn:
-                        continue
-                    if not all(
-                        COMPATIBILITY[(request.mode, held)] for held in modes
+                conflicts = CONFLICTS[request.mode]
+                for holder, modes in grants.items():
+                    if holder is not request.txn and not conflicts.isdisjoint(
+                        modes
                     ):
                         edges.append((request.txn, holder))
                 for prior in earlier:
-                    if prior.txn is request.txn:
-                        continue
-                    if not COMPATIBILITY[(request.mode, prior.mode)]:
+                    if prior.txn is not request.txn and prior.mode in conflicts:
                         edges.append((request.txn, prior.txn))
                 earlier.append(request)
         return edges
@@ -138,12 +156,24 @@ class LockTable:
         self, txn: Any, resource: Hashable, mode: LockMode
     ) -> bool:
         """True when granting (*txn*, *mode*) now would not conflict."""
-        for holder, modes in self._granted.get(resource, {}).items():
-            if holder is txn:
-                continue  # own locks never conflict; this is a conversion
-            if not all(COMPATIBILITY[(mode, held)] for held in modes):
-                return False
-        return True
+        return _grantable(self._granted.get(resource), txn, CONFLICTS[mode])
+
+    # -- coverage ---------------------------------------------------------
+
+    def coverage(self, txn: Any, granule: Hashable) -> int:
+        """The bits :meth:`cover` recorded for (*txn*, *granule*), else 0."""
+        mine = self._covered.get(txn)
+        return mine.get(granule, 0) if mine is not None else 0
+
+    def cover(self, txn: Any, granule: Hashable, bits: int) -> None:
+        """Record *bits* (their meaning is the protocol's) for a plan on
+        *granule* granted to *txn* in full, until *txn* releases."""
+        mine = self._covered.setdefault(txn, {})
+        mine[granule] = mine.get(granule, 0) | bits
+
+    def uncover(self) -> None:
+        """Forget all coverage (the plans it stood for have changed)."""
+        self._covered.clear()
 
     # -- acquisition -----------------------------------------------------------
 
@@ -169,30 +199,33 @@ class LockTable:
         """
         if not isinstance(mode, LockMode):
             raise TypeError(f"mode must be a LockMode, got {mode!r}")
-        self.stats.requests += 1
-        held = self._granted.get(resource, {}).get(txn, set())
-        if mode in held:
-            self.stats.grants += 1
+        stats = self.stats
+        stats.requests += 1
+        grants = self._granted.get(resource)
+        held = grants.get(txn) if grants is not None else None
+        if held is not None and mode in held:
+            stats.grants += 1
             return True
-        # A re-issued request that is already queued stays queued once
-        # (pollers retry without duplicating their queue entry).
-        for pending in self._waiting.get(resource, ()):
-            if pending.txn is txn and pending.mode is mode:
-                return False
-        # FIFO fairness: a fresh (non-conversion) request must also wait
-        # behind earlier incompatible waiters.
+        conflicts = CONFLICTS[mode]
         behind_waiter = False
-        if not held:
-            for prior in self._waiting.get(resource, ()):
-                if prior.txn is not txn and not COMPATIBILITY[(mode, prior.mode)]:
+        queue = self._waiting.get(resource) if self._waiting else None
+        if queue:
+            for pending in queue:
+                # A re-issued request that is already queued stays queued
+                # once (pollers retry without duplicating their entry).
+                if pending.txn is txn:
+                    if pending.mode is mode:
+                        return False
+                # FIFO fairness: a fresh (non-conversion) request must
+                # also wait behind earlier incompatible waiters.
+                elif held is None and pending.mode in conflicts:
                     behind_waiter = True
-                    break
-        if not behind_waiter and self.is_compatible(txn, resource, mode):
-            self._grant(txn, resource, mode)
-            self.stats.grants += 1
+        if not behind_waiter and _grantable(grants, txn, conflicts):
+            self._grant(txn, resource, mode, grants)
+            stats.grants += 1
             return True
         if not wait:
-            self.stats.denials += 1
+            stats.denials += 1
             raise LockConflictError(
                 f"{mode} on {resource!r} conflicts with holders "
                 f"{self.holders(resource)}",
@@ -200,16 +233,29 @@ class LockTable:
                 requested=mode,
                 holders=self.holders(resource),
             )
-        self.stats.blocks += 1
-        self._waiting.setdefault(resource, deque()).append(
-            LockRequest(txn=txn, resource=resource, mode=mode)
-        )
+        stats.blocks += 1
+        if queue is None:
+            queue = self._waiting[resource] = deque()
+        queue.append(LockRequest(txn=txn, resource=resource, mode=mode))
         return False
 
-    def _grant(self, txn: Any, resource: Hashable, mode: LockMode) -> None:
-        grants = self._granted.setdefault(resource, OrderedDict())
-        grants.setdefault(txn, set()).add(mode)
-        self._held.setdefault(txn, {})[resource] = None
+    def _grant(
+        self,
+        txn: Any,
+        resource: Hashable,
+        mode: LockMode,
+        grants: Optional[dict[Any, set[LockMode]]],
+    ) -> None:
+        """Add *mode* to *txn*'s grant on *resource*; *grants* is the
+        caller's ``_granted.get(resource)``, so a request probes once."""
+        if grants is None:
+            grants = self._granted[resource] = {}
+        held = grants.get(txn)
+        if held is not None:
+            held.add(mode)
+        else:
+            grants[txn] = {mode}
+            self._held.setdefault(txn, []).append(resource)
         for observer in self.observers:
             observer.on_grant(txn, resource, mode)
 
@@ -256,14 +302,20 @@ class LockTable:
         """
         held = self._held.pop(txn, None)
         if held:
+            granted = self._granted
             for resource in held:
-                grants = self._granted[resource]
+                # pop, and put back if shared: the sole-holder case
+                # hashes the resource once.
+                grants = granted.pop(resource)
                 del grants[txn]
-                self.stats.releases += 1
-                if not grants:
-                    del self._granted[resource]
+                if grants:
+                    granted[resource] = grants
+            self.stats.releases += len(held)
             for observer in self.observers:
                 observer.on_release(txn)
+        self._covered.pop(txn, None)
+        if not self._waiting:
+            return []  # nobody queued: nothing to withdraw or promote
         for resource in list(self._waiting):
             queue = self._waiting[resource]
             remaining = deque(r for r in queue if r.txn is not txn)
@@ -278,19 +330,21 @@ class LockTable:
         granted: list[LockRequest] = []
         for resource in list(self._waiting):
             queue = self._waiting[resource]
-            still_waiting = deque()
+            still_waiting: deque[LockRequest] = deque()
             for request in queue:
                 # A request may run only if compatible with current grants
                 # AND with earlier still-blocked requests (fairness).
+                conflicts = CONFLICTS[request.mode]
                 blocked_behind = any(
-                    not COMPATIBILITY[(request.mode, prior.mode)]
+                    prior.mode in conflicts
                     for prior in still_waiting
                     if prior.txn is not request.txn
                 )
-                if not blocked_behind and self.is_compatible(
-                    request.txn, resource, request.mode
+                grants = self._granted.get(resource)
+                if not blocked_behind and _grantable(
+                    grants, request.txn, conflicts
                 ):
-                    self._grant(request.txn, resource, request.mode)
+                    self._grant(request.txn, resource, request.mode, grants)
                     request.granted = True
                     granted.append(request)
                     self.stats.grants += 1

@@ -182,8 +182,10 @@ async def _op_value(session, args):
     uid, attribute = _require(args, "uid", "attribute")
     session.authorize(READ, uid)
     async with session.txn_scope() as txn:
-        await session.lock_instance(txn, uid, "read")
-        return session.server.tm.read(txn, uid, attribute)
+        tm = session.server.tm
+        if not tm.reads_snapshot(txn, uid):
+            await session.lock_instance(txn, uid, "read")
+        return tm.read(txn, uid, attribute)
 
 
 async def _op_set_value(session, args):

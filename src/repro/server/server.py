@@ -315,17 +315,22 @@ class Session:
     # -- locking ----------------------------------------------------------
 
     async def lock_instance(self, txn, uid, intent):
-        plan = self.server.tm.protocol.plan_instance(uid, intent)
-        await self._acquire(txn, plan)
+        await self._lock(txn, uid, intent, composite=False)
 
     async def lock_composite(self, txn, root_uid, intent):
-        plan = self.server.tm.protocol.plan_composite(root_uid, intent)
-        await self._acquire(txn, plan)
+        await self._lock(txn, root_uid, intent, composite=True)
 
-    async def _acquire(self, txn, plan):
-        self.stats.lock_waits += await self.server.locks.acquire_plan(
-            txn, plan
-        )
+    async def _lock(self, txn, uid, intent, composite):
+        """The locking protocol's own decision, with its steps awaited
+        instead of refused: the transaction manager's no-wait lock call
+        that follows finds the granule covered."""
+        protocol = self.server.tm.protocol
+        plan = protocol.pending(txn, uid, intent, composite)
+        if plan is not None:
+            self.stats.lock_waits += await self.server.locks.acquire_plan(
+                txn, plan
+            )
+            protocol.granted(txn, plan)
 
     # -- transactions -----------------------------------------------------
 
@@ -784,6 +789,7 @@ class ReproServer:
                 "grants": lock_stats.grants,
                 "blocks": lock_stats.blocks,
                 "denials": lock_stats.denials,
+                "covered": lock_stats.covered,
                 "deadlocks_detected": self.locks.detector.detections,
             },
             "sessions": {

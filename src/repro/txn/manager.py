@@ -113,6 +113,18 @@ class TransactionManager:
 
     # -- data operations --------------------------------------------------------
 
+    def reads_snapshot(self, txn, uid):
+        """True when *txn* reads *uid* from the version chain at its
+        snapshot epoch and so takes no locks for it: a snapshot
+        transaction, on an object it has not written itself.  The one
+        place this is decided -- :meth:`read`, :meth:`read_composite`
+        and the network server's ``value`` op all ask here."""
+        return (
+            txn.snapshot_epoch is not None
+            and uid not in txn.written_uids
+            and self._db.snapshot_manager is not None
+        )
+
     def read(self, txn, uid, attribute):
         """Read one attribute.
 
@@ -127,11 +139,11 @@ class TransactionManager:
         the journal only reacts to writes, so this costs nothing.
         """
         txn.ensure_active()
-        if txn.snapshot_epoch is not None and uid not in txn.written_uids:
-            manager = self._db.snapshot_manager
-            if manager is not None:
-                with self._db.txn_context(txn):
-                    return manager.read_at(uid, attribute, txn.snapshot_epoch)
+        if self.reads_snapshot(txn, uid):
+            with self._db.txn_context(txn):
+                return self._db.snapshot_manager.read_at(
+                    uid, attribute, txn.snapshot_epoch
+                )
         self.protocol.lock_instance(txn, uid, "read", wait=False)
         with self._db.txn_context(txn):
             return self._db.value(uid, attribute)
@@ -228,14 +240,11 @@ class TransactionManager:
         A snapshot transaction walks the version chains at its epoch
         instead — no composite read plan, no locks."""
         txn.ensure_active()
-        if txn.snapshot_epoch is not None \
-                and root_uid not in txn.written_uids:
-            manager = self._db.snapshot_manager
-            if manager is not None:
-                with self._db.txn_context(txn):
-                    return manager.components_at(
-                        root_uid, txn.snapshot_epoch
-                    )
+        if self.reads_snapshot(txn, root_uid):
+            with self._db.txn_context(txn):
+                return self._db.snapshot_manager.components_at(
+                    root_uid, txn.snapshot_epoch
+                )
         self.protocol.lock_composite(txn, root_uid, "read", wait=False)
         with self._db.txn_context(txn):
             return self._db.components_of(root_uid)

@@ -100,11 +100,8 @@ class Transaction:
     def __repr__(self):
         return f"<Txn {self.txn_id} {self.state.value} undo={len(self.undo_log)}>"
 
-    def __hash__(self):
-        return hash(self.txn_id)
-
-    def __eq__(self, other):
-        return isinstance(other, Transaction) and other.txn_id == self.txn_id
+    # Hashed and compared by identity (the object defaults, C code): ids
+    # are never reused, and the lock table probes by transaction.
 
     def __lt__(self, other):
         return self.txn_id < other.txn_id

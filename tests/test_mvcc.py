@@ -38,8 +38,10 @@ from repro.errors import (
     TransactionStateError,
     UnknownObjectError,
 )
-from repro.locking.table import LockTable
+from repro.locking.modes import LockMode
+from repro.locking.table import LockObserver, LockTable
 from repro.mvcc import SnapshotManager
+from repro.server import Client, ServerThread
 from repro.storage.durable import DurableDatabase
 from repro.storage.journal import (
     JOURNAL_HEADER_SIZE,
@@ -239,6 +241,45 @@ class TestSnapshotTransactions:
         tm = TransactionManager(db, LockTable())
         with pytest.raises(TransactionStateError, match="SnapshotManager"):
             tm.begin(snapshot=True)
+
+    def test_wire_snapshot_value_does_not_block_behind_x_lock(self):
+        """Over the wire the server used to take IS+S for ``value`` before
+        the manager could decide the read was lock-free: the snapshot
+        reader queued behind the writer's X lock until the wait timed
+        out.  One predicate (``TransactionManager.reads_snapshot``) now
+        decides for both."""
+        grants = []
+
+        class Grants(LockObserver):
+            def on_grant(self, txn, resource, mode):
+                grants.append((txn.snapshot_epoch is not None, mode))
+
+        db, _manager, x = _account_db()
+        with ServerThread(database=db, lock_wait_timeout=0.5) as handle:
+            handle.server.tm.table.observers.append(Grants())
+            writer = Client(port=handle.port, timeout=20.0)
+            reader = Client(port=handle.port, timeout=20.0)
+            try:
+                writer.begin()
+                writer.set_value(x, "Balance", 150)  # X lock held
+                reader.begin(snapshot=True)
+                assert reader.value(x, "Balance") == 100  # committed value
+                assert (True, LockMode.S) not in grants
+                assert (True, LockMode.IS) not in grants
+                # Live-state ops keep their locks in a snapshot transaction.
+                with pytest.raises(LockConflictError, match="timed out"):
+                    reader.resolve(x)
+                writer.commit()
+                # Its own write is read back from the live X-locked object.
+                reader.abort()
+                reader.begin(snapshot=True)
+                reader.set_value(x, "Balance", 175)
+                assert reader.value(x, "Balance") == 175
+                assert (True, LockMode.X) in grants
+                reader.commit()
+            finally:
+                writer.close()
+                reader.close()
 
 
 # ---------------------------------------------------------------------------
