@@ -122,8 +122,10 @@ class CompositeLockingProtocol:
         return True
 
     def _plan(self, uid: Any, intent: str, composite: bool) -> LockPlan:
-        class_name = self._db.resolve(uid).class_name
-        self._schema_moved()
+        db = self._db
+        class_name = db.resolve(uid).class_name
+        if db.lattice.version != self._version:
+            self._schema_moved()
         steps = self._class_steps.get((class_name, intent))
         if steps is None:
             class_intent, instance_mode, ex_mode, sh_mode = _modes_for(intent)
@@ -190,8 +192,11 @@ class CompositeLockingProtocol:
         if plan is None:
             return LockPlan()
         acquire = self.table.acquire
-        # Every step is requested; one that queued is not held yet.
-        if all([acquire(txn, resource, mode, wait) for resource, mode in plan.steps]):
+        complete = True
+        for resource, mode in plan.steps:
+            if not acquire(txn, resource, mode, wait):
+                complete = False  # queued: requested, not held yet
+        if complete:
             self.granted(txn, plan)
         return plan
 

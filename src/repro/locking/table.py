@@ -168,8 +168,11 @@ class LockTable:
     def cover(self, txn: Any, granule: Hashable, bits: int) -> None:
         """Record *bits* (their meaning is the protocol's) for a plan on
         *granule* granted to *txn* in full, until *txn* releases."""
-        mine = self._covered.setdefault(txn, {})
-        mine[granule] = mine.get(granule, 0) | bits
+        mine = self._covered.get(txn)
+        if mine is None:
+            self._covered[txn] = {granule: bits}
+        else:
+            mine[granule] = mine.get(granule, 0) | bits
 
     def uncover(self) -> None:
         """Forget all coverage (the plans it stood for have changed)."""
