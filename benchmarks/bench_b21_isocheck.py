@@ -10,12 +10,12 @@ Analysis plane 5 has two price tags worth publishing:
   in units of the same timed wrapper around a callback that does
   nothing (``_noop_unit``) — a ratio of two in-process timings, so the
   host's speed cancels, and a number about the recorder alone.  Budget:
-  6.5 units (5.9 measured before the lock path was shortened in PR 20,
-  ~4.4 after).  The recorder's *in-run share* (its time over that same
+  6.5 units (5.3-5.9 measured before the lock path was shortened in
+  PR 20, ~4.5 after).  The recorder's *in-run share* (its time over that same
   run's total) was the asserted number until then; it is still printed,
   but it is a statement about the mix as much as about the recorder:
   PR 20 made the recorder cheaper and the mix 2x shorter, and the
-  share read 3.9% -> 7%.  A cross-run attached-vs-detached ratio on a
+  share read 3.9% -> 6.6-7%.  A cross-run attached-vs-detached ratio on a
   shared container swings ±10% run to run (the A/B timings are
   reported, as context).  The wrapper's two timer calls are charged to
   the recorder in both numbers.

@@ -11,11 +11,12 @@ Two claims from docs/REPLICATION.md, measured and recorded:
    aborts — plus a direct micro-proof that a snapshot read succeeds
    while a writer holds the X-lock that makes the locked read fail.
    Both transaction rates are recorded, not compared: since PR 20 a
-   locked read is a handful of dict probes (5.3k -> 9.3k txn/s on this
-   mix), while a snapshot read still decodes a serialized image per
-   component (``SnapshotManager.instance_at``, 40% of the snapshot
-   run; 5.8k -> 6.6k), so on an uncontended CPU the locked mix is the
-   faster one — what snapshot readers buy is the aborts they avoid.
+   locked read is a handful of dict probes (medians of 7 runs: 4.6-5.3k
+   -> 9.0-9.7k txn/s on this mix), while a snapshot read still decodes
+   a serialized image per component (``SnapshotManager.instance_at``;
+   5.5-5.6k -> 7.1-7.4k), so on an uncontended CPU the locked mix is
+   now the faster one — what snapshot readers buy is the aborts they
+   avoid (EXPERIMENTS.md "BENCH_20" names the decode as a follow-up).
 
 2. **Journal-shipping replicas scale reads.**  The B9 read mix is
    served through a :class:`repro.mvcc.ReadRouter` over 0/1/2/4
