@@ -20,10 +20,18 @@ machine-readable ``file``/``line`` keys in ``detail``):
     ``SystemExit`` and hides programming errors; name the exception.
 ``CODE-OP-BRACKET``
     (error) in ``core/database.py``, a public ``Database`` method calls
-    a mutation primitive (``_make``, ``_assign``, ``_attach_child``,
-    ``_link_component``, ``_unlink_component``, ``_deletion.delete``)
-    outside ``with self._operation():`` — the journal would see the
-    mutation but never the operation-end seal.
+    a mutation primitive (:data:`MUTATION_PRIMITIVES`, or
+    ``_deletion.delete``) outside ``with self._operation():`` — the
+    journal would never see the operation-end seal, and a failure could
+    not roll the mutation back.
+``CODE-EDIT-FUNNEL``
+    (error) in ``core/`` (but ``core/instance.py``, which defines the
+    primitives), a raw edit — a :data:`RAW_EDIT_CALLS` call such as
+    ``Instance.set``, an in-place change of ``_objects`` or
+    ``reverse_references``, or a ``.deleted`` assignment — outside the
+    ``Database`` edit funnels (:data:`EDIT_FUNNELS`).  Only the funnels
+    record inverses on the undo stream; any other edit survives a failed
+    operation and a transaction abort.
 ``CODE-TXN-CONTEXT``
     (error) in ``txn/manager.py``, a public ``TransactionManager``
     method calls a mutating database op (``set_value``, ``insert_into``,
@@ -71,12 +79,14 @@ from .findings import Report, Severity
 __all__ = [
     "DB_MUTATORS",
     "DETACH_CONTEXTS",
+    "EDIT_FUNNELS",
     "HOOK_ATTACH_MODULES",
     "JOURNAL_HOOKS",
     "LEAK_HOOKS",
     "LOCK_PRIVATE_ATTRS",
     "LOCK_PRIVATE_CALLS",
     "MUTATION_PRIMITIVES",
+    "RAW_EDIT_CALLS",
     "RULES",
     "lint_package",
     "lint_paths",
@@ -85,9 +95,25 @@ __all__ = [
 
 #: Database-internal mutation primitives that must be bracketed.
 MUTATION_PRIMITIVES = frozenset({
-    "_make", "_assign", "_attach_child", "_link_component",
-    "_unlink_component",
+    "_make", "_assign", "_attach_child", "_add_member", "_link_component",
+    "_unlink_component", "_put", "_replay",
 })
+
+#: The ``Database`` methods that may edit instances and the object
+#: table directly: each records its inverse on the undo stream.
+EDIT_FUNNELS = frozenset({
+    "_put", "_add_reference", "_remove_reference", "_restore_reference",
+    "_install", "discard",
+})
+
+#: Instance primitives that edit state without recording an inverse.
+RAW_EDIT_CALLS = frozenset({
+    "set", "add_reverse_reference", "remove_reverse_reference",
+    "replace_reverse_reference", "drop_value",
+})
+
+#: Containers whose in-place change is a raw edit.
+_EDITED_CONTAINERS = frozenset({"_objects", "reverse_references"})
 
 #: Mutating Database entry points the transaction manager must wrap.
 DB_MUTATORS = frozenset({
@@ -133,6 +159,8 @@ RULES = {
     "CODE-BARE-EXCEPT": "bare 'except:' swallows SystemExit and bugs alike",
     "CODE-OP-BRACKET": "public Database method mutates outside "
                        "'with self._operation():'",
+    "CODE-EDIT-FUNNEL": "raw instance/object-table edit in core/ outside "
+                        "the Database edit funnels",
     "CODE-TXN-CONTEXT": "public TransactionManager method mutates outside "
                         "'with self._db.txn_context(...):'",
     "CODE-LOCK-STATE": "private LockTable state touched outside locking/",
@@ -202,6 +230,7 @@ class _FileLinter(ast.NodeVisitor):
         self.in_locking = rel_path.startswith("locking/")
         self.in_storage = rel_path.startswith("storage/")
         self.is_database_module = rel_path == "core/database.py"
+        self.checks_edits = rel_path.startswith("core/") and rel_path != "core/instance.py"
         self.is_txn_manager_module = rel_path == "txn/manager.py"
         self._class_stack: list[str] = []
         self._method: Optional[str] = None
@@ -311,6 +340,7 @@ class _FileLinter(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         self._check_op_bracket(node)
+        self._check_raw_edit(node)
         self._check_txn_context(node)
         self._check_lock_private_call(node)
         self._check_hook_mutation_call(node)
@@ -335,6 +365,43 @@ class _FileLinter(ast.NodeVisitor):
                 f"operation-end seal for this mutation",
                 method=self._method,
                 call=primitive,
+            )
+
+    def _check_raw_edit(self, node: ast.expr) -> None:
+        """CODE-EDIT-FUNNEL for one call or assignment/``del`` target."""
+        if not self.checks_edits or (
+            self.is_database_module
+            and self._class_stack[-1:] == ["Database"]
+            and self._method in EDIT_FUNNELS
+        ):
+            return
+        edit: Optional[str] = None
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            name, owner = node.func.attr, node.func.value
+            if name in RAW_EDIT_CALLS:
+                edit = f".{name}()"
+            elif (
+                name in _LIST_MUTATORS | {"setdefault", "update"}
+                and isinstance(owner, ast.Attribute)
+                and owner.attr in _EDITED_CONTAINERS
+            ):
+                edit = f".{owner.attr}.{name}()"
+        elif (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr in _EDITED_CONTAINERS
+        ):
+            edit = f".{node.value.attr}[...]"
+        elif isinstance(node, ast.Attribute) and node.attr == "deleted":
+            edit = ".deleted ="
+        if edit is not None:
+            self._add(
+                "CODE-EDIT-FUNNEL",
+                node.lineno,
+                f"raw edit {edit} outside the Database edit funnels — the "
+                f"undo stream never sees it, so neither a failed operation "
+                f"nor an abort can undo it",
+                edit=edit,
             )
 
     def _check_txn_context(self, node: ast.Call) -> None:
@@ -446,10 +513,18 @@ class _FileLinter(ast.NodeVisitor):
 
     def visit_Assign(self, node: ast.Assign) -> None:
         self._check_hook_assignment(node.targets, node.lineno)
+        for target in node.targets:
+            self._check_raw_edit(target)
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         self._check_hook_assignment([node.target], node.lineno, augmented=True)
+        self._check_raw_edit(node.target)
+        self.generic_visit(node)
+
+    def visit_Delete(self, node: ast.Delete) -> None:
+        for target in node.targets:
+            self._check_raw_edit(target)
         self.generic_visit(node)
 
     def _check_hook_assignment(

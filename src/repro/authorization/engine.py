@@ -25,13 +25,12 @@ implied set may differ:
 
 * ``grant`` / ``revoke`` -- the user's entries;
 * a composite link added or removed (``Database.on_link`` /
-  ``on_unlink``, which the Deletion Rule also fires) -- the child and
-  every component below it, whose ancestors just changed;
+  ``on_unlink``, which the Deletion Rule and every undo also fire) --
+  the child and every component below it, whose ancestors just changed;
 * ``Database.on_delete`` -- the object;
 * a change to the class lattice or the version registry (their
-  ``version`` counters) and ``Database.on_topology_reset`` (undo
-  resurrection, recovery, replica apply, deferred evolution catch-up) --
-  everything.
+  ``version`` counters) and ``Database.on_topology_reset`` (recovery,
+  replica apply, deferred evolution catch-up) -- everything.
 
 A stale "permit" would be an authorization bypass, so every path that
 touches reverse references must go through one of these.

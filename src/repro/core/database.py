@@ -160,6 +160,12 @@ class Database:
         #: Nesting depth of :meth:`_operation` brackets (``make_part_of``
         #: delegates to ``insert_into``/``set_value``, so brackets nest).
         self._op_depth = 0
+        #: The undo stream of the running operation: every edit funnel
+        #: appends its exact inverse here as a tuple ``(funnel, *args)``.
+        #: A bracket whose operation raises replays its part; the
+        #: outermost one otherwise hands the list to
+        #: ``current_txn.undo_log`` (or drops it).
+        self._undo = []
         #: Counter of instance accesses (benchmarks read this).
         self.access_count = 0
         #: UID whose first store write is deferred to ``make`` placement.
@@ -217,20 +223,57 @@ class Database:
 
     @contextlib.contextmanager
     def _operation(self):
-        """Bracket one top-level mutating operation.
+        """Bracket one mutating operation and make it atomic.
+
+        If the operation raises, the inverses its edits recorded are
+        replayed (newest first) before the error propagates.  When the
+        outermost bracket succeeds its inverses move to the current
+        transaction's undo log, or are dropped outside a transaction.
 
         ``on_op_end`` listeners run when the outermost bracket exits —
         on success *and* on failure, because a failed operation may have
         journaled compensating images that must still reach disk.
         """
+        log = self._undo
+        mark = len(log)
         self._op_depth += 1
         try:
             yield
+        except BaseException:
+            self._replay(log, mark)
+            raise
         finally:
             self._op_depth -= 1
             if self._op_depth == 0:
+                if self.current_txn is not None:
+                    self.current_txn.undo_log += log
+                log.clear()
                 for callback in self.on_op_end:
                     callback()
+
+    def rollback(self, log):
+        """Undo a transaction's undo *log* (the transaction manager's abort)."""
+        with self._operation():
+            self._replay(log, 0)
+
+    def _replay(self, log, mark):
+        """Pop and apply the inverses in ``log[mark:]``, newest first.
+
+        Each is an ordinary funnel call, so every hook consumer sees undo
+        as plain edits (what those calls record is discarded); each
+        touched instance is persisted once at the end.
+        """
+        saved, self._undo = self._undo, []
+        touched = {}
+        try:
+            while len(log) > mark:
+                funnel, instance, *args = log.pop()
+                touched[instance] = None
+                funnel(instance, *args)
+        finally:
+            self._undo = saved
+        for instance in touched:
+            self.persist(instance)
 
     @contextlib.contextmanager
     def txn_context(self, txn):
@@ -318,29 +361,89 @@ class Database:
         references that bypassed the mutation funnels.
 
         Every path that writes ``_objects`` or patches reverse references
-        directly calls this when it is done: undo resurrection of a
-        deleted cascade, journal recovery, in-doubt 2PC resolution,
-        replica apply, deferred schema-evolution catch-up.  Forgetting
-        the call leaves a stale implicit authorization in force -- a
-        bypass, not a slow path.
+        directly calls this when it is done: journal recovery, in-doubt
+        2PC resolution, replica apply, deferred schema-evolution
+        catch-up.  (Undo does not: it edits through the funnels.)
+        Forgetting the call leaves a stale implicit authorization in
+        force -- a bypass, not a slow path.
         """
         for callback in self.on_topology_reset:
             callback()
 
-    def discard(self, uid):
-        """Remove *uid* from the object table and store (deletion engine)."""
-        instance = self._objects.get(uid)
-        if instance is not None:
-            for callback in self.on_before_change:
-                callback(instance)
-            del self._objects[uid]
-            extent = self._extents.get(instance.class_name)
-            if extent is not None:
-                extent.discard(uid)
-            for callback in self.on_delete:
-                callback(uid)
+    # ------------------------------------------------------------------
+    # Edit funnels: the only code that changes instances or the object
+    # table.  Each records its exact inverse on the undo stream first
+    # (codelint's CODE-EDIT-FUNNEL keeps raw edits inside them).
+    # ------------------------------------------------------------------
+
+    def _put(self, instance, attribute, value):
+        """Set one forward value.  Writers always store a fresh list for
+        a set-of attribute, so the old value is kept by reference.  An
+        instance mid-``make`` records nothing: discarding it undoes it."""
+        for callback in self.on_before_change:
+            callback(instance)
+        if instance.uid is not self._placement_pending:
+            self._undo.append((self._put, instance, attribute, instance.get(attribute)))
+        instance.set(attribute, value)
+        for callback in self.on_update:
+            callback(instance, attribute)
+
+    def _add_reference(self, child, parent_uid, spec):
+        """Give *child* a reverse reference to *parent_uid.spec*."""
+        child.add_reverse_reference(parent_uid, spec.dependent, spec.exclusive, spec.name)
+        self._undo.append((self._remove_reference, child, parent_uid, spec.name))
+
+    def _remove_reference(self, child, parent_uid, attribute):
+        """Drop *child*'s reverse reference to *parent_uid.attribute*;
+        returns it (None when absent)."""
+        references = child.reverse_references
+        for index, ref in enumerate(references):
+            if ref.parent == parent_uid and ref.attribute == attribute:
+                self._undo.append((self._restore_reference, child, index, ref))
+                del references[index]
+                return ref
+        return None
+
+    def _restore_reference(self, child, index, ref):
+        """Put reverse reference *ref* back at its original *index*."""
+        self._undo.append((self._remove_reference, child, ref.parent, ref.attribute))
+        child.reverse_references.insert(index, ref)
+
+    def _announce(self, parent, spec, child, linked):
+        """Tell the ``on_link`` (*linked*) or ``on_unlink`` listeners
+        about a composite link parent --spec--> child."""
+        self._undo.append((self._announce, parent, spec, child, not linked))
+        for callback in self.on_link if linked else self.on_unlink:
+            callback(parent, spec, child)
+
+    def _install(self, instance):
+        """Enter *instance* into the object table as a live object."""
+        self._undo.append((self.discard, instance))
+        instance.deleted = False
+        self._objects[instance.uid] = instance
+        self._extents.setdefault(instance.class_name, set()).add(instance.uid)
+
+    def _reinstate(self, instance):
+        """Inverse of :meth:`discard`: reinstall and announce *instance*."""
+        self._install(instance)
+        for callback in self.on_update:
+            callback(instance, None)
+
+    def discard(self, instance):
+        """Remove *instance* from the object table and store (the
+        deletion engine's funnel); it reads as deleted from here on."""
+        for callback in self.on_before_change:
+            callback(instance)
+        self._undo.append((self._reinstate, instance))
+        instance.deleted = True
+        del self._objects[instance.uid]
+        self._extents.get(instance.class_name, set()).discard(instance.uid)
+        for callback in self.on_delete:
+            callback(instance.uid)
+        for callback in self.on_update:
+            callback(instance, None)
         if self.store is not None:
-            self.store.delete(uid)
+            self.store.delete(instance.uid)
 
     def persist(self, instance, near_uid=None):
         """Write-through *instance* to the paged store and notify
@@ -392,34 +495,23 @@ class Database:
 
         uid = self.allocator.allocate(class_name)
         born_cc = self.cc_provider(class_name) if self.cc_provider else 0
-        instance = Instance(uid, class_name, change_count=born_cc)
-        self._extents.setdefault(class_name, set()).add(uid)
+        # Every effective attribute starts at its init value (or
+        # None/empty) unless a value is supplied.
+        instance = Instance(uid, class_name, change_count=born_cc, values={
+            spec.name: (list(spec.init) if spec.init else [])
+            if spec.is_set else spec.init
+            for spec in classdef.attributes()
+            if spec.name not in merged
+        })
+        # Left set if the wiring below raises: the bracket's rollback
+        # then discards an object that must read as never having existed.
         self._placement_pending = uid
-        # Initialize every effective attribute (init value or None/empty).
-        for spec in classdef.attributes():
-            if spec.name in merged:
-                continue
-            if spec.is_set:
-                instance.set(spec.name, list(spec.init) if spec.init else [])
-            else:
-                instance.set(spec.name, spec.init)
-        self._objects[uid] = instance
-
-        try:
-            for name, value in merged.items():
-                self._assign(instance, classdef.attribute(name), value)
-            for parent_uid, attribute in parent_pairs:
-                self._attach_child(parent_uid, attribute, uid)
-        except Exception:
-            # Creation is atomic: roll back partial wiring.
-            instance.deleted = True
-            self._rollback_new(instance, parent_pairs)
-            del self._objects[uid]
-            self._extents[class_name].discard(uid)
-            self._placement_pending = None
-            raise
-        finally:
-            self._placement_pending = None
+        self._install(instance)
+        for name, value in merged.items():
+            self._assign(instance, classdef.attribute(name), value)
+        for parent_uid, attribute in parent_pairs:
+            self._attach_child(parent_uid, attribute, uid)
+        self._placement_pending = None
 
         if self.store is not None:
             segment, near_hint = self.clustering.placement(
@@ -433,7 +525,8 @@ class Database:
             parent = self.peek(parent_uid)
             if parent is not None:
                 self.persist(parent)
-        self._notify_update(instance, None)
+        for callback in self.on_update:
+            callback(instance, None)
         return uid
 
     def _check_parent_pairs(self, parent_pairs):
@@ -459,17 +552,6 @@ class Database:
                     f"attributes; exclusive: {', '.join(offenders)}",
                     rule=3,
                 )
-
-    def _rollback_new(self, instance, parent_pairs):
-        """Undo partial wiring of a failed ``make``."""
-        for attr, child_uid in list(self.iter_composite_values(instance)):
-            child = self.peek(child_uid)
-            if child is not None:
-                child.remove_reverse_reference(instance.uid, attr)
-        for parent_uid, attribute in parent_pairs:
-            parent = self.peek(parent_uid)
-            if parent is not None:
-                self.unlink_forward_value(parent, attribute, instance.uid)
 
     # ------------------------------------------------------------------
     # Attribute access and update
@@ -514,19 +596,10 @@ class Database:
             raise DomainError(
                 f"{instance.class_name}.{attribute} is single-valued; use set_value"
             )
-        current = instance.get(attribute) or []
-        if member in current:
+        if member in (instance.get(attribute) or ()):
             return False
         with self._operation():
-            for callback in self.on_before_change:
-                callback(instance)
-            self._check_member(spec, member)
-            if spec.is_composite:
-                self._link_component(instance, spec, member)
-            current = list(current)
-            current.append(member)
-            instance.set(attribute, current)
-            self._notify_update(instance, attribute)
+            self._add_member(instance, spec, member)
             self.persist(instance)
         return True
 
@@ -542,12 +615,9 @@ class Database:
         if member not in current:
             return False
         with self._operation():
-            for callback in self.on_before_change:
-                callback(instance)
             if spec.is_composite:
                 self._unlink_component(instance, spec, member)
-            instance.set(attribute, [v for v in current if v != member])
-            self._notify_update(instance, attribute)
+            self._put(instance, attribute, [v for v in current if v != member])
             self.persist(instance)
         return True
 
@@ -587,8 +657,6 @@ class Database:
 
     def _assign(self, instance, spec, value):
         """Assign *value* to *spec* on *instance*, maintaining reverse refs."""
-        for callback in self.on_before_change:
-            callback(instance)
         if spec.is_set:
             members = list(value or [])
             if len(set(members)) != len(members):
@@ -605,8 +673,7 @@ class Database:
                 for member in members:
                     if member not in old_members:
                         self._link_component(instance, spec, member)
-            instance.set(spec.name, members)
-            self._notify_update(instance, spec.name)
+            self._put(instance, spec.name, members)
             return
         self._check_member(spec, value)
         old = instance.get(spec.name)
@@ -615,8 +682,7 @@ class Database:
                 self._unlink_component(instance, spec, old)
             if value is not None and value != old:
                 self._link_component(instance, spec, value)
-        instance.set(spec.name, value)
-        self._notify_update(instance, spec.name)
+        self._put(instance, spec.name, value)
 
     def _check_member(self, spec, value):
         """Domain-check one element value for *spec*."""
@@ -653,51 +719,40 @@ class Database:
             self.link_policy(instance, spec, child)
         else:
             check_make_component(child, spec, parent_uid=instance.uid)
-        child.add_reverse_reference(
-            instance.uid,
-            dependent=spec.dependent,
-            exclusive=spec.exclusive,
-            attribute=spec.name,
-        )
+        self._add_reference(child, instance.uid, spec)
         if self.link_policy is None:
             check_topology_rules(child)
-        for callback in self.on_link:
-            callback(instance, spec, child)
+        self._announce(instance, spec, child, True)
         self.persist(child)
 
     def _unlink_component(self, instance, spec, child_uid):
-        """Remove the IS-PART-OF link instance --spec--> child_uid."""
+        """Remove the IS-PART-OF link instance --spec--> child_uid;
+        returns the removed reverse reference (None when there was none)."""
         child = self.peek(child_uid)
         if child is None:
-            return
-        removed = child.remove_reverse_reference(instance.uid, spec.name)
+            return None
+        removed = self._remove_reference(child, instance.uid, spec.name)
         if removed is not None:
-            for callback in self.on_unlink:
-                callback(instance, spec, child)
-        self.persist(child)
+            self._announce(instance, spec, child, False)
+            self.persist(child)
+        return removed
+
+    def _add_member(self, instance, spec, member):
+        """Append *member* to set-of attribute *spec*, linking if composite."""
+        self._check_member(spec, member)
+        if spec.is_composite:
+            self._link_component(instance, spec, member)
+        self._put(instance, spec.name, [*(instance.get(spec.name) or ()), member])
 
     def _attach_child(self, parent_uid, attribute, child_uid):
         """Wire a new instance into *parent_uid.attribute* (the ``:parent``
         keyword path of ``make``)."""
         parent = self.resolve(parent_uid)
         spec = self.lattice.get(parent.class_name).attribute(attribute)
-        if spec.is_set:
-            current = parent.get(attribute) or []
-            if child_uid in current:
-                return
-            for callback in self.on_before_change:
-                callback(parent)
-            self._check_member(spec, child_uid)
-            if spec.is_composite:
-                self._link_component(parent, spec, child_uid)
-            parent.set(attribute, list(current) + [child_uid])
-            self._notify_update(parent, attribute)
-        else:
+        if not spec.is_set:
             self._assign(parent, spec, child_uid)
-
-    def _notify_update(self, instance, attribute):
-        for callback in self.on_update:
-            callback(instance, attribute)
+        elif child_uid not in (parent.get(attribute) or ()):
+            self._add_member(parent, spec, child_uid)
 
     def iter_composite_values(self, instance):
         """Yield ``(attribute_name, child_uid)`` for every composite
@@ -715,7 +770,7 @@ class Database:
             else:
                 yield spec.name, value
 
-    def unlink_forward_value(self, parent, attribute, child_uid):
+    def _unlink_forward_value(self, parent, attribute, child_uid):
         """Drop *child_uid* from *parent.attribute* (deletion fix-up).
 
         Unlike :meth:`remove_from`, this does not touch reverse references
@@ -723,20 +778,14 @@ class Database:
         """
         value = parent.get(attribute)
         if isinstance(value, list):
-            if child_uid in value:
-                for callback in self.on_before_change:
-                    callback(parent)
-                parent.set(attribute, [v for v in value if v != child_uid])
-                self._notify_update(parent, attribute)
-                return True
-            return False
-        if value == child_uid:
-            for callback in self.on_before_change:
-                callback(parent)
-            parent.set(attribute, None)
-            self._notify_update(parent, attribute)
+            if child_uid not in value:
+                return False
+            self._put(parent, attribute, [v for v in value if v != child_uid])
             return True
-        return False
+        if value != child_uid:
+            return False
+        self._put(parent, attribute, None)
+        return True
 
     # ------------------------------------------------------------------
     # Deletion

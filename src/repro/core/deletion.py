@@ -78,18 +78,13 @@ class DeletionEngine:
         scheduled = {root.uid}
 
         while queue:
-            current_uid = queue.popleft()
-            instance = db.peek(current_uid)
-            if instance is None or instance.deleted:
+            instance = db.peek(queue.popleft())
+            if instance is None:
                 continue
-            instance.deleted = True
-            report.deleted.append(current_uid)
-
+            report.deleted.append(instance.uid)
+            db.discard(instance)
             self._propagate_to_components(instance, queue, scheduled, report)
             self._unlink_from_parents(instance, scheduled, report)
-            db.discard(current_uid)
-            for callback in db.on_update:
-                callback(instance, None)
 
         return report
 
@@ -98,44 +93,37 @@ class DeletionEngine:
     def _propagate_to_components(self, instance, queue, scheduled, report):
         """Apply deletion conditions 1-4 to every outgoing composite ref."""
         db = self._db
+        classdef = db.lattice.get(instance.class_name)
         for attr, child_uid in db.iter_composite_values(instance):
-            child = db.peek(child_uid)
-            if child is None or child.deleted:
-                continue
-            removed = child.remove_reverse_reference(instance.uid, attr)
+            removed = db._unlink_component(instance, classdef.attribute(attr), child_uid)
             if removed is None:
                 continue
-            spec = db.lattice.get(instance.class_name).attribute(attr)
-            for callback in db.on_unlink:
-                callback(instance, spec, child)
             if removed.dependent:
                 if removed.exclusive:
                     # Condition 2: dependent exclusive always cascades.
-                    self._schedule(child.uid, queue, scheduled)
-                elif not child.ds_parents():
+                    self._schedule(child_uid, queue, scheduled)
+                elif not db.peek(child_uid).ds_parents():
                     # Condition 4: last dependent-shared parent gone.
-                    self._schedule(child.uid, queue, scheduled)
+                    self._schedule(child_uid, queue, scheduled)
                 else:
-                    report.preserved_shared.append(child.uid)
+                    report.preserved_shared.append(child_uid)
             else:
                 # Conditions 1 and 3: independent references never cascade.
-                report.preserved_independent.append(child.uid)
-            db.persist(child)
+                report.preserved_independent.append(child_uid)
 
     def _unlink_from_parents(self, instance, scheduled, report):
         """Remove the dying object from its surviving parents' attributes."""
         db = self._db
-        for ref in list(instance.reverse_references):
+        for ref in instance.reverse_references:
             if ref.parent in scheduled:
                 continue  # parent is dying too; nothing to fix up
             parent = db.peek(ref.parent)
-            if parent is None or parent.deleted:
+            if parent is None:
                 continue
-            if db.unlink_forward_value(parent, ref.attribute, instance.uid):
+            if db._unlink_forward_value(parent, ref.attribute, instance.uid):
                 report.unlinked_parents.append(parent.uid)
                 spec = db.lattice.get(parent.class_name).attribute(ref.attribute)
-                for callback in db.on_unlink:
-                    callback(parent, spec, instance)
+                db._announce(parent, spec, instance, False)
                 db.persist(parent)
 
     @staticmethod

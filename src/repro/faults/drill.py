@@ -38,6 +38,7 @@ from ..errors import StorageError
 from ..schema.attribute import AttributeSpec, SetOf
 from ..storage.durable import DurableDatabase
 from ..storage.journal import JOURNAL_NAME, SNAPSHOT_NAME, SYNC_POLICIES, Journal
+from ..storage.serializer import encode_instance
 from ..txn import TransactionManager
 from .registry import fault_scope
 
@@ -122,44 +123,18 @@ class DrillReport:
                 f"fired={len(self.fired)} [{verdict}]")
 
 
-def _canonical_value(value):
-    """Order-insensitive rendering of one attribute value.
-
-    Set-of attributes store their members as a list whose order is an
-    implementation accident, not semantics — an abort's undo pass, for
-    instance, re-inserts a removed member at the tail.  Canonicalizing
-    keeps the oracle from flagging two logically identical states as
-    different.
-    """
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return ("set",) + tuple(sorted(repr(member) for member in value))
-    return repr(value)
-
-
 def state_fingerprint(database):
-    """Canonical state map ``{uid: canonical form}`` of live instances.
+    """``{uid: serialized image}`` of every live instance.
 
-    Two fingerprints are equal exactly when the databases hold the same
-    instances with the same attribute values, set memberships, and
-    composite (reverse-reference) topology — member and reference
-    *order* is normalized away.
+    Equal exactly when the databases hold the same instances with the
+    same values, members and reverse references, in the same order --
+    abort and recovery both restore order exactly, so it is not
+    normalized away.
     """
-    state = {}
-    for instance in database.live_instances():
-        state[instance.uid] = (
-            instance.class_name,
-            instance.change_count,
-            tuple(sorted(
-                (attribute, _canonical_value(value))
-                for attribute, value in instance.values.items()
-            )),
-            tuple(sorted(
-                (repr(ref.parent), ref.attribute, ref.dependent,
-                 ref.exclusive)
-                for ref in instance.reverse_references
-            )),
-        )
-    return state
+    return {
+        instance.uid: encode_instance(instance)
+        for instance in database.live_instances()
+    }
 
 
 class SeededWorkload:

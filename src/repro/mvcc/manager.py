@@ -62,8 +62,8 @@ class SnapshotManager:
     ----------
     database:
         The database to version.  Hooks are registered on its
-        ``on_before_change`` / ``on_update`` / ``on_delete`` /
-        ``on_op_end`` / ``on_txn_commit`` / ``on_txn_abort`` lists.
+        ``on_before_change`` / ``on_update`` / ``on_op_end`` /
+        ``on_txn_commit`` / ``on_txn_abort`` lists.
     max_versions:
         Per-UID chain bound: older entries are pruned once a chain
         exceeds this many committed versions (the GC bound — reads
@@ -98,7 +98,6 @@ class SnapshotManager:
         self._hooks = (
             (database.on_before_change, self._on_before_change),
             (database.on_update, self._on_update),
-            (database.on_delete, self._on_delete),
             (database.on_op_end, self._on_op_end),
             (database.on_txn_commit, self._on_txn_commit),
             (database.on_txn_abort, self._on_txn_abort),
@@ -130,7 +129,7 @@ class SnapshotManager:
         scope = self._scopes.setdefault(self._scope_key(), {})
         if instance.uid in scope:
             return
-        if instance.uid == self._db._placement_pending or instance.deleted:
+        if instance.uid == self._db._placement_pending:
             scope[instance.uid] = _ABSENT
         else:
             scope[instance.uid] = encode_instance(instance)
@@ -142,11 +141,6 @@ class SnapshotManager:
             # on_before_change first, so a missing baseline here means
             # the object was created by this scope.
             scope[instance.uid] = _ABSENT
-
-    def _on_delete(self, uid):
-        # discard() fired on_before_change just before dropping the
-        # object, so the baseline is already captured; nothing to add.
-        self._scopes.setdefault(self._scope_key(), {}).setdefault(uid, _ABSENT)
 
     # -- commit stamping ---------------------------------------------------
 

@@ -1,9 +1,9 @@
 """Transaction subsystem: strict 2PL over the composite locking protocol,
-undo-log-based abort (deletion cascades are image-logged and resurrected)."""
+abort by replaying the database's undo stream."""
 
 from .checkout import Checkout, CheckoutManager
 from .manager import TransactionManager
-from .transaction import Transaction, TxnState, UndoRecord
+from .transaction import Transaction, TxnState
 
 __all__ = [
     "Checkout",
@@ -11,5 +11,4 @@ __all__ = [
     "Transaction",
     "TransactionManager",
     "TxnState",
-    "UndoRecord",
 ]

@@ -3,8 +3,9 @@ protocol, with undo-based abort.
 
 Every data operation acquires its locks through the Section 7 protocol
 (class intention lock + instance lock; whole-composite operations take the
-composite plan) and logs an inverse operation.  Locks are held to commit
-or abort (strict 2PL).  Lock conflicts raise immediately
+composite plan); the database records the inverse of every edit it makes
+into the transaction's undo log.  Locks are held to commit or abort
+(strict 2PL).  Lock conflicts raise immediately
 (:class:`repro.errors.LockConflictError`) — the synchronous API never
 blocks; the discrete-event simulator (:mod:`repro.sim.eventsim`) drives
 the lock table's queues directly for waiting semantics.
@@ -15,7 +16,6 @@ from __future__ import annotations
 from ..errors import TransactionStateError
 from ..locking.protocol import CompositeLockingProtocol
 from ..locking.table import LockTable
-from ..storage.serializer import decode_instance, encode_instance
 from .transaction import Transaction, TxnState
 
 
@@ -79,7 +79,8 @@ class TransactionManager:
         return released
 
     def abort(self, txn):
-        """Abort: apply the undo log in reverse, release all locks.
+        """Abort: replay the undo log through the database's edit
+        funnels (:meth:`Database.rollback`), release all locks.
 
         The undo pass runs inside the transaction's journal context, so
         under a batching sync policy the compensating records land in the
@@ -95,11 +96,9 @@ class TransactionManager:
             txn.undoing = True
             try:
                 with self._db.txn_context(txn):
-                    for record in reversed(txn.undo_log):
-                        self._undo(record)
+                    self._db.rollback(txn.undo_log)
             finally:
                 txn.undoing = False
-            txn.undo_log.clear()
             txn.state = TxnState.ABORTED
             self.aborts += 1
             for callback in self._db.on_txn_abort:
@@ -164,8 +163,6 @@ class TransactionManager:
         self.protocol.lock_instance(txn, uid, "write", wait=False)
         self._check_snapshot_write(txn, uid)
         with self._db.txn_context(txn):
-            old = self._db.value(uid, attribute)
-            txn.log("set", uid=uid, attribute=attribute, payload=old)
             self._db.set_value(uid, attribute, value)
         txn.written_uids.add(uid)
 
@@ -177,10 +174,8 @@ class TransactionManager:
         with self._db.txn_context(txn):
             inserted = self._db.insert_into(uid, attribute, member)
         if inserted:
-            txn.log("insert", uid=uid, attribute=attribute, payload=member)
             txn.written_uids.add(uid)
-            return True
-        return False
+        return inserted
 
     def remove(self, txn, uid, attribute, member):
         """Remove from a set-of attribute under an X instance lock."""
@@ -190,10 +185,8 @@ class TransactionManager:
         with self._db.txn_context(txn):
             removed = self._db.remove_from(uid, attribute, member)
         if removed:
-            txn.log("remove", uid=uid, attribute=attribute, payload=member)
             txn.written_uids.add(uid)
-            return True
-        return False
+        return removed
 
     def make(self, txn, class_name, values=None, parents=(), **kw_values):
         """Create an instance; its parents are X-locked first."""
@@ -206,31 +199,18 @@ class TransactionManager:
             uid = self._db.make(
                 class_name, values=values, parents=parents, **kw_values
             )
-        txn.log("make", uid=uid)
         txn.written_uids.add(uid)
         for parent_uid, _attribute in parents:
             txn.written_uids.add(parent_uid)
         return uid
 
     def delete(self, txn, uid):
-        """Delete a composite object under the composite write plan.
-
-        The entire cascade is snapshotted for undo.
-        """
+        """Delete a composite object under the composite write plan."""
         txn.ensure_active()
         self.protocol.lock_composite(txn, uid, "write", wait=False)
         self._check_snapshot_write(txn, uid)
-        victims = []
-        # Snapshot before the engine runs: predict the cascade, image it.
-        from ..core.deletion import would_delete
-
-        for victim_uid in would_delete(self._db, uid):
-            instance = self._db.peek(victim_uid)
-            if instance is not None:
-                victims.append(encode_instance(instance))
         with self._db.txn_context(txn):
             report = self._db.delete(uid)
-        txn.log("delete", uid=uid, payload=victims)
         txn.written_uids.add(uid)
         return report
 
@@ -254,35 +234,3 @@ class TransactionManager:
         instance locks for components of this composite's classes)."""
         txn.ensure_active()
         return self.protocol.lock_composite(txn, root_uid, "write", wait=False)
-
-    # -- undo ----------------------------------------------------------------
-
-    def _undo(self, record):
-        db = self._db
-        if record.kind == "set":
-            if db.exists(record.uid):
-                db.set_value(record.uid, record.attribute, record.payload)
-        elif record.kind == "insert":
-            if db.exists(record.uid):
-                db.remove_from(record.uid, record.attribute, record.payload)
-        elif record.kind == "remove":
-            if db.exists(record.uid):
-                db.insert_into(record.uid, record.attribute, record.payload)
-        elif record.kind == "make":
-            if db.exists(record.uid):
-                db.delete(record.uid)
-        elif record.kind == "delete":
-            self._resurrect(record.payload)
-        else:  # pragma: no cover
-            raise TransactionStateError(f"unknown undo record {record.kind!r}")
-
-    def _resurrect(self, images):
-        """Re-insert deleted instances from their serialized images."""
-        db = self._db
-        for image in images:
-            instance = decode_instance(image)
-            instance.deleted = False
-            db._objects[instance.uid] = instance
-            db._extents.setdefault(instance.class_name, set()).add(instance.uid)
-            db.persist(instance)
-        db.topology_reset()

@@ -2,17 +2,14 @@
 
 A :class:`Transaction` is a unit of atomicity and isolation: it carries an
 id (ids double as age for deadlock victim selection — higher id = younger),
-a state, and an undo log of inverse operations applied on abort.
-
-The undo log records *images*: deleted instances are snapshotted with the
-storage serializer before they leave the object table, so an abort can
-resurrect an entire deletion cascade byte-for-byte.
+a state, and an undo log: the inverses the database's edit funnels
+recorded for its operations, which abort replays newest first
+(:meth:`repro.core.database.Database.rollback`).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from ..errors import TransactionStateError
 
@@ -22,26 +19,6 @@ class TxnState(enum.Enum):
     BLOCKED = "blocked"
     COMMITTED = "committed"
     ABORTED = "aborted"
-
-
-@dataclass
-class UndoRecord:
-    """One inverse operation.
-
-    ``kind`` is one of:
-
-    * ``"set"`` — restore *uid.attribute* to ``payload`` (the old value);
-    * ``"insert"`` — a member was inserted; undo removes ``payload``;
-    * ``"remove"`` — a member was removed; undo re-inserts ``payload``;
-    * ``"make"`` — an instance was created; undo deletes it;
-    * ``"delete"`` — instances were deleted; ``payload`` is the list of
-      serialized images to resurrect (cascade order).
-    """
-
-    kind: str
-    uid: object = None
-    attribute: str = ""
-    payload: object = None
 
 
 class Transaction:
@@ -55,6 +32,7 @@ class Transaction:
             Transaction._next_id += 1
         self.txn_id = txn_id
         self.state = TxnState.ACTIVE
+        #: Inverse edits recorded by the database, oldest first.
         self.undo_log = []
         #: Number of restarts after deadlock aborts (simulator metric).
         self.restarts = 0
@@ -88,14 +66,6 @@ class Transaction:
             raise TransactionStateError(
                 f"transaction {self.txn_id} is {self.state.value}"
             )
-
-    # -- undo logging -------------------------------------------------------
-
-    def log(self, kind, uid=None, attribute="", payload=None):
-        self.ensure_active()
-        self.undo_log.append(
-            UndoRecord(kind=kind, uid=uid, attribute=attribute, payload=payload)
-        )
 
     def __repr__(self):
         return f"<Txn {self.txn_id} {self.state.value} undo={len(self.undo_log)}>"

@@ -8,7 +8,7 @@ memory.  Three layers:
 
 1. a Hypothesis state machine over random interleavings of grant, revoke,
    ``make(parents=...)``, ``insert_into``, ``remove_from``, ``delete``,
-   commit, abort (the undo of each, ``_resurrect`` included) and schema
+   commit, abort (the undo stream replaying each) and schema
    changes -- after every step ``resolve``/``check`` equal the reference
    on every object;
 2. targeted regressions, in process and over the wire: detach -> denied
@@ -201,15 +201,7 @@ class CacheEquivalence(RuleBasedStateMachine):
 
     @rule()
     def abort(self):
-        try:
-            self.tm.abort(self.txn)
-        except ReproError:
-            # The undo of a delete resurrects the victims but not the
-            # references its survivors lost, so a later inverse operation
-            # can be refused half-way (a limitation of the undo log this
-            # test did not introduce).  Whatever state that leaves, the
-            # cache must still agree with the reference on it.
-            pass
+        self.tm.abort(self.txn)
         self.txn = self.tm.begin()
 
     # -- grants ------------------------------------------------------------

@@ -329,6 +329,31 @@ class TestCodeLint:
         public = source.replace("_undo", "undo")
         assert lint_source(public, "other/module.py").clean
 
+    def test_raw_edits_outside_the_funnels_are_flagged(self):
+        source = (
+            "class Database:\n"
+            "    def _put(self, instance, attribute, value):\n"
+            "        instance.set(attribute, value)\n"
+            "    def _install(self, instance):\n"
+            "        self._objects[instance.uid] = instance\n"
+            "    def _shortcut(self, instance, child):\n"
+            "        instance.set('x', 1)\n"
+            "        child.remove_reverse_reference(instance.uid, 'x')\n"
+            "        child.reverse_references.append(None)\n"
+            "        del self._objects[instance.uid]\n"
+            "        instance.deleted = True\n"
+        )
+        report = lint_source(source, "core/database.py")
+        findings = report.by_rule("CODE-EDIT-FUNNEL")
+        assert [f.detail["line"] for f in findings] == [7, 8, 9, 10, 11]
+        assert findings[0].detail["edit"] == ".set()"
+        # The same edits elsewhere in core/ are flagged too (no funnel
+        # outside Database), but not in instance.py or outside core/.
+        assert lint_source(source, "core/deletion.py").by_rule(
+            "CODE-EDIT-FUNNEL")
+        assert lint_source(source, "core/instance.py").clean
+        assert lint_source(source, "schema/evolution.py").clean
+
     def test_unwrapped_manager_mutation_is_flagged(self):
         source = (
             "class TransactionManager:\n"

@@ -97,26 +97,31 @@ class TestFixedPlans:
 
 
 class TestFingerprint:
-    def test_set_order_is_canonicalized(self, tmp_path):
-        # Two databases with the same membership in different list order
-        # must fingerprint identically (an abort's undo re-inserts
-        # members at the tail).
+    def test_abort_restores_member_order(self):
+        # The fingerprint compares exact images, member order included:
+        # an abort puts a removed member back where it was, so the
+        # rolled-back state fingerprints like the one before it.
         from repro import AttributeSpec, Database, SetOf
+        from repro.txn import TransactionManager
 
-        def build(order):
-            db = Database()
-            db.make_class("P")
-            db.make_class("S", attributes=[
-                AttributeSpec("Members", domain=SetOf("P"), composite=True,
-                              exclusive=False, dependent=True),
-            ])
-            a, b = db.make("P"), db.make("P")
-            section = db.make("S")
-            for member in order(a, b):
-                db.insert_into(section, "Members", member)
-            return state_fingerprint(db)
-
-        assert build(lambda a, b: (a, b)) == build(lambda a, b: (b, a))
+        db = Database()
+        db.make_class("P")
+        db.make_class("S", attributes=[
+            AttributeSpec("Members", domain=SetOf("P"), composite=True,
+                          exclusive=False, dependent=True),
+        ])
+        a, b = db.make("P"), db.make("P")
+        section = db.make("S")
+        for member in (a, b):
+            db.insert_into(section, "Members", member)
+        before = state_fingerprint(db)
+        tm = TransactionManager(db)
+        txn = tm.begin()
+        tm.remove(txn, section, "Members", a)
+        tm.insert(txn, section, "Members", a)
+        assert state_fingerprint(db) != before  # same members, new order
+        tm.abort(txn)
+        assert state_fingerprint(db) == before
 
 
 class TestSweep:

@@ -55,6 +55,21 @@ class TestMake:
         assert parts_db.parents_of(engine) == []
         parts_db.validate()
 
+    def test_failed_make_on_second_member_unlinks_the_first(self, parts_db):
+        free = parts_db.make("Engine")
+        owned = parts_db.make("Engine")
+        owner = parts_db.make("Car", values={"Motor": owned})
+        links, unlinks = [], []
+        parts_db.on_link.append(lambda p, s, c: links.append((p.uid, c.uid)))
+        parts_db.on_unlink.append(
+            lambda p, s, c: unlinks.append((p.uid, c.uid)))
+        with pytest.raises(TopologyError):
+            parts_db.make("Car", values={"Spares": [free, owned]})
+        assert parts_db.parents_of(free) == []
+        assert parts_db.parents_of(owned) == [owner]
+        assert len(links) == 1 and unlinks == links
+        parts_db.validate()
+
     def test_make_is_atomic_object_count(self, parts_db):
         before = len(parts_db)
         with pytest.raises(DomainError):
@@ -122,6 +137,16 @@ class TestSetValue:
         car = parts_db.make("Car")
         with pytest.raises(DomainError):
             parts_db.set_value(car, "Spares", [])
+
+    def test_refused_set_value_keeps_the_old_link(self, parts_db):
+        mine, theirs = parts_db.make("Engine"), parts_db.make("Engine")
+        car = parts_db.make("Car", values={"Motor": mine})
+        parts_db.make("Car", values={"Motor": theirs})
+        with pytest.raises(TopologyError):
+            parts_db.set_value(car, "Motor", theirs)
+        assert parts_db.value(car, "Motor") == mine
+        assert parts_db.parents_of(mine) == [car]
+        parts_db.validate()
 
     def test_self_assignment_idempotent(self, parts_db):
         engine = parts_db.make("Engine")

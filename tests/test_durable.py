@@ -143,6 +143,26 @@ class TestCrashRecovery:
         assert replayed >= 1
         assert len(fresh) == 1
 
+    @pytest.mark.parametrize("policy", ["always", "commit"])
+    def test_failed_make_leaves_no_object_to_recover(self, store_dir, policy):
+        # The refused make journaled its half-built object's image
+        # before the error; its rollback must journal the tombstone too.
+        from repro import ReproError
+
+        db = DurableDatabase(store_dir, sync_policy=policy)
+        db.make_class("Leaf")
+        db.make_class("Owner", attributes=[
+            AttributeSpec("Name", domain="string"),
+            AttributeSpec("Leaf", domain="Leaf", composite=True),
+        ])
+        leaf = db.make("Leaf")
+        db.make("Owner", values={"Leaf": leaf})
+        with pytest.raises(ReproError):
+            db.make("Owner", values={"Name": "ghost", "Leaf": leaf})
+        assert len(db) == 2
+        db.close()
+        assert len(DurableDatabase.open(store_dir)) == 2
+
 
 class TestDurablePlusSubsystems:
     def test_schema_evolution_then_checkpoint(self, store_dir):

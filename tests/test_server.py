@@ -20,6 +20,7 @@ from repro.errors import (
     AccessDenied,
     DeadlockError,
     LockConflictError,
+    TopologyError,
     TransactionStateError,
     UnknownObjectError,
 )
@@ -337,6 +338,23 @@ class TestTransactions:
                 client.set_value(vehicle, "Color", "green")
                 raise RuntimeError("client-side failure")
         assert client.value(vehicle, "Color") == "red"
+
+    def test_refused_set_value_and_abort_leave_fsck_clean(self, client):
+        vehicle_schema(client)
+        mine, theirs = client.make("AutoBody"), client.make("AutoBody")
+        vehicle = client.make("Vehicle", values={"Body": mine})
+        client.make("Vehicle", values={"Body": theirs})
+        with pytest.raises(TopologyError):
+            client.set_value(vehicle, "Body", theirs)
+        fsck = client.check("fsck")["fsck"]
+        assert fsck["ok"], fsck["findings"]
+        assert client.value(vehicle, "Body") == mine
+        client.begin()
+        client.delete(vehicle)
+        client.abort()
+        fsck = client.check("fsck")["fsck"]
+        assert fsck["ok"], fsck["findings"]
+        assert client.parents_of(mine) == [vehicle]
 
     def test_nested_begin_rejected(self, client):
         client.begin()

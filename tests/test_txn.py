@@ -1,4 +1,4 @@
-"""Tests for transactions: strict 2PL, undo, abort-time resurrection."""
+"""Tests for transactions: strict 2PL, undo, abort."""
 
 import pytest
 
@@ -104,6 +104,50 @@ class TestCommitAbort:
         manager.write(txn, box, "Name", "end")
         manager.abort(txn)
         assert database.value(box, "Name") == "start"
+
+
+@pytest.fixture
+def docs_env():
+    """Pages shared by documents under a dependent shared set (Ds)."""
+    database = Database()
+    database.make_class("Page", attributes=[
+        AttributeSpec("Text", domain="string"),
+    ])
+    database.make_class("Doc", attributes=[
+        AttributeSpec("Pages", domain=SetOf("Page"), composite=True,
+                      exclusive=False, dependent=True),
+    ])
+    doc_a, doc_b = database.make("Doc"), database.make("Doc")
+    page = database.make("Page", parents=[(doc_a, "Pages"),
+                                          (doc_b, "Pages")])
+    return database, TransactionManager(database), doc_a, doc_b, page
+
+
+class TestAbortRestoresBothEnds:
+    """The Deletion Rule edits survivors too; abort must undo those edits."""
+
+    def test_abort_delete_of_component_with_surviving_ds_parents(
+            self, docs_env):
+        database, manager, doc_a, doc_b, page = docs_env
+        txn = manager.begin()
+        manager.delete(txn, page)
+        assert database.value(doc_a, "Pages") == []
+        manager.abort(txn)
+        assert database.value(doc_a, "Pages") == [page]
+        assert database.value(doc_b, "Pages") == [page]
+        database.validate()
+
+    def test_abort_delete_of_parent_whose_shared_component_survives(
+            self, docs_env):
+        database, manager, doc_a, doc_b, page = docs_env
+        txn = manager.begin()
+        report = manager.delete(txn, doc_a)
+        assert report.deleted == [doc_a]
+        assert database.parents_of(page) == [doc_b]
+        manager.abort(txn)
+        assert sorted(database.parents_of(page), key=lambda u: u.number) \
+            == [doc_a, doc_b]
+        database.validate()
 
 
 class TestStrict2PL:
