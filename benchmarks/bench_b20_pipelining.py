@@ -9,9 +9,14 @@ which is where the multiple comes from, not codec arithmetic.
 
 Measured here: autocommitting writes against a durable store
 (``sync_policy="group"``) driven serially under v1 and v2, then
-pipelined under v2 at increasing depths.  The claim recorded in
-``bench_results.json`` and asserted below: v2 pipelining at depth 8
-clears 2x the v1 serial ops/sec.
+pipelined under v2 at increasing depths.  The claim asserted below is
+on counts, which do not depend on the host's fsync latency: at depth 8
+a request pays at most 1/8 of the journal fsyncs a serial v1 request
+pays, and fsyncs per request never rise with depth.  Throughput is
+printed and recorded, not asserted: since the batch barrier stopped
+sleeping out the window for a lone session (PR 22), serial v1 runs at
+fsync speed and its distance to depth 8 is whatever the host's fsync
+makes it.
 """
 
 from __future__ import annotations
@@ -44,7 +49,8 @@ def _pipelined(client, uid, count, depth):
         done += batch
 
 
-def _measure(label, fn):
+def _measure(label, fn, journal):
+    fsyncs = journal.fsyncs
     started = time.perf_counter()
     fn()
     elapsed = time.perf_counter() - started
@@ -53,6 +59,7 @@ def _measure(label, fn):
         "requests": OPS,
         "req_per_sec": OPS / elapsed,
         "mean_latency_ms": 1000.0 * elapsed / OPS,
+        "fsyncs_per_request": (journal.fsyncs - fsyncs) / OPS,
     }
 
 
@@ -76,24 +83,25 @@ def test_b20_pipelining(tmp_path, benchmark, recorder):
                     rows.append(_measure(
                         f"serial-v{version}",
                         lambda c=client: _serial(c, uid, OPS),
+                        database.journal,
                     ))
             for depth in DEPTHS:
                 with Client(port=handle.port) as client:
                     rows.append(_measure(
                         f"pipelined-v2@{depth}",
                         lambda c=client, d=depth: _pipelined(c, uid, OPS, d),
+                        database.journal,
                     ))
 
-            by_config = {row["config"]: row for row in rows}
-            # The acceptance claim: pipelining depth 8 over the binary
-            # protocol at least doubles serial v1 throughput.  Every
-            # serial autocommit pays its own group-commit window; a
-            # batch pays one for all its members.
-            assert (by_config["pipelined-v2@8"]["req_per_sec"]
-                    >= 2.0 * by_config["serial-v1"]["req_per_sec"])
-            # Depth scales monotonically enough to matter: 16 beats 2.
-            assert (by_config["pipelined-v2@16"]["req_per_sec"]
-                    > by_config["pipelined-v2@2"]["req_per_sec"])
+            fsyncs = {row["config"]: row["fsyncs_per_request"]
+                      for row in rows}
+            # The acceptance claim: every serial autocommit pays its own
+            # barrier fsync; a pipelined batch pays one for all its
+            # members, so depth 8 costs at most 1/8 of serial's.
+            assert 8 * fsyncs["pipelined-v2@8"] <= fsyncs["serial-v1"]
+            # Deeper batches never pay more fsyncs per request.
+            per_depth = [fsyncs[f"pipelined-v2@{d}"] for d in DEPTHS]
+            assert per_depth == sorted(per_depth, reverse=True)
 
             print_table(rows, title=f"B20 — pipelined vs serial durable "
                                     f"writes ({OPS} ops)")
@@ -101,8 +109,9 @@ def test_b20_pipelining(tmp_path, benchmark, recorder):
                 "B20", "request pipelining: serial v1/v2 vs pipelined v2 "
                 "at depths 2/4/8/16 over a group-commit journal", rows,
                 ["pipelining batches the durability barrier: depth 8 "
-                 "clears 2x serial v1 ops/sec; throughput grows with "
-                 "depth as more commits share one fsync window"],
+                 "pays at most 1/8 of serial v1's fsyncs per request, "
+                 "and fsyncs per request fall with depth as more "
+                 "commits share one barrier"],
             )
 
             with Client(port=handle.port) as client:

@@ -112,12 +112,8 @@ class CrashSim:
 
             def capture(label, sealed=None, quiescent=True):
                 if sealed is None:
-                    sealed = (
-                        journal._unsealed_records == 0
-                        and not journal._auto_batch.records
-                        and not any(
-                            b.records for b in journal._txn_batches.values()
-                        )
+                    sealed = not journal._auto_batch.records and not any(
+                        b.records for b in journal._txn_batches.values()
                     )
                 boundaries.append(_Boundary(
                     label=label,

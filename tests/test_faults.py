@@ -300,7 +300,7 @@ class TestJournalFailStop:
 
         txn = _Txn()
         batch = journal._txn_batches[txn] = type(journal._auto_batch)()
-        batch.put("fake-uid", b"I", b"payload")
+        batch.put("fake-uid", object())
         batch.stale = True
         journal.failed = True
         with pytest.raises(StorageError, match="compensating record"):
