@@ -25,7 +25,7 @@ from repro import AttributeSpec
 from repro.bench import print_table
 from repro.faults import fault_scope
 from repro.storage.durable import DurableDatabase
-from repro.storage.journal import _U32, Journal
+from repro.storage.journal import Journal, _frame
 
 OPS = 400
 ROUNDS = 7
@@ -34,9 +34,7 @@ MODES = ("absent", "disarmed", "armed")
 
 def _plain_write_record(self, kind, payload):
     # Byte-for-byte the shipped _write_record minus the fire() shim.
-    self._journal_file.write(kind)
-    self._journal_file.write(_U32.pack(len(payload)))
-    self._journal_file.write(payload)
+    self._journal_file.write(_frame(kind, payload))
     self.records_written += 1
     self.records_since_checkpoint += 1
 

@@ -43,6 +43,14 @@ machine-readable ``file``/``line`` keys in ``detail``):
     :class:`~repro.locking.table.LockTable` state (``_granted`` /
     ``_waiting``) or calls its internal ``_grant`` / ``_promote`` —
     bypassing compatibility checks, FIFO fairness, stats, and observers.
+``CODE-JOURNAL-FORMAT``
+    (error) outside ``storage/``, code imports an underscore name (the
+    record kinds, the framing structs, the header and snapshot readers)
+    or a header constant (:data:`JOURNAL_FORMAT_NAMES`) from
+    ``repro.storage.journal``.  That module is the one owner of the
+    on-disk format; everything else reads it through
+    ``iter_frames`` / ``BatchReplayer`` / ``install_batch``, so a format
+    change is made once.
 ``CODE-JOURNAL-HOOKS``
     (error) outside ``storage/``, code attaches, detaches, or replaces
     the journal hook lists (``on_persist``, ``on_op_end``,
@@ -81,6 +89,7 @@ __all__ = [
     "DETACH_CONTEXTS",
     "EDIT_FUNNELS",
     "HOOK_ATTACH_MODULES",
+    "JOURNAL_FORMAT_NAMES",
     "JOURNAL_HOOKS",
     "LEAK_HOOKS",
     "LOCK_PRIVATE_ATTRS",
@@ -128,6 +137,10 @@ LOCK_PRIVATE_ATTRS = frozenset(
 #: Private LockTable methods nobody outside locking/ may call.
 LOCK_PRIVATE_CALLS = frozenset({"_grant", "_promote"})
 
+#: Public journal-header constants nobody outside storage/ may import
+#: (underscore names are refused as well).
+JOURNAL_FORMAT_NAMES = frozenset({"JOURNAL_HEADER_SIZE", "JOURNAL_MAGIC"})
+
 #: Hook lists only the storage layer may attach/detach/replace.
 JOURNAL_HOOKS = frozenset({
     "on_persist", "on_op_end", "on_txn_commit", "on_txn_abort",
@@ -164,6 +177,8 @@ RULES = {
     "CODE-TXN-CONTEXT": "public TransactionManager method mutates outside "
                         "'with self._db.txn_context(...):'",
     "CODE-LOCK-STATE": "private LockTable state touched outside locking/",
+    "CODE-JOURNAL-FORMAT": "journal format internals imported outside "
+                           "storage/",
     "CODE-JOURNAL-HOOKS": "journal hook lists rewired outside storage/",
     "CODE-HOOK-LEAK": "observer hook attached without a detach in a "
                       "close()/detach()/stop()/__exit__() or finally path",
@@ -499,6 +514,26 @@ class _FileLinter(ast.NodeVisitor):
                 hook=attr,
                 mutator=mutator,
             )
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        journal = (
+            node.module == "storage.journal" and node.level > 0
+        ) or (node.module == "repro.storage.journal" and node.level == 0)
+        if journal and not self.in_storage:
+            for alias in node.names:
+                if (
+                    alias.name.startswith("_")
+                    or alias.name in JOURNAL_FORMAT_NAMES
+                ):
+                    self._add(
+                        "CODE-JOURNAL-FORMAT",
+                        node.lineno,
+                        f"'{alias.name}' imported from repro.storage.journal "
+                        f"outside storage/ — read the journal through "
+                        f"iter_frames/BatchReplayer/install_batch",
+                        name=alias.name,
+                    )
+        self.generic_visit(node)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         if not self.in_locking and node.attr in LOCK_PRIVATE_ATTRS:

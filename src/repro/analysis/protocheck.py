@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import ast
 import json
-import struct
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -217,34 +216,22 @@ def check_protocol(
 # Conformance: implementation traces must refine the model
 # ---------------------------------------------------------------------------
 
-_U32 = struct.Struct(">I")
-
-
 def _journal_markers(path: Path) -> list[dict[str, Any]]:
     """The ordered ``P``/``R`` records of one shard journal.
 
-    Reads the raw record framing (kind byte + u32 length + payload)
-    directly — recovery semantics are irrelevant here, the *sequence*
-    of durable protocol events is the trace.  A torn tail ends the
-    scan, exactly as recovery would stop replaying there.
+    Walks the journal's own framing (:func:`repro.storage.journal
+    .iter_frames`, past a header of any epoch) — recovery semantics are
+    irrelevant here, the *sequence* of durable protocol events is the
+    trace.  A torn tail ends the scan, exactly as recovery would stop
+    replaying there.
     """
-    from ..storage.journal import JOURNAL_HEADER_SIZE, JOURNAL_MAGIC
+    from ..storage.journal import PREPARE, RESOLVE, iter_frames
 
     if not path.exists():
         return []
-    data = path.read_bytes()
-    if data[:len(JOURNAL_MAGIC)] == JOURNAL_MAGIC:
-        data = data[JOURNAL_HEADER_SIZE:]
     markers: list[dict[str, Any]] = []
-    offset = 0
-    while offset + 5 <= len(data):
-        kind = data[offset:offset + 1]
-        (length,) = _U32.unpack(data[offset + 1:offset + 5])
-        if offset + 5 + length > len(data):
-            break  # torn tail: not durable, not part of the trace
-        payload = data[offset + 5:offset + 5 + length]
-        offset += 5 + length
-        if kind not in (b"P", b"R"):
+    for kind, payload, _end in iter_frames(path.read_bytes()):
+        if kind not in (PREPARE, RESOLVE):
             continue
         try:
             entry = json.loads(payload.decode("utf-8"))

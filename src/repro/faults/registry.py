@@ -30,11 +30,8 @@ list (see ``repro.faults.crashsim``).
 
 from __future__ import annotations
 
-import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-
-_U32 = struct.Struct(">I")
 
 #: Catalog of every failpoint site threaded through the codebase.
 #: ``add()`` validates rule sites against this map to catch typos; the
@@ -254,18 +251,14 @@ class FailpointRegistry:
     def _torn_write(self, rule, site, hit, ctx):
         """Write a truncated record frame, then raise.
 
-        The journal site passes ``file`` plus the record pieces
-        (``kind``, ``payload``); the torn frame is the full encoded
-        record minus the final ``torn_bytes`` bytes — the classic
-        mid-record power cut.
+        The journal site passes ``file`` and the encoded ``frame``; the
+        torn write is that frame minus its final ``torn_bytes`` bytes —
+        the classic mid-record power cut.
         """
         handle = ctx.get("file")
-        kind = ctx.get("kind")
-        payload = ctx.get("payload")
-        if handle is not None and kind is not None and payload is not None:
-            frame = kind + _U32.pack(len(payload)) + payload
-            cut = max(0, len(frame) - rule.torn_bytes)
-            handle.write(frame[:cut])
+        frame = ctx.get("frame")
+        if handle is not None and frame is not None:
+            handle.write(frame[:max(0, len(frame) - rule.torn_bytes)])
             handle.flush()
         raise InjectedFault(
             rule.message

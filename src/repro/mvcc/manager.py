@@ -58,6 +58,7 @@ from __future__ import annotations
 import bisect
 
 from ..errors import SnapshotConflictError, SnapshotTooOldError, UnknownObjectError
+from ..storage.journal import install_batch
 from ..storage.serializer import decode_instance, encode_instance
 
 #: Baseline marker for objects that did not exist when first touched in
@@ -370,41 +371,26 @@ class SnapshotManager:
         """Install one replayed journal batch on a replica.
 
         *records* is the batch's ``(kind, payload)`` list exactly as the
-        journal framed it (``b"I"`` images / ``b"D"`` tombstones);
-        *epoch* is the commit epoch its commit marker carried.  The
-        live object table and the version chains advance together, so
-        the replica serves both current reads and snapshot reads at any
-        retained epoch.
+        journal's :class:`~repro.storage.journal.BatchReplayer` handed
+        it over; *epoch* is the commit epoch the batch became visible
+        at.  The journal's installer updates the live object table; the
+        version chains advance with it, so the replica serves both
+        current reads and snapshot reads at any retained epoch.
         """
         db = self._db
-        for kind, payload in records:
-            instance = decode_instance(payload)
-            uid = instance.uid
+        top = 0
+        for uid, image, prior in install_batch(db, records):
+            top = max(top, uid.number)
             if uid not in self._chains:
                 # Seed the chain with the pre-change committed image
                 # (None only if the object is genuinely new), mirroring
                 # what on_before_change captures on the primary — an
                 # epoch-pinned read below this batch must still see the
                 # recovered state.
-                prior = db._objects.get(uid)
                 self._chains[uid] = (
                     [self.floor_epoch],
                     [None if prior is None else encode_instance(prior)],
                 )
-            if kind == b"D":
-                old = db._objects.pop(uid, None)
-                if old is not None:
-                    extent = db._extents.get(old.class_name)
-                    if extent is not None:
-                        extent.discard(uid)
-                image = None
-            else:
-                instance.deleted = False
-                db._objects[uid] = instance
-                db._extents.setdefault(instance.class_name, set()).add(uid)
-                if uid.number >= db.allocator.peek():
-                    db.allocator = type(db.allocator)(start=uid.number + 1)
-                image = payload
             epochs, images = self._chains[uid]
             if epochs[-1] == epoch:
                 images[-1] = image
@@ -417,6 +403,8 @@ class SnapshotManager:
                 del epochs[:drop]
                 del images[:drop]
                 self.versions_pruned += drop
+        if top >= db.allocator.peek():
+            db.allocator = type(db.allocator)(start=top + 1)
         db.topology_reset()
         if epoch > db.commit_epoch:
             db.commit_epoch = epoch

@@ -9,9 +9,10 @@ primary, and a batch becomes visible on the replica exactly when its
 commit marker (carrying the commit epoch) is on disk, so the replica's
 state is always some committed prefix of the primary's history.
 
-* :class:`JournalFollower` — the tailing/replay engine: incremental
-  batch parser (a torn tail waits for more bytes), prepared-batch
-  stash-and-resolve identical to recovery, and full rebuild when the
+* :class:`JournalFollower` — the tailing engine: it resumes recovery's
+  own :class:`~repro.storage.journal.BatchReplayer` where recovery
+  stopped (a torn tail waits for more bytes; prepared batches stash and
+  resolve exactly as in recovery), and rebuilds in full when the
   primary checkpoints (the journal header's epoch changes).
 * :class:`ReplicaServer` — a read-only :class:`repro.server.server
   .ReproServer` over the follower's database: serves ``snapshot_read``
@@ -31,29 +32,18 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
 import threading
 from pathlib import Path
 
 from ..core.database import Database
 from ..errors import ReplicaLagError, StorageError
 from ..storage.journal import (
-    JOURNAL_HEADER_SIZE,
-    JOURNAL_MAGIC,
     JOURNAL_NAME,
-    SNAPSHOT_NAME,
+    BatchReplayer,
     Journal,
-    _snapshot_meta,
-    _U32,
-    _U64,
+    checkpoint_epoch,
 )
 from .manager import SnapshotManager
-
-_IMAGE = b"I"
-_TOMBSTONE = b"D"
-_COMMIT = b"C"
-_PREPARE = b"P"
-_RESOLVE = b"R"
 
 
 class JournalFollower:
@@ -79,18 +69,12 @@ class JournalFollower:
         self.max_versions = max_versions
         self.database = Database()
         self.snapshots = None
-        #: Newest commit epoch applied (the stale-bound the replica
-        #: advertises).
-        self.applied_epoch = 0
-        #: Checkpoint epoch of the snapshot/journal pair being followed.
-        self._base_epoch = 0
-        #: Byte offset of the next unconsumed batch boundary in the
-        #: journal.  Always at a boundary: a partial tail batch is
-        #: re-parsed on the next poll instead of buffered across polls.
-        self._offset = 0
-        #: Prepared-but-undecided batches (gtid -> record list), exactly
-        #: recovery's in-doubt stash.
-        self._in_doubt = {}
+        #: The journal reader (set by :meth:`rebuild`): checkpoint epoch
+        #: followed, applied commit epoch, in-doubt stash, and the offset
+        #: of the next unconsumed batch (always a batch boundary: a
+        #: partial tail batch is re-read on the next poll instead of
+        #: buffered across polls).
+        self._replay = None
         # -- counters (lag_row / the bench report these) --
         self.batches_applied = 0
         self.records_applied = 0
@@ -98,11 +82,20 @@ class JournalFollower:
         self.polls = 0
         self.rebuild()
 
+    @property
+    def applied_epoch(self):
+        """Newest commit epoch applied (the stale-bound the replica
+        advertises)."""
+        return self._replay.epoch
+
     # -- rebuild ----------------------------------------------------------
 
     def rebuild(self):
         """Recover snapshot + journal from scratch (initial attach, and
-        whenever the primary checkpointed under us)."""
+        whenever the primary checkpointed under us).  Replay resumes at
+        the offset and checkpoint epoch recovery itself consumed, so a
+        batch sealed after recovery read the journal is polled, not
+        skipped."""
         fresh = Database()
         Journal.recover_into(fresh, self.root)
         if self.snapshots is not None:
@@ -116,62 +109,12 @@ class JournalFollower:
             # it had deduced from the old state.
             engine.attach()
         self.snapshots = SnapshotManager(db, max_versions=self.max_versions)
-        self.applied_epoch = db.commit_epoch
-        self._in_doubt = {
-            gtid: list(records)
-            for gtid, records in getattr(db, "in_doubt", {}).items()
-        }
-        self._base_epoch = _snapshot_meta(
-            self.root / SNAPSHOT_NAME
-        ).get("epoch", 0)
-        self._offset = self._resume_offset()
+        # ``db.in_doubt`` stays the live stash: polls resolve into it.
+        self._replay = BatchReplayer(
+            db.checkpoint_epoch, db.commit_epoch, db.in_doubt,
+            db.journal_offset,
+        )
         self.rebuilds += 1
-
-    def _resume_offset(self):
-        """Offset just past the last complete batch marker — the point
-        :meth:`rebuild`'s recovery consumed up to."""
-        data = self._journal_bytes()
-        if data is None:
-            return 0
-        position = resume = self._body_start(data)
-        if position is None:
-            return 0
-        while position + 5 <= len(data):
-            kind = data[position:position + 1]
-            size = _U32.unpack(data[position + 1:position + 5])[0]
-            end = position + 5 + size
-            if end > len(data):
-                break
-            if kind in (_COMMIT, _PREPARE, _RESOLVE):
-                resume = end
-            elif kind not in (_IMAGE, _TOMBSTONE):
-                break
-            position = end
-        return resume
-
-    # -- journal access ---------------------------------------------------
-
-    def _journal_bytes(self):
-        journal = self.root / JOURNAL_NAME
-        try:
-            return journal.read_bytes()
-        except FileNotFoundError:
-            return None
-
-    def _body_start(self, data):
-        """Offset of the first record, or None when the journal must
-        not be consumed (torn header, or a stale journal whose header
-        epoch disagrees with the snapshot — exactly recovery's rule)."""
-        if data[:len(JOURNAL_MAGIC)] == JOURNAL_MAGIC:
-            if len(data) < JOURNAL_HEADER_SIZE:
-                return None
-            epoch = _U32.unpack(
-                data[len(JOURNAL_MAGIC):JOURNAL_HEADER_SIZE]
-            )[0]
-            return JOURNAL_HEADER_SIZE if epoch == self._base_epoch else None
-        if JOURNAL_MAGIC[:len(data)] == data:
-            return None
-        return 0 if self._base_epoch == 0 else None
 
     # -- polling ----------------------------------------------------------
 
@@ -181,75 +124,36 @@ class JournalFollower:
         A checkpoint on the primary (snapshot meta epoch moved, or the
         journal was replaced/truncated under our offset) triggers a
         full :meth:`rebuild`.  A torn tail — the primary mid-write —
-        applies nothing and waits for the next poll.
+        applies nothing and waits for the next poll.  A record of
+        unknown kind raises :class:`StorageError` after the batches
+        before it applied.
         """
         self.polls += 1
-        snapshot_epoch = _snapshot_meta(
-            self.root / SNAPSHOT_NAME
-        ).get("epoch", 0)
-        if snapshot_epoch != self._base_epoch:
+        replay = self._replay
+        if checkpoint_epoch(self.root) != replay.checkpoint_epoch:
             self.rebuild()
             return self.batches_applied
-        data = self._journal_bytes()
-        if data is None:
+        try:
+            data = (self.root / JOURNAL_NAME).read_bytes()
+        except FileNotFoundError:
             return 0
-        if len(data) < self._offset:
+        if len(data) < replay.offset:
             # Journal shrank without a new checkpoint epoch: replaced
             # out from under us — resync from scratch.
             self.rebuild()
             return self.batches_applied
-        start = self._body_start(data)
-        if start is None:
-            return 0
-        position = max(self._offset, start)
-        pending = []
-        applied = 0
-        while position + 5 <= len(data):
-            kind = data[position:position + 1]
-            size = _U32.unpack(data[position + 1:position + 5])[0]
-            end = position + 5 + size
-            if end > len(data):
-                break  # torn tail: wait for the rest
-            payload = data[position + 5:end]
-            if kind == _COMMIT:
-                epoch = (
-                    _U64.unpack(payload)[0]
-                    if len(payload) == _U64.size
-                    else self.applied_epoch + 1
-                )
-                self._apply(pending, epoch)
-                pending.clear()
-                applied += 1
-                self._offset = end
-            elif kind == _PREPARE:
-                meta = json.loads(payload.decode("utf-8"))
-                self._in_doubt[meta["gtid"]] = list(pending)
-                pending.clear()
-                self._offset = end
-            elif kind == _RESOLVE:
-                meta = json.loads(payload.decode("utf-8"))
-                stashed = self._in_doubt.pop(meta["gtid"], None)
-                if meta["commit"]:
-                    epoch = meta.get("commit_seq", self.applied_epoch + 1)
-                    self._apply(stashed or [], epoch)
-                    applied += 1
-                self._offset = end
-            elif kind in (_IMAGE, _TOMBSTONE):
-                pending.append((kind, payload))
-            else:
-                raise StorageError(
-                    f"replica follower hit a corrupt journal record "
-                    f"{kind!r} at offset {position} in {self.root}"
-                )
-            position = end
+        applied = replay.run(data, self._apply)
+        if replay.corrupt is not None:
+            raise StorageError(
+                f"replica follower hit a corrupt journal record at offset "
+                f"{replay.corrupt} in {self.root}"
+            )
         return applied
 
     def _apply(self, records, epoch):
         self.snapshots.apply_replicated(records, epoch)
         self.records_applied += len(records)
         self.batches_applied += 1
-        if epoch > self.applied_epoch:
-            self.applied_epoch = epoch
 
     # -- reads ------------------------------------------------------------
 
@@ -280,13 +184,13 @@ class JournalFollower:
             size = 0
         return {
             "applied_epoch": self.applied_epoch,
-            "base_epoch": self._base_epoch,
-            "pending_bytes": max(0, size - self._offset),
+            "base_epoch": self._replay.checkpoint_epoch,
+            "pending_bytes": max(0, size - self._replay.offset),
             "batches_applied": self.batches_applied,
             "records_applied": self.records_applied,
             "rebuilds": self.rebuilds,
             "polls": self.polls,
-            "in_doubt": len(self._in_doubt),
+            "in_doubt": len(self._replay.in_doubt),
         }
 
 

@@ -163,25 +163,22 @@ def resolve_in_doubt(db: Any, decisions: dict[str, str],
     the next recovery does not re-raise the doubt.  Returns the list of
     (gtid, outcome) pairs resolved.
     """
-    from ..storage.journal import Journal
+    from ..storage.journal import install_batch
 
     resolved: list[tuple[str, str]] = []
-    applied = False
     for gtid in sorted(db.in_doubt):
         outcome = decisions.get(gtid)
         if outcome is None:
             continue
         records = db.in_doubt.pop(gtid)
         if outcome == "commit":
-            Journal.apply_in_doubt(db, records)
-            applied = True
+            # Recovery seats the allocator above every journaled UID,
+            # including in-doubt ones, so no re-seat is needed here.
+            install_batch(db, records)
+            db.topology_reset()
         if journal is not None:
             journal.resolve_prepared(gtid, outcome == "commit")
         resolved.append((gtid, outcome))
-    if applied:
-        db.rebuild_extents()
-        # Recovery seats the allocator above every journaled UID,
-        # including in-doubt ones, so no re-seat is needed here.
     return resolved
 
 

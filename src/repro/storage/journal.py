@@ -52,6 +52,15 @@ one encode per dirty object per commit.
 Schema changes (DDL) force a checkpoint; the journal itself only carries
 instance-level changes.  This is a deliberate simplification over ARIES —
 there are no partial page writes to repair because images are logical.
+
+This module is the only one that knows the on-disk format.  Every reader
+goes through it: :func:`iter_frames` is the one framing loop,
+:class:`BatchReplayer` the one batch replayer (commit epochs, the 2PC
+prepare stash and its resolution, the stop rules) and
+:func:`install_batch` the one installer of replayed records.  Recovery,
+replica replay (``repro.mvcc.replica``), the 2PC in-doubt apply
+(``repro.shard.twopc``) and the protocol trace checker
+(``repro.analysis.protocheck``) all use them.
 """
 
 from __future__ import annotations
@@ -69,6 +78,8 @@ from .serializer import decode_instance, encode_instance
 
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
+#: Every record is one frame: kind byte + u32 payload length + payload.
+_FRAME_HEAD = 1 + _U32.size
 _IMAGE = b"I"
 _TOMBSTONE = b"D"
 #: A commit marker seals the preceding records as one batch.  Since the
@@ -82,9 +93,10 @@ _COMMIT = b"C"
 #: payload names the global transaction (JSON ``{"gtid": ...}``).  ``R``
 #: resolves a prepared batch (JSON ``{"gtid": ..., "commit": bool}``):
 #: recovery applies the stashed batch on commit, discards it on abort,
-#: and surfaces any still-unresolved batch as in-doubt.
-_PREPARE = b"P"
-_RESOLVE = b"R"
+#: and surfaces any still-unresolved batch as in-doubt.  Public because
+#: their sequence is the trace the protocol checker reads.
+PREPARE = b"P"
+RESOLVE = b"R"
 
 SNAPSHOT_NAME = "checkpoint.db"
 JOURNAL_NAME = "journal.log"
@@ -103,31 +115,39 @@ JOURNAL_HEADER_SIZE = len(JOURNAL_MAGIC) + 4
 SYNC_POLICIES = ("always", "commit", "group", "none")
 
 
-def _snapshot_meta(path):
-    """The snapshot meta JSON at *path* ({} when no snapshot exists)."""
+def _read_snapshot(path, images=False):
+    """``(meta, images)`` of the snapshot at *path*: its meta JSON ({}
+    when no snapshot exists) and, when *images* is true, the list of
+    instance images it holds (else an empty list)."""
     path = Path(path)
     if not path.exists():
-        return {}
+        return {}, []
     with open(path, "rb") as handle:
         if handle.read(len(_MAGIC)) != _MAGIC:
             raise StorageError(f"{path} is not a snapshot file")
         schema_len = _U32.unpack(handle.read(4))[0]
-        return json.loads(handle.read(schema_len).decode("utf-8"))
+        meta = json.loads(handle.read(schema_len).decode("utf-8"))
+        if not images:
+            return meta, []
+        count = _U32.unpack(handle.read(4))[0]
+        return meta, [
+            handle.read(_U32.unpack(handle.read(4))[0]) for _ in range(count)
+        ]
 
 
-def _snapshot_epoch(path):
-    """Checkpoint epoch recorded in the snapshot at *path* (0 if none)."""
-    return _snapshot_meta(path).get("epoch", 0)
+def checkpoint_epoch(directory):
+    """Checkpoint epoch of the snapshot in *directory* (0 if none)."""
+    return _read_snapshot(Path(directory) / SNAPSHOT_NAME)[0].get("epoch", 0)
 
 
 def _journal_body(data, snapshot_epoch):
-    """Validate a raw journal byte string against *snapshot_epoch*.
+    """Offset of the first record in the raw journal bytes *data*, when
+    they may be replayed over a snapshot of *snapshot_epoch*.
 
-    Returns the record stream (header stripped), or None when the
-    journal must not be replayed: a header torn mid-write (no record
-    can follow a torn header), or an epoch mismatch (a stale journal
-    left behind by a crash mid-checkpoint).  A journal without the
-    magic is a legacy headerless stream, replayed only against an
+    None when the journal must not be replayed: a header torn mid-write
+    (no record can follow a torn header), or an epoch mismatch (a stale
+    journal left behind by a crash mid-checkpoint).  A journal without
+    the magic is a legacy headerless stream, replayed only against an
     epoch-0 snapshot.
     """
     if data[:len(JOURNAL_MAGIC)] == JOURNAL_MAGIC:
@@ -138,10 +158,150 @@ def _journal_body(data, snapshot_epoch):
         )[0]
         if epoch != snapshot_epoch:
             return None  # stale (or future) journal: do not replay
-        return data[JOURNAL_HEADER_SIZE:]
+        return JOURNAL_HEADER_SIZE
     if JOURNAL_MAGIC[:len(data)] == data:
         return None  # torn header shorter than the magic
-    return data if snapshot_epoch == 0 else None
+    return 0 if snapshot_epoch == 0 else None
+
+
+def _frame(kind, payload):
+    """One record as written: kind byte + u32 length + payload."""
+    return kind + _U32.pack(len(payload)) + payload
+
+
+def iter_frames(data, start=None):
+    """Yield ``(kind, payload, end)`` for each complete frame of the raw
+    journal bytes *data*, *end* being the offset just past the frame.
+
+    Starts at offset *start*; by default just past a header of any epoch
+    (the trace checker's view: :class:`BatchReplayer` checks the epoch).
+    A torn final frame ends the iteration.
+    """
+    if start is None:
+        start = JOURNAL_HEADER_SIZE if data.startswith(JOURNAL_MAGIC) else 0
+    size = len(data)
+    position = start
+    while position + _FRAME_HEAD <= size:
+        end = position + _FRAME_HEAD + _U32.unpack_from(data, position + 1)[0]
+        if end > size:
+            return
+        yield data[position:position + 1], data[position + _FRAME_HEAD:end], end
+        position = end
+
+
+class BatchReplayer:
+    """The one reader of sealed journal batches.
+
+    :meth:`run` owns every replay rule: records buffer until a marker
+    closes their batch; a ``C`` marker makes the batch visible at the
+    epoch its payload carries (a legacy empty payload means the previous
+    epoch + 1); a ``P`` marker stashes the batch in ``in_doubt``; an
+    ``R`` record applies the stashed batch on commit (at the epoch it
+    carries) or drops it on abort.  A torn tail or a record of unknown
+    kind stops the run, and an unterminated batch is discarded.
+
+    The state survives across runs, so a follower resumes where the
+    previous run stopped:
+
+    ``checkpoint_epoch``
+        the snapshot's epoch, which the journal header must carry;
+    ``epoch``
+        the commit epoch of the newest visible batch;
+    ``in_doubt``
+        prepared batches not yet resolved (gtid -> record list);
+    ``offset``
+        the file offset just past the last consumed marker;
+    ``corrupt``
+        the offset of the unknown-kind record the last run stopped at,
+        else None;
+    ``uid_floor``
+        the highest UID number any prepared batch carried — recovery
+        seats the allocator above it whatever the outcome, so an
+        aborted batch's UIDs are never re-issued.
+    """
+
+    def __init__(self, checkpoint_epoch=0, epoch=0, in_doubt=None, offset=0):
+        self.checkpoint_epoch = checkpoint_epoch
+        self.epoch = epoch
+        self.in_doubt = {} if in_doubt is None else in_doubt
+        self.offset = offset
+        self.corrupt = None
+        self.uid_floor = 0
+
+    def run(self, data, apply):
+        """Replay the batches of the raw journal bytes *data* sealed
+        after ``offset``: ``apply(records, epoch)`` once per batch made
+        visible, *records* being its ``(kind, payload)`` list.  Returns
+        how many batches were applied."""
+        self.corrupt = None
+        start = _journal_body(data, self.checkpoint_epoch)
+        if start is None:
+            return 0
+        self.offset = max(self.offset, start)
+        applied = 0
+        pending = []
+        for kind, payload, end in iter_frames(data, self.offset):
+            if kind == _IMAGE or kind == _TOMBSTONE:
+                pending.append((kind, payload))
+                continue
+            if kind == _COMMIT:
+                self.epoch = max(
+                    self.epoch,
+                    _U64.unpack(payload)[0] if len(payload) == _U64.size
+                    else self.epoch + 1,
+                )
+                apply(pending, self.epoch)
+                applied += 1
+            elif kind == PREPARE:
+                for _kind, image in pending:
+                    self.uid_floor = max(
+                        self.uid_floor, decode_instance(image).uid.number
+                    )
+                self.in_doubt[json.loads(payload)["gtid"]] = pending
+            elif kind == RESOLVE:
+                meta = json.loads(payload)
+                stashed = self.in_doubt.pop(meta["gtid"], None)
+                if meta["commit"]:
+                    self.epoch = max(
+                        self.epoch, meta.get("commit_seq", self.epoch + 1)
+                    )
+                    apply(stashed or [], self.epoch)
+                    applied += 1
+            else:
+                self.corrupt = end - _FRAME_HEAD - len(payload)
+                break
+            pending = []
+            self.offset = end
+        return applied
+
+
+def install_batch(database, records):
+    """Install one visible batch's ``(kind, payload)`` records into
+    *database*'s object table and class extents: an image replaces the
+    instance under its UID, a tombstone removes it.
+
+    The one installer of journal records — recovery, a 2PC commit
+    decided after recovery and replica replay all use it; the caller
+    announces the change with ``database.topology_reset()``.  Returns
+    ``[(uid, image or None, prior instance or None)]`` in record order.
+    """
+    objects = database._objects
+    extents = database._extents
+    changes = []
+    for kind, payload in records:
+        instance = decode_instance(payload)
+        uid = instance.uid
+        prior = objects.pop(uid, None)
+        if prior is not None:
+            extents.get(prior.class_name, set()).discard(uid)
+        if kind == _TOMBSTONE:
+            payload = None
+        else:
+            instance.deleted = False
+            objects[uid] = instance
+            extents.setdefault(instance.class_name, set()).add(uid)
+        changes.append((uid, payload, prior))
+    return changes
 
 
 def _digest(image):
@@ -291,7 +451,7 @@ class Journal:
         #: silently journaling onto a file in an unknown state.
         self.failed = False
         #: Checkpoint epoch (see :data:`JOURNAL_MAGIC`).
-        meta = _snapshot_meta(self.directory / SNAPSHOT_NAME)
+        meta, _images = _read_snapshot(self.directory / SNAPSHOT_NAME)
         self.epoch = meta.get("epoch", 0)
         #: Commit epoch: monotonic count of sealed batches, persisted in
         #: commit-marker payloads and across checkpoints in the snapshot
@@ -445,11 +605,10 @@ class Journal:
         return batch
 
     def _write_record(self, kind, payload):
-        _fire("journal.write_record", journal=self, kind=kind,
-              payload=payload, file=self._journal_file)
-        self._journal_file.write(kind)
-        self._journal_file.write(_U32.pack(len(payload)))
-        self._journal_file.write(payload)
+        frame = _frame(kind, payload)
+        _fire("journal.write_record", journal=self, frame=frame,
+              file=self._journal_file)
+        self._journal_file.write(frame)
         self.records_written += 1
         self.records_since_checkpoint += 1
 
@@ -495,9 +654,7 @@ class Journal:
             return False
         self.commit_seq += 1
         self._db.commit_epoch = self.commit_seq
-        self._journal_file.write(_COMMIT)
-        self._journal_file.write(_U32.pack(_U64.size))
-        self._journal_file.write(_U64.pack(self.commit_seq))
+        self._journal_file.write(_frame(_COMMIT, _U64.pack(self.commit_seq)))
         self._journal_file.flush()
         self.batches_sealed += 1
         if self.sync_policy in ("always", "commit"):
@@ -590,7 +747,7 @@ class Journal:
             # restores the images sealed before it.
             for uid in self._write_batch(batch):
                 self._last_image.pop(uid, None)
-            self._write_record(_PREPARE, payload)
+            self._write_record(PREPARE, payload)
             self._journal_file.flush()
             self._fsync()
         self.batches_sealed += 1
@@ -616,7 +773,7 @@ class Journal:
             fields["commit_seq"] = self.commit_seq
         payload = json.dumps(fields).encode("utf-8")
         with self._io_guard("resolve a prepared transaction"):
-            self._write_record(_RESOLVE, payload)
+            self._write_record(RESOLVE, payload)
             self._journal_file.flush()
             if commit or self.sync_policy in ("always", "commit"):
                 self._fsync()
@@ -900,120 +1057,43 @@ class Journal:
         (gtid -> record list) for the shard worker to resolve against
         the coordinator log (see ``repro.shard.twopc``); the attribute
         is always set, so non-sharded callers simply see ``{}``.
+
+        Beside ``in_doubt`` and ``commit_epoch`` it reports what it
+        consumed, from the bytes it actually read: ``checkpoint_epoch``
+        (the snapshot's) and ``journal_offset`` (just past the last
+        replayed marker).  A follower resumes exactly there.
         """
         directory = Path(directory)
-        snapshot = directory / SNAPSHOT_NAME
-        journal = directory / JOURNAL_NAME
-        restored = replayed = 0
-        max_uid = 0
-        snapshot_epoch = 0
-        commit_seq = 0
-        if snapshot.exists():
-            with open(snapshot, "rb") as handle:
-                if handle.read(len(_MAGIC)) != _MAGIC:
-                    raise StorageError(f"{snapshot} is not a snapshot file")
-                schema_len = _U32.unpack(handle.read(4))[0]
-                meta = json.loads(handle.read(schema_len).decode("utf-8"))
-                snapshot_epoch = meta.get("epoch", 0)
-                commit_seq = meta.get("commit_seq", 0)
-                _restore_schema(database, meta["classes"])
-                count = _U32.unpack(handle.read(4))[0]
-                for _ in range(count):
-                    size = _U32.unpack(handle.read(4))[0]
-                    instance = decode_instance(handle.read(size))
-                    database._objects[instance.uid] = instance
-                    max_uid = max(max_uid, instance.uid.number)
-                    restored += 1
-                max_uid = max(max_uid, meta.get("next_uid", 1) - 1)
-        in_doubt = {}
+        meta, images = _read_snapshot(directory / SNAPSHOT_NAME, images=True)
+        if meta:
+            _restore_schema(database, meta["classes"])
+        max_uid = meta.get("next_uid", 1) - 1
+        installed = 0
 
-        def apply_records(records):
-            nonlocal replayed, max_uid
-            for record_kind, payload in records:
-                instance = decode_instance(payload)
-                if record_kind == _TOMBSTONE:
-                    database._objects.pop(instance.uid, None)
-                else:
-                    instance.deleted = False
-                    database._objects[instance.uid] = instance
-                    max_uid = max(max_uid, instance.uid.number)
-                replayed += 1
+        def apply(records, _epoch=None):
+            nonlocal max_uid, installed
+            for uid, _image, _prior in install_batch(database, records):
+                max_uid = max(max_uid, uid.number)
+            installed += len(records)
 
-        def bump_seq(payload):
-            # Commit epoch from the marker payload; a legacy empty
-            # payload means sequential epochs, so count the batch.
-            nonlocal commit_seq
-            if len(payload) == _U64.size:
-                commit_seq = max(commit_seq, _U64.unpack(payload)[0])
-            else:
-                commit_seq += 1
-
-        if journal.exists():
-            # A torn header or an epoch mismatch (stale journal left by
-            # a crash mid-checkpoint) yields None: replay nothing.
-            data = _journal_body(journal.read_bytes(), snapshot_epoch)
-            if data is None:
-                data = b""
-            position = 0
-            pending = []
-            while position + 5 <= len(data):
-                kind = data[position:position + 1]
-                size = _U32.unpack(data[position + 1:position + 5])[0]
-                end = position + 5 + size
-                if end > len(data):
-                    break  # torn final record: discard the whole batch
-                if kind == _COMMIT:
-                    # Batch complete: apply its buffered records.
-                    apply_records(pending)
-                    pending.clear()
-                    bump_seq(data[position + 5:end])
-                elif kind == _PREPARE:
-                    # Prepared batch: durable but undecided.  Stash it;
-                    # burn its UID numbers either way so the allocator
-                    # can never re-issue them after an abort.
-                    meta = json.loads(data[position + 5:end].decode("utf-8"))
-                    for _kind, payload in pending:
-                        instance = decode_instance(payload)
-                        max_uid = max(max_uid, instance.uid.number)
-                    in_doubt[meta["gtid"]] = list(pending)
-                    pending.clear()
-                elif kind == _RESOLVE:
-                    meta = json.loads(data[position + 5:end].decode("utf-8"))
-                    stashed = in_doubt.pop(meta["gtid"], None)
-                    if stashed is not None and meta["commit"]:
-                        apply_records(stashed)
-                    if meta["commit"]:
-                        commit_seq = max(
-                            commit_seq, meta.get("commit_seq", commit_seq + 1)
-                        )
-                elif kind in (_IMAGE, _TOMBSTONE):
-                    pending.append((kind, data[position + 5:end]))
-                else:
-                    break  # corrupt stream: stop at the last good batch
-                position = end
-            # Records after the last commit marker belong to an
-            # unterminated batch — discarded, like a torn record.
+        apply([(_IMAGE, image) for image in images])
+        replay = BatchReplayer(meta.get("epoch", 0), meta.get("commit_seq", 0))
+        try:
+            data = (directory / JOURNAL_NAME).read_bytes()
+        except FileNotFoundError:
+            data = b""
+        # A torn header or an epoch mismatch (a stale journal left by a
+        # crash mid-checkpoint) replays nothing; a torn tail or an
+        # unknown record kind stops at the last good batch.
+        replay.run(data, apply)
         from ..core.identity import UIDAllocator
 
-        database.allocator = UIDAllocator(start=max_uid + 1)
-        database.rebuild_extents()
+        database.allocator = UIDAllocator(
+            start=max(max_uid, replay.uid_floor) + 1
+        )
         database.topology_reset()
-        database.in_doubt = in_doubt
-        database.commit_epoch = commit_seq
-        return restored, replayed
-
-    @staticmethod
-    def apply_in_doubt(database, records):
-        """Apply one in-doubt batch's records to *database* (a commit
-        decision reached after recovery).  The caller journals the
-        matching ``R`` record via :meth:`resolve_prepared` and rebuilds
-        extents afterwards (see ``repro.shard.twopc.resolve_in_doubt``).
-        """
-        for record_kind, payload in records:
-            instance = decode_instance(payload)
-            if record_kind == _TOMBSTONE:
-                database._objects.pop(instance.uid, None)
-            else:
-                instance.deleted = False
-                database._objects[instance.uid] = instance
-        database.topology_reset()
+        database.in_doubt = replay.in_doubt
+        database.commit_epoch = replay.epoch
+        database.journal_offset = replay.offset
+        database.checkpoint_epoch = replay.checkpoint_epoch
+        return len(images), installed - len(images)

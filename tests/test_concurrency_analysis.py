@@ -400,6 +400,20 @@ class TestCodeLint:
         assert len(report.by_rule("CODE-JOURNAL-HOOKS")) == 2
         assert lint_source(source, "storage/journal.py").clean
 
+    def test_journal_format_import_outside_storage_is_flagged(self):
+        source = (
+            "from ..storage.journal import JOURNAL_NAME, _U32\n"
+            "from repro.storage.journal import JOURNAL_HEADER_SIZE\n"
+            "from ..storage.journal import BatchReplayer, iter_frames\n"
+            "from .journal import _frame\n"
+        )
+        report = lint_source(source, "mvcc/replica.py")
+        findings = report.by_rule("CODE-JOURNAL-FORMAT")
+        assert [(f.detail["line"], f.detail["name"]) for f in findings] \
+            == [(1, "_U32"), (2, "JOURNAL_HEADER_SIZE")]
+        # The storage layer owns the format.
+        assert lint_source(source, "storage/durable.py").clean
+
     def test_hook_definition_site_in_database_is_allowed(self):
         source = (
             "class Database:\n"
@@ -417,6 +431,7 @@ class TestCodeLint:
         assert {
             "CODE-BARE-EXCEPT", "CODE-OP-BRACKET", "CODE-TXN-CONTEXT",
             "CODE-LOCK-STATE", "CODE-JOURNAL-HOOKS", "CODE-SYNTAX",
+            "CODE-JOURNAL-FORMAT",
         } <= set(RULES)
 
 

@@ -418,11 +418,12 @@ class TestJournalEpochs:
     def test_journal_body_validation(self):
         import struct
 
+        # The rule answers the offset of the first record.
         body = JOURNAL_MAGIC + struct.pack(">I", 3) + b"records"
-        assert _journal_body(body, 3) == b"records"
+        assert body[_journal_body(body, 3):] == b"records"
         assert _journal_body(body, 2) is None          # stale epoch
         assert _journal_body(JOURNAL_MAGIC[:5], 0) is None   # torn header
         assert _journal_body(JOURNAL_MAGIC + b"\x00", 0) is None
         # Legacy headerless journals replay only against epoch 0.
-        assert _journal_body(b"Irecords", 0) == b"Irecords"
+        assert _journal_body(b"Irecords", 0) == 0
         assert _journal_body(b"Irecords", 1) is None

@@ -4,7 +4,10 @@ Five layers:
 
 1. **JournalFollower** — incremental sealed-batch replay, epoch-pinned
    reads on the replica, the staleness bound, tombstones, torn tails,
-   checkpoint-triggered rebuilds on a stable database identity.
+   checkpoint-triggered rebuilds on a stable database identity; and
+   one reader with recovery: batches sealed while the follower attaches
+   are polled, and a follower attached at any journal prefix and polled
+   at a later one equals recovery of the later one.
 2. **ReplicaServer over TCP** — a live replica serves reads and
    ``snapshot_read``/``read_epoch``, advertises lag, and rejects
    writes with a typed error naming it a replica.
@@ -22,20 +25,33 @@ Five layers:
 from __future__ import annotations
 
 import os
+import struct
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.errors import ReadOnlyError, ReplicaLagError
+from repro import Database
+from repro.errors import ReadOnlyError, ReplicaLagError, StorageError
 from repro.faults import FaultPlan
+from repro.faults.drill import state_fingerprint
 from repro.mvcc import JournalFollower, ReadRouter, ReplicaDrill, ReplicaThread
+from repro.mvcc import replica as replica_module
 from repro.server.client import Client
 from repro.server.server import ServerThread
 from repro.storage.durable import DurableDatabase
-from repro.storage.journal import JOURNAL_NAME
+from repro.storage.journal import (
+    JOURNAL_HEADER_SIZE,
+    JOURNAL_NAME,
+    SNAPSHOT_NAME,
+    Journal,
+)
+from repro.storage.serializer import decode_instance, encode_instance
+from repro.txn.manager import TransactionManager
 
 SMOKE_SEED = 20260807
 
@@ -150,6 +166,252 @@ class TestJournalFollower:
         assert row["pending_bytes"] == 0
         assert row["rebuilds"] == 1
         db.close()
+
+
+# ---------------------------------------------------------------------------
+# 1b. One journal reader: recovery and the follower agree on every prefix
+# ---------------------------------------------------------------------------
+
+
+def _race_after_recovery(monkeypatch, primary_step):
+    """Make the follower's first recovery return only after the primary
+    ran *primary_step* -- the window between the reads a follower makes
+    while attaching."""
+    real = Journal.recover_into
+    fired = []
+
+    class RacingJournal:
+        @staticmethod
+        def recover_into(database, directory):
+            result = real(database, directory)
+            if not fired:
+                fired.append(True)
+                primary_step()
+            return result
+
+    monkeypatch.setattr(replica_module, "Journal", RacingJournal)
+
+
+def _poll_honestly(follower, db):
+    """Let the primary commit once more, then poll: the follower holds
+    every object the primary holds at the epoch it claims -- or it
+    refuses that epoch."""
+    db.make("Doc", values={"Title": "next"})
+    follower.poll()
+    if state_fingerprint(follower.database) != state_fingerprint(db):
+        with pytest.raises(ReplicaLagError):
+            follower.require_epoch(db.commit_epoch)
+
+
+class TestAttachRace:
+    def test_commit_sealed_right_after_recovery_is_polled(
+        self, tmp_path, monkeypatch
+    ):
+        db = _primary(tmp_path)
+        db.make("Doc", values={"Title": "before"})
+        late = []
+        _race_after_recovery(monkeypatch, lambda: late.append(
+            db.make("Doc", values={"Title": "late"})))
+        follower = JournalFollower(tmp_path)
+        _poll_honestly(follower, db)
+        assert follower.database.exists(late[0])
+        assert follower.applied_epoch == db.commit_epoch
+        db.close()
+
+    def test_checkpoint_right_after_recovery_is_polled(
+        self, tmp_path, monkeypatch
+    ):
+        db = _primary(tmp_path)
+        db.make("Doc", values={"Title": "before"})
+        late = []
+
+        def primary_step():
+            late.append(db.make("Doc", values={"Title": "late-1"}))
+            db.checkpoint()
+            late.append(db.make("Doc", values={"Title": "late-2"}))
+
+        _race_after_recovery(monkeypatch, primary_step)
+        follower = JournalFollower(tmp_path)
+        _poll_honestly(follower, db)
+        assert all(follower.database.exists(uid) for uid in late)
+        assert follower.applied_epoch == db.commit_epoch
+        db.close()
+
+
+_FRAME = struct.Struct(">cI")
+
+
+def _frames(data, start):
+    """``[(kind, end)]`` of every complete frame, *end* being the offset
+    just past it -- a reference parser kept apart from the journal
+    module's own."""
+    frames, position = [], start
+    while position + _FRAME.size <= len(data):
+        kind, length = _FRAME.unpack_from(data, position)
+        position += _FRAME.size + length
+        if position > len(data):
+            break
+        frames.append((kind, position))
+    return frames
+
+
+def _seeded_journal(root):
+    """A primary store whose journal holds plain commits, a tombstone, a
+    2PC batch resolved commit, one resolved abort, one left in doubt,
+    and a hand-written legacy batch (empty-payload commit marker)
+    followed by newer batches.  Returns (snapshot bytes, journal
+    bytes)."""
+    db = _primary(root)
+    tm = TransactionManager(db)
+    docs = [db.make("Doc", values={"Title": f"d{i}"}) for i in range(4)]
+    db.set_value(docs[0], "Title", "rewritten")
+    db.delete(docs[1])
+    for gtid, commit in (("g-commit", True), ("g-abort", False)):
+        txn = tm.begin()
+        tm.make(txn, "Doc", values={"Title": gtid})
+        tm.write(txn, docs[2], "Title", gtid)
+        db.journal.prepare_txn(txn, gtid)
+        db.journal.resolve_prepared(gtid, commit)
+        (tm.commit if commit else tm.abort)(txn)
+    doubt = tm.begin()
+    tm.make(doubt, "Doc", values={"Title": "in doubt"})
+    db.journal.prepare_txn(doubt, "g-doubt")
+    db.make("Doc", values={"Title": "after the prepare"})
+    db.close()
+
+    # A legacy writer sealed its batches with an empty commit payload.
+    recovered = Database()
+    Journal.recover_into(recovered, root)
+    legacy = decode_instance(encode_instance(recovered.peek(docs[3])))
+    legacy.set("Title", "legacy")
+    image = encode_instance(legacy)
+    with open(root / JOURNAL_NAME, "ab") as handle:
+        handle.write(_FRAME.pack(b"I", len(image)) + image)
+        handle.write(_FRAME.pack(b"C", 0))
+
+    db = DurableDatabase(root, sync_policy="commit")
+    db.set_value(docs[3], "Title", "after legacy")
+    db.delete(docs[0])
+    db.close()
+    return ((root / SNAPSHOT_NAME).read_bytes(),
+            (root / JOURNAL_NAME).read_bytes())
+
+
+def _store(directory, snapshot, journal):
+    directory.mkdir(exist_ok=True)
+    (directory / SNAPSHOT_NAME).write_bytes(snapshot)
+    (directory / JOURNAL_NAME).write_bytes(journal)
+    return directory
+
+
+def _recovered(directory):
+    db = Database()
+    Journal.recover_into(db, directory)
+    return db
+
+
+@pytest.fixture(scope="module")
+def seeded(tmp_path_factory):
+    return _seeded_journal(tmp_path_factory.mktemp("seeded-primary"))
+
+
+def _cuts(journal, upto):
+    """Cut points up to *upto*: frame boundaries, or any byte (inside a
+    frame or the header)."""
+    ends = [0, JOURNAL_HEADER_SIZE] + [
+        end for _kind, end in _frames(journal, JOURNAL_HEADER_SIZE)]
+    return st.one_of(st.sampled_from([end for end in ends if end <= upto]),
+                     st.integers(0, upto))
+
+
+class TestOneReader:
+    def test_seeded_journal_covers_every_record_rule(self, seeded, tmp_path):
+        snapshot, journal = seeded
+        kinds = {kind for kind, _end in _frames(journal, JOURNAL_HEADER_SIZE)}
+        assert kinds == {b"I", b"D", b"C", b"P", b"R"}
+        assert _FRAME.pack(b"C", 0) in journal  # the legacy marker
+        db = _recovered(_store(tmp_path / "full", snapshot, journal))
+        assert set(db.in_doubt) == {"g-doubt"}
+        assert db.fsck().clean
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_follower_attached_early_equals_recovery(self, seeded, data):
+        snapshot, journal = seeded
+        c2 = data.draw(_cuts(journal, len(journal)), label="c2")
+        c1 = data.draw(_cuts(journal, c2), label="c1")
+        with tempfile.TemporaryDirectory() as scratch:
+            directory = _store(Path(scratch), snapshot, journal[:c1])
+            follower = JournalFollower(directory)
+            (directory / JOURNAL_NAME).write_bytes(journal[:c2])
+            follower.poll()
+            expected = _recovered(directory)
+        replica = follower.database
+        assert state_fingerprint(replica) == state_fingerprint(expected)
+        assert replica.commit_epoch == expected.commit_epoch
+        assert follower.applied_epoch == expected.commit_epoch
+        assert set(replica.in_doubt) == set(expected.in_doubt)
+
+    def test_headerless_legacy_journal_replays(self, tmp_path):
+        # A journal from before the header and the epoch payloads: no
+        # snapshot, no header, every commit marker empty.
+        db = DurableDatabase(tmp_path / "primary", sync_policy="commit")
+        Database.make_class(db, "Doc", attributes=[  # no checkpoint
+            {"name": "Title", "domain": "string"},
+        ])
+        docs = [db.make("Doc", values={"Title": f"d{i}"}) for i in range(3)]
+        db.set_value(docs[0], "Title", "rewritten")
+        db.delete(docs[1])
+        db.close()
+        data = (tmp_path / "primary" / JOURNAL_NAME).read_bytes()
+        frames, start = [], JOURNAL_HEADER_SIZE
+        for kind, end in _frames(data, start):
+            frames.append(_FRAME.pack(b"C", 0) if kind == b"C"
+                          else data[start:end])
+            start = end
+        legacy = b"".join(frames)
+        store = tmp_path / "legacy"
+        store.mkdir()
+        (store / JOURNAL_NAME).write_bytes(legacy)
+        expected = _recovered(store)
+        assert expected.commit_epoch == 5  # counted, one per marker
+        assert expected.peek(docs[0]).get("Title") == "rewritten"
+        assert expected.peek(docs[1]) is None
+        for cut in [0] + [end for _kind, end in _frames(legacy, 0)]:
+            (store / JOURNAL_NAME).write_bytes(legacy[:cut])
+            follower = JournalFollower(store)
+            (store / JOURNAL_NAME).write_bytes(legacy)
+            follower.poll()
+            assert state_fingerprint(follower.database) == \
+                state_fingerprint(expected)
+            assert follower.applied_epoch == expected.commit_epoch
+
+    def test_unknown_kind_stops_recovery_and_raises_in_the_follower(
+        self, seeded, tmp_path
+    ):
+        snapshot, journal = seeded
+        # Mid-journal, right after the third commit marker.
+        cut = [end for kind, end in _frames(journal, JOURNAL_HEADER_SIZE)
+               if kind == b"C"][2]
+        corrupt = journal[:cut] + _FRAME.pack(b"X", 0) + journal[cut:]
+        prefix = _recovered(_store(tmp_path / "prefix", snapshot,
+                                   journal[:cut]))
+        stopped = _recovered(_store(tmp_path / "corrupt", snapshot, corrupt))
+        assert state_fingerprint(stopped) == state_fingerprint(prefix)
+        assert stopped.commit_epoch == prefix.commit_epoch
+
+        directory = _store(tmp_path / "follow", snapshot,
+                           journal[:JOURNAL_HEADER_SIZE])
+        follower = JournalFollower(directory)
+        (directory / JOURNAL_NAME).write_bytes(corrupt)
+        for _ in range(2):
+            with pytest.raises(StorageError, match="corrupt journal record"):
+                follower.poll()
+            # The applied prefix stays intact and served.
+            assert state_fingerprint(follower.database) == \
+                state_fingerprint(prefix)
+            assert follower.applied_epoch == prefix.commit_epoch
+            follower.require_epoch(prefix.commit_epoch)
 
 
 # ---------------------------------------------------------------------------
