@@ -51,6 +51,14 @@ machine-readable ``file``/``line`` keys in ``detail``):
     on-disk format; everything else reads it through
     ``iter_frames`` / ``BatchReplayer`` / ``install_batch``, so a format
     change is made once.
+``CODE-WIRE-FORMAT``
+    (error) outside ``server/protocol.py``, code calls ``readexactly``,
+    touches another object's ``_buffer`` (``reader._buffer``, or
+    ``getattr(reader, "_buffer")``), or imports an underscore name from
+    ``repro.server.protocol``.  That module owns the framing and the
+    codecs; every endpoint reads the wire through ``FrameBuffer``, so a
+    framing change is made once and nobody probes a stream's private
+    state.
 ``CODE-JOURNAL-HOOKS``
     (error) outside ``storage/``, code attaches, detaches, or replaces
     the journal hook lists (``on_persist``, ``on_op_end``,
@@ -97,6 +105,7 @@ __all__ = [
     "MUTATION_PRIMITIVES",
     "RAW_EDIT_CALLS",
     "RULES",
+    "WIRE_MODULE",
     "lint_package",
     "lint_paths",
     "lint_source",
@@ -141,6 +150,9 @@ LOCK_PRIVATE_CALLS = frozenset({"_grant", "_promote"})
 #: (underscore names are refused as well).
 JOURNAL_FORMAT_NAMES = frozenset({"JOURNAL_HEADER_SIZE", "JOURNAL_MAGIC"})
 
+#: The one module that may read the wire below ``FrameBuffer``.
+WIRE_MODULE = "server/protocol.py"
+
 #: Hook lists only the storage layer may attach/detach/replace.
 JOURNAL_HOOKS = frozenset({
     "on_persist", "on_op_end", "on_txn_commit", "on_txn_abort",
@@ -179,6 +191,8 @@ RULES = {
     "CODE-LOCK-STATE": "private LockTable state touched outside locking/",
     "CODE-JOURNAL-FORMAT": "journal format internals imported outside "
                            "storage/",
+    "CODE-WIRE-FORMAT": "wire framing internals used outside "
+                        "server/protocol.py",
     "CODE-JOURNAL-HOOKS": "journal hook lists rewired outside storage/",
     "CODE-HOOK-LEAK": "observer hook attached without a detach in a "
                       "close()/detach()/stop()/__exit__() or finally path",
@@ -215,6 +229,23 @@ def _self_chain_call(node: ast.Call, middle: str) -> Optional[str]:
     return None
 
 
+def _is_self(node: ast.expr) -> bool:
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
+def _imported_module(node: ast.ImportFrom, rel_path: str) -> str:
+    """The module an ``import from`` names, dotted and relative to the
+    ``repro`` package (``"storage.journal"``); ``""`` outside it."""
+    module = node.module or ""
+    if node.level == 0:
+        return module[len("repro."):] if module.startswith("repro.") else ""
+    package = rel_path.split("/")[:-1]
+    if node.level - 1 > len(package):
+        return ""
+    base = package[:len(package) - (node.level - 1)]
+    return ".".join([*base, module] if module else base)
+
+
 def _is_operation_with(node: ast.With) -> bool:
     """True for ``with self._operation():`` (possibly among other items)."""
     for item in node.items:
@@ -247,6 +278,7 @@ class _FileLinter(ast.NodeVisitor):
         self.is_database_module = rel_path == "core/database.py"
         self.checks_edits = rel_path.startswith("core/") and rel_path != "core/instance.py"
         self.is_txn_manager_module = rel_path == "txn/manager.py"
+        self.is_wire_module = rel_path == WIRE_MODULE
         self._class_stack: list[str] = []
         self._method: Optional[str] = None
         self._op_bracket_depth = 0
@@ -360,6 +392,7 @@ class _FileLinter(ast.NodeVisitor):
         self._check_lock_private_call(node)
         self._check_hook_mutation_call(node)
         self._check_hook_leak(node)
+        self._check_wire_read(node)
         self.generic_visit(node)
 
     def _check_op_bracket(self, node: ast.Call) -> None:
@@ -499,6 +532,31 @@ class _FileLinter(ast.NodeVisitor):
         elif func.attr == "remove" and self._detach_depth:
             self._hook_detaches.add(target.attr)
 
+    def _add_wire(self, line: int, what: str) -> None:
+        self._add(
+            "CODE-WIRE-FORMAT",
+            line,
+            f"{what} outside {WIRE_MODULE} — read the wire through "
+            f"FrameBuffer / read_frames",
+            use=what,
+        )
+
+    def _check_wire_read(self, node: ast.Call) -> None:
+        if self.is_wire_module:
+            return
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr == "readexactly":
+            self._add_wire(node.lineno, "readexactly()")
+        elif (
+            isinstance(func, ast.Name)
+            and func.id == "getattr"
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value == "_buffer"
+            and not _is_self(node.args[0])
+        ):
+            self._add_wire(node.lineno, "getattr(..., '_buffer')")
+
     def finish(self) -> None:
         """Module-level checks that need the whole file seen first."""
         for attr, (line, mutator) in sorted(self._hook_attaches.items()):
@@ -516,10 +574,15 @@ class _FileLinter(ast.NodeVisitor):
             )
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        journal = (
-            node.module == "storage.journal" and node.level > 0
-        ) or (node.module == "repro.storage.journal" and node.level == 0)
-        if journal and not self.in_storage:
+        module = _imported_module(node, self.rel_path)
+        if module == "server.protocol" and not self.is_wire_module:
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    self._add_wire(
+                        node.lineno,
+                        f"'{alias.name}' imported from repro.server.protocol",
+                    )
+        if module == "storage.journal" and not self.in_storage:
             for alias in node.names:
                 if (
                     alias.name.startswith("_")
@@ -544,6 +607,12 @@ class _FileLinter(ast.NodeVisitor):
                 f"locking/ — use holders()/waiters()/modes_held()",
                 attribute=node.attr,
             )
+        if (
+            node.attr == "_buffer"
+            and not self.is_wire_module
+            and not _is_self(node.value)
+        ):
+            self._add_wire(node.lineno, "another object's ._buffer")
         self.generic_visit(node)
 
     def visit_Assign(self, node: ast.Assign) -> None:

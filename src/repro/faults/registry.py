@@ -53,15 +53,20 @@ FAILPOINTS = {
     "store.write": "before the object store writes a record (paged mode)",
     "store.read": "before the object store reads a record (paged mode)",
     "server.send_frame": (
-        "before the server writes a response/event frame; supports "
-        "error, drop, garble, delay, kill"
+        "once per response/event frame, in order, before the batch's "
+        "single write; supports error, drop, garble, delay, kill (delay, "
+        "kill and error first send the frames before it)"
     ),
     "server.recv_frame": (
         "after the server reads a request frame; supports error, drop, "
         "kill"
     ),
     "client.send": "before the blocking client writes request bytes",
-    "client.recv": "before the blocking client reads response bytes",
+    "client.recv": (
+        "once per refill, not per frame: before each recv the blocking "
+        "client makes into its receive buffer (only when no complete "
+        "response is buffered)"
+    ),
     "twopc.prepare": (
         "worker: before the participant seals its prepare batch; "
         "supports error and kill (process exit)"

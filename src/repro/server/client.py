@@ -36,13 +36,14 @@ import time
 from ..faults.registry import fire as _fire
 from ..schema.attribute import AttributeSpec
 from .protocol import (
+    RECV_BYTES,
     SUPPORTED_VERSIONS,
+    FrameBuffer,
     ProtocolError,
     build_error,
     decode_payload,
     encode_request_bytes,
-    frame_length,
-    read_frame_bytes,
+    read_frames,
     wire_decode,
     wire_encode,
 )
@@ -253,6 +254,7 @@ class Client(_ClientCore):
         self.jitter = jitter
         self._rng = rng if rng is not None else random.Random()
         self._sock = None
+        self._frames = FrameBuffer()
         self.connect()
 
     # -- transport --------------------------------------------------------
@@ -280,29 +282,31 @@ class Client(_ClientCore):
             self._roundtrip("login", {"user": self.user})
 
     def close(self):
+        """Close the socket and drop whatever it left in the receive
+        buffer: a reconnect must never parse a dead connection's bytes."""
         if self._sock is not None:
             with contextlib.suppress(OSError):
                 self._sock.close()
             self._sock = None
+        self._frames = FrameBuffer()
 
     def _send_bytes(self, data):
         _fire("client.send", client=self, size=len(data))
         self._sock.sendall(data)
 
-    def _recv_exactly(self, size):
-        _fire("client.recv", client=self, size=size)
-        chunks = []
-        while size:
-            chunk = self._sock.recv(min(size, 65536))
+    def _read_response(self):
+        """The next response frame: one ``recv`` per refill of the
+        receive buffer, none while a complete frame is already in it."""
+        frames = self._frames
+        batch = frames.take(1)
+        while not batch:
+            _fire("client.recv", client=self, size=RECV_BYTES)
+            chunk = self._sock.recv(RECV_BYTES)
             if not chunk:
                 raise ConnectionError("server closed the connection")
-            chunks.append(chunk)
-            size -= len(chunk)
-        return b"".join(chunks)
-
-    def _read_response(self):
-        length = frame_length(self._recv_exactly(4))
-        return decode_payload(self._wire_version, self._recv_exactly(length))
+            frames.feed(chunk)
+            batch = frames.take(1)
+        return decode_payload(self._wire_version, batch[0])
 
     def _roundtrip(self, op, args):
         request_id, data = self._encode_request(op, args)
@@ -684,6 +688,7 @@ class AsyncClient(_ClientCore):
         self.port = port
         self._reader = None
         self._writer = None
+        self._frames = FrameBuffer()
 
     async def connect(self):
         # Same stale-state rule as the blocking client: a (re)connect is
@@ -691,6 +696,7 @@ class AsyncClient(_ClientCore):
         self.protocol_version = None
         self.session_id = None
         self._in_transaction = False
+        self._frames = FrameBuffer()
         self._reader, self._writer = await asyncio.open_connection(
             self.host, self.port
         )
@@ -700,6 +706,9 @@ class AsyncClient(_ClientCore):
         return self
 
     async def close(self):
+        """Close the connection and drop its receive buffer (see
+        :meth:`Client.close`)."""
+        self._frames = FrameBuffer()
         if self._writer is not None:
             self._writer.close()
             with contextlib.suppress(Exception):
@@ -713,11 +722,11 @@ class AsyncClient(_ClientCore):
         request_id, data = self._encode_request(op, args)
         self._writer.write(data)
         await self._writer.drain()
-        payload = await read_frame_bytes(self._reader)
-        if payload is None:
+        batch = await read_frames(self._reader, self._frames, 1)
+        if not batch:
             raise ConnectionError("server closed the connection")
         return self._interpret(
-            request_id, decode_payload(self._wire_version, payload)
+            request_id, decode_payload(self._wire_version, batch[0])
         )
 
     def call(self, op, **args):

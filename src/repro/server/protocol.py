@@ -1,7 +1,10 @@
 """The wire protocol: length-prefixed frames, JSON (v1) or binary (v2).
 
 A frame is a 4-byte big-endian unsigned length followed by that many
-bytes of payload.  Version 1 payloads are UTF-8 JSON objects::
+bytes of payload.  Every endpoint reads frames through one
+:class:`FrameBuffer` per connection (bytes in, payloads out, no
+sockets); nothing else parses a length prefix.  Version 1 payloads are
+UTF-8 JSON objects::
 
     request   {"id": 7, "op": "set_value", "args": {...}}
     response  {"id": 7, "ok": true,  "result": ...}
@@ -43,7 +46,6 @@ hostile payload cannot shadow ``code`` or plant arbitrary state.
 
 from __future__ import annotations
 
-import asyncio
 import base64
 import binascii
 import inspect
@@ -272,73 +274,112 @@ def encode_v2_value(value):
     return b"".join(out)
 
 
-class _V2Reader:
-    """Sequential reader over one v2 frame payload."""
+# The _V2_* tags and kinds above as the integers ``data[pos]`` yields:
+# the decoder compares ints, never one-byte slices.
+(_T_NONE, _T_TRUE, _T_FALSE, _T_INT, _T_BIGINT, _T_FLOAT, _T_STR, _T_BYTES,
+ _T_UID, _T_SETOF, _T_LIST, _T_MAP, _T_HMAP) = b"NTFIJDSBUELMH"
+_K_REQUEST, _K_RESULT, _K_ERROR = _V2_REQUEST + _V2_RESULT + _V2_ERROR
 
-    __slots__ = ("data", "pos")
+_u32_at = _U32.unpack_from
+_i64_at = _I64.unpack_from
+_f64_at = _F64.unpack_from
 
-    def __init__(self, data):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n):
-        end = self.pos + n
-        if end > len(self.data):
-            raise ProtocolError("truncated v2 frame")
-        chunk = self.data[self.pos:end]
-        self.pos = end
-        return chunk
-
-    def u32(self):
-        return _U32.unpack(self.take(4))[0]
-
-    def i64(self):
-        return _I64.unpack(self.take(8))[0]
-
-    def str(self):
-        try:
-            return self.take(self.u32()).decode("utf-8")
-        except UnicodeDecodeError as error:
-            raise ProtocolError(f"undecodable v2 string: {error}") from None
+#: What a malformed payload makes the flat decoder raise (a short read,
+#: a bad string, an unhashable map key, absurd nesting);
+#: :func:`decode_payload` turns each into :class:`ProtocolError`.
+_MALFORMED = (IndexError, struct.error, UnicodeDecodeError, TypeError,
+              RecursionError)
 
 
-def _decode_v2_value(reader):
-    tag = reader.take(1)
-    if tag == _V2_NONE:
-        return None
-    if tag == _V2_TRUE:
-        return True
-    if tag == _V2_FALSE:
-        return False
-    if tag == _V2_INT:
-        return reader.i64()
-    if tag == _V2_BIGINT:
-        return int.from_bytes(reader.take(reader.u32()), "big", signed=True)
-    if tag == _V2_FLOAT:
-        return _F64.unpack(reader.take(8))[0]
-    if tag == _V2_STR:
-        return reader.str()
-    if tag == _V2_BYTES:
-        return bytes(reader.take(reader.u32()))
-    if tag == _V2_UID:
-        number = reader.i64()
-        return UID(number, reader.str())
-    if tag == _V2_SETOF:
-        return SetOf(reader.str())
-    if tag == _V2_LIST:
-        return [_decode_v2_value(reader) for _ in range(reader.u32())]
-    if tag == _V2_MAP:
-        return {reader.str(): _decode_v2_value(reader)
-                for _ in range(reader.u32())}
-    if tag == _V2_HMAP:
-        pairs = []
-        for _ in range(reader.u32()):
-            key = _decode_v2_value(reader)
-            if isinstance(key, list):
+def _v2_value(data, pos):
+    """The v2 value at offset *pos* of *data*, and the offset after it.
+
+    Lengths are not checked against the payload: a slice that runs past
+    the end comes back short, and the next read (or
+    :func:`decode_payload`'s final offset check) fails instead.
+    """
+    tag = data[pos]
+    pos += 1
+    if tag == _T_STR:
+        end = pos + 4 + _u32_at(data, pos)[0]
+        return data[pos + 4:end].decode(), end
+    if tag == _T_MAP:
+        count = _u32_at(data, pos)[0]
+        pos += 4
+        value = {}
+        for _ in range(count):
+            end = pos + 4 + _u32_at(data, pos)[0]
+            key = data[pos + 4:end].decode()
+            value[key], pos = _v2_value(data, end)
+        return value, pos
+    if tag == _T_UID:
+        number = _i64_at(data, pos)[0]
+        end = pos + 12 + _u32_at(data, pos + 8)[0]
+        return UID(number, data[pos + 12:end].decode()), end
+    if tag == _T_INT:
+        return _i64_at(data, pos)[0], pos + 8
+    if tag == _T_NONE:
+        return None, pos
+    if tag == _T_LIST:
+        count = _u32_at(data, pos)[0]
+        pos += 4
+        value = []
+        for _ in range(count):
+            item, pos = _v2_value(data, pos)
+            value.append(item)
+        return value, pos
+    if tag == _T_TRUE:
+        return True, pos
+    if tag == _T_FALSE:
+        return False, pos
+    if tag == _T_BYTES:
+        end = pos + 4 + _u32_at(data, pos)[0]
+        return bytes(data[pos + 4:end]), end
+    if tag == _T_FLOAT:
+        return _f64_at(data, pos)[0], pos + 8
+    if tag == _T_BIGINT:
+        end = pos + 4 + _u32_at(data, pos)[0]
+        return int.from_bytes(data[pos + 4:end], "big", signed=True), end
+    if tag == _T_SETOF:
+        end = pos + 4 + _u32_at(data, pos)[0]
+        return SetOf(data[pos + 4:end].decode()), end
+    if tag == _T_HMAP:
+        count = _u32_at(data, pos)[0]
+        pos += 4
+        value = {}
+        for _ in range(count):
+            key, pos = _v2_value(data, pos)
+            if type(key) is list:
                 key = tuple(key)  # tuple keys lower to lists on the wire
-            pairs.append((key, _decode_v2_value(reader)))
-        return dict(pairs)
-    raise ProtocolError(f"unknown v2 type tag {tag!r}")
+            value[key], pos = _v2_value(data, pos)
+        return value, pos
+    raise ProtocolError(f"unknown v2 type tag {bytes([tag])!r}")
+
+
+def _v2_frame(data):
+    """One v2 payload as its v1-shaped frame dict, and the end offset."""
+    kind = data[0]
+    request_id = _i64_at(data, 1)[0]
+    if kind == _K_REQUEST:
+        end = 13 + _u32_at(data, 9)[0]
+        op = data[13:end].decode()
+        args, pos = _v2_value(data, end)
+        return {"id": request_id, "op": op, "args": args}, pos
+    if kind == _K_RESULT:
+        result, pos = _v2_value(data, 9)
+        return {"id": request_id, "ok": True, "result": result}, pos
+    if kind == _K_ERROR:
+        end = 13 + _u32_at(data, 9)[0]
+        code = data[13:end].decode()
+        pos = end + 4 + _u32_at(data, end)[0]
+        message = data[end + 4:pos].decode()
+        data_map, pos = _v2_value(data, pos)
+        if not isinstance(data_map, dict):
+            raise ProtocolError("v2 error data must be a map")
+        return {"id": request_id, "ok": False,
+                "error": {"code": code, "message": message,
+                          "data": data_map}}, pos
+    raise ProtocolError(f"unknown v2 frame kind {bytes([kind])!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +417,7 @@ def decode_frame(data):
     return payload
 
 
-def frame_length(prefix):
-    """Validate a 4-byte length prefix; return the payload length."""
-    if len(prefix) != 4:
-        raise ProtocolError("truncated length prefix")
-    (length,) = _LENGTH.unpack(prefix)
+def _checked_length(length):
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"declared frame length {length} exceeds the "
@@ -389,55 +426,93 @@ def frame_length(prefix):
     return length
 
 
-async def read_frame_bytes(reader, counter=None):
-    """Read one frame's raw payload from an asyncio stream; None at EOF.
+def frame_length(prefix):
+    """Validate a 4-byte length prefix; return the payload length."""
+    if len(prefix) != 4:
+        raise ProtocolError("truncated length prefix")
+    return _checked_length(_LENGTH.unpack(prefix)[0])
 
-    *counter*, when given, is called with the number of wire bytes the
-    frame occupied (prefix included) — the server's byte metering.
+
+#: Bytes one refill asks the socket for.
+RECV_BYTES = 65536
+
+
+class FrameBuffer:
+    """Bytes in, frame payloads out: the one wire reader.
+
+    Every endpoint (server, both clients, the shard router) owns one per
+    connection and drives it with whatever reads its transport does:
+    :meth:`feed` appends received bytes, :meth:`take` hands out complete
+    payloads in order and keeps a partial frame for the next feed.  Each
+    length prefix is checked against :data:`MAX_FRAME_BYTES` as soon as
+    its 4 bytes are in, before any of the body is waited for.  No
+    sockets in here: a dropped connection is simply a buffer that never
+    completes.
     """
-    try:
-        prefix = await reader.readexactly(4)
-    except asyncio.IncompleteReadError as error:
-        if not error.partial:
-            return None  # clean EOF between frames
-        raise ProtocolError("connection dropped mid-frame") from None
-    length = frame_length(prefix)
-    try:
-        data = await reader.readexactly(length)
-    except asyncio.IncompleteReadError:
-        raise ProtocolError("connection dropped mid-frame") from None
-    if counter is not None:
-        counter(4 + length)
-    return data
+
+    __slots__ = ("_data", "_scan", "_lengths")
+
+    def __init__(self):
+        self._data = bytearray()
+        #: Offset of the first frame not yet known to be complete.
+        self._scan = 0
+        #: Payload lengths of the complete frames, in order.
+        self._lengths = []
+
+    def __len__(self):
+        """Bytes held: complete frames not yet taken plus a partial one."""
+        return len(self._data)
+
+    def feed(self, data):
+        """Append received bytes; an oversized length prefix raises."""
+        buffer = self._data
+        buffer += data
+        scan, size, lengths = self._scan, len(buffer), self._lengths
+        while size - scan >= 4:
+            length = _checked_length(_u32_at(buffer, scan)[0])
+            if size - scan - 4 < length:
+                break
+            lengths.append(length)
+            scan += 4 + length
+        self._scan = scan
+
+    def take(self, limit):
+        """Up to *limit* complete payloads (bytes), oldest first."""
+        lengths = self._lengths
+        if not lengths:
+            return []
+        taken = lengths[:limit]
+        del lengths[:limit]
+        end = 4 * len(taken) + sum(taken)
+        chunk = bytes(self._data[:end])  # one copy out of the buffer
+        del self._data[:end]
+        self._scan -= end
+        frames = []
+        pos = 4
+        for length in taken:
+            frames.append(chunk[pos:pos + length])
+            pos += length + 4
+        return frames
 
 
-async def read_frame(reader, counter=None):
-    """Read and decode one v1 (JSON) frame; None at clean EOF."""
-    data = await read_frame_bytes(reader, counter=counter)
-    return None if data is None else decode_frame(data)
+async def read_frames(reader, frames, limit):
+    """Up to *limit* payloads from *frames*, refilled from the asyncio
+    stream *reader* only while no complete frame is buffered — so the
+    buffer never holds more than one refill plus one partial frame.
 
-
-def frames_buffered(reader):
-    """True when *reader*'s internal buffer already holds one complete
-    frame — i.e. another read would complete without touching the
-    socket.  This is the server's pipelining probe: frames the client
-    sent back-to-back are drained into one batch, frames that have not
-    arrived are never waited for."""
-    buffer = getattr(reader, "_buffer", None)
-    if buffer is None or len(buffer) < 4:
-        return False
-    try:
-        length = frame_length(bytes(buffer[:4]))
-    except ProtocolError:
-        return True  # corrupt prefix: let the reader consume and fail typed
-    return len(buffer) >= 4 + length
-
-
-def write_frame(writer, payload):
-    """Queue one v1 frame on an asyncio stream; returns the bytes written."""
-    data = encode_frame(payload)
-    writer.write(data)
-    return len(data)
+    Returns ``[]`` at a clean EOF between frames; an EOF inside a frame
+    raises :class:`ProtocolError`.
+    """
+    batch = frames.take(limit)
+    while not batch:
+        chunk = await reader.read(RECV_BYTES)
+        if not chunk:
+            if len(frames):
+                raise ProtocolError("connection dropped mid-frame")
+            return batch
+        frames.feed(chunk)
+        batch = frames.take(limit)
+    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -494,31 +569,14 @@ def decode_payload(version, data):
     """
     if version != 2:
         return decode_frame(data)
-    reader = _V2Reader(data)
-    kind = reader.take(1)
-    request_id = reader.i64()
-    if kind == _V2_REQUEST:
-        op = reader.str()
-        args = _decode_v2_value(reader)
-        frame = {"id": request_id, "op": op, "args": args}
-    elif kind == _V2_RESULT:
-        frame = {"id": request_id, "ok": True,
-                 "result": _decode_v2_value(reader)}
-    elif kind == _V2_ERROR:
-        code = reader.str()
-        message = reader.str()
-        data_map = _decode_v2_value(reader)
-        if not isinstance(data_map, dict):
-            raise ProtocolError("v2 error data must be a map")
-        frame = {"id": request_id, "ok": False,
-                 "error": {"code": code, "message": message,
-                           "data": data_map}}
-    else:
-        raise ProtocolError(f"unknown v2 frame kind {kind!r}")
-    if reader.pos != len(data):
-        raise ProtocolError(
-            f"{len(data) - reader.pos} trailing bytes after v2 frame"
-        )
+    try:
+        frame, pos = _v2_frame(data)
+    except _MALFORMED as error:
+        raise ProtocolError(f"malformed v2 frame: {error}") from None
+    if pos != len(data):
+        if pos > len(data):
+            raise ProtocolError("truncated v2 frame")
+        raise ProtocolError(f"{len(data) - pos} trailing bytes after v2 frame")
     return frame
 
 

@@ -44,16 +44,16 @@ from ..txn.manager import TransactionManager
 from .dispatch import dispatch
 from .protocol import (
     SUPPORTED_VERSIONS,
+    FrameBuffer,
     ProtocolError,
     check_request,
+    decode_frame,
     decode_payload,
     encode_error_bytes,
     encode_frame,
     encode_result_bytes,
     error_frame,
-    frames_buffered,
-    read_frame,
-    read_frame_bytes,
+    read_frames,
     result_frame,
 )
 
@@ -857,18 +857,18 @@ class ReproServer:
         )
         self._sessions[session.session_id] = (session, writer)
         self.stats.sessions_opened += 1
+        frames = FrameBuffer()
         try:
-            if not await self._handshake(session, reader, writer):
+            if not await self._handshake(session, reader, writer, frames):
                 return
-            await self._serve_session(session, reader, writer)
+            await self._serve_session(session, reader, writer, frames)
         except ProtocolError as error:
             # Corrupt stream: report once (best effort), then hang up.
             with contextlib.suppress(Exception):
-                await self._send_data(
-                    session, writer,
-                    encode_error_bytes(session.protocol_version, 0, error),
-                )
-        except (OSError, asyncio.IncompleteReadError):
+                await self._write_frames(session, writer, [
+                    encode_error_bytes(session.protocol_version, 0, error)
+                ])
+        except OSError:
             # Broken peer or injected socket fault: tear the session
             # down below.  OSError (not just ConnectionError) so an
             # armed failpoint's InjectedFault lands here too.
@@ -882,17 +882,20 @@ class ReproServer:
                 await writer.wait_closed()
             self._conn_tasks.discard(asyncio.current_task())
 
-    def _meter_in(self, session):
-        def count(size):
-            session.stats.bytes_in += size
-            self.stats.bytes_in += size
+    async def _read(self, session, reader, frames, limit):
+        """Up to *limit* request payloads, metered as ``4 + len(payload)``
+        wire bytes each; ``[]`` at a clean EOF."""
+        batch = await read_frames(reader, frames, limit)
+        size = 4 * len(batch) + sum(map(len, batch))
+        session.stats.bytes_in += size
+        self.stats.bytes_in += size
+        return batch
 
-        return count
-
-    async def _handshake(self, session, reader, writer):
-        frame = await read_frame(reader, counter=self._meter_in(session))
-        if frame is None:
+    async def _handshake(self, session, reader, writer, frames):
+        batch = await self._read(session, reader, frames, 1)
+        if not batch:
             return False
+        frame = decode_frame(batch[0])
         try:
             request_id, op, args = check_request(frame)
             if op != "hello":
@@ -907,41 +910,38 @@ class ReproServer:
                     f"server speaks {list(SUPPORTED_VERSIONS)}"
                 )
         except ProtocolError as error:
-            await self._send(
-                session, writer, error_frame(frame.get("id", 0), error)
-            )
+            await self._write_frames(session, writer, [
+                encode_frame(error_frame(frame.get("id", 0), error))
+            ])
             return False
         session.protocol_version = common[0]
         from .. import __version__
 
         # The hello response is always v1-framed; both sides switch to
         # the negotiated version for every frame after it.
-        await self._send(session, writer, result_frame(request_id, {
-            "version": common[0],
-            "server": f"repro/{__version__}",
-            "session": session.session_id,
-            "pipeline": self.max_pipeline,
-        }))
+        await self._write_frames(session, writer, [
+            encode_frame(result_frame(request_id, {
+                "version": common[0],
+                "server": f"repro/{__version__}",
+                "session": session.session_id,
+                "pipeline": self.max_pipeline,
+            }))
+        ])
         return True
 
-    async def _serve_session(self, session, reader, writer):
-        meter = self._meter_in(session)
+    async def _serve_session(self, session, reader, writer, frames):
         version = session.protocol_version
         while True:
-            data = await read_frame_bytes(reader, counter=meter)
-            if data is None:
+            # Pipelining: every request the client already queued is one
+            # batch — the socket is read only when no complete frame is
+            # buffered, never waiting for bytes that have not arrived —
+            # executed strictly in order, and answered with one write
+            # and one shared durability barrier.
+            batch = await self._read(
+                session, reader, frames, self.max_pipeline
+            )
+            if not batch:
                 return
-            # Pipelining: requests the client already queued on the
-            # socket are drained into one batch — never waiting for
-            # bytes that have not arrived — executed strictly in order,
-            # and answered with one write + one shared durability
-            # barrier.
-            batch = [data]
-            while len(batch) < self.max_pipeline and frames_buffered(reader):
-                more = await read_frame_bytes(reader, counter=meter)
-                if more is None:
-                    break
-                batch.append(more)
             if len(batch) > 1:
                 self.stats.pipelined_batches += 1
                 self.stats.pipelined_requests += len(batch)
@@ -950,11 +950,9 @@ class ReproServer:
                 responses = await self._serve_batch(session, version, batch)
             finally:
                 session.defer_sync = False
-            for index, (data, _needs_sync, _rid) in enumerate(responses):
-                await self._send_data(
-                    session, writer, data,
-                    drain=index == len(responses) - 1,
-                )
+            await self._write_frames(
+                session, writer, [data for data, _sync, _rid in responses]
+            )
 
     async def _serve_batch(self, session, version, batch):
         """Execute one batch of raw request frames, in order.
@@ -1014,30 +1012,47 @@ class ReproServer:
                 ]
         return responses
 
-    async def _send(self, session, writer, payload):
-        await self._send_data(session, writer, encode_frame(payload))
+    async def _write_frames(self, session, writer, frames):
+        """Send *frames* (wire bytes) with one ``write`` and one ``drain``.
 
-    async def _send_data(self, session, writer, data, drain=True):
-        directive = _fire(
-            "server.send_frame", server=self, session=session,
-            payload=data,
-        )
-        if directive == "drop":
-            return
-        if directive == "kill":
-            raise ConnectionError("connection killed by failpoint")
-        if directive == "garble":
-            # Flip bits in the body but keep the length prefix honest:
-            # the client reads a full frame of garbage and must fail
-            # with a typed ProtocolError, not hang on a short read.
-            data = data[:4] + bytes(byte ^ 0x5A for byte in data[4:])
-        elif isinstance(directive, tuple) and directive[0] == "delay":
-            await asyncio.sleep(directive[1])
-        writer.write(data)
-        session.stats.bytes_out += len(data)
-        self.stats.bytes_out += len(data)
-        if drain:
-            await writer.drain()
+        ``server.send_frame`` still fires once per frame, in order:
+        ``drop`` leaves the frame out and ``garble`` corrupts it, while
+        ``delay``, ``kill`` and an injected error first send the frames
+        before it, then sleep or tear the connection down.
+        """
+        out = []
+        try:
+            for data in frames:
+                directive = _fire(
+                    "server.send_frame", server=self, session=session,
+                    payload=data,
+                )
+                if directive == "drop":
+                    continue
+                if directive == "kill":
+                    raise ConnectionError("connection killed by failpoint")
+                if directive == "garble":
+                    # Flip bits in the body but keep the length prefix
+                    # honest: the client reads a full frame of garbage
+                    # and must fail with a typed ProtocolError, not hang
+                    # on a short read.
+                    data = data[:4] + bytes(byte ^ 0x5A for byte in data[4:])
+                elif isinstance(directive, tuple) and directive[0] == "delay":
+                    self._write(session, writer, out)
+                    out = []
+                    await writer.drain()
+                    await asyncio.sleep(directive[1])
+                out.append(data)
+        finally:
+            self._write(session, writer, out)
+        await writer.drain()
+
+    def _write(self, session, writer, frames):
+        if frames:
+            data = b"".join(frames)
+            writer.write(data)
+            session.stats.bytes_out += len(data)
+            self.stats.bytes_out += len(data)
 
 
 # ---------------------------------------------------------------------------

@@ -66,9 +66,11 @@ from ..errors import (
 from ..server.client import RETRYABLE_OPS
 from ..server.protocol import (
     SUPPORTED_VERSIONS,
+    FrameBuffer,
     ProtocolError,
     build_error,
     check_request,
+    decode_frame,
     decode_payload,
     encode_error_bytes,
     encode_frame,
@@ -77,8 +79,7 @@ from ..server.protocol import (
     error_frame,
     frame_bytes,
     is_error_payload,
-    read_frame,
-    read_frame_bytes,
+    read_frames,
     result_frame,
     wire_decode,
 )
@@ -204,24 +205,30 @@ class _Upstream:
         self.shard_id = shard_id
         self.reader = reader
         self.writer = writer
+        self.frames = FrameBuffer()
         #: Negotiated framing.  The ``hello`` exchange itself is always
         #: v1-framed (see protocol.py); :meth:`ShardRouter._connect`
         #: bumps this to whatever the worker granted.
         self.version = 1
         self._ids = itertools.count(1)
 
-    async def roundtrip(self, op, args=None):
-        """Send one request; return the decoded response frame."""
-        request_id = next(self._ids)
-        self.writer.write(
-            encode_request_bytes(self.version, request_id, op, args or {})
-        )
+    async def _exchange(self, data):
+        """Write one request frame; return the raw response payload."""
+        self.writer.write(data)
         await self.writer.drain()
-        payload = await read_frame_bytes(self.reader)
-        if payload is None:
+        batch = await read_frames(self.reader, self.frames, 1)
+        if not batch:
             raise ConnectionError(
                 f"shard {self.shard_id} closed the connection"
             )
+        return batch[0]
+
+    async def roundtrip(self, op, args=None):
+        """Send one request; return the decoded response frame."""
+        request_id = next(self._ids)
+        payload = await self._exchange(
+            encode_request_bytes(self.version, request_id, op, args or {})
+        )
         response = decode_payload(self.version, payload)
         if response.get("id") != request_id:
             raise ProtocolError(
@@ -256,13 +263,7 @@ class _Upstream:
         decoded and raised typed, so transaction cleanup sees the same
         exceptions as the slow path.
         """
-        self.writer.write(frame_bytes(raw))
-        await self.writer.drain()
-        payload = await read_frame_bytes(self.reader)
-        if payload is None:
-            raise ConnectionError(
-                f"shard {self.shard_id} closed the connection"
-            )
+        payload = await self._exchange(frame_bytes(raw))
         if is_error_payload(self.version, payload):
             response = decode_payload(self.version, payload)
             if not response.get("ok"):
@@ -896,15 +897,16 @@ class ShardRouter:
             self._next_session, writer.get_extra_info("peername")
         )
         self.stats.sessions_opened += 1
+        frames = FrameBuffer()
         try:
-            if not await self._handshake(sess, reader, writer):
+            if not await self._handshake(sess, reader, writer, frames):
                 return
-            await self._serve_session(sess, reader, writer)
+            await self._serve_session(sess, reader, writer, frames)
         except ProtocolError as error:
             with contextlib.suppress(Exception):
                 writer.write(encode_error_bytes(sess.version, 0, error))
                 await writer.drain()
-        except (OSError, asyncio.IncompleteReadError):
+        except OSError:
             pass
         finally:
             await self._close_session(sess)
@@ -914,10 +916,11 @@ class ShardRouter:
                 await writer.wait_closed()
             self._conn_tasks.discard(asyncio.current_task())
 
-    async def _handshake(self, sess, reader, writer):
-        frame = await read_frame(reader)
-        if frame is None:
+    async def _handshake(self, sess, reader, writer, frames):
+        batch = await read_frames(reader, frames, 1)
+        if not batch:
             return False
+        frame = decode_frame(batch[0])
         try:
             request_id, op, args = check_request(frame)
             if op != "hello":
@@ -949,11 +952,12 @@ class ShardRouter:
         await writer.drain()
         return True
 
-    async def _serve_session(self, sess, reader, writer):
+    async def _serve_session(self, sess, reader, writer, frames):
         while True:
-            raw = await read_frame_bytes(reader)
-            if raw is None:
+            batch = await read_frames(reader, frames, 1)
+            if not batch:
                 return
+            raw = batch[0]
             self.stats.requests += 1
             frame = decode_payload(sess.version, raw)
             try:

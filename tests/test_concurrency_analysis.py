@@ -414,6 +414,29 @@ class TestCodeLint:
         # The storage layer owns the format.
         assert lint_source(source, "storage/durable.py").clean
 
+    def test_wire_internals_outside_protocol_are_flagged(self):
+        source = (
+            "from ..server.protocol import FrameBuffer, _V2_ERROR\n"
+            "from .protocol import _u32_at\n"
+            "from repro.server.protocol import _LENGTH, read_frames\n"
+            "from .journal import _frame\n"
+            "async def probe(self, reader):\n"
+            "    prefix = await reader.readexactly(4)\n"
+            "    return reader._buffer, getattr(reader, '_buffer'), "
+            "self._buffer\n"
+        )
+        report = lint_source(source, "shard/router.py")
+        findings = report.by_rule("CODE-WIRE-FORMAT")
+        # Line 2 is shard.protocol, line 4 shard.journal: not the wire
+        # module; an object's own _buffer is its own business.
+        assert [f.detail["line"] for f in findings] == [1, 3, 6, 7, 7]
+        inside = lint_source(source.replace("..server.", "."),
+                             "server/client.py")
+        assert [f.detail["line"] for f in
+                inside.by_rule("CODE-WIRE-FORMAT")] == [1, 2, 3, 6, 7, 7]
+        # The wire module owns the framing.
+        assert lint_source(source, "server/protocol.py").clean
+
     def test_hook_definition_site_in_database_is_allowed(self):
         source = (
             "class Database:\n"
@@ -431,7 +454,7 @@ class TestCodeLint:
         assert {
             "CODE-BARE-EXCEPT", "CODE-OP-BRACKET", "CODE-TXN-CONTEXT",
             "CODE-LOCK-STATE", "CODE-JOURNAL-HOOKS", "CODE-SYNTAX",
-            "CODE-JOURNAL-FORMAT",
+            "CODE-JOURNAL-FORMAT", "CODE-WIRE-FORMAT",
         } <= set(RULES)
 
 

@@ -10,7 +10,10 @@ path when the journal fails persistently.
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 import random
+import socket
 import threading
 import time
 
@@ -24,7 +27,16 @@ from repro.errors import (
     TransactionStateError,
 )
 from repro.faults import fault_scope
-from repro.server import Client, ProtocolError, ServerThread
+from repro.server import AsyncClient, Client, ProtocolError, ServerThread
+from repro.server.protocol import (
+    RECV_BYTES,
+    FrameBuffer,
+    decode_payload,
+    encode_frame,
+    encode_request_bytes,
+    encode_result_bytes,
+    result_frame,
+)
 from repro.storage.durable import DurableDatabase
 
 STRING_ATTR = {"name": "Text", "domain": "string"}
@@ -102,6 +114,264 @@ class TestServerWireFaults:
                 started = time.monotonic()
                 assert client.ping() == "pong"
                 assert time.monotonic() - started >= 0.05
+
+
+# ---------------------------------------------------------------------------
+# One write per server batch; server.send_frame still fires per frame
+# ---------------------------------------------------------------------------
+
+DEPTH = 8
+
+
+def _docs(client):
+    _doc_schema(client)
+    return [client.make("Doc", values={"Text": f"d{i}"})
+            for i in range(DEPTH)]
+
+
+class TestBatchWrites:
+    def test_one_write_per_batch_one_failpoint_hit_per_frame(
+            self, handle, monkeypatch):
+        with Client(port=handle.port) as client:
+            docs = _docs(client)
+            batches = client.stats()["server"]["pipelined_batches"]
+            writes = []
+            write = asyncio.StreamWriter.write
+
+            def counted(writer, data):
+                writes.append(len(data))
+                return write(writer, data)
+
+            monkeypatch.setattr(asyncio.StreamWriter, "write", counted)
+            with fault_scope() as faults:
+                pipe = client.pipeline()
+                handles = [pipe.value(doc, "Text") for doc in docs]
+                pipe.flush()
+                assert faults.hit_count("server.send_frame") == DEPTH
+            assert len(writes) == 1
+            monkeypatch.undo()
+            assert [h.result() for h in handles] == \
+                [f"d{i}" for i in range(DEPTH)]
+            stats = client.stats()["server"]
+            assert stats["pipelined_batches"] == batches + 1
+
+    def test_garbled_third_frame(self, handle):
+        with Client(port=handle.port) as client:
+            docs = _docs(client)
+            with fault_scope() as faults:
+                faults.add("server.send_frame", "garble", nth=3)
+                pipe = client.pipeline()
+                handles = [pipe.value(doc, "Text") for doc in docs]
+                with pytest.raises(ProtocolError):
+                    pipe.flush()
+            assert [h.result() for h in handles[:2]] == ["d0", "d1"]
+            assert not any(h.done for h in handles[2:])
+
+    def test_delayed_fifth_frame_lets_the_first_four_through(self, handle):
+        client = Client(port=handle.port, timeout=0.5, max_retries=0)
+        try:
+            docs = _docs(client)
+            with fault_scope() as faults:
+                faults.add("server.send_frame", "delay", nth=5, delay_s=2.0)
+                pipe = client.pipeline()
+                handles = [pipe.value(doc, "Text") for doc in docs]
+                # Frames 1-4 went out before the delay: only frame 5's
+                # wait outlasts the client's deadline.
+                with pytest.raises(TimeoutError):
+                    pipe.flush()
+            assert [h.result() for h in handles[:4]] == \
+                ["d0", "d1", "d2", "d3"]
+            assert not any(h.done for h in handles[4:])
+        finally:
+            client.close()
+
+    def test_killed_fifth_frame_of_a_mutating_batch(self, handle):
+        with Client(port=handle.port, max_retries=4, backoff=0.01) as client:
+            docs = _docs(client)
+            with fault_scope() as faults:
+                faults.add("server.send_frame", "kill", nth=5)
+                pipe = client.pipeline()
+                handles = [pipe.set_value(doc, "Text", f"e{i}")
+                           for i, doc in enumerate(docs)]
+                with pytest.raises(ConnectionError, match="may have executed"):
+                    pipe.flush()
+            assert all(h.done for h in handles[:4])
+            assert not any(h.done for h in handles[4:])
+            # The whole batch ran before its responses were written.
+            assert [client.value(doc, "Text") for doc in docs] == \
+                [f"e{i}" for i in range(DEPTH)]
+
+
+# ---------------------------------------------------------------------------
+# No stale bytes after a reconnect (scripted peer: exact partial frames)
+# ---------------------------------------------------------------------------
+
+
+class _Wire:
+    """The scripted peer's side of one connection."""
+
+    def __init__(self, conn):
+        self.conn = conn
+        self.frames = FrameBuffer()
+        self.version = 1  # the hello exchange is always v1-framed
+
+    def next_frame(self):
+        """The next decoded frame, or None once the other side hangs up."""
+        batch = self.frames.take(1)
+        while not batch:
+            chunk = self.conn.recv(RECV_BYTES)
+            if not chunk:
+                return None
+            self.frames.feed(chunk)
+            batch = self.frames.take(1)
+        return decode_payload(self.version, batch[0])
+
+    def hello(self):
+        frame = self.next_frame()
+        self.version = max(v for v in frame["args"]["versions"] if v in (1, 2))
+        self.conn.sendall(encode_frame(result_frame(frame["id"], {
+            "version": self.version, "session": 1, "pipeline": DEPTH,
+        })))
+
+    def answer(self, frame, result):
+        return encode_result_bytes(self.version, frame["id"], result)
+
+
+class _ScriptedPeer:
+    """A listener that plays one script per accepted connection, in order."""
+
+    def __init__(self, *scripts):
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self._listener.getsockname()[1]
+        self._scripts = scripts
+        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._thread.start()
+
+    def _run(self):
+        with contextlib.suppress(OSError):
+            for script in self._scripts:
+                conn, _peer = self._listener.accept()
+                with conn, contextlib.suppress(OSError):
+                    script(_Wire(conn))
+
+    def close(self):
+        self._thread.join(timeout=10.0)
+        self._listener.close()
+        assert not self._thread.is_alive(), "a scripted connection never came"
+
+
+def _late_pong(wire):
+    wire.hello()
+    pong = wire.answer(wire.next_frame(), "pong")
+    wire.conn.sendall(pong[:3])
+    time.sleep(0.5)  # the rest arrives after the client gave up
+    wire.conn.sendall(pong[3:])
+
+
+WHOAMI = {"user": None, "session": 2}
+
+
+def _fresh_whoami(wire):
+    wire.hello()
+    wire.conn.sendall(wire.answer(wire.next_frame(), WHOAMI))
+    wire.next_frame()  # until the client hangs up
+
+
+class TestNoStaleBytes:
+    def test_batch_killed_mid_frame_resends_on_a_clean_buffer(self):
+        def dying(wire):
+            wire.hello()
+            pings = [wire.next_frame() for _ in range(3)]
+            answers = b"".join(wire.answer(ping, "pong") for ping in pings)
+            wire.conn.sendall(answers[:-5])  # 2 frames and most of a third
+
+        def healthy(wire):
+            wire.hello()
+            for _ in range(3):
+                wire.conn.sendall(wire.answer(wire.next_frame(), "pong"))
+            wire.next_frame()
+
+        peer = _ScriptedPeer(dying, healthy)
+        try:
+            with Client(port=peer.port, max_retries=2, backoff=0.01) as client:
+                pipe = client.pipeline()
+                handles = [pipe.call("ping") for _ in range(3)]
+                pipe.flush()
+                assert [h.result() for h in handles] == ["pong"] * 3
+        finally:
+            peer.close()
+
+    def test_timed_out_ping_leaves_no_late_pong_behind(self):
+        peer = _ScriptedPeer(_late_pong, _fresh_whoami)
+        try:
+            with Client(port=peer.port, max_retries=2, backoff=0.01) as client:
+                with pytest.raises(TimeoutError):
+                    client.ping(timeout=0.2)
+                assert client.whoami() == WHOAMI
+        finally:
+            peer.close()
+
+    def test_async_timed_out_ping_leaves_no_late_pong_behind(self):
+        peer = _ScriptedPeer(_late_pong, _fresh_whoami)
+
+        async def scenario():
+            client = AsyncClient(port=peer.port)
+            await client.connect()
+            with pytest.raises(TimeoutError):
+                await client.ping(timeout=0.2)
+            await client.connect()
+            try:
+                return await client.whoami()
+            finally:
+                await client.close()
+
+        try:
+            assert asyncio.run(scenario()) == WHOAMI
+        finally:
+            peer.close()
+
+
+# ---------------------------------------------------------------------------
+# Bounded receive memory
+# ---------------------------------------------------------------------------
+
+
+class TestBoundedReceiveMemory:
+    def test_flood_is_answered_in_order_within_one_refill(
+            self, handle, monkeypatch):
+        held = []
+        feed = FrameBuffer.feed
+
+        def metered(frames, data):
+            feed(frames, data)
+            if threading.current_thread().name == "repro-server":
+                held.append(len(frames))
+
+        monkeypatch.setattr(FrameBuffer, "feed", metered)
+        count = 5000
+        flood = b"".join(encode_request_bytes(2, i, "ping", {})
+                         for i in range(1, count + 1))
+        frame_size = len(flood) // count
+        assert len(flood) > RECV_BYTES  # needs more than one refill
+        with socket.create_connection(("127.0.0.1", handle.port),
+                                      timeout=30.0) as sock:
+            wire = _Wire(sock)
+            sock.sendall(
+                encode_request_bytes(1, 0, "hello", {"versions": [2]})
+            )
+            assert wire.next_frame()["result"]["version"] == 2
+            wire.version = 2
+            sender = threading.Thread(target=sock.sendall, args=(flood,))
+            sender.start()
+            answers = [wire.next_frame() for _ in range(count)]
+            sender.join(timeout=30.0)
+            assert not sender.is_alive()
+        assert [answer["id"] for answer in answers] == \
+            list(range(1, count + 1))
+        assert all(answer["result"] == "pong" for answer in answers)
+        # The server reads only when no whole frame is buffered: one
+        # refill plus (at most) one partial frame.
+        assert max(held) <= RECV_BYTES + frame_size - 1
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ check the retry classification holds for batches too.
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +35,7 @@ from repro.server import (
     wire_encode,
 )
 from repro.server.protocol import (
+    FrameBuffer,
     decode_payload,
     encode_error_bytes,
     encode_request_bytes,
@@ -121,6 +124,219 @@ class TestCodecProperties:
                 decode_payload(2, payload[:-1])
         with pytest.raises(ProtocolError):
             decode_payload(2, payload + b"\x00")  # trailing garbage
+
+
+# ---------------------------------------------------------------------------
+# The reference decoder: the method-per-read v2 reader the flat decoder
+# replaced, kept verbatim (plus tag-offset recording) as the oracle.
+# ---------------------------------------------------------------------------
+
+
+class _V2Reader:
+    """Sequential reader over one v2 frame payload."""
+
+    __slots__ = ("data", "pos")
+
+    def __init__(self, data):
+        self.data = data
+        self.pos = 0
+
+    def take(self, n):
+        end = self.pos + n
+        if end > len(self.data):
+            raise ProtocolError("truncated v2 frame")
+        chunk = self.data[self.pos:end]
+        self.pos = end
+        return chunk
+
+    def u32(self):
+        return struct.unpack(">I", self.take(4))[0]
+
+    def i64(self):
+        return struct.unpack(">q", self.take(8))[0]
+
+    def str(self):
+        try:
+            return self.take(self.u32()).decode("utf-8")
+        except UnicodeDecodeError as error:
+            raise ProtocolError(f"undecodable v2 string: {error}") from None
+
+
+def _reference_value(reader, tags):
+    tags.append(reader.pos)
+    tag = reader.take(1)
+    if tag == b"N":
+        return None
+    if tag == b"T":
+        return True
+    if tag == b"F":
+        return False
+    if tag == b"I":
+        return reader.i64()
+    if tag == b"J":
+        return int.from_bytes(reader.take(reader.u32()), "big", signed=True)
+    if tag == b"D":
+        return struct.unpack(">d", reader.take(8))[0]
+    if tag == b"S":
+        return reader.str()
+    if tag == b"B":
+        return bytes(reader.take(reader.u32()))
+    if tag == b"U":
+        number = reader.i64()
+        return UID(number, reader.str())
+    if tag == b"E":
+        return SetOf(reader.str())
+    if tag == b"L":
+        return [_reference_value(reader, tags) for _ in range(reader.u32())]
+    if tag == b"M":
+        return {reader.str(): _reference_value(reader, tags)
+                for _ in range(reader.u32())}
+    if tag == b"H":
+        pairs = []
+        for _ in range(reader.u32()):
+            key = _reference_value(reader, tags)
+            if isinstance(key, list):
+                key = tuple(key)
+            pairs.append((key, _reference_value(reader, tags)))
+        return dict(pairs)
+    raise ProtocolError(f"unknown v2 type tag {tag!r}")
+
+
+def _reference_decode(data, tags=None):
+    """The old ``decode_payload(2, data)``; *tags* collects the offset of
+    every kind and type-tag byte it read."""
+    tags = [] if tags is None else tags
+    reader = _V2Reader(data)
+    tags.append(0)
+    kind = reader.take(1)
+    request_id = reader.i64()
+    if kind == b"\x01":
+        op = reader.str()
+        frame = {"id": request_id, "op": op,
+                 "args": _reference_value(reader, tags)}
+    elif kind == b"\x02":
+        frame = {"id": request_id, "ok": True,
+                 "result": _reference_value(reader, tags)}
+    elif kind == b"\x03":
+        code = reader.str()
+        message = reader.str()
+        data_map = _reference_value(reader, tags)
+        if not isinstance(data_map, dict):
+            raise ProtocolError("v2 error data must be a map")
+        frame = {"id": request_id, "ok": False,
+                 "error": {"code": code, "message": message,
+                           "data": data_map}}
+    else:
+        raise ProtocolError(f"unknown v2 frame kind {kind!r}")
+    if reader.pos != len(data):
+        raise ProtocolError(
+            f"{len(data) - reader.pos} trailing bytes after v2 frame"
+        )
+    return frame
+
+
+_payloads = st.one_of(
+    st.builds(lambda v: encode_result_bytes(2, 7, v)[4:], _values),
+    st.builds(
+        lambda rid, op, args: encode_request_bytes(2, rid, op, args)[4:],
+        st.integers(min_value=-(2**63), max_value=2**63 - 1),
+        st.text(min_size=1, max_size=8),
+        st.dictionaries(_texts, _values, max_size=3),
+    ),
+    st.builds(
+        lambda v: encode_error_bytes(2, 9, LockConflictError(
+            "no", resource=v))[4:],
+        _values,
+    ),
+)
+
+
+class TestFlatDecoder:
+    @given(data=_payloads)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_reference_decoder(self, data):
+        assert decode_payload(2, data) == _reference_decode(data)
+
+    @given(data=_payloads)
+    @settings(max_examples=100, deadline=None)
+    def test_every_strict_prefix_is_a_protocol_error(self, data):
+        for end in range(len(data)):
+            with pytest.raises(ProtocolError):
+                decode_payload(2, data[:end])
+
+    @given(data=_payloads)
+    @settings(max_examples=100, deadline=None)
+    def test_corrupt_tag_bytes_fail_typed_or_decode(self, data):
+        tags = []
+        _reference_decode(data, tags)
+        for offset in tags:
+            for byte in b"NTFIJDSBUELMH\x00\x01\x02\x03\xff":
+                corrupt = data[:offset] + bytes([byte]) + data[offset + 1:]
+                try:
+                    frame = decode_payload(2, corrupt)
+                except ProtocolError:
+                    continue
+                assert isinstance(frame, dict) and "id" in frame
+                # Where the corruption still decodes, it decodes the way
+                # the reference does (repr: a reinterpreted float may be
+                # NaN, which equals nothing).
+                assert repr(frame) == repr(_reference_decode(corrupt))
+
+    @given(kind=st.sampled_from([1, 2, 3]), rest=st.binary(max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes_fail_typed_or_decode(self, kind, rest):
+        data = bytes([kind]) + rest
+        try:
+            frame = decode_payload(2, data)
+        except ProtocolError:
+            return
+        assert isinstance(frame, dict)
+
+    def test_absurd_nesting_is_a_protocol_error(self):
+        nested = b"\x02" + struct.pack(">q", 1) \
+            + b"L\x00\x00\x00\x01" * 100_000 + b"N"
+        with pytest.raises(ProtocolError):
+            decode_payload(2, nested)
+
+
+class TestFrameBuffer:
+    @given(
+        values=st.lists(_values, min_size=1, max_size=8),
+        cuts=st.lists(st.integers(min_value=0), max_size=12),
+        limits=st.lists(st.integers(min_value=1, max_value=4), max_size=12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_split_yields_the_same_frames(self, values, cuts, limits):
+        wire = [encode_result_bytes(2, i, v) for i, v in enumerate(values)]
+        stream = b"".join(wire)
+        bounds = sorted({cut % (len(stream) + 1) for cut in cuts})
+        chunks = [stream[a:b] for a, b in
+                  zip([0, *bounds], [*bounds, len(stream)], strict=True)]
+        frames = FrameBuffer()
+        taken = []
+        for index, chunk in enumerate(chunks):
+            frames.feed(chunk)
+            taken += frames.take(limits[index % len(limits)] if limits
+                                 else len(wire))
+        taken += frames.take(len(wire))
+        assert taken == [data[4:] for data in wire]
+        assert len(frames) == 0 and frames.take(1) == []
+
+    @given(length=st.integers(min_value=MAX_FRAME_BYTES + 1,
+                              max_value=2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_oversized_prefix_refused_with_only_its_four_bytes(self, length):
+        frames = FrameBuffer()
+        prefix = struct.pack(">I", length)
+        frames.feed(prefix[:3])
+        with pytest.raises(ProtocolError, match="exceeds"):
+            frames.feed(prefix[3:])
+        assert len(frames) == 4
+
+    def test_prefix_at_the_limit_waits_for_its_body(self):
+        frames = FrameBuffer()
+        frames.feed(struct.pack(">I", MAX_FRAME_BYTES))
+        assert frames.take(1) == [] and len(frames) == 4
 
 
 class TestFrameBoundaries:
