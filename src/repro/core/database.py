@@ -261,19 +261,28 @@ class Database:
 
         Each is an ordinary funnel call, so every hook consumer sees undo
         as plain edits (what those calls record is discarded); each
-        touched instance is persisted once at the end.
+        touched instance is persisted once at the end.  A listener that
+        raises while an inverse is announced does not stop the replay:
+        every inverse is applied, and the first such error is raised
+        once the state is whole again.
         """
         saved, self._undo = self._undo, []
         touched = {}
+        failure = None
         try:
             while len(log) > mark:
                 funnel, instance, *args = log.pop()
                 touched[instance] = None
-                funnel(instance, *args)
+                try:
+                    funnel(instance, *args)
+                except Exception as error:
+                    failure = failure or error
         finally:
             self._undo = saved
         for instance in touched:
             self.persist(instance)
+        if failure is not None:
+            raise failure
 
     @contextlib.contextmanager
     def txn_context(self, txn):

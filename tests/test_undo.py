@@ -301,6 +301,40 @@ class CommitPolicyUndoStream(DurableUndoStream):
     sync_policy = "commit"
 
 
+def test_listener_failure_during_rollback_still_restores():
+    """A refused ``set_value`` unlinks the old component before the new
+    link is refused; replaying the re-link announces ``on_link``, and a
+    listener raising there must not cut the replay short (the old
+    component would lose its reverse reference)."""
+    db = Database()
+    schema(db)
+    versions = VersionManager(db)
+    first, _ = versions.create("Design", values={"Stamp": 0})
+    taken, _ = versions.create("Design", values={"Stamp": 0})
+    db.make("Asm", values={"Stamp": 0, "Lead": taken})
+    holder = db.make("Asm", values={"Stamp": 0, "Lead": first})
+    armed = []
+
+    def fault(_parent, _spec, _child):
+        if armed:
+            armed.pop()
+            raise InjectedFault("injected on_link failure")
+
+    db.on_link.append(fault)
+    before = images(db)
+    armed.append(True)
+    try:
+        db.set_value(holder, "Lead", taken)
+    except ReproError:
+        pass
+    else:
+        raise AssertionError("an exclusive second parent was accepted")
+    assert not armed, "the replayed re-link never reached the listener"
+    assert images(db) == before
+    db.validate()
+    assert db.fsck().ok
+
+
 for machine in (DurableUndoStream, CommitPolicyUndoStream):
     machine.TestCase.settings = settings(
         max_examples=60, stateful_step_count=30, deadline=None
