@@ -58,7 +58,12 @@ machine-readable ``file``/``line`` keys in ``detail``):
     ``repro.server.protocol``.  That module owns the framing and the
     codecs; every endpoint reads the wire through ``FrameBuffer``, so a
     framing change is made once and nobody probes a stream's private
-    state.
+    state.  Outside the two wire endpoints (:data:`WIRE_ENDPOINTS`:
+    ``server/server.py`` and ``server/client.py``) it also flags
+    ``asyncio.start_server`` and ``read_frames(...)`` calls: every
+    frontend serves through ``WireServer``'s session loop and every
+    upstream reads through ``AsyncClient``, so a third listener or frame
+    reader cannot come back.
 ``CODE-JOURNAL-HOOKS``
     (error) outside ``storage/``, code attaches, detaches, or replaces
     the journal hook lists (``on_persist``, ``on_op_end``,
@@ -105,6 +110,7 @@ __all__ = [
     "MUTATION_PRIMITIVES",
     "RAW_EDIT_CALLS",
     "RULES",
+    "WIRE_ENDPOINTS",
     "WIRE_MODULE",
     "lint_package",
     "lint_paths",
@@ -153,6 +159,14 @@ JOURNAL_FORMAT_NAMES = frozenset({"JOURNAL_HEADER_SIZE", "JOURNAL_MAGIC"})
 #: The one module that may read the wire below ``FrameBuffer``.
 WIRE_MODULE = "server/protocol.py"
 
+#: The only modules that may listen (``asyncio.start_server``) or read
+#: frames off a stream (``read_frames``): the server's session loop and
+#: the clients.
+WIRE_ENDPOINTS = frozenset({"server/server.py", "server/client.py"})
+
+#: Calls that open a listener or a frame reader.
+_WIRE_ENDPOINT_CALLS = frozenset({"start_server", "read_frames"})
+
 #: Hook lists only the storage layer may attach/detach/replace.
 JOURNAL_HOOKS = frozenset({
     "on_persist", "on_op_end", "on_txn_commit", "on_txn_abort",
@@ -192,7 +206,9 @@ RULES = {
     "CODE-JOURNAL-FORMAT": "journal format internals imported outside "
                            "storage/",
     "CODE-WIRE-FORMAT": "wire framing internals used outside "
-                        "server/protocol.py",
+                        "server/protocol.py, or a listener or frame "
+                        "reader outside server/server.py and "
+                        "server/client.py",
     "CODE-JOURNAL-HOOKS": "journal hook lists rewired outside storage/",
     "CODE-HOOK-LEAK": "observer hook attached without a detach in a "
                       "close()/detach()/stop()/__exit__() or finally path",
@@ -279,6 +295,7 @@ class _FileLinter(ast.NodeVisitor):
         self.checks_edits = rel_path.startswith("core/") and rel_path != "core/instance.py"
         self.is_txn_manager_module = rel_path == "txn/manager.py"
         self.is_wire_module = rel_path == WIRE_MODULE
+        self.is_wire_endpoint = self.is_wire_module or rel_path in WIRE_ENDPOINTS
         self._class_stack: list[str] = []
         self._method: Optional[str] = None
         self._op_bracket_depth = 0
@@ -542,9 +559,19 @@ class _FileLinter(ast.NodeVisitor):
         )
 
     def _check_wire_read(self, node: ast.Call) -> None:
+        func = node.func
+        name = getattr(func, "attr", None) or getattr(func, "id", None)
+        if name in _WIRE_ENDPOINT_CALLS and not self.is_wire_endpoint:
+            self._add(
+                "CODE-WIRE-FORMAT",
+                node.lineno,
+                f"{name}() outside {' and '.join(sorted(WIRE_ENDPOINTS))}"
+                f" — serve through WireServer, read a peer through "
+                f"AsyncClient",
+                use=f"{name}()",
+            )
         if self.is_wire_module:
             return
-        func = node.func
         if isinstance(func, ast.Attribute) and func.attr == "readexactly":
             self._add_wire(node.lineno, "readexactly()")
         elif (

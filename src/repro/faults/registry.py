@@ -55,11 +55,12 @@ FAILPOINTS = {
     "server.send_frame": (
         "once per response/event frame, in order, before the batch's "
         "single write; supports error, drop, garble, delay, kill (delay, "
-        "kill and error first send the frames before it)"
+        "kill and error first send the frames before it); fires on "
+        "shard-router sessions too (server= is the router)"
     ),
     "server.recv_frame": (
         "after the server reads a request frame; supports error, drop, "
-        "kill"
+        "kill; fires on shard-router sessions too (server= is the router)"
     ),
     "client.send": "before the blocking client writes request bytes",
     "client.recv": (

@@ -267,8 +267,7 @@ class ReplicaServer:
     async def serve_forever(self):
         if self.server._server is None:
             await self.start()
-        async with self.server._server:
-            await self.server._server.serve_forever()
+        await self.server.serve_forever()
 
 
 class ReplicaThread:

@@ -700,9 +700,17 @@ class AsyncClient(_ClientCore):
         self._reader, self._writer = await asyncio.open_connection(
             self.host, self.port
         )
-        self._note_hello(await self._roundtrip("hello", self._hello_args()))
-        if self.user is not None:
-            await self._roundtrip("login", {"user": self.user})
+        try:
+            self._note_hello(
+                await self._roundtrip("hello", self._hello_args())
+            )
+            if self.user is not None:
+                await self._roundtrip("login", {"user": self.user})
+        except BaseException:
+            # A failed handshake must not leak the stream: ``async with``
+            # never reaches __aexit__ when __aenter__ raises.
+            await self.close()
+            raise
         return self
 
     async def close(self):
@@ -716,17 +724,22 @@ class AsyncClient(_ClientCore):
             self._writer = None
             self._reader = None
 
-    async def _roundtrip(self, op, args):
+    async def _exchange(self, data):
+        """Write one request frame; return the raw response payload."""
         if self._writer is None:
             raise ConnectionError("not connected; call connect() first")
-        request_id, data = self._encode_request(op, args)
         self._writer.write(data)
         await self._writer.drain()
         batch = await read_frames(self._reader, self._frames, 1)
         if not batch:
             raise ConnectionError("server closed the connection")
+        return batch[0]
+
+    async def _roundtrip(self, op, args):
+        request_id, data = self._encode_request(op, args)
+        payload = await self._exchange(data)
         return self._interpret(
-            request_id, decode_payload(self._wire_version, batch[0])
+            request_id, decode_payload(self._wire_version, payload)
         )
 
     def call(self, op, **args):

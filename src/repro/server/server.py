@@ -19,6 +19,10 @@ promotes its request, a deadlock check names its transaction the victim,
 or the wait times out.  Because the data operations themselves run on the
 single event-loop thread, the database needs no internal locking.
 
+The transport half (listener, handshake, pipelined session loop, one
+write per batch) is :class:`WireServer`; :class:`ReproServer` and the
+shard router (:mod:`repro.shard.router`) both subclass it.
+
 Metrics follow the counter style of :mod:`repro.storage.stats`: a
 :class:`ServerStats` aggregate plus per-session :class:`SessionStats`,
 both exposed over the wire through the ``stats`` op.
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import dataclasses
 import threading
 from dataclasses import dataclass
 
@@ -72,16 +77,7 @@ class SessionStats:
     deadlock_aborts: int = 0
 
     def row(self):
-        return {
-            "requests": self.requests,
-            "errors": self.errors,
-            "bytes_in": self.bytes_in,
-            "bytes_out": self.bytes_out,
-            "lock_waits": self.lock_waits,
-            "commits": self.commits,
-            "aborts": self.aborts,
-            "deadlock_aborts": self.deadlock_aborts,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -103,21 +99,7 @@ class ServerStats:
     pipelined_requests: int = 0
 
     def row(self):
-        return {
-            "sessions_opened": self.sessions_opened,
-            "sessions_closed": self.sessions_closed,
-            "requests": self.requests,
-            "errors": self.errors,
-            "bytes_in": self.bytes_in,
-            "bytes_out": self.bytes_out,
-            "lock_waits": self.lock_waits,
-            "commits": self.commits,
-            "aborts": self.aborts,
-            "deadlock_aborts": self.deadlock_aborts,
-            "lock_timeouts": self.lock_timeouts,
-            "pipelined_batches": self.pipelined_batches,
-            "pipelined_requests": self.pipelined_requests,
-        }
+        return dataclasses.asdict(self)
 
 
 class GroupCommitGate:
@@ -484,7 +466,313 @@ class Session:
         self.txn = None
 
 
-class ReproServer:
+class Preframed:
+    """A handler result that is already a whole response frame (request
+    id and length prefix included): the session loop writes it verbatim.
+    The shard router's raw relay answers with these."""
+
+    __slots__ = ("data",)
+
+    def __init__(self, data):
+        self.data = data
+
+
+class WireServer:
+    """The transport half of a wire frontend: one listener, one session
+    loop.
+
+    Accepts connections, runs the ``hello`` handshake, then serves each
+    connection's requests in pipelined batches (decode,
+    ``server.recv_frame``, ``check_request``, the frontend's handler,
+    encode) and answers each batch with one write.  A subclass supplies:
+
+    * :attr:`name` and :meth:`_hello_fields` for the handshake;
+    * ``_open_session(session_id, peer)`` and the coroutine
+      ``_close_session(session)``: its session type (carrying
+      ``session_id``, ``protocol_version``, ``stats``, ``defer_sync`` and
+      ``sync_pending``) and its disconnect cleanup;
+    * ``_request(session, op, args, raw)``: the awaitable answering one
+      checked request (*raw* is its undecoded payload) with a result
+      value or a :class:`Preframed` response;
+    * ``self.stats``, with the session, request, error, byte and
+      pipelining counters the loop keeps;
+    * ``durability_barrier()``, if its sessions ever set
+      ``sync_pending``.
+    """
+
+    #: Names the frontend in the hello response (``<name>/<version>``).
+    name = "repro"
+
+    def __init__(self, host="127.0.0.1", port=0, max_pipeline=64):
+        self.host = host
+        self.port = port
+        self.max_pipeline = max(1, int(max_pipeline))
+        self._server = None
+        #: session_id -> (session, writer) for every open connection.
+        self._sessions = {}
+        self._conn_tasks = set()
+        self._next_session = 0
+
+    def _hello_fields(self):
+        """Extra fields for the hello response."""
+        return {}
+
+    # -- lifecycle --------------------------------------------------------
+
+    async def start(self):
+        """Bind and start accepting connections."""
+        self._server = await asyncio.start_server(
+            self._handle_connection, self.host, self.port
+        )
+        self.port = self._server.sockets[0].getsockname()[1]
+        return self
+
+    async def stop(self):
+        """Stop accepting, then cancel every connection task; each one
+        closes its own session on the way out."""
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+            self._server = None
+        tasks = [task for task in self._conn_tasks if not task.done()]
+        for task in tasks:
+            task.cancel()
+        for task in tasks:
+            with contextlib.suppress(asyncio.CancelledError, Exception):
+                await task
+        self._conn_tasks.clear()
+
+    async def serve_forever(self):
+        """Run until cancelled."""
+        if self._server is None:
+            await self.start()
+        async with self._server:
+            await self._server.serve_forever()
+
+    # -- connection handling ----------------------------------------------
+
+    async def _handle_connection(self, reader, writer):
+        # Absorb the shutdown cancellation at the task boundary: asyncio's
+        # stream-server bookkeeping calls task.exception() on completion,
+        # which blows up on tasks that finish cancelled.
+        try:
+            await self._connection(reader, writer)
+        except asyncio.CancelledError:
+            pass
+
+    async def _connection(self, reader, writer):
+        self._conn_tasks.add(asyncio.current_task())
+        self._next_session += 1
+        session = self._open_session(
+            self._next_session, writer.get_extra_info("peername")
+        )
+        self._sessions[session.session_id] = (session, writer)
+        self.stats.sessions_opened += 1
+        frames = FrameBuffer()
+        try:
+            if not await self._handshake(session, reader, writer, frames):
+                return
+            await self._serve_session(session, reader, writer, frames)
+        except ProtocolError as error:
+            # Corrupt stream: report once (best effort), then hang up.
+            with contextlib.suppress(Exception):
+                await self._write_frames(session, writer, [
+                    encode_error_bytes(session.protocol_version, 0, error)
+                ])
+        except OSError:
+            # Broken peer or injected socket fault: tear the session
+            # down below.  OSError (not just ConnectionError) so an
+            # armed failpoint's InjectedFault lands here too.
+            pass
+        finally:
+            await self._close_session(session)
+            self._sessions.pop(session.session_id, None)
+            self.stats.sessions_closed += 1
+            writer.close()
+            with contextlib.suppress(Exception):
+                await writer.wait_closed()
+            self._conn_tasks.discard(asyncio.current_task())
+
+    async def _read(self, session, reader, frames, limit):
+        """Up to *limit* request payloads, metered as ``4 + len(payload)``
+        wire bytes each; ``[]`` at a clean EOF."""
+        batch = await read_frames(reader, frames, limit)
+        size = 4 * len(batch) + sum(map(len, batch))
+        session.stats.bytes_in += size
+        self.stats.bytes_in += size
+        return batch
+
+    async def _handshake(self, session, reader, writer, frames):
+        batch = await self._read(session, reader, frames, 1)
+        if not batch:
+            return False
+        frame = decode_frame(batch[0])
+        try:
+            request_id, op, args = check_request(frame)
+            if op != "hello":
+                raise ProtocolError("first request must be 'hello'")
+            offered = args.get("versions")
+            if not isinstance(offered, list) or not offered:
+                raise ProtocolError("'hello' must offer a list of versions")
+            common = [v for v in SUPPORTED_VERSIONS if v in offered]
+            if not common:
+                raise ProtocolError(
+                    f"no common protocol version: client speaks {offered}, "
+                    f"server speaks {list(SUPPORTED_VERSIONS)}"
+                )
+        except ProtocolError as error:
+            await self._write_frames(session, writer, [
+                encode_frame(error_frame(frame.get("id", 0), error))
+            ])
+            return False
+        session.protocol_version = common[0]
+        from .. import __version__
+
+        # The hello response is always v1-framed; both sides switch to
+        # the negotiated version for every frame after it.
+        await self._write_frames(session, writer, [
+            encode_frame(result_frame(request_id, {
+                "version": common[0],
+                "server": f"{self.name}/{__version__}",
+                "session": session.session_id,
+                "pipeline": self.max_pipeline,
+                **self._hello_fields(),
+            }))
+        ])
+        return True
+
+    async def _serve_session(self, session, reader, writer, frames):
+        version = session.protocol_version
+        while True:
+            # Pipelining: every request the client already queued is one
+            # batch — the socket is read only when no complete frame is
+            # buffered, never waiting for bytes that have not arrived —
+            # executed strictly in order, and answered with one write
+            # and one shared durability barrier.
+            batch = await self._read(
+                session, reader, frames, self.max_pipeline
+            )
+            if not batch:
+                return
+            if len(batch) > 1:
+                self.stats.pipelined_batches += 1
+                self.stats.pipelined_requests += len(batch)
+            session.defer_sync = len(batch) > 1
+            try:
+                responses = await self._serve_batch(session, version, batch)
+            finally:
+                session.defer_sync = False
+            await self._write_frames(
+                session, writer, [data for data, _sync, _rid in responses]
+            )
+
+    async def _serve_batch(self, session, version, batch):
+        """Execute one batch of raw request frames, in order.
+
+        Returns the encoded responses as ``(wire bytes, needs_sync)``
+        pairs.  When any request in the batch committed under the group
+        sync policy, the single shared durability barrier runs *before*
+        returning — and if that fsync fails, every acknowledgement that
+        depended on it is replaced by the typed storage error (a commit
+        must never be acked and then lost).
+        """
+        responses = []
+        for raw in batch:
+            frame = decode_payload(version, raw)
+            directive = _fire(
+                "server.recv_frame", server=self, session=session,
+                frame=frame,
+            )
+            if directive == "drop":
+                continue  # lost request: the client times out, not us
+            if directive == "kill":
+                raise ConnectionError("connection killed by failpoint")
+            self.stats.requests += 1
+            session.stats.requests += 1
+            try:
+                request_id, op, args = check_request(
+                    frame, decoded=version == 2
+                )
+            except ProtocolError as error:
+                session.stats.errors += 1
+                self.stats.errors += 1
+                bad_id = frame.get("id")
+                if not isinstance(bad_id, int) or isinstance(bad_id, bool):
+                    bad_id = 0
+                responses.append(
+                    (encode_error_bytes(version, bad_id, error), False,
+                     bad_id)
+                )
+                continue
+            session.sync_pending = False
+            try:
+                result = await self._request(session, op, args, raw)
+                if isinstance(result, Preframed):
+                    response = result.data
+                else:
+                    response = encode_result_bytes(
+                        version, request_id, result
+                    )
+            except Exception as error:
+                session.stats.errors += 1
+                self.stats.errors += 1
+                response = encode_error_bytes(version, request_id, error)
+            responses.append((response, session.sync_pending, request_id))
+        if any(needs_sync for _, needs_sync, _ in responses):
+            try:
+                await self.durability_barrier()
+            except StorageError as error:
+                responses = [
+                    (encode_error_bytes(version, rid, error), False, rid)
+                    if needs_sync else (data, needs_sync, rid)
+                    for data, needs_sync, rid in responses
+                ]
+        return responses
+
+    async def _write_frames(self, session, writer, frames):
+        """Send *frames* (wire bytes) with one ``write`` and one ``drain``.
+
+        ``server.send_frame`` still fires once per frame, in order:
+        ``drop`` leaves the frame out and ``garble`` corrupts it, while
+        ``delay``, ``kill`` and an injected error first send the frames
+        before it, then sleep or tear the connection down.
+        """
+        out = []
+        try:
+            for data in frames:
+                directive = _fire(
+                    "server.send_frame", server=self, session=session,
+                    payload=data,
+                )
+                if directive == "drop":
+                    continue
+                if directive == "kill":
+                    raise ConnectionError("connection killed by failpoint")
+                if directive == "garble":
+                    # Flip bits in the body but keep the length prefix
+                    # honest: the client reads a full frame of garbage
+                    # and must fail with a typed ProtocolError, not hang
+                    # on a short read.
+                    data = data[:4] + bytes(byte ^ 0x5A for byte in data[4:])
+                elif isinstance(directive, tuple) and directive[0] == "delay":
+                    self._write(session, writer, out)
+                    out = []
+                    await writer.drain()
+                    await asyncio.sleep(directive[1])
+                out.append(data)
+        finally:
+            self._write(session, writer, out)
+        await writer.drain()
+
+    def _write(self, session, writer, frames):
+        if frames:
+            data = b"".join(frames)
+            writer.write(data)
+            session.stats.bytes_out += len(data)
+            self.stats.bytes_out += len(data)
+
+
+class ReproServer(WireServer):
     """A TCP server multiplexing clients onto one :class:`repro.Database`.
 
     Parameters
@@ -561,9 +849,8 @@ class ReproServer:
                  lockdep=True, record_history=None, shard_info=None,
                  coord_log=None, max_pipeline=64, image_cache_capacity=1024,
                  mvcc=True, max_versions=16):
+        super().__init__(host, port, max_pipeline)
         self.db = database if database is not None else Database()
-        self.host = host
-        self.port = port
         self.auth = auth
         self.shard_info = tuple(shard_info) if shard_info else None
         self.coord_log = coord_log
@@ -605,7 +892,6 @@ class ReproServer:
             path = (None if record_history is True
                     else str(record_history))
             self.history = HistoryRecorder(self.db, path=path)
-        self.max_pipeline = max(1, int(max_pipeline))
         self.journal = getattr(self.db, "journal", None)
         self.image_cache = None
         if self.journal is not None and image_cache_capacity > 0:
@@ -620,15 +906,22 @@ class ReproServer:
         #: Optional override for the rejection message (a read replica
         #: sets this — see :mod:`repro.mvcc.replica`).
         self.read_only_reason = None
-        self._server = None
-        self._sessions = {}
         self.gate = None
         if self.journal is not None and self.journal.sync_policy == "group":
             self.gate = GroupCommitGate(
                 self.journal, self._sessions, window=group_commit_window
             )
-        self._conn_tasks = set()
-        self._next_session = 0
+
+    # -- session hooks ----------------------------------------------------
+
+    def _open_session(self, session_id, peer):
+        return Session(self, session_id, peer)
+
+    async def _close_session(self, session):
+        session.close()
+
+    def _request(self, session, op, args, raw):
+        return dispatch(session, op, args)
 
     # -- transaction completion (single funnel so waiters always wake) ----
 
@@ -732,16 +1025,6 @@ class ReproServer:
                 self._note_journal_failure()
                 raise
 
-    # -- lifecycle --------------------------------------------------------
-
-    async def start(self):
-        """Bind and start accepting connections."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self
-
     async def stop(self):
         """Graceful shutdown: stop accepting, abort and drop sessions.
 
@@ -755,16 +1038,7 @@ class ReproServer:
             with contextlib.suppress(asyncio.CancelledError, Exception):
                 await self._parked_task
             self._parked_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for session, writer in list(self._sessions.values()):
-            session.close()
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-        self._sessions.clear()
+        await super().stop()
         if self.history is not None:
             self.history.close()
         if self._owns_snapshots and self.snapshots is not None:
@@ -773,22 +1047,6 @@ class ReproServer:
             self.snapshots.close()
             self.snapshots = None
             self._owns_snapshots = False
-        self.locks.wake()
-        # Reap the per-connection tasks so nothing is left mid-await.
-        tasks = [task for task in self._conn_tasks if not task.done()]
-        for task in tasks:
-            task.cancel()
-        for task in tasks:
-            with contextlib.suppress(asyncio.CancelledError, Exception):
-                await task
-        self._conn_tasks.clear()
-
-    async def serve_forever(self):
-        """Run until cancelled (the ``repro-server`` entry point)."""
-        if self._server is None:
-            await self.start()
-        async with self._server:
-            await self._server.serve_forever()
 
     # -- stats ------------------------------------------------------------
 
@@ -837,222 +1095,6 @@ class ReproServer:
         if session is not None:
             payload["session"] = session.stats.row()
         return payload
-
-    # -- connection handling ----------------------------------------------
-
-    async def _handle_connection(self, reader, writer):
-        # Absorb the shutdown cancellation at the task boundary: asyncio's
-        # stream-server bookkeeping calls task.exception() on completion,
-        # which blows up on tasks that finish cancelled.
-        try:
-            await self._connection(reader, writer)
-        except asyncio.CancelledError:
-            pass
-
-    async def _connection(self, reader, writer):
-        self._conn_tasks.add(asyncio.current_task())
-        self._next_session += 1
-        session = Session(
-            self, self._next_session, writer.get_extra_info("peername")
-        )
-        self._sessions[session.session_id] = (session, writer)
-        self.stats.sessions_opened += 1
-        frames = FrameBuffer()
-        try:
-            if not await self._handshake(session, reader, writer, frames):
-                return
-            await self._serve_session(session, reader, writer, frames)
-        except ProtocolError as error:
-            # Corrupt stream: report once (best effort), then hang up.
-            with contextlib.suppress(Exception):
-                await self._write_frames(session, writer, [
-                    encode_error_bytes(session.protocol_version, 0, error)
-                ])
-        except OSError:
-            # Broken peer or injected socket fault: tear the session
-            # down below.  OSError (not just ConnectionError) so an
-            # armed failpoint's InjectedFault lands here too.
-            pass
-        finally:
-            session.close()
-            self._sessions.pop(session.session_id, None)
-            self.stats.sessions_closed += 1
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-            self._conn_tasks.discard(asyncio.current_task())
-
-    async def _read(self, session, reader, frames, limit):
-        """Up to *limit* request payloads, metered as ``4 + len(payload)``
-        wire bytes each; ``[]`` at a clean EOF."""
-        batch = await read_frames(reader, frames, limit)
-        size = 4 * len(batch) + sum(map(len, batch))
-        session.stats.bytes_in += size
-        self.stats.bytes_in += size
-        return batch
-
-    async def _handshake(self, session, reader, writer, frames):
-        batch = await self._read(session, reader, frames, 1)
-        if not batch:
-            return False
-        frame = decode_frame(batch[0])
-        try:
-            request_id, op, args = check_request(frame)
-            if op != "hello":
-                raise ProtocolError("first request must be 'hello'")
-            offered = args.get("versions")
-            if not isinstance(offered, list) or not offered:
-                raise ProtocolError("'hello' must offer a list of versions")
-            common = [v for v in SUPPORTED_VERSIONS if v in offered]
-            if not common:
-                raise ProtocolError(
-                    f"no common protocol version: client speaks {offered}, "
-                    f"server speaks {list(SUPPORTED_VERSIONS)}"
-                )
-        except ProtocolError as error:
-            await self._write_frames(session, writer, [
-                encode_frame(error_frame(frame.get("id", 0), error))
-            ])
-            return False
-        session.protocol_version = common[0]
-        from .. import __version__
-
-        # The hello response is always v1-framed; both sides switch to
-        # the negotiated version for every frame after it.
-        await self._write_frames(session, writer, [
-            encode_frame(result_frame(request_id, {
-                "version": common[0],
-                "server": f"repro/{__version__}",
-                "session": session.session_id,
-                "pipeline": self.max_pipeline,
-            }))
-        ])
-        return True
-
-    async def _serve_session(self, session, reader, writer, frames):
-        version = session.protocol_version
-        while True:
-            # Pipelining: every request the client already queued is one
-            # batch — the socket is read only when no complete frame is
-            # buffered, never waiting for bytes that have not arrived —
-            # executed strictly in order, and answered with one write
-            # and one shared durability barrier.
-            batch = await self._read(
-                session, reader, frames, self.max_pipeline
-            )
-            if not batch:
-                return
-            if len(batch) > 1:
-                self.stats.pipelined_batches += 1
-                self.stats.pipelined_requests += len(batch)
-            session.defer_sync = len(batch) > 1
-            try:
-                responses = await self._serve_batch(session, version, batch)
-            finally:
-                session.defer_sync = False
-            await self._write_frames(
-                session, writer, [data for data, _sync, _rid in responses]
-            )
-
-    async def _serve_batch(self, session, version, batch):
-        """Execute one batch of raw request frames, in order.
-
-        Returns the encoded responses as ``(wire bytes, needs_sync)``
-        pairs.  When any request in the batch committed under the group
-        sync policy, the single shared durability barrier runs *before*
-        returning — and if that fsync fails, every acknowledgement that
-        depended on it is replaced by the typed storage error (a commit
-        must never be acked and then lost).
-        """
-        responses = []
-        for raw in batch:
-            frame = decode_payload(version, raw)
-            directive = _fire(
-                "server.recv_frame", server=self, session=session,
-                frame=frame,
-            )
-            if directive == "drop":
-                continue  # lost request: the client times out, not us
-            if directive == "kill":
-                raise ConnectionError("connection killed by failpoint")
-            self.stats.requests += 1
-            session.stats.requests += 1
-            try:
-                request_id, op, args = check_request(
-                    frame, decoded=version == 2
-                )
-            except ProtocolError as error:
-                session.stats.errors += 1
-                self.stats.errors += 1
-                bad_id = frame.get("id")
-                if not isinstance(bad_id, int) or isinstance(bad_id, bool):
-                    bad_id = 0
-                responses.append(
-                    (encode_error_bytes(version, bad_id, error), False,
-                     bad_id)
-                )
-                continue
-            session.sync_pending = False
-            try:
-                result = await dispatch(session, op, args)
-                response = encode_result_bytes(version, request_id, result)
-            except Exception as error:
-                session.stats.errors += 1
-                self.stats.errors += 1
-                response = encode_error_bytes(version, request_id, error)
-            responses.append((response, session.sync_pending, request_id))
-        if any(needs_sync for _, needs_sync, _ in responses):
-            try:
-                await self.durability_barrier()
-            except StorageError as error:
-                responses = [
-                    (encode_error_bytes(version, rid, error), False, rid)
-                    if needs_sync else (data, needs_sync, rid)
-                    for data, needs_sync, rid in responses
-                ]
-        return responses
-
-    async def _write_frames(self, session, writer, frames):
-        """Send *frames* (wire bytes) with one ``write`` and one ``drain``.
-
-        ``server.send_frame`` still fires once per frame, in order:
-        ``drop`` leaves the frame out and ``garble`` corrupts it, while
-        ``delay``, ``kill`` and an injected error first send the frames
-        before it, then sleep or tear the connection down.
-        """
-        out = []
-        try:
-            for data in frames:
-                directive = _fire(
-                    "server.send_frame", server=self, session=session,
-                    payload=data,
-                )
-                if directive == "drop":
-                    continue
-                if directive == "kill":
-                    raise ConnectionError("connection killed by failpoint")
-                if directive == "garble":
-                    # Flip bits in the body but keep the length prefix
-                    # honest: the client reads a full frame of garbage
-                    # and must fail with a typed ProtocolError, not hang
-                    # on a short read.
-                    data = data[:4] + bytes(byte ^ 0x5A for byte in data[4:])
-                elif isinstance(directive, tuple) and directive[0] == "delay":
-                    self._write(session, writer, out)
-                    out = []
-                    await writer.drain()
-                    await asyncio.sleep(directive[1])
-                out.append(data)
-        finally:
-            self._write(session, writer, out)
-        await writer.drain()
-
-    def _write(self, session, writer, frames):
-        if frames:
-            data = b"".join(frames)
-            writer.write(data)
-            session.stats.bytes_out += len(data)
-            self.stats.bytes_out += len(data)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import dataclasses
 import itertools
 import uuid
 from dataclasses import dataclass
@@ -63,26 +64,15 @@ from ..errors import (
     ShardUnavailableError,
     TransactionStateError,
 )
-from ..server.client import RETRYABLE_OPS
+from ..server.client import RETRYABLE_OPS, AsyncClient
 from ..server.protocol import (
     SUPPORTED_VERSIONS,
-    FrameBuffer,
     ProtocolError,
-    build_error,
-    check_request,
-    decode_frame,
     decode_payload,
-    encode_error_bytes,
-    encode_frame,
-    encode_request_bytes,
-    encode_result_bytes,
-    error_frame,
     frame_bytes,
     is_error_payload,
-    read_frames,
-    result_frame,
-    wire_decode,
 )
+from ..server.server import Preframed, SessionStats, WireServer
 from .placement import Manifest, make_policy, read_endpoint, shard_of_uid
 from .twopc import CoordinatorLog, fire_or_die
 
@@ -125,14 +115,6 @@ ROUTER_LOCAL_OPS = frozenset(
 TWOPC_INTERNAL_OPS = frozenset({"prepare", "decide", "indoubt"})
 REJECTED_OPS = TWOPC_INTERNAL_OPS | {"query"}
 
-class _RawResult:
-    """Marker: this response is pre-encoded payload bytes — write them
-    to the client verbatim instead of building a result frame."""
-
-    __slots__ = ("payload",)
-
-    def __init__(self, payload):
-        self.payload = payload
 
 
 def _uids_in(value):
@@ -173,27 +155,16 @@ class RouterStats:
     upstream_connects: int = 0
     retried_reads: int = 0
     raw_relays: int = 0
+    bytes_in: int = 0
+    bytes_out: int = 0
+    pipelined_batches: int = 0
+    pipelined_requests: int = 0
 
     def row(self):
-        return {
-            "sessions_opened": self.sessions_opened,
-            "sessions_closed": self.sessions_closed,
-            "requests": self.requests,
-            "errors": self.errors,
-            "relays": self.relays,
-            "broadcasts": self.broadcasts,
-            "scatters": self.scatters,
-            "trivial_commits": self.trivial_commits,
-            "fast_commits": self.fast_commits,
-            "twopc_commits": self.twopc_commits,
-            "twopc_aborts": self.twopc_aborts,
-            "upstream_connects": self.upstream_connects,
-            "retried_reads": self.retried_reads,
-            "raw_relays": self.raw_relays,
-        }
+        return dataclasses.asdict(self)
 
 
-class _Upstream:
+class _Upstream(AsyncClient):
     """One dedicated connection from one router session to one shard.
 
     Dedicated means sequential: the session's ops relay one at a time,
@@ -201,54 +172,8 @@ class _Upstream:
     (user, open transaction) belongs to exactly one client.
     """
 
-    def __init__(self, shard_id, reader, writer):
-        self.shard_id = shard_id
-        self.reader = reader
-        self.writer = writer
-        self.frames = FrameBuffer()
-        #: Negotiated framing.  The ``hello`` exchange itself is always
-        #: v1-framed (see protocol.py); :meth:`ShardRouter._connect`
-        #: bumps this to whatever the worker granted.
-        self.version = 1
-        self._ids = itertools.count(1)
-
-    async def _exchange(self, data):
-        """Write one request frame; return the raw response payload."""
-        self.writer.write(data)
-        await self.writer.drain()
-        batch = await read_frames(self.reader, self.frames, 1)
-        if not batch:
-            raise ConnectionError(
-                f"shard {self.shard_id} closed the connection"
-            )
-        return batch[0]
-
-    async def roundtrip(self, op, args=None):
-        """Send one request; return the decoded response frame."""
-        request_id = next(self._ids)
-        payload = await self._exchange(
-            encode_request_bytes(self.version, request_id, op, args or {})
-        )
-        response = decode_payload(self.version, payload)
-        if response.get("id") != request_id:
-            raise ProtocolError(
-                f"shard {self.shard_id} answered id {response.get('id')!r} "
-                f"to request {request_id}"
-            )
-        return response
-
-    async def call(self, op, args=None):
-        """One request/response; raises the worker's typed error."""
-        response = await self.roundtrip(op, args)
-        if response.get("ok"):
-            result = response.get("result")
-            # v2 payloads decode straight to rich values; v1 results
-            # still carry their JSON $-tags.
-            return result if self.version == 2 else wire_decode(result)
-        raise build_error(response.get("error") or {})
-
     async def relay_raw(self, raw):
-        """Forward a client's raw request frame verbatim; return the raw
+        """Forward a client's raw request payload verbatim; return the raw
         response payload.
 
         This is the relay fast path: the worker's response carries the
@@ -264,16 +189,9 @@ class _Upstream:
         exceptions as the slow path.
         """
         payload = await self._exchange(frame_bytes(raw))
-        if is_error_payload(self.version, payload):
-            response = decode_payload(self.version, payload)
-            if not response.get("ok"):
-                raise build_error(response.get("error") or {})
+        if is_error_payload(self.protocol_version, payload):
+            self._frame_result(decode_payload(self.protocol_version, payload))
         return payload
-
-    async def close(self):
-        self.writer.close()
-        with contextlib.suppress(Exception):
-            await self.writer.wait_closed()
 
 
 class _RouterSession:
@@ -286,7 +204,12 @@ class _RouterSession:
         #: Framing negotiated with the client; upstream connections for
         #: this session are pinned to the same version so the raw-frame
         #: fast path can splice payloads through untouched.
-        self.version = 1
+        self.protocol_version = 1
+        self.stats = SessionStats()
+        #: The session loop's durability flags; routing never sets
+        #: ``sync_pending`` (each worker acks its own commits durably).
+        self.defer_sync = False
+        self.sync_pending = False
         #: shard_id -> _Upstream, opened lazily.
         self.upstreams = {}
         self.in_txn = False
@@ -295,8 +218,8 @@ class _RouterSession:
         self.touched = set()
 
 
-class ShardRouter:
-    """Route the wire protocol across a cluster's shard workers.
+class ShardRouter(WireServer):
+    """A :class:`WireServer` routing each request to the shard workers.
 
     Parameters
     ----------
@@ -314,15 +237,16 @@ class ShardRouter:
         unavailable.  Covers a worker mid-restart.
     """
 
+    name = "repro-router"
+
     def __init__(self, root, host="127.0.0.1", port=0, manifest=None,
                  connect_timeout=10.0):
+        super().__init__(host, port)
         self.root = Path(root)
         self.manifest = (
             manifest if manifest is not None else Manifest.load(self.root)
         )
         self.shards = self.manifest.shards
-        self.host = host
-        self.port = port
         self.connect_timeout = connect_timeout
         self.coord = CoordinatorLog.in_root(self.root)
         self.policy = make_policy(self.manifest.policy, self.shards)
@@ -336,39 +260,13 @@ class ShardRouter:
         #: lazily from ``describe`` (covers schema that predates this
         #: router) and invalidated when a ``make_class`` passes through.
         self._composite_attrs = {}
-        self._server = None
-        self._conn_tasks = set()
-        self._next_session = 0
 
     # -- lifecycle --------------------------------------------------------
 
     async def start(self):
         """Reconcile leftover 2PC state, then bind and accept clients."""
         await self.reconcile()
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self
-
-    async def stop(self):
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        tasks = [task for task in self._conn_tasks if not task.done()]
-        for task in tasks:
-            task.cancel()
-        for task in tasks:
-            with contextlib.suppress(asyncio.CancelledError, Exception):
-                await task
-        self._conn_tasks.clear()
-
-    async def serve_forever(self):
-        if self._server is None:
-            await self.start()
-        async with self._server:
-            await self._server.serve_forever()
+        return await super().start()
 
     async def reconcile(self):
         """Resolve transactions a previous coordinator left in doubt.
@@ -399,7 +297,7 @@ class ShardRouter:
                         decisions[gtid] = outcome = "abort"
                     with contextlib.suppress(Exception):
                         await upstream.call(
-                            "decide", {"gtid": gtid, "outcome": outcome}
+                            "decide", gtid=gtid, outcome=outcome
                         )
             except (ConnectionError, OSError, ProtocolError):
                 continue
@@ -429,18 +327,11 @@ class ShardRouter:
             endpoint = read_endpoint(directory)
             if endpoint is not None:
                 try:
-                    reader, writer = await asyncio.open_connection(
-                        endpoint["host"], endpoint["port"]
-                    )
-                    upstream = _Upstream(shard_id, reader, writer)
-                    granted = await upstream.call("hello", {
-                        "versions": [version] if version is not None
-                        else list(SUPPORTED_VERSIONS),
-                        "client": "repro-router",
-                    })
-                    upstream.version = granted["version"]
-                    if user is not None:
-                        await upstream.call("login", {"user": user})
+                    upstream = await _Upstream(
+                        endpoint["host"], endpoint["port"], user=user,
+                        versions=SUPPORTED_VERSIONS if version is None
+                        else [version],
+                    ).connect()
                     self.stats.upstream_connects += 1
                     return upstream
                 except (ConnectionError, OSError, ProtocolError) as error:
@@ -456,7 +347,7 @@ class ShardRouter:
         upstream = sess.upstreams.get(shard_id)
         if upstream is None:
             upstream = await self._connect(
-                shard_id, user=sess.user, version=sess.version
+                shard_id, user=sess.user, version=sess.protocol_version
             )
             sess.upstreams[shard_id] = upstream
         return upstream
@@ -518,6 +409,9 @@ class ShardRouter:
             self._check_colocated(op, args, shard_id)
             return await self._relay(sess, shard_id, op, args, raw=raw)
         raise ProtocolError(f"unknown op {op!r}")
+
+    #: The session loop's per-request handler.
+    _request = _route
 
     def _shard_of_arg(self, op, args, name):
         value = args.get(name)
@@ -611,7 +505,7 @@ class ShardRouter:
             upstream = await self._connect(0, quick=True)
             try:
                 described = await upstream.call(
-                    "describe", {"class_name": class_name}
+                    "describe", class_name=class_name
                 )
             finally:
                 await upstream.close()
@@ -629,16 +523,17 @@ class ShardRouter:
         go through verbatim, decoded call otherwise."""
         if raw is not None:
             self.stats.raw_relays += 1
-            return _RawResult(await upstream.relay_raw(raw))
-        return await upstream.call(op, args)
+            return Preframed(frame_bytes(await upstream.relay_raw(raw)))
+        return await upstream.call(op, **args)
 
     async def _relay(self, sess, shard_id, op, args, raw=None):
         """Forward one op to *shard_id* and return its result.
 
         With *raw* (the client's undecoded request frame) the exchange
         is a byte splice — see :meth:`_Upstream.relay_raw` — and the
-        return value is a :class:`_RawResult`; internal callers
-        (broadcast, scatter, commit) omit *raw* and get decoded results.
+        return value is a :class:`Preframed` response frame; internal
+        callers (broadcast, scatter, commit) omit *raw* and get decoded
+        results.
 
         Inside an explicit transaction the shard is enlisted first (a
         lazy upstream ``begin``).  A deadlock abort on one shard has
@@ -696,7 +591,7 @@ class ShardRouter:
         sess.user = user
         for shard_id in sorted(sess.upstreams):
             with contextlib.suppress(ConnectionError, OSError):
-                await sess.upstreams[shard_id].call("login", {"user": user})
+                await sess.upstreams[shard_id].call("login", user=user)
         return {"user": user}
 
     async def _broadcast(self, sess, op, args):
@@ -840,7 +735,7 @@ class ShardRouter:
             try:
                 if upstream is None:
                     raise _unavailable(shard_id, note="upstream lost")
-                result = await upstream.call("prepare", {"gtid": gtid})
+                result = await upstream.call("prepare", gtid=gtid)
                 votes[shard_id] = result.get("vote", "yes")
             except (ConnectionError, OSError) as error:
                 await self._drop_upstream(sess, shard_id)
@@ -870,7 +765,7 @@ class ShardRouter:
             try:
                 if shard_id in votes:
                     await upstream.call(
-                        "decide", {"gtid": gtid, "outcome": outcome}
+                        "decide", gtid=gtid, outcome=outcome
                     )
                 else:
                     # Never voted, so never prepared: a plain abort
@@ -882,112 +777,13 @@ class ShardRouter:
             raise cause
         return {"txn": gtid, "shards": touched, "mode": "2pc"}
 
-    # -- connection handling ----------------------------------------------
+    # -- session hooks ----------------------------------------------------
 
-    async def _handle(self, reader, writer):
-        try:
-            await self._connection(reader, writer)
-        except asyncio.CancelledError:
-            pass
+    def _open_session(self, session_id, peer):
+        return _RouterSession(session_id, peer)
 
-    async def _connection(self, reader, writer):
-        self._conn_tasks.add(asyncio.current_task())
-        self._next_session += 1
-        sess = _RouterSession(
-            self._next_session, writer.get_extra_info("peername")
-        )
-        self.stats.sessions_opened += 1
-        frames = FrameBuffer()
-        try:
-            if not await self._handshake(sess, reader, writer, frames):
-                return
-            await self._serve_session(sess, reader, writer, frames)
-        except ProtocolError as error:
-            with contextlib.suppress(Exception):
-                writer.write(encode_error_bytes(sess.version, 0, error))
-                await writer.drain()
-        except OSError:
-            pass
-        finally:
-            await self._close_session(sess)
-            self.stats.sessions_closed += 1
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-            self._conn_tasks.discard(asyncio.current_task())
-
-    async def _handshake(self, sess, reader, writer, frames):
-        batch = await read_frames(reader, frames, 1)
-        if not batch:
-            return False
-        frame = decode_frame(batch[0])
-        try:
-            request_id, op, args = check_request(frame)
-            if op != "hello":
-                raise ProtocolError("first request must be 'hello'")
-            offered = args.get("versions")
-            if not isinstance(offered, list) or not offered:
-                raise ProtocolError("'hello' must offer a list of versions")
-            common = [v for v in SUPPORTED_VERSIONS if v in offered]
-            if not common:
-                raise ProtocolError(
-                    f"no common protocol version: client speaks {offered}, "
-                    f"router speaks {list(SUPPORTED_VERSIONS)}"
-                )
-        except ProtocolError as error:
-            writer.write(encode_frame(error_frame(frame.get("id", 0), error)))
-            await writer.drain()
-            return False
-        from .. import __version__
-
-        sess.version = common[0]
-        # The hello response is always v1-framed — the client only
-        # switches codecs after reading the granted version from it.
-        writer.write(encode_frame(result_frame(request_id, {
-            "version": common[0],
-            "server": f"repro-router/{__version__}",
-            "session": sess.session_id,
-            "shards": self.shards,
-        })))
-        await writer.drain()
-        return True
-
-    async def _serve_session(self, sess, reader, writer, frames):
-        while True:
-            batch = await read_frames(reader, frames, 1)
-            if not batch:
-                return
-            raw = batch[0]
-            self.stats.requests += 1
-            frame = decode_payload(sess.version, raw)
-            try:
-                request_id, op, args = check_request(
-                    frame, decoded=sess.version == 2
-                )
-            except ProtocolError as error:
-                self.stats.errors += 1
-                bad_id = frame.get("id")
-                if not isinstance(bad_id, int) or isinstance(bad_id, bool):
-                    bad_id = 0
-                writer.write(encode_error_bytes(sess.version, bad_id, error))
-                await writer.drain()
-                continue
-            try:
-                result = await self._route(sess, op, args, raw)
-                if isinstance(result, _RawResult):
-                    # Fast path: the worker's payload already carries
-                    # this request's id — splice it through verbatim.
-                    writer.write(frame_bytes(result.payload))
-                    await writer.drain()
-                    continue
-                response = encode_result_bytes(
-                    sess.version, request_id, result
-                )
-            except Exception as error:
-                self.stats.errors += 1
-                response = encode_error_bytes(sess.version, request_id, error)
-            writer.write(response)
-            await writer.drain()
+    def _hello_fields(self):
+        return {"shards": self.shards}
 
     async def _close_session(self, sess):
         """Abort any open distributed transaction, drop the upstreams.

@@ -437,6 +437,28 @@ class TestCodeLint:
         # The wire module owns the framing.
         assert lint_source(source, "server/protocol.py").clean
 
+    def test_third_listener_or_frame_reader_is_flagged(self):
+        source = (
+            "import asyncio\n"
+            "from ..server import protocol\n"
+            "from ..server.protocol import read_frames\n"
+            "async def serve(handler, reader, frames):\n"
+            "    await asyncio.start_server(handler, '127.0.0.1', 0)\n"
+            "    await protocol.read_frames(reader, frames, 1)\n"
+            "    return await read_frames(reader, frames, 1)\n"
+        )
+        findings = lint_source(source, "shard/router.py").by_rule(
+            "CODE-WIRE-FORMAT"
+        )
+        assert [(f.detail["line"], f.detail["use"]) for f in findings] == [
+            (5, "start_server()"), (6, "read_frames()"),
+            (7, "read_frames()"),
+        ]
+        # The server's session loop and the clients are the endpoints.
+        for owner in ("server/server.py", "server/client.py",
+                      "server/protocol.py"):
+            assert lint_source(source, owner).clean
+
     def test_hook_definition_site_in_database_is_allowed(self):
         source = (
             "class Database:\n"

@@ -35,6 +35,7 @@ from repro.server.protocol import (
     encode_frame,
     encode_request_bytes,
     encode_result_bytes,
+    frame_bytes,
     result_frame,
 )
 from repro.storage.durable import DurableDatabase
@@ -329,6 +330,41 @@ class TestNoStaleBytes:
             assert asyncio.run(scenario()) == WHOAMI
         finally:
             peer.close()
+
+
+class TestAsyncHandshakeFailure:
+    def test_garbage_hello_answer_closes_the_stream(self, monkeypatch):
+        hung_up = []
+
+        def garbage_hello(wire):
+            wire.next_frame()
+            wire.conn.sendall(frame_bytes(b"\xffnot a frame"))
+            wire.conn.settimeout(5.0)
+            hung_up.append(wire.conn.recv(RECV_BYTES) == b"")
+
+        peer = _ScriptedPeer(garbage_hello)
+        opened = []
+        open_connection = asyncio.open_connection
+
+        async def recording(*args, **kwargs):
+            streams = await open_connection(*args, **kwargs)
+            opened.append(streams[1])
+            return streams
+
+        monkeypatch.setattr(asyncio, "open_connection", recording)
+
+        async def scenario():
+            with pytest.raises(ProtocolError):
+                await AsyncClient(port=peer.port).connect()
+            # Closed before connect() re-raised: the caller never got a
+            # client object to close.
+            assert [writer.is_closing() for writer in opened] == [True]
+
+        try:
+            asyncio.run(scenario())
+        finally:
+            peer.close()
+        assert hung_up == [True]
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ reconnect handshake.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
+import socket
 import subprocess
 import sys
 import time
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import UID
+from repro import UID, Database
 from repro.errors import (
     ShardError,
     ShardUnavailableError,
@@ -28,7 +30,9 @@ from repro.errors import (
     TransactionStateError,
 )
 from repro.faults import fault_scope
-from repro.server import Client, ServerThread
+from repro.faults.registry import FailpointRegistry
+from repro.server import Client, ProtocolError, ServerThread
+from repro.server.protocol import FrameBuffer, decode_frame, encode_request_bytes
 from repro.shard.placement import (
     Manifest,
     audit_cluster,
@@ -39,6 +43,7 @@ from repro.shard.placement import (
     shard_of_uid,
     write_endpoint,
 )
+from repro.shard.router import ShardRouter
 from repro.shard.twopc import COORD_LOG_NAME, CoordinatorLog
 from repro.shard.worker import ShardCluster
 from repro.workloads.txmix import run_tcp_mix, single_root_mix, tcp_fixture
@@ -443,6 +448,122 @@ class TestClusterEndToEnd:
             assert client.check("placement")["ok"]
             client.close()
         assert audit_cluster(tmp_path).ok
+
+
+# ---------------------------------------------------------------------------
+# The router runs the server's session loop: pipelining, one write per
+# batch, server.* failpoints (in-process workers and router)
+# ---------------------------------------------------------------------------
+
+DEPTH = 8
+
+
+@pytest.fixture()
+def router(tmp_path):
+    """A 2-shard router over two in-memory workers, all in this process.
+
+    The router runs on worker 0's event loop, so a failpoint armed here
+    fires in the workers *and* the router (see :class:`_RouterOnly`).
+    """
+    manifest = ensure_manifest(tmp_path, shards=2)
+    workers = []
+    try:
+        for shard_id in range(2):
+            db = Database()
+            db.allocator.restride(0, shard_id, 2)
+            worker = ServerThread(database=db, shard_info=(shard_id, 2))
+            workers.append(worker.start())
+            directory = manifest.shard_path(tmp_path, shard_id)
+            directory.mkdir(parents=True, exist_ok=True)
+            write_endpoint(directory, "127.0.0.1", worker.port)
+        shard_router = ShardRouter(tmp_path)
+        workers[0].submit(shard_router.start())
+        try:
+            yield shard_router
+        finally:
+            workers[0].submit(shard_router.stop())
+    finally:
+        for worker in workers:
+            worker.stop()
+
+
+class _RouterOnly(FailpointRegistry):
+    """Count and trigger failpoints only where ``server`` is the router."""
+
+    def __init__(self, router):
+        super().__init__()
+        self.router = router
+
+    def fire(self, site, **ctx):
+        if ctx.get("server") is not self.router:
+            return None
+        return super().fire(site, **ctx)
+
+
+def _routed_docs(client):
+    client.make_class("Doc", attributes=[{"name": "Text", "domain": "string"}])
+    return [client.make("Doc", values={"Text": f"d{i}"})
+            for i in range(DEPTH)]
+
+
+class TestRouterSessionLoop:
+    def test_pipelined_batch_is_one_write_of_raw_relays(
+            self, router, monkeypatch):
+        with Client(port=router.port, timeout=20.0) as client:
+            docs = _routed_docs(client)
+            assert {shard_of_uid(uid, 2) for uid in docs} == {0, 1}
+            before = client.stats()["router"]
+            writes = []
+            write = asyncio.StreamWriter.write
+
+            def counted(writer, data):
+                # Only the router's client-facing side: not the workers,
+                # not the router's upstream connections.
+                if writer.get_extra_info("sockname")[1] == router.port:
+                    writes.append(len(data))
+                return write(writer, data)
+
+            monkeypatch.setattr(asyncio.StreamWriter, "write", counted)
+            with fault_scope(_RouterOnly(router)) as faults:
+                pipe = client.pipeline()
+                handles = [pipe.value(doc, "Text") for doc in docs]
+                pipe.flush()
+                assert faults.hit_count("server.recv_frame") == DEPTH
+                assert faults.hit_count("server.send_frame") == DEPTH
+            monkeypatch.undo()
+            assert len(writes) == 1
+            assert [h.result() for h in handles] == \
+                [f"d{i}" for i in range(DEPTH)]
+            after = client.stats()["router"]
+            assert after["raw_relays"] == before["raw_relays"] + DEPTH
+            assert after["pipelined_batches"] == \
+                before["pipelined_batches"] + 1
+            assert after["bytes_in"] > before["bytes_in"]
+            assert after["bytes_out"] > before["bytes_out"]
+
+    def test_garbled_third_frame_at_the_router(self, router):
+        with Client(port=router.port, timeout=20.0) as client:
+            docs = _routed_docs(client)
+            with fault_scope(_RouterOnly(router)) as faults:
+                faults.add("server.send_frame", "garble", nth=3)
+                pipe = client.pipeline()
+                handles = [pipe.value(doc, "Text") for doc in docs]
+                with pytest.raises(ProtocolError):
+                    pipe.flush()
+            assert [h.result() for h in handles[:2]] == ["d0", "d1"]
+            assert not any(h.done for h in handles[2:])
+
+    def test_hello_reports_pipeline_and_shards(self, router):
+        with socket.create_connection(("127.0.0.1", router.port),
+                                      timeout=10.0) as sock:
+            sock.sendall(encode_request_bytes(1, 1, "hello", {"versions": [1]}))
+            frames = FrameBuffer()
+            while not (batch := frames.take(1)):
+                frames.feed(sock.recv(65536))
+        hello = decode_frame(batch[0])["result"]
+        assert hello["server"].startswith("repro-router/")
+        assert hello["shards"] == 2
+        assert hello["pipeline"] == router.max_pipeline > 1
 
 
 # ---------------------------------------------------------------------------
