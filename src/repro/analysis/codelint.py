@@ -55,8 +55,9 @@ machine-readable ``file``/``line`` keys in ``detail``):
     (error) outside ``server/protocol.py``, code calls ``readexactly``,
     touches another object's ``_buffer`` (``reader._buffer``, or
     ``getattr(reader, "_buffer")``), or imports an underscore name from
-    ``repro.server.protocol``.  That module owns the framing and the
-    codecs; every endpoint reads the wire through ``FrameBuffer``, so a
+    ``repro.server.protocol``.  That module owns the framing (the value
+    codec is :mod:`repro.storage.serializer`'s); every endpoint reads
+    the wire through ``FrameBuffer``, so a
     framing change is made once and nobody probes a stream's private
     state.  Outside the two wire endpoints (:data:`WIRE_ENDPOINTS`:
     ``server/server.py`` and ``server/client.py``) it also flags

@@ -23,7 +23,7 @@ from __future__ import annotations
 from ..errors import ReadOnlyError, TransactionStateError
 from ..locking.modes import LockMode
 from ..schema.attribute import AttributeSpec, SetOf
-from .protocol import PreEncoded, ProtocolError, encode_v2_value, wire_lenient
+from .protocol import PreEncoded, ProtocolError, wire_lenient
 
 #: Authorization types the engine understands (see authorization/atoms.py).
 READ, WRITE = "R", "W"
@@ -170,11 +170,11 @@ async def _op_resolve(session, args):
                     (spec.name, bool(spec.is_set))
                     for spec in classdef.attributes()
                 ))
-                payload = cache.get(key)
-                if payload is None:
-                    payload = encode_v2_value(_snapshot(db, instance))
-                    cache.put(key, payload)
-                return PreEncoded(payload)
+                encoded = cache.get(key)
+                if encoded is None:
+                    encoded = PreEncoded(_snapshot(db, instance))
+                    cache.put(key, encoded)
+                return encoded
         return _snapshot(db, instance)
 
 

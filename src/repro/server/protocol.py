@@ -14,9 +14,11 @@ UTF-8 JSON objects::
 
 Version 2 payloads are compact struct-packed binary: a one-byte frame
 kind (request / result / error), a signed 64-bit request id, and
-type-tagged values (see ``_encode_v2_value``) — no JSON in the hot
-path, and ``bytes`` / non-string dict keys survive natively instead of
-degrading.  The frame layout table lives in docs/SERVER.md.
+type-tagged values — no JSON in the hot path, and ``bytes`` /
+non-string dict keys survive natively instead of degrading.  The values
+are the object images' own: :mod:`repro.storage.serializer` owns the
+tag table, its encoder and its decoder, and this module only lays out
+frames around them.  Both tables live in docs/SERVER.md.
 
 The first request on a connection must be the ``hello`` handshake,
 which negotiates a protocol version: the client offers the versions it
@@ -54,8 +56,9 @@ import re
 import struct
 
 from ..core.identity import UID
-from ..errors import ReproError, error_registry
+from ..errors import ReproError, SerializationError, error_registry
 from ..schema.attribute import SetOf
+from ..storage.serializer import MALFORMED, encode_str, encode_value, value_at
 
 #: Protocol versions this build speaks, newest first.
 SUPPORTED_VERSIONS = (2, 1)
@@ -161,219 +164,53 @@ def wire_lenient(value):
 
 
 # ---------------------------------------------------------------------------
-# Value encoding — v2 (struct-packed, type-tagged)
+# v2 frame layout (values are the serializer's: repro.storage.serializer)
 # ---------------------------------------------------------------------------
 
-_U32 = struct.Struct(">I")
-_I64 = struct.Struct(">q")
-_F64 = struct.Struct(">d")
+_KIND_ID = struct.Struct(">Bq")  # frame kind + request id
+_u32_at = _LENGTH.unpack_from
+_i64_at = struct.Struct(">q").unpack_from
+_REQUEST, _RESULT, _ERROR = 1, 2, 3  # frame kinds
 
-_V2_NONE = b"N"
-_V2_TRUE = b"T"
-_V2_FALSE = b"F"
-_V2_INT = b"I"          # signed 64-bit
-_V2_BIGINT = b"J"       # u32 length + signed big-endian bytes
-_V2_FLOAT = b"D"
-_V2_STR = b"S"          # u32 length + UTF-8
-_V2_BYTES = b"B"        # u32 length + raw bytes
-_V2_UID = b"U"          # i64 number + str class_name
-_V2_SETOF = b"E"        # str member class
-_V2_LIST = b"L"         # u32 count + values
-_V2_MAP = b"M"          # u32 count + (str key, value) pairs
-_V2_HMAP = b"H"         # u32 count + (value key, value) pairs
 
-_V2_REQUEST = b"\x01"
-_V2_RESULT = b"\x02"
-_V2_ERROR = b"\x03"
-
-_I64_MIN, _I64_MAX = -(2 ** 63), 2 ** 63 - 1
+def _append_value(value, out):
+    """:func:`encode_value`, its refusal raised as :class:`ProtocolError`."""
+    try:
+        encode_value(value, out)
+    except SerializationError as error:
+        raise ProtocolError(str(error)) from None
 
 
 class PreEncoded:
-    """An already-v2-encoded value: the encoder splices its payload
-    verbatim (the server's object-image cache returns these)."""
+    """A result encoded for v2 once: :func:`encode_result_bytes` splices
+    its payload verbatim (the server's object-image cache keeps these)."""
 
     __slots__ = ("payload",)
 
-    def __init__(self, payload):
-        self.payload = payload
-
-
-def _v2_str(out, text):
-    data = text.encode("utf-8")
-    out.append(_U32.pack(len(data)))
-    out.append(data)
-
-
-def _encode_v2_value(value, out):
-    """Append the v2 encoding of one value to the byte-chunk list *out*."""
-    if value is None:
-        out.append(_V2_NONE)
-    elif value is True:
-        out.append(_V2_TRUE)
-    elif value is False:
-        out.append(_V2_FALSE)
-    elif isinstance(value, int) and not isinstance(value, bool):
-        if _I64_MIN <= value <= _I64_MAX:
-            out.append(_V2_INT)
-            out.append(_I64.pack(value))
-        else:
-            data = value.to_bytes((value.bit_length() // 8) + 1, "big",
-                                  signed=True)
-            out.append(_V2_BIGINT)
-            out.append(_U32.pack(len(data)))
-            out.append(data)
-    elif isinstance(value, float):
-        out.append(_V2_FLOAT)
-        out.append(_F64.pack(value))
-    elif isinstance(value, str):
-        out.append(_V2_STR)
-        _v2_str(out, value)
-    elif isinstance(value, bytes):
-        out.append(_V2_BYTES)
-        out.append(_U32.pack(len(value)))
-        out.append(value)
-    elif isinstance(value, UID):
-        out.append(_V2_UID)
-        out.append(_I64.pack(value.number))
-        _v2_str(out, value.class_name)
-    elif isinstance(value, SetOf):
-        out.append(_V2_SETOF)
-        _v2_str(out, value.member)
-    elif isinstance(value, (list, tuple)):
-        out.append(_V2_LIST)
-        out.append(_U32.pack(len(value)))
-        for item in value:
-            _encode_v2_value(item, out)
-    elif isinstance(value, dict):
-        if all(isinstance(key, str) for key in value):
-            out.append(_V2_MAP)
-            out.append(_U32.pack(len(value)))
-            for key, item in value.items():
-                _v2_str(out, key)
-                _encode_v2_value(item, out)
-        else:
-            out.append(_V2_HMAP)
-            out.append(_U32.pack(len(value)))
-            for key, item in value.items():
-                _encode_v2_value(key, out)
-                _encode_v2_value(item, out)
-    elif isinstance(value, PreEncoded):
-        out.append(value.payload)
-    else:
-        raise ProtocolError(
-            f"value of type {type(value).__name__} has no wire encoding: "
-            f"{value!r}"
-        )
-
-
-def encode_v2_value(value):
-    """The v2 encoding of one value as bytes (image-cache entries)."""
-    out = []
-    _encode_v2_value(value, out)
-    return b"".join(out)
-
-
-# The _V2_* tags and kinds above as the integers ``data[pos]`` yields:
-# the decoder compares ints, never one-byte slices.
-(_T_NONE, _T_TRUE, _T_FALSE, _T_INT, _T_BIGINT, _T_FLOAT, _T_STR, _T_BYTES,
- _T_UID, _T_SETOF, _T_LIST, _T_MAP, _T_HMAP) = b"NTFIJDSBUELMH"
-_K_REQUEST, _K_RESULT, _K_ERROR = _V2_REQUEST + _V2_RESULT + _V2_ERROR
-
-_u32_at = _U32.unpack_from
-_i64_at = _I64.unpack_from
-_f64_at = _F64.unpack_from
-
-#: What a malformed payload makes the flat decoder raise (a short read,
-#: a bad string, an unhashable map key, absurd nesting);
-#: :func:`decode_payload` turns each into :class:`ProtocolError`.
-_MALFORMED = (IndexError, struct.error, UnicodeDecodeError, TypeError,
-              RecursionError)
-
-
-def _v2_value(data, pos):
-    """The v2 value at offset *pos* of *data*, and the offset after it.
-
-    Lengths are not checked against the payload: a slice that runs past
-    the end comes back short, and the next read (or
-    :func:`decode_payload`'s final offset check) fails instead.
-    """
-    tag = data[pos]
-    pos += 1
-    if tag == _T_STR:
-        end = pos + 4 + _u32_at(data, pos)[0]
-        return data[pos + 4:end].decode(), end
-    if tag == _T_MAP:
-        count = _u32_at(data, pos)[0]
-        pos += 4
-        value = {}
-        for _ in range(count):
-            end = pos + 4 + _u32_at(data, pos)[0]
-            key = data[pos + 4:end].decode()
-            value[key], pos = _v2_value(data, end)
-        return value, pos
-    if tag == _T_UID:
-        number = _i64_at(data, pos)[0]
-        end = pos + 12 + _u32_at(data, pos + 8)[0]
-        return UID(number, data[pos + 12:end].decode()), end
-    if tag == _T_INT:
-        return _i64_at(data, pos)[0], pos + 8
-    if tag == _T_NONE:
-        return None, pos
-    if tag == _T_LIST:
-        count = _u32_at(data, pos)[0]
-        pos += 4
-        value = []
-        for _ in range(count):
-            item, pos = _v2_value(data, pos)
-            value.append(item)
-        return value, pos
-    if tag == _T_TRUE:
-        return True, pos
-    if tag == _T_FALSE:
-        return False, pos
-    if tag == _T_BYTES:
-        end = pos + 4 + _u32_at(data, pos)[0]
-        return bytes(data[pos + 4:end]), end
-    if tag == _T_FLOAT:
-        return _f64_at(data, pos)[0], pos + 8
-    if tag == _T_BIGINT:
-        end = pos + 4 + _u32_at(data, pos)[0]
-        return int.from_bytes(data[pos + 4:end], "big", signed=True), end
-    if tag == _T_SETOF:
-        end = pos + 4 + _u32_at(data, pos)[0]
-        return SetOf(data[pos + 4:end].decode()), end
-    if tag == _T_HMAP:
-        count = _u32_at(data, pos)[0]
-        pos += 4
-        value = {}
-        for _ in range(count):
-            key, pos = _v2_value(data, pos)
-            if type(key) is list:
-                key = tuple(key)  # tuple keys lower to lists on the wire
-            value[key], pos = _v2_value(data, pos)
-        return value, pos
-    raise ProtocolError(f"unknown v2 type tag {bytes([tag])!r}")
+    def __init__(self, value):
+        out = []
+        _append_value(value, out)
+        self.payload = b"".join(out)
 
 
 def _v2_frame(data):
     """One v2 payload as its v1-shaped frame dict, and the end offset."""
     kind = data[0]
     request_id = _i64_at(data, 1)[0]
-    if kind == _K_REQUEST:
+    if kind == _REQUEST:
         end = 13 + _u32_at(data, 9)[0]
         op = data[13:end].decode()
-        args, pos = _v2_value(data, end)
+        args, pos = value_at(data, end)
         return {"id": request_id, "op": op, "args": args}, pos
-    if kind == _K_RESULT:
-        result, pos = _v2_value(data, 9)
+    if kind == _RESULT:
+        result, pos = value_at(data, 9)
         return {"id": request_id, "ok": True, "result": result}, pos
-    if kind == _K_ERROR:
+    if kind == _ERROR:
         end = 13 + _u32_at(data, 9)[0]
         code = data[13:end].decode()
         pos = end + 4 + _u32_at(data, end)[0]
         message = data[end + 4:pos].decode()
-        data_map, pos = _v2_value(data, pos)
+        data_map, pos = value_at(data, pos)
         if not isinstance(data_map, dict):
             raise ProtocolError("v2 error data must be a map")
         return {"id": request_id, "ok": False,
@@ -528,22 +365,30 @@ def result_frame(request_id, result):
     return {"id": request_id, "ok": True, "result": wire_encode(result)}
 
 
+def _v2_bytes(kind, request_id, texts, value):
+    """One v2 frame as full wire bytes: *kind*, the id, the frame's
+    strings, then one value (a :class:`PreEncoded` one spliced)."""
+    out = [_KIND_ID.pack(kind, request_id)]
+    for text in texts:
+        encode_str(text, out)
+    if type(value) is PreEncoded:
+        out.append(value.payload)
+    else:
+        _append_value(value, out)
+    return frame_bytes(b"".join(out))
+
+
 def encode_request_bytes(version, request_id, op, args):
     """One request as full wire bytes (prefix included) for *version*."""
     if version == 2:
-        out = [_V2_REQUEST, _I64.pack(request_id)]
-        _v2_str(out, op)
-        _encode_v2_value(args or {}, out)
-        return frame_bytes(b"".join(out))
+        return _v2_bytes(_REQUEST, request_id, (op,), args or {})
     return encode_frame(request_frame(request_id, op, args))
 
 
 def encode_result_bytes(version, request_id, result):
     """One ok-response as full wire bytes for *version*."""
     if version == 2:
-        out = [_V2_RESULT, _I64.pack(request_id)]
-        _encode_v2_value(result, out)
-        return frame_bytes(b"".join(out))
+        return _v2_bytes(_RESULT, request_id, (), result)
     return encode_frame(result_frame(request_id, result))
 
 
@@ -551,11 +396,7 @@ def encode_error_bytes(version, request_id, error):
     """One error response as full wire bytes for *version*."""
     if version == 2:
         code, message, data = _error_payload(error)
-        out = [_V2_ERROR, _I64.pack(request_id)]
-        _v2_str(out, code)
-        _v2_str(out, message)
-        _encode_v2_value(data, out)
-        return frame_bytes(b"".join(out))
+        return _v2_bytes(_ERROR, request_id, (code, message), data)
     return encode_frame(error_frame(request_id, error))
 
 
@@ -571,7 +412,7 @@ def decode_payload(version, data):
         return decode_frame(data)
     try:
         frame, pos = _v2_frame(data)
-    except _MALFORMED as error:
+    except MALFORMED as error:
         raise ProtocolError(f"malformed v2 frame: {error}") from None
     if pos != len(data):
         if pos > len(data):
@@ -592,7 +433,7 @@ def is_error_payload(version, payload):
     router's raw-splice fast path).  v2 frames declare their kind in the
     first byte; v1 is recognized by the serializer's exact prefix."""
     if version == 2:
-        return payload[:1] == _V2_ERROR
+        return len(payload) > 0 and payload[0] == _ERROR
     return _V1_ERROR_PREFIX.match(payload) is not None
 
 

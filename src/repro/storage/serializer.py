@@ -1,16 +1,21 @@
-"""Binary serialization of instances.
+"""The one value codec: object images on disk and v2 wire values.
 
 A compact, self-describing, dependency-free format (we deliberately avoid
 ``pickle``: records must be stable bytes whose size the clustering layer
 can reason about, and decoding must never execute code).
 
-Format: every value is a one-byte type tag followed by a fixed or
-length-prefixed payload.  An instance record is::
+Every value is a one-byte type tag followed by a fixed or length-prefixed
+payload, per the one tag table ("Values" in docs/SERVER.md).  Only this
+module knows the tags: the journal, MVCC version chains, replica replay
+and the v2 wire protocol all go through :func:`encode_value` and
+:func:`value_at`.  An object image uses the same tags in its ``O`` record::
 
-    'O' | class_name | uid | change_count | values map | reverse refs list
+    'O' | str class_name | i64 uid number | i64 change_count
+        | u32 count + (str name, value) pairs      (the body of an 'M' map)
+        | u32 count + (value parent, flag D, flag X, str attribute) tuples
 
-Strings are UTF-8 with a u32 length prefix; integers are signed 64-bit;
-UIDs are (number, class_name) pairs.
+Strings are UTF-8 with a u32 length prefix; integers are signed 64-bit
+(``J`` carries the rest); flags are the ``T``/``F`` tag bytes.
 """
 
 from __future__ import annotations
@@ -22,130 +27,235 @@ from ..core.identity import UID
 from ..core.instance import Instance
 from ..core.references import ReverseReference
 from ..errors import SerializationError
-
-_TAG_NONE = b"N"
-_TAG_TRUE = b"T"
-_TAG_FALSE = b"F"
-_TAG_INT = b"I"
-_TAG_FLOAT = b"D"
-_TAG_STR = b"S"
-_TAG_UID = b"U"
-_TAG_LIST = b"L"
-_TAG_INSTANCE = b"O"
+from ..schema.attribute import SetOf
 
 _U32 = struct.Struct(">I")
-_I64 = struct.Struct(">q")
-_F64 = struct.Struct(">d")
+_TAG_U32 = struct.Struct(">BI")      # tag + length or count
+_TAG_I64 = struct.Struct(">Bq")
+_TAG_F64 = struct.Struct(">Bd")
+_TAG_UID = struct.Struct(">BqI")     # 'U' + number + class-name length
+_IMAGE_HEAD = struct.Struct(">qqI")  # uid number, change_count, value count
+_REF_TAIL = struct.Struct(">BBI")    # flag D, flag X, attribute length
 
+_u32_at = _U32.unpack_from
+_i64_at = struct.Struct(">q").unpack_from
+_f64_at = struct.Struct(">d").unpack_from
 
-def _encode_str(out, text):
-    data = text.encode("utf-8")
+# The one tag table (docs/SERVER.md "Values"), as the integers
+# ``data[pos]`` yields; the structs above pack them with the "B" code.
+(_NONE, _TRUE, _FALSE, _INT, _BIGINT, _FLOAT, _STR, _BYTES, _UID, _SETOF,
+ _LIST, _MAP, _HMAP, _INSTANCE) = b"NTFIJDSBUELMHO"
+#: The bodiless tags as the chunks the encoder appends.
+_NONE_TAG, _TRUE_TAG, _FALSE_TAG = map(bytes, ([_NONE], [_TRUE], [_FALSE]))
+
+#: What a malformed record makes :func:`value_at` raise (short read, bad
+#: string, unknown tag, unhashable key, absurd nesting): decode_instance
+#: maps each to SerializationError, the wire protocol to ProtocolError.
+MALFORMED = (SerializationError, IndexError, struct.error,
+             UnicodeDecodeError, TypeError, RecursionError)
+
+#: Subclasses of an encodable type encode as the base type's content.
+_BASES = ((int, int.__int__), (float, float.__float__), (str, str.__str__),
+          (bytes, bytes), (list, list), (tuple, list), (dict, dict))
+
+def encode_str(text, out):
+    """Append *text* as a u32-length-prefixed UTF-8 string (no tag)."""
+    data = text.encode()
     out.append(_U32.pack(len(data)))
     out.append(data)
 
 
 def encode_value(value, out):
-    """Append the encoding of one value to the byte-chunk list *out*."""
-    if value is None:
-        out.append(_TAG_NONE)
-    elif value is True:
-        out.append(_TAG_TRUE)
-    elif value is False:
-        out.append(_TAG_FALSE)
-    elif isinstance(value, int):
-        out.append(_TAG_INT)
-        out.append(_I64.pack(value))
-    elif isinstance(value, float):
-        out.append(_TAG_FLOAT)
-        out.append(_F64.pack(value))
-    elif isinstance(value, str):
-        out.append(_TAG_STR)
-        _encode_str(out, value)
-    elif isinstance(value, UID):
-        out.append(_TAG_UID)
-        out.append(_I64.pack(value.number))
-        _encode_str(out, value.class_name)
-    elif isinstance(value, (list, tuple)):
-        out.append(_TAG_LIST)
-        out.append(_U32.pack(len(value)))
+    """Append one value's encoding (the journal's common types tested
+    first) to the chunk list *out*; SerializationError if it has none."""
+    kind = type(value)
+    if kind is str:
+        data = value.encode()
+        out.append(_TAG_U32.pack(_STR, len(data)))
+        out.append(data)
+    elif kind is int:
+        try:
+            out.append(_TAG_I64.pack(_INT, value))
+        except struct.error:
+            data = value.to_bytes(value.bit_length() // 8 + 1, "big",
+                                  signed=True)
+            out.append(_TAG_U32.pack(_BIGINT, len(data)))
+            out.append(data)
+    elif kind is UID:
+        data = value.class_name.encode()
+        try:
+            out.append(_TAG_UID.pack(_UID, value.number, len(data)))
+        except struct.error:
+            raise SerializationError(
+                f"UID number out of range: {value!r}") from None
+        out.append(data)
+    elif kind is list or kind is tuple:
+        out.append(_TAG_U32.pack(_LIST, len(value)))
         for item in value:
             encode_value(item, out)
+    elif value is None:
+        out.append(_NONE_TAG)
+    elif value is True:
+        out.append(_TRUE_TAG)
+    elif value is False:
+        out.append(_FALSE_TAG)
+    elif kind is float:
+        out.append(_TAG_F64.pack(_FLOAT, value))
+    elif kind is dict:
+        if all(isinstance(key, str) for key in value):
+            out.append(_TAG_U32.pack(_MAP, len(value)))
+            _encode_pairs(value, out)
+        else:
+            out.append(_TAG_U32.pack(_HMAP, len(value)))
+            for key, item in value.items():
+                # value_at rebuilds a list key as a tuple, one level deep.
+                if isinstance(key, tuple) and any(
+                        isinstance(part, tuple) for part in key):
+                    raise SerializationError(
+                        f"map key {key!r} would not decode hashable")
+                encode_value(key, out)
+                encode_value(item, out)
+    elif kind is bytes:
+        out.append(_TAG_U32.pack(_BYTES, len(value)))
+        out.append(value)
+    elif kind is SetOf:
+        data = value.member.encode()
+        out.append(_TAG_U32.pack(_SETOF, len(data)))
+        out.append(data)
     else:
+        for base, exact in _BASES:
+            if isinstance(value, base):
+                return encode_value(exact(value), out)
         raise SerializationError(
-            f"cannot serialize value of type {type(value).__name__}: {value!r}"
+            f"cannot serialize value of type {type(value).__name__}: "
+            f"{value!r}"
         )
 
 
-class _Reader:
-    """Sequential reader over a bytes buffer."""
-
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n):
-        if self.pos + n > len(self.data):
-            raise SerializationError("truncated record")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def read_u32(self):
-        return _U32.unpack(self.take(4))[0]
-
-    def read_i64(self):
-        return _I64.unpack(self.take(8))[0]
-
-    def read_f64(self):
-        return _F64.unpack(self.take(8))[0]
-
-    def read_str(self):
-        return self.take(self.read_u32()).decode("utf-8")
+def _encode_pairs(mapping, out):
+    """Append (str key, value) pairs: an 'M' body, or an image's values."""
+    for key, item in mapping.items():
+        encode_str(key, out)
+        encode_value(item, out)
 
 
-def decode_value(reader):
-    """Decode one value from *reader*."""
-    tag = reader.take(1)
-    if tag == _TAG_NONE:
-        return None
-    if tag == _TAG_TRUE:
-        return True
-    if tag == _TAG_FALSE:
-        return False
-    if tag == _TAG_INT:
-        return reader.read_i64()
-    if tag == _TAG_FLOAT:
-        return reader.read_f64()
-    if tag == _TAG_STR:
-        return reader.read_str()
-    if tag == _TAG_UID:
-        number = reader.read_i64()
-        return UID(number, reader.read_str())
-    if tag == _TAG_LIST:
-        count = reader.read_u32()
-        return [decode_value(reader) for _ in range(count)]
-    raise SerializationError(f"unknown type tag {tag!r}")
+def value_at(data, pos):
+    """The value at offset *pos* of *data*, and the offset after it.
+
+    Lengths are not checked against the data: a slice that runs past
+    the end comes back short, and the next read (or the caller's final
+    offset check) fails instead, raising one of :data:`MALFORMED`."""
+    tag = data[pos]
+    pos += 1
+    if tag == _STR:
+        end = pos + 4 + _u32_at(data, pos)[0]
+        return data[pos + 4:end].decode(), end
+    if tag == _MAP:
+        return _pairs_at(data, pos + 4, _u32_at(data, pos)[0])
+    if tag == _UID:
+        number = _i64_at(data, pos)[0]
+        end = pos + 12 + _u32_at(data, pos + 8)[0]
+        return UID(number, data[pos + 12:end].decode()), end
+    if tag == _INT:
+        return _i64_at(data, pos)[0], pos + 8
+    if tag == _NONE:
+        return None, pos
+    if tag == _LIST:
+        count = _u32_at(data, pos)[0]
+        pos += 4
+        value = []
+        for _ in range(count):
+            item, pos = value_at(data, pos)
+            value.append(item)
+        return value, pos
+    if tag == _TRUE:
+        return True, pos
+    if tag == _FALSE:
+        return False, pos
+    if tag == _BYTES:
+        end = pos + 4 + _u32_at(data, pos)[0]
+        return bytes(data[pos + 4:end]), end
+    if tag == _FLOAT:
+        return _f64_at(data, pos)[0], pos + 8
+    if tag == _BIGINT:
+        end = pos + 4 + _u32_at(data, pos)[0]
+        return int.from_bytes(data[pos + 4:end], "big", signed=True), end
+    if tag == _SETOF:
+        end = pos + 4 + _u32_at(data, pos)[0]
+        return SetOf(data[pos + 4:end].decode()), end
+    if tag == _HMAP:
+        count = _u32_at(data, pos)[0]
+        pos += 4
+        value = {}
+        for _ in range(count):
+            key, pos = value_at(data, pos)
+            if type(key) is list:
+                key = tuple(key)  # tuple keys encode as lists
+            value[key], pos = value_at(data, pos)
+        return value, pos
+    raise SerializationError(f"unknown type tag {bytes([tag])!r}")
+
+
+def _pairs_at(data, pos, count):
+    """*count* (str key, value) pairs at offset *pos* as a dict, and the
+    offset after them: an 'M' body, or an image's values."""
+    value = {}
+    for _ in range(count):
+        end = pos + 4 + _u32_at(data, pos)[0]
+        key = data[pos + 4:end].decode()
+        value[key], pos = value_at(data, end)
+    return value, pos
 
 
 def encode_instance(instance):
-    """Serialize *instance* to bytes."""
-    out = [_TAG_INSTANCE]
-    _encode_str(out, instance.class_name)
-    out.append(_I64.pack(instance.uid.number))
-    out.append(_I64.pack(instance.change_count))
-    out.append(_U32.pack(len(instance.values)))
-    for name, value in instance.values.items():
-        _encode_str(out, name)
-        encode_value(value, out)
-    out.append(_U32.pack(len(instance.reverse_references)))
-    for ref in instance.reverse_references:
+    """Serialize *instance* to bytes (its object image)."""
+    data = instance.class_name.encode()
+    values = instance.values
+    out = [_TAG_U32.pack(_INSTANCE, len(data)), data, _IMAGE_HEAD.pack(
+        instance.uid.number, instance.change_count, len(values))]
+    _encode_pairs(values, out)
+    refs = instance.reverse_references
+    out.append(_U32.pack(len(refs)))
+    for ref in refs:
         encode_value(ref.parent, out)
-        out.append(_TAG_TRUE if ref.dependent else _TAG_FALSE)
-        out.append(_TAG_TRUE if ref.exclusive else _TAG_FALSE)
-        _encode_str(out, ref.attribute)
+        data = ref.attribute.encode()
+        out.append(_REF_TAIL.pack(_TRUE if ref.dependent else _FALSE,
+                                  _TRUE if ref.exclusive else _FALSE,
+                                  len(data)))
+        out.append(data)
     return b"".join(out)
+
+
+def decode_instance(data):
+    """The instance in an :func:`encode_instance` image.  Anything else (a
+    short read, bad UTF-8, an unknown tag, trailing bytes) raises
+    :class:`SerializationError`."""
+    try:
+        if data[0] != _INSTANCE:
+            raise SerializationError("not an instance record")
+        end = 5 + _u32_at(data, 1)[0]
+        class_name = data[5:end].decode()
+        number, change_count, count = _IMAGE_HEAD.unpack_from(data, end)
+        values, pos = _pairs_at(data, end + _IMAGE_HEAD.size, count)
+        instance = Instance(UID(number, class_name), class_name, values,
+                            change_count=change_count)
+        refs = instance.reverse_references
+        count = _u32_at(data, pos)[0]
+        pos += 4
+        for _ in range(count):
+            parent, pos = value_at(data, pos)
+            end = pos + 6 + _u32_at(data, pos + 2)[0]
+            refs.append(ReverseReference(
+                parent, data[pos] == _TRUE, data[pos + 1] == _TRUE,
+                data[pos + 6:end].decode(),
+            ))
+            pos = end
+    except MALFORMED as error:
+        raise SerializationError(f"malformed object image: {error}") from None
+    if pos != len(data):
+        raise SerializationError(
+            f"instance record of {len(data)} bytes ends at offset {pos}")
+    return instance
 
 
 class ImageCache:
@@ -198,27 +308,3 @@ class ImageCache:
             "misses": self.misses,
             "evictions": self.evictions,
         }
-
-
-def decode_instance(data):
-    """Deserialize bytes produced by :func:`encode_instance`."""
-    reader = _Reader(data)
-    if reader.take(1) != _TAG_INSTANCE:
-        raise SerializationError("not an instance record")
-    class_name = reader.read_str()
-    uid = UID(reader.read_i64(), class_name)
-    change_count = reader.read_i64()
-    values = {}
-    for _ in range(reader.read_u32()):
-        name = reader.read_str()
-        values[name] = decode_value(reader)
-    instance = Instance(uid, class_name, values, change_count=change_count)
-    for _ in range(reader.read_u32()):
-        parent = decode_value(reader)
-        dependent = reader.take(1) == _TAG_TRUE
-        exclusive = reader.take(1) == _TAG_TRUE
-        attribute = reader.read_str()
-        instance.reverse_references.append(
-            ReverseReference(parent, dependent, exclusive, attribute)
-        )
-    return instance
