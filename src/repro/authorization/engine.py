@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.operations import ancestors_of
 from ..errors import AccessDenied, AuthorizationConflict
 from .atoms import AuthType, parse_atom
 from .combine import combine
@@ -247,7 +248,9 @@ class AuthorizationEngine:
         if all(scope in covering for scope in by_scope):
             ancestors = ()  # every grant already placed: skip the walk
         else:
-            ancestors = db.ancestors_of(uid)
+            # Not db.ancestors_of: deciding access is not a data read a
+            # history recorder should see.
+            ancestors = ancestors_of(db, uid)
         for ancestor in ancestors:
             covering.setdefault(("instance", ancestor), (
                 "grant on composite object {} covers its components",

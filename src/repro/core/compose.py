@@ -182,15 +182,7 @@ def dismantle(database, root_uid):
     """
     detached = []
     instance = database.resolve(root_uid)
-    classdef = database.lattice.get(instance.class_name)
-    for spec in list(classdef.attributes()):
-        if not spec.is_composite:
-            continue
-        value = instance.get(spec.name)
-        if value is None:
-            continue
-        members = list(value) if spec.is_set else [value]
-        for member in members:
-            database.remove_part_of(member, root_uid, spec.name)
-            detached.append(member)
+    for attribute, member in list(database.iter_composite_values(instance)):
+        database.remove_part_of(member, root_uid, attribute)
+        detached.append(member)
     return detached

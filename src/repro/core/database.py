@@ -115,11 +115,12 @@ class Database:
         self.on_txn_commit = []
         self.on_txn_abort = []
         #: Callbacks ``(uid, attribute)`` fired by attribute-granular
-        #: reads (:meth:`value`; :meth:`components_of` fires one per
-        #: returned UID with attribute ``None`` — a whole-object
-        #: footprint).  The isolation-history recorder subscribes here;
-        #: the list is empty otherwise and the read path pays one
-        #: truthiness check.
+        #: reads (:meth:`value`) and, with attribute ``None`` (a
+        #: whole-object footprint), by the Section 3 reads through
+        #: :meth:`note_reads`.  :meth:`resolve` is the access path every
+        #: operation takes and fires none.  The isolation-history
+        #: recorder subscribes here; the list is empty otherwise and the
+        #: read path pays one truthiness check.
         self.on_read = []
         #: Callbacks ``(uid,)`` fired when :meth:`discard` removes an
         #: instance (the deletion engine's funnel) — the isolation-
@@ -765,19 +766,19 @@ class Database:
 
     def iter_composite_values(self, instance):
         """Yield ``(attribute_name, child_uid)`` for every composite
-        forward reference held by *instance*."""
-        classdef = self.lattice.get(instance.class_name)
-        for spec in classdef.attributes():
-            if not spec.is_composite:
-                continue
-            value = instance.get(spec.name)
+        forward reference held by *instance* (read from its class's
+        ``composite_slots``)."""
+        values = instance.values
+        for name, is_set, _exclusive in self.lattice.get(
+                instance.class_name).composite_slots:
+            value = values.get(name)
             if value is None:
                 continue
-            if spec.is_set:
+            if is_set:
                 for member in value:
-                    yield spec.name, member
+                    yield name, member
             else:
-                yield spec.name, value
+                yield name, value
 
     def _unlink_forward_value(self, parent, attribute, child_uid):
         """Drop *child_uid* from *parent.attribute* (deletion fix-up).
@@ -809,29 +810,42 @@ class Database:
     # Section 3 operations, re-exported
     # ------------------------------------------------------------------
 
+    def note_reads(self, uids):
+        """Tell the ``on_read`` observers that the running operation read
+        the whole objects *uids*.  Callers test ``on_read`` first, so an
+        unobserved read pays one truthiness check."""
+        for callback in self.on_read:
+            for uid in uids:
+                callback(uid, None)
+
     def components_of(self, uid, classes=None, exclusive=False, shared=False, level=None):
         """``components-of`` (see :mod:`repro.core.operations`)."""
         result = ops.components_of(self, uid, classes, exclusive, shared, level)
         if self.on_read:
             # A composite read's data footprint is the root plus every
             # returned component (whole-object granularity).
-            for callback in self.on_read:
-                callback(uid, None)
-                for member in result:
-                    callback(member, None)
+            self.note_reads([uid, *result])
         return result
 
     def children_of(self, uid, classes=None, exclusive=False, shared=False):
-        """Direct components of *uid*."""
-        return ops.children_of(self, uid, classes, exclusive, shared)
+        """Direct components of *uid* (``components-of`` at level 1)."""
+        return self.components_of(uid, classes, exclusive, shared, level=1)
 
     def parents_of(self, uid, classes=None, exclusive=False, shared=False):
-        """``parents-of``."""
-        return ops.parents_of(self, uid, classes, exclusive, shared)
+        """``parents-of``; its footprint is *uid*'s reverse references."""
+        result = ops.parents_of(self, uid, classes, exclusive, shared)
+        if self.on_read:
+            self.note_reads((uid,))
+        return result
 
     def ancestors_of(self, uid, classes=None, exclusive=False, shared=False):
-        """``ancestors-of``."""
-        return ops.ancestors_of(self, uid, classes, exclusive, shared)
+        """``ancestors-of``; its footprint is *uid* and every ancestor
+        whose reverse references the walk read."""
+        read = [] if self.on_read else None
+        result = ops.ancestors_of(self, uid, classes, exclusive, shared, read)
+        if read:
+            self.note_reads(read)
+        return result
 
     def child_of(self, uid1, uid2):
         """``child-of``."""
@@ -850,8 +864,13 @@ class Database:
         return ops.shared_component_of(self, uid1, uid2)
 
     def roots_of(self, uid):
-        """Roots of the composite objects containing *uid*."""
-        return ops.roots_of(self, uid)
+        """Roots of the composite objects containing *uid*; the footprint
+        is that of :meth:`ancestors_of`."""
+        read = [] if self.on_read else None
+        result = ops.roots_of(self, uid, read)
+        if read:
+            self.note_reads(read)
+        return result
 
     def compositep(self, class_name, attribute=None):
         """``compositep`` class predicate (paper 3.2)."""

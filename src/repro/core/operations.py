@@ -19,6 +19,11 @@ All traversals are breadth-first, so the ``Level`` argument of
 ``components-of`` coincides with the paper's definition of a *level-n
 component* ("the shortest path between O and O' has n composite
 references").
+
+The downward walk, :func:`walk_components`, reads each class's
+``composite_slots`` (worked out when the lattice resolves attributes) and
+serves live and snapshot reads alike.  The upward walks take an optional
+*read* list that collects every object whose reverse references they read.
 """
 
 from __future__ import annotations
@@ -26,35 +31,76 @@ from __future__ import annotations
 from collections import deque
 
 
-def _class_filter(database, list_of_classes):
-    """Build a UID predicate from the optional ListofClasses argument.
+def _admitted_classes(lattice, list_of_classes):
+    """The class names the optional ListofClasses argument admits, or
+    None when it admits every class.
 
     Membership is by class *hierarchy*: naming a class admits instances of
     its subclasses too, matching ORION's class-hierarchy query semantics.
     """
     if not list_of_classes:
-        return lambda uid: True
-    lattice = database.lattice
+        return None
     admitted = set()
     for name in list_of_classes:
         admitted.update(lattice.class_hierarchy_scope(name))
-    return lambda uid: database.class_of(uid) in admitted
+    return admitted
 
 
-def _kind_admits(exclusive, shared, ref_is_exclusive):
-    """Apply the Exclusive/Shared filter arguments of Section 3.1.
+def _kind(exclusive, shared):
+    """Decide the Exclusive/Shared filter arguments of Section 3.1 once:
+    True admits exclusive references only, False shared ones only, None
+    every reference.
 
     "If Exclusive is True, only the exclusive components are retrieved;
     and if Shared is True, only shared components. If both are Nil, all
     components are retrieved."  Both True admits everything (the union).
     """
-    if exclusive and shared:
-        return True
-    if exclusive:
-        return ref_is_exclusive
-    if shared:
-        return not ref_is_exclusive
-    return True
+    if bool(exclusive) == bool(shared):
+        return None
+    return bool(exclusive)
+
+
+def walk_components(lattice, root, lookup, classes=None, exclusive=False,
+                    shared=False, level=None):
+    """The breadth-first walk behind ``components-of``.
+
+    *root* is an instance and *lookup(uid)* returns a component's instance,
+    or None when it is absent: the live object table or a snapshot epoch.
+    Returns UIDs in BFS order, without the root, each once (at its
+    shortest-path level); *level* limits the depth.  Filters decide only
+    what is returned: every live component is walked through.
+    """
+    admitted = _admitted_classes(lattice, classes)
+    kind = _kind(exclusive, shared)
+    class_named = lattice.get
+    results = []
+    seen = {root.uid}
+    frontier = [root]
+    depth = 0
+    while frontier and (level is None or depth < level):
+        depth += 1
+        below = []
+        for instance in frontier:
+            values = instance.values
+            for name, is_set, slot_exclusive in class_named(
+                    instance.class_name).composite_slots:
+                value = values.get(name)
+                if value is None:
+                    continue
+                admit = kind is None or slot_exclusive is kind
+                for uid in value if is_set else (value,):
+                    if uid in seen:
+                        continue
+                    child = lookup(uid)
+                    if child is None:
+                        continue
+                    seen.add(uid)
+                    below.append(child)
+                    if admit and (admitted is None
+                                  or child.class_name in admitted):
+                        results.append(uid)
+        frontier = below
+    return results
 
 
 def components_of(database, uid, classes=None, exclusive=False, shared=False, level=None):
@@ -64,37 +110,9 @@ def components_of(database, uid, classes=None, exclusive=False, shared=False, le
     (at its shortest-path level).  *level* limits the depth; ``level=1``
     returns the children.
     """
-    database.resolve(uid)
-    admit_class = _class_filter(database, classes)
-    results = []
-    seen = {uid}
-    queue = deque([(uid, 0)])
-    while queue:
-        current, depth = queue.popleft()
-        if level is not None and depth >= level:
-            continue
-        instance = database.peek(current)
-        if instance is None:
-            continue
-        for attr, child_uid in database.iter_composite_values(instance):
-            if child_uid in seen:
-                continue
-            child = database.peek(child_uid)
-            if child is None or child.deleted:
-                continue
-            spec = database.lattice.get(instance.class_name).attribute(attr)
-            seen.add(child_uid)
-            queue.append((child_uid, depth + 1))
-            if _kind_admits(exclusive, shared, spec.exclusive) and admit_class(child_uid):
-                results.append(child_uid)
-    return results
-
-
-def children_of(database, uid, classes=None, exclusive=False, shared=False):
-    """Direct components (level-1) of *uid*."""
-    return components_of(
-        database, uid, classes=classes, exclusive=exclusive, shared=shared, level=1
-    )
+    root = database.resolve(uid)
+    return walk_components(database.lattice, root, database.peek, classes,
+                           exclusive, shared, level)
 
 
 def parents_of(database, uid, classes=None, exclusive=False, shared=False):
@@ -106,27 +124,31 @@ def parents_of(database, uid, classes=None, exclusive=False, shared=False):
     maintain in each component a list of reverse composite references").
     """
     instance = database.resolve(uid)
-    admit_class = _class_filter(database, classes)
+    admitted = _admitted_classes(database.lattice, classes)
+    kind = _kind(exclusive, shared)
     results = []
     for ref in instance.reverse_references:
-        if not _kind_admits(exclusive, shared, ref.exclusive):
+        if kind is not None and bool(ref.exclusive) is not kind:
             continue
-        if not admit_class(ref.parent):
+        if admitted is not None and database.class_of(ref.parent) not in admitted:
             continue
         if ref.parent not in results:
             results.append(ref.parent)
     return results
 
 
-def ancestors_of(database, uid, classes=None, exclusive=False, shared=False):
+def ancestors_of(database, uid, classes=None, exclusive=False, shared=False,
+                 read=None):
     """``ancestors-of`` — transitive closure of ``parents-of``.
 
     The Exclusive/Shared filter applies to each hop's reference type; the
     class filter applies to which ancestors are *returned* (traversal is
-    not cut by class, matching ``components-of``).
+    not cut by class, matching ``components-of``).  *read*, when given,
+    collects *uid* and every ancestor whose reverse references were read.
     """
     database.resolve(uid)
-    admit_class = _class_filter(database, classes)
+    admitted = _admitted_classes(database.lattice, classes)
+    kind = _kind(exclusive, shared)
     results = []
     seen = {uid}
     queue = deque([uid])
@@ -135,14 +157,16 @@ def ancestors_of(database, uid, classes=None, exclusive=False, shared=False):
         instance = database.peek(current)
         if instance is None:
             continue
+        if read is not None:
+            read.append(current)
         for ref in instance.reverse_references:
             if ref.parent in seen:
                 continue
-            if not _kind_admits(exclusive, shared, ref.exclusive):
+            if kind is not None and bool(ref.exclusive) is not kind:
                 continue
             seen.add(ref.parent)
             queue.append(ref.parent)
-            if admit_class(ref.parent):
+            if admitted is None or database.class_of(ref.parent) in admitted:
                 results.append(ref.parent)
     return results
 
@@ -207,7 +231,7 @@ def shared_component_of(database, uid1, uid2):
     return component_of(database, uid1, uid2)
 
 
-def roots_of(database, uid):
+def roots_of(database, uid, read=None):
     """The roots of every composite object containing *uid*.
 
     Not a paper message, but the system needs it internally ("the system
@@ -215,10 +239,13 @@ def roots_of(database, uid):
     component ... to efficiently support locking, versions, and
     authorization"); the GARZ88 root-locking algorithm (Section 7) calls
     this.  A root is an ancestor with no composite parents of its own; an
-    object with no parents is its own root.
+    object with no parents is its own root.  *read*, when given, collects
+    *uid* and every ancestor whose reverse references were read.
     """
     instance = database.resolve(uid)
     if not instance.reverse_references:
+        if read is not None:
+            read.append(uid)
         return [uid]
     roots = []
     seen = {uid}
@@ -228,6 +255,8 @@ def roots_of(database, uid):
         node = database.peek(current)
         if node is None:
             continue
+        if read is not None:
+            read.append(current)
         if current != uid and not node.reverse_references:
             if current not in roots:
                 roots.append(current)

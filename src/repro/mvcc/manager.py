@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import bisect
 
+from ..core.operations import walk_components
 from ..errors import SnapshotConflictError, SnapshotTooOldError, UnknownObjectError
 from ..storage.journal import install_batch
 from ..storage.serializer import decode_instance, encode_instance
@@ -291,25 +292,14 @@ class SnapshotManager:
 
     def components_at(self, root_uid, epoch):
         """Whole-composite snapshot read: every component of *root_uid*
-        reachable through composite forward references as of *epoch*."""
+        reachable through composite forward references as of *epoch*, in
+        the breadth-first order of a live ``components_of``."""
         self.snapshot_reads += 1
         root = self.instance_at(root_uid, epoch)
         if root is None:
             raise UnknownObjectError(root_uid)
-        seen = []
-        visited = {root_uid}
-        stack = [root]
-        while stack:
-            instance = stack.pop()
-            for _attr, child_uid in self._db.iter_composite_values(instance):
-                if child_uid in visited:
-                    continue
-                visited.add(child_uid)
-                child = self.instance_at(child_uid, epoch)
-                if child is None:
-                    continue
-                seen.append(child_uid)
-                stack.append(child)
+        seen = walk_components(self._db.lattice, root,
+                               lambda uid: self.instance_at(uid, epoch))
         for callback in self._db.on_snapshot_read:
             callback(root_uid, None, epoch)
             for member in seen:

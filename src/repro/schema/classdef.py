@@ -43,6 +43,12 @@ class ClassDef:
     #: Documentation string.
     document: str = ""
 
+    #: ``(attribute, set-valued, exclusive)`` for each effective composite
+    #: attribute, in definition order: what a composite walk reads.  The
+    #: lattice sets it whenever it resolves ``effective``.  A plain class
+    #: attribute, not a field, so equality and the schema payload ignore it.
+    composite_slots = ()
+
     def __post_init__(self):
         if not self.name or not self.name.isidentifier():
             raise ClassDefinitionError(

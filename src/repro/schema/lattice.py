@@ -94,7 +94,7 @@ class ClassLattice:
             if sup not in self._classes:
                 raise UnknownClassError(sup)
         classdef.superclasses = tuple(supers)
-        classdef.effective = self._resolve_attributes(classdef)
+        self._resolve(classdef)
         self._classes[classdef.name] = classdef
         self._subclasses[classdef.name] = set()
         for sup in supers:
@@ -181,6 +181,18 @@ class ClassLattice:
 
     # -- inheritance resolution ----------------------------------------------
 
+    def _resolve(self, classdef):
+        """Set *classdef*'s effective attributes and, from them, its
+        composite slots: the one place either is worked out, so every
+        schema change (each ends in :meth:`define` or
+        :meth:`_reresolve_from`) leaves the two in step."""
+        classdef.effective = self._resolve_attributes(classdef)
+        classdef.composite_slots = tuple(
+            (spec.name, spec.is_set, bool(spec.exclusive))
+            for spec in classdef.effective.values()
+            if spec.is_composite
+        )
+
     def _resolve_attributes(self, classdef):
         """Compute the effective attribute map of *classdef*.
 
@@ -229,8 +241,7 @@ class ClassLattice:
             if name in seen or name not in self._classes:
                 continue
             seen.add(name)
-            classdef = self._classes[name]
-            classdef.effective = self._resolve_attributes(classdef)
+            self._resolve(self._classes[name])
             pending.extend(self.direct_subclasses(name))
 
     def reresolve_subtree(self, name):

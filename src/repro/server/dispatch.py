@@ -20,6 +20,7 @@ the session wraps them in a transaction of their own.
 
 from __future__ import annotations
 
+from ..core import operations as ops
 from ..errors import ReadOnlyError, TransactionStateError
 from ..locking.modes import LockMode
 from ..schema.attribute import AttributeSpec, SetOf
@@ -156,6 +157,11 @@ async def _op_resolve(session, args):
         await session.lock_instance(txn, uid, "read")
         db = session.server.db
         instance = db.resolve(uid)
+        if db.on_read:
+            # Guarded: an unobserved resolve, the hottest wire read, enters
+            # no txn_context and makes no hook call.
+            with db.txn_context(txn):
+                db.note_reads((uid,))
         cache = session.server.image_cache
         if cache is not None and session.protocol_version == 2:
             # The journal already fingerprints every persisted image for
@@ -277,13 +283,46 @@ async def _op_components_of(session, args):
             )
 
 
-def _navigation(method):
+async def _lock_object(session, txn, uid):
+    await session.lock_instance(txn, uid, "read")
+
+
+async def _lock_children(session, txn, uid):
+    # The children's whole objects are read: the composite read plan.
+    await session.lock_composite(txn, uid, "read")
+
+
+async def _lock_ancestry(session, txn, uid):
+    """S on *uid* and on every ancestor the upward walk reads.  A parent
+    may link a new ancestor in while a lock is awaited, so walk again
+    until a walk finds every ancestor it read locked."""
+    await session.lock_instance(txn, uid, "read")
+    db = session.server.db
+    locked = {uid}
+    while True:
+        read = []
+        ops.ancestors_of(db, uid, read=read)
+        fresh = [ancestor for ancestor in read if ancestor not in locked]
+        if not fresh:
+            return
+        for ancestor in fresh:
+            await session.lock_instance(txn, ancestor, "read")
+            locked.add(ancestor)
+
+
+def _navigation(method, lock):
+    """A navigation op: *lock* covers every object *method* records as
+    read, so the recorded footprint is the locked one."""
     async def handler(session, args):
         (uid,) = _require(args, "uid")
         session.authorize(READ, uid)
         async with session.txn_scope() as txn:
-            await session.lock_instance(txn, uid, "read")
-            return getattr(session.server.db, method)(uid)
+            await lock(session, txn, uid)
+            db = session.server.db
+            # txn_context so observers (the isolation-history recorder)
+            # attribute the reads the method reports to this transaction.
+            with db.txn_context(txn):
+                return getattr(db, method)(uid)
 
     handler.__name__ = f"_op_{method}"
     return handler
@@ -607,10 +646,10 @@ COMMANDS = {
     "remove_part_of": _op_remove_part_of,
     "delete": _op_delete,
     "components_of": _op_components_of,
-    "children_of": _navigation("children_of"),
-    "parents_of": _navigation("parents_of"),
-    "ancestors_of": _navigation("ancestors_of"),
-    "roots_of": _navigation("roots_of"),
+    "children_of": _navigation("children_of", _lock_children),
+    "parents_of": _navigation("parents_of", _lock_object),
+    "ancestors_of": _navigation("ancestors_of", _lock_ancestry),
+    "roots_of": _navigation("roots_of", _lock_ancestry),
     "instances_of": _op_instances_of,
     "query": _op_query,
     "snapshot_read": _op_snapshot_read,

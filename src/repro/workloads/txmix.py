@@ -7,7 +7,10 @@ driver, and a live TCP driver.
 through a real :class:`repro.server.client.Client` connection, turning
 each script into one explicit ``begin``/``commit`` transaction against a
 live server (or a shard router: benchmark B18 and the cluster tests
-drive exactly this workload through ``repro-router``).  The in-process
+drive exactly this workload through ``repro-router``);
+:func:`run_tcp_clients` runs them over several connections at once, and
+:func:`navigation_mix` builds scripts that read through the navigation
+ops (``children_of`` … ``roots_of``) as well.  The in-process
 half — :func:`memory_fixture` and :func:`run_tm_mix` — replays them
 through a :class:`repro.txn.manager.TransactionManager` with genuinely
 interleaved transactions (round-robin, one step per round), which is
@@ -61,6 +64,40 @@ def composite_mix(
             else:
                 target = root
                 action = "read_composite" if read else "update_composite"
+            steps.append(Step(action=action, target=target))
+        scripts.append(steps)
+    return scripts
+
+
+#: Read steps :func:`run_tcp_mix` sends as the wire op of the same name.
+NAVIGATION_ACTIONS = ("children_of", "parents_of", "ancestors_of", "roots_of")
+
+
+def navigation_mix(roots, components_by_root, transactions=20,
+                   steps_per_txn=3, read_ratio=0.6, seed=42):
+    """Scripts whose reads mix the navigation ops with ``read_composite``
+    and ``read_instance``, and whose writes stamp a root or a component.
+
+    ``children_of`` and ``read_composite`` target a root, the other reads
+    a component, so every navigation read has a footprint a concurrent
+    stamp can touch.  For :func:`run_tcp_mix` only: the simulator knows
+    no navigation step.
+    """
+    rng = random.Random(seed)
+    reads = NAVIGATION_ACTIONS + ("read_composite", "read_instance")
+    scripts = []
+    for _ in range(transactions):
+        steps = []
+        for _ in range(steps_per_txn):
+            root = rng.choice(roots)
+            part = rng.choice(components_by_root[root])
+            if rng.random() < read_ratio:
+                action = rng.choice(reads)
+                target = (root if action in ("children_of", "read_composite")
+                          else part)
+            else:
+                action = "update_instance"
+                target = rng.choice((root, part))
             steps.append(Step(action=action, target=target))
         scripts.append(steps)
     return scripts
@@ -148,8 +185,9 @@ def run_tcp_mix(client, scripts, max_retries=10):
     """Execute simulator *scripts* through a live client connection.
 
     Each script runs as one explicit transaction: ``read_composite``
-    becomes ``components_of``, ``read_instance`` becomes ``resolve``,
-    and both update actions ``set_value`` the target's stamp.  A
+    becomes ``components_of``, ``read_instance`` becomes ``resolve``, a
+    :data:`NAVIGATION_ACTIONS` step the op it names, and both update
+    actions ``set_value`` the target's stamp.  A
     deadlock victim retries its whole scope (the server already rolled
     it back), up to *max_retries* times.  Returns counters::
 
@@ -168,6 +206,8 @@ def run_tcp_mix(client, scripts, max_retries=10):
                         client.components_of(step.target)
                     elif step.action == "read_instance":
                         client.resolve(step.target)
+                    elif step.action in NAVIGATION_ACTIONS:
+                        getattr(client, step.action)(step.target)
                     else:
                         stamp += 1
                         client.set_value(
@@ -182,6 +222,41 @@ def run_tcp_mix(client, scripts, max_retries=10):
                     raise
         stats["transactions"] += 1
     return stats
+
+
+def run_tcp_clients(port, scripts, clients=2, host="127.0.0.1",
+                    max_retries=10):
+    """:func:`run_tcp_mix` over *clients* connections at once, one thread
+    each; script *i* runs on connection ``i % clients``.  Returns the
+    summed counters; the first driver error is re-raised."""
+    import threading
+
+    from ..server.client import Client
+
+    totals = {"transactions": 0, "ops": 0, "deadlock_retries": 0}
+    errors = []
+    guard = threading.Lock()
+
+    def drive(share):
+        try:
+            with Client(host=host, port=port) as client:
+                stats = run_tcp_mix(client, share, max_retries)
+        except Exception as error:
+            errors.append(error)
+            return
+        with guard:
+            for key, count in stats.items():
+                totals[key] += count
+
+    threads = [threading.Thread(target=drive, args=(scripts[i::clients],))
+               for i in range(clients)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return totals
 
 
 # ---------------------------------------------------------------------------

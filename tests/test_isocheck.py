@@ -24,7 +24,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import AttributeSpec, Database
+from repro import AttributeSpec, Database, SetOf
 from repro.analysis.codelint import lint_source
 from repro.analysis.findings import PLANES, Severity, plane_for_rule
 from repro.analysis.history import (
@@ -575,6 +575,137 @@ class TestServerRecording:
         offline = History.load(path)
         assert offline.events[0].kind == "boot"
         assert not check_history(offline).errors
+
+    @staticmethod
+    def _chain(target):
+        """``root`` -> ``mid`` -> ``leaf`` through a shared composite, made
+        through a ``Client`` or a ``Database`` alike."""
+        target.make_class("Node", attributes=[AttributeSpec(
+            "Kids", domain=SetOf("Node"), composite=True, exclusive=False,
+            dependent=False)])
+        root = target.make("Node")
+        mid = target.make("Node", parents=[(root, "Kids")])
+        leaf = target.make("Node", parents=[(mid, "Kids")])
+        return root, mid, leaf
+
+    @staticmethod
+    def _navigation_reads(target, root, mid, leaf):
+        """Run the five reads; returns the UIDs they must record: the
+        object, plus the children returned or every ancestor whose
+        reverse references were read."""
+        target.resolve(leaf)
+        assert target.children_of(root) == [mid]
+        assert target.parents_of(leaf) == [mid]
+        assert target.ancestors_of(leaf) == [mid, root]
+        assert target.roots_of(leaf) == [root]
+        return [str(uid) for uid in (leaf, root, mid, leaf, leaf, mid, root,
+                                     leaf, mid, root)]
+
+    def test_wire_resolve_and_navigation_record_their_reads(self):
+        from repro.server import Client, ServerThread
+
+        with ServerThread(record_history=True) as handle:
+            with Client(port=handle.port) as client:
+                root, mid, leaf = self._chain(client)
+                txn = client.begin()
+                expected = self._navigation_reads(client, root, mid, leaf)
+                client.commit()
+                history = handle.server.history.history
+        reads = [event.uid for event in history
+                 if event.kind == "read" and event.txn == f"t{txn}"]
+        assert reads == expected
+        assert not check_history(history).errors
+
+    def test_embedded_navigation_records_its_reads(self):
+        db = Database()
+        root, mid, leaf = self._chain(db)
+        with HistoryRecorder(db) as recorder:
+            tm = TransactionManager(db)
+            txn = tm.begin()
+            with db.txn_context(txn):
+                expected = self._navigation_reads(db, root, mid, leaf)
+            tm.commit(txn)
+        reads = [event.uid for event in recorder.history
+                 if event.kind == "read" and event.txn == f"t{txn.txn_id}"]
+        # The embedded resolve is the access path of every operation and
+        # records nothing; the four navigation reads record as on the wire.
+        assert reads == expected[1:]
+
+    def test_navigation_reads_lock_what_they_record(self):
+        # A navigation op records whole-object reads of the children (or
+        # ancestors) it read, so it must hold them: a writer of one waits
+        # for the reader's commit instead of slipping in between.
+        import threading
+
+        from repro.server import Client, ServerThread
+        from repro.workloads.txmix import STAMP_ATTRIBUTE, tcp_fixture
+
+        with ServerThread(record_history=True) as handle, \
+                Client(port=handle.port) as reader, \
+                Client(port=handle.port) as writer:
+            roots, components = tcp_fixture(reader, roots=1,
+                                            parts_per_root=1)
+            root = roots[0]
+            part = components[root][0]
+            for op, target, written in (("children_of", root, part),
+                                        ("ancestors_of", part, root),
+                                        ("roots_of", part, root)):
+                reader.begin()
+                getattr(reader, op)(target)
+                done = threading.Event()
+
+                def write():
+                    writer.set_value(written, STAMP_ATTRIBUTE, 1)
+                    done.set()
+
+                thread = threading.Thread(target=write)
+                thread.start()
+                assert not done.wait(0.3), f"{op} left {written} unlocked"
+                reader.commit()
+                thread.join(10)
+                assert done.is_set()
+            history = handle.server.history.history
+        report = check_history(history)
+        assert not report.errors and not report.warnings
+
+    def test_concurrent_wire_navigation_mix_checks_strict_clean(self):
+        from repro.server import Client, ServerThread
+        from repro.workloads.txmix import (
+            NAVIGATION_ACTIONS, navigation_mix, run_tcp_clients, tcp_fixture)
+
+        with ServerThread(record_history=True) as handle:
+            with Client(port=handle.port) as client:
+                roots, components = tcp_fixture(client, roots=4,
+                                                parts_per_root=2)
+            scripts = navigation_mix(roots, components, transactions=40,
+                                     seed=20260807)
+            stats = run_tcp_clients(handle.port, scripts, clients=2)
+            history = handle.server.history.history
+        assert stats["transactions"] == len(scripts)
+        assert {step.action for steps in scripts for step in steps} \
+            >= set(NAVIGATION_ACTIONS)
+        report = check_history(history)
+        assert not report.errors and not report.warnings
+        assert any(event.kind == "read" for event in history)
+
+    def test_unrecorded_resolve_enters_no_txn_context(self):
+        from repro.server import Client, ServerThread
+
+        db = Database()
+        entered = []
+        original = db.txn_context
+
+        def counting(txn):
+            entered.append(txn)
+            return original(txn)
+
+        db.txn_context = counting
+        with ServerThread(database=db) as handle:
+            with Client(port=handle.port) as client:
+                _root, _mid, leaf = self._chain(client)
+                entered.clear()
+                assert client.resolve(leaf)["uid"] == leaf
+        assert entered == []
 
     def test_iso_plane_refused_without_a_recorder(self):
         from repro.server import Client, ServerThread
