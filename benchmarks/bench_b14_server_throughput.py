@@ -1,7 +1,7 @@
 """Experiment B14: network server throughput vs the embedded API.
 
-The server subsystem (ISSUE: asyncio wire protocol + sessions) adds a
-TCP round-trip, JSON codec work, and per-request lock-plan acquisition on
+The server subsystem (asyncio wire protocol + sessions) adds a TCP
+round-trip, binary codec work, and per-request lock-plan acquisition on
 top of every operation.  This experiment measures what that costs:
 
 * **embedded** — the same op mix called directly on a Database/
@@ -58,12 +58,11 @@ def _client_ops(client, uid, count):
         client.value(uid, "Serial")
 
 
-def _run_tcp(port, clients, versions=None):
+def _run_tcp(port, clients):
     """Drive *clients* concurrent connections; each worker gets its own
-    Part instance, so the Section 7 plans never contend.  *versions*
-    pins the protocol the clients offer (None = this build's default)."""
+    Part instance, so the Section 7 plans never contend."""
     workers = []
-    connections = [Client(port=port, timeout=30.0, versions=versions)
+    connections = [Client(port=port, timeout=30.0)
                    for _ in range(clients)]
     uids = [c.make("Part", values={"Serial": i, "Status": "new"})
             for i, c in enumerate(connections)]
@@ -125,19 +124,6 @@ def test_b14_server_throughput(benchmark, recorder):
                 "req_per_sec": total_ops / elapsed,
                 "mean_latency_ms": 1000.0 * elapsed / total_ops,
             })
-        # Codec comparison at one client: the same op mix under the v1
-        # JSON framing and the v2 binary framing (the default above
-        # already ran v2; this isolates the codec from concurrency).
-        for version in (1, 2):
-            total_ops, elapsed = _run_tcp(handle.port, 1,
-                                          versions=(version,))
-            rows.append({
-                "config": f"tcp@1-v{version}",
-                "clients": 1,
-                "requests": total_ops,
-                "req_per_sec": total_ops / elapsed,
-                "mean_latency_ms": 1000.0 * elapsed / total_ops,
-            })
 
     by_config = {row["config"]: row for row in rows}
     # The wire costs something: embedded beats a single TCP client.
@@ -145,22 +131,17 @@ def test_b14_server_throughput(benchmark, recorder):
     # Disjoint sessions multiplex: aggregate throughput at 4 clients is
     # not worse than ~half of one client's (no serialization collapse).
     assert by_config["tcp@4"]["req_per_sec"] > 0.5 * by_config["tcp@1"]["req_per_sec"]
-    # The binary codec must not regress against JSON (round-trip time is
-    # socket-dominated at depth 1, so parity is the floor, not a win).
-    assert (by_config["tcp@1-v2"]["req_per_sec"]
-            > 0.7 * by_config["tcp@1-v1"]["req_per_sec"])
     # Everyone's requests completed.
     assert all(row["requests"] > 0 for row in rows)
 
     print_table(rows, title="B14 — embedded vs TCP request throughput "
                             f"({OPS_PER_CLIENT} ops/client)")
     recorder.record(
-        "B14", "server throughput: embedded vs TCP at 1/4/16 clients, "
-        "v1 JSON vs v2 binary codec at 1 client", rows,
+        "B14", "server throughput: embedded vs TCP at 1/4/16 clients",
+        rows,
         ["the wire protocol adds per-request cost (embedded > tcp@1); "
          "concurrent disjoint sessions keep aggregate throughput from "
-         "collapsing as clients are added; the v2 binary codec holds "
-         "at least parity with v1 JSON on serial round-trips"],
+         "collapsing as clients are added"],
     )
 
     with ServerThread() as handle:

@@ -8,15 +8,14 @@ Against a group-commit journal that turns N fsync waits into one —
 which is where the multiple comes from, not codec arithmetic.
 
 Measured here: autocommitting writes against a durable store
-(``sync_policy="group"``) driven serially under v1 and v2, then
-pipelined under v2 at increasing depths.  The claim asserted below is
-on counts, which do not depend on the host's fsync latency: at depth 8
-a request pays at most 1/8 of the journal fsyncs a serial v1 request
-pays, and fsyncs per request never rise with depth.  Throughput is
-printed and recorded, not asserted: since the batch barrier stopped
-sleeping out the window for a lone session (PR 22), serial v1 runs at
-fsync speed and its distance to depth 8 is whatever the host's fsync
-makes it.
+(``sync_policy="group"``) driven serially, then pipelined at increasing
+depths.  The claim asserted below is on counts, which do not depend on
+the host's fsync latency: at depth 8 a request pays at most 1/8 of the
+journal fsyncs a serial request pays, and fsyncs per request never rise
+with depth.  Throughput is printed and recorded, not asserted: since the
+batch barrier stopped sleeping out the window for a lone session, serial
+requests run at fsync speed and their distance to depth 8 is whatever
+the host's fsync makes it.
 """
 
 from __future__ import annotations
@@ -77,14 +76,12 @@ def test_b20_pipelining(tmp_path, benchmark, recorder):
                 uid = admin.make("Part",
                                  values={"Serial": 1, "Status": "new"})
 
-            for version in (1, 2):
-                with Client(port=handle.port,
-                            versions=(version,)) as client:
-                    rows.append(_measure(
-                        f"serial-v{version}",
-                        lambda c=client: _serial(c, uid, OPS),
-                        database.journal,
-                    ))
+            with Client(port=handle.port) as client:
+                rows.append(_measure(
+                    "serial-v2",
+                    lambda c=client: _serial(c, uid, OPS),
+                    database.journal,
+                ))
             for depth in DEPTHS:
                 with Client(port=handle.port) as client:
                     rows.append(_measure(
@@ -98,7 +95,7 @@ def test_b20_pipelining(tmp_path, benchmark, recorder):
             # The acceptance claim: every serial autocommit pays its own
             # barrier fsync; a pipelined batch pays one for all its
             # members, so depth 8 costs at most 1/8 of serial's.
-            assert 8 * fsyncs["pipelined-v2@8"] <= fsyncs["serial-v1"]
+            assert 8 * fsyncs["pipelined-v2@8"] <= fsyncs["serial-v2"]
             # Deeper batches never pay more fsyncs per request.
             per_depth = [fsyncs[f"pipelined-v2@{d}"] for d in DEPTHS]
             assert per_depth == sorted(per_depth, reverse=True)
@@ -106,10 +103,10 @@ def test_b20_pipelining(tmp_path, benchmark, recorder):
             print_table(rows, title=f"B20 — pipelined vs serial durable "
                                     f"writes ({OPS} ops)")
             recorder.record(
-                "B20", "request pipelining: serial v1/v2 vs pipelined v2 "
+                "B20", "request pipelining: serial v2 vs pipelined v2 "
                 "at depths 2/4/8/16 over a group-commit journal", rows,
                 ["pipelining batches the durability barrier: depth 8 "
-                 "pays at most 1/8 of serial v1's fsyncs per request, "
+                 "pays at most 1/8 of serial v2's fsyncs per request, "
                  "and fsyncs per request fall with depth as more "
                  "commits share one barrier"],
             )

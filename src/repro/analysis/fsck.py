@@ -26,6 +26,9 @@ Rule ids
                                     schema (no deferred change pending)
 ``FSCK-DOMAIN``            error    reference target outside the
                                     attribute's domain class
+``FSCK-SHAPE``             error    a reference slot holding neither None
+                                    nor a UID (single-valued) or a list
+                                    (set-valued)
 ``FSCK-EXTENT``            error    class-extent bookkeeping out of sync
 ``FSCK-VERSION-CYCLE``     error    version-derivation graph has a cycle
 ``FSCK-VERSION-DANGLING``  error    version registry names a dead UID
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from ..core.identity import UID
 from .findings import Report, Severity
 
 
@@ -211,12 +215,22 @@ class _Fsck:
             if spec.is_primitive:
                 continue
             value = instance.get(spec.name)
-            targets = value if isinstance(value, list) else [value]
-            for target in targets:
+            location = f"{instance.uid}.{spec.name}"
+            if value is not None and not isinstance(
+                    value, list if spec.is_set else UID):
+                self.report.add(
+                    Severity.ERROR,
+                    "FSCK-SHAPE",
+                    location,
+                    f"{'set' if spec.is_set else 'single'}-valued slot "
+                    f"holds a {type(value).__name__}: {value!r}",
+                    value_type=type(value).__name__,
+                )
+                continue
+            for target in value if spec.is_set else [value]:
                 if target is None:
                     continue
                 child = db.peek(target)
-                location = f"{instance.uid}.{spec.name}"
                 if child is None:
                     if spec.is_composite:
                         self.report.add(

@@ -654,9 +654,8 @@ def lint_wire_ops(report: Optional[Report] = None) -> Report:
       ambiguous-outcome resend is a double-execution bug);
     * every retryable op must be dispatchable (or the pre-dispatch
       ``hello`` handshake);
-    * both wire protocol versions must stay offered, and every
-      dispatchable op must survive the v2 binary framing round-trip —
-      a codec change must not quietly orphan an op the v1 path serves.
+    * every dispatchable op must survive the wire framing round-trip —
+      a codec change must not quietly orphan an op.
     """
     from ..server.client import RETRYABLE_OPS
     from ..server.dispatch import COMMANDS, MUTATING_OPS
@@ -720,39 +719,29 @@ def lint_wire_ops(report: Optional[Report] = None) -> Report:
 
 
 def _lint_v2_servability(commands: set[str], report: Report) -> None:
-    """Every dispatchable op must be servable under v2 framing.
+    """Every dispatchable op must be servable over the wire.
 
-    Encodes a v2 request naming each op, decodes the payload, and
+    Encodes a request naming each op, decodes the payload, and
     re-validates it through :func:`check_request` — the same path the
-    server walks for a real v2 client.  An op that cannot round-trip
+    server walks for a real client.  An op that cannot round-trip
     (codec regression, tag collision, name the binary string codec
-    rejects) is unreachable for v2 clients even though the v1 JSON path
-    still serves it — exactly the drift this lint exists to catch.
+    rejects) is unreachable for every client — exactly the drift this
+    lint exists to catch.
     """
     from ..server.protocol import (
-        SUPPORTED_VERSIONS,
+        VERSION,
         ProtocolError,
         check_request,
         decode_payload,
         encode_request_bytes,
     )
 
-    for required in (1, 2):
-        if required not in SUPPORTED_VERSIONS:
-            report.add(
-                Severity.ERROR, "PROTO-OP-DRIFT", f"version-{required}",
-                f"protocol version {required} is missing from "
-                f"SUPPORTED_VERSIONS — v1 compatibility and the v2 "
-                f"binary path are both load-bearing",
-            )
     for op in sorted(commands):
         report.checked += 1
         try:
-            data = encode_request_bytes(2, 1, op, {})
-            frame = decode_payload(2, data[4:])  # strip length prefix
-            request_id, decoded_op, _args = check_request(
-                frame, decoded=True
-            )
+            data = encode_request_bytes(VERSION, 1, op, {})
+            frame = decode_payload(VERSION, data[4:])  # strip length prefix
+            request_id, decoded_op, _args = check_request(frame)
         except ProtocolError as error:
             report.add(
                 Severity.ERROR, "PROTO-OP-DRIFT", op,

@@ -461,14 +461,14 @@ class SchemaEvolutionManager(TaxonomyMixin):
         return spec
 
     def _owner_classes(self, class_name, attribute):
-        """C' and every subclass that inherits the attribute unchanged."""
-        db = self._db
-        owners = {class_name}
-        for sub in db.lattice.all_subclasses(class_name):
-            subdef = db.lattice.get(sub)
-            if subdef.has_attribute(attribute):
-                owners.add(sub)
-        return owners
+        """C' and every subclass that inherits the attribute unchanged
+        (a subclass that redefines it owns its own attribute)."""
+        lattice = self._db.lattice
+        origin = lattice.get(class_name).attribute(attribute).defined_in
+        return {class_name} | {
+            sub for sub in lattice.all_subclasses(class_name)
+            if self._inherits_attribute(sub, attribute, origin)
+        }
 
     def _apply_state_independent(self, change, class_name, spec, mode):
         """Dispatch an I1-I4 change immediately or to the log."""

@@ -49,25 +49,33 @@ class TaxonomyMixin:
             )
         classdef.local[spec.name] = spec.inherited_into(class_name)
         db.lattice.reresolve_subtree(class_name)
-        scope = [class_name] + [
+        self._materialize(spec, [class_name] + [
             sub for sub in db.lattice.all_subclasses(class_name)
             if self._inherits_attribute(sub, spec.name, class_name)
-        ]
-        for owner in scope:
+        ])
+        return classdef.attribute(spec.name)
+
+    def _materialize(self, spec, owners):
+        """Give every instance of *owners* *spec*'s init value (an empty
+        set for set-of attributes)."""
+        db = self._db
+        for owner in owners:
             for instance in db.instances_of(owner, include_subclasses=False):
                 if spec.is_set:
                     instance.set(spec.name, list(spec.init) if spec.init else [])
                 else:
                     instance.set(spec.name, spec.init)
                 db.persist(instance)
-        return classdef.attribute(spec.name)
 
     def rename_attribute(self, class_name, old_name, new_name):
         """Rename an attribute, migrating values and reverse references.
 
-        Reverse composite references record the attribute name, so every
-        referenced instance must be patched — the same access pattern as
-        an immediate I-change.
+        Only the owners of the attribute — the class and the subclasses
+        that inherit it unchanged — hold its values.  A subclass that
+        redefines *old_name* keeps its own attribute and newly inherits
+        *new_name*, whose init value its instances get.  Reverse composite
+        references record the attribute name, so every referenced instance
+        must be patched — the same access pattern as an immediate I-change.
         """
         db = self._db
         classdef = db.lattice.get(class_name)
@@ -77,20 +85,26 @@ class TaxonomyMixin:
                 f"{class_name}.{old_name} is inherited from "
                 f"{spec.defined_in}; rename it there"
             )
-        if classdef.has_attribute(new_name):
-            raise SchemaEvolutionError(
-                f"{class_name} already has attribute {new_name!r}"
-            )
+        owners = self._owner_classes(class_name, old_name)
+        for owner in [class_name, *sorted(owners - {class_name})]:
+            if db.lattice.get(owner).has_attribute(new_name):
+                raise SchemaEvolutionError(
+                    f"{owner} already has attribute {new_name!r}"
+                )
         new_spec = spec.evolved(name=new_name)
         del classdef.local[old_name]
         classdef.local[new_name] = new_spec
         db.lattice.reresolve_subtree(class_name)
-        owners = self._owner_classes(class_name, new_name)
         for owner in owners:
             for instance in db.instances_of(owner, include_subclasses=False):
                 if old_name in instance.values:
                     instance.set(new_name, instance.values.pop(old_name))
                     db.persist(instance)
+        self._materialize(new_spec, (
+            sub for sub in db.lattice.all_subclasses(class_name)
+            if sub not in owners
+            and self._inherits_attribute(sub, new_name, class_name)
+        ))
         if spec.is_composite:
             for target in db.instances_of(spec.domain_class):
                 patched = False

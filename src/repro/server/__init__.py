@@ -1,8 +1,8 @@
 """Network server subsystem: the database over TCP.
 
-* :mod:`repro.server.protocol` — length-prefixed wire codecs (v1 JSON,
-  v2 binary) with request ids, typed error marshalling, and version
-  negotiation;
+* :mod:`repro.server.protocol` — the length-prefixed binary wire
+  protocol with request ids, typed error marshalling, and the ``hello``
+  handshake;
 * :mod:`repro.server.server` — the asyncio TCP server: per-connection
   sessions owning :mod:`repro.txn` transactions, asynchronous lock
   waiting with deadlock aborts over the Section 7 composite protocol,
@@ -21,12 +21,7 @@ from .protocol import (
     ProtocolError,
     SUPPORTED_VERSIONS,
     build_error,
-    decode_frame,
     decode_payload,
-    encode_frame,
-    error_frame,
-    wire_decode,
-    wire_encode,
 )
 from .server import ReproServer, ServerStats, ServerThread, SessionStats
 
@@ -43,10 +38,5 @@ __all__ = [
     "ServerThread",
     "SessionStats",
     "build_error",
-    "decode_frame",
     "decode_payload",
-    "encode_frame",
-    "error_frame",
-    "wire_decode",
-    "wire_encode",
 ]

@@ -28,7 +28,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import dataclasses
-import os
 import random
 import socket
 import time
@@ -38,14 +37,13 @@ from ..schema.attribute import AttributeSpec
 from .protocol import (
     RECV_BYTES,
     SUPPORTED_VERSIONS,
+    VERSION,
     FrameBuffer,
     ProtocolError,
     build_error,
     decode_payload,
     encode_request_bytes,
     read_frames,
-    wire_decode,
-    wire_encode,
 )
 
 
@@ -64,64 +62,36 @@ RETRYABLE_OPS = frozenset({
 
 
 def spec_to_wire(spec):
-    """Lower an attribute spec (or dict) to its wire form."""
+    """An attribute spec (or dict) as the dict the wire carries."""
     if isinstance(spec, AttributeSpec):
         # Not dataclasses.asdict: that would deep-convert a SetOf domain
-        # into a plain dict and lose its wire tag.
-        fields = {
+        # into a plain {"member": ...} dict; the wire carries SetOf.
+        return {
             f.name: getattr(spec, f.name)
             for f in dataclasses.fields(spec)
             if f.name != "defined_in"  # server-side bookkeeping
         }
-        return wire_encode(fields)
     if isinstance(spec, dict):
-        return wire_encode(dict(spec))
+        return dict(spec)
     raise TypeError(f"attribute spec must be AttributeSpec or dict: {spec!r}")
-
-
-def _default_versions():
-    """The protocol versions a client offers by default.
-
-    ``REPRO_PROTOCOL_VERSIONS`` (e.g. ``"1"`` or ``"2,1"``) overrides
-    the build's full set — CI uses it to run the whole client test
-    suite as a v1 JSON client against a v2-default server.
-    """
-    raw = os.environ.get("REPRO_PROTOCOL_VERSIONS")
-    if not raw:
-        return SUPPORTED_VERSIONS
-    try:
-        versions = tuple(int(tok) for tok in raw.replace(",", " ").split())
-    except ValueError:
-        raise ValueError(
-            f"REPRO_PROTOCOL_VERSIONS must be integers, got {raw!r}"
-        ) from None
-    return versions or SUPPORTED_VERSIONS
 
 
 class _ClientCore:
     """Request building and response interpretation (transport-free)."""
 
-    def __init__(self, user=None, versions=None):
+    def __init__(self, user=None):
         self.user = user
-        self.versions = (
-            tuple(versions) if versions is not None else _default_versions()
-        )
+        #: The version the server's hello answer named.
         self.protocol_version = None
         self.session_id = None
         self.pipeline_depth = 1
         self._next_id = 0
         self._in_transaction = False
 
-    @property
-    def _wire_version(self):
-        """The framing for the next exchange: v1 until the handshake
-        negotiates something newer."""
-        return self.protocol_version or 1
-
     def _encode_request(self, op, args):
         self._next_id += 1
         return self._next_id, encode_request_bytes(
-            self._wire_version, self._next_id, op, args
+            VERSION, self._next_id, op, args
         )
 
     def _interpret(self, request_id, frame):
@@ -135,14 +105,11 @@ class _ClientCore:
     def _frame_result(self, frame):
         """The (typed) result carried by one response frame."""
         if frame.get("ok"):
-            result = frame.get("result")
-            # v2 payloads decode straight to rich values; v1 results
-            # still carry their JSON $-tags.
-            return result if self._wire_version == 2 else wire_decode(result)
+            return frame.get("result")
         raise build_error(frame.get("error") or {})
 
     def _hello_args(self):
-        return {"versions": list(self.versions), "client": "repro-client"}
+        return {"versions": list(SUPPORTED_VERSIONS), "client": "repro-client"}
 
     def _note_hello(self, result):
         self.protocol_version = result["version"]
@@ -235,17 +202,11 @@ class Client(_ClientCore):
         Randomness source for the jitter (a seeded
         :class:`random.Random` makes reconnect timing reproducible in
         tests).
-    versions:
-        Protocol versions to offer in the handshake, newest first
-        (default: everything this build speaks, or the
-        ``REPRO_PROTOCOL_VERSIONS`` environment override).  Pass
-        ``(1,)`` to force the v1 JSON protocol against a v2 server.
     """
 
     def __init__(self, host="127.0.0.1", port=4957, user=None, timeout=60.0,
-                 max_retries=5, backoff=0.05, jitter=0.5, rng=None,
-                 versions=None):
-        super().__init__(user=user, versions=versions)
+                 max_retries=5, backoff=0.05, jitter=0.5, rng=None):
+        super().__init__(user=user)
         self.host = host
         self.port = port
         self.timeout = timeout
@@ -263,7 +224,7 @@ class Client(_ClientCore):
         """(Re)establish the connection and run the handshake.
 
         A reconnect is a *new* server session: whatever version the old
-        connection negotiated, whatever session id it held, and any
+        connection's hello named, whatever session id it held, and any
         open-transaction flag are stale — the server behind this address
         may even be a different process than last time (a shard router
         restarting a worker, a failover).  They are cleared before the
@@ -306,7 +267,7 @@ class Client(_ClientCore):
                 raise ConnectionError("server closed the connection")
             frames.feed(chunk)
             batch = frames.take(1)
-        return decode_payload(self._wire_version, batch[0])
+        return decode_payload(VERSION, batch[0])
 
     def _roundtrip(self, op, args):
         request_id, data = self._encode_request(op, args)
@@ -639,8 +600,8 @@ class Pipeline:
         """One attempt: write the whole batch, then read every response.
 
         Requests are (re-)encoded here, not at queue time: a reconnect
-        between attempts renumbers ids and may renegotiate the protocol
-        version, so the bytes are only valid per-connection.
+        between attempts renumbers ids, so the bytes are only valid
+        per-connection.
         """
         client = self.client
         encoded = [client._encode_request(op, args)
@@ -658,10 +619,7 @@ class Pipeline:
                     f"match request {request_id} (op {op!r})"
                 )
             if frame.get("ok"):
-                result = frame.get("result")
-                if client._wire_version != 2:
-                    result = wire_decode(result)
-                handle._resolve(value=result)
+                handle._resolve(value=frame.get("result"))
             else:
                 handle._resolve(error=build_error(frame.get("error") or {}))
 
@@ -682,8 +640,8 @@ class AsyncClient(_ClientCore):
     expected to own retry policy (create a fresh client).
     """
 
-    def __init__(self, host="127.0.0.1", port=4957, user=None, versions=None):
-        super().__init__(user=user, versions=versions)
+    def __init__(self, host="127.0.0.1", port=4957, user=None):
+        super().__init__(user=user)
         self.host = host
         self.port = port
         self._reader = None
@@ -738,9 +696,7 @@ class AsyncClient(_ClientCore):
     async def _roundtrip(self, op, args):
         request_id, data = self._encode_request(op, args)
         payload = await self._exchange(data)
-        return self._interpret(
-            request_id, decode_payload(self._wire_version, payload)
-        )
+        return self._interpret(request_id, decode_payload(VERSION, payload))
 
     def call(self, op, **args):
         return self._roundtrip(op, args)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from ..core import operations as ops
 from ..errors import ReadOnlyError, TransactionStateError
 from ..locking.modes import LockMode
-from ..schema.attribute import AttributeSpec, SetOf
+from ..schema.attribute import AttributeSpec
 from .protocol import PreEncoded, ProtocolError, wire_lenient
 
 #: Authorization types the engine understands (see authorization/atoms.py).
@@ -62,12 +62,8 @@ def _attribute_spec(item):
         return item
     if not isinstance(item, dict):
         raise ProtocolError(f"attribute spec must be an object, got {item!r}")
-    fields = dict(item)
-    domain = fields.get("domain")
-    if isinstance(domain, dict) and set(domain) == {"$set_of"}:
-        fields["domain"] = SetOf(domain["$set_of"])
     try:
-        return AttributeSpec(**fields)
+        return AttributeSpec(**item)
     except TypeError as error:
         raise ProtocolError(f"bad attribute spec: {error}") from None
 
@@ -163,7 +159,7 @@ async def _op_resolve(session, args):
             with db.txn_context(txn):
                 db.note_reads((uid,))
         cache = session.server.image_cache
-        if cache is not None and session.protocol_version == 2:
+        if cache is not None:
             # The journal already fingerprints every persisted image for
             # write dedup; an unchanged object's wire snapshot is byte-
             # identical, so encode it once and splice the cached bytes.

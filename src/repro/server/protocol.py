@@ -1,43 +1,25 @@
-"""The wire protocol: length-prefixed frames, JSON (v1) or binary (v2).
+"""The wire protocol: length-prefixed binary frames (version 2).
 
 A frame is a 4-byte big-endian unsigned length followed by that many
 bytes of payload.  Every endpoint reads frames through one
 :class:`FrameBuffer` per connection (bytes in, payloads out, no
-sockets); nothing else parses a length prefix.  Version 1 payloads are
-UTF-8 JSON objects::
+sockets); nothing else parses a length prefix.
 
-    request   {"id": 7, "op": "set_value", "args": {...}}
-    response  {"id": 7, "ok": true,  "result": ...}
-    response  {"id": 7, "ok": false, "error": {"code": "...",
-                                               "message": "...",
-                                               "data": {...}}}
-
-Version 2 payloads are compact struct-packed binary: a one-byte frame
-kind (request / result / error), a signed 64-bit request id, and
-type-tagged values — no JSON in the hot path, and ``bytes`` /
-non-string dict keys survive natively instead of degrading.  The values
-are the object images' own: :mod:`repro.storage.serializer` owns the
-tag table, its encoder and its decoder, and this module only lays out
-frames around them.  Both tables live in docs/SERVER.md.
-
-The first request on a connection must be the ``hello`` handshake,
-which negotiates a protocol version: the client offers the versions it
-speaks, the server picks the highest it supports and echoes it (or
-fails the connection with a ``PROTOCOL`` error).  The handshake itself
-is always exchanged in v1 framing; both sides switch to the negotiated
-version for everything after it.
-
-Two value types of the object model cross the v1 wire beyond what JSON
-carries natively, marked with ``$``-keyed singleton objects:
-
-* :class:`repro.core.identity.UID` — ``{"$uid": [number, class_name]}``;
-* :class:`repro.schema.attribute.SetOf` — ``{"$set_of": member_class}``;
-* ``bytes`` — ``{"$bytes": base64}``;
-* non-string-keyed dicts — ``{"$nsdict": [[key, value], ...]}``.
-
-Anything else raises :class:`ProtocolError` instead of silently
+A payload is compact struct-packed binary: a one-byte frame kind
+(request / result / error), a signed 64-bit request id, and type-tagged
+values.  The values are the object images' own:
+:mod:`repro.storage.serializer` owns the tag table, its encoder and its
+decoder, and this module only lays out frames around them.  UIDs,
+``SetOf`` domains, ``bytes`` and non-string dict keys cross natively; a
+value with no encoding raises :class:`ProtocolError` instead of silently
 degrading to ``str(value)`` (use :func:`wire_lenient` to pre-render
-arbitrary data, e.g. query results).
+arbitrary data, e.g. query results).  Both tables live in
+docs/SERVER.md.
+
+The first request on a connection must be the ``hello`` handshake, an
+ordinary request frame offering the versions the client speaks; the
+server echoes the one it picked, or fails the connection with a
+``PROTOCOL`` error when the offer does not include it.
 
 Errors marshal by their stable ``code`` (see :mod:`repro.errors`): the
 encoder captures the exception's public attributes, the decoder rebuilds
@@ -48,11 +30,7 @@ hostile payload cannot shadow ``code`` or plant arbitrary state.
 
 from __future__ import annotations
 
-import base64
-import binascii
 import inspect
-import json
-import re
 import struct
 
 from ..core.identity import UID
@@ -60,8 +38,11 @@ from ..errors import ReproError, SerializationError, error_registry
 from ..schema.attribute import SetOf
 from ..storage.serializer import MALFORMED, encode_str, encode_value, value_at
 
-#: Protocol versions this build speaks, newest first.
-SUPPORTED_VERSIONS = (2, 1)
+#: The protocol version this build speaks; the codec functions take it
+#: as their first argument.
+VERSION = 2
+#: Protocol versions this build speaks (the hello must offer one).
+SUPPORTED_VERSIONS = (VERSION,)
 
 #: Hard ceiling on one frame's payload; a length prefix beyond this is
 #: treated as a corrupt or hostile stream, not an allocation request.
@@ -77,78 +58,19 @@ class ProtocolError(ReproError):
 
 
 # ---------------------------------------------------------------------------
-# Value encoding — v1 (JSON-representable with $-tags)
+# Values
 # ---------------------------------------------------------------------------
 
 
-def wire_encode(value):
-    """Lower *value* to JSON-representable data (UIDs, SetOf, bytes and
-    non-string-keyed dicts tagged).  Raises :class:`ProtocolError` for
-    values with no faithful wire form — silent corruption is worse than
-    a typed refusal."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, UID):
-        return {"$uid": [value.number, value.class_name]}
-    if isinstance(value, SetOf):
-        return {"$set_of": value.member}
-    if isinstance(value, bytes):
-        return {"$bytes": base64.b64encode(value).decode("ascii")}
-    if isinstance(value, (list, tuple)):
-        return [wire_encode(item) for item in value]
-    if isinstance(value, dict):
-        if all(isinstance(key, str) for key in value):
-            return {key: wire_encode(item) for key, item in value.items()}
-        # Integer (or UID, tuple...) keys must round-trip as themselves,
-        # not as their str() — tag the whole mapping as key/value pairs.
-        return {"$nsdict": [[wire_encode(key), wire_encode(item)]
-                            for key, item in value.items()]}
-    raise ProtocolError(
-        f"value of type {type(value).__name__} has no wire encoding: "
-        f"{value!r}"
-    )
-
-
-def _decode_key(key):
-    key = wire_decode(key)
-    # A tuple key encodes as a JSON array; restore hashability.
-    return tuple(key) if isinstance(key, list) else key
-
-
-def wire_decode(value):
-    """Invert :func:`wire_encode` (rebuilding tagged values)."""
-    if isinstance(value, list):
-        return [wire_decode(item) for item in value]
-    if isinstance(value, dict):
-        if "$uid" in value and len(value) == 1:
-            number, class_name = value["$uid"]
-            return UID(int(number), class_name)
-        if "$set_of" in value and len(value) == 1:
-            return SetOf(value["$set_of"])
-        if "$bytes" in value and len(value) == 1:
-            try:
-                return base64.b64decode(value["$bytes"], validate=True)
-            except (binascii.Error, TypeError, ValueError) as error:
-                raise ProtocolError(f"bad $bytes payload: {error}") from None
-        if "$nsdict" in value and len(value) == 1:
-            return {
-                _decode_key(key): wire_decode(item)
-                for key, item in value["$nsdict"]
-            }
-        return {key: wire_decode(item) for key, item in value.items()}
-    return value
-
-
 def wire_lenient(value):
-    """Pre-render arbitrary data for the wire: the same tree walk as
-    :func:`wire_encode`, but unencodable leaves become their readable
-    ``str()`` rendering instead of raising.
+    """Pre-render arbitrary data for the wire: leaves with no wire
+    encoding become their readable ``str()`` rendering instead of
+    raising.
 
     This is the query-result path: the s-expression interpreter returns
     library objects (class definitions, reports, ...) whose contract has
     always been "crosses the wire as its rendering".  The returned tree
-    contains only wire-encodable values, left rich (UIDs stay UIDs) so
-    either protocol version can encode it natively."""
+    contains only wire-encodable values, left rich (UIDs stay UIDs)."""
     if (value is None
             or isinstance(value, (bool, int, float, str, bytes, UID, SetOf))):
         return value
@@ -164,7 +86,7 @@ def wire_lenient(value):
 
 
 # ---------------------------------------------------------------------------
-# v2 frame layout (values are the serializer's: repro.storage.serializer)
+# Frame layout (values are the serializer's: repro.storage.serializer)
 # ---------------------------------------------------------------------------
 
 _KIND_ID = struct.Struct(">Bq")  # frame kind + request id
@@ -182,8 +104,8 @@ def _append_value(value, out):
 
 
 class PreEncoded:
-    """A result encoded for v2 once: :func:`encode_result_bytes` splices
-    its payload verbatim (the server's object-image cache keeps these)."""
+    """A result encoded once: :func:`encode_result_bytes` splices its
+    payload verbatim (the server's object-image cache keeps these)."""
 
     __slots__ = ("payload",)
 
@@ -193,8 +115,8 @@ class PreEncoded:
         self.payload = b"".join(out)
 
 
-def _v2_frame(data):
-    """One v2 payload as its v1-shaped frame dict, and the end offset."""
+def _frame_at(data):
+    """One payload as its frame dict, and the end offset."""
     kind = data[0]
     request_id = _i64_at(data, 1)[0]
     if kind == _REQUEST:
@@ -232,26 +154,6 @@ def frame_bytes(payload):
             f"{MAX_FRAME_BYTES}-byte limit"
         )
     return _LENGTH.pack(len(payload)) + payload
-
-
-def encode_frame(payload):
-    """Serialize one JSON-encodable *payload* object to v1 wire bytes."""
-    return frame_bytes(
-        json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    )
-
-
-def decode_frame(data):
-    """Parse one v1 frame payload (the bytes after the length prefix)."""
-    try:
-        payload = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise ProtocolError(f"undecodable frame: {error}") from None
-    if not isinstance(payload, dict):
-        raise ProtocolError(
-            f"frame must be a JSON object, got {type(payload).__name__}"
-        )
-    return payload
 
 
 def _checked_length(length):
@@ -353,21 +255,13 @@ async def read_frames(reader, frames, limit):
 
 
 # ---------------------------------------------------------------------------
-# Request / response shapes (version-generic entry points)
+# Request / response shapes
 # ---------------------------------------------------------------------------
 
 
-def request_frame(request_id, op, args):
-    return {"id": request_id, "op": op, "args": wire_encode(args or {})}
-
-
-def result_frame(request_id, result):
-    return {"id": request_id, "ok": True, "result": wire_encode(result)}
-
-
-def _v2_bytes(kind, request_id, texts, value):
-    """One v2 frame as full wire bytes: *kind*, the id, the frame's
-    strings, then one value (a :class:`PreEncoded` one spliced)."""
+def _wire_bytes(kind, request_id, texts, value):
+    """One frame as full wire bytes: *kind*, the id, the frame's strings,
+    then one value (a :class:`PreEncoded` one spliced)."""
     out = [_KIND_ID.pack(kind, request_id)]
     for text in texts:
         encode_str(text, out)
@@ -379,39 +273,28 @@ def _v2_bytes(kind, request_id, texts, value):
 
 
 def encode_request_bytes(version, request_id, op, args):
-    """One request as full wire bytes (prefix included) for *version*."""
-    if version == 2:
-        return _v2_bytes(_REQUEST, request_id, (op,), args or {})
-    return encode_frame(request_frame(request_id, op, args))
+    """One request as full wire bytes (prefix included)."""
+    return _wire_bytes(_REQUEST, request_id, (op,), args or {})
 
 
 def encode_result_bytes(version, request_id, result):
-    """One ok-response as full wire bytes for *version*."""
-    if version == 2:
-        return _v2_bytes(_RESULT, request_id, (), result)
-    return encode_frame(result_frame(request_id, result))
+    """One ok-response as full wire bytes."""
+    return _wire_bytes(_RESULT, request_id, (), result)
 
 
 def encode_error_bytes(version, request_id, error):
-    """One error response as full wire bytes for *version*."""
-    if version == 2:
-        code, message, data = _error_payload(error)
-        return _v2_bytes(_ERROR, request_id, (code, message), data)
-    return encode_frame(error_frame(request_id, error))
+    """One error response as full wire bytes."""
+    code, message, data = _error_payload(error)
+    return _wire_bytes(_ERROR, request_id, (code, message), data)
 
 
 def decode_payload(version, data):
-    """Decode one frame payload into the v1-shaped frame dict.
-
-    Version 1 payloads keep their JSON-level values ($-tags intact —
-    :func:`check_request` / the client lower them); version 2 payloads
-    decode straight to rich values (UIDs, bytes, ...), so callers must
-    not run :func:`wire_decode` over them again.
-    """
-    if version != 2:
-        return decode_frame(data)
+    """Decode one frame payload (the bytes after the length prefix) into
+    its frame dict: ``{"id", "op", "args"}`` for a request, ``{"id",
+    "ok": True, "result"}`` or ``{"id", "ok": False, "error": {"code",
+    "message", "data"}}`` for a response, values decoded rich."""
     try:
-        frame, pos = _v2_frame(data)
+        frame, pos = _frame_at(data)
     except MALFORMED as error:
         raise ProtocolError(f"malformed v2 frame: {error}") from None
     if pos != len(data):
@@ -421,28 +304,15 @@ def decode_payload(version, data):
     return frame
 
 
-#: Exact prefix of a v1 error response as :func:`error_frame` +
-#: :func:`encode_frame` serialize it (compact separators, insertion
-#: order ``id``/``ok``/...).  Anchored at byte 0, so result *content*
-#: containing the same text can never match.
-_V1_ERROR_PREFIX = re.compile(rb'^\{"id":-?\d+,"ok":false')
-
-
-def is_error_payload(version, payload):
+def is_error_payload(payload):
     """Cheaply detect an error response without a full decode (the shard
-    router's raw-splice fast path).  v2 frames declare their kind in the
-    first byte; v1 is recognized by the serializer's exact prefix."""
-    if version == 2:
-        return len(payload) > 0 and payload[0] == _ERROR
-    return _V1_ERROR_PREFIX.match(payload) is not None
+    router's raw-splice fast path): a frame declares its kind in its
+    first byte."""
+    return len(payload) > 0 and payload[0] == _ERROR
 
 
-def check_request(frame, decoded=False):
-    """Validate a request frame; return ``(id, op, args)``.
-
-    *decoded* marks frames whose values are already rich (v2 payloads);
-    v1 args still carry their $-tags and are lowered here.
-    """
+def check_request(frame):
+    """Validate a request frame; return ``(id, op, args)``."""
     request_id = frame.get("id")
     op = frame.get("op")
     args = frame.get("args", {})
@@ -452,7 +322,7 @@ def check_request(frame, decoded=False):
         raise ProtocolError("request is missing a string 'op'")
     if not isinstance(args, dict):
         raise ProtocolError("'args' must be an object")
-    return request_id, op, args if decoded else wire_decode(args)
+    return request_id, op, args
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +334,8 @@ _PRIVATE = ("args",)
 
 
 def _wire_safe(value):
-    """Encode an exception attribute, reducing transactions to their ids.
+    """An exception attribute as it crosses the wire: transactions
+    reduced to their ids, anything the value codec encodes kept as is.
 
     Marshalling an error must never fail: an attribute with no wire form
     degrades to its rendering here (and only here)."""
@@ -473,9 +344,10 @@ def _wire_safe(value):
     if isinstance(value, (list, tuple)):
         return [_wire_safe(item) for item in value]
     try:
-        return wire_encode(value)
-    except ProtocolError:
+        encode_value(value, [])
+    except SerializationError:
         return str(value)
+    return value
 
 
 def _error_payload(error):
@@ -491,16 +363,6 @@ def _error_payload(error):
         code = "INTERNAL"
         data = {"type": type(error).__name__}
     return code, str(error), data
-
-
-def error_frame(request_id, error):
-    """Build the v1 error response for *error* (any exception)."""
-    code, message, data = _error_payload(error)
-    return {
-        "id": request_id,
-        "ok": False,
-        "error": {"code": code, "message": message, "data": data},
-    }
 
 
 #: Per-class cache of the attribute names :func:`build_error` may
@@ -563,7 +425,7 @@ def build_error(payload):
         if name not in allowed:
             continue
         try:
-            setattr(error, name, wire_decode(value))
+            setattr(error, name, value)
         except AttributeError:  # slotted / read-only attribute
             pass
     return error

@@ -49,17 +49,14 @@ from ..txn.manager import TransactionManager
 from .dispatch import dispatch
 from .protocol import (
     SUPPORTED_VERSIONS,
+    VERSION,
     FrameBuffer,
     ProtocolError,
     check_request,
-    decode_frame,
     decode_payload,
     encode_error_bytes,
-    encode_frame,
     encode_result_bytes,
-    error_frame,
     read_frames,
-    result_frame,
 )
 
 
@@ -267,8 +264,6 @@ class Session:
         self.session_id = session_id
         self.peer = peer
         self.user = None
-        #: Wire protocol version the handshake negotiated.
-        self.protocol_version = 1
         #: True while the server is executing this session's pipelined
         #: batch: commit acks defer their durability barrier to one
         #: shared batch-end wait (see ``_serve_session``).
@@ -489,8 +484,8 @@ class WireServer:
     * :attr:`name` and :meth:`_hello_fields` for the handshake;
     * ``_open_session(session_id, peer)`` and the coroutine
       ``_close_session(session)``: its session type (carrying
-      ``session_id``, ``protocol_version``, ``stats``, ``defer_sync`` and
-      ``sync_pending``) and its disconnect cleanup;
+      ``session_id``, ``stats``, ``defer_sync`` and ``sync_pending``) and
+      its disconnect cleanup;
     * ``_request(session, op, args, raw)``: the awaitable answering one
       checked request (*raw* is its undecoded payload) with a result
       value or a :class:`Preframed` response;
@@ -577,7 +572,7 @@ class WireServer:
             # Corrupt stream: report once (best effort), then hang up.
             with contextlib.suppress(Exception):
                 await self._write_frames(session, writer, [
-                    encode_error_bytes(session.protocol_version, 0, error)
+                    encode_error_bytes(VERSION, 0, error)
                 ])
         except OSError:
             # Broken peer or injected socket fault: tear the session
@@ -606,7 +601,9 @@ class WireServer:
         batch = await self._read(session, reader, frames, 1)
         if not batch:
             return False
-        frame = decode_frame(batch[0])
+        # A payload that is no frame (a legacy JSON hello, say) raises
+        # ProtocolError here, and the connection closes.
+        frame = decode_payload(VERSION, batch[0])
         try:
             request_id, op, args = check_request(frame)
             if op != "hello":
@@ -614,35 +611,30 @@ class WireServer:
             offered = args.get("versions")
             if not isinstance(offered, list) or not offered:
                 raise ProtocolError("'hello' must offer a list of versions")
-            common = [v for v in SUPPORTED_VERSIONS if v in offered]
-            if not common:
+            if VERSION not in offered:
                 raise ProtocolError(
                     f"no common protocol version: client speaks {offered}, "
                     f"server speaks {list(SUPPORTED_VERSIONS)}"
                 )
         except ProtocolError as error:
             await self._write_frames(session, writer, [
-                encode_frame(error_frame(frame.get("id", 0), error))
+                encode_error_bytes(VERSION, frame["id"], error)
             ])
             return False
-        session.protocol_version = common[0]
         from .. import __version__
 
-        # The hello response is always v1-framed; both sides switch to
-        # the negotiated version for every frame after it.
         await self._write_frames(session, writer, [
-            encode_frame(result_frame(request_id, {
-                "version": common[0],
+            encode_result_bytes(VERSION, request_id, {
+                "version": VERSION,
                 "server": f"{self.name}/{__version__}",
                 "session": session.session_id,
                 "pipeline": self.max_pipeline,
                 **self._hello_fields(),
-            }))
+            })
         ])
         return True
 
     async def _serve_session(self, session, reader, writer, frames):
-        version = session.protocol_version
         while True:
             # Pipelining: every request the client already queued is one
             # batch — the socket is read only when no complete frame is
@@ -659,14 +651,14 @@ class WireServer:
                 self.stats.pipelined_requests += len(batch)
             session.defer_sync = len(batch) > 1
             try:
-                responses = await self._serve_batch(session, version, batch)
+                responses = await self._serve_batch(session, batch)
             finally:
                 session.defer_sync = False
             await self._write_frames(
                 session, writer, [data for data, _sync, _rid in responses]
             )
 
-    async def _serve_batch(self, session, version, batch):
+    async def _serve_batch(self, session, batch):
         """Execute one batch of raw request frames, in order.
 
         Returns the encoded responses as ``(wire bytes, needs_sync)``
@@ -678,7 +670,7 @@ class WireServer:
         """
         responses = []
         for raw in batch:
-            frame = decode_payload(version, raw)
+            frame = decode_payload(VERSION, raw)
             directive = _fire(
                 "server.recv_frame", server=self, session=session,
                 frame=frame,
@@ -690,17 +682,14 @@ class WireServer:
             self.stats.requests += 1
             session.stats.requests += 1
             try:
-                request_id, op, args = check_request(
-                    frame, decoded=version == 2
-                )
+                request_id, op, args = check_request(frame)
             except ProtocolError as error:
                 session.stats.errors += 1
                 self.stats.errors += 1
-                bad_id = frame.get("id")
-                if not isinstance(bad_id, int) or isinstance(bad_id, bool):
-                    bad_id = 0
+                # A decoded frame always carries an integer id.
+                bad_id = frame["id"]
                 responses.append(
-                    (encode_error_bytes(version, bad_id, error), False,
+                    (encode_error_bytes(VERSION, bad_id, error), False,
                      bad_id)
                 )
                 continue
@@ -711,19 +700,19 @@ class WireServer:
                     response = result.data
                 else:
                     response = encode_result_bytes(
-                        version, request_id, result
+                        VERSION, request_id, result
                     )
             except Exception as error:
                 session.stats.errors += 1
                 self.stats.errors += 1
-                response = encode_error_bytes(version, request_id, error)
+                response = encode_error_bytes(VERSION, request_id, error)
             responses.append((response, session.sync_pending, request_id))
         if any(needs_sync for _, needs_sync, _ in responses):
             try:
                 await self.durability_barrier()
             except StorageError as error:
                 responses = [
-                    (encode_error_bytes(version, rid, error), False, rid)
+                    (encode_error_bytes(VERSION, rid, error), False, rid)
                     if needs_sync else (data, needs_sync, rid)
                     for data, needs_sync, rid in responses
                 ]

@@ -66,7 +66,7 @@ from ..errors import (
 )
 from ..server.client import RETRYABLE_OPS, AsyncClient
 from ..server.protocol import (
-    SUPPORTED_VERSIONS,
+    VERSION,
     ProtocolError,
     decode_payload,
     frame_bytes,
@@ -180,17 +180,14 @@ class _Upstream(AsyncClient):
         client's own request id, so the payload can be spliced straight
         back to the client with no decode/re-encode — the router's
         codec work per relayed op drops to the request-side routing
-        decode.  It requires the upstream framing to *match* the client
-        session's (enforced by pinning the upstream handshake to the
-        client's negotiated version).  Error responses — recognized by
+        decode.  Error responses — recognized by
         :func:`repro.server.protocol.is_error_payload`, which keys on
-        the v2 error kind byte or the exact v1 serialized prefix — are
-        decoded and raised typed, so transaction cleanup sees the same
-        exceptions as the slow path.
+        the frame's kind byte — are decoded and raised typed, so
+        transaction cleanup sees the same exceptions as the slow path.
         """
         payload = await self._exchange(frame_bytes(raw))
-        if is_error_payload(self.protocol_version, payload):
-            self._frame_result(decode_payload(self.protocol_version, payload))
+        if is_error_payload(payload):
+            self._frame_result(decode_payload(VERSION, payload))
         return payload
 
 
@@ -201,10 +198,6 @@ class _RouterSession:
         self.session_id = session_id
         self.peer = peer
         self.user = None
-        #: Framing negotiated with the client; upstream connections for
-        #: this session are pinned to the same version so the raw-frame
-        #: fast path can splice payloads through untouched.
-        self.protocol_version = 1
         self.stats = SessionStats()
         #: The session loop's durability flags; routing never sets
         #: ``sync_pending`` (each worker acks its own commits durably).
@@ -306,16 +299,13 @@ class ShardRouter(WireServer):
 
     # -- upstream connections ---------------------------------------------
 
-    async def _connect(self, shard_id, user=None, quick=False, version=None):
+    async def _connect(self, shard_id, user=None, quick=False):
         """Open and handshake a fresh upstream to *shard_id*.
 
         Re-reads the worker's published endpoint on every attempt, so a
         worker restarted on a new port is found as soon as it publishes.
         *quick* limits the patience to one second (reconciliation must
-        not stall the router's start on a dead shard).  *version* pins
-        the upstream to exactly one protocol version — session upstreams
-        must frame like their client so raw splicing stays byte-exact;
-        router-internal connections omit it and negotiate the best.
+        not stall the router's start on a dead shard).
         """
         directory = self.manifest.shard_path(self.root, shard_id)
         loop = asyncio.get_running_loop()
@@ -328,9 +318,7 @@ class ShardRouter(WireServer):
             if endpoint is not None:
                 try:
                     upstream = await _Upstream(
-                        endpoint["host"], endpoint["port"], user=user,
-                        versions=SUPPORTED_VERSIONS if version is None
-                        else [version],
+                        endpoint["host"], endpoint["port"], user=user
                     ).connect()
                     self.stats.upstream_connects += 1
                     return upstream
@@ -346,9 +334,7 @@ class ShardRouter(WireServer):
     async def _upstream(self, sess, shard_id):
         upstream = sess.upstreams.get(shard_id)
         if upstream is None:
-            upstream = await self._connect(
-                shard_id, user=sess.user, version=sess.protocol_version
-            )
+            upstream = await self._connect(shard_id, user=sess.user)
             sess.upstreams[shard_id] = upstream
         return upstream
 

@@ -160,12 +160,14 @@ def tcp_fixture(client, roots=8, parts_per_root=3):
     ``(root_uids, components_by_root)`` in the shape
     :func:`composite_mix` expects.
     """
+    from ..schema.attribute import SetOf
+
     client.make_class("MixPart", attributes=[
         {"name": STAMP_ATTRIBUTE, "domain": "integer"},
     ])
     client.make_class("MixRoot", attributes=[
         {"name": STAMP_ATTRIBUTE, "domain": "integer"},
-        {"name": "Parts", "domain": {"$set_of": "MixPart"},
+        {"name": "Parts", "domain": SetOf("MixPart"),
          "composite": True, "exclusive": True, "dependent": True},
     ])
     root_uids = []

@@ -365,6 +365,28 @@ class TestFsckSeededCorruption:
         report = fsck_database(db)
         assert "FSCK-EXTENT" in {f.rule for f in report.errors}
 
+    def test_slot_shape(self):
+        db = Database()
+        db.make_class("Part")
+        db.make_class("Holder", attributes=[
+            AttributeSpec("One", domain="Part", composite=True),
+            AttributeSpec("Many", domain=SetOf("Part"), composite=True),
+        ])
+        parts = [db.make("Part") for _ in range(3)]
+        holder = db.make("Holder", values={"One": parts[0],
+                                           "Many": parts[1:]})
+        assert fsck_database(db).clean
+        # A list in the single-valued slot, a UID in the set-valued one:
+        # the shapes rename_attribute once produced by moving a
+        # subclass's own attribute into its superclass's renamed one.
+        instance = db.peek(holder)
+        instance.values["One"], instance.values["Many"] = parts[1:], parts[0]
+        report = fsck_database(db)
+        shapes = report.by_rule("FSCK-SHAPE")
+        assert {f.location for f in shapes} == {f"{holder}.One",
+                                                f"{holder}.Many"}
+        assert all(f in report.errors for f in shapes)
+
     def test_dangling_reverse_reference(self):
         db, tree = _tree(flavour="independent-shared")
         parent_uid = tree.levels[1][0]

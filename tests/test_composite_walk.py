@@ -105,11 +105,9 @@ def reference_components_of(database, uid, classes=None, exclusive=False,
 # ---------------------------------------------------------------------------
 
 
-#: What an operation may raise here: a refusal, or the TypeError of a
-#: value its attribute cannot hold.  ``rename_attribute`` on a superclass
-#: also moves a subclass's own attribute of the same name into the renamed
-#: one: a list into a single-valued slot, or a UID into a set-valued one.
-_REFUSED = (ReproError, TypeError)
+#: What an operation or a walk may raise here: a typed refusal, nothing
+#: else (a TypeError would mean a slot holds a value of the wrong shape).
+_REFUSED = ReproError
 
 
 def _attempt(operation, *args, **kwargs):

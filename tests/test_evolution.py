@@ -9,6 +9,7 @@ from repro import (
     SchemaEvolutionError,
     StateDependentChangeRejected,
 )
+from repro.analysis.fsck import fsck_database
 from repro.schema.evolution import SchemaEvolutionManager
 
 
@@ -357,6 +358,42 @@ class TestStructuralChanges:
         assert database.classdef("Both").attribute("Label").init is None
         manager.change_attribute_inheritance("Both", "Label", "Alt")
         assert database.classdef("Both").attribute("Label").init == "alt"
+
+    def test_rename_leaves_a_subclass_redefinition_alone(self, evo_db):
+        # Super.A is single-valued; Sub redefines A as a set.  Renaming
+        # Super.A moves only what Super's A holds: Sub keeps its own A
+        # (values and reverse references) and newly inherits B.
+        database, manager = evo_db
+        database.make_class("Super", attributes=[
+            AttributeSpec("A", domain="Part", composite=True)])
+        database.make_class("Sub", superclasses=["Super"], attributes=[
+            AttributeSpec("A", domain=SetOf("Part"), composite=True)])
+        inherited = database.make("Part")
+        own = [database.make("Part"), database.make("Part")]
+        sup = database.make("Super", values={"A": inherited})
+        sub = database.make("Sub", values={"A": own})
+        manager.rename_attribute("Super", "A", "B")
+        assert database.value(sup, "B") == inherited
+        assert database.value(sub, "A") == own
+        assert database.value(sub, "B") is None
+        assert database.components_of(sub) == own
+        assert database.components_of(sup) == [inherited]
+        assert [ref.attribute for ref in
+                database.peek(inherited).reverse_references] == ["B"]
+        for part in own:
+            assert [ref.attribute for ref in
+                    database.peek(part).reverse_references] == ["A"]
+        assert fsck_database(database).ok
+        database.validate()
+
+    def test_rename_refuses_a_name_an_inheriting_subclass_defines(
+            self, evo_db):
+        database, manager = evo_db
+        database.make_class("Sub", superclasses=["Widget"], attributes=[
+            AttributeSpec("Name", domain="string")])
+        with pytest.raises(SchemaEvolutionError, match="Sub already has"):
+            manager.rename_attribute("Widget", "Label", "Name")
+        assert database.classdef("Widget").has_attribute("Label")
 
     def test_change_inheritance_unknown_attribute(self, evo_db):
         database, manager = evo_db

@@ -401,9 +401,7 @@ class TestServerGroupCommit:
 
         db = DurableDatabase(tmp_path / "d", sync_policy=policy)
         with self._server(db) as handle:
-            # The image cache serves v2 sessions only: pin v2 so a
-            # forced-v1 run (REPRO_PROTOCOL_VERSIONS=1) still tests it.
-            with Client(port=handle.port, versions=(2,)) as client:
+            with Client(port=handle.port) as client:
                 client.make_class("Item", attributes=[
                     AttributeSpec("Tag", domain="string"),
                 ])

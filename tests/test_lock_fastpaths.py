@@ -27,7 +27,7 @@ from repro.locking.modes import COMPATIBILITY, CONFLICTS, LockMode
 from repro.locking.protocol import CompositeLockingProtocol
 from repro.locking.table import LockTable
 from repro.schema.evolution import SchemaEvolutionManager
-from repro.server.protocol import wire_decode, wire_encode
+from repro.server.protocol import decode_payload, encode_result_bytes
 from repro.storage.serializer import decode_instance, encode_instance
 from repro.txn.manager import TransactionManager
 from repro.txn.transaction import Transaction
@@ -461,7 +461,8 @@ class TestIdentityContracts:
 
     def test_uid_round_trips(self, db):
         uid = UID(42, "Vehicle")
-        for codec in (lambda u: wire_decode(wire_encode(u)),
+        for codec in (lambda u: decode_payload(
+                          2, encode_result_bytes(2, 1, u)[4:])["result"],
                       lambda u: pickle.loads(pickle.dumps(u))):
             decoded = codec(uid)
             assert decoded == uid and decoded.class_name == "Vehicle"

@@ -32,11 +32,9 @@ from repro.server.protocol import (
     RECV_BYTES,
     FrameBuffer,
     decode_payload,
-    encode_frame,
     encode_request_bytes,
     encode_result_bytes,
     frame_bytes,
-    result_frame,
 )
 from repro.storage.durable import DurableDatabase
 
@@ -214,7 +212,6 @@ class _Wire:
     def __init__(self, conn):
         self.conn = conn
         self.frames = FrameBuffer()
-        self.version = 1  # the hello exchange is always v1-framed
 
     def next_frame(self):
         """The next decoded frame, or None once the other side hangs up."""
@@ -225,17 +222,17 @@ class _Wire:
                 return None
             self.frames.feed(chunk)
             batch = self.frames.take(1)
-        return decode_payload(self.version, batch[0])
+        return decode_payload(2, batch[0])
 
     def hello(self):
         frame = self.next_frame()
-        self.version = max(v for v in frame["args"]["versions"] if v in (1, 2))
-        self.conn.sendall(encode_frame(result_frame(frame["id"], {
-            "version": self.version, "session": 1, "pipeline": DEPTH,
-        })))
+        assert 2 in frame["args"]["versions"]
+        self.conn.sendall(self.answer(frame, {
+            "version": 2, "session": 1, "pipeline": DEPTH,
+        }))
 
     def answer(self, frame, result):
-        return encode_result_bytes(self.version, frame["id"], result)
+        return encode_result_bytes(2, frame["id"], result)
 
 
 class _ScriptedPeer:
@@ -393,10 +390,9 @@ class TestBoundedReceiveMemory:
                                       timeout=30.0) as sock:
             wire = _Wire(sock)
             sock.sendall(
-                encode_request_bytes(1, 0, "hello", {"versions": [2]})
+                encode_request_bytes(2, 0, "hello", {"versions": [2]})
             )
             assert wire.next_frame()["result"]["version"] == 2
-            wire.version = 2
             sender = threading.Thread(target=sock.sendall, args=(flood,))
             sender.start()
             answers = [wire.next_frame() for _ in range(count)]

@@ -1,19 +1,21 @@
 """Wire protocol v2, codec strictness fixes, and request pipelining.
 
-Property-based round-trips (Hypothesis) drive both codecs over nested
-values — UIDs, SetOf markers, bytes, big integers, non-string dict keys
-— plus frame-size boundaries; end-to-end tests run a v2-default server
-against v2 and forced-v1 clients, exercise pipelined batches with
-per-request error isolation, and kill the connection mid-pipeline to
-check the retry classification holds for batches too.
+Property-based round-trips (Hypothesis) drive the codec over nested
+values — UIDs, SetOf markers, bytes, big integers, non-string dict keys,
+maps shaped like the retired JSON protocol's ``$``-tags — plus
+frame-size boundaries; end-to-end tests check the handshake refuses
+peers that do not speak v2, exercise pipelined batches with per-request
+error isolation, and kill the connection mid-pipeline to check the
+retry classification holds for batches too.
 """
 
 from __future__ import annotations
 
+import socket
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import Database, SetOf, UID
@@ -31,8 +33,6 @@ from repro.server import (
     ProtocolError,
     ServerThread,
     build_error,
-    wire_decode,
-    wire_encode,
 )
 from repro.server.protocol import (
     FrameBuffer,
@@ -48,10 +48,7 @@ from repro.server.protocol import (
 # Value strategies
 # ---------------------------------------------------------------------------
 
-# Dict keys starting with "$" are the v1 codec's tag namespace; a user
-# mapping shaped exactly like a tag is ambiguous by design there, so the
-# strategies stay out of it.
-_texts = st.text(max_size=12).filter(lambda s: not s.startswith("$"))
+_texts = st.text(max_size=12)
 _uids = st.builds(
     UID,
     st.integers(min_value=0, max_value=2**40),
@@ -86,14 +83,35 @@ _values = st.recursive(
 )
 
 
+def _old_tag(name, value):
+    """A map shaped like one of the retired JSON protocol's ``$``-tags
+    (``$uid``, ``$set_of``, ``$bytes``, ``$nsdict``)."""
+    return {"$" + name: value}
+
+
+_old_tags = st.builds(
+    _old_tag, st.sampled_from(["uid", "set_of", "bytes", "nsdict"]), _values
+)
+
+
 class TestCodecProperties:
-    @given(value=_values)
+    @given(value=st.one_of(_old_tags, _values))
+    @example(value=_old_tag("uid", [1, "X"]))
     @settings(max_examples=200, deadline=None)
     def test_v1_round_trip(self, value):
-        data = encode_result_bytes(1, 7, value)
-        frame = decode_payload(1, data[4:])
+        # No "$" namespace any more: a map shaped like an old tag is a
+        # plain map in results, request args and error data alike.
+        data = encode_result_bytes(2, 7, value)
+        frame = decode_payload(2, data[4:])
         assert frame["id"] == 7 and frame["ok"] is True
-        assert wire_decode(frame["result"]) == value
+        assert frame["result"] == value
+        args = _old_tag("uid", value)
+        data = encode_request_bytes(2, 7, "op", args)
+        assert decode_payload(2, data[4:])["args"] == args
+        data = encode_error_bytes(2, 7, LockConflictError("no", resource=value))
+        error = build_error(decode_payload(2, data[4:])["error"])
+        assert isinstance(error, LockConflictError)
+        assert error.resource == value
 
     @given(value=_values)
     @settings(max_examples=200, deadline=None)
@@ -349,18 +367,15 @@ class TestFrameBoundaries:
             frame_bytes(b"x" * (MAX_FRAME_BYTES + 1))
 
     def test_error_detection_by_version(self):
-        v2_err = encode_error_bytes(2, 3, ValueError("x"))[4:]
-        v2_ok = encode_result_bytes(2, 3, "fine")[4:]
-        v1_err = encode_error_bytes(1, 3, ValueError("x"))[4:]
-        v1_ok = encode_result_bytes(1, 3, "fine")[4:]
-        assert is_error_payload(2, v2_err)
-        assert not is_error_payload(2, v2_ok)
-        assert is_error_payload(1, v1_err)
-        assert not is_error_payload(1, v1_ok)
-        # A v1 result whose *content* contains the error prefix text must
-        # not be mistaken for an error (the regex is anchored at byte 0).
-        tricky = encode_result_bytes(1, 3, '{"id":3,"ok":false')[4:]
-        assert not is_error_payload(1, tricky)
+        error = encode_error_bytes(2, 3, ValueError("x"))[4:]
+        ok = encode_result_bytes(2, 3, "fine")[4:]
+        assert is_error_payload(error)
+        assert not is_error_payload(ok)
+        # Only the kind byte counts: a result whose *content* holds an
+        # error frame is still a result, and a JSON error is no frame.
+        assert not is_error_payload(encode_result_bytes(2, 3, error)[4:])
+        assert not is_error_payload(b'{"id":3,"ok":false}')
+        assert not is_error_payload(b"")
 
 
 class TestErrorHardening:
@@ -402,7 +417,7 @@ class TestErrorHardening:
 
 
 # ---------------------------------------------------------------------------
-# End-to-end: negotiation, pipelining, disconnect semantics
+# End-to-end: handshake, pipelining, disconnect semantics
 # ---------------------------------------------------------------------------
 
 
@@ -419,6 +434,18 @@ def _doc_schema(client):
     ])
 
 
+def _raw_exchange(port, data):
+    """Send *data* on a bare socket and read until the server hangs up:
+    the first answer decoded, and the payloads after it."""
+    frames = FrameBuffer()
+    with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
+        sock.sendall(data)
+        while chunk := sock.recv(65536):
+            frames.feed(chunk)
+    first, *rest = frames.take(16)
+    return decode_payload(2, first), rest
+
+
 class TestEndToEnd:
     def test_v2_session_full_data_path(self, handle):
         with Client(port=handle.port) as client:
@@ -431,14 +458,14 @@ class TestEndToEnd:
             assert client.instances_of("Doc") == [doc]
 
     def test_v1_client_against_v2_default_server(self, handle):
-        with Client(port=handle.port, versions=(1,)) as client:
-            assert client.protocol_version == 1
-            _doc_schema(client)
-            doc = client.make("Doc", values={"Text": "old codec"})
-            assert client.value(doc, "Text") == "old codec"
-            with client.transaction():
-                client.set_value(doc, "Text", "still works")
-            assert client.value(doc, "Text") == "still works"
+        # A hello offering only version 1 is refused, typed, and the
+        # connection closes.
+        frame, rest = _raw_exchange(
+            handle.port, encode_request_bytes(2, 1, "hello", {"versions": [1]}))
+        assert frame["id"] == 1 and frame["ok"] is False
+        assert frame["error"]["code"] == "PROTOCOL"
+        assert "no common protocol version" in frame["error"]["message"]
+        assert rest == []
 
     def test_handshake_advertises_pipeline_depth(self, handle):
         with Client(port=handle.port) as client:
@@ -446,13 +473,18 @@ class TestEndToEnd:
             assert client.pipeline_depth >= 1
 
     def test_mixed_version_sessions_share_a_server(self, handle):
-        with Client(port=handle.port) as new, \
-                Client(port=handle.port, versions=(1,)) as old:
-            _doc_schema(new)
-            doc = new.make("Doc", values={"Text": "shared"})
-            assert old.value(doc, "Text") == "shared"
-            old.set_value(doc, "Text", "both ways")
-            assert new.value(doc, "Text") == "both ways"
+        with Client(port=handle.port) as client:
+            _doc_schema(client)
+            doc = client.make("Doc", values={"Text": "shared"})
+            # A legacy JSON hello is no frame: the server answers with a
+            # typed error and hangs up instead of waiting for more.
+            legacy = b'{"id":1,"op":"hello","args":{"versions":[1]}}'
+            frame, rest = _raw_exchange(handle.port, frame_bytes(legacy))
+            assert frame["ok"] is False
+            assert frame["error"]["code"] == "PROTOCOL"
+            assert rest == []
+            client.set_value(doc, "Text", "still served")
+            assert client.value(doc, "Text") == "still served"
 
     def test_image_cache_hits_on_repeated_resolve(self, tmp_path):
         # The cache keys on the journal's image digest, so it exists only

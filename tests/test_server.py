@@ -30,16 +30,15 @@ from repro.server import (
     ProtocolError,
     ServerThread,
     build_error,
-    decode_frame,
-    encode_frame,
+    decode_payload,
 )
 from repro.server.protocol import (
+    FrameBuffer,
     check_request,
-    error_frame,
+    encode_error_bytes,
+    encode_request_bytes,
+    encode_result_bytes,
     frame_length,
-    request_frame,
-    wire_decode,
-    wire_encode,
 )
 
 
@@ -48,53 +47,60 @@ from repro.server.protocol import (
 # ---------------------------------------------------------------------------
 
 
+def wire_round_trip(value):
+    """*value* as a result frame carries it across the wire."""
+    frame = decode_payload(2, encode_result_bytes(2, 1, value)[4:])
+    assert frame["id"] == 1 and frame["ok"] is True
+    return frame["result"]
+
+
 class TestWireCodec:
     def test_scalars_round_trip(self):
         for value in (None, True, False, 0, -7, 3.25, "héllo", ""):
-            assert wire_decode(wire_encode(value)) == value
+            assert wire_round_trip(value) == value
 
     def test_uid_round_trips_as_real_uid(self):
         uid = UID(42, "Vehicle")
-        decoded = wire_decode(wire_encode(uid))
+        decoded = wire_round_trip(uid)
         assert decoded == uid
         assert isinstance(decoded, UID)
         assert decoded.class_name == "Vehicle"
 
     def test_set_of_round_trips(self):
-        decoded = wire_decode(wire_encode(SetOf("Paragraph")))
+        decoded = wire_round_trip(SetOf("Paragraph"))
         assert decoded == SetOf("Paragraph")
 
     def test_nested_structures(self):
         value = {"uids": [UID(1, "A"), UID(2, "B")],
                  "spec": {"domain": SetOf("A")},
                  "plain": [1, [2, {"x": None}]]}
-        assert wire_decode(wire_encode(value)) == value
+        assert wire_round_trip(value) == value
 
     def test_unencodable_values_raise(self):
-        # The old codec silently degraded these to str(value) — a lossy
+        # An old codec silently degraded these to str(value) — a lossy
         # one-way trip the receiver could not distinguish from a real
         # string.  Strictness is the fix: garbage in, typed error out.
         with pytest.raises(ProtocolError):
-            wire_encode(object)
+            encode_result_bytes(2, 1, object)
         with pytest.raises(ProtocolError):
-            wire_encode({"x": {1, 2, 3}})
+            encode_result_bytes(2, 1, {"x": {1, 2, 3}})
 
     def test_bytes_round_trip(self):
         for value in (b"", b"\x00\xff", "snow☃".encode()):
-            decoded = wire_decode(wire_encode(value))
+            decoded = wire_round_trip(value)
             assert decoded == value
             assert isinstance(decoded, bytes)
 
     def test_non_string_dict_keys_round_trip(self):
         value = {1: "one", (2, "b"): UID(3, "C"), None: [b"\x01"]}
-        decoded = wire_decode(wire_encode(value))
+        decoded = wire_round_trip(value)
         assert decoded == value
 
     def test_frame_round_trip(self):
-        frame = request_frame(3, "ping", {})
-        data = encode_frame(frame)
+        data = encode_request_bytes(2, 3, "ping", {})
         assert frame_length(data[:4]) == len(data) - 4
-        assert decode_frame(data[4:]) == frame
+        assert decode_payload(2, data[4:]) == {
+            "id": 3, "op": "ping", "args": {}}
 
     def test_oversized_frame_rejected_by_length_prefix(self):
         prefix = struct.pack(">I", MAX_FRAME_BYTES + 1)
@@ -106,12 +112,15 @@ class TestWireCodec:
             frame_length(b"\x00\x00")
 
     def test_non_json_payload_rejected(self):
-        with pytest.raises(ProtocolError):
-            decode_frame(b"\xff\xfe not json")
+        # JSON is no frame: a legacy JSON payload is a typed refusal.
+        for payload in (b'{"id":1,"op":"ping","args":{}}',
+                        b"\xff\xfe not json"):
+            with pytest.raises(ProtocolError):
+                decode_payload(2, payload)
 
     def test_non_object_payload_rejected(self):
         with pytest.raises(ProtocolError):
-            decode_frame(b"[1, 2, 3]")
+            decode_payload(2, b"[1, 2, 3]")
 
     def test_request_validation(self):
         with pytest.raises(ProtocolError):
@@ -124,7 +133,7 @@ class TestWireCodec:
 
 class TestErrorMarshalling:
     def _round_trip(self, error):
-        frame = error_frame(9, error)
+        frame = decode_payload(2, encode_error_bytes(2, 9, error)[4:])
         assert frame["ok"] is False
         return build_error(frame["error"])
 
@@ -157,7 +166,8 @@ class TestErrorMarshalling:
         assert "FROM_THE_FUTURE" in str(rebuilt)
 
     def test_non_repro_exception_becomes_internal(self):
-        frame = error_frame(1, ValueError("oops"))
+        frame = decode_payload(
+            2, encode_error_bytes(2, 1, ValueError("oops"))[4:])
         assert frame["error"]["code"] == "INTERNAL"
         assert frame["error"]["data"]["type"] == "ValueError"
 
@@ -201,16 +211,26 @@ def client2(server):
         yield c
 
 
+def _raw_hello(port, versions):
+    """The decoded answer to a hello offering *versions* on a bare socket."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
+        sock.sendall(encode_request_bytes(2, 1, "hello",
+                                          {"versions": versions}))
+        frames = FrameBuffer()
+        while not (batch := frames.take(1)):
+            frames.feed(sock.recv(65536))
+    return decode_payload(2, batch[0])
+
+
 class TestBasicOps:
     def test_handshake_negotiates_version(self, server, client):
-        # Highest common version wins: this build's default client gets
-        # the binary v2 codec; a v1-only client still gets served.
-        assert client.protocol_version == max(client.versions)
+        # Version 2 is the one version: the client's hello offers it and
+        # the server names it back, whatever else a hello offers.
+        assert client.protocol_version == 2
         assert client.session_id is not None
         assert client.ping() == "pong"
-        with Client(port=server.port, versions=(1,)) as old:
-            assert old.protocol_version == 1
-            assert old.ping() == "pong"
+        hello = _raw_hello(server.port, [1, 2])
+        assert hello["ok"] is True and hello["result"]["version"] == 2
 
     def test_schema_and_data_ops(self, client):
         vehicle_schema(client)
@@ -291,13 +311,7 @@ class TestBasicOps:
         assert stats["session"]["requests"] >= 1
 
     def test_version_negotiation_rejects_unknown_versions(self, server):
-        with socket.create_connection(("127.0.0.1", server.port),
-                                      timeout=5.0) as sock:
-            sock.sendall(encode_frame(
-                {"id": 1, "op": "hello", "args": {"versions": [99]}}))
-            prefix = sock.recv(4)
-            (length,) = struct.unpack(">I", prefix)
-            frame = decode_frame(sock.recv(length))
+        frame = _raw_hello(server.port, [99])
         assert frame["ok"] is False
         assert frame["error"]["code"] == "PROTOCOL"
 

@@ -32,7 +32,7 @@ from repro.errors import (
 from repro.faults import fault_scope
 from repro.faults.registry import FailpointRegistry
 from repro.server import Client, ProtocolError, ServerThread
-from repro.server.protocol import FrameBuffer, decode_frame, encode_request_bytes
+from repro.server.protocol import FrameBuffer, decode_payload, encode_request_bytes
 from repro.shard.placement import (
     Manifest,
     audit_cluster,
@@ -556,11 +556,11 @@ class TestRouterSessionLoop:
     def test_hello_reports_pipeline_and_shards(self, router):
         with socket.create_connection(("127.0.0.1", router.port),
                                       timeout=10.0) as sock:
-            sock.sendall(encode_request_bytes(1, 1, "hello", {"versions": [1]}))
+            sock.sendall(encode_request_bytes(2, 1, "hello", {"versions": [2]}))
             frames = FrameBuffer()
             while not (batch := frames.take(1)):
                 frames.feed(sock.recv(65536))
-        hello = decode_frame(batch[0])["result"]
+        hello = decode_payload(2, batch[0])["result"]
         assert hello["server"].startswith("repro-router/")
         assert hello["shards"] == 2
         assert hello["pipeline"] == router.max_pipeline > 1
@@ -635,9 +635,9 @@ class TestPingHealth:
         first_session = client.session_id
         client.close()
         client.connect()
-        # A reconnect is a new server session: renegotiated version,
-        # new session id, and no inherited transaction state.
-        assert client.protocol_version == max(client.versions)
+        # A reconnect is a new server session: a fresh hello, a new
+        # session id, and no inherited transaction state.
+        assert client.protocol_version == 2
         assert client.session_id != first_session
         assert not client._in_transaction
         with pytest.raises(TransactionStateError):

@@ -385,7 +385,7 @@ class TestWireValuesAreDurable:
         db = DurableDatabase(directory, sync_policy="group")
         try:
             with ServerThread(database=db) as server, \
-                    Client(port=server.port, versions=(2,)) as client:
+                    Client(port=server.port) as client:
                 client.make_class("Item", attributes=[
                     {"name": "x", "domain": "any"},
                 ])
@@ -435,8 +435,7 @@ class TestWireValuesAreDurable:
         db.resolve(uid).values["x"] = object()
         try:
             with ServerThread(database=db, image_cache_capacity=capacity) \
-                    as server, Client(port=server.port,
-                                      versions=(2,)) as client:
+                    as server, Client(port=server.port) as client:
                 with pytest.raises(ProtocolError, match="cannot serialize"):
                     client.resolve(uid)
                 assert client.ping()
