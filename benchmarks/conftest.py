@@ -12,6 +12,8 @@ for the experiment index.  Each test:
 * records its rows in the shared recorder, merged into
   ``benchmarks/bench_results.json`` at the end of the session (running a
   subset of the benchmarks updates just those experiments' records).
+  The file is written locally for ``python -m repro.bench.report`` and is
+  not committed (it is in ``.gitignore``).
 """
 
 import json

@@ -1,80 +1,32 @@
 """``repro-check`` — the command-line front end of :mod:`repro.analysis`.
 
-Nine commands, all reporting through the shared findings model:
-
-``repro-check schema DIR``
-    Recover the class lattice of a durable store (read-only) and run the
-    static schema analyzer over it.
-
-``repro-check fsck DIR``
-    Recover a durable store (read-only) and audit every invariant: the
-    offline integrity checker.
-
-``repro-check query DIR FILE...``
-    Statically validate s-expression query files against a store's
-    schema, without executing anything.
-
-``repro-check lockdep [--self-test]``
-    Run the seeded concurrency workload under the discrete-event
-    simulator with the lock-order recorder attached and report latent
-    deadlocks (lock-order inversions that never happened to collide).
-    ``--self-test`` instead verifies the detector itself: a seeded
-    opposite-order pair that runs without ever blocking *must* be
-    reported, and a uniform-order workload must come back clean — CI
-    runs this form.
-
-``repro-check locklint DIR FILE...``
-    Statically predict lock-order hazards of declarative transaction
-    templates (JSON) against a durable store, using the pure Section 7
-    lock planners: nothing executes, no lock is taken.
-
-``repro-check code [PATH]``
-    AST-lint the ``repro`` package itself (or a source tree at PATH) for
-    the codebase's concurrency/durability discipline: ``_operation()``
-    bracketing, ``txn_context`` wrapping, lock-table encapsulation,
-    journal-hook hygiene, no bare ``except``.  CI requires this clean.
-
-``repro-check proto [--self-test]``
-    Exhaustively model-check the 2PC coordinator/worker state machines
-    (message delivery, crash-at-failpoint-site, restart/recovery) for a
-    small scope and report invariant violations as minimal
-    counterexample traces; then run the implementation-conformance
-    lints (``PROTO-SITE-DRIFT``, ``PROTO-OP-DRIFT``).  ``--replay`` and
-    ``--impl-traces`` additionally check recorded/live durable traces
-    as refinements of the model.  ``--self-test`` verifies the checker
-    itself: a seeded presumed-*commit* bug must yield a shortest
-    counterexample and the clean model must explore violation-free —
-    CI runs this form.
-
-``repro-check iso [HISTORY...] [--templates FILE... --store DIR]``
-    Check recorded transaction histories (JSONL files written by
-    ``repro-server --record-history``, ``repro-sweep
-    --record-histories``, or shard workers) for isolation anomalies:
-    Adya's Direct Serialization Graph with typed G0/G1/G2 findings,
-    each cycle carrying a minimal witness.  With ``--templates`` the
-    same anomalies are *predicted* statically from transaction-template
-    lock plans — what breaks the day reads stop taking shared locks.
-    ``--self-test`` verifies the checker itself: seeded non-serializable
-    interleavings (lost update, write skew, dirty read) must be
-    detected with minimal witnesses, a strict-2PL transaction mix and a
-    50-plan CrashSim history sweep must check clean, and the JSONL
-    round-trip must tolerate a torn final line — CI runs this form.
-
-``repro-check self-test`` (also reachable as ``repro-check --self-test``)
-    Build every seed workload and figure scenario in memory, run the
-    schema analyzer over each lattice (no errors allowed) and fsck over
-    each database (no findings allowed).  CI runs this so schema
-    regressions fail the build.
+Every command is one row of :data:`COMMANDS`: ``repro-check --help``
+lists them, and docs/ANALYSIS.md describes the plane behind each.  A
+command returns one findings report, which :func:`main` renders and
+gates once.  The ``--self-test`` ladders that prove each detector still
+fires (and the ``self-test`` command over the seed scenarios, also
+spelled ``repro-check --self-test``) go through one runner.
 
 Exit codes: 0 — no errors (``--strict``: no warnings either); 1 —
-findings at the gating severity; 2 — usage or I/O problems.
+findings at the gating severity, or a failed self-test; 2 — usage, I/O,
+or an unreadable or malformed input file.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from typing import Any, Iterator, Optional, Sequence
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    NamedTuple,
+    Optional,
+    Sequence,
+    TypeVar,
+)
 
 from .codelint import lint_package
 from .findings import Report
@@ -82,12 +34,51 @@ from .fsck import fsck_database
 from .query_check import check_query
 from .schema_check import SchemaAnalyzer
 
-#: Every subcommand the parser accepts.  The drift test keeps this set
-#: consistent with the :data:`repro.analysis.findings.PLANES` registry.
-SUBCOMMANDS = frozenset({
-    "schema", "fsck", "query", "lockdep", "locklint", "code", "proto",
-    "iso", "self-test",
-})
+T = TypeVar("T")
+#: What a command's ``run`` returns: the report, plus note lines printed
+#: after a terminal rendering.
+Outcome = tuple[Report, list[str]]
+#: One self-test step: its status text and its failure strings.
+StepResult = tuple[str, list[str]]
+#: One ``add_argument`` call: its flags and its keyword arguments.
+Arg = tuple[tuple[str, ...], dict[str, Any]]
+
+#: The command over the seed scenarios; ``repro-check --self-test`` with
+#: no command named runs it.
+SEED_SELF_TEST = "self-test"
+
+
+class InputError(Exception):
+    """Bad command input: ``repro-check: <message>`` and exit 2."""
+
+
+def _read(path: str, parse: Callable[[str], T]) -> T:
+    """Read *path* and parse it; an unreadable or malformed file is an
+    :class:`InputError` naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse(handle.read())
+    except (OSError, ValueError, TypeError) as error:
+        raise InputError(f"{path}: {error}") from None
+
+
+def _load_templates(paths: Sequence[str]) -> list[Any]:
+    """Every transaction template in the JSON files at *paths*: a list,
+    one template object, or ``{"templates": [...]}`` per file."""
+    from .locklint import coerce_template
+
+    templates: list[Any] = []
+
+    def parse(text: str) -> None:
+        payload = json.loads(text)
+        if isinstance(payload, dict):
+            payload = payload.get("templates", [payload])
+        for item in payload:
+            templates.append(coerce_template(item, len(templates)))
+
+    for path in paths:
+        _read(path, parse)
+    return templates
 
 
 def _open_store(directory: str) -> Any:
@@ -104,61 +95,114 @@ def _open_store(directory: str) -> Any:
     return db
 
 
-def _emit(report: Report, options: argparse.Namespace) -> None:
-    if options.json:
-        print(report.to_json())
-    elif options.quiet:
-        print(report.summary())
-    else:
-        print(report.render())
-
-
-def _exit_code(report: Report, options: argparse.Namespace) -> int:
-    if report.errors:
-        return 1
-    if options.strict and report.warnings:
-        return 1
-    return 0
-
-
 # ----------------------------------------------------------------------
 # Commands
 # ----------------------------------------------------------------------
 
-def _cmd_schema(options: argparse.Namespace) -> int:
+def _run_schema(options: argparse.Namespace) -> Outcome:
+    return SchemaAnalyzer(_open_store(options.directory).lattice).analyze(), []
+
+
+def _run_fsck(options: argparse.Namespace) -> Outcome:
+    return fsck_database(_open_store(options.directory)), []
+
+
+def _run_query(options: argparse.Namespace) -> Outcome:
     db = _open_store(options.directory)
-    report = SchemaAnalyzer(db.lattice).analyze()
-    _emit(report, options)
-    return _exit_code(report, options)
-
-
-def _cmd_fsck(options: argparse.Namespace) -> int:
-    db = _open_store(options.directory)
-    report = fsck_database(db)
-    _emit(report, options)
-    return _exit_code(report, options)
-
-
-def _cmd_query(options: argparse.Namespace) -> int:
-    db = _open_store(options.directory)
-    report = Report(plane="query")
+    report = Report(plane=options.command)
     for path in options.files:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as error:
-            print(f"repro-check: cannot read {path}: {error}", file=sys.stderr)
-            return 2
-        partial = check_query(db.lattice, text)
-        for finding in partial:
-            report.findings.append(finding)
-        report.checked += partial.checked
-    _emit(report, options)
-    return _exit_code(report, options)
+        report.extend(check_query(db.lattice, _read(path, str)))
+    return report, []
+
+
+def _run_lockdep(options: argparse.Namespace) -> Outcome:
+    from ..workloads.txmix import composite_mix
+
+    db, roots = _concurrency_scenario()
+    recorder, result = _record_simulation(
+        db,
+        composite_mix(roots, transactions=options.transactions, seed=42),
+    )
+    return recorder.analyze(), [
+        f"simulated {result.committed} commit(s), "
+        f"{result.deadlock_aborts} runtime deadlock abort(s); "
+        f"{recorder.transactions_recorded} trace(s) recorded"
+    ]
+
+
+def _run_locklint(options: argparse.Namespace) -> Outcome:
+    from .locklint import analyze_templates
+
+    db = _open_store(options.directory)
+    templates = _load_templates(options.files)
+    return analyze_templates(db, templates, discipline=options.discipline), []
+
+
+def _run_code(options: argparse.Namespace) -> Outcome:
+    return lint_package(options.path), []
+
+
+def _run_proto(options: argparse.Namespace) -> Outcome:
+    from . import protocheck
+    from .proto_model import Scope
+
+    scope = Scope(
+        workers=options.workers,
+        txns=options.txns,
+        max_crashes=options.max_crashes,
+    )
+    report, result = protocheck.audit_protocol(
+        scope, spontaneous=options.spontaneous
+    )
+    notes = [result.summary()]
+    if options.replay:
+        before = len(report.findings)
+        report, replayed = protocheck.conform_traces(options.replay, report)
+        notes.append(
+            f"replayed {replayed} recorded trace(s), "
+            f"{len(report.findings) - before} finding(s)"
+        )
+    if options.impl_traces:
+        import tempfile
+
+        with tempfile.TemporaryDirectory(prefix="proto-impl-") as scratch:
+            traces = protocheck.gather_impl_traces(
+                scratch, runs=options.impl_traces
+            )
+            for trace in traces:
+                protocheck.conform_trace(trace, report)
+        notes.append(f"refined {len(traces)} live implementation trace(s)")
+    return report, notes
+
+
+def _run_iso(options: argparse.Namespace) -> Outcome:
+    from .history import History
+    from .isocheck import check_history, predict_isolation
+
+    if not options.histories and not options.templates:
+        raise InputError(
+            "nothing to check — give history files, --templates FILE "
+            "(with --store DIR), or --self-test"
+        )
+    if options.templates and not options.store:
+        raise InputError(
+            "--templates needs --store DIR to resolve template targets "
+            "against"
+        )
+    report = Report(plane=options.command)
+    for path in options.histories:
+        check_history(_read(path, History.loads), report)
+    if options.templates:
+        db = _open_store(options.store)
+        templates = _load_templates(options.templates)
+        report.extend(
+            predict_isolation(db, templates, discipline=options.discipline)
+        )
+    return report, []
 
 
 # ----------------------------------------------------------------------
-# Concurrency plane: lockdep / locklint / code
+# Self-test ladders: each yields one StepResult per step
 # ----------------------------------------------------------------------
 
 def _concurrency_scenario() -> tuple[Any, list[Any]]:
@@ -207,33 +251,8 @@ def _record_simulation(db: Any, scripts: list[Any]) -> tuple[Any, Any]:
     return recorder, result
 
 
-def _cmd_lockdep(options: argparse.Namespace) -> int:
-    from ..workloads.txmix import composite_mix
-
-    db, roots = _concurrency_scenario()
-    if options.self_test:
-        return _lockdep_self_test(db, roots, options)
-    recorder, result = _record_simulation(
-        db,
-        composite_mix(roots, transactions=options.transactions, seed=42),
-    )
-    report = recorder.analyze()
-    _emit(report, options)
-    if not options.quiet and not options.json:
-        print(
-            f"simulated {result.committed} commit(s), "
-            f"{result.deadlock_aborts} runtime deadlock abort(s); "
-            f"{recorder.transactions_recorded} trace(s) recorded"
-        )
-    return _exit_code(report, options)
-
-
-def _lockdep_self_test(
-    db: Any, roots: list[Any], options: argparse.Namespace
-) -> int:
-    """CI gate: the detector must fire on a seed and stay quiet on order.
-
-    Two checks, both required:
+def _lockdep_ladder() -> Iterator[StepResult]:
+    """The detector must fire on a seed and stay quiet on order:
 
     1. the serialized opposite-order seed (which never blocks) is
        reported as ``LOCKDEP-INVERSION`` with both witness stacks;
@@ -242,35 +261,27 @@ def _lockdep_self_test(
     """
     from ..sim.eventsim import Step
 
-    failures = []
-
+    db, roots = _concurrency_scenario()
     recorder, stats = _record_inversion_seed(db, roots)
     report = recorder.analyze()
-    inversions = [
-        finding for finding in report.errors
-        if finding.rule == "LOCKDEP-INVERSION"
-    ]
-    if stats.blocks or stats.denials:
-        failures.append(
-            f"seed run was supposed to never block "
-            f"(blocks={stats.blocks}, denials={stats.denials})"
-        )
-    if not inversions:
-        failures.append(
-            "seeded opposite-order writers were NOT reported as an "
-            "inversion"
-        )
-    elif not (
-        inversions[0].detail["witness_forward"]["acquire_stack"]
-        and inversions[0].detail["witness_reverse"]["acquire_stack"]
-    ):
-        failures.append("inversion finding is missing witness stacks")
-    if not options.quiet:
-        status = "ok  " if not failures else "FAIL"
-        print(
-            f"{status} seeded inversion: {len(inversions)} reported, "
-            f"0 runtime blocks [{report.summary()}]"
-        )
+    inversions = report.by_rule("LOCKDEP-INVERSION")
+    yield (
+        f"seeded inversion: {len(inversions)} reported, "
+        f"0 runtime blocks [{report.summary()}]",
+        _failed(
+            (not (stats.blocks or stats.denials),
+             f"seed run was supposed to never block "
+             f"(blocks={stats.blocks}, denials={stats.denials})"),
+            (bool(inversions),
+             "seeded opposite-order writers were NOT reported as an "
+             "inversion"),
+            (all(
+                finding.detail[side]["acquire_stack"]
+                for finding in inversions[:1]
+                for side in ("witness_forward", "witness_reverse")
+            ), "inversion finding is missing witness stacks"),
+        ),
+    )
 
     uniform = [
         [
@@ -282,118 +293,22 @@ def _lockdep_self_test(
         )
     ]
     recorder, result = _record_simulation(db, uniform)
-    clean_report = recorder.analyze()
-    ordered_failures = []
-    if result.deadlock_aborts:
-        ordered_failures.append(
-            f"uniform-order workload hit {result.deadlock_aborts} "
-            f"runtime deadlock(s)"
-        )
-    if not clean_report.clean:
-        ordered_failures.append(
-            f"uniform-order workload analyzed dirty "
-            f"[{clean_report.summary()}]"
-        )
-    if not options.quiet:
-        status = "ok  " if not ordered_failures else "FAIL"
-        print(
-            f"{status} uniform order: {result.committed} commit(s), "
-            f"[{clean_report.summary()}]"
-        )
-    failures.extend(ordered_failures)
-
-    for failure in failures:
-        print(f"lockdep self-test: {failure}", file=sys.stderr)
-    print(
-        "lockdep self-test: pass"
-        if not failures
-        else f"lockdep self-test: {len(failures)} check(s) FAILED"
+    report = recorder.analyze()
+    yield (
+        f"uniform order: {result.committed} commit(s), [{report.summary()}]",
+        _failed(
+            (not result.deadlock_aborts,
+             f"uniform-order workload hit {result.deadlock_aborts} "
+             f"runtime deadlock(s)"),
+            (report.clean,
+             f"uniform-order workload analyzed dirty [{report.summary()}]"),
+        ),
     )
-    return 1 if failures else 0
 
 
-def _cmd_locklint(options: argparse.Namespace) -> int:
-    import json
-
-    from .locklint import analyze_templates, coerce_template
-
-    db = _open_store(options.directory)
-    templates = []
-    for path in options.files:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except OSError as error:
-            print(f"repro-check: cannot read {path}: {error}", file=sys.stderr)
-            return 2
-        except ValueError as error:
-            print(f"repro-check: {path}: {error}", file=sys.stderr)
-            return 2
-        if isinstance(payload, dict):
-            payload = payload.get("templates", [payload])
-        for item in payload:
-            templates.append(coerce_template(item, len(templates)))
-    report = analyze_templates(db, templates, discipline=options.discipline)
-    _emit(report, options)
-    return _exit_code(report, options)
-
-
-def _cmd_code(options: argparse.Namespace) -> int:
-    report = lint_package(options.path)
-    _emit(report, options)
-    return _exit_code(report, options)
-
-
-# ----------------------------------------------------------------------
-# Protocol plane: the 2PC model checker + conformance lints
-# ----------------------------------------------------------------------
-
-def _cmd_proto(options: argparse.Namespace) -> int:
-    from . import protocheck
-    from .proto_model import Scope
-
-    if options.self_test:
-        return _proto_self_test(options)
-    scope = Scope(
-        workers=options.workers,
-        txns=options.txns,
-        max_crashes=options.max_crashes,
-    )
-    report, result = protocheck.check_protocol(
-        scope, spontaneous=options.spontaneous
-    )
-    notes = [result.summary()]
-    if options.replay:
-        before = len(report.findings)
-        report, replayed = protocheck.conform_traces(options.replay, report)
-        notes.append(
-            f"replayed {replayed} recorded trace(s), "
-            f"{len(report.findings) - before} finding(s)"
-        )
-    if options.impl_traces:
-        import tempfile
-
-        with tempfile.TemporaryDirectory(prefix="proto-impl-") as scratch:
-            traces = protocheck.gather_impl_traces(
-                scratch, runs=options.impl_traces
-            )
-            for trace in traces:
-                protocheck.conform_trace(trace, report)
-        notes.append(f"refined {len(traces)} live implementation trace(s)")
-    protocheck.lint_protocol_sites(report=report)
-    protocheck.lint_wire_ops(report)
-    _emit(report, options)
-    if not options.quiet and not options.json:
-        for note in notes:
-            print(note)
-    return _exit_code(report, options)
-
-
-def _proto_self_test(options: argparse.Namespace) -> int:
-    """CI gate: the model checker must find a seeded protocol bug and
-    stay quiet on the faithful model.
-
-    Three checks, all required:
+def _proto_ladder() -> Iterator[StepResult]:
+    """The model checker must find seeded protocol bugs and stay quiet
+    on the faithful model:
 
     1. the seeded presumed-*commit* bug (an in-doubt participant that
        commits instead of aborting when the coordinator log is silent)
@@ -406,146 +321,68 @@ def _proto_self_test(options: argparse.Namespace) -> int:
        clean under the same spontaneous-crash schedule, which is what
        justifies the grace-period guard in ``shard/worker.py``.
     """
-    from . import protocheck
+    from .protocheck import explore
     from .proto_model import Scope
-
-    failures: list[str] = []
-
-    def note(ok: bool, text: str) -> None:
-        if not options.quiet:
-            print(f"{'ok  ' if ok else 'FAIL'} {text}")
 
     tiny = Scope(workers=1, txns=1, max_crashes=1)
     small = Scope(workers=2, txns=1, max_crashes=1)
 
-    seeded, result = protocheck.check_protocol(tiny, bug="presumed-commit")
+    result = explore(tiny, bug="presumed-commit")
     witnesses = [
-        example for example in result.counterexamples
+        example.trace for example in result.counterexamples
         if example.rule == "PROTO-CONSISTENCY"
     ]
-    if not witnesses:
-        failures.append(
-            "seeded presumed-commit bug was NOT reported as "
-            "PROTO-CONSISTENCY"
-        )
-    elif len(witnesses[0].trace) != 4:
-        failures.append(
-            f"presumed-commit counterexample is not minimal: "
-            f"{len(witnesses[0].trace)} steps, expected 4 "
-            f"({' -> '.join(witnesses[0].trace)})"
-        )
-    note(
-        not failures,
+    trace = witnesses[0] if witnesses else ()
+    yield (
         f"seeded presumed-commit: {len(witnesses)} counterexample(s), "
-        f"shortest {len(witnesses[0].trace) if witnesses else 0} step(s) "
-        f"[{result.summary()}]",
+        f"shortest {len(trace)} step(s) [{result.summary()}]",
+        _failed(
+            (bool(witnesses),
+             "seeded presumed-commit bug was NOT reported as "
+             "PROTO-CONSISTENCY"),
+            (not witnesses or len(trace) == 4,
+             f"presumed-commit counterexample is not minimal: "
+             f"{len(trace)} steps, expected 4 ({' -> '.join(trace)})"),
+        ),
     )
 
     for scope in (tiny, small):
-        _, clean = protocheck.check_protocol(scope)
-        ok = clean.ok
-        if not ok:
-            failures.append(
-                f"faithful model has violation(s) at {clean.summary()}"
-            )
-        note(ok, f"clean model: {clean.summary()}")
+        clean = explore(scope)
+        summary = clean.summary()
+        yield f"clean model: {summary}", _failed(
+            (clean.ok, f"faithful model has violation(s) at {summary}"),
+        )
 
-    eager = protocheck.explore(small, bug="presume-eager", spontaneous=True)
-    guarded = protocheck.explore(small, spontaneous=True)
-    if eager.ok:
-        failures.append(
-            "dropping the presume-abort grace guard was NOT caught "
-            "under spontaneous crashes"
-        )
-    if not guarded.ok:
-        failures.append(
-            f"guarded model is dirty under spontaneous crashes: "
-            f"{guarded.summary()}"
-        )
-    note(
-        not eager.ok and guarded.ok,
+    eager = explore(small, bug="presume-eager", spontaneous=True)
+    guarded = explore(small, spontaneous=True)
+    yield (
         f"grace guard: eager={len(eager.counterexamples)} violation(s), "
         f"guarded={len(guarded.counterexamples)}",
+        _failed(
+            (not eager.ok,
+             "dropping the presume-abort grace guard was NOT caught "
+             "under spontaneous crashes"),
+            (guarded.ok,
+             f"guarded model is dirty under spontaneous crashes: "
+             f"{guarded.summary()}"),
+        ),
     )
 
-    for failure in failures:
-        print(f"proto self-test: {failure}", file=sys.stderr)
-    print(
-        "proto self-test: pass"
-        if not failures
-        else f"proto self-test: {len(failures)} check(s) FAILED"
-    )
-    return 1 if failures else 0
 
+def _iso_seeded(script: Callable[..., Any]) -> tuple[Any, Any]:
+    """Run *script(tm1, tm2, x, y)* over a two-account database whose two
+    transaction managers have *private* lock tables; returns the recorded
+    history and what *script* returned.
 
-# ----------------------------------------------------------------------
-# Isolation plane: history checking + template-mode prediction
-# ----------------------------------------------------------------------
-
-def _cmd_iso(options: argparse.Namespace) -> int:
-    import json
-
-    from .history import History
-    from .isocheck import check_history, predict_isolation
-    from .locklint import coerce_template
-
-    if options.self_test:
-        return _iso_self_test(options)
-    if not options.histories and not options.templates:
-        print(
-            "repro-check iso: nothing to check — give history files, "
-            "--templates FILE (with --store DIR), or --self-test",
-            file=sys.stderr,
-        )
-        return 2
-    report = Report(plane="iso")
-    for path in options.histories:
-        try:
-            history = History.load(path)
-        except OSError as error:
-            print(f"repro-check: cannot read {path}: {error}",
-                  file=sys.stderr)
-            return 2
-        except ValueError as error:
-            print(f"repro-check: {path}: {error}", file=sys.stderr)
-            return 2
-        check_history(history, report)
-    if options.templates:
-        if not options.store:
-            print(
-                "repro-check iso: --templates needs --store DIR to "
-                "resolve template targets against",
-                file=sys.stderr,
-            )
-            return 2
-        db = _open_store(options.store)
-        templates = []
-        for path in options.templates:
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-            except OSError as error:
-                print(f"repro-check: cannot read {path}: {error}",
-                      file=sys.stderr)
-                return 2
-            except ValueError as error:
-                print(f"repro-check: {path}: {error}", file=sys.stderr)
-                return 2
-            if isinstance(payload, dict):
-                payload = payload.get("templates", [payload])
-            for item in payload:
-                templates.append(coerce_template(item, len(templates)))
-        report.extend(
-            predict_isolation(db, templates, discipline=options.discipline)
-        )
-    _emit(report, options)
-    return _exit_code(report, options)
-
-
-def _iso_seed_db() -> tuple[Any, Any, Any]:
-    """A two-account database for the seeded anomaly interleavings."""
+    Every operation still runs the real manager paths (undo logging,
+    hooks, txn attribution), but neither manager sees the other's locks
+    — the no-discipline baseline the seeded anomalies need.
+    """
     from ..core.database import Database
+    from ..locking.table import LockTable
     from ..schema.attribute import AttributeSpec
+    from ..txn.manager import TransactionManager
+    from .history import HistoryRecorder
 
     db = Database()
     db.make_class("Account", attributes=[
@@ -553,29 +390,16 @@ def _iso_seed_db() -> tuple[Any, Any, Any]:
     ])
     x = db.make("Account", values={"Balance": 100})
     y = db.make("Account", values={"Balance": 100})
-    return db, x, y
+    tm1 = TransactionManager(db, LockTable())
+    tm2 = TransactionManager(db, LockTable())
+    with HistoryRecorder(db) as recorder:
+        result = script(tm1, tm2, x, y)
+    return recorder.history, result
 
 
-def _iso_broken_pair(db: Any) -> tuple[Any, Any]:
-    """Two transaction managers with *private* lock tables over one
-    database: every operation still runs the real manager paths (undo
-    logging, hooks, txn attribution), but neither manager sees the
-    other's locks — the no-discipline baseline the seeded anomalies
-    need."""
-    from ..locking.table import LockTable
-    from ..txn.manager import TransactionManager
-
-    return (
-        TransactionManager(db, LockTable()),
-        TransactionManager(db, LockTable()),
-    )
-
-
-def _iso_self_test(options: argparse.Namespace) -> int:
-    """CI gate: the isolation checker must detect seeded anomalies with
-    minimal witnesses and stay quiet on disciplined executions.
-
-    Six checks, all required:
+def _iso_ladder() -> Iterator[StepResult]:
+    """The isolation checker must detect seeded anomalies with minimal
+    witnesses and stay quiet on disciplined executions:
 
     1. the seeded lost-update interleaving (both read, both write, both
        commit — under private lock tables) is reported as ``ISO-G2``
@@ -604,16 +428,8 @@ def _iso_self_test(options: argparse.Namespace) -> int:
     from .isocheck import check_history, predict_isolation
     from .locklint import TransactionTemplate
 
-    failures: list[str] = []
-
-    def note(ok: bool, text: str) -> None:
-        if not options.quiet:
-            print(f"{'ok  ' if ok else 'FAIL'} {text}")
-
     # 1. Lost update: minimal G2 cycle + classifier.
-    db, x, _y = _iso_seed_db()
-    tm1, tm2 = _iso_broken_pair(db)
-    with HistoryRecorder(db) as recorder:
+    def lost_update(tm1: Any, tm2: Any, x: Any, y: Any) -> set[str]:
         t1, t2 = tm1.begin(), tm2.begin()
         stale_1 = tm1.read(t1, x, "Balance")
         stale_2 = tm2.read(t2, x, "Balance")
@@ -621,38 +437,29 @@ def _iso_self_test(options: argparse.Namespace) -> int:
         tm2.write(t2, x, "Balance", stale_2 + 25)
         tm1.commit(t1)
         tm2.commit(t2)
-    lost_history = recorder.history
-    report = check_history(lost_history)
+        return {f"t{t1.txn_id}", f"t{t2.txn_id}"}
+
+    history, expected = _iso_seeded(lost_update)
+    report = check_history(history)
     cycles = report.by_rule("ISO-G2")
     lost = report.by_rule("ISO-LOST-UPDATE")
-    expected = {f"t{t1.txn_id}", f"t{t2.txn_id}"}
-    witness_ok = bool(cycles) and (
-        len(cycles[0].detail["cycle"]) == 2
-        and set(cycles[0].detail["cycle"]) == expected
-    )
-    if not cycles:
-        failures.append(
-            "seeded lost-update interleaving was NOT reported as ISO-G2"
-        )
-    elif not witness_ok:
-        failures.append(
-            f"ISO-G2 witness is not the minimal 2-transaction cycle: "
-            f"{cycles[0].detail['cycle']}"
-        )
-    if not lost:
-        failures.append(
-            "seeded lost update was NOT classified as ISO-LOST-UPDATE"
-        )
-    note(
-        bool(cycles) and witness_ok and bool(lost),
+    cycle = cycles[0].detail["cycle"] if cycles else []
+    yield (
         f"seeded lost update: {len(cycles)} G2 cycle(s), "
         f"{len(lost)} classifier(s) [{report.summary()}]",
+        _failed(
+            (bool(cycles),
+             "seeded lost-update interleaving was NOT reported as ISO-G2"),
+            (not cycles or (len(cycle) == 2 and set(cycle) == expected),
+             f"ISO-G2 witness is not the minimal 2-transaction cycle: "
+             f"{cycle}"),
+            (bool(lost),
+             "seeded lost update was NOT classified as ISO-LOST-UPDATE"),
+        ),
     )
 
     # 2. Write skew: each transaction reads what the other writes.
-    db, x, y = _iso_seed_db()
-    tm1, tm2 = _iso_broken_pair(db)
-    with HistoryRecorder(db) as recorder:
+    def write_skew(tm1: Any, tm2: Any, x: Any, y: Any) -> None:
         t1, t2 = tm1.begin(), tm2.begin()
         tm1.read(t1, y, "Balance")
         tm2.read(t2, x, "Balance")
@@ -660,35 +467,31 @@ def _iso_self_test(options: argparse.Namespace) -> int:
         tm2.write(t2, y, "Balance", 0)
         tm1.commit(t1)
         tm2.commit(t2)
-    report = check_history(recorder.history)
+
+    report = check_history(_iso_seeded(write_skew)[0])
     skew = report.by_rule("ISO-WRITE-SKEW")
-    if not skew:
-        failures.append(
-            "seeded write-skew interleaving was NOT reported as "
-            "ISO-WRITE-SKEW"
-        )
-    note(bool(skew),
-         f"seeded write skew: {len(skew)} finding(s) [{report.summary()}]")
+    yield (
+        f"seeded write skew: {len(skew)} finding(s) [{report.summary()}]",
+        _failed((bool(skew), "seeded write-skew interleaving was NOT "
+                 "reported as ISO-WRITE-SKEW")),
+    )
 
     # 3. Dirty read: a read from a transaction that goes on to abort.
-    db, x, _y = _iso_seed_db()
-    tm1, tm2 = _iso_broken_pair(db)
-    with HistoryRecorder(db) as recorder:
+    def dirty_read(tm1: Any, tm2: Any, x: Any, y: Any) -> None:
         t1, t2 = tm1.begin(), tm2.begin()
         tm1.write(t1, x, "Balance", -1)
         tm2.read(t2, x, "Balance")
         tm1.abort(t1)
         tm2.commit(t2)
-    report = check_history(recorder.history)
+
+    report = check_history(_iso_seeded(dirty_read)[0])
     dirty = [f for f in report.errors if f.rule == "ISO-G1A"]
-    if not dirty:
-        failures.append(
-            "seeded dirty read of an aborted transaction was NOT "
-            "reported as an ISO-G1A error"
-        )
-    note(bool(dirty),
-         f"seeded dirty read: {len(dirty)} G1A error(s) "
-         f"[{report.summary()}]")
+    yield (
+        f"seeded dirty read: {len(dirty)} G1A error(s) "
+        f"[{report.summary()}]",
+        _failed((bool(dirty), "seeded dirty read of an aborted "
+                 "transaction was NOT reported as an ISO-G1A error")),
+    )
 
     # 4. Strict 2PL must check clean: the B9 mix through one shared
     # manager/lock table, genuinely interleaved round-robin.
@@ -699,23 +502,18 @@ def _iso_self_test(options: argparse.Namespace) -> int:
             roots, transactions=12, steps_per_txn=3,
             components_by_root=components, seed=9,
         ))
-    clean_report = check_history(recorder.history)
-    if not clean_report.clean:
-        failures.append(
-            f"strict-2PL transaction mix analyzed dirty "
-            f"[{clean_report.summary()}]"
-        )
-    note(
-        clean_report.clean,
+    report = check_history(recorder.history)
+    yield (
         f"strict-2PL mix: {stats['transactions']} txn(s), "
-        f"{stats['conflict_retries']} retry(s), "
-        f"[{clean_report.summary()}]",
+        f"{stats['conflict_retries']} retry(s), [{report.summary()}]",
+        _failed((report.clean, f"strict-2PL transaction mix analyzed "
+                 f"dirty [{report.summary()}]")),
     )
 
     # 5. CrashSim sweep: 50 seeded fault plans, each recording its
     # history; no isolation errors allowed, and every history must
     # survive the JSONL round-trip (torn tail included).
-    sweep_problems: list[str] = []
+    failures = []
     events_checked = 0
     with tempfile.TemporaryDirectory(prefix="iso-crashsim-") as scratch:
         drills = run_sweep("crash", 20260807, 50, record_histories=scratch)
@@ -726,7 +524,7 @@ def _iso_self_test(options: argparse.Namespace) -> int:
             if problem.startswith("isolation:")
         ]
         if iso_problems:
-            sweep_problems.append(
+            failures.append(
                 f"plan {plan.describe()}: {'; '.join(iso_problems)}"
             )
         if crash.history is not None:
@@ -734,15 +532,14 @@ def _iso_self_test(options: argparse.Namespace) -> int:
             text = crash.history.dumps()
             reloaded = History.loads(text + '{"k":"wri')
             if reloaded.events != crash.history.events:
-                sweep_problems.append(
+                failures.append(
                     f"plan {plan.describe()}: JSONL round-trip with a "
                     f"torn tail did not reproduce the history"
                 )
-    failures.extend(sweep_problems)
-    note(
-        not sweep_problems,
+    yield (
         f"CrashSim sweep: 50 plans, {events_checked} event(s) recorded, "
-        f"{len(sweep_problems)} problem(s)",
+        f"{len(failures)} problem(s)",
+        failures,
     )
 
     # 6. Template mode: predicted anomalies and a clean baseline.
@@ -760,151 +557,272 @@ def _iso_self_test(options: argparse.Namespace) -> int:
         ("read_composite", troots[0]), ("read_composite", troots[1]),
     ])
     predicted = predict_isolation(db, [racy])
-    if not predicted.by_rule("ISO-TEMPLATE-LOST-UPDATE"):
-        failures.append(
-            "read-modify-write template was NOT predicted as "
-            "ISO-TEMPLATE-LOST-UPDATE"
-        )
     skew_predicted = predict_isolation(db, [left, right])
-    if not skew_predicted.by_rule("ISO-TEMPLATE-SKEW"):
-        failures.append(
-            "mutual read/write template pair was NOT predicted as "
-            "ISO-TEMPLATE-SKEW"
-        )
     audit_report = predict_isolation(db, [audit])
-    if not audit_report.clean:
-        failures.append(
-            f"read-only templates predicted dirty "
-            f"[{audit_report.summary()}]"
-        )
-    note(
-        bool(predicted.by_rule("ISO-TEMPLATE-LOST-UPDATE"))
-        and bool(skew_predicted.by_rule("ISO-TEMPLATE-SKEW"))
-        and audit_report.clean,
+    yield (
         f"template mode: {len(predicted)} + {len(skew_predicted)} "
         f"prediction(s), read-only clean={audit_report.clean}",
+        _failed(
+            (bool(predicted.by_rule("ISO-TEMPLATE-LOST-UPDATE")),
+             "read-modify-write template was NOT predicted as "
+             "ISO-TEMPLATE-LOST-UPDATE"),
+            (bool(skew_predicted.by_rule("ISO-TEMPLATE-SKEW")),
+             "mutual read/write template pair was NOT predicted as "
+             "ISO-TEMPLATE-SKEW"),
+            (audit_report.clean,
+             f"read-only templates predicted dirty "
+             f"[{audit_report.summary()}]"),
+        ),
     )
 
+
+def _seed_ladder() -> Iterator[StepResult]:
+    """Every seed workload and figure scenario, built in memory through
+    the public API, analyzes without schema errors and fscks without any
+    finding; each offending finding is one failure."""
+    from ..core.database import Database
+    from ..versions.manager import VersionManager
+    from ..workloads.cad import build_design_bench
+    from ..workloads.documents import build_corpus
+    from ..workloads.figures import build_figure4, build_figure5, build_figure9
+    from ..workloads.parts import build_assembly, build_fleet, build_part_tree
+
+    scenarios: tuple[tuple[str, Callable[[Any], Any]], ...] = (
+        ("vehicle-fleet", lambda db: build_fleet(db, 5)),
+        ("part-tree", lambda db: build_part_tree(db, depth=3, fanout=3)),
+        ("assembly", lambda db: build_assembly(db, depth=2, fanout=3)),
+        ("figure4", build_figure4),
+        ("figure5", build_figure5),
+        ("figure9", build_figure9),
+        ("documents", lambda db: build_corpus(db, documents=4)),
+        ("cad-versions",
+         lambda db: build_design_bench(db, VersionManager(db))),
+    )
+    for name, build in scenarios:
+        db = Database()
+        build(db)
+        schema_report = SchemaAnalyzer(db.lattice).analyze()
+        fsck_report = fsck_database(db)
+        yield (
+            f"{name}: schema [{schema_report.summary()}], "
+            f"fsck [{fsck_report.summary()}]",
+            [f"{name}: {finding}"
+             for finding in [*schema_report.errors, *fsck_report]],
+        )
+
+
+def _failed(*checks: tuple[bool, str]) -> list[str]:
+    """The failure strings of the ``(passed, failure)`` checks that did
+    not pass."""
+    return [failure for passed, failure in checks if not passed]
+
+
+def _run_ladder(
+    title: str, steps: Iterable[StepResult], quiet: bool, verdict: str
+) -> int:
+    """Print each step's ``ok``/``FAIL`` line (unless *quiet*), send the
+    failures to stderr, print the final line; 0 when nothing failed."""
+    failures: list[str] = []
+    for text, failed in steps:
+        if not quiet:
+            print(f"{'FAIL' if failed else 'ok  '} {text}")
+        failures.extend(failed)
     for failure in failures:
-        print(f"iso self-test: {failure}", file=sys.stderr)
+        print(f"{title}: {failure}", file=sys.stderr)
     print(
-        "iso self-test: pass"
-        if not failures
-        else f"iso self-test: {len(failures)} check(s) FAILED"
+        f"{title}: {len(failures)} check(s) FAILED" if failures
+        else f"{title}: {verdict}"
     )
     return 1 if failures else 0
 
 
 # ----------------------------------------------------------------------
-# Self-test: the seed workloads and figures, analyzed and fsck'd
+# The command table
 # ----------------------------------------------------------------------
 
-def _seed_scenarios() -> Iterator[tuple[str, Any]]:
-    """Yield ``(name, database, managers)`` for every seed scenario.
+class Ladder(NamedTuple):
+    """A self-test: its steps, the ``--self-test`` help, and the word the
+    final line ends with when every step passes."""
 
-    Each scenario is built through the public API, so the analyzer must
-    find no schema errors and fsck must find nothing at all.
+    steps: Callable[[], Iterable[StepResult]]
+    help: str = ""
+    verdict: str = "pass"
+
+
+class Command(NamedTuple):
+    """One ``repro-check`` command.
+
+    ``run`` is None for a command that only runs its ladder; a command
+    with both gets a ``--self-test`` flag that runs the ladder instead.
     """
-    from ..core.database import Database
-    from ..versions.manager import VersionManager
-    from ..workloads.cad import build_design_bench
-    from ..workloads.documents import build_corpus, define_document_schema
-    from ..workloads.figures import build_figure4, build_figure5, build_figure9
-    from ..workloads.parts import (
-        build_assembly,
-        build_fleet,
-        build_part_tree,
-        define_vehicle_schema,
-    )
 
-    db = Database()
-    define_vehicle_schema(db)
-    build_fleet(db, 5)
-    yield "vehicle-fleet", db
+    name: str
+    help: str
+    args: tuple[Arg, ...]
+    run: Optional[Callable[[argparse.Namespace], Outcome]]
+    ladder: Optional[Ladder] = None
 
-    db = Database()
-    build_part_tree(db, depth=3, fanout=3)
-    yield "part-tree", db
 
-    db = Database()
-    build_assembly(db, depth=2, fanout=3)
-    yield "assembly", db
+def _arg(*flags: str, **options: Any) -> Arg:
+    return flags, options
 
-    for name, builder in (
-        ("figure4", build_figure4),
-        ("figure5", build_figure5),
-        ("figure9", build_figure9),
+
+_STORE = _arg("directory", help="durable store directory")
+_DISCIPLINE = _arg(
+    "--discipline",
+    default="composite",
+    choices=("composite", "instance", "class"),
+    help="locking discipline to plan templates under (default composite)",
+)
+
+COMMANDS: tuple[Command, ...] = (
+    Command(
+        "schema", "static schema/topology analysis of a durable store",
+        (_STORE,), _run_schema,
+    ),
+    Command(
+        "fsck", "offline integrity check of a durable store",
+        (_STORE,), _run_fsck,
+    ),
+    Command(
+        "query", "statically validate s-expression query files",
+        (_STORE, _arg("files", nargs="+", help="query files to validate")),
+        _run_query,
+    ),
+    Command(
+        "lockdep",
+        "record a seeded concurrent workload and report latent "
+        "deadlocks (lock-order inversions)",
+        (_arg(
+            "--transactions", type=int, default=20,
+            help="simulated transactions in the recorded mix (default 20)",
+        ),),
+        _run_lockdep,
+        Ladder(
+            _lockdep_ladder,
+            "verify the detector: seeded inversion must be reported, "
+            "uniform order must be clean (CI gate)",
+        ),
+    ),
+    Command(
+        "locklint",
+        "statically predict lock-order hazards of transaction "
+        "template files against a durable store",
+        (
+            _STORE,
+            _arg("files", nargs="+", help="JSON transaction-template files"),
+            _DISCIPLINE,
+        ),
+        _run_locklint,
+    ),
+    Command(
+        "code",
+        "AST-lint the repro package for concurrency/durability "
+        "discipline (CI requires this clean)",
+        (_arg(
+            "path", nargs="?", default=None,
+            help="package root to lint (default: the installed repro "
+            "package)",
+        ),),
+        _run_code,
+    ),
+    Command(
+        "proto",
+        "exhaustively model-check the 2PC protocol and lint the "
+        "implementation for drift against the model",
+        (
+            _arg(
+                "--workers", type=int, default=2,
+                help="participant shards in the model scope (default 2)",
+            ),
+            _arg(
+                "--txns", type=int, default=2,
+                help="concurrent cross-shard transactions (default 2)",
+            ),
+            _arg(
+                "--max-crashes", type=int, default=1,
+                help="crash budget per schedule (default 1)",
+            ),
+            _arg(
+                "--spontaneous", action="store_true",
+                help="also crash between protocol steps, not only at "
+                "failpoint sites (larger state space)",
+            ),
+            _arg(
+                "--replay", nargs="+", metavar="TRACE",
+                help="recorded trace files (or directories of *.json) to "
+                "check as refinements of the model",
+            ),
+            _arg(
+                "--impl-traces", type=int, default=0, metavar="N",
+                help="drive N seeded 2PC rounds through the real journal/"
+                "recovery stack and refine the durable traces (default 0)",
+            ),
+        ),
+        _run_proto,
+        Ladder(
+            _proto_ladder,
+            "verify the checker: a seeded presumed-commit bug must yield "
+            "a minimal counterexample, the faithful model must be clean, "
+            "and dropping the presume-abort grace guard must be caught "
+            "under spontaneous crashes (CI gate)",
+        ),
+    ),
+    Command(
+        "iso",
+        "check recorded transaction histories (or predict from "
+        "templates) for Adya-style isolation anomalies",
+        (
+            _arg(
+                "histories", nargs="*",
+                help="JSONL history files (repro-server --record-history, "
+                "the crash sweep's --record-histories, shard workers)",
+            ),
+            _arg(
+                "--store", metavar="DIR", default=None,
+                help="durable store to resolve --templates targets against",
+            ),
+            _arg(
+                "--templates", nargs="+", metavar="FILE",
+                help="JSON transaction-template files to predict anomalies "
+                "from (needs --store)",
+            ),
+            _DISCIPLINE,
+        ),
+        _run_iso,
+        Ladder(
+            _iso_ladder,
+            "verify the checker: seeded anomalies must be detected "
+            "with minimal witnesses, strict-2PL and CrashSim histories "
+            "must be clean (CI gate)",
+        ),
+    ),
+    Command(
+        SEED_SELF_TEST,
+        "analyze and fsck every seed workload/figure scenario",
+        (), None,
+        Ladder(_seed_ladder, verdict="all seed scenarios pass"),
+    ),
+)
+
+#: Every command the parser accepts.
+SUBCOMMANDS = frozenset(command.name for command in COMMANDS)
+
+
+def _output_flags(default: Any) -> argparse.ArgumentParser:
+    """The output/gating flags as a parent parser.  The copy each
+    command gets defaults to SUPPRESS, so an absent flag never clobbers
+    one given before the command."""
+    flags = argparse.ArgumentParser(add_help=False)
+    for names, text in (
+        (("--json",), "emit findings as JSON"),
+        (("--quiet", "-q"), "summaries only"),
+        (("--strict",), "exit non-zero on warnings, not just errors"),
     ):
-        db = Database()
-        builder(db)
-        yield name, db
-
-    db = Database()
-    define_document_schema(db)
-    build_corpus(db, documents=4)
-    yield "documents", db
-
-    db = Database()
-    versions = VersionManager(db)
-    build_design_bench(db, versions)
-    yield "cad-versions", db
-
-
-def _cmd_self_test(options: argparse.Namespace) -> int:
-    failed = 0
-    for name, db in _seed_scenarios():
-        schema_report = SchemaAnalyzer(db.lattice).analyze()
-        fsck_report = fsck_database(db)
-        problems = []
-        if schema_report.errors:
-            problems.append(f"{len(schema_report.errors)} schema error(s)")
-        if not fsck_report.clean:
-            problems.append(f"{len(fsck_report)} fsck finding(s)")
-        status = "FAIL" if problems else "ok"
-        if problems:
-            failed += 1
-        if not options.quiet or problems:
-            print(
-                f"{status:4s} {name}: "
-                f"schema [{schema_report.summary()}], "
-                f"fsck [{fsck_report.summary()}]"
-            )
-        if problems and not options.json:
-            for finding in schema_report.errors:
-                print(f"     {finding}")
-            for finding in fsck_report:
-                print(f"     {finding}")
-    print(
-        "self-test: all seed scenarios pass"
-        if not failed
-        else f"self-test: {failed} scenario(s) FAILED"
-    )
-    return 1 if failed else 0
-
-
-# ----------------------------------------------------------------------
-# Entry point
-# ----------------------------------------------------------------------
-
-def _add_output_flags(
-    parser: argparse.ArgumentParser, subcommand: bool = False
-) -> None:
-    """The output/gating flags, accepted both before and after the
-    subcommand.  The subcommand copies default to SUPPRESS so an
-    absent flag never clobbers one given before the subcommand."""
-    extra = {"default": argparse.SUPPRESS} if subcommand else {}
-    parser.add_argument(
-        "--json", action="store_true", help="emit findings as JSON", **extra
-    )
-    parser.add_argument(
-        "--quiet", "-q", action="store_true", help="summaries only", **extra
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit non-zero on warnings, not just errors",
-        **extra,
-    )
+        flags.add_argument(
+            *names, action="store_true", default=default, help=text
+        )
+    return flags
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -912,196 +830,59 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-check",
         description="Static schema analyzer and database integrity checker "
         "for the composite-object database.",
+        parents=[_output_flags(False)],
     )
-    _add_output_flags(parser)
     commands = parser.add_subparsers(dest="command", required=True)
-
-    schema = commands.add_parser(
-        "schema", help="static schema/topology analysis of a durable store"
-    )
-    schema.add_argument("directory", help="durable store directory")
-    _add_output_flags(schema, subcommand=True)
-    schema.set_defaults(run=_cmd_schema)
-
-    fsck = commands.add_parser(
-        "fsck", help="offline integrity check of a durable store"
-    )
-    fsck.add_argument("directory", help="durable store directory")
-    _add_output_flags(fsck, subcommand=True)
-    fsck.set_defaults(run=_cmd_fsck)
-
-    query = commands.add_parser(
-        "query", help="statically validate s-expression query files"
-    )
-    query.add_argument("directory", help="durable store directory")
-    query.add_argument("files", nargs="+", help="query files to validate")
-    _add_output_flags(query, subcommand=True)
-    query.set_defaults(run=_cmd_query)
-
-    lockdep = commands.add_parser(
-        "lockdep",
-        help="record a seeded concurrent workload and report latent "
-        "deadlocks (lock-order inversions)",
-    )
-    lockdep.add_argument(
-        "--self-test",
-        action="store_true",
-        help="verify the detector: seeded inversion must be reported, "
-        "uniform order must be clean (CI gate)",
-    )
-    lockdep.add_argument(
-        "--transactions",
-        type=int,
-        default=20,
-        help="simulated transactions in the recorded mix (default 20)",
-    )
-    _add_output_flags(lockdep, subcommand=True)
-    lockdep.set_defaults(run=_cmd_lockdep)
-
-    locklint = commands.add_parser(
-        "locklint",
-        help="statically predict lock-order hazards of transaction "
-        "template files against a durable store",
-    )
-    locklint.add_argument("directory", help="durable store directory")
-    locklint.add_argument(
-        "files", nargs="+", help="JSON transaction-template files"
-    )
-    locklint.add_argument(
-        "--discipline",
-        default="composite",
-        choices=("composite", "instance", "class"),
-        help="locking discipline to plan under (default composite)",
-    )
-    _add_output_flags(locklint, subcommand=True)
-    locklint.set_defaults(run=_cmd_locklint)
-
-    code = commands.add_parser(
-        "code",
-        help="AST-lint the repro package for concurrency/durability "
-        "discipline (CI requires this clean)",
-    )
-    code.add_argument(
-        "path",
-        nargs="?",
-        default=None,
-        help="package root to lint (default: the installed repro package)",
-    )
-    _add_output_flags(code, subcommand=True)
-    code.set_defaults(run=_cmd_code)
-
-    proto = commands.add_parser(
-        "proto",
-        help="exhaustively model-check the 2PC protocol and lint the "
-        "implementation for drift against the model",
-    )
-    proto.add_argument(
-        "--self-test",
-        action="store_true",
-        help="verify the checker: seeded presumed-commit bug must yield "
-        "a minimal counterexample, the faithful model must be clean, "
-        "DFS reduction must agree with BFS (CI gate)",
-    )
-    proto.add_argument(
-        "--workers", type=int, default=2,
-        help="participant shards in the model scope (default 2)",
-    )
-    proto.add_argument(
-        "--txns", type=int, default=2,
-        help="concurrent cross-shard transactions (default 2)",
-    )
-    proto.add_argument(
-        "--max-crashes", type=int, default=1,
-        help="crash budget per schedule (default 1)",
-    )
-    proto.add_argument(
-        "--spontaneous",
-        action="store_true",
-        help="also crash between protocol steps, not only at failpoint "
-        "sites (larger state space)",
-    )
-    proto.add_argument(
-        "--replay",
-        nargs="+",
-        metavar="TRACE",
-        help="recorded trace files (or directories of *.json) to check "
-        "as refinements of the model",
-    )
-    proto.add_argument(
-        "--impl-traces",
-        type=int,
-        default=0,
-        metavar="N",
-        help="drive N seeded 2PC rounds through the real journal/"
-        "recovery stack and refine the durable traces (default 0)",
-    )
-    _add_output_flags(proto, subcommand=True)
-    proto.set_defaults(run=_cmd_proto)
-
-    iso = commands.add_parser(
-        "iso",
-        help="check recorded transaction histories (or predict from "
-        "templates) for Adya-style isolation anomalies",
-    )
-    iso.add_argument(
-        "histories",
-        nargs="*",
-        help="JSONL history files (repro-server --record-history, the "
-        "crash sweep's --record-histories, shard workers)",
-    )
-    iso.add_argument(
-        "--store",
-        metavar="DIR",
-        default=None,
-        help="durable store to resolve --templates targets against",
-    )
-    iso.add_argument(
-        "--templates",
-        nargs="+",
-        metavar="FILE",
-        help="JSON transaction-template files to predict anomalies "
-        "from (needs --store)",
-    )
-    iso.add_argument(
-        "--discipline",
-        default="composite",
-        choices=("composite", "instance", "class"),
-        help="locking discipline templates plan under (default composite)",
-    )
-    iso.add_argument(
-        "--self-test",
-        action="store_true",
-        help="verify the checker: seeded anomalies must be detected "
-        "with minimal witnesses, strict-2PL and CrashSim histories "
-        "must be clean (CI gate)",
-    )
-    _add_output_flags(iso, subcommand=True)
-    iso.set_defaults(run=_cmd_iso)
-
-    self_test = commands.add_parser(
-        "self-test",
-        help="analyze and fsck every seed workload/figure scenario",
-    )
-    _add_output_flags(self_test, subcommand=True)
-    self_test.set_defaults(run=_cmd_self_test)
-
+    flags = _output_flags(argparse.SUPPRESS)
+    for command in COMMANDS:
+        sub = commands.add_parser(
+            command.name, help=command.help, parents=[flags]
+        )
+        for names, options in command.args:
+            sub.add_argument(*names, **options)
+        if command.run is not None and command.ladder is not None:
+            sub.add_argument(
+                "--self-test", action="store_true", help=command.ladder.help
+            )
+        sub.set_defaults(spec=command, self_test=False)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # ``repro-check --self-test`` is the documented CI spelling — but
-    # only when no subcommand was named (``lockdep --self-test`` is that
-    # subcommand's own flag).
+    # only when no command was named (``lockdep --self-test`` is that
+    # command's own flag).
     if not any(arg in SUBCOMMANDS for arg in argv):
-        argv = ["self-test" if arg == "--self-test" else arg for arg in argv]
-    parser = build_parser()
-    options = parser.parse_args(argv)
+        argv = [SEED_SELF_TEST if arg == "--self-test" else arg
+                for arg in argv]
+    options = build_parser().parse_args(argv)
+    command: Command = options.spec
     try:
-        return options.run(options)
-    except OSError as error:
+        if command.run is None or options.self_test:
+            assert command.ladder is not None
+            title = command.name if command.run is None else (
+                f"{command.name} self-test"
+            )
+            return _run_ladder(
+                title, command.ladder.steps(), options.quiet,
+                command.ladder.verdict,
+            )
+        report, notes = command.run(options)
+    except (OSError, InputError) as error:
         print(f"repro-check: {error}", file=sys.stderr)
         return 2
+    if options.json:
+        print(report.to_json())
+    elif options.quiet:
+        print(report.summary())
+    else:
+        print(report.render())
+        for note in notes:
+            print(note)
+    if report.errors or (options.strict and report.warnings):
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

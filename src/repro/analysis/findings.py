@@ -1,7 +1,11 @@
 """The shared findings model of every analysis plane.
 
-Every check in :mod:`repro.analysis` — the static schema analyzer and the
-offline integrity checker (fsck) — reports problems the same way: as a
+Every check in the five planes of :mod:`repro.analysis` — ``schema``
+(static schema analysis, evolution pre-flight, query validation),
+``fsck`` (database integrity, placement-aware on shard workers),
+``concurrency`` (lockdep, locklint, the AST discipline lint), ``proto``
+(2PC model checking and drift lints) and ``iso`` (isolation checking of
+histories and templates) — reports problems the same way: as a
 :class:`Finding` with a severity, a stable machine-readable rule id, a
 location (a class, ``Class.attribute``, or an object UID), and a
 human-readable message.  A :class:`Report` collects the findings of one
@@ -19,11 +23,13 @@ checking, trace refinement, and the site/op drift lints), or ``ISO``
 prediction).  Ids are stable wire contract — tests, CI diffs, and
 remote clients match on them, never on messages.
 
-The :data:`PLANES` registry below is the single source of truth for how
-the planes surface: which rule prefixes each owns, which ``repro-check``
-subcommands expose it, and which server ``check``-op plane names run it.
-The drift test (``tests/test_isocheck.py``) asserts the CLI and the
-server dispatch stay consistent with this table.
+The :data:`PLANES` registry below says how the planes surface: which
+rule prefixes each owns, which ``repro-check`` commands expose it, and
+which server ``check``-op plane names run it.  The CLI's command table
+(``repro.analysis.cli.COMMANDS``) and the server's check table
+(``repro.server.dispatch._CHECKS``) each write those names once; the
+drift test (``tests/test_isocheck.py``) keeps both in step with this
+registry.
 """
 
 from __future__ import annotations
@@ -211,8 +217,6 @@ class PlaneSpec:
     cli: tuple[str, ...]
     #: Server ``check``-op plane names that run (part of) this plane.
     server: tuple[str, ...]
-    #: One-line description (``repro-check --help`` epilogues).
-    description: str
 
 
 #: The five analysis planes (see the module docstring).
@@ -222,40 +226,30 @@ PLANES: tuple[PlaneSpec, ...] = (
         prefixes=("SCH", "EVO", "QRY"),
         cli=("schema", "query"),
         server=("schema", "query"),
-        description="static schema/topology analysis, evolution "
-                    "pre-flight, and query validation",
     ),
     PlaneSpec(
         name="fsck",
         prefixes=("FSCK",),
         cli=("fsck",),
         server=("fsck", "placement"),
-        description="offline integrity checking of a whole database "
-                    "(placement-aware on shard workers)",
     ),
     PlaneSpec(
         name="concurrency",
         prefixes=("LOCKDEP", "LOCK", "CODE"),
         cli=("lockdep", "locklint", "code"),
         server=("lockdep", "code"),
-        description="lock-order recording/prediction and the AST "
-                    "discipline lint",
     ),
     PlaneSpec(
         name="proto",
         prefixes=("PROTO",),
         cli=("proto",),
         server=("proto",),
-        description="2PC model checking, trace refinement, and drift "
-                    "lints",
     ),
     PlaneSpec(
         name="iso",
         prefixes=("ISO",),
         cli=("iso",),
         server=("iso",),
-        description="transaction-history isolation checking (Adya DSG) "
-                    "and template-mode anomaly prediction",
     ),
 )
 

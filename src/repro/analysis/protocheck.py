@@ -31,8 +31,8 @@ bidirectionally, so the model can never quietly fall behind the code
 server dispatch table, the client's retry whitelist, and the shard
 router's relay/broadcast/scatter routing sets for mutual consistency.
 
-Entry points: ``repro-check proto`` (CLI), the server ``check`` op with
-plane ``proto``, and benchmark B19.
+Entry points: :func:`audit_protocol`, shared by ``repro-check proto``
+(CLI) and the server ``check`` op with plane ``proto``; benchmark B19.
 """
 
 from __future__ import annotations
@@ -209,6 +209,17 @@ def check_protocol(
             trace=list(example.trace),
             scope=f"{scope.workers}w/{scope.txns}t/{scope.max_crashes}c",
         )
+    return report, result
+
+
+def audit_protocol(
+    scope: Scope = Scope(), spontaneous: bool = False
+) -> tuple[Report, ExplorationResult]:
+    """The proto plane: one exploration of the faithful model plus both
+    drift lints (``repro-check proto`` and the server ``check`` op)."""
+    report, result = check_protocol(scope, spontaneous=spontaneous)
+    lint_protocol_sites(report=report)
+    lint_wire_ops(report)
     return report, result
 
 

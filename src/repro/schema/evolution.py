@@ -424,23 +424,9 @@ class SchemaEvolutionManager(TaxonomyMixin):
             self._catch_up(instance)
 
     def _apply_entry_to_instance(self, instance, entry):
-        owners = set(
-            [entry.owner_class] + self._db.lattice.all_subclasses(entry.owner_class)
+        self.deferred_applications += _patch_reverse_references(
+            instance, entry.change, entry.attribute, entry.owners
         )
-        for ref in list(instance.reverse_references):
-            if ref.attribute != entry.attribute or ref.parent.class_name not in owners:
-                continue
-            self.deferred_applications += 1
-            if entry.change == "I1":
-                instance.reverse_references.remove(ref)
-            elif entry.change == "I2":
-                instance.replace_reverse_reference(ref, ref.with_flags(exclusive=False))
-            elif entry.change == "I3":
-                instance.replace_reverse_reference(ref, ref.with_flags(dependent=False))
-            elif entry.change == "I4":
-                instance.replace_reverse_reference(ref, ref.with_flags(dependent=True))
-            else:  # pragma: no cover - registry only stores I1-I4
-                raise SchemaEvolutionError(f"unknown logged change {entry.change!r}")
 
     # ------------------------------------------------------------------
     # Shared internals
@@ -474,24 +460,19 @@ class SchemaEvolutionManager(TaxonomyMixin):
         """Dispatch an I1-I4 change immediately or to the log."""
         if mode not in ("immediate", "deferred"):
             raise SchemaEvolutionError(f"unknown evolution mode {mode!r}")
+        # Owners are fixed now, for both modes: a subclass that redefines
+        # the attribute owns its own references and is never patched.
+        owners = self._owner_classes(class_name, spec.name)
         if mode == "deferred":
-            self.oplog.append(change, class_name, spec.name, spec.domain_class)
+            self.oplog.append(
+                change, class_name, spec.name, spec.domain_class, owners
+            )
             return
         db = self._db
-        owners = self._owner_classes(class_name, spec.name)
         for target in db.instances_of(spec.domain_class):
-            for ref in list(target.reverse_references):
-                if ref.attribute != spec.name or ref.parent.class_name not in owners:
-                    continue
-                self.immediate_applications += 1
-                if change == "I1":
-                    target.reverse_references.remove(ref)
-                elif change == "I2":
-                    target.replace_reverse_reference(ref, ref.with_flags(exclusive=False))
-                elif change == "I3":
-                    target.replace_reverse_reference(ref, ref.with_flags(dependent=False))
-                elif change == "I4":
-                    target.replace_reverse_reference(ref, ref.with_flags(dependent=True))
+            self.immediate_applications += _patch_reverse_references(
+                target, change, spec.name, owners
+            )
             db.persist(target)
 
     def _rewrite_spec(self, class_name, attribute, **changes):
@@ -561,3 +542,29 @@ class SchemaEvolutionManager(TaxonomyMixin):
         if value is None:
             return []
         return list(value) if isinstance(value, list) else [value]
+
+
+#: The reverse-reference flags each of I2-I4 sets (I1 drops the reference).
+_CHANGED_FLAGS = {
+    "I2": {"exclusive": False},
+    "I3": {"dependent": False},
+    "I4": {"dependent": True},
+}
+
+
+def _patch_reverse_references(target, change, attribute, owners):
+    """Apply one I1-I4 *change* to the reverse references *target* holds
+    from instances of *owners* through *attribute*; returns how many were
+    patched.  The immediate and the deferred path both end here."""
+    patched = 0
+    for ref in list(target.reverse_references):
+        if ref.attribute != attribute or ref.parent.class_name not in owners:
+            continue
+        patched += 1
+        if change == "I1":
+            target.reverse_references.remove(ref)
+        else:
+            target.replace_reverse_reference(
+                ref, ref.with_flags(**_CHANGED_FLAGS[change])
+            )
+    return patched

@@ -32,7 +32,10 @@ class LogEntry:
     (exclusive -> shared), ``"I3"`` (dependent -> independent), or ``"I4"``
     (independent -> dependent).  *owner_class* / *attribute* identify the
     composite attribute that changed; *domain_class* is the class whose
-    instances carry the reverse references to patch.
+    instances carry the reverse references to patch; *owners* are the
+    classes whose references it patches, fixed when the change is logged
+    (*owner_class* and the subclasses that inherit the attribute
+    unchanged).
     """
 
     cc: int
@@ -40,6 +43,7 @@ class LogEntry:
     owner_class: str
     attribute: str
     domain_class: str
+    owners: frozenset
 
 
 class OperationLogRegistry:
@@ -54,7 +58,7 @@ class OperationLogRegistry:
         """The newest change count issued."""
         return self._cc
 
-    def append(self, change, owner_class, attribute, domain_class):
+    def append(self, change, owner_class, attribute, domain_class, owners=()):
         """Log a change, returning its :class:`LogEntry`."""
         self._cc += 1
         entry = LogEntry(
@@ -63,6 +67,7 @@ class OperationLogRegistry:
             owner_class=owner_class,
             attribute=attribute,
             domain_class=domain_class,
+            owners=frozenset(owners),
         )
         self._logs.setdefault(domain_class, []).append(entry)
         return entry

@@ -20,6 +20,8 @@ the session wraps them in a transaction of their own.
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 from ..core import operations as ops
 from ..errors import ReadOnlyError, TransactionStateError
 from ..locking.modes import LockMode
@@ -38,14 +40,6 @@ READ, WRITE = "R", "W"
 MUTATING_OPS = frozenset({
     "make_class", "make", "set_value", "insert_into", "remove_from",
     "make_part_of", "remove_part_of", "delete", "query",
-})
-
-#: Plane names the ``check`` op accepts.  The drift test keeps this set
-#: consistent with :data:`repro.analysis.findings.PLANES` and the
-#: ``repro-check`` CLI.
-CHECK_PLANES = frozenset({
-    "all", "fsck", "schema", "query", "lockdep", "code", "proto",
-    "placement", "iso",
 })
 
 
@@ -533,94 +527,107 @@ async def _op_abort(session, args):
     return {"txn": session.abort()}
 
 
+def _check_query(db, args, _source):
+    from ..analysis.query_check import check_query
+
+    (text,) = _require(args, "text")
+    return check_query(db.lattice, text)
+
+
+def _check_code(db, args, _source):
+    from ..analysis.codelint import lint_package
+
+    return lint_package()
+
+
+def _check_proto(db, args, _source):
+    from ..analysis.proto_model import Scope
+    from ..analysis.protocheck import audit_protocol
+
+    return audit_protocol(Scope(workers=1, txns=1, max_crashes=1))[0]
+
+
+def _check_placement(db, args, shard_info):
+    from ..analysis.fsck import fsck_database
+
+    return fsck_database(db, placement=shard_info)
+
+
+def _check_iso(db, args, recorder):
+    from ..analysis.isocheck import check_history
+
+    return check_history(recorder.history)
+
+
+class _CheckPlane(NamedTuple):
+    #: ``run(db, args, source)`` -> a findings Report.
+    run: Callable
+    #: Whether ``"all"`` runs it.  The explicit-only planes are CPU work
+    #: (a package lint, a model exploration) or need an argument.
+    in_all: bool
+    #: The server attribute passed as ``source`` (``""``: none).  It is
+    #: None on a server started without it: ``"all"`` skips the plane.
+    source: str = ""
+    #: The ProtocolError text when the plane is named but its source is off.
+    disabled: str = ""
+
+
+#: The ``check`` op's planes, in reply order.
+_CHECKS = {
+    "fsck": _CheckPlane(lambda db, args, _: db.fsck(), True),
+    "schema": _CheckPlane(lambda db, args, _: db.check_schema(), True),
+    "query": _CheckPlane(_check_query, False),
+    "lockdep": _CheckPlane(
+        lambda db, args, recorder: recorder.analyze(), True, "lockdep",
+        "lock-order recording is disabled on this server "
+        "(started with lockdep=False)",
+    ),
+    "code": _CheckPlane(_check_code, False),
+    "proto": _CheckPlane(_check_proto, False),
+    "placement": _CheckPlane(
+        _check_placement, True, "shard_info",
+        "this server is not a shard worker (no shard_info); "
+        "the placement plane needs one",
+    ),
+    "iso": _CheckPlane(
+        _check_iso, True, "history",
+        "transaction-history recording is disabled on this "
+        "server (start it with record_history / --record-history)",
+    ),
+}
+
+#: Plane names the ``check`` op accepts.  The drift test keeps this set
+#: consistent with :data:`repro.analysis.findings.PLANES` and the
+#: ``repro-check`` CLI.
+CHECK_PLANES = frozenset(_CHECKS) | {"all"}
+
+
 async def _op_check(session, args):
     """Audit the live database without taking it offline.
 
-    ``plane`` selects what runs: ``"fsck"`` (integrity checker),
-    ``"schema"`` (static analyzer), ``"query"`` (validate ``text``
-    statically), ``"lockdep"`` (latent-deadlock report from the
-    server's lock-order recorder), ``"code"`` (AST discipline lint of
-    the running ``repro`` package), ``"proto"`` (a small exhaustive
-    2PC protocol model-check plus the site/op drift lints),
-    ``"placement"`` (shard-stride and composite-co-location audit;
-    shard workers only), ``"iso"`` (Adya serialization-graph check of
-    the server's recorded transaction history; needs
-    ``record_history``), or ``"all"`` (default: fsck + schema +
-    lockdep when recording + iso when recording + placement on a
-    shard worker).  Findings come back in the shared
-    JSON schema of :mod:`repro.analysis.findings`.  The audit only
-    reads, so no locks are taken; a concurrent writer mid-transaction
-    can surface transient findings — run inside an idle window (or a
-    ``begin``/``commit`` scope) for a stable answer.
+    ``plane`` names one row of :data:`_CHECKS`, or ``"all"`` (the
+    default: every row marked ``in_all`` whose source is on — fsck +
+    schema, lockdep and iso when recording, placement on a shard
+    worker).  Findings come back in the shared JSON schema of
+    :mod:`repro.analysis.findings`.  The audit only reads, so no locks
+    are taken; a concurrent writer mid-transaction can surface transient
+    findings — run inside an idle window (or a ``begin``/``commit``
+    scope) for a stable answer.
     """
     plane = args.get("plane", "all")
     if plane not in CHECK_PLANES:
         raise ProtocolError(f"unknown check plane {plane!r}")
-    db = session.server.db
+    server = session.server
     reports = {}
-    if plane in ("all", "fsck"):
-        reports["fsck"] = db.fsck().to_dict()
-    if plane in ("all", "schema"):
-        reports["schema"] = db.check_schema().to_dict()
-    if plane == "query":
-        from ..analysis.query_check import check_query
-
-        (text,) = _require(args, "text")
-        reports["query"] = check_query(db.lattice, text).to_dict()
-    if plane in ("all", "lockdep"):
-        recorder = session.server.lockdep
-        if recorder is not None:
-            reports["lockdep"] = recorder.analyze().to_dict()
-        elif plane == "lockdep":
-            raise ProtocolError(
-                "lock-order recording is disabled on this server "
-                "(started with lockdep=False)"
-            )
-    if plane == "code":
-        from ..analysis.codelint import lint_package
-
-        reports["code"] = lint_package().to_dict()
-    if plane == "proto":
-        # Explicit plane only (like "code"): the exploration is CPU
-        # work the "all" sweep should not pay on every health check.
-        from ..analysis.proto_model import Scope
-        from ..analysis.protocheck import (
-            check_protocol,
-            lint_protocol_sites,
-            lint_wire_ops,
-        )
-
-        report, _ = check_protocol(Scope(workers=1, txns=1, max_crashes=1))
-        lint_protocol_sites(report=report)
-        lint_wire_ops(report)
-        reports["proto"] = report.to_dict()
-    if plane in ("all", "placement"):
-        shard_info = session.server.shard_info
-        if shard_info is not None:
-            from ..analysis.fsck import fsck_database
-
-            reports["placement"] = fsck_database(
-                db, placement=shard_info
-            ).to_dict()
-        elif plane == "placement":
-            raise ProtocolError(
-                "this server is not a shard worker (no shard_info); "
-                "the placement plane needs one"
-            )
-    if plane in ("all", "iso"):
-        recorder = session.server.history
-        if recorder is not None:
-            from ..analysis.isocheck import check_history
-
-            reports["iso"] = check_history(recorder.history).to_dict()
-        elif plane == "iso":
-            raise ProtocolError(
-                "transaction-history recording is disabled on this "
-                "server (start it with record_history / "
-                "--record-history)"
-            )
-    if not reports:
-        raise ProtocolError(f"unknown check plane {plane!r}")
+    for name, check in _CHECKS.items():
+        if plane != name and not (plane == "all" and check.in_all):
+            continue
+        source = getattr(server, check.source) if check.source else None
+        if check.source and source is None:
+            if plane == name:
+                raise ProtocolError(check.disabled)
+            continue
+        reports[name] = check.run(server.db, args, source).to_dict()
     reports["ok"] = all(report["ok"] for report in reports.values())
     return reports
 

@@ -176,6 +176,46 @@ class TestStateIndependentDeferred:
         with pytest.raises(SchemaEvolutionError):
             manager.make_shared("Widget", "Piece", mode="lazy")
 
+    @pytest.mark.parametrize("change", [
+        "make_noncomposite", "make_shared", "make_independent",
+        "make_dependent",
+    ])
+    def test_deferred_catch_up_matches_immediate(self, change):
+        # Super.A is an exclusive composite to Part; Sub redefines A (its
+        # own attribute), Heir inherits it unchanged.  Either mode must
+        # patch the references held through Super's and Heir's A only.
+        def run(mode):
+            database = Database()
+            manager = SchemaEvolutionManager(database)
+            database.make_class("Part")
+
+            def spec():
+                return AttributeSpec(
+                    "A", domain="Part", composite=True, exclusive=True,
+                    dependent=change != "make_dependent")
+
+            database.make_class("Super", attributes=[spec()])
+            database.make_class("Sub", superclasses=["Super"],
+                                attributes=[spec()])
+            database.make_class("Heir", superclasses=["Super"])
+            parts = []
+            for owner in ("Super", "Sub", "Heir"):
+                part = database.make("Part")
+                database.make(owner, values={"A": part})
+                parts.append(part)
+            getattr(manager, change)("Super", "A", mode=mode)
+            if mode == "deferred":
+                manager.catch_up_all()
+            report = fsck_database(database)
+            assert report.ok, report.render()
+            return [
+                [(ref.parent, ref.attribute, ref.exclusive, ref.dependent)
+                 for ref in database.peek(part).reverse_references]
+                for part in parts
+            ]
+
+        assert run("deferred") == run("immediate")
+
 
 class TestStateDependent:
     def test_d1_weak_to_exclusive(self, evo_db):
