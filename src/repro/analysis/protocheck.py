@@ -28,8 +28,8 @@ AST-scans the implementation for ``fire()``/``fire_or_die()`` call
 sites and requires them to match the model's crash-site universe
 bidirectionally, so the model can never quietly fall behind the code
 (or vice versa).  ``PROTO-OP-DRIFT`` (:func:`lint_wire_ops`) checks the
-server dispatch table, the client's retry whitelist, and the shard
-router's relay/broadcast/scatter routing sets for mutual consistency.
+wire-op table against its handlers: the server's dispatch table and
+the shard router's own op map.
 
 Entry points: :func:`audit_protocol`, shared by ``repro-check proto``
 (CLI) and the server ``check`` op with plane ``proto``; benchmark B19.
@@ -647,85 +647,51 @@ def lint_protocol_sites(
 
 
 # ---------------------------------------------------------------------------
-# PROTO-OP-DRIFT: dispatch table vs client retries vs router routing
+# PROTO-OP-DRIFT: the wire-op table vs its handlers
 # ---------------------------------------------------------------------------
 
 def lint_wire_ops(report: Optional[Report] = None) -> Report:
-    """Mutual-consistency check of the three wire-op tables.
+    """Check :data:`repro.server.protocol.WIRE_OPS` against the code that
+    serves its rows.  Everything else about an op is derived from its
+    row, so this is all that can drift:
 
-    * every op the router relays/broadcasts/scatters must exist in the
-      server dispatch table (a relayed unknown op would fail on the
-      worker, not the router);
-    * every dispatchable op must be *routed* — relayed, broadcast,
-      scattered, answered locally, or explicitly rejected (an
-      unclassified op means the router raises ``unknown op`` for a
-      request a direct worker connection would serve);
-    * the routing categories must not overlap (ambiguous routing);
-    * no mutating op may be in the client's retry whitelist (an
-      ambiguous-outcome resend is a double-execution bug);
-    * every retryable op must be dispatchable (or the pre-dispatch
-      ``hello`` handshake);
-    * every dispatchable op must survive the wire framing round-trip —
-      a codec change must not quietly orphan an op.
+    * every row has a handler in the server's ``dispatch.COMMANDS`` and
+      every handler a row (a row without one fails every request; a
+      handler without one has no client method, effect or shard route);
+    * the rows the shard router answers or scatters itself are exactly
+      the ops in its ``_OWN_OPS`` map;
+    * every op survives the wire framing round-trip — a codec change
+      must not quietly orphan an op.
     """
-    from ..server.client import RETRYABLE_OPS
-    from ..server.dispatch import COMMANDS, MUTATING_OPS
-    from ..shard.router import (
-        BROADCAST_OPS,
-        REJECTED_OPS,
-        RELAYED_OPS,
-        ROUTER_LOCAL_OPS,
-        SCATTER_OPS,
-    )
+    from ..server.dispatch import COMMANDS
+    from ..server.protocol import ROUTER, SCATTER, WIRE_OPS
+    from ..shard.router import ShardRouter
 
     if report is None:
         report = Report(plane="proto")
-    commands = set(COMMANDS)
-    report.checked += len(commands)
-    categories: dict[str, frozenset[str]] = {
-        "relayed": RELAYED_OPS,
-        "broadcast": BROADCAST_OPS,
-        "scatter": SCATTER_OPS,
-        "local": ROUTER_LOCAL_OPS,
-        "rejected": REJECTED_OPS,
-    }
-    for name, ops in categories.items():
-        if name == "local":
-            continue  # local ops (ping/stats/...) are answered in-router
-        for op in sorted(ops - commands):
-            report.add(
-                Severity.ERROR, "PROTO-OP-DRIFT", op,
-                f"router {name} op {op!r} is not in the server dispatch "
-                f"table — forwarding it can only fail downstream",
-                category=name,
-            )
-    names = sorted(categories)
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            for op in sorted(categories[a] & categories[b]):
-                report.add(
-                    Severity.ERROR, "PROTO-OP-DRIFT", op,
-                    f"op {op!r} is routed as both {a} and {b}",
-                )
-    routed = frozenset().union(*categories.values())
-    for op in sorted(commands - routed):
+    rows, commands = set(WIRE_OPS), set(COMMANDS)
+    report.checked += len(rows | commands)
+    for op in sorted(rows - commands):
         report.add(
             Severity.ERROR, "PROTO-OP-DRIFT", op,
-            f"dispatchable op {op!r} has no router routing — the shard "
-            f"router would reject a request every worker accepts",
+            f"WIRE_OPS row {op!r} has no handler in dispatch.COMMANDS — "
+            f"every request for it fails",
         )
-    for op in sorted(set(RETRYABLE_OPS) & set(MUTATING_OPS)):
+    for op in sorted(commands - rows):
         report.add(
             Severity.ERROR, "PROTO-OP-DRIFT", op,
-            f"mutating op {op!r} is in the client retry whitelist — a "
-            f"resend after an ambiguous disconnect can execute twice",
+            f"handler {op!r} has no WIRE_OPS row — it has no client "
+            f"method, effect or shard route",
         )
-    for op in sorted(set(RETRYABLE_OPS) - commands - {"hello"}):
+    own = {op for op, row in WIRE_OPS.items()
+           if row.route in (ROUTER, SCATTER)}
+    for op in sorted(own ^ set(ShardRouter._OWN_OPS)):
         report.add(
             Severity.ERROR, "PROTO-OP-DRIFT", op,
-            f"retryable op {op!r} is not in the server dispatch table",
+            f"op {op!r} is answered by the shard router in only one of "
+            f"WIRE_OPS (route router/scatter) and ShardRouter._OWN_OPS",
         )
-    _lint_v2_servability(commands, report)
+    _lint_v2_servability(rows | commands, report)
     return report
 
 

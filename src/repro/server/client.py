@@ -35,9 +35,12 @@ import time
 from ..faults.registry import fire as _fire
 from ..schema.attribute import AttributeSpec
 from .protocol import (
+    READ,
     RECV_BYTES,
     SUPPORTED_VERSIONS,
+    TXN,
     VERSION,
+    WIRE_OPS,
     FrameBuffer,
     ProtocolError,
     build_error,
@@ -48,17 +51,13 @@ from .protocol import (
 
 
 #: Ops the blocking client may transparently re-send on a fresh
-#: connection after a mid-call disconnect: pure reads and session
-#: bootstrap.  Everything else (``make``, ``insert_into``, ``delete``,
-#: ``query``, transaction control, ...) may already have executed
-#: server-side before the connection died — re-sending would double-
-#: execute it, so those surface a ConnectionError instead.
-RETRYABLE_OPS = frozenset({
-    "ping", "hello", "login", "whoami", "stats", "resolve", "value",
-    "describe", "components_of", "children_of", "parents_of",
-    "ancestors_of", "roots_of", "instances_of", "check",
-    "snapshot_read", "read_epoch",
-})
+#: connection after a mid-call disconnect: the ``read`` rows of
+#: :data:`WIRE_OPS` and the ``hello`` handshake.  Anything else may
+#: already have executed server-side before the connection died —
+#: re-sending would double-execute it, so it surfaces a ConnectionError.
+RETRYABLE_OPS = frozenset(
+    {"hello"} | {op for op, row in WIRE_OPS.items() if row.effect == READ}
+)
 
 
 def spec_to_wire(spec):
@@ -117,62 +116,6 @@ class _ClientCore:
         self.pipeline_depth = result.get("pipeline", 1)
 
 
-def _add_api(cls):
-    """Generate the one-liner RPC methods shared by both clients.
-
-    Each entry maps a method name to (op, positional arg names); the
-    method body is ``self.call(op, **bound_args)`` — sync or async
-    depending on the class's ``call``.
-    """
-    simple = {
-        # "ping" is NOT here: both clients define it explicitly (it runs
-        # under its own short timeout), and the decorator's setattr would
-        # silently overwrite a body method of the same name.
-        "resolve": ("resolve", ("uid",)),
-        "value": ("value", ("uid", "attribute")),
-        "set_value": ("set_value", ("uid", "attribute", "value")),
-        "insert_into": ("insert_into", ("uid", "attribute", "member")),
-        "remove_from": ("remove_from", ("uid", "attribute", "member")),
-        "make_part_of": ("make_part_of", ("child", "parent", "attribute")),
-        "remove_part_of": ("remove_part_of",
-                           ("child", "parent", "attribute")),
-        "delete": ("delete", ("uid",)),
-        "components_of": ("components_of", ("uid",)),
-        "children_of": ("children_of", ("uid",)),
-        "parents_of": ("parents_of", ("uid",)),
-        "ancestors_of": ("ancestors_of", ("uid",)),
-        "roots_of": ("roots_of", ("uid",)),
-        "instances_of": ("instances_of", ("class_name",)),
-        "describe": ("describe", ("class_name",)),
-        "query": ("query", ("text",)),
-        "whoami": ("whoami", ()),
-        "stats": ("stats", ()),
-        "check": ("check", ("plane", "text")),
-        # MVCC (docs/REPLICATION.md): snapshot_read returns
-        # {"value", "epoch"} — pass epoch= to pin a consistent view,
-        # min_epoch= to bound staleness against a replica.
-        "snapshot_read": ("snapshot_read", ("uid", "attribute", "epoch")),
-        "read_epoch": ("read_epoch", ()),
-    }
-
-    def make_method(op, names):
-        def method(self, *values, **extra):
-            if len(values) > len(names):
-                raise TypeError(f"{op} takes at most {len(names)} arguments")
-            args = dict(zip(names, values, strict=False))
-            args.update(extra)
-            return self.call(op, **args)
-
-        method.__name__ = op
-        method.__doc__ = f"Invoke the ``{op}`` op on the server."
-        return method
-
-    for name, (op, arg_names) in simple.items():
-        setattr(cls, name, make_method(op, arg_names))
-    return cls
-
-
-@_add_api
 class Client(_ClientCore):
     """Blocking TCP client.
 
@@ -291,34 +234,42 @@ class Client(_ClientCore):
                     continue
             try:
                 return self._roundtrip(op, args)
-            except socket.timeout:
-                # No response in time (e.g. a server-side lock wait beyond
-                # our patience).  The request may still execute — do NOT
-                # retry it on a fresh connection.
-                self.close()
-                self._in_transaction = False
-                raise TimeoutError(
-                    f"no response to {op!r} within {self.timeout}s"
-                ) from None
             except (ConnectionError, OSError) as error:
-                self.close()
-                if self._in_transaction:
-                    self._in_transaction = False
-                    raise ConnectionError(
-                        f"connection lost inside a transaction ({error}); "
-                        f"its locks and undo state are gone — retry the scope"
-                    ) from None
-                if op not in RETRYABLE_OPS:
-                    # Like the timeout above: the mutating request may
-                    # already have executed server-side, so re-sending it
-                    # could double-execute.  Surface the break instead.
-                    raise ConnectionError(
-                        f"connection lost during non-idempotent {op!r} "
-                        f"({error}); it may have executed server-side — "
-                        f"verify before retrying"
-                    ) from None
+                self._classify_loss(error, (op,), repr(op))
                 last_error = error
                 attempt += 1
+
+    def _classify_loss(self, error, ops, label):
+        """The one disconnect classifier, for :meth:`call` and
+        :meth:`Pipeline.flush`: *error* ended the exchange of the
+        requests *ops* (*label* in messages).  Closes the connection,
+        then raises, or returns when the caller may reconnect and resend.
+
+        A timeout raises TimeoutError: the request may still execute.  A
+        loss inside a transaction raises, since its locks and undo state
+        died with the connection.  A loss with any op outside
+        :data:`RETRYABLE_OPS` in flight raises, since that op may have
+        executed.
+        """
+        self.close()
+        if isinstance(error, socket.timeout):
+            self._in_transaction = False
+            raise TimeoutError(
+                f"no response to {label} within {self.timeout}s"
+            ) from None
+        if self._in_transaction:
+            self._in_transaction = False
+            raise ConnectionError(
+                f"connection lost inside a transaction ({error}); "
+                f"its locks and undo state are gone — retry the scope"
+            ) from None
+        risky = sorted({op for op in ops if op not in RETRYABLE_OPS})
+        if risky:
+            raise ConnectionError(
+                f"connection lost during {label} ({error}); non-read "
+                f"op(s) {risky} may have executed server-side — verify "
+                f"before retrying"
+            ) from None
 
     def _reconnect_or_raise(self, attempt, error=None):
         """Back off, then try one reconnect.
@@ -501,7 +452,6 @@ class PipelineResult:
         return self._value
 
 
-@_add_api
 class Pipeline:
     """Request pipelining over a :class:`Client` connection.
 
@@ -522,9 +472,10 @@ class Pipeline:
     * **Error isolation** — a typed error for one request lands in its
       own handle; later requests in the batch still execute.
     * **Disconnects** — a batch that dies mid-flight is only re-sent
-      when *every* op in it is in :data:`RETRYABLE_OPS` (same rule as
-      :meth:`Client.call`); otherwise ConnectionError surfaces because
-      a prefix of the batch may already have executed server-side.
+      when *every* op in it is in :data:`RETRYABLE_OPS` (the classifier
+      :meth:`Client.call` uses); otherwise ConnectionError surfaces
+      because a prefix of the batch may already have executed
+      server-side.
     """
 
     def __init__(self, client):
@@ -553,48 +504,29 @@ class Pipeline:
                 if client._sock is None:
                     attempt += 1
                     continue
+            batch = self._queue
+            self._queue = []
             try:
-                batch = self._queue
-                self._queue = []
-                try:
-                    self._exchange(batch)
-                except BaseException:
-                    self._queue = batch
-                    raise
+                self._exchange(batch)
                 return [handle for _op, _args, handle in batch]
-            except socket.timeout:
-                client.close()
-                client._in_transaction = False
-                raise TimeoutError(
-                    f"no response to pipelined batch within "
-                    f"{client.timeout}s"
-                ) from None
+            except (ConnectionError, OSError) as error:
+                self._queue = batch
+                client._classify_loss(
+                    error, [op for op, _args, _handle in batch],
+                    "pipelined batch",
+                )
+                last_error = error
+                attempt += 1
             except ProtocolError:
                 # Framing desync: nothing on this connection can be
                 # trusted any more, and re-sending blind could double-
                 # execute.  Surface it.
+                self._queue = batch
                 client.close()
                 raise
-            except (ConnectionError, OSError) as error:
-                client.close()
-                if client._in_transaction:
-                    client._in_transaction = False
-                    raise ConnectionError(
-                        f"connection lost inside a transaction ({error}); "
-                        f"its locks and undo state are gone — retry the "
-                        f"scope"
-                    ) from None
-                risky = [op for op, _a, _h in self._queue
-                         if op not in RETRYABLE_OPS]
-                if risky:
-                    raise ConnectionError(
-                        f"connection lost during pipelined batch with "
-                        f"non-idempotent ops {sorted(set(risky))} "
-                        f"({error}); a prefix may have executed "
-                        f"server-side — verify before retrying"
-                    ) from None
-                last_error = error
-                attempt += 1
+            except BaseException:
+                self._queue = batch
+                raise
 
     def _exchange(self, batch):
         """One attempt: write the whole batch, then read every response.
@@ -631,7 +563,6 @@ class Pipeline:
             self.flush()
 
 
-@_add_api
 class AsyncClient(_ClientCore):
     """Asyncio TCP client with the same surface as :class:`Client`.
 
@@ -788,3 +719,36 @@ class AsyncClient(_ClientCore):
 
     async def __aexit__(self, *exc_info):
         await self.close()
+
+
+def _add_api(*classes):
+    """Generate the one-liner RPC methods from :data:`WIRE_OPS`.
+
+    A generated method binds its positional arguments to the row's
+    argument names and returns ``self.call(op, **args)`` — sync or async
+    depending on the class's ``call``.  None is generated for ``txn``
+    rows (the client tracks the transaction scope) or for an op
+    :class:`Client` writes by hand (``make`` and ``make_class`` reshape
+    their arguments, ``login`` remembers the user, ``ping`` runs under
+    its own timeout), on any class: a generated one would skip that.
+    """
+    def make_method(op, names):
+        def method(self, *values, **extra):
+            if len(values) > len(names):
+                raise TypeError(f"{op} takes at most {len(names)} arguments")
+            args = dict(zip(names, values, strict=False))
+            args.update(extra)
+            return self.call(op, **args)
+
+        method.__name__ = op
+        method.__doc__ = f"Invoke the ``{op}`` op on the server."
+        return method
+
+    for op, row in WIRE_OPS.items():
+        if row.effect != TXN and op not in vars(Client):
+            method = make_method(op, row.args)
+            for cls in classes:
+                setattr(cls, op, method)
+
+
+_add_api(Client, Pipeline, AsyncClient)

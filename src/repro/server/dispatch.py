@@ -26,21 +26,19 @@ from ..core import operations as ops
 from ..errors import ReadOnlyError, TransactionStateError
 from ..locking.modes import LockMode
 from ..schema.attribute import AttributeSpec
-from .protocol import PreEncoded, ProtocolError, wire_lenient
+from .protocol import WIRE_OPS, PreEncoded, ProtocolError, wire_lenient
 
 #: Authorization types the engine understands (see authorization/atoms.py).
 READ, WRITE = "R", "W"
 
 #: Ops rejected while the server is degraded to read-only mode (the
-#: journal failed persistently; see ``ReproServer._note_journal_failure``).
-#: ``query`` is included because the s-expression interpreter can define
-#: and mutate data; ``begin``/``commit``/``abort`` stay allowed so a
+#: journal failed persistently; see ``ReproServer._note_journal_failure``):
+#: the ``write`` rows of :data:`WIRE_OPS`.  ``txn`` ops stay allowed so a
 #: client caught mid-transaction can still resolve its scope (the commit
 #: itself fails with a typed StorageError if it journals anything).
-MUTATING_OPS = frozenset({
-    "make_class", "make", "set_value", "insert_into", "remove_from",
-    "make_part_of", "remove_part_of", "delete", "query",
-})
+MUTATING_OPS = frozenset(
+    op for op, row in WIRE_OPS.items() if row.effect == "write"
+)
 
 
 def _require(args, *names):

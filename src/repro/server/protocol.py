@@ -19,7 +19,9 @@ docs/SERVER.md.
 The first request on a connection must be the ``hello`` handshake, an
 ordinary request frame offering the versions the client speaks; the
 server echoes the one it picked, or fails the connection with a
-``PROTOCOL`` error when the offer does not include it.
+``PROTOCOL`` error when the offer does not include it.  Every other op
+is one row of :data:`WIRE_OPS`: its client arguments, its effect and
+its route through the shard router.
 
 Errors marshal by their stable ``code`` (see :mod:`repro.errors`): the
 encoder captures the exception's public attributes, the decoder rebuilds
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import inspect
 import struct
+from typing import NamedTuple
 
 from ..core.identity import UID
 from ..errors import ReproError, SerializationError, error_registry
@@ -323,6 +326,98 @@ def check_request(frame):
     if not isinstance(args, dict):
         raise ProtocolError("'args' must be an object")
     return request_id, op, args
+
+
+# ---------------------------------------------------------------------------
+# Operations
+# ---------------------------------------------------------------------------
+
+#: Effects.  A ``read`` changes no data, so a client may resend it on a
+#: fresh connection after losing its answer; a ``write`` mutates (a
+#: read-only server refuses it); a ``txn`` op opens, ends or votes on a
+#: transaction and is neither.
+READ, WRITE, TXN = "read", "write", "txn"
+
+#: Routes through the shard router.  ``SHARD_OF`` relays to the shard of
+#: the row's ``key`` UID argument (its ``colocated`` UID argument must
+#: live there too); ``SHARD_0`` relays to shard 0; ``PLACE`` is
+#: ``make``'s composite-aware placement; ``BROADCAST`` runs on every
+#: shard; ``SCATTER`` runs on every shard and the router merges the
+#: answers; ``ROUTER`` is answered by the router itself; ``REFUSED`` is
+#: refused, for the row's ``why``.
+SHARD_OF, SHARD_0, PLACE, BROADCAST, SCATTER, ROUTER, REFUSED = (
+    "shard of", "shard 0", "placement", "broadcast", "scatter", "router",
+    "refused",
+)
+
+
+class WireOp(NamedTuple):
+    """One wire op's row in :data:`WIRE_OPS`."""
+
+    #: The client method's positional argument names, in order.
+    args: tuple
+    #: ``READ``, ``WRITE`` or ``TXN``.
+    effect: str
+    #: One of the routes above.
+    route: str
+    #: ``SHARD_OF``: the UID argument naming the shard.
+    key: str = ""
+    #: ``SHARD_OF``: a UID argument that must live on that shard too.
+    colocated: str = ""
+    #: ``REFUSED``: why the router refuses it.
+    why: str = ""
+
+
+_TWOPC = "it is internal to router-worker two-phase commit"
+
+#: Every op a server dispatches, in ``dispatch.COMMANDS`` order.  This
+#: is the one place an op's client arguments, effect and shard route
+#: are written: the read-only gate, the client's resend rule and its
+#: generated methods, the shard router, the PROTO-OP-DRIFT lint and the
+#: operations table in docs/SERVER.md all follow it.
+WIRE_OPS = {
+    "ping": WireOp((), READ, ROUTER),
+    "login": WireOp(("user",), READ, ROUTER),
+    "whoami": WireOp((), READ, ROUTER),
+    "stats": WireOp((), READ, ROUTER),
+    "make_class": WireOp(("name", "superclasses", "attributes"), WRITE,
+                         BROADCAST),
+    "describe": WireOp(("class_name",), READ, SHARD_0),
+    "make": WireOp(("class_name", "values", "parents"), WRITE, PLACE),
+    "resolve": WireOp(("uid",), READ, SHARD_OF, "uid"),
+    "value": WireOp(("uid", "attribute"), READ, SHARD_OF, "uid"),
+    "set_value": WireOp(("uid", "attribute", "value"), WRITE, SHARD_OF,
+                        "uid"),
+    "insert_into": WireOp(("uid", "attribute", "member"), WRITE, SHARD_OF,
+                          "uid"),
+    "remove_from": WireOp(("uid", "attribute", "member"), WRITE, SHARD_OF,
+                          "uid"),
+    "make_part_of": WireOp(("child", "parent", "attribute"), WRITE,
+                           SHARD_OF, "parent", "child"),
+    "remove_part_of": WireOp(("child", "parent", "attribute"), WRITE,
+                             SHARD_OF, "parent", "child"),
+    "delete": WireOp(("uid",), WRITE, SHARD_OF, "uid"),
+    "components_of": WireOp(("uid",), READ, SHARD_OF, "uid"),
+    "children_of": WireOp(("uid",), READ, SHARD_OF, "uid"),
+    "parents_of": WireOp(("uid",), READ, SHARD_OF, "uid"),
+    "ancestors_of": WireOp(("uid",), READ, SHARD_OF, "uid"),
+    "roots_of": WireOp(("uid",), READ, SHARD_OF, "uid"),
+    "instances_of": WireOp(("class_name",), READ, SCATTER),
+    # The s-expression interpreter can define and mutate data.
+    "query": WireOp(("text",), WRITE, REFUSED, why=(
+        "the s-expression interpreter sees one shard's database only; "
+        "connect to a worker directly for queries")),
+    "snapshot_read": WireOp(("uid", "attribute", "epoch"), READ, SHARD_OF,
+                            "uid"),
+    "read_epoch": WireOp((), READ, SCATTER),
+    "begin": WireOp(("snapshot", "epoch"), TXN, ROUTER),
+    "commit": WireOp((), TXN, ROUTER),
+    "abort": WireOp((), TXN, ROUTER),
+    "prepare": WireOp(("gtid",), TXN, REFUSED, why=_TWOPC),
+    "decide": WireOp(("gtid", "outcome"), TXN, REFUSED, why=_TWOPC),
+    "indoubt": WireOp((), TXN, REFUSED, why=_TWOPC),
+    "check": WireOp(("plane", "text"), READ, SCATTER),
+}
 
 
 # ---------------------------------------------------------------------------

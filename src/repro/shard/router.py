@@ -2,7 +2,8 @@
 
 Clients speak the ordinary :mod:`repro.server.protocol` to the router —
 the same :class:`repro.server.client.Client` works unchanged — and the
-router forwards each op to the shard that owns its target:
+router forwards each op as the route column of its
+:data:`~repro.server.protocol.WIRE_OPS` row says:
 
 * **UID-carrying ops** (``resolve``, ``set_value``, ``delete``, ...)
   go to the shard named by the UID's stride
@@ -17,11 +18,11 @@ router forwards each op to the shard that owns its target:
   worker validates UID domains locally, so references must resolve on
   the owning shard), and only then to the manifest's placement policy.
   Anchors on different shards are refused with a typed error.
-* **``make_class``** and ``login`` broadcast — schema and identity must
-  exist cluster-wide.
+* **``make_class``** broadcasts — schema must exist cluster-wide; the
+  router keeps ``login``'s user and logs every upstream in as it.
 * **``instances_of``** scatters to every shard and unions the extents;
   ``check`` scatters and returns per-shard reports.
-* **``query``** is rejected: the s-expression interpreter runs against
+* **``query``** is refused: the s-expression interpreter runs against
   one shard's database and cannot see the others.
 
 Transactions are router-managed.  ``begin`` assigns a global transaction
@@ -66,7 +67,14 @@ from ..errors import (
 )
 from ..server.client import RETRYABLE_OPS, AsyncClient
 from ..server.protocol import (
+    BROADCAST,
+    PLACE,
+    ROUTER,
+    SCATTER,
+    SHARD_0,
+    SHARD_OF,
     VERSION,
+    WIRE_OPS,
     ProtocolError,
     decode_payload,
     frame_bytes,
@@ -75,47 +83,6 @@ from ..server.protocol import (
 from ..server.server import Preframed, SessionStats, WireServer
 from .placement import Manifest, make_policy, read_endpoint, shard_of_uid
 from .twopc import CoordinatorLog, fire_or_die
-
-#: The argument whose UID names the target shard, per relayed op.
-#: ``make_part_of``/``remove_part_of`` route by the parent and
-#: additionally require the other UID co-resident (``COLOCATED_OPS``).
-UID_ROUTED_OPS = {
-    "resolve": "uid",
-    "value": "uid",
-    "snapshot_read": "uid",
-    "set_value": "uid",
-    "insert_into": "uid",
-    "remove_from": "uid",
-    "delete": "uid",
-    "components_of": "uid",
-    "children_of": "uid",
-    "parents_of": "uid",
-    "ancestors_of": "uid",
-    "roots_of": "uid",
-    "make_part_of": "parent",
-    "remove_part_of": "parent",
-}
-COLOCATED_OPS = {
-    "make_part_of": ("child",),
-    "remove_part_of": ("child",),
-}
-
-#: How the router classifies every dispatchable op.  The PROTO-OP-DRIFT
-#: lint (:func:`repro.analysis.protocheck.lint_wire_ops`) holds these
-#: sets, the server dispatch table, and the client retry whitelist
-#: mutually consistent — keep them in sync with :meth:`Router._route`.
-RELAYED_OPS = frozenset(UID_ROUTED_OPS) | {"describe", "make"}
-BROADCAST_OPS = frozenset({"make_class", "login"})
-SCATTER_OPS = frozenset({"instances_of", "check", "read_epoch"})
-ROUTER_LOCAL_OPS = frozenset(
-    {"ping", "whoami", "stats", "begin", "commit", "abort"}
-)
-#: 2PC-internal ops plus ``query`` (one shard's interpreter cannot see
-#: the cluster) — the router refuses these with a typed error.
-TWOPC_INTERNAL_OPS = frozenset({"prepare", "decide", "indoubt"})
-REJECTED_OPS = TWOPC_INTERNAL_OPS | {"query"}
-
-
 
 def _uids_in(value):
     """The UIDs carried by one attribute value (single or set-valued)."""
@@ -251,7 +218,7 @@ class ShardRouter(WireServer):
         self._gtid_seq = itertools.count(1)
         #: class name -> frozenset of composite attribute names, learnt
         #: lazily from ``describe`` (covers schema that predates this
-        #: router) and invalidated when a ``make_class`` passes through.
+        #: router).  Never stale: the lattice refuses a redefinition.
         self._composite_attrs = {}
 
     # -- lifecycle --------------------------------------------------------
@@ -345,56 +312,25 @@ class ShardRouter(WireServer):
 
     # -- routing ----------------------------------------------------------
 
-    _UID_ARG = UID_ROUTED_OPS
-    _COLOCATED = COLOCATED_OPS
-
     async def _route(self, sess, op, args, raw=None):
-        if op == "ping":
-            return "pong"
-        if op == "whoami":
-            return {"user": sess.user, "session": sess.session_id,
-                    "txn": sess.gtid}
-        if op == "stats":
-            return self._stats_payload()
-        if op == "login":
-            return await self._login(sess, args)
-        if op == "query":
-            raise ProtocolError(
-                "the shard router does not support 'query': the "
-                "s-expression interpreter sees one shard's database only; "
-                "connect to a worker directly for queries"
-            )
-        if op in TWOPC_INTERNAL_OPS:
-            raise ProtocolError(
-                f"{op!r} is internal to router-worker two-phase commit"
-            )
-        if op == "begin":
-            return self._begin(sess)
-        if op == "commit":
-            return await self._commit(sess)
-        if op == "abort":
-            return await self._abort(sess)
-        if op == "make_class":
-            # Redefinition changes which attributes are composite; drop
-            # the placement cache entry so the next make re-learns it.
-            self._composite_attrs.pop(args.get("class_name"), None)
-            return await self._broadcast(sess, op, args)
-        if op == "instances_of":
-            return await self._scatter_instances(sess, args)
-        if op == "check":
-            return await self._scatter_check(sess, args)
-        if op == "read_epoch":
-            return await self._scatter_read_epoch(sess, args)
-        if op == "describe":
-            return await self._relay(sess, 0, op, args, raw=raw)
-        if op == "make":
-            return await self._make(sess, args, raw=raw)
-        name = self._UID_ARG.get(op)
-        if name is not None:
-            shard_id = self._shard_of_arg(op, args, name)
-            self._check_colocated(op, args, shard_id)
+        row = WIRE_OPS.get(op)
+        if row is None:
+            raise ProtocolError(f"unknown op {op!r}")
+        route = row.route
+        if route == SHARD_OF:
+            shard_id = self._shard_of_arg(op, args, row.key)
+            if row.colocated:
+                self._check_colocated(op, args, row, shard_id)
             return await self._relay(sess, shard_id, op, args, raw=raw)
-        raise ProtocolError(f"unknown op {op!r}")
+        if route == ROUTER or route == SCATTER:
+            return await self._OWN_OPS[op](self, sess, args)
+        if route == SHARD_0:
+            return await self._relay(sess, 0, op, args, raw=raw)
+        if route == PLACE:
+            return await self._make(sess, args, raw=raw)
+        if route == BROADCAST:
+            return await self._broadcast(sess, op, args)
+        raise ProtocolError(f"the shard router refuses {op!r}: {row.why}")
 
     #: The session loop's per-request handler.
     _request = _route
@@ -405,18 +341,17 @@ class ShardRouter(WireServer):
             raise ProtocolError(f"{op!r} requires a UID argument {name!r}")
         return shard_of_uid(value, self.shards)
 
-    def _check_colocated(self, op, args, shard_id):
-        for name in self._COLOCATED.get(op, ()):
-            value = args.get(name)
-            if (isinstance(value, UID)
-                    and shard_of_uid(value, self.shards) != shard_id):
-                raise ShardError(
-                    f"{op!r} would link {value} across shards (it lives "
-                    f"on shard {shard_of_uid(value, self.shards)}, the "
-                    f"parent on shard {shard_id}); composite hierarchies "
-                    f"must stay on one shard — create children with "
-                    f"make(..., parents=...) so placement co-locates them"
-                )
+    def _check_colocated(self, op, args, row, shard_id):
+        value = args.get(row.colocated)
+        if (isinstance(value, UID)
+                and shard_of_uid(value, self.shards) != shard_id):
+            raise ShardError(
+                f"{op!r} would link {value} across shards (it lives on "
+                f"shard {shard_of_uid(value, self.shards)}, the {row.key} "
+                f"on shard {shard_id}); composite hierarchies must stay "
+                f"on one shard — create children with "
+                f"make(..., parents=...) so placement co-locates them"
+            )
 
     async def _make(self, sess, args, raw=None):
         parents = args.get("parents") or ()
@@ -634,7 +569,14 @@ class ShardRouter(WireServer):
             "shards": shards,
         }
 
-    def _stats_payload(self):
+    async def _ping(self, sess, args):
+        return "pong"
+
+    async def _whoami(self, sess, args):
+        return {"user": sess.user, "session": sess.session_id,
+                "txn": sess.gtid}
+
+    async def _stats(self, sess, args):
         row = self.stats.row()
         row["decisions_logged"] = self.coord.decisions_logged
         return {
@@ -648,7 +590,7 @@ class ShardRouter(WireServer):
 
     # -- transactions ------------------------------------------------------
 
-    def _begin(self, sess):
+    async def _begin(self, sess, args):
         if sess.in_txn:
             raise TransactionStateError(
                 f"session already has active transaction {sess.gtid!r}; "
@@ -659,7 +601,7 @@ class ShardRouter(WireServer):
         sess.touched.clear()
         return {"txn": sess.gtid}
 
-    async def _abort(self, sess):
+    async def _abort(self, sess, args):
         if not sess.in_txn:
             raise TransactionStateError("no transaction to abort")
         gtid, sess.gtid = sess.gtid, None
@@ -680,7 +622,7 @@ class ShardRouter(WireServer):
                 await self._drop_upstream(sess, shard_id)
         sess.touched.clear()
 
-    async def _commit(self, sess):
+    async def _commit(self, sess, args):
         if not sess.in_txn:
             raise TransactionStateError("no transaction to commit")
         gtid, sess.gtid = sess.gtid, None
@@ -762,6 +704,21 @@ class ShardRouter(WireServer):
         if cause is not None:
             raise cause
         return {"txn": gtid, "shards": touched, "mode": "2pc"}
+
+    #: The ``router`` and ``scatter`` rows of ``WIRE_OPS``, each to the
+    #: method answering it.
+    _OWN_OPS = {
+        "ping": _ping,
+        "login": _login,
+        "whoami": _whoami,
+        "stats": _stats,
+        "instances_of": _scatter_instances,
+        "read_epoch": _scatter_read_epoch,
+        "begin": _begin,
+        "commit": _commit,
+        "abort": _abort,
+        "check": _scatter_check,
+    }
 
     # -- session hooks ----------------------------------------------------
 

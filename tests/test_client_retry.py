@@ -10,6 +10,8 @@ import pytest
 
 from repro import Database
 from repro.server.client import RETRYABLE_OPS, Client
+from repro.server.dispatch import MUTATING_OPS
+from repro.server.protocol import WIRE_OPS
 from repro.server.server import ServerThread
 
 
@@ -81,12 +83,21 @@ class TestMidCallClassification:
             with pytest.raises(ConnectionError, match="could not reach"):
                 client.call("ping")
 
-    def test_retryable_set_is_read_only(self):
-        # query can mutate through the interpreter, so it must not be
-        # blind-retried; neither may any of the explicit mutation ops.
-        mutating = {
-            "make", "make_class", "set_value", "insert_into", "remove_from",
-            "make_part_of", "remove_part_of", "delete", "query",
-            "begin", "commit", "abort",
+    def test_effect_column_sets(self):
+        # The read rows of WIRE_OPS plus the hello handshake resend; the
+        # write rows (query among them: the interpreter can mutate) are
+        # what a read-only server refuses; transaction control and the
+        # 2PC ops are neither.
+        assert RETRYABLE_OPS == {
+            "hello", "ping", "login", "whoami", "stats", "resolve", "value",
+            "describe", "components_of", "children_of", "parents_of",
+            "ancestors_of", "roots_of", "instances_of", "check",
+            "snapshot_read", "read_epoch",
         }
-        assert not (RETRYABLE_OPS & mutating)
+        assert MUTATING_OPS == {
+            "make_class", "make", "set_value", "insert_into", "remove_from",
+            "make_part_of", "remove_part_of", "delete", "query",
+        }
+        assert set(WIRE_OPS) - RETRYABLE_OPS - MUTATING_OPS == {
+            "begin", "commit", "abort", "prepare", "decide", "indoubt",
+        }

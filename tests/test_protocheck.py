@@ -5,7 +5,7 @@ Three layers under test: the pure state machine and its explorer
 faithful model must sweep clean); trace refinement (durable traces from the *real*
 journal/recovery stack must be linearizations the model allows); and
 the drift lints that keep the model honest against the implementation
-(failpoint sites and wire-op tables).
+(failpoint sites, and the wire-op table against its handlers).
 """
 
 from __future__ import annotations
@@ -265,6 +265,15 @@ class TestDriftLints:
         report = protocheck.lint_wire_ops()
         assert report.clean, report.render()
         assert report.checked > 20
+
+    def test_dropped_handler_is_op_drift(self, monkeypatch):
+        from repro.server import dispatch
+
+        monkeypatch.delitem(dispatch.COMMANDS, "describe")
+        report = protocheck.lint_wire_ops()
+        assert [(f.rule, f.location) for f in report.errors] == [
+            ("PROTO-OP-DRIFT", "describe")
+        ]
 
 
 # ---------------------------------------------------------------------------

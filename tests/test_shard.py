@@ -24,6 +24,7 @@ import pytest
 
 from repro import UID, Database
 from repro.errors import (
+    ClassDefinitionError,
     ShardError,
     ShardUnavailableError,
     StorageError,
@@ -564,6 +565,21 @@ class TestRouterSessionLoop:
         assert hello["server"].startswith("repro-router/")
         assert hello["shards"] == 2
         assert hello["pipeline"] == router.max_pipeline > 1
+
+
+class TestRouterSchema:
+    def test_class_redefinition_is_refused_and_placement_holds(
+            self, router):
+        with Client(port=router.port, timeout=20.0) as client:
+            _vehicle_schema(client)
+            bodies = [client.make("Body") for _ in range(2)]
+            assert {shard_of_uid(uid, 2) for uid in bodies} == {0, 1}
+            car = client.make("Car", values={"Body": bodies[0]})
+            assert shard_of_uid(car, 2) == shard_of_uid(bodies[0], 2)
+            with pytest.raises(ClassDefinitionError, match="already defined"):
+                client.make_class("Car")
+            car = client.make("Car", values={"Body": bodies[1]})
+            assert shard_of_uid(car, 2) == shard_of_uid(bodies[1], 2)
 
 
 # ---------------------------------------------------------------------------
