@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import contextlib
+from pathlib import Path
 
 from .replica import ReplicaServer
 
@@ -51,27 +52,19 @@ async def _amain(args):
         poll_interval=args.poll_interval,
         max_versions=args.max_versions,
     )
-    await replica.start()
-    if args.port_file:
-        from pathlib import Path
 
-        Path(args.port_file).write_text(f"{replica.port}\n")
-    print(
-        f"repro-replica following {args.primary_root} "
-        f"on {args.host}:{replica.port}",
-        flush=True,
-    )
-    try:
-        await replica.serve_forever()
-    except asyncio.CancelledError:
-        pass
-    finally:
-        await replica.stop()
+    def publish(replica):
+        if args.port_file:
+            Path(args.port_file).write_text(f"{replica.port}\n")
+        print(f"repro-replica following {args.primary_root} "
+              f"on {args.host}:{replica.port}", flush=True)
+
+    await replica.run(publish)
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    with contextlib.suppress(KeyboardInterrupt):
+    with contextlib.suppress(KeyboardInterrupt):  # before run() is up
         asyncio.run(_amain(args))
     return 0
 

@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import threading
 from pathlib import Path
 
 from ..core.database import Database
 from ..errors import ReplicaLagError, StorageError
+from ..server.server import ReproServer, ServerThread
 from ..storage.journal import (
     JOURNAL_NAME,
     BatchReplayer,
@@ -194,50 +194,38 @@ class JournalFollower:
         }
 
 
-class ReplicaServer:
-    """A read-only wire server over a :class:`JournalFollower`.
+class ReplicaServer(ReproServer):
+    """A read-only :class:`ReproServer` over a :class:`JournalFollower`.
 
     Serves the full read surface — ``snapshot_read``, ``read_epoch``,
     ``value``/``resolve``/navigation, snapshot transactions — while a
-    background task polls the primary's journal every *poll_interval*
-    seconds.  Mutations are rejected with
-    :class:`repro.errors.ReadOnlyError` naming this as a replica.
-
-    Implemented by composition over :class:`ReproServer` (the follower
-    must exist before the server, and the server class's constructor
-    signature stays honest about what a replica accepts).
+    background task, started with the server and cancelled when it
+    stops, polls the primary's journal every *poll_interval* seconds.
+    Mutations are rejected with :class:`repro.errors.ReadOnlyError`
+    naming this as a replica.
     """
 
     def __init__(self, primary_root, host="127.0.0.1", port=0,
                  poll_interval=0.02, max_versions=64, **server_kwargs):
-        from ..server.server import ReproServer
-
+        # The follower owns the database served, so it comes first.
         self.follower = JournalFollower(
             primary_root, max_versions=max_versions
         )
-        self.server = ReproServer(
+        super().__init__(
             database=self.follower.database, host=host, port=port,
             mvcc=False,  # the follower's manager is already attached
             **server_kwargs,
         )
-        self.server.read_only = True
-        self.server.read_only_reason = (
+        self.read_only = True
+        self.read_only_reason = (
             "this server is a read replica; writes go to the primary"
         )
-        self.server.replica = self.follower
+        self.replica = self.follower
         self.poll_interval = poll_interval
         self._poll_task = None
 
-    @property
-    def port(self):
-        return self.server.port
-
-    @property
-    def db(self):
-        return self.server.db
-
     async def start(self):
-        await self.server.start()
+        await super().start()
         self._poll_task = asyncio.get_running_loop().create_task(
             self._poll_loop()
         )
@@ -252,8 +240,8 @@ class ReplicaServer:
                 # next primary checkpoint rebuilds past it.
                 pass
             # A rebuild re-created the snapshot manager on the same
-            # database object; keep the server's stats pointer fresh.
-            self.server.snapshots = self.follower.snapshots
+            # database object; keep the stats pointer fresh.
+            self.snapshots = self.follower.snapshots
             await asyncio.sleep(self.poll_interval)
 
     async def stop(self):
@@ -262,18 +250,12 @@ class ReplicaServer:
             with contextlib.suppress(asyncio.CancelledError, Exception):
                 await self._poll_task
             self._poll_task = None
-        await self.server.stop()
-
-    async def serve_forever(self):
-        if self.server._server is None:
-            await self.start()
-        await self.server.serve_forever()
+        await super().stop()
 
 
-class ReplicaThread:
-    """Run a :class:`ReplicaServer` on a dedicated event-loop thread
-    (tests, benchmarks — the replica-side twin of
-    :class:`repro.server.server.ServerThread`)::
+class ReplicaThread(ServerThread):
+    """:class:`ServerThread` over a :class:`ReplicaServer` (tests,
+    benchmarks)::
 
         with ReplicaThread(primary_dir) as replica:
             client = Client(port=replica.port)
@@ -281,67 +263,11 @@ class ReplicaThread:
     """
 
     def __init__(self, primary_root, **kwargs):
-        self.replica = ReplicaServer(primary_root, **kwargs)
-        self._loop = None
-        self._thread = None
-        self._started = threading.Event()
-
-    @property
-    def port(self):
-        return self.replica.port
+        super().__init__(server=ReplicaServer(primary_root, **kwargs))
 
     @property
     def follower(self):
-        return self.replica.follower
-
-    def start(self):
-        self._thread = threading.Thread(
-            target=self._run, name="repro-replica", daemon=True
-        )
-        self._thread.start()
-        if not self._started.wait(timeout=10.0):
-            raise RuntimeError("replica thread failed to start")
-        return self
-
-    def _run(self):
-        self._loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(self._loop)
-
-        async def boot():
-            await self.replica.start()
-            self._started.set()
-
-        self._loop.run_until_complete(boot())
-        try:
-            self._loop.run_forever()
-        finally:
-            self._loop.run_until_complete(self.replica.stop())
-            self._loop.close()
-
-    def submit(self, work):
-        """Run *work* (coroutine or callable) on the replica loop."""
-        if asyncio.iscoroutine(work):
-            future = asyncio.run_coroutine_threadsafe(work, self._loop)
-        else:
-            async def _call():
-                return work()
-
-            future = asyncio.run_coroutine_threadsafe(_call(), self._loop)
-        return future.result(timeout=30.0)
-
-    def stop(self):
-        if self._loop is not None and self._loop.is_running():
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-        self._loop = None
-        self._thread = None
-
-    def __enter__(self):
-        return self.start()
-
-    def __exit__(self, *exc_info):
-        self.stop()
+        return self.server.follower
 
 
 class ReadRouter:

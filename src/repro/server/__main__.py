@@ -1,6 +1,6 @@
 """``python -m repro.server`` / ``repro-server`` — run a standalone server.
 
-Serves a fresh (or paged) database until interrupted::
+Serves a fresh (or paged) database until SIGTERM or Ctrl-C::
 
     repro-server --host 0.0.0.0 --port 4957 --paged
 """
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import contextlib
+from pathlib import Path
 
 from ..core.database import Database
 from .server import ReproServer
@@ -87,27 +88,25 @@ async def _amain(args):
         mvcc=not args.no_mvcc,
         max_versions=args.max_versions,
     )
-    await server.start()
-    if args.port_file:
-        # Written only once the socket is bound: a reader that sees the
-        # file can connect immediately.
-        from pathlib import Path
 
-        Path(args.port_file).write_text(f"{server.port}\n")
-    print(f"repro-server listening on {server.host}:{server.port}", flush=True)
+    def publish(server):
+        if args.port_file:
+            # Written only once the socket is bound: a reader that sees
+            # the file can connect immediately.
+            Path(args.port_file).write_text(f"{server.port}\n")
+        print(f"repro-server listening on {server.host}:{server.port}",
+              flush=True)
+
     try:
-        await server.serve_forever()
-    except asyncio.CancelledError:
-        pass
+        await server.run(publish)
     finally:
-        await server.stop()
         if args.data_dir is not None:
             database.close()
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    with contextlib.suppress(KeyboardInterrupt):
+    with contextlib.suppress(KeyboardInterrupt):  # before run() is up
         asyncio.run(_amain(args))
     return 0
 

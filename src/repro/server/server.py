@@ -33,6 +33,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import dataclasses
+import signal
 import threading
 from dataclasses import dataclass
 
@@ -523,12 +524,13 @@ class WireServer:
         return self
 
     async def stop(self):
-        """Stop accepting, then cancel every connection task; each one
-        closes its own session on the way out."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Stop accepting, cancel and await every connection task (each
+        one closes its own session on the way out), then wait for the
+        listener to close.  Connections go first: since Python 3.12.1
+        ``wait_closed`` also waits for every open connection."""
+        listener, self._server = self._server, None
+        if listener is not None:
+            listener.close()
         tasks = [task for task in self._conn_tasks if not task.done()]
         for task in tasks:
             task.cancel()
@@ -536,13 +538,31 @@ class WireServer:
             with contextlib.suppress(asyncio.CancelledError, Exception):
                 await task
         self._conn_tasks.clear()
+        if listener is not None:
+            await listener.wait_closed()
 
-    async def serve_forever(self):
-        """Run until cancelled."""
-        if self._server is None:
+    async def run(self, publish=None):
+        """The one lifecycle of every frontend: start, call
+        ``publish(self)`` once bound, serve until SIGTERM or SIGINT (on
+        the main thread) or until cancelled, then stop.  Returns
+        normally after a signal, so a process whose main coroutine this
+        is exits 0."""
+        loop = asyncio.get_running_loop()
+        stopping = asyncio.Event()
+        signals = ()
+        if threading.current_thread() is threading.main_thread():
+            signals = (signal.SIGTERM, signal.SIGINT)
+        for signum in signals:
+            loop.add_signal_handler(signum, stopping.set)
+        try:
             await self.start()
-        async with self._server:
-            await self._server.serve_forever()
+            if publish is not None:
+                publish(self)
+            await stopping.wait()
+        finally:
+            for signum in signals:
+                loop.remove_signal_handler(signum)
+            await self.stop()
 
     # -- connection handling ----------------------------------------------
 
@@ -1092,7 +1112,7 @@ class ReproServer(WireServer):
 
 
 class ServerThread:
-    """Run a :class:`ReproServer` on a dedicated event-loop thread.
+    """Run a wire frontend on a dedicated event-loop thread.
 
     Lets synchronous code (tests, the benchmark driver, examples) stand up
     a real TCP server without owning an event loop::
@@ -1100,15 +1120,26 @@ class ServerThread:
         with ServerThread(database=db) as handle:
             client = Client(port=handle.port)
 
+    The frontend is a :class:`ReproServer` over *database* built from
+    *server_kwargs*, or any ready-made :class:`WireServer` passed as
+    *server* (a replica, a router).  The thread runs it through
+    :meth:`WireServer.run`, so :meth:`stop` is a cancellation; a
+    frontend that fails to boot (a taken port, say) raises its error
+    from :meth:`start`.
+
     ``submit`` schedules a coroutine or plain callable onto the server's
     loop — the supported way to touch server state from other threads.
     """
 
-    def __init__(self, database=None, **server_kwargs):
-        self.server = ReproServer(database=database, **server_kwargs)
+    def __init__(self, database=None, server=None, **server_kwargs):
+        if server is None:
+            server = ReproServer(database=database, **server_kwargs)
+        self.server = server
         self._loop = None
+        self._task = None
         self._thread = None
-        self._started = threading.Event()
+        self._booted = threading.Event()
+        self._error = None
 
     @property
     def port(self):
@@ -1119,46 +1150,48 @@ class ServerThread:
         return self.server.db
 
     def start(self):
+        self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._run, name="repro-server", daemon=True
         )
         self._thread.start()
-        if not self._started.wait(timeout=10.0):
-            raise RuntimeError("server thread failed to start")
+        if not self._booted.wait(timeout=10.0):
+            raise RuntimeError("server thread did not start within 10 s")
+        if self._error is not None:
+            self._thread.join()
+            raise self._error
         return self
 
     def _run(self):
-        self._loop = asyncio.new_event_loop()
         asyncio.set_event_loop(self._loop)
-
-        async def boot():
-            await self.server.start()
-            self._started.set()
-
-        self._loop.run_until_complete(boot())
+        self._task = self._loop.create_task(
+            self.server.run(lambda _server: self._booted.set())
+        )
         try:
-            self._loop.run_forever()
+            self._loop.run_until_complete(self._task)
+        except asyncio.CancelledError:
+            pass  # stop() cancelled it
+        except BaseException as error:
+            if self._booted.is_set():
+                raise
+            self._error = error  # start() raises it
         finally:
-            self._loop.run_until_complete(self.server.stop())
+            self._booted.set()
             self._loop.close()
 
     def submit(self, work):
         """Run *work* (coroutine or callable) on the server loop; block."""
-        if asyncio.iscoroutine(work):
-            future = asyncio.run_coroutine_threadsafe(work, self._loop)
-        else:
-            future = asyncio.run_coroutine_threadsafe(
-                _call(work), self._loop
-            )
+        if not asyncio.iscoroutine(work):
+            work = _call(work)
+        future = asyncio.run_coroutine_threadsafe(work, self._loop)
         return future.result(timeout=30.0)
 
     def stop(self):
-        if self._loop is not None and self._loop.is_running():
-            self._loop.call_soon_threadsafe(self._loop.stop)
         if self._thread is not None:
+            with contextlib.suppress(RuntimeError):  # loop already closed
+                self._loop.call_soon_threadsafe(self._task.cancel)
             self._thread.join(timeout=10.0)
-        self._loop = None
-        self._thread = None
+        self._loop = self._task = self._thread = None
 
     def __enter__(self):
         return self.start()

@@ -59,27 +59,10 @@ def build_parser():
     return parser
 
 
-async def _router_only(args):
-    from .placement import ROUTER_ENDPOINT_NAME, write_endpoint
-    from .router import ShardRouter
-
-    router = ShardRouter(args.root, host=args.host, port=args.port)
-    await router.start()
-    write_endpoint(args.root, router.host, router.port,
-                   name=ROUTER_ENDPOINT_NAME)
-    _announce(args, router.port)
-    try:
-        await router.serve_forever()
-    except asyncio.CancelledError:
-        pass
-    finally:
-        await router.stop()
-
-
 def _announce(args, port):
     if args.port_file:
         Path(args.port_file).write_text(f"{port}\n")
-    print(f"repro-router listening on {args.host}:{port}")
+    print(f"repro-router listening on {args.host}:{port}", flush=True)
 
 
 def _run_cluster(args):
@@ -108,8 +91,11 @@ def _run_cluster(args):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.router_only:
-        with contextlib.suppress(KeyboardInterrupt):
-            asyncio.run(_router_only(args))
+        from .worker import RouterSpec
+
+        spec = RouterSpec(args.root, host=args.host, port=args.port)
+        with contextlib.suppress(KeyboardInterrupt):  # before run() is up
+            asyncio.run(spec.serve(lambda port: _announce(args, port)))
         return 0
     return _run_cluster(args)
 

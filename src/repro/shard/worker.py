@@ -15,9 +15,12 @@ the cluster's coordinator log.  Worker startup order:
 4. bind, and only then publish ``endpoint.json``: the router never sees
    a worker that still has unresolved doubt.
 
-Workers run as ``spawn``-ed processes (no inherited event loop, no
-inherited armed failpoints — the crash simulator arms each child
-explicitly through :attr:`WorkerSpec.failpoints`).  Discovery is the
+Workers and the router run as ``spawn``-ed processes through one child
+entry: it arms the spec's failpoints (nothing is inherited — no event
+loop, no armed registry; the crash simulator arms each child explicitly
+through :attr:`WorkerSpec.failpoints`) and runs ``spec.serve()`` until
+SIGTERM.  A spec is any picklable object with ``failpoints``,
+``endpoint`` and ``serve()``.  Discovery is the
 filesystem: each process publishes its bound port atomically, so a
 worker restarted on a new ephemeral port is found by the router's next
 reconnect without any registry service.
@@ -79,6 +82,78 @@ class WorkerSpec:
     #: restart appends; the recorder's boot marker splits the epochs).
     record_history: str | None = None
 
+    @property
+    def endpoint(self):
+        """Where the worker publishes its bound port."""
+        return self.directory, ENDPOINT_NAME
+
+    async def serve(self):
+        """Recover the shard and settle its doubt, then serve it until
+        SIGTERM, publishing ``endpoint.json`` once bound."""
+        from ..core.database import Database
+        from ..server.server import ReproServer
+        from ..storage.durable import DurableDatabase
+
+        if self.in_memory:
+            db = Database()
+            db.allocator.restride(0, self.shard_id, self.shards)
+        else:
+            db = DurableDatabase(self.directory, sync_policy=self.sync_policy)
+            db.allocator.restride(
+                db.allocator.peek() - 1, self.shard_id, self.shards
+            )
+            await _settle_in_doubt(db, self)
+        server = ReproServer(
+            database=db,
+            host=self.host,
+            port=self.port,
+            group_commit_window=self.group_window,
+            shard_info=(self.shard_id, self.shards),
+            coord_log=self.coord_log,
+            record_history=self.record_history,
+        )
+        try:
+            await server.run(
+                lambda server: write_endpoint(
+                    self.directory, server.host, server.port
+                )
+            )
+        finally:
+            if not self.in_memory:
+                db.close()
+
+
+@dataclass
+class RouterSpec:
+    """Everything the router process needs to start (``repro-router
+    --router-only`` serves one in the foreground)."""
+
+    root: str
+    host: str = "127.0.0.1"
+    port: int = 0
+    connect_timeout: float = 10.0
+    failpoints: list = field(default_factory=list)
+
+    @property
+    def endpoint(self):
+        """Where the router publishes its bound port."""
+        return self.root, ROUTER_ENDPOINT_NAME
+
+    async def serve(self, announce=None):
+        """Serve the router until SIGTERM, publishing ``router.json``
+        (then calling ``announce(port)``, if given) once bound."""
+        from .router import ShardRouter
+
+        def publish(router):
+            write_endpoint(self.root, router.host, router.port,
+                           name=ROUTER_ENDPOINT_NAME)
+            if announce is not None:
+                announce(router.port)
+
+        router = ShardRouter(self.root, host=self.host, port=self.port,
+                             connect_timeout=self.connect_timeout)
+        await router.run(publish)
+
 
 def _armed(failpoints):
     """A fault scope for *failpoints* (a no-op scope when empty)."""
@@ -90,51 +165,13 @@ def _armed(failpoints):
     return fault_scope(registry)
 
 
-def _worker_main(spec):
-    with _armed(spec.failpoints):
-        with contextlib.suppress(KeyboardInterrupt):
-            asyncio.run(_worker_amain(spec))
-
-
-async def _worker_amain(spec):
-    from ..core.database import Database
-    from ..server.server import ReproServer
-    from ..storage.durable import DurableDatabase
-
-    if spec.in_memory:
-        db = Database()
-        db.allocator.restride(0, spec.shard_id, spec.shards)
-    else:
-        db = DurableDatabase(spec.directory, sync_policy=spec.sync_policy)
-        db.allocator.restride(
-            db.allocator.peek() - 1, spec.shard_id, spec.shards
-        )
-        await _settle_in_doubt(db, spec)
-    server = ReproServer(
-        database=db,
-        host=spec.host,
-        port=spec.port,
-        group_commit_window=spec.group_window,
-        shard_info=(spec.shard_id, spec.shards),
-        coord_log=spec.coord_log,
-        record_history=spec.record_history,
-    )
-    await server.start()
-    write_endpoint(spec.directory, server.host, server.port)
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        loop.add_signal_handler(signum, stop.set)
-    serve = asyncio.create_task(server.serve_forever())
-    try:
-        await stop.wait()
-    finally:
-        serve.cancel()
-        with contextlib.suppress(asyncio.CancelledError):
-            await serve
-        await server.stop()
-        if not spec.in_memory:
-            db.close()
+def _child_main(spec):
+    """The one entry of every spawned frontend process (a worker or the
+    router): arm the spec's failpoints, then run ``spec.serve()``, which
+    publishes the frontend's endpoint once bound and returns after
+    SIGTERM (:meth:`repro.server.server.WireServer.run`)."""
+    with _armed(spec.failpoints), contextlib.suppress(KeyboardInterrupt):
+        asyncio.run(spec.serve())
 
 
 async def _settle_in_doubt(db, spec):
@@ -160,37 +197,6 @@ async def _settle_in_doubt(db, spec):
             break
         await asyncio.sleep(0.05)
     presume_abort(db, journal=db.journal)
-
-
-def _router_main(spec):
-    with _armed(spec["failpoints"]):
-        with contextlib.suppress(KeyboardInterrupt):
-            asyncio.run(_router_amain(spec))
-
-
-async def _router_amain(spec):
-    from .router import ShardRouter
-
-    router = ShardRouter(
-        spec["root"], host=spec["host"], port=spec["port"],
-        connect_timeout=spec["connect_timeout"],
-    )
-    await router.start()
-    write_endpoint(
-        spec["root"], router.host, router.port, name=ROUTER_ENDPOINT_NAME
-    )
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        loop.add_signal_handler(signum, stop.set)
-    serve = asyncio.create_task(router.serve_forever())
-    try:
-        await stop.wait()
-    finally:
-        serve.cancel()
-        with contextlib.suppress(asyncio.CancelledError):
-            await serve
-        await router.stop()
 
 
 class ShardCluster:
@@ -296,97 +302,72 @@ class ShardCluster:
         )
 
     def start_worker(self, shard_id):
-        directory = self.manifest.shard_path(self.root, shard_id)
-        with contextlib.suppress(FileNotFoundError):
-            (directory / ENDPOINT_NAME).unlink()
-        proc = _MP.Process(
-            target=_worker_main,
-            args=(self.worker_spec(shard_id),),
-            name=f"repro-shard-{shard_id:02d}",
-            daemon=True,
-        )
-        proc.start()
-        self.workers[shard_id] = proc
-        self._await_endpoint(directory, proc, ENDPOINT_NAME,
-                             f"shard {shard_id} worker")
+        spec = self.worker_spec(shard_id)
+        proc = self.workers[shard_id] = self._spawn(spec)
+        self._await_endpoint(spec, proc, f"shard {shard_id} worker")
         return proc
 
     def kill_worker(self, shard_id):
         """SIGKILL a worker — a crash, not a shutdown."""
-        proc = self.workers[shard_id]
-        if proc.is_alive():
-            os.kill(proc.pid, signal.SIGKILL)
-        proc.join(timeout=10.0)
-        return proc.exitcode
+        return _end(self.workers[shard_id], signal.SIGKILL)
 
     def restart_worker(self, shard_id):
         """Start a fresh worker process for *shard_id* (recovers, then
         republishes its endpoint).  The old process must be dead."""
-        old = self.workers.get(shard_id)
-        if old is not None and old.is_alive():
-            raise ShardError(
-                f"shard {shard_id} worker is still running; "
-                f"kill_worker() first"
-            )
+        _require_dead(self.workers.get(shard_id), f"shard {shard_id} worker",
+                      "kill_worker")
         return self.start_worker(shard_id)
 
     def wait_worker(self, shard_id, timeout=30.0):
         """Join a worker expected to exit on its own (armed kill)."""
-        proc = self.workers[shard_id]
-        proc.join(timeout=timeout)
-        return proc.exitcode
+        return _end(self.workers[shard_id], timeout=timeout)
 
     # -- the router -------------------------------------------------------
 
     def start_router(self):
-        with contextlib.suppress(FileNotFoundError):
-            (self.root / ROUTER_ENDPOINT_NAME).unlink()
-        proc = _MP.Process(
-            target=_router_main,
-            args=({
-                "root": str(self.root),
-                "host": self.host,
-                "port": self.router_bind_port,
-                "connect_timeout": self.router_connect_timeout,
-                "failpoints": list(self.router_failpoints),
-            },),
-            name="repro-router",
-            daemon=True,
+        spec = RouterSpec(
+            root=str(self.root),
+            host=self.host,
+            port=self.router_bind_port,
+            connect_timeout=self.router_connect_timeout,
+            failpoints=list(self.router_failpoints),
         )
-        proc.start()
-        self.router_proc = proc
-        endpoint = self._await_endpoint(
-            self.root, proc, ROUTER_ENDPOINT_NAME, "router"
-        )
-        self.router_port = endpoint["port"]
+        proc = self.router_proc = self._spawn(spec)
+        self.router_port = self._await_endpoint(spec, proc, "router")["port"]
         return proc
 
     def kill_router(self):
         """SIGKILL the router (coordinator crash)."""
-        proc = self.router_proc
-        if proc.is_alive():
-            os.kill(proc.pid, signal.SIGKILL)
-        proc.join(timeout=10.0)
-        return proc.exitcode
+        return _end(self.router_proc, signal.SIGKILL)
 
     def restart_router(self):
-        if self.router_proc is not None and self.router_proc.is_alive():
-            raise ShardError("router is still running; kill_router() first")
+        _require_dead(self.router_proc, "router", "kill_router")
         return self.start_router()
 
     def wait_router(self, timeout=30.0):
-        self.router_proc.join(timeout=timeout)
-        return self.router_proc.exitcode
+        return _end(self.router_proc, timeout=timeout)
 
     # -- helpers ----------------------------------------------------------
 
-    def _await_endpoint(self, directory, proc, name, what):
+    @staticmethod
+    def _spawn(spec):
+        """Start *spec*'s process through the one child entry, once the
+        endpoint file of its previous incarnation is gone."""
+        directory, name = spec.endpoint
+        with contextlib.suppress(FileNotFoundError):
+            (Path(directory) / name).unlink()
+        proc = _MP.Process(target=_child_main, args=(spec,), daemon=True)
+        proc.start()
+        return proc
+
+    def _await_endpoint(self, spec, proc, what):
         """Poll for *proc*'s freshly published endpoint file.
 
         ``pid`` must match the new process: a stale file from the
         previous incarnation (unlinked at start, but races with slow
         filesystems are cheap to exclude) is not an answer.
         """
+        directory, name = spec.endpoint
         deadline = time.monotonic() + self.start_timeout
         while time.monotonic() < deadline:
             endpoint = read_endpoint(directory, name=name)
@@ -402,3 +383,17 @@ class ShardCluster:
             f"{what} did not publish its endpoint within "
             f"{self.start_timeout:.0f}s"
         )
+
+
+def _end(proc, signum=None, timeout=10.0):
+    """Deliver *signum* (if any) to a live *proc*, join it, and return
+    its exit code."""
+    if signum is not None and proc.is_alive():
+        os.kill(proc.pid, signum)
+    proc.join(timeout=timeout)
+    return proc.exitcode
+
+
+def _require_dead(proc, what, kill):
+    if proc is not None and proc.is_alive():
+        raise ShardError(f"{what} is still running; {kill}() first")
