@@ -38,13 +38,34 @@ class Resolution:
 
     conflict: bool = False
     effective: dict = field(default_factory=dict)
+    #: The positively authorized types, each as its :class:`AuthType`
+    #: and as its letter: the decision an access check reads, worked
+    #: out once when the resolution is built (empty on a conflict).
+    permitted: frozenset = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        permitted = () if self.conflict else [
+            key
+            for auth_type, (positive, _strong) in self.effective.items()
+            if positive
+            for key in (auth_type, auth_type.value)
+        ]
+        object.__setattr__(self, "permitted", frozenset(permitted))
 
     def permits(self, auth_type):
-        """True when *auth_type* is positively authorized (and no conflict)."""
-        if self.conflict:
-            return False
-        decided = self.effective.get(AuthType(auth_type))
-        return bool(decided) and decided[0]
+        """True when *auth_type* (an :class:`AuthType` or its letter) is
+        positively authorized (and no conflict).
+
+        A permit is one probe of :attr:`permitted`; only a miss builds
+        the :class:`AuthType`, so an unknown type still raises
+        ``ValueError``."""
+        try:
+            if auth_type in self.permitted:
+                return True
+        except TypeError:  # unhashable: AuthType refuses it below
+            pass
+        AuthType(auth_type)
+        return False
 
     def denies(self, auth_type):
         """True when *auth_type* is negatively authorized (prohibition,

@@ -185,14 +185,18 @@ class AuthorizationEngine:
 
     def check(self, user, auth_type, uid):
         """True when *user* positively holds *auth_type* on *uid*."""
-        return self.resolve(user, uid).permits(AuthType(auth_type))
+        return self.resolve(user, uid).permits(auth_type)
 
     def require(self, user, auth_type, uid):
-        """Raise :class:`AccessDenied` unless the check passes."""
+        """Raise :class:`AccessDenied` unless the check passes.
+
+        A permit is one probe of the cached resolution's permitted
+        types; the :class:`AuthType` is built only to explain a denial.
+        """
         resolution = self.resolve(user, uid)
-        auth_type = AuthType(auth_type)
         if resolution.permits(auth_type):
             return True
+        auth_type = AuthType(auth_type)
         if resolution.conflict:
             reason = "conflicting implied authorizations"
         elif resolution.denies(auth_type):

@@ -285,17 +285,11 @@ class Database:
         if failure is not None:
             raise failure
 
-    @contextlib.contextmanager
     def txn_context(self, txn):
         """Mark *txn* as the transaction executing the enclosed operation
         (the transaction manager wraps every data operation in this, so
         the journal can batch redo records per transaction)."""
-        previous = self.current_txn
-        self.current_txn = txn
-        try:
-            yield
-        finally:
-            self.current_txn = previous
+        return _TxnScope(self, txn)
 
     # ------------------------------------------------------------------
     # Object table plumbing (used by the subsystem engines)
@@ -971,3 +965,24 @@ class Database:
 
     def __contains__(self, uid):
         return self.exists(uid)
+
+
+class _TxnScope:
+    """One :meth:`Database.txn_context` scope: *txn* is the database's
+    ``current_txn`` inside it, and the previous one again on the way
+    out, also when the body raises.  A plain object rather than a
+    generator, because every transaction-manager data op enters one."""
+
+    __slots__ = ("_db", "_txn", "_previous")
+
+    def __init__(self, db, txn):
+        self._db = db
+        self._txn = txn
+
+    def __enter__(self):
+        db = self._db
+        self._previous = db.current_txn
+        db.current_txn = self._txn
+
+    def __exit__(self, *_exc):
+        self._db.current_txn = self._previous

@@ -26,7 +26,13 @@ from ..core import operations as ops
 from ..errors import ReadOnlyError, TransactionStateError
 from ..locking.modes import LockMode
 from ..schema.attribute import AttributeSpec
-from .protocol import WIRE_OPS, PreEncoded, ProtocolError, wire_lenient
+from .protocol import (
+    WIRE_OPS,
+    PreEncoded,
+    ProtocolError,
+    key_uid,
+    wire_lenient,
+)
 
 #: Authorization types the engine understands (see authorization/atoms.py).
 READ, WRITE = "R", "W"
@@ -670,6 +676,7 @@ async def dispatch(session, op, args):
     handler = COMMANDS.get(op)
     if handler is None:
         raise ProtocolError(f"unknown op {op!r}")
+    key_uid(op, WIRE_OPS[op], args)
     if op in MUTATING_OPS and session.server.read_only:
         reason = session.server.read_only_reason or (
             "server is read-only after a journal failure"

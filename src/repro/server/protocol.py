@@ -420,6 +420,20 @@ WIRE_OPS = {
 }
 
 
+def key_uid(op, row, args):
+    """The UID named by *row*'s ``key`` argument, after checking that
+    it and the ``colocated`` argument are UIDs.
+
+    The server and the shard router both call this before anything
+    hashes or routes the argument, so a malformed one is the same
+    :class:`ProtocolError` from either; a row without a ``key`` returns
+    None."""
+    for name in (row.key, row.colocated):
+        if name and not isinstance(args.get(name), UID):
+            raise ProtocolError(f"{op!r} requires a UID argument {name!r}")
+    return args.get(row.key) if row.key else None
+
+
 # ---------------------------------------------------------------------------
 # Error marshalling
 # ---------------------------------------------------------------------------

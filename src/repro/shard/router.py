@@ -79,6 +79,7 @@ from ..server.protocol import (
     decode_payload,
     frame_bytes,
     is_error_payload,
+    key_uid,
 )
 from ..server.server import Preframed, SessionStats, WireServer
 from .placement import Manifest, make_policy, read_endpoint, shard_of_uid
@@ -318,7 +319,7 @@ class ShardRouter(WireServer):
             raise ProtocolError(f"unknown op {op!r}")
         route = row.route
         if route == SHARD_OF:
-            shard_id = self._shard_of_arg(op, args, row.key)
+            shard_id = shard_of_uid(key_uid(op, row, args), self.shards)
             if row.colocated:
                 self._check_colocated(op, args, row, shard_id)
             return await self._relay(sess, shard_id, op, args, raw=raw)
@@ -335,16 +336,9 @@ class ShardRouter(WireServer):
     #: The session loop's per-request handler.
     _request = _route
 
-    def _shard_of_arg(self, op, args, name):
-        value = args.get(name)
-        if not isinstance(value, UID):
-            raise ProtocolError(f"{op!r} requires a UID argument {name!r}")
-        return shard_of_uid(value, self.shards)
-
     def _check_colocated(self, op, args, row, shard_id):
-        value = args.get(row.colocated)
-        if (isinstance(value, UID)
-                and shard_of_uid(value, self.shards) != shard_id):
+        value = args[row.colocated]
+        if shard_of_uid(value, self.shards) != shard_id:
             raise ShardError(
                 f"{op!r} would link {value} across shards (it lives on "
                 f"shard {shard_of_uid(value, self.shards)}, the {row.key} "

@@ -265,3 +265,92 @@ class TestRequire:
         database, h, engine = auth_setup
         engine.grant("u", "sW", on_instance=h["j"])
         assert engine.require("u", "R", h["p"])
+
+
+def _parent_permits(resolution, auth_type):
+    """The reference: ``effective`` read the way checks read it before
+    resolutions carried their permitted types."""
+    if resolution.conflict:
+        return False
+    decided = resolution.effective.get(AuthType(auth_type))
+    return bool(decided) and decided[0]
+
+
+def _parent_denial(user, auth_type, uid, resolution):
+    auth_type = AuthType(auth_type)
+    if resolution.conflict:
+        reason = "conflicting implied authorizations"
+    elif resolution.effective.get(auth_type, (True,))[0] is False:
+        reason = f"negative {auth_type} authorization"
+    else:
+        reason = f"no {auth_type} authorization"
+    return f"{user!r} may not {auth_type} {uid}: {reason}"
+
+
+#: Every resolution the eight Figure 6 atoms combine into: none, each
+#: atom alone, and each pair (conflicts included).
+_FIGURE6_SETS = [()] + [(atom,) for atom in FIGURE6_ATOMS] + [
+    (a, b) for i, a in enumerate(FIGURE6_ATOMS) for b in FIGURE6_ATOMS[i + 1:]
+]
+
+
+class TestPermitPath:
+    TYPES = ("R", "W", AuthType.READ, AuthType.WRITE)
+
+    def _engine(self, resolution):
+        database = Database()
+        database.make_class("Doc")
+        uid = database.make("Doc")
+        engine = AuthorizationEngine(database)
+        engine.resolve = lambda user, uid: resolution
+        return engine, uid
+
+    def test_the_sets_reach_every_kind_of_resolution(self):
+        resolutions = [combine(atoms) for atoms in _FIGURE6_SETS]
+        assert len(resolutions) == 37
+        assert sum(r.conflict for r in resolutions) == 6  # 12 ordered cells
+        assert any(r.permits("R") and not r.permits("W") for r in resolutions)
+        assert any(r.permits("W") for r in resolutions)
+        assert any(r.denies("R") for r in resolutions)
+
+    @pytest.mark.parametrize("atoms", _FIGURE6_SETS,
+                             ids=lambda atoms: "+".join(map(str, atoms)) or "none")
+    def test_check_and_require_agree_with_effective(self, atoms):
+        resolution = combine(atoms)
+        engine, uid = self._engine(resolution)
+        for auth_type in self.TYPES:
+            expected = _parent_permits(resolution, auth_type)
+            assert resolution.permits(auth_type) is expected
+            assert engine.check("u", auth_type, uid) is expected
+            if expected:
+                assert engine.require("u", auth_type, uid) is True
+                continue
+            with pytest.raises(AccessDenied) as excinfo:
+                engine.require("u", auth_type, uid)
+            assert str(excinfo.value) == _parent_denial(
+                "u", auth_type, uid, resolution)
+
+    def test_the_three_denial_messages(self):
+        uid = self._engine(combine(()))[1]
+        for atoms, reason in (
+                (("sR", "s¬R"), "conflicting implied authorizations"),
+                (("s¬R",), "negative W authorization"),
+                (("sR",), "no W authorization")):
+            engine, _ = self._engine(combine(atoms))
+            with pytest.raises(AccessDenied) as excinfo:
+                engine.require("u", "W", uid)
+            assert str(excinfo.value) == f"'u' may not W {uid}: {reason}"
+
+    @pytest.mark.parametrize("atoms", [(), ("sW",), ("s¬R",), ("sR", "s¬R")])
+    @pytest.mark.parametrize("bad", ["X", ["R"]])
+    def test_an_unknown_type_is_a_value_error(self, atoms, bad):
+        engine, uid = self._engine(combine(atoms))
+        with pytest.raises(ValueError):
+            engine.check("u", bad, uid)
+        with pytest.raises(ValueError):
+            engine.require("u", bad, uid)
+
+    def test_permitted_holds_members_and_letters(self):
+        assert combine(["sW"]).permitted == {
+            AuthType.READ, "R", AuthType.WRITE, "W"}
+        assert combine(["sR", "s¬R"]).permitted == frozenset()

@@ -611,6 +611,43 @@ class TestAuthorization:
                 assert carol.instances_of("Doc") == [visible]
 
 
+class TestMalformedUidArgument:
+    """A UID argument that is not a UID is a ProtocolError, as the shard
+    router answers it, before authorization or the store hash it."""
+
+    CALLS = (
+        ("value", {"attribute": "Title"}),
+        ("resolve", {}),
+        ("set_value", {"attribute": "Title", "value": "x"}),
+        ("delete", {}),
+        ("components_of", {}),
+    )
+
+    @pytest.mark.parametrize("with_auth", [False, True])
+    def test_refused_and_the_connection_still_works(self, with_auth):
+        from repro.authorization.engine import AuthorizationEngine
+
+        db = Database()
+        db.make_class("Doc", attributes=[
+            AttributeSpec("Title", domain="string")])
+        doc = db.make("Doc", values={"Title": "kept"})
+        engine = None
+        if with_auth:
+            engine = AuthorizationEngine(db)
+            engine.grant("alice", "sW", database=True)
+        with ServerThread(database=db, auth=engine) as handle:
+            with Client(port=handle.port, user="alice") as client:
+                for op, extra in self.CALLS:
+                    for bad in ([1], {"a": 1}, 5):
+                        with pytest.raises(ProtocolError,
+                                           match="requires a UID argument"):
+                            client.call(op, uid=bad, **extra)
+                with pytest.raises(ProtocolError, match="'child'"):
+                    client.call("make_part_of", child=[1], parent=doc,
+                                attribute="Title")
+                assert client.value(doc, "Title") == "kept"
+
+
 class TestAsyncClient:
     def test_async_client_full_cycle(self, server):
         import asyncio

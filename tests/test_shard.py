@@ -554,6 +554,23 @@ class TestRouterSessionLoop:
             assert [h.result() for h in handles[:2]] == ["d0", "d1"]
             assert not any(h.done for h in handles[2:])
 
+    def test_a_malformed_uid_argument_is_refused_as_the_server_does(
+            self, router):
+        # The router and the workers check the key and co-located UID
+        # arguments of a WIRE_OPS row with the same helper.
+        with Client(port=router.port, timeout=20.0) as client:
+            doc = _routed_docs(client)[0]
+            for op, args, name in (
+                    ("value", {"uid": [1], "attribute": "Text"}, "uid"),
+                    ("delete", {"uid": 5}, "uid"),
+                    ("make_part_of", {"child": {"a": 1}, "parent": doc,
+                                      "attribute": "Text"}, "child")):
+                with pytest.raises(ProtocolError) as excinfo:
+                    client.call(op, **args)
+                assert str(excinfo.value) == (
+                    f"{op!r} requires a UID argument {name!r}")
+            assert client.value(doc, "Text") == "d0"
+
     def test_hello_reports_pipeline_and_shards(self, router):
         with socket.create_connection(("127.0.0.1", router.port),
                                       timeout=10.0) as sock:

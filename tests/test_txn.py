@@ -3,7 +3,7 @@
 import pytest
 
 from repro import AttributeSpec, Database, LockConflictError, SetOf
-from repro.errors import TransactionStateError
+from repro.errors import TransactionStateError, UnknownAttributeError
 from repro.locking.modes import LockMode as M
 from repro.txn import TransactionManager, TxnState
 
@@ -225,3 +225,33 @@ class TestStrict2PL:
         t2 = manager.begin()
         with pytest.raises(LockConflictError):
             manager.write(t2, box, "Name", "b")
+
+
+class TestTxnContext:
+    def test_nested_scope_restores_the_outer_transaction(self, txn_env):
+        database, manager = txn_env
+        outer, inner = manager.begin(), manager.begin()
+        with database.txn_context(outer):
+            with database.txn_context(inner):
+                assert database.current_txn is inner
+            assert database.current_txn is outer
+        assert database.current_txn is None
+
+    def test_a_raising_body_restores_and_propagates(self, txn_env):
+        database, manager = txn_env
+        outer, inner = manager.begin(), manager.begin()
+        with database.txn_context(outer):
+            with pytest.raises(KeyError, match="boom"):
+                with database.txn_context(inner):
+                    raise KeyError("boom")
+            assert database.current_txn is outer
+        assert database.current_txn is None
+
+    def test_a_data_op_leaves_no_current_transaction(self, txn_env):
+        database, manager = txn_env
+        box = database.make("Box", values={"Name": "a"})
+        txn = manager.begin()
+        manager.write(txn, box, "Name", "b")
+        with pytest.raises(UnknownAttributeError):
+            manager.write(txn, box, "NoSuchAttribute", 1)
+        assert database.current_txn is None
