@@ -60,11 +60,13 @@ machine-readable ``file``/``line`` keys in ``detail``):
     the wire through ``FrameBuffer``, so a
     framing change is made once and nobody probes a stream's private
     state.  Outside the two wire endpoints (:data:`WIRE_ENDPOINTS`:
-    ``server/server.py`` and ``server/client.py``) it also flags
-    ``asyncio.start_server`` and ``read_frames(...)`` calls: every
-    frontend serves through ``WireServer``'s session loop and every
-    upstream reads through ``AsyncClient``, so a third listener or frame
-    reader cannot come back.
+    ``server/server.py`` and ``server/client.py``) it also flags the
+    calls that listen, connect or read frames off a stream
+    (``create_server``, ``start_server``, ``create_connection``,
+    ``open_connection``, ``read_frames``): every frontend serves through
+    ``WireServer``'s session loop and every upstream reads through
+    ``AsyncClient``, both on ``WireProtocol``, so a third listener,
+    connection or frame reader cannot come back.
 ``CODE-JOURNAL-HOOKS``
     (error) outside ``storage/``, code attaches, detaches, or replaces
     the journal hook lists (``on_persist``, ``on_op_end``,
@@ -160,13 +162,15 @@ JOURNAL_FORMAT_NAMES = frozenset({"JOURNAL_HEADER_SIZE", "JOURNAL_MAGIC"})
 #: The one module that may read the wire below ``FrameBuffer``.
 WIRE_MODULE = "server/protocol.py"
 
-#: The only modules that may listen (``asyncio.start_server``) or read
-#: frames off a stream (``read_frames``): the server's session loop and
-#: the clients.
+#: The only modules that may listen, connect or read frames off a
+#: stream: the server's session loop and the clients.
 WIRE_ENDPOINTS = frozenset({"server/server.py", "server/client.py"})
 
-#: Calls that open a listener or a frame reader.
-_WIRE_ENDPOINT_CALLS = frozenset({"start_server", "read_frames"})
+#: Calls that open a listener, a connection or a frame reader.
+_WIRE_ENDPOINT_CALLS = frozenset({
+    "create_server", "start_server", "create_connection",
+    "open_connection", "read_frames",
+})
 
 #: Hook lists only the storage layer may attach/detach/replace.
 JOURNAL_HOOKS = frozenset({
@@ -555,7 +559,7 @@ class _FileLinter(ast.NodeVisitor):
             "CODE-WIRE-FORMAT",
             line,
             f"{what} outside {WIRE_MODULE} — read the wire through "
-            f"FrameBuffer / read_frames",
+            f"FrameBuffer / WireProtocol",
             use=what,
         )
 

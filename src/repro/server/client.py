@@ -43,10 +43,10 @@ from .protocol import (
     WIRE_OPS,
     FrameBuffer,
     ProtocolError,
+    WireProtocol,
     build_error,
     decode_payload,
     encode_request_bytes,
-    read_frames,
 )
 
 
@@ -575,19 +575,18 @@ class AsyncClient(_ClientCore):
         super().__init__(user=user)
         self.host = host
         self.port = port
-        self._reader = None
-        self._writer = None
-        self._frames = FrameBuffer()
+        self._wire = None
 
     async def connect(self):
         # Same stale-state rule as the blocking client: a (re)connect is
-        # a fresh server session.
+        # a fresh server session (and a fresh receive buffer).
         self.protocol_version = None
         self.session_id = None
         self._in_transaction = False
-        self._frames = FrameBuffer()
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
+        _transport, self._wire = (
+            await asyncio.get_running_loop().create_connection(
+                WireProtocol, self.host, self.port
+            )
         )
         try:
             self._note_hello(
@@ -596,7 +595,7 @@ class AsyncClient(_ClientCore):
             if self.user is not None:
                 await self._roundtrip("login", {"user": self.user})
         except BaseException:
-            # A failed handshake must not leak the stream: ``async with``
+            # A failed handshake must not leak the transport: ``async with``
             # never reaches __aexit__ when __aenter__ raises.
             await self.close()
             raise
@@ -605,21 +604,19 @@ class AsyncClient(_ClientCore):
     async def close(self):
         """Close the connection and drop its receive buffer (see
         :meth:`Client.close`)."""
-        self._frames = FrameBuffer()
-        if self._writer is not None:
-            self._writer.close()
+        wire, self._wire = self._wire, None
+        if wire is not None:
             with contextlib.suppress(Exception):
-                await self._writer.wait_closed()
-            self._writer = None
-            self._reader = None
+                await wire.close()
 
     async def _exchange(self, data):
         """Write one request frame; return the raw response payload."""
-        if self._writer is None:
+        wire = self._wire
+        if wire is None:
             raise ConnectionError("not connected; call connect() first")
-        self._writer.write(data)
-        await self._writer.drain()
-        batch = await read_frames(self._reader, self._frames, 1)
+        wire.write(data)
+        await wire.drain()
+        batch = await wire.read(1)
         if not batch:
             raise ConnectionError("server closed the connection")
         return batch[0]

@@ -3,7 +3,9 @@
 A frame is a 4-byte big-endian unsigned length followed by that many
 bytes of payload.  Every endpoint reads frames through one
 :class:`FrameBuffer` per connection (bytes in, payloads out, no
-sockets); nothing else parses a length prefix.
+sockets); nothing else parses a length prefix.  Every asyncio endpoint
+fills that buffer through one :class:`WireProtocol`, the one transport
+of the server, the shard router and the asyncio client.
 
 A payload is compact struct-packed binary: a one-byte frame kind
 (request / result / error), a signed 64-bit request id, and type-tagged
@@ -32,6 +34,7 @@ hostile payload cannot shadow ``code`` or plant arbitrary state.
 
 from __future__ import annotations
 
+import asyncio
 import inspect
 import struct
 from typing import NamedTuple
@@ -205,6 +208,11 @@ class FrameBuffer:
         """Bytes held: complete frames not yet taken plus a partial one."""
         return len(self._data)
 
+    @property
+    def waiting(self):
+        """Bytes of the complete frames not yet taken."""
+        return self._scan
+
     def feed(self, data):
         """Append received bytes; an oversized length prefix raises."""
         buffer = self._data
@@ -237,24 +245,164 @@ class FrameBuffer:
         return frames
 
 
-async def read_frames(reader, frames, limit):
-    """Up to *limit* payloads from *frames*, refilled from the asyncio
-    stream *reader* only while no complete frame is buffered — so the
-    buffer never holds more than one refill plus one partial frame.
+class WireProtocol(asyncio.BufferedProtocol):
+    """One connection's transport, shared by every asyncio endpoint: the
+    :class:`~repro.server.server.WireServer` session loop listens with
+    ``loop.create_server`` and :class:`~repro.server.client.AsyncClient`
+    (and so the shard router's upstreams) connects with
+    ``loop.create_connection``, both on this class.
 
-    Returns ``[]`` at a clean EOF between frames; an EOF inside a frame
-    raises :class:`ProtocolError`.
+    Receiving: the transport reads straight into one :data:`RECV_BYTES`
+    buffer this connection reuses (``get_buffer``), and each refill is
+    fed to the connection's :class:`FrameBuffer`, waking the task
+    parked in :meth:`read`.  The offered buffer shrinks by the bytes of
+    complete frames already waiting, and reading pauses once a whole
+    refill of them waits, so the frame buffer never holds more than
+    :data:`RECV_BYTES` plus one partial frame, however fast the peer
+    sends and whatever the session is waiting for.
+
+    Sending: :meth:`write` hands bytes to the transport, and
+    :meth:`drain` waits while the transport has paused writing.  Reading
+    pauses for as long as writing does, so a peer that pipelines and
+    never reads its answers stops being read.
     """
-    batch = frames.take(limit)
-    while not batch:
-        chunk = await reader.read(RECV_BYTES)
-        if not chunk:
-            if len(frames):
-                raise ProtocolError("connection dropped mid-frame")
-            return batch
-        frames.feed(chunk)
-        batch = frames.take(limit)
-    return batch
+
+    def __init__(self, on_connect=None):
+        #: Called with this protocol once the connection is made (the
+        #: server starts the session task there).
+        self._on_connect = on_connect
+        self.frames = FrameBuffer()
+        self.transport = None
+        self._recv = memoryview(bytearray(RECV_BYTES))
+        self._loop = None
+        #: The reader's future, woken by a refill, an EOF or the loss.
+        self._waiter = None
+        #: The writer's future, woken by resume_writing or the loss.
+        self._drainer = None
+        self._reading = True
+        self._writing = True
+        self._eof = False
+        self._lost = False
+        #: What ended the stream abnormally (a lost connection's error,
+        #: an oversized length prefix); raised by the next read.
+        self._error = None
+        self._closed = None
+
+    # -- asyncio callbacks -------------------------------------------------
+
+    def connection_made(self, transport):
+        self.transport = transport
+        self._loop = asyncio.get_running_loop()
+        self._closed = self._loop.create_future()
+        if self._on_connect is not None:
+            self._on_connect(self)
+
+    def get_buffer(self, sizehint):
+        return self._recv[:RECV_BYTES - self.frames.waiting]
+
+    def buffer_updated(self, nbytes):
+        try:
+            self.frames.feed(self._recv[:nbytes])
+        except ProtocolError as error:
+            self._error = error
+            self._pause_reading()
+        else:
+            if self.frames.waiting >= RECV_BYTES:
+                self._pause_reading()
+        _wake(self._waiter)
+
+    def eof_received(self):
+        self._eof = True
+        _wake(self._waiter)
+        # Keep the write side open: the answers to what already arrived
+        # are still due.
+        return True
+
+    def connection_lost(self, exc):
+        self._eof = self._lost = True
+        if self._error is None:
+            self._error = exc
+        _wake(self._waiter)
+        _wake(self._drainer)
+        self._closed.set_result(None)
+
+    def pause_writing(self):
+        self._writing = False
+        self._pause_reading()
+
+    def resume_writing(self):
+        self._writing = True
+        _wake(self._drainer)
+        self._resume_reading()
+
+    # -- flow control --------------------------------------------------------
+
+    def _pause_reading(self):
+        if self._reading:
+            self._reading = False
+            self.transport.pause_reading()
+
+    def _resume_reading(self):
+        if (not self._reading and self._writing and self._error is None
+                and self.frames.waiting < RECV_BYTES):
+            self._reading = True
+            self.transport.resume_reading()
+
+    # -- the connection task's side ------------------------------------------
+
+    async def read(self, limit):
+        """Up to *limit* payloads, oldest first, waiting for a refill
+        only while no complete frame is buffered.
+
+        Returns ``[]`` at a clean EOF between frames; an EOF inside a
+        frame raises :class:`ProtocolError`, and a lost connection (or
+        an oversized length prefix) raises its error.
+        """
+        frames = self.frames
+        while True:
+            if self._error is not None:
+                raise self._error
+            batch = frames.take(limit)
+            if batch:
+                if not self._reading:
+                    self._resume_reading()
+                return batch
+            if self._eof:
+                if len(frames):
+                    raise ProtocolError("connection dropped mid-frame")
+                return batch
+            self._waiter = self._loop.create_future()
+            try:
+                await self._waiter
+            finally:
+                self._waiter = None
+
+    def write(self, data):
+        """Queue *data* on the transport (it sends what it can at once)."""
+        self.transport.write(data)
+
+    async def drain(self):
+        """Wait while the transport has paused writing; a lost
+        connection raises :class:`ConnectionResetError`."""
+        while not (self._writing or self._lost):
+            self._drainer = self._loop.create_future()
+            try:
+                await self._drainer
+            finally:
+                self._drainer = None
+        if self._lost:
+            raise ConnectionResetError("connection lost")
+
+    async def close(self):
+        """Close the transport (after it has sent what it holds) and
+        wait until the connection is gone."""
+        self.transport.close()
+        await self._closed
+
+
+def _wake(future):
+    if future is not None and not future.done():
+        future.set_result(None)
 
 
 # ---------------------------------------------------------------------------

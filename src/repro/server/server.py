@@ -51,13 +51,12 @@ from .dispatch import dispatch
 from .protocol import (
     SUPPORTED_VERSIONS,
     VERSION,
-    FrameBuffer,
     ProtocolError,
+    WireProtocol,
     check_request,
     decode_payload,
     encode_error_bytes,
     encode_result_bytes,
-    read_frames,
 )
 
 
@@ -504,7 +503,8 @@ class WireServer:
         self.port = port
         self.max_pipeline = max(1, int(max_pipeline))
         self._server = None
-        #: session_id -> (session, writer) for every open connection.
+        #: session_id -> (session, WireProtocol) for every open
+        #: connection.
         self._sessions = {}
         self._conn_tasks = set()
         self._next_session = 0
@@ -517,8 +517,9 @@ class WireServer:
 
     async def start(self):
         """Bind and start accepting connections."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: WireProtocol(self._accept), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self
@@ -566,32 +567,27 @@ class WireServer:
 
     # -- connection handling ----------------------------------------------
 
-    async def _handle_connection(self, reader, writer):
-        # Absorb the shutdown cancellation at the task boundary: asyncio's
-        # stream-server bookkeeping calls task.exception() on completion,
-        # which blows up on tasks that finish cancelled.
-        try:
-            await self._connection(reader, writer)
-        except asyncio.CancelledError:
-            pass
+    def _accept(self, wire):
+        """A connection is made: start its session task."""
+        task = asyncio.get_running_loop().create_task(self._connection(wire))
+        self._conn_tasks.add(task)
+        task.add_done_callback(self._conn_tasks.discard)
 
-    async def _connection(self, reader, writer):
-        self._conn_tasks.add(asyncio.current_task())
+    async def _connection(self, wire):
         self._next_session += 1
         session = self._open_session(
-            self._next_session, writer.get_extra_info("peername")
+            self._next_session, wire.transport.get_extra_info("peername")
         )
-        self._sessions[session.session_id] = (session, writer)
+        self._sessions[session.session_id] = (session, wire)
         self.stats.sessions_opened += 1
-        frames = FrameBuffer()
         try:
-            if not await self._handshake(session, reader, writer, frames):
+            if not await self._handshake(session, wire):
                 return
-            await self._serve_session(session, reader, writer, frames)
+            await self._serve_session(session, wire)
         except ProtocolError as error:
             # Corrupt stream: report once (best effort), then hang up.
             with contextlib.suppress(Exception):
-                await self._write_frames(session, writer, [
+                await self._write_frames(session, wire, [
                     encode_error_bytes(VERSION, 0, error)
                 ])
         except OSError:
@@ -599,26 +595,29 @@ class WireServer:
             # down below.  OSError (not just ConnectionError) so an
             # armed failpoint's InjectedFault lands here too.
             pass
+        except asyncio.CancelledError:
+            # Stopping: answers the peer has not read are dropped, so a
+            # peer that never reads cannot hold the close (and the stop).
+            wire.transport.abort()
+            raise
         finally:
             await self._close_session(session)
             self._sessions.pop(session.session_id, None)
             self.stats.sessions_closed += 1
-            writer.close()
             with contextlib.suppress(Exception):
-                await writer.wait_closed()
-            self._conn_tasks.discard(asyncio.current_task())
+                await wire.close()
 
-    async def _read(self, session, reader, frames, limit):
+    async def _read(self, session, wire, limit):
         """Up to *limit* request payloads, metered as ``4 + len(payload)``
         wire bytes each; ``[]`` at a clean EOF."""
-        batch = await read_frames(reader, frames, limit)
+        batch = await wire.read(limit)
         size = 4 * len(batch) + sum(map(len, batch))
         session.stats.bytes_in += size
         self.stats.bytes_in += size
         return batch
 
-    async def _handshake(self, session, reader, writer, frames):
-        batch = await self._read(session, reader, frames, 1)
+    async def _handshake(self, session, wire):
+        batch = await self._read(session, wire, 1)
         if not batch:
             return False
         # A payload that is no frame (a legacy JSON hello, say) raises
@@ -637,13 +636,13 @@ class WireServer:
                     f"server speaks {list(SUPPORTED_VERSIONS)}"
                 )
         except ProtocolError as error:
-            await self._write_frames(session, writer, [
+            await self._write_frames(session, wire, [
                 encode_error_bytes(VERSION, frame["id"], error)
             ])
             return False
         from .. import __version__
 
-        await self._write_frames(session, writer, [
+        await self._write_frames(session, wire, [
             encode_result_bytes(VERSION, request_id, {
                 "version": VERSION,
                 "server": f"{self.name}/{__version__}",
@@ -654,16 +653,14 @@ class WireServer:
         ])
         return True
 
-    async def _serve_session(self, session, reader, writer, frames):
+    async def _serve_session(self, session, wire):
         while True:
             # Pipelining: every request the client already queued is one
-            # batch — the socket is read only when no complete frame is
-            # buffered, never waiting for bytes that have not arrived —
+            # batch — the loop waits for a refill only when no complete
+            # frame is buffered, never for bytes that have not arrived —
             # executed strictly in order, and answered with one write
             # and one shared durability barrier.
-            batch = await self._read(
-                session, reader, frames, self.max_pipeline
-            )
+            batch = await self._read(session, wire, self.max_pipeline)
             if not batch:
                 return
             if len(batch) > 1:
@@ -675,7 +672,7 @@ class WireServer:
             finally:
                 session.defer_sync = False
             await self._write_frames(
-                session, writer, [data for data, _sync, _rid in responses]
+                session, wire, [data for data, _sync, _rid in responses]
             )
 
     async def _serve_batch(self, session, batch):
@@ -738,7 +735,7 @@ class WireServer:
                 ]
         return responses
 
-    async def _write_frames(self, session, writer, frames):
+    async def _write_frames(self, session, wire, frames):
         """Send *frames* (wire bytes) with one ``write`` and one ``drain``.
 
         ``server.send_frame`` still fires once per frame, in order:
@@ -764,19 +761,19 @@ class WireServer:
                     # on a short read.
                     data = data[:4] + bytes(byte ^ 0x5A for byte in data[4:])
                 elif isinstance(directive, tuple) and directive[0] == "delay":
-                    self._write(session, writer, out)
+                    self._write(session, wire, out)
                     out = []
-                    await writer.drain()
+                    await wire.drain()
                     await asyncio.sleep(directive[1])
                 out.append(data)
         finally:
-            self._write(session, writer, out)
-        await writer.drain()
+            self._write(session, wire, out)
+        await wire.drain()
 
-    def _write(self, session, writer, frames):
+    def _write(self, session, wire, frames):
         if frames:
             data = b"".join(frames)
-            writer.write(data)
+            wire.write(data)
             session.stats.bytes_out += len(data)
             self.stats.bytes_out += len(data)
 
@@ -1081,7 +1078,7 @@ class ReproServer(WireServer):
             },
             "sessions": {
                 str(other.session_id): other.stats.row()
-                for other, _writer in self._sessions.values()
+                for other, _wire in self._sessions.values()
             },
         }
         if self.journal is not None:

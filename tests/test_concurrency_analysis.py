@@ -446,13 +446,18 @@ class TestCodeLint:
             "    await asyncio.start_server(handler, '127.0.0.1', 0)\n"
             "    await protocol.read_frames(reader, frames, 1)\n"
             "    return await read_frames(reader, frames, 1)\n"
+            "async def dial(loop, factory):\n"
+            "    await loop.create_server(factory, '127.0.0.1', 0)\n"
+            "    await loop.create_connection(factory, '127.0.0.1', 1)\n"
+            "    await asyncio.open_connection('127.0.0.1', 1)\n"
         )
         findings = lint_source(source, "shard/router.py").by_rule(
             "CODE-WIRE-FORMAT"
         )
         assert [(f.detail["line"], f.detail["use"]) for f in findings] == [
             (5, "start_server()"), (6, "read_frames()"),
-            (7, "read_frames()"),
+            (7, "read_frames()"), (9, "create_server()"),
+            (10, "create_connection()"), (11, "open_connection()"),
         ]
         # The server's session loop and the clients are the endpoints.
         for owner in ("server/server.py", "server/client.py",

@@ -31,6 +31,7 @@ from repro.server import AsyncClient, Client, ProtocolError, ServerThread
 from repro.server.protocol import (
     RECV_BYTES,
     FrameBuffer,
+    WireProtocol,
     decode_payload,
     encode_request_bytes,
     encode_result_bytes,
@@ -135,13 +136,13 @@ class TestBatchWrites:
             docs = _docs(client)
             batches = client.stats()["server"]["pipelined_batches"]
             writes = []
-            write = asyncio.StreamWriter.write
+            write = WireProtocol.write
 
-            def counted(writer, data):
+            def counted(wire, data):
                 writes.append(len(data))
-                return write(writer, data)
+                return write(wire, data)
 
-            monkeypatch.setattr(asyncio.StreamWriter, "write", counted)
+            monkeypatch.setattr(WireProtocol, "write", counted)
             with fault_scope() as faults:
                 pipe = client.pipeline()
                 handles = [pipe.value(doc, "Text") for doc in docs]
@@ -341,21 +342,21 @@ class TestAsyncHandshakeFailure:
 
         peer = _ScriptedPeer(garbage_hello)
         opened = []
-        open_connection = asyncio.open_connection
+        connection_made = WireProtocol.connection_made
 
-        async def recording(*args, **kwargs):
-            streams = await open_connection(*args, **kwargs)
-            opened.append(streams[1])
-            return streams
+        def recording(wire, transport):
+            opened.append(transport)
+            return connection_made(wire, transport)
 
-        monkeypatch.setattr(asyncio, "open_connection", recording)
+        monkeypatch.setattr(WireProtocol, "connection_made", recording)
 
         async def scenario():
             with pytest.raises(ProtocolError):
                 await AsyncClient(port=peer.port).connect()
             # Closed before connect() re-raised: the caller never got a
             # client object to close.
-            assert [writer.is_closing() for writer in opened] == [True]
+            assert [transport.is_closing() for transport in opened] == \
+                [True]
 
         try:
             asyncio.run(scenario())
@@ -367,6 +368,14 @@ class TestAsyncHandshakeFailure:
 # ---------------------------------------------------------------------------
 # Bounded receive memory
 # ---------------------------------------------------------------------------
+
+
+def _reads_of(doc, count):
+    """*count* pipelined ``value`` requests for *doc*'s text, ids from 1."""
+    return b"".join(
+        encode_request_bytes(2, i, "value", {"uid": doc, "attribute": "Text"})
+        for i in range(1, count + 1)
+    )
 
 
 class TestBoundedReceiveMemory:
@@ -404,6 +413,139 @@ class TestBoundedReceiveMemory:
         # The server reads only when no whole frame is buffered: one
         # refill plus (at most) one partial frame.
         assert max(held) <= RECV_BYTES + frame_size - 1
+
+    def test_flood_behind_a_lock_wait_stays_within_one_refill(
+            self, handle, monkeypatch):
+        # Bytes reach the server whenever its loop is idle, not when the
+        # session asks: a session parked in a lock wait must still stop
+        # being read once a whole refill of complete frames waits.
+        held = []
+        feed = FrameBuffer.feed
+
+        def metered(frames, data):
+            feed(frames, data)
+            if threading.current_thread().name == "repro-server":
+                held.append(len(frames))
+
+        with Client(port=handle.port) as owner:
+            _doc_schema(owner)
+            doc = owner.make("Doc", values={"Text": "before"})
+            owner.begin()
+            owner.set_value(doc, "Text", "after")  # X lock held
+            monkeypatch.setattr(FrameBuffer, "feed", metered)
+            count = 5000
+            blocked = encode_request_bytes(
+                2, 1, "value", {"uid": doc, "attribute": "Text"}
+            )
+            flood = b"".join(encode_request_bytes(2, i, "ping", {})
+                             for i in range(2, count + 2))
+            frame_size = len(flood) // count
+            assert len(flood) > RECV_BYTES
+            with socket.create_connection(("127.0.0.1", handle.port),
+                                          timeout=30.0) as sock:
+                wire = _Wire(sock)
+                sock.sendall(
+                    encode_request_bytes(2, 0, "hello", {"versions": [2]})
+                )
+                assert wire.next_frame()["result"]["version"] == 2
+                sender = threading.Thread(target=sock.sendall,
+                                          args=(blocked + flood,))
+                sender.start()
+                deadline = time.monotonic() + 10.0
+                while not (held and held[-1] >= RECV_BYTES):
+                    assert time.monotonic() < deadline, "never filled"
+                    time.sleep(0.01)
+                feeds = len(held)
+                time.sleep(0.2)
+                # Paused: nothing more is read while the lock is held.
+                assert len(held) == feeds
+                owner.commit()
+                answers = [wire.next_frame() for _ in range(count + 1)]
+                sender.join(timeout=30.0)
+                assert not sender.is_alive()
+        assert [answer["id"] for answer in answers] == \
+            list(range(1, count + 2))
+        assert answers[0]["result"] == "after"
+        assert all(answer["result"] == "pong" for answer in answers[1:])
+        assert max(held) <= RECV_BYTES + frame_size - 1
+
+    def test_a_peer_that_never_reads_stops_being_read(
+            self, handle, monkeypatch):
+        reading = []
+        pause_writing = WireProtocol.pause_writing
+
+        def recording(wire):
+            pause_writing(wire)
+            reading.append(wire.transport.is_reading())
+
+        def served():
+            return handle.submit(lambda: handle.server.stats.requests)
+
+        text = "x" * 16384
+        with Client(port=handle.port) as client:
+            _doc_schema(client)
+            doc = client.make("Doc", values={"Text": text})
+        count = 2000
+        flood = _reads_of(doc, count)
+        assert len(flood) > RECV_BYTES
+        monkeypatch.setattr(WireProtocol, "pause_writing", recording)
+        before = served()
+        with socket.create_connection(("127.0.0.1", handle.port),
+                                      timeout=30.0) as sock:
+            wire = _Wire(sock)
+            sock.sendall(
+                encode_request_bytes(2, 0, "hello", {"versions": [2]})
+            )
+            assert wire.next_frame()["result"]["version"] == 2
+            sender = threading.Thread(target=sock.sendall, args=(flood,))
+            sender.start()
+            deadline = time.monotonic() + 10.0
+            while not reading:
+                assert time.monotonic() < deadline, "writing never paused"
+                time.sleep(0.01)
+            stalled = served()
+            time.sleep(0.2)
+            assert served() == stalled < before + count
+            answers = [wire.next_frame() for _ in range(count)]
+            sender.join(timeout=30.0)
+            assert not sender.is_alive()
+        # Every pause of the writer paused the reader with it.
+        assert not any(reading)
+        assert [answer["id"] for answer in answers] == \
+            list(range(1, count + 1))
+        assert all(answer["result"] == text for answer in answers)
+
+    def test_stop_is_not_held_by_a_peer_that_never_reads(self, monkeypatch):
+        paused = threading.Event()
+        pause_writing = WireProtocol.pause_writing
+
+        def recording(wire):
+            pause_writing(wire)
+            paused.set()
+
+        server = ServerThread(database=Database()).start()
+        thread = server._thread
+        try:
+            with Client(port=server.port) as client:
+                _doc_schema(client)
+                doc = client.make("Doc", values={"Text": "x" * 16384})
+            monkeypatch.setattr(WireProtocol, "pause_writing", recording)
+            flood = _reads_of(doc, 2000)
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=30.0) as sock:
+                sock.sendall(
+                    encode_request_bytes(2, 0, "hello", {"versions": [2]})
+                )
+                sender = threading.Thread(target=sock.sendall,
+                                          args=(flood,), daemon=True)
+                sender.start()
+                assert paused.wait(timeout=10.0)
+                started = time.monotonic()
+                server.stop()
+                assert time.monotonic() - started < 5.0
+                assert not thread.is_alive()
+        finally:
+            server.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -628,3 +770,4 @@ class TestReadOnlyDegrade:
                     late.set_value(uid, "Text", "no")
             finally:
                 late.close()
+        db.close()  # quiet on a failed journal; frees journal.log

@@ -33,7 +33,12 @@ from repro.errors import (
 from repro.faults import fault_scope
 from repro.faults.registry import FailpointRegistry
 from repro.server import Client, ProtocolError, ServerThread
-from repro.server.protocol import FrameBuffer, decode_payload, encode_request_bytes
+from repro.server.protocol import (
+    FrameBuffer,
+    WireProtocol,
+    decode_payload,
+    encode_request_bytes,
+)
 from repro.shard.placement import (
     Manifest,
     audit_cluster,
@@ -515,16 +520,17 @@ class TestRouterSessionLoop:
             assert {shard_of_uid(uid, 2) for uid in docs} == {0, 1}
             before = client.stats()["router"]
             writes = []
-            write = asyncio.StreamWriter.write
+            write = WireProtocol.write
 
-            def counted(writer, data):
+            def counted(wire, data):
                 # Only the router's client-facing side: not the workers,
                 # not the router's upstream connections.
-                if writer.get_extra_info("sockname")[1] == router.port:
+                sockname = wire.transport.get_extra_info("sockname")
+                if sockname[1] == router.port:
                     writes.append(len(data))
-                return write(writer, data)
+                return write(wire, data)
 
-            monkeypatch.setattr(asyncio.StreamWriter, "write", counted)
+            monkeypatch.setattr(WireProtocol, "write", counted)
             with fault_scope(_RouterOnly(router)) as faults:
                 pipe = client.pipeline()
                 handles = [pipe.value(doc, "Text") for doc in docs]
