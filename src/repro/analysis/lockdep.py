@@ -36,13 +36,28 @@ Rule ids
 The static plane (:mod:`repro.analysis.locklint`) uses the prefix
 ``LOCK`` for the same three shapes, so runtime and predicted findings
 stay distinguishable in one merged report.
+
+Storage
+-------
+
+The graph lives as long as the server and grows with the data (its
+resources are object UIDs), so it is kept as atoms: each resource and
+each acquisition site is interned once to a small int, an order edge is
+one dict entry keyed by ``src_id << 32 | dst_id`` whose value is
+``(count, *witnesses)``, and a witness is a tuple of atoms ``(txn label,
+held-mode bitmask, acquired-mode index, src site, dst site)``.  CPython
+stops GC-tracking such tuples, and a conflict test is one ``&`` against
+a per-mode conflict mask derived from ``COMPATIBILITY``.
+:class:`OrderEdge` and :class:`_Witness` are views built when a report
+renders them.
 """
 
 from __future__ import annotations
 
+import copy
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable, NamedTuple, Optional
+from typing import Any, Hashable, Iterable, NamedTuple, Optional, cast
 
 from ..locking.deadlock import find_cycle
 from ..locking.modes import COMPATIBILITY, LockMode
@@ -69,6 +84,24 @@ MAX_STACK_FRAMES = 6
 _STACK_SKIP = ("repro/locking/", "repro\\locking\\", "repro/analysis/lockdep",
                "repro\\analysis\\lockdep")
 
+#: The eleven modes; a mode is stored as its index here, a set of held
+#: modes as the bitmask of their indexes.
+_MODES = tuple(LockMode)
+_MODE_INDEX = {mode: index for index, mode in enumerate(_MODES)}
+_BITS = tuple(1 << index for index in range(len(_MODES)))
+#: ``_CONFLICT_MASKS[i]``: the modes mode *i* cannot be granted alongside.
+_CONFLICT_MASKS = tuple(
+    sum(
+        bit for other, bit in zip(_MODES, _BITS, strict=True)
+        if not COMPATIBILITY[(mode, other)]
+    )
+    for mode in _MODES
+)
+
+#: An edge key is ``src_id << _PAIR_SHIFT | dst_id``.
+_PAIR_SHIFT = 32
+_PAIR_LOW = (1 << _PAIR_SHIFT) - 1
+
 
 def conflicts_with_any(mode: LockMode, held: Iterable[LockMode]) -> bool:
     """True when *mode* is incompatible with at least one mode in *held*."""
@@ -76,23 +109,23 @@ def conflicts_with_any(mode: LockMode, held: Iterable[LockMode]) -> bool:
 
 
 class Acquisition(NamedTuple):
-    """One granted (resource, mode) with its acquisition context (a
-    tuple: the recorder builds one per grant)."""
+    """One granted (resource, mode) with its acquisition context, as
+    :meth:`LockOrderGraph.add_trace` takes it."""
 
     resource: Hashable
     mode: LockMode
     #: 0-based position in the transaction's acquisition sequence.
     order: int
     #: Where the grant came from: a trimmed call stack ("file:line in
-    #: func", innermost last), or the transaction's ``site`` labels when
-    #: stack capture is off; empty when the transaction has none or the
-    #: trace was synthesized statically.
+    #: func", innermost last) or the step that planned it; empty when
+    #: there is none.
     stack: tuple[str, ...] = ()
 
 
 @dataclass
 class _Witness:
-    """One transaction's evidence for an order edge ``src -> dst``."""
+    """One transaction's evidence for an order edge ``src -> dst`` (a
+    view of a stored witness tuple)."""
 
     txn: Any
     #: Modes held on ``src`` when ``dst`` was acquired.
@@ -107,7 +140,8 @@ class _Witness:
 
 @dataclass
 class OrderEdge:
-    """A directed lock-order edge: some transaction took src before dst."""
+    """A directed lock-order edge: some transaction took src before dst
+    (a view of a stored edge)."""
 
     src: Hashable
     dst: Hashable
@@ -129,6 +163,10 @@ def _resource_label(resource: Hashable) -> str:
 
 def _txn_label(txn: Any) -> str:
     return str(getattr(txn, "txn_id", txn))
+
+
+def _held_modes(mask: int) -> frozenset[LockMode]:
+    return frozenset(mode for mode, bit in zip(_MODES, _BITS, strict=True) if mask & bit)
 
 
 def capture_stack(max_frames: int = MAX_STACK_FRAMES) -> tuple[str, ...]:
@@ -165,59 +203,123 @@ class LockOrderGraph:
 
     def __init__(self, rule_prefix: str = "LOCKDEP") -> None:
         self.rule_prefix = rule_prefix
-        #: (src, dst) -> OrderEdge
-        self._edges: dict[tuple[Hashable, Hashable], OrderEdge] = {}
-        #: In-trace upgrades: (resource, held frozenset, acquired mode) ->
-        #: (txn label, stack) of the first witness.
-        self._upgrades: dict[
-            tuple[Hashable, frozenset[LockMode], LockMode],
-            tuple[str, tuple[str, ...]],
-        ] = {}
+        #: Interned resources: id -> resource, resource -> id.
+        self._resources: list[Hashable] = []
+        self._resource_ids: dict[Hashable, int] = {}
+        #: Interned sites: id -> (frames, names the txn), and per flag
+        #: frames -> id.  A site that names the txn renders with
+        #: ``"txn <label>"`` appended (see :class:`LockOrderRecorder`).
+        self._sites: list[tuple[tuple[str, ...], bool]] = []
+        self._site_ids: tuple[dict[tuple[str, ...], int], ...] = ({}, {})
+        #: ``src_id << 32 | dst_id`` -> ``(count, *witnesses)``, each
+        #: witness ``(txn label, held mask, acquired index, src site,
+        #: dst site)``, at most MAX_WITNESSES_PER_EDGE in arrival order.
+        self._edges: dict[int, tuple] = {}
+        #: In-trace upgrades: (resource id, held mask, acquired index) ->
+        #: (txn label, site) of the first witness.
+        self._upgrades: dict[tuple[int, int, int], tuple[str, int]] = {}
         #: Transactions folded in (coverage metric).
         self.traces = 0
+
+    # -- interning ---------------------------------------------------------
+
+    def _resource_id(self, resource: Hashable) -> int:
+        rid = self._resource_ids.get(resource)
+        if rid is None:
+            rid = self._resource_ids[resource] = len(self._resources)
+            self._resources.append(resource)
+        return rid
+
+    def _site_id(self, frames: tuple[str, ...], names_txn: bool = False) -> int:
+        ids = self._site_ids[names_txn]
+        site = ids.get(frames)
+        if site is None:
+            site = ids[frames] = len(self._sites)
+            self._sites.append((frames, names_txn))
+        return site
+
+    def _stack(self, site: int, label: str) -> tuple[str, ...]:
+        frames, names_txn = self._sites[site]
+        if names_txn and frames:
+            return frames + (f"txn {label}",)
+        return frames
 
     # -- recording ---------------------------------------------------------
 
     def add_trace(self, txn: Any, acquisitions: Iterable[Acquisition]) -> None:
         """Fold one completed transaction's acquisition sequence in."""
+        self._fold(_txn_label(txn), [
+            (self._resource_id(acq.resource), _MODE_INDEX[acq.mode],
+             self._site_id(acq.stack))
+            for acq in acquisitions
+        ])
+
+    def _fold(self, label: str, trace: Iterable[tuple[int, int, int]]) -> None:
+        """Fold one transaction's ``(resource id, mode index, site id)``
+        sequence in."""
         self.traces += 1
-        label = _txn_label(txn)
-        held: dict[Hashable, set[LockMode]] = {}
-        first_stack: dict[Hashable, tuple[str, ...]] = {}
-        for acq in acquisitions:
-            modes_here = held.get(acq.resource)
-            if modes_here is not None:
+        edges = self._edges
+        held: dict[int, int] = {}  # resource id -> held mask
+        first_site: dict[int, int] = {}
+        for rid, mode, site in trace:
+            bit = _BITS[mode]
+            mask = held.get(rid)
+            if mask is not None:
                 # Re-acquisition of a held resource: only interesting when
                 # the new mode conflicts with a held one (upgrade hazard).
-                if acq.mode not in modes_here and conflicts_with_any(
-                    acq.mode, modes_here
-                ):
-                    key = (acq.resource, frozenset(modes_here), acq.mode)
-                    self._upgrades.setdefault(key, (label, acq.stack))
-                modes_here.add(acq.mode)
+                if not mask & bit and _CONFLICT_MASKS[mode] & mask:
+                    self._upgrades.setdefault((rid, mask, mode), (label, site))
+                held[rid] = mask | bit
                 continue
-            for src, src_modes in held.items():
-                edge = self._edges.get((src, acq.resource))
+            for src, src_mask in held.items():
+                key = src << _PAIR_SHIFT | rid
+                edge = edges.get(key)
                 if edge is None:
-                    edge = OrderEdge(src=src, dst=acq.resource)
-                    self._edges[(src, acq.resource)] = edge
-                edge.count += 1
-                if len(edge.witnesses) < MAX_WITNESSES_PER_EDGE:
-                    edge.witnesses.append(_Witness(
-                        txn=label,
-                        held_modes=frozenset(src_modes),
-                        acquired_mode=acq.mode,
-                        src_stack=first_stack.get(src, ()),
-                        dst_stack=acq.stack,
-                    ))
-            held[acq.resource] = {acq.mode}
-            first_stack[acq.resource] = acq.stack
+                    edges[key] = (
+                        1, (label, src_mask, mode, first_site[src], site))
+                elif len(edge) <= MAX_WITNESSES_PER_EDGE:
+                    edges[key] = (
+                        edge[0] + 1, *edge[1:],
+                        (label, src_mask, mode, first_site[src], site))
+                else:
+                    edges[key] = (edge[0] + 1, *edge[1:])
+            held[rid] = bit
+            first_site[rid] = site
 
-    # -- analysis ----------------------------------------------------------
+    def _copy(self) -> LockOrderGraph:
+        """A graph that folds independently of this one (the interning
+        tables are append-only, so they are shared)."""
+        snapshot = copy.copy(self)
+        snapshot._edges = dict(self._edges)
+        snapshot._upgrades = dict(self._upgrades)
+        return snapshot
+
+    # -- views -------------------------------------------------------------
+
+    def _witness(self, witness: tuple) -> _Witness:
+        label, held_mask, mode, src_site, dst_site = witness
+        return _Witness(
+            txn=label,
+            held_modes=_held_modes(held_mask),
+            acquired_mode=_MODES[mode],
+            src_stack=self._stack(src_site, label),
+            dst_stack=self._stack(dst_site, label),
+        )
 
     def edges(self) -> list[OrderEdge]:
         """The recorded order edges (inspection/tests)."""
-        return list(self._edges.values())
+        resources = self._resources
+        return [
+            OrderEdge(
+                src=resources[key >> _PAIR_SHIFT],
+                dst=resources[key & _PAIR_LOW],
+                witnesses=[self._witness(w) for w in edge[1:]],
+                count=edge[0],
+            )
+            for key, edge in self._edges.items()
+        ]
+
+    # -- analysis ----------------------------------------------------------
 
     def analyze(self, report: Optional[Report] = None) -> Report:
         """Report every latent deadlock visible in the recorded orders."""
@@ -230,17 +332,20 @@ class LockOrderGraph:
         return report
 
     def _report_inversions(self, report: Report) -> None:
-        seen: set[tuple[Hashable, Hashable]] = set()
-        for (src, dst), edge in self._edges.items():
-            reverse = self._edges.get((dst, src))
-            if reverse is None or (dst, src) in seen:
+        seen: set[int] = set()
+        for key, edge in self._edges.items():
+            src, dst = key >> _PAIR_SHIFT, key & _PAIR_LOW
+            reverse_key = dst << _PAIR_SHIFT | src
+            reverse = self._edges.get(reverse_key)
+            if reverse is None or reverse_key in seen:
                 continue
-            seen.add((src, dst))
+            seen.add(key)
             witness_pair = self._conflicting_pair(edge, reverse)
             if witness_pair is None:
                 continue
-            fwd, rev = witness_pair
-            label_a, label_b = _resource_label(src), _resource_label(dst)
+            fwd, rev = map(self._witness, witness_pair)
+            label_a = _resource_label(self._resources[src])
+            label_b = _resource_label(self._resources[dst])
             report.add(
                 Severity.ERROR,
                 f"{self.rule_prefix}-INVERSION",
@@ -272,8 +377,8 @@ class LockOrderGraph:
 
     @staticmethod
     def _conflicting_pair(
-        edge: OrderEdge, reverse: OrderEdge
-    ) -> Optional[tuple[_Witness, _Witness]]:
+        edge: tuple, reverse: tuple
+    ) -> Optional[tuple[tuple, tuple]]:
         """A witness pair proving the inversion can actually deadlock.
 
         T1 (forward) holds ``src`` and acquires ``dst``; T2 (reverse)
@@ -282,19 +387,20 @@ class LockOrderGraph:
         request on ``src`` conflicts with T1's holds there — S/S opposite
         orders, for instance, are harmless and reported as nothing.
         """
-        for fwd in edge.witnesses:
-            for rev in reverse.witnesses:
-                if fwd.txn == rev.txn:
+        for fwd in edge[1:]:
+            for rev in reverse[1:]:
+                if fwd[0] == rev[0]:
                     continue
-                if conflicts_with_any(
-                    fwd.acquired_mode, rev.held_modes
-                ) and conflicts_with_any(rev.acquired_mode, fwd.held_modes):
+                if (_CONFLICT_MASKS[fwd[2]] & rev[1]
+                        and _CONFLICT_MASKS[rev[2]] & fwd[1]):
                     return fwd, rev
         return None
 
     def _report_upgrades(self, report: Report) -> None:
-        for (resource, held, acquired), (txn, stack) in self._upgrades.items():
-            label = _resource_label(resource)
+        for (rid, held_mask, mode), (txn, site) in self._upgrades.items():
+            label = _resource_label(self._resources[rid])
+            held = _held_modes(held_mask)
+            acquired = _MODES[mode]
             held_names = "+".join(sorted(str(m) for m in held))
             report.add(
                 Severity.WARNING,
@@ -306,35 +412,35 @@ class LockOrderGraph:
                 txn=txn,
                 holds=sorted(str(m) for m in held),
                 acquires=str(acquired),
-                acquire_stack=list(stack),
+                acquire_stack=list(self._stack(site, txn)),
             )
 
     def _report_long_cycles(self, report: Report) -> None:
         # 2-cycles are reported (mode-checked) as inversions; here we
-        # only surface longer cycles, conservatively, as warnings.
-        two_cycles = {
-            frozenset((src, dst))
-            for (src, dst) in self._edges
-            if (dst, src) in self._edges
-        }
-        long_edges = [
-            (src, dst)
-            for (src, dst) in self._edges
-            if frozenset((src, dst)) not in two_cycles
-        ]
-        cycle = find_cycle(long_edges)
+        # only surface longer cycles, conservatively, as warnings.  No
+        # edge is a self-loop, so an edge is on a 2-cycle exactly when
+        # its reverse is recorded.
+        edges = self._edges
+        long_edges: list[tuple[int, int]] = []
+        for key in edges:
+            src, dst = key >> _PAIR_SHIFT, key & _PAIR_LOW
+            if dst << _PAIR_SHIFT | src not in edges:
+                long_edges.append((src, dst))
+        cycle = cast(Optional[list[int]], find_cycle(long_edges))
         if not cycle or len(cycle) < 3:
             return
-        labels = [_resource_label(resource) for resource in cycle]
+        labels = [_resource_label(self._resources[rid]) for rid in cycle]
         witnesses = []
         for index, src in enumerate(cycle):
             dst = cycle[(index + 1) % len(cycle)]
-            edge = self._edges.get((src, dst))
-            if edge is not None and edge.witnesses:
+            edge = edges.get(src << _PAIR_SHIFT | dst)
+            if edge is not None:
+                txn, _held, mode, _src_site, _dst_site = edge[1]
                 witnesses.append({
-                    "edge": f"{_resource_label(src)} -> {_resource_label(dst)}",
-                    "txn": edge.witnesses[0].txn,
-                    "acquires": str(edge.witnesses[0].acquired_mode),
+                    "edge": f"{labels[index]} -> "
+                            f"{labels[(index + 1) % len(cycle)]}",
+                    "txn": txn,
+                    "acquires": str(_MODES[mode]),
                 })
         report.add(
             Severity.WARNING,
@@ -366,10 +472,11 @@ class LockOrderRecorder(LockObserver):
         Record a trimmed Python stack per grant: a frame walk and a
         formatted string per frame, on every grant (benchmark B16
         quantifies it).  With ``False`` the acquisition site is the
-        transaction's own ``site`` labels -- one attribute read -- which
-        is how the network server attaches its always-on recorder: there
-        every grant's Python stack is the same serve-loop chain, and the
-        wire op, session and transaction say more.
+        transaction's own ``site`` labels -- one attribute read -- and a
+        report renders it followed by ``"txn <label>"``.  That is how
+        the network server attaches its always-on recorder: there every
+        grant's Python stack is the same serve-loop chain, and the wire
+        op, session and transaction say more.
     """
 
     def __init__(
@@ -379,7 +486,8 @@ class LockOrderRecorder(LockObserver):
     ) -> None:
         self.graph = LockOrderGraph(rule_prefix="LOCKDEP")
         self.capture_stacks = capture_stacks
-        self._live: dict[Any, list[Acquisition]] = {}
+        #: Open traces: txn -> [(resource id, mode index, site id)].
+        self._live: dict[Any, list[tuple[int, int, int]]] = {}
         self._tables: list[LockTable] = []
         if table is not None:
             self.attach(table)
@@ -408,16 +516,20 @@ class LockOrderRecorder(LockObserver):
         trace = self._live.get(txn)
         if trace is None:
             trace = self._live[txn] = []
-        stack = (
-            capture_stack() if self.capture_stacks
-            else getattr(txn, "site", ())
-        )
-        trace.append(Acquisition(resource, mode, len(trace), stack))
+        graph = self.graph
+        if self.capture_stacks:
+            site = graph._site_id(capture_stack())
+        else:
+            site = graph._site_id(getattr(txn, "site", ()), True)
+        rid = graph._resource_ids.get(resource)
+        if rid is None:
+            rid = graph._resource_id(resource)
+        trace.append((rid, _MODE_INDEX[mode], site))
 
     def on_release(self, txn: Any) -> None:
         trace = self._live.pop(txn, None)
         if trace:
-            self.graph.add_trace(txn, trace)
+            self.graph._fold(_txn_label(txn), trace)
 
     # -- reporting ---------------------------------------------------------
 
@@ -436,21 +548,9 @@ class LockOrderRecorder(LockObserver):
         report = Report(plane="lockdep")
         if not self._live:
             return self.graph.analyze(report)
-        # Analyze open traces against a *copy* of the graph state.
-        snapshot = LockOrderGraph(rule_prefix=self.graph.rule_prefix)
-        snapshot._edges = {
-            key: OrderEdge(
-                src=edge.src,
-                dst=edge.dst,
-                witnesses=list(edge.witnesses),
-                count=edge.count,
-            )
-            for key, edge in self.graph._edges.items()
-        }
-        snapshot._upgrades = dict(self.graph._upgrades)
-        snapshot.traces = self.graph.traces
+        snapshot = self.graph._copy()
         for txn, trace in self._live.items():
-            snapshot.add_trace(txn, trace)
+            snapshot._fold(_txn_label(txn), trace)
         return snapshot.analyze(report)
 
     def stats_row(self) -> dict[str, int]:

@@ -277,6 +277,8 @@ class Session:
         #: on the transaction for the lock-order recorder.
         self.op = ""
         self._label = f"session {session_id}"
+        #: op -> the interned ``(op, session label)`` site.
+        self._sites = {}
         #: Gtid of a 2PC-prepared transaction awaiting its decision
         #: (set by the ``prepare`` op, cleared by ``decide``/park).
         self.prepared_gtid = None
@@ -412,12 +414,16 @@ class Session:
             await self.durability_point()
 
     def _stamp(self, txn):
-        """Name the op, session and transaction as *txn*'s acquisition
-        site: every grant this request takes has the same Python stack
-        (serve loop, dispatch, handler, lock service), so this is all a
-        stack would say -- at one tuple per request instead of a frame
+        """Name the op and session as *txn*'s acquisition site (the
+        lock-order recorder adds the transaction when it renders one):
+        every grant this request takes has the same Python stack (serve
+        loop, dispatch, handler, lock service), so this is all a stack
+        would say -- at one dict lookup per request instead of a frame
         walk per grant."""
-        txn.site = (self.op, self._label, f"txn {txn.txn_id}")
+        site = self._sites.get(self.op)
+        if site is None:
+            site = self._sites[self.op] = (self.op, self._label)
+        txn.site = site
 
     async def durability_point(self):
         """A commit acknowledgement's durability barrier.
@@ -804,10 +810,12 @@ class ReproServer(WireServer):
         the shared lock table, so ``check(plane="lockdep")`` reports
         latent deadlocks (lock-order inversions) across everything every
         session acquired — even runs where no deadlock ever formed.
-        The recorder stores the wire op, session and transaction as
+        The recorder names the wire op, session and transaction as
         each grant's acquisition site instead of walking the Python
-        stack, so it costs a constant per grant (benchmark B16 holds it
-        to the stack-less recorder's cost).  On by default;
+        stack (one interned ``(op, session)`` pair per session and op;
+        the transaction is added when a report renders it), so it costs
+        a constant per grant (benchmark B16 holds it to the stack-less
+        recorder's cost).  On by default;
         ``repro-server --no-lockdep`` turns the plane off.
     record_history:
         Attach a :class:`repro.analysis.history.HistoryRecorder` to the
@@ -1126,6 +1134,9 @@ class ServerThread:
 
     ``submit`` schedules a coroutine or plain callable onto the server's
     loop — the supported way to touch server state from other threads.
+    A :meth:`stop` whose thread outlives its timeout raises
+    :class:`TimeoutError` and keeps the handle, so it can be stopped
+    again; the thread closes its own loop whenever it ends.
     """
 
     def __init__(self, database=None, server=None, **server_kwargs):
@@ -1147,7 +1158,6 @@ class ServerThread:
         return self.server.db
 
     def start(self):
-        self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._run, name="repro-server", daemon=True
         )
@@ -1160,12 +1170,13 @@ class ServerThread:
         return self
 
     def _run(self):
-        asyncio.set_event_loop(self._loop)
-        self._task = self._loop.create_task(
+        loop = self._loop = asyncio.new_event_loop()
+        asyncio.set_event_loop(loop)
+        task = self._task = loop.create_task(
             self.server.run(lambda _server: self._booted.set())
         )
         try:
-            self._loop.run_until_complete(self._task)
+            loop.run_until_complete(task)
         except asyncio.CancelledError:
             pass  # stop() cancelled it
         except BaseException as error:
@@ -1174,7 +1185,7 @@ class ServerThread:
             self._error = error  # start() raises it
         finally:
             self._booted.set()
-            self._loop.close()
+            loop.close()
 
     def submit(self, work):
         """Run *work* (coroutine or callable) on the server loop; block."""
@@ -1183,11 +1194,18 @@ class ServerThread:
         future = asyncio.run_coroutine_threadsafe(work, self._loop)
         return future.result(timeout=30.0)
 
-    def stop(self):
+    def stop(self, timeout=10.0):
+        """Cancel the frontend and wait up to *timeout* seconds for its
+        thread; raise :class:`TimeoutError` (the handle intact) if it is
+        still running then."""
         if self._thread is not None:
             with contextlib.suppress(RuntimeError):  # loop already closed
                 self._loop.call_soon_threadsafe(self._task.cancel)
-            self._thread.join(timeout=10.0)
+            self._thread.join(timeout=timeout)
+            if self._thread.is_alive():
+                raise TimeoutError(
+                    f"server thread still running {timeout} s after stop"
+                )
         self._loop = self._task = self._thread = None
 
     def __enter__(self):

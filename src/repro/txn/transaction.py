@@ -46,9 +46,9 @@ class Transaction:
         #: first-updater-wins (docs/REPLICATION.md).
         self.snapshot_epoch = None
         #: What the transaction is doing, as a tuple of labels -- the
-        #: network server names the wire op, session and transaction
-        #: here, so a lock observer can say where a grant came from
-        #: without walking the Python stack (repro.analysis.lockdep).
+        #: network server names the wire op and session here, so a lock
+        #: observer can say where a grant came from without walking the
+        #: Python stack (repro.analysis.lockdep adds the transaction).
         self.site = ()
         #: UIDs this transaction wrote (read-your-writes routing: a
         #: snapshot transaction reads its own writes from the live,

@@ -12,6 +12,20 @@ def store_dir(tmp_path):
     return tmp_path / "db"
 
 
+@pytest.fixture
+def reopen(store_dir):
+    """Open *store_dir* again, recovering it; closed when the test ends."""
+    opened = []
+
+    def _reopen():
+        opened.append(DurableDatabase.open(store_dir))
+        return opened[-1]
+
+    yield _reopen
+    for db in opened:
+        db.close()
+
+
 def _build(directory):
     db = DurableDatabase(directory)
     db.make_class("Paragraph", attributes=[AttributeSpec("Text", domain="string")])
@@ -23,57 +37,57 @@ def _build(directory):
 
 
 class TestRoundTrip:
-    def test_empty_reopen(self, store_dir):
+    def test_empty_reopen(self, store_dir, reopen):
         db = DurableDatabase(store_dir)
         db.close()
-        db2 = DurableDatabase.open(store_dir)
+        db2 = reopen()
         assert len(db2) == 0
 
-    def test_schema_survives(self, store_dir):
+    def test_schema_survives(self, store_dir, reopen):
         db = _build(store_dir)
         db.close()
-        db2 = DurableDatabase.open(store_dir)
+        db2 = reopen()
         assert db2.compositep("Section", "Content")
         assert db2.classdef("Paragraph").attribute("Text").domain == "string"
 
-    def test_instances_survive_without_checkpoint(self, store_dir):
+    def test_instances_survive_without_checkpoint(self, store_dir, reopen):
         # Journal-only recovery: no checkpoint after the DDL one.
         db = _build(store_dir)
         p = db.make("Paragraph", values={"Text": "hello"})
         s = db.make("Section", values={"Content": [p]})
         db.close()
-        db2 = DurableDatabase.open(store_dir)
+        db2 = reopen()
         assert db2.value(p, "Text") == "hello"
         assert db2.parents_of(p) == [s]
         db2.validate()
 
-    def test_updates_survive(self, store_dir):
+    def test_updates_survive(self, store_dir, reopen):
         db = _build(store_dir)
         p = db.make("Paragraph", values={"Text": "v1"})
         db.set_value(p, "Text", "v2")
         db.close()
-        db2 = DurableDatabase.open(store_dir)
+        db2 = reopen()
         assert db2.value(p, "Text") == "v2"
 
-    def test_deletions_survive(self, store_dir):
+    def test_deletions_survive(self, store_dir, reopen):
         db = _build(store_dir)
         p = db.make("Paragraph")
         s = db.make("Section", values={"Content": [p]})
         db.delete(s)  # cascades to p (last dependent parent)
         db.close()
-        db2 = DurableDatabase.open(store_dir)
+        db2 = reopen()
         assert not db2.exists(s) and not db2.exists(p)
         assert len(db2) == 0
 
-    def test_uid_allocation_continues(self, store_dir):
+    def test_uid_allocation_continues(self, store_dir, reopen):
         db = _build(store_dir)
         p1 = db.make("Paragraph")
         db.close()
-        db2 = DurableDatabase.open(store_dir)
+        db2 = reopen()
         p2 = db2.make("Paragraph")
         assert p2.number > p1.number  # no UID reuse
 
-    def test_checkpoint_truncates_journal(self, store_dir):
+    def test_checkpoint_truncates_journal(self, store_dir, reopen):
         db = _build(store_dir)
         for _ in range(5):
             db.make("Paragraph")
@@ -82,21 +96,21 @@ class TestRoundTrip:
         assert db.journal.records_since_checkpoint == 0
         assert (store_dir / SNAPSHOT_NAME).exists()
         db.close()
-        db2 = DurableDatabase.open(store_dir)
+        db2 = reopen()
         assert len(db2) == 5
 
 
 class TestCrashRecovery:
-    def test_crash_without_close(self, store_dir):
+    def test_crash_without_close(self, store_dir, reopen):
         # No close(): journal entries were fsynced per record, so a crash
         # (simulated by simply abandoning the object) loses nothing.
         db = _build(store_dir)
         p = db.make("Paragraph", values={"Text": "survives"})
-        del db  # crash
-        db2 = DurableDatabase.open(store_dir)
+        db.journal.abandon()  # crash
+        db2 = reopen()
         assert db2.value(p, "Text") == "survives"
 
-    def test_torn_final_record_discarded(self, store_dir):
+    def test_torn_final_record_discarded(self, store_dir, reopen):
         db = _build(store_dir)
         p1 = db.make("Paragraph", values={"Text": "complete"})
         db.make("Paragraph", values={"Text": "torn"})
@@ -104,18 +118,18 @@ class TestCrashRecovery:
         journal = store_dir / JOURNAL_NAME
         data = journal.read_bytes()
         journal.write_bytes(data[:-3])  # tear the last record
-        db2 = DurableDatabase.open(store_dir)
+        db2 = reopen()
         assert db2.value(p1, "Text") == "complete"
         texts = [inst.get("Text") for inst in db2.instances_of("Paragraph")]
         assert "torn" not in texts
 
-    def test_reverse_references_intact_after_recovery(self, store_dir):
+    def test_reverse_references_intact_after_recovery(self, store_dir, reopen):
         db = _build(store_dir)
         p = db.make("Paragraph")
         s1 = db.make("Section", values={"Content": [p]})
         s2 = db.make("Section", values={"Content": [p]})
         db.close()
-        db2 = DurableDatabase.open(store_dir)
+        db2 = reopen()
         assert set(db2.parents_of(p)) == {s1, s2}
         # The Deletion Rule still works on recovered state.
         db2.delete(s1)
@@ -144,7 +158,9 @@ class TestCrashRecovery:
         assert len(fresh) == 1
 
     @pytest.mark.parametrize("policy", ["always", "commit"])
-    def test_failed_make_leaves_no_object_to_recover(self, store_dir, policy):
+    def test_failed_make_leaves_no_object_to_recover(
+        self, store_dir, reopen, policy
+    ):
         # The refused make journaled its half-built object's image
         # before the error; its rollback must journal the tombstone too.
         from repro import ReproError
@@ -161,11 +177,11 @@ class TestCrashRecovery:
             db.make("Owner", values={"Name": "ghost", "Leaf": leaf})
         assert len(db) == 2
         db.close()
-        assert len(DurableDatabase.open(store_dir)) == 2
+        assert len(reopen()) == 2
 
 
 class TestDurablePlusSubsystems:
-    def test_schema_evolution_then_checkpoint(self, store_dir):
+    def test_schema_evolution_then_checkpoint(self, store_dir, reopen):
         from repro.schema.evolution import SchemaEvolutionManager
 
         db = _build(store_dir)
@@ -175,12 +191,12 @@ class TestDurablePlusSubsystems:
         manager.make_independent("Section", "Content")
         db.checkpoint()  # DDL via evolution requires an explicit checkpoint
         db.close()
-        db2 = DurableDatabase.open(store_dir)
+        db2 = reopen()
         assert not db2.dependent_compositep("Section", "Content")
         db2.delete(s)
         assert db2.exists(p)  # independence survived the round trip
 
-    def test_transactions_on_durable_database(self, store_dir):
+    def test_transactions_on_durable_database(self, store_dir, reopen):
         from repro.txn import TransactionManager
 
         db = _build(store_dir)
@@ -190,6 +206,6 @@ class TestDurablePlusSubsystems:
         manager.write(txn, p, "Text", "dirty")
         manager.abort(txn)
         db.close()
-        db2 = DurableDatabase.open(store_dir)
+        db2 = reopen()
         # The abort's compensating write was journaled too.
         assert db2.value(p, "Text") == "orig"

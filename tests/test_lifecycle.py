@@ -13,6 +13,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -117,6 +118,28 @@ class TestServerThread:
         assert time.monotonic() - started < 2.0
         assert not client.healthy()
         client.close()
+
+    def test_a_stop_that_times_out_raises_and_keeps_the_handle(
+        self, monkeypatch
+    ):
+        """A loop busy past stop's timeout: stop raises, the handle still
+        names the running thread, a later stop ends it, and the thread
+        closes its loop without an error of its own."""
+        thread_errors = []
+        monkeypatch.setattr(threading, "excepthook", thread_errors.append)
+        handle = ServerThread().start()
+        loop = handle._loop
+        busy = threading.Event()
+        handle._loop.call_soon_threadsafe(busy.wait, 10.0)
+        with pytest.raises(TimeoutError):
+            handle.stop(timeout=0.2)
+        assert handle._thread is not None and handle._thread.is_alive()
+        assert handle._loop is loop and not loop.is_closed()
+        busy.set()
+        handle.stop()
+        assert handle._thread is None
+        assert loop.is_closed()
+        assert thread_errors == []
 
     def test_runs_a_replica(self, tmp_path):
         db = DurableDatabase(tmp_path)

@@ -584,6 +584,7 @@ class TestReadRouter:
                 finally:
                     primary.close()
                     replica.close()
+        db.close()
 
     def test_dead_replica_falls_back(self, tmp_path):
         db = _primary(tmp_path)
@@ -604,6 +605,7 @@ class TestReadRouter:
                 finally:
                     primary.close()
                     replica.close()
+        db.close()
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +644,7 @@ class TestReplicaEntryPoint:
         finally:
             proc.terminate()
             proc.wait(timeout=10.0)
+            proc.stdout.close()
 
 
 class TestShardRouterReadEpoch:

@@ -633,6 +633,7 @@ class TestPortFileDiscovery:
         finally:
             proc.terminate()
             proc.wait(timeout=10.0)
+            proc.stdout.close()
 
 
 @pytest.fixture()
