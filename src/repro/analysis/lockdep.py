@@ -104,8 +104,12 @@ _PAIR_LOW = (1 << _PAIR_SHIFT) - 1
 
 
 def conflicts_with_any(mode: LockMode, held: Iterable[LockMode]) -> bool:
-    """True when *mode* is incompatible with at least one mode in *held*."""
-    return any(not COMPATIBILITY[(mode, other)] for other in held)
+    """True when *mode* is incompatible with at least one mode in *held*:
+    *held*'s bitmask against *mode*'s conflict mask."""
+    mask = 0
+    for other in held:
+        mask |= _BITS[_MODE_INDEX[other]]
+    return bool(_CONFLICT_MASKS[_MODE_INDEX[mode]] & mask)
 
 
 class Acquisition(NamedTuple):

@@ -277,8 +277,6 @@ class Session:
         #: on the transaction for the lock-order recorder.
         self.op = ""
         self._label = f"session {session_id}"
-        #: op -> the interned ``(op, session label)`` site.
-        self._sites = {}
         #: Gtid of a 2PC-prepared transaction awaiting its decision
         #: (set by the ``prepare`` op, cleared by ``decide``/park).
         self.prepared_gtid = None
@@ -418,12 +416,9 @@ class Session:
         lock-order recorder adds the transaction when it renders one):
         every grant this request takes has the same Python stack (serve
         loop, dispatch, handler, lock service), so this is all a stack
-        would say -- at one dict lookup per request instead of a frame
-        walk per grant."""
-        site = self._sites.get(self.op)
-        if site is None:
-            site = self._sites[self.op] = (self.op, self._label)
-        txn.site = site
+        would say -- at one tuple per request instead of a frame walk
+        per grant.  The graph interns equal sites to one id."""
+        txn.site = (self.op, self._label)
 
     async def durability_point(self):
         """A commit acknowledgement's durability barrier.
@@ -1116,6 +1111,10 @@ class ReproServer(WireServer):
 # ---------------------------------------------------------------------------
 
 
+#: Seconds :meth:`ServerThread.stop` waits for the server thread to end.
+_STOP_JOIN_S = 10.0
+
+
 class ServerThread:
     """Run a wire frontend on a dedicated event-loop thread.
 
@@ -1194,17 +1193,17 @@ class ServerThread:
         future = asyncio.run_coroutine_threadsafe(work, self._loop)
         return future.result(timeout=30.0)
 
-    def stop(self, timeout=10.0):
-        """Cancel the frontend and wait up to *timeout* seconds for its
-        thread; raise :class:`TimeoutError` (the handle intact) if it is
-        still running then."""
+    def stop(self):
+        """Cancel the frontend and wait up to :data:`_STOP_JOIN_S` seconds
+        for its thread; raise :class:`TimeoutError` (the handle intact) if
+        it is still running then."""
         if self._thread is not None:
             with contextlib.suppress(RuntimeError):  # loop already closed
                 self._loop.call_soon_threadsafe(self._task.cancel)
-            self._thread.join(timeout=timeout)
+            self._thread.join(timeout=_STOP_JOIN_S)
             if self._thread.is_alive():
                 raise TimeoutError(
-                    f"server thread still running {timeout} s after stop"
+                    f"server thread still running {_STOP_JOIN_S} s after stop"
                 )
         self._loop = self._task = self._thread = None
 

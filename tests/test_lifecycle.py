@@ -21,6 +21,7 @@ import pytest
 
 from repro.mvcc import ReplicaServer, ReplicaThread
 from repro.server import Client
+from repro.server import server as server_module
 from repro.server.server import ReproServer, ServerThread
 from repro.shard.placement import ensure_manifest
 from repro.storage.durable import DurableDatabase
@@ -127,15 +128,17 @@ class TestServerThread:
         closes its loop without an error of its own."""
         thread_errors = []
         monkeypatch.setattr(threading, "excepthook", thread_errors.append)
+        monkeypatch.setattr(server_module, "_STOP_JOIN_S", 0.2)
         handle = ServerThread().start()
         loop = handle._loop
         busy = threading.Event()
         handle._loop.call_soon_threadsafe(busy.wait, 10.0)
         with pytest.raises(TimeoutError):
-            handle.stop(timeout=0.2)
+            handle.stop()
         assert handle._thread is not None and handle._thread.is_alive()
         assert handle._loop is loop and not loop.is_closed()
         busy.set()
+        monkeypatch.setattr(server_module, "_STOP_JOIN_S", 10.0)
         handle.stop()
         assert handle._thread is None
         assert loop.is_closed()
