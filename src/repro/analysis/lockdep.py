@@ -45,9 +45,11 @@ resources are object UIDs), so it is kept as atoms: each resource and
 each acquisition site is interned once to a small int, an order edge is
 one dict entry keyed by ``src_id << 32 | dst_id`` whose value is
 ``(count, *witnesses)``, and a witness is a tuple of atoms ``(txn label,
-held-mode bitmask, acquired-mode index, src site, dst site)``.  CPython
-stops GC-tracking such tuples, and a conflict test is one ``&`` against
-a per-mode conflict mask derived from ``COMPATIBILITY``.
+held-mode bitmask, acquired-mode index, src site, dst site)``.  The
+recorder's label is the transaction's own int id (any other label is
+its ``str``), and every report renders it with ``str``.  CPython stops
+GC-tracking such tuples, and a conflict test is one ``&`` against a
+per-mode conflict mask derived from ``COMPATIBILITY``.
 :class:`OrderEdge` and :class:`_Witness` are views built when a report
 renders them.
 """
@@ -169,6 +171,14 @@ def _txn_label(txn: Any) -> str:
     return str(getattr(txn, "txn_id", txn))
 
 
+def _recorded_label(txn: Any) -> int | str:
+    """The recorder's witness label: the transaction's int id itself
+    (never the transaction, which it would keep alive), else
+    :func:`_txn_label`.  It renders as the string would."""
+    txn_id = getattr(txn, "txn_id", None)
+    return txn_id if type(txn_id) is int else _txn_label(txn)
+
+
 def _held_modes(mask: int) -> frozenset[LockMode]:
     return frozenset(mode for mode, bit in zip(_MODES, _BITS, strict=True) if mask & bit)
 
@@ -221,7 +231,7 @@ class LockOrderGraph:
         self._edges: dict[int, tuple] = {}
         #: In-trace upgrades: (resource id, held mask, acquired index) ->
         #: (txn label, site) of the first witness.
-        self._upgrades: dict[tuple[int, int, int], tuple[str, int]] = {}
+        self._upgrades: dict[tuple[int, int, int], tuple[int | str, int]] = {}
         #: Transactions folded in (coverage metric).
         self.traces = 0
 
@@ -242,7 +252,7 @@ class LockOrderGraph:
             self._sites.append((frames, names_txn))
         return site
 
-    def _stack(self, site: int, label: str) -> tuple[str, ...]:
+    def _stack(self, site: int, label: int | str) -> tuple[str, ...]:
         frames, names_txn = self._sites[site]
         if names_txn and frames:
             return frames + (f"txn {label}",)
@@ -258,7 +268,9 @@ class LockOrderGraph:
             for acq in acquisitions
         ])
 
-    def _fold(self, label: str, trace: Iterable[tuple[int, int, int]]) -> None:
+    def _fold(
+        self, label: int | str, trace: Iterable[tuple[int, int, int]]
+    ) -> None:
         """Fold one transaction's ``(resource id, mode index, site id)``
         sequence in."""
         self.traces += 1
@@ -303,7 +315,7 @@ class LockOrderGraph:
     def _witness(self, witness: tuple) -> _Witness:
         label, held_mask, mode, src_site, dst_site = witness
         return _Witness(
-            txn=label,
+            txn=str(label),
             held_modes=_held_modes(held_mask),
             acquired_mode=_MODES[mode],
             src_stack=self._stack(src_site, label),
@@ -390,10 +402,11 @@ class LockOrderGraph:
         T1's request on ``dst`` conflicts with T2's holds there AND T2's
         request on ``src`` conflicts with T1's holds there — S/S opposite
         orders, for instance, are harmless and reported as nothing.
+        Witnesses whose labels render alike count as one transaction.
         """
         for fwd in edge[1:]:
             for rev in reverse[1:]:
-                if fwd[0] == rev[0]:
+                if str(fwd[0]) == str(rev[0]):
                     continue
                 if (_CONFLICT_MASKS[fwd[2]] & rev[1]
                         and _CONFLICT_MASKS[rev[2]] & fwd[1]):
@@ -401,7 +414,8 @@ class LockOrderGraph:
         return None
 
     def _report_upgrades(self, report: Report) -> None:
-        for (rid, held_mask, mode), (txn, site) in self._upgrades.items():
+        for (rid, held_mask, mode), (txn_label, site) in self._upgrades.items():
+            txn = str(txn_label)
             label = _resource_label(self._resources[rid])
             held = _held_modes(held_mask)
             acquired = _MODES[mode]
@@ -443,7 +457,7 @@ class LockOrderGraph:
                 witnesses.append({
                     "edge": f"{labels[index]} -> "
                             f"{labels[(index + 1) % len(cycle)]}",
-                    "txn": txn,
+                    "txn": str(txn),
                     "acquires": str(_MODES[mode]),
                 })
         report.add(
@@ -533,7 +547,7 @@ class LockOrderRecorder(LockObserver):
     def on_release(self, txn: Any) -> None:
         trace = self._live.pop(txn, None)
         if trace:
-            self.graph._fold(_txn_label(txn), trace)
+            self.graph._fold(_recorded_label(txn), trace)
 
     # -- reporting ---------------------------------------------------------
 
@@ -554,7 +568,7 @@ class LockOrderRecorder(LockObserver):
             return self.graph.analyze(report)
         snapshot = self.graph._copy()
         for txn, trace in self._live.items():
-            snapshot._fold(_txn_label(txn), trace)
+            snapshot._fold(_recorded_label(txn), trace)
         return snapshot.analyze(report)
 
     def stats_row(self) -> dict[str, int]:

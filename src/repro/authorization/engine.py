@@ -179,8 +179,10 @@ class AuthorizationEngine:
             )
             # Only live objects are remembered: their entries go when
             # they are deleted, so the cache is bounded by the database.
-            if self._db.peek(uid) is not None:
-                self._cache.setdefault(user, {})[uid] = resolution
+            # The key is the instance's own UID, not the caller's copy.
+            instance = self._db.peek(uid)
+            if instance is not None:
+                self._cache.setdefault(user, {})[instance.uid] = resolution
         return resolution
 
     def check(self, user, auth_type, uid):

@@ -491,6 +491,9 @@ class Database:
 
     def _make(self, class_name, values, parents, **kw_values):
         classdef = self.lattice.get(class_name)
+        # The lattice's own string, not the caller's (a decoded
+        # request's copy): the instance and its UID share it.
+        class_name = classdef.name
         merged = dict(values or {})
         merged.update(kw_values)
 

@@ -123,7 +123,12 @@ class CompositeLockingProtocol:
 
     def _plan(self, uid: Any, intent: str, composite: bool) -> LockPlan:
         db = self._db
-        class_name = db.resolve(uid).class_name
+        # The live instance's own UID, not the caller's (a decoded
+        # request's copy): the lock table, coverage and lock-order
+        # recorder then hold no second copy of the identity.
+        instance = db.resolve(uid)
+        uid = instance.uid
+        class_name = instance.class_name
         if db.lattice.version != self._version:
             self._schema_moved()
         steps = self._class_steps.get((class_name, intent))

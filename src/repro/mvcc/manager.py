@@ -55,8 +55,6 @@ update.
 
 from __future__ import annotations
 
-import bisect
-
 from ..core.operations import walk_components
 from ..errors import SnapshotConflictError, SnapshotTooOldError, UnknownObjectError
 from ..storage.journal import install_batch
@@ -87,8 +85,9 @@ class SnapshotManager:
     def __init__(self, database, max_versions=16):
         self._db = database
         self.max_versions = max(2, int(max_versions))
-        #: uid -> ([epoch, ...], [image-bytes-or-None, ...]) parallel
-        #: lists sorted by epoch; None marks a tombstone/absence.
+        #: uid -> ``(epoch0, image0, epoch1, image1, ...)`` in epoch
+        #: order; an image is bytes, or None for a tombstone/absence.
+        #: Only ints, bytes and None: CPython stops GC-tracking it.
         self._chains = {}
         #: Open commit scopes: txn-or-None -> {uid: baseline image}.
         #: The baseline is the committed pre-change image (``_ABSENT``
@@ -148,7 +147,7 @@ class SnapshotManager:
         if chain is not None:
             # Once a chain exists neither _stamp nor instance_at reads
             # the baseline; the head stands in for it, unencoded.
-            scope[uid] = chain[1][-1]
+            scope[uid] = chain[-1]
         elif uid == self._db._placement_pending:
             scope[uid] = _ABSENT
         else:
@@ -213,26 +212,27 @@ class SnapshotManager:
                     # fired the hook, then the operation failed or
                     # wrote back the identical state): no new version.
                     continue
-                seed = None if baseline is _ABSENT else baseline
-                chain = self._chains[uid] = (
-                    [self.floor_epoch], [seed]
-                )
-            epochs, images = chain
-            if epochs and epochs[-1] == epoch:
-                # Several scopes can seal inside one epoch only when
-                # the epoch authority did not advance (no journal
-                # records, e.g. a fully deduped batch); the newest
-                # state wins.
-                images[-1] = image
-            else:
-                epochs.append(epoch)
-                images.append(image)
-                self.versions_stamped += 1
-            if len(epochs) > self.max_versions:
-                drop = len(epochs) - self.max_versions
-                del epochs[:drop]
-                del images[:drop]
-                self.versions_pruned += drop
+                chain = (self.floor_epoch,
+                         None if baseline is _ABSENT else baseline)
+            self._install(uid, chain, epoch, image)
+
+    def _install(self, uid, chain, epoch, image):
+        """Make *image* the version of *uid* at *epoch*, the newest on
+        *chain*: the one append path of the primary's stamps and a
+        replica's batches.  An epoch equal to the head's replaces the
+        head -- several scopes seal inside one epoch only when the
+        epoch authority did not advance (no journal records, e.g. a
+        fully deduped batch), and the newest state wins."""
+        if chain[-2] == epoch:
+            chain = chain[:-1] + (image,)
+        else:
+            chain += (epoch, image)
+            self.versions_stamped += 1
+        excess = len(chain) - 2 * self.max_versions
+        if excess > 0:
+            chain = chain[excess:]
+            self.versions_pruned += excess // 2
+        self._chains[uid] = chain
 
     # -- snapshot reads ----------------------------------------------------
 
@@ -252,16 +252,19 @@ class SnapshotManager:
             )
         chain = self._chains.get(uid)
         if chain is not None:
-            epochs, images = chain
-            index = bisect.bisect_right(epochs, epoch) - 1
-            if index < 0:
-                raise SnapshotTooOldError(
-                    f"version chain of {uid} pruned past epoch {epoch} "
-                    f"(oldest retained: {epochs[0]})",
-                    epoch=epoch, floor=epochs[0],
-                )
+            # Newest first: a chain holds at most max_versions pairs,
+            # and reads mostly target recent epochs.
+            index = len(chain) - 2
+            while chain[index] > epoch:
+                index -= 2
+                if index < 0:
+                    raise SnapshotTooOldError(
+                        f"version chain of {uid} pruned past epoch {epoch} "
+                        f"(oldest retained: {chain[0]})",
+                        epoch=epoch, floor=chain[0],
+                    )
             self.chain_hits += 1
-            image = images[index]
+            image = chain[index + 1]
             return None if image is None else decode_instance(image)
         for scope in self._scopes.values():
             baseline = scope.get(uid)
@@ -342,17 +345,14 @@ class SnapshotManager:
         if snapshot_epoch is None:
             return
         chain = self._chains.get(uid)
-        if chain is None:
-            return
-        epochs, _images = chain
-        if epochs and epochs[-1] > snapshot_epoch:
+        if chain is not None and chain[-2] > snapshot_epoch:
             self.write_conflicts += 1
             raise SnapshotConflictError(
                 f"write to {uid} at snapshot epoch {snapshot_epoch} lost "
                 f"first-updater-wins: a version committed at epoch "
-                f"{epochs[-1]}",
+                f"{chain[-2]}",
                 uid=uid, snapshot_epoch=snapshot_epoch,
-                committed_epoch=epochs[-1],
+                committed_epoch=chain[-2],
             )
 
     # -- replication feed --------------------------------------------------
@@ -371,35 +371,29 @@ class SnapshotManager:
         top = 0
         for uid, image, prior in install_batch(db, records):
             top = max(top, uid.number)
-            if uid not in self._chains:
+            chain = self._chains.get(uid)
+            if chain is None:
                 # Seed the chain with the pre-change committed image
                 # (None only if the object is genuinely new), mirroring
                 # what on_before_change captures on the primary — an
                 # epoch-pinned read below this batch must still see the
                 # recovered state.
-                self._chains[uid] = (
-                    [self.floor_epoch],
-                    [None if prior is None else encode_instance(prior)],
-                )
-            epochs, images = self._chains[uid]
-            if epochs[-1] == epoch:
-                images[-1] = image
-            else:
-                epochs.append(epoch)
-                images.append(image)
-                self.versions_stamped += 1
-            if len(epochs) > self.max_versions:
-                drop = len(epochs) - self.max_versions
-                del epochs[:drop]
-                del images[:drop]
-                self.versions_pruned += drop
+                chain = (self.floor_epoch,
+                         None if prior is None else encode_instance(prior))
+            self._install(uid, chain, epoch, image)
         if top >= db.allocator.peek():
             db.allocator = type(db.allocator)(start=top + 1)
         db.topology_reset()
         if epoch > db.commit_epoch:
             db.commit_epoch = epoch
 
-    # -- stats -------------------------------------------------------------
+    # -- inspection --------------------------------------------------------
+
+    def versions(self, uid):
+        """The ``(epoch, image)`` pairs retained for *uid*, oldest first
+        (``()`` when it has no chain); an image of None is an absence."""
+        chain = self._chains.get(uid, ())
+        return tuple(zip(chain[::2], chain[1::2]))
 
     def stats_row(self):
         return {
@@ -407,8 +401,8 @@ class SnapshotManager:
             "floor_epoch": self.floor_epoch,
             "chains": len(self._chains),
             "chain_entries": sum(
-                len(epochs) for epochs, _ in self._chains.values()
-            ),
+                len(chain) for chain in self._chains.values()
+            ) // 2,
             "max_versions": self.max_versions,
             "snapshot_reads": self.snapshot_reads,
             "chain_hits": self.chain_hits,

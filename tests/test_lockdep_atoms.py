@@ -461,11 +461,12 @@ class TestReferenceEquivalence:
 
 #: tracemalloc bytes per order edge, folded as below (18 811 edges,
 #: nearly all with one witness) -- an int key and its dict slot, a
-#: (count, witness) tuple, a 5-tuple witness and the transaction's label
-#: string.  Measured 263.3 on CPython 3.10.13, 263.1 on 3.11.7 and 254.6
-#: on 3.12.1 (x86-64 Linux); the bound leaves ~20% over the largest.
-#: The dataclass graph held 685 and 96 000 more GC-tracked objects.
-BYTES_PER_EDGE_BOUND = 320
+#: (count, witness) tuple, a 5-tuple witness and the transaction's int
+#: id as its label.  Measured 235.9 on CPython 3.10.13 and 235.6 on
+#: 3.11.7 and 3.12.1 (x86-64 Linux); the bound leaves ~20% over the
+#: largest.  With a ``str`` label per witness it read 263.1, and the
+#: dataclass graph 685 with 96 000 more GC-tracked objects.
+BYTES_PER_EDGE_BOUND = 285
 
 
 def test_graph_memory_is_bounded_by_resources_not_edges():

@@ -544,13 +544,20 @@ def _doc_schema(db):
     ])
 
 
+def _sealed_uids(directory):
+    """Every UID the journal in *directory* sealed an image or a
+    tombstone of: a superset of the UIDs a snapshot manager versions."""
+    batches = _sealed_batches((directory / JOURNAL_NAME).read_bytes())
+    return {uid for batch in batches.values() for uid in batch}
+
+
 def _assert_stamps_are_sealed_records(manager, directory):
     """Every chain entry above the floor is the record sealed under the
     commit marker of its epoch; returns how many entries were checked."""
     batches = _sealed_batches((directory / JOURNAL_NAME).read_bytes())
     stamped = 0
-    for uid, (epochs, images) in manager._chains.items():
-        for epoch, image in zip(epochs, images):
+    for uid in _sealed_uids(directory):
+        for epoch, image in manager.versions(uid):
             if epoch == manager.floor_epoch:
                 continue
             assert batches[epoch][uid] == image, (uid, epoch)
@@ -600,9 +607,9 @@ class TestOneImagePerCommit:
             follower.poll()
             assert follower.applied_epoch == db.commit_epoch
             replica = follower.snapshots
-            for uid, (epochs, images) in manager._chains.items():
-                held = dict(zip(*replica._chains[uid]))
-                for epoch, image in zip(epochs, images):
+            for uid in _sealed_uids(tmp_path):
+                held = dict(replica.versions(uid))
+                for epoch, image in manager.versions(uid):
                     if epoch != manager.floor_epoch:
                         assert held[epoch] == image, (uid, epoch)
             for epoch in range(manager.floor_epoch, db.commit_epoch + 1):
@@ -635,7 +642,7 @@ class TestOneImagePerCommit:
             epoch = db.commit_epoch
             tm.abort(writer)
             assert db.commit_epoch == epoch
-            assert page not in manager._chains
+            assert manager.versions(page) == ()
             assert _assert_stamps_are_sealed_records(manager, tmp_path) \
                 == manager.versions_stamped
         finally:
