@@ -52,7 +52,7 @@ def _generic_parents_by_scan(db, vm, generic_uid):
     return parents
 
 
-def test_b10_maintenance_is_constant_per_link(benchmark, recorder):
+def test_b10_maintenance_is_constant_per_link(benchmark):
     rows = []
     for versions in (4, 16, 64):
         db, vm, g_mod, g_des = _cad(versions)
@@ -70,11 +70,6 @@ def test_b10_maintenance_is_constant_per_link(benchmark, recorder):
     assert len({r["count_ops_for_derive"] for r in rows}) == 1
     print_table(rows, title="B10a — ref-count operations per derivation vs "
                             "existing version population")
-    recorder.record(
-        "B10a", "generic ref-count maintenance", rows,
-        ["constant count updates per link; derivation cost flat in history "
-         "length"],
-    )
 
     db, vm, g_mod, g_des = _cad(8)
 
@@ -84,7 +79,7 @@ def test_b10_maintenance_is_constant_per_link(benchmark, recorder):
     benchmark.pedantic(kernel, rounds=5, iterations=1)
 
 
-def test_b10_lookup_payoff(benchmark, recorder):
+def test_b10_lookup_payoff(benchmark):
     rows = []
     for versions in (8, 32, 128):
         db, vm, g_mod, g_des = _cad(versions)
@@ -108,11 +103,6 @@ def test_b10_lookup_payoff(benchmark, recorder):
     assert rows[-1]["speedup"] > rows[0]["speedup"]
     print_table(rows, title="B10b — generic-parents via ref-counts vs "
                             "version-instance scan")
-    recorder.record(
-        "B10b", "generic-parents lookup payoff", rows,
-        ["the replicated generic references keep lookups flat; the "
-         "scan alternative grows with version history"],
-    )
 
     db, vm, g_mod, g_des = _cad(32)
     benchmark(lambda: vm.generic_parents(g_mod))

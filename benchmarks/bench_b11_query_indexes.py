@@ -25,7 +25,7 @@ def _fleet(n):
     return interp
 
 
-def test_b11_index_vs_scan(benchmark, recorder):
+def test_b11_index_vs_scan(benchmark):
     rows = []
     for extent in (200, 800, 3200):
         interp = _fleet(extent)
@@ -55,17 +55,13 @@ def test_b11_index_vs_scan(benchmark, recorder):
     assert scan_growth > index_growth
     assert rows[-1]["speedup"] > 1.5
     print_table(rows, title="B11 — select via extent scan vs attribute index")
-    recorder.record(
-        "B11", "associative access: index vs scan", rows,
-        ["indexed select outgrows the scan as the extent grows"],
-    )
 
     interp = _fleet(800)
     interp.run("(create-index Vehicle Color)")
     benchmark(lambda: interp.run_one('(select Vehicle (= Color "red"))'))
 
 
-def test_b11_index_maintenance_overhead(benchmark, recorder):
+def test_b11_index_maintenance_overhead(benchmark):
     """The flip side: updates pay an index-maintenance tax."""
     plain = _fleet(400)
     indexed = _fleet(400)
@@ -88,10 +84,6 @@ def test_b11_index_maintenance_overhead(benchmark, recorder):
         "overhead_pct": 100 * (indexed_time - plain_time) / max(plain_time, 1e-9),
     }]
     print_table(rows, title="B11b — update cost with and without an index")
-    recorder.record(
-        "B11b", "index maintenance overhead", rows,
-        ["index maintenance adds bounded per-update overhead"],
-    )
     # The index still answers correctly after the churn.
     assert len(indexed.run_one('(select Vehicle (= Color "black"))')) == 200
 

@@ -28,7 +28,7 @@ def _schema(db):
     ])
 
 
-def test_b12_journal_write_overhead(benchmark, recorder, tmp_path):
+def test_b12_journal_write_overhead(benchmark, tmp_path):
     n = 300
     memory_db = Database()
     _schema(memory_db)
@@ -56,9 +56,6 @@ def test_b12_journal_write_overhead(benchmark, recorder, tmp_path):
     assert rows[0]["slowdown"] > 1.0
     print_table(rows, title="B12a — create throughput: in-memory vs "
                             "journaled (fsync per record)")
-    recorder.record("B12a", "journal write overhead", rows,
-                    [f"durability slowdown {rows[0]['slowdown']:.1f}x "
-                     f"(one fsync per mutation)"])
 
     db = DurableDatabase(tmp_path / "bench")
     _schema(db)
@@ -70,7 +67,7 @@ def test_b12_journal_write_overhead(benchmark, recorder, tmp_path):
     db.close()
 
 
-def test_b12_recovery_time_vs_journal_length(benchmark, recorder, tmp_path):
+def test_b12_recovery_time_vs_journal_length(benchmark, tmp_path):
     rows = []
     for mutations, checkpointed in ((100, False), (400, False), (400, True)):
         directory = tmp_path / f"r{mutations}{checkpointed}"
@@ -99,11 +96,6 @@ def test_b12_recovery_time_vs_journal_length(benchmark, recorder, tmp_path):
     assert rows[1]["journal_records_at_open"] > rows[0]["journal_records_at_open"]
     print_table(rows, title="B12b — recovery cost vs journal length "
                             "(checkpoint flattens the suffix)")
-    recorder.record(
-        "B12b", "recovery vs checkpointing", rows,
-        ["checkpoint truncates the journal; recovery replays only the "
-         "post-checkpoint suffix"],
-    )
 
     directory = tmp_path / "rbench"
     db = DurableDatabase(directory)
@@ -121,7 +113,7 @@ def test_b12_recovery_time_vs_journal_length(benchmark, recorder, tmp_path):
     assert benchmark.pedantic(kernel, rounds=5, iterations=1) == 100
 
 
-def test_b12c_sync_policy_throughput(benchmark, recorder, tmp_path):
+def test_b12c_sync_policy_throughput(benchmark, tmp_path):
     """B12c — the group-commit pipeline vs fsync-per-mutation.
 
     Runs the same workload (``n`` creates in transactions of ``txn_size``)
@@ -166,12 +158,6 @@ def test_b12c_sync_policy_throughput(benchmark, recorder, tmp_path):
     assert fsyncs["always"] >= 5 * max(fsyncs["group"], 1)
     print_table(rows, title="B12c — create throughput and records/fsync "
                             "by sync policy (group commit)")
-    recorder.record(
-        "B12c", "sync policies / group commit", rows,
-        [f"always: {fsyncs['always']} fsyncs for {n} creates; "
-         f"commit: {fsyncs['commit']}; group: {fsyncs['group']} — "
-         f"batching amortizes the forced write per transaction"],
-    )
 
     db = DurableDatabase(tmp_path / "cbench", sync_policy="commit")
     _schema(db)

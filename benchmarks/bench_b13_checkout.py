@@ -35,7 +35,7 @@ def _design_db():
     return db, cell, pins
 
 
-def test_b13_lock_traffic_per_edit(benchmark, recorder):
+def test_b13_lock_traffic_per_edit(benchmark):
     edits = 50
 
     # Check-out model: one plan, then lock-free private edits.
@@ -76,11 +76,6 @@ def test_b13_lock_traffic_per_edit(benchmark, recorder):
     assert tpl_requests + tpl_covered >= edits
     print_table(rows, title="B13a — lock traffic while editing "
                             "(long transaction)")
-    recorder.record(
-        "B13a", "check-out vs 2PL lock traffic", rows,
-        ["workspace edits need zero lock decisions; 2PL asks per edit "
-         "(2 table requests, then one covered answer per repeat)"],
-    )
 
     db3, cell3, _ = _design_db()
     manager3 = CheckoutManager(db3)
@@ -93,7 +88,7 @@ def test_b13_lock_traffic_per_edit(benchmark, recorder):
     benchmark.pedantic(kernel, rounds=10, iterations=1)
 
 
-def test_b13_abandon_vs_abort_cost(benchmark, recorder):
+def test_b13_abandon_vs_abort_cost(benchmark):
     """Abandoning a big edited workspace vs aborting a big 2PL txn."""
     rows = []
     for edits in (50, 200):
@@ -127,11 +122,6 @@ def test_b13_abandon_vs_abort_cost(benchmark, recorder):
     # abort cost tracks undo-log length.
     print_table(rows, title="B13b — rolling back a long transaction: "
                             "workspace abandon vs undo replay")
-    recorder.record(
-        "B13b", "rollback cost comparison", rows,
-        ["abandon destroys a private copy; abort replays per-edit undo — "
-         "both restore the original exactly"],
-    )
 
     db3, cell3, _ = _design_db()
     manager3 = CheckoutManager(db3)

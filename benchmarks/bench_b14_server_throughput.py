@@ -89,7 +89,7 @@ def _run_tcp(port, clients):
     return total_ops, elapsed
 
 
-def test_b14_server_throughput(benchmark, recorder):
+def test_b14_server_throughput(benchmark):
     rows = []
 
     # Embedded floor: same mix, no wire.
@@ -136,13 +136,6 @@ def test_b14_server_throughput(benchmark, recorder):
 
     print_table(rows, title="B14 — embedded vs TCP request throughput "
                             f"({OPS_PER_CLIENT} ops/client)")
-    recorder.record(
-        "B14", "server throughput: embedded vs TCP at 1/4/16 clients",
-        rows,
-        ["the wire protocol adds per-request cost (embedded > tcp@1); "
-         "concurrent disjoint sessions keep aggregate throughput from "
-         "collapsing as clients are added"],
-    )
 
     with ServerThread() as handle:
         with Client(port=handle.port) as client:

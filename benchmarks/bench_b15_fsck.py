@@ -34,7 +34,7 @@ def _scan_rate(db):
     return report, elapsed
 
 
-def test_b15_fsck_scan_throughput(benchmark, recorder):
+def test_b15_fsck_scan_throughput(benchmark):
     rows = []
     rates = {}
     databases = {}
@@ -64,8 +64,3 @@ def test_b15_fsck_scan_throughput(benchmark, recorder):
         f"{rates['100k']:.0f} objects/sec"
     )
     print_table(rows, title="B15 — fsck scan throughput (part hierarchies)")
-    recorder.record(
-        "B15", "fsck scan throughput (objects/sec) at 1k/10k/100k", rows,
-        ["API-built hierarchies audit clean at every size",
-         "scan cost stays linear: per-object rate within 5x from 1k to 100k"],
-    )

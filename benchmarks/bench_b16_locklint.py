@@ -131,7 +131,7 @@ def _replay(events, observer):
     return time.perf_counter() - start
 
 
-def test_b16_recorder_overhead(benchmark, recorder):
+def test_b16_recorder_overhead(benchmark):
     db, roots, components = _env()
     outcomes = {}
     edges = {}
@@ -233,21 +233,3 @@ def test_b16_recorder_overhead(benchmark, recorder):
     print_table(rows, title="B16 — lock-order recorder overhead "
                             f"({TRANSACTIONS}-txn composite mix, {grants} "
                             f"grants replayed {REPLAYS}x per round)")
-    rows.append({
-        "mode": "analyze",
-        "seconds": round(analyze_seconds, 4),
-        "overhead_vs_off": 0,
-        "recorder_us_per_run": 0,
-        "ns_per_lock": 0,
-        "order_edges": edges["stacks"]["order_edges"],
-    })
-    recorder.record(
-        "B16", "lockdep recorder overhead on the B9 composite mix", rows,
-        ["observer changes no outcomes (same commits and lock calls)",
-         "a replayed recorder ends where the live one did",
-         "full recording stays within 3x of the bare run",
-         "the recorder ReproServer attaches by default costs within 1.10x "
-         "of the stack-less recorder (replayed, recorder cost only)",
-         "graph analysis is sub-second and surfaces the mixed-access "
-         "inversion hazard of Section 7"],
-    )

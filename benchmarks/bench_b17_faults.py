@@ -82,7 +82,7 @@ def _measure(mode, root):
     return _workload(root), None
 
 
-def test_b17_failpoint_overhead(benchmark, recorder, tmp_path):
+def test_b17_failpoint_overhead(benchmark, tmp_path):
     best = dict.fromkeys(MODES, float("inf"))
     armed_hits = 0
     for round_index in range(ROUNDS):
@@ -124,11 +124,4 @@ def test_b17_failpoint_overhead(benchmark, recorder, tmp_path):
     benchmark.pedantic(
         lambda: _workload(tmp_path / f"bench-{next(fresh)}"),
         rounds=3, iterations=1,
-    )
-
-    recorder.record(
-        "B17", "failpoint shim overhead on the journal write path", rows,
-        ["disarmed failpoints stay within 5% of uninstrumented code",
-         "armed counting rules observe every journal record",
-         "arming costs only when a registry is in scope (fault_scope)"],
     )

@@ -99,7 +99,7 @@ def _measure(tmp_root, shards, sync_policy="always", steps_per_txn=6,
     }
 
 
-def test_b18_shard_scaling(benchmark, recorder, tmp_path):
+def test_b18_shard_scaling(benchmark, tmp_path):
     rows = [_measure(tmp_path / f"s{shards}", shards)
             for shards in SHARD_COUNTS]
     by_shards = {row["shards"]: row for row in rows}
@@ -126,15 +126,6 @@ def test_b18_shard_scaling(benchmark, recorder, tmp_path):
     print_table(rows, title="B18 — shard scaling, disjoint-composite "
                             f"txmix through the router ({CLIENTS} clients, "
                             f"{cpus} CPU(s))")
-    recorder.record(
-        "B18", "shard-count scaling on the disjoint-composite mix", rows,
-        ["composite-aware placement keeps single-root transactions on "
-         "the fast path (zero 2PC), so N workers journal disjoint "
-         "composites side by side; sharding never collapses throughput "
-         "(2 shards >= 0.9x of 1, 4 >= 0.85x of 2), and the speedup "
-         "above 1x is whatever the host's parallelism and fsync "
-         "latency allow (recorded per row, not gated)"],
-    )
 
     def kernel():
         return _measure(tmp_path / "k2", 2)["ops"]

@@ -40,7 +40,7 @@ def _timed(fn):
     return time.perf_counter() - start
 
 
-def test_b1_issue_cost_scaling(benchmark, recorder):
+def test_b1_issue_cost_scaling(benchmark):
     """Issuing a deferred change is population-independent."""
     rows = []
     for n in (100, 400, 1600):
@@ -67,8 +67,6 @@ def test_b1_issue_cost_scaling(benchmark, recorder):
     assert growth_immediate > growth_deferred * 2
     print_table(rows, title="B1a — cost of ISSUING an I3 change "
                             "(immediate O(N) vs deferred O(1))")
-    recorder.record("B1a", "issue cost: immediate vs deferred", rows,
-                    ["deferred issue cost is population-independent"])
 
     # Give pytest-benchmark a representative kernel to time.
     db_b, mgr_b, _ = _populated(200)
@@ -80,7 +78,7 @@ def test_b1_issue_cost_scaling(benchmark, recorder):
     benchmark(kernel)
 
 
-def test_b1_total_cost_vs_access_fraction(benchmark, recorder):
+def test_b1_total_cost_vs_access_fraction(benchmark):
     """Total work (patches applied) vs fraction of instances re-accessed."""
     n = 800
     rows = []
@@ -104,10 +102,6 @@ def test_b1_total_cost_vs_access_fraction(benchmark, recorder):
     assert all(r["deferred_wins"] for r in rows[:-1])
     print_table(rows, title="B1b — instance patches performed vs fraction "
                             "of instances later accessed (N=800)")
-    recorder.record(
-        "B1b", "deferred evolution pays per access", rows,
-        ["deferred work proportional to touched fraction; crossover at 100%"],
-    )
 
     def kernel():
         db, manager, parts = _populated(100)

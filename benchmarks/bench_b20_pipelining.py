@@ -62,7 +62,7 @@ def _measure(label, fn, journal):
     }
 
 
-def test_b20_pipelining(tmp_path, benchmark, recorder):
+def test_b20_pipelining(tmp_path, benchmark):
     database = DurableDatabase(str(tmp_path / "data"), sync_policy="group")
     rows = []
     try:
@@ -102,14 +102,6 @@ def test_b20_pipelining(tmp_path, benchmark, recorder):
 
             print_table(rows, title=f"B20 — pipelined vs serial durable "
                                     f"writes ({OPS} ops)")
-            recorder.record(
-                "B20", "request pipelining: serial v2 vs pipelined v2 "
-                "at depths 2/4/8/16 over a group-commit journal", rows,
-                ["pipelining batches the durability barrier: depth 8 "
-                 "pays at most 1/8 of serial v2's fsyncs per request, "
-                 "and fsyncs per request fall with depth as more "
-                 "commits share one barrier"],
-            )
 
             with Client(port=handle.port) as client:
 

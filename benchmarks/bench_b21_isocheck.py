@@ -145,7 +145,7 @@ def _synthetic_history(events, seed=2026):
     return History(out)
 
 
-def test_b21_recorder_overhead(benchmark, recorder):
+def test_b21_recorder_overhead(benchmark):
     # Asserted: the cost of one recorder hook call in no-op units (see
     # module docstring).  Reported alongside: the in-run share, and a
     # plain attached-vs-detached wall comparison interleaved per round
@@ -196,17 +196,8 @@ def test_b21_recorder_overhead(benchmark, recorder):
     benchmark.pedantic(lambda: _mix_run(attached=True), rounds=3,
                        iterations=1)
 
-    recorder.record(
-        "B21a", "history recorder overhead on the B9 composite mix", rows,
-        [f"one recorder hook call costs {hook_cost:.1f} timed no-op "
-         f"callbacks, within the 6.5 budget; that is "
-         f"{recorder_share:.1%} of this mix (timer-inclusive upper "
-         f"bounds)",
-         f"the mix produced {events_recorded} events for the checker"],
-    )
 
-
-def test_b21_checker_throughput(benchmark, recorder):
+def test_b21_checker_throughput(benchmark):
     rows = []
     histories = {size: _synthetic_history(size) for size in (10_000, 100_000)}
     for size, history in histories.items():
@@ -232,9 +223,3 @@ def test_b21_checker_throughput(benchmark, recorder):
 
     benchmark.pedantic(lambda: check_history(histories[10_000]),
                        rounds=3, iterations=1)
-
-    recorder.record(
-        "B21b", "isolation checker throughput on synthetic histories", rows,
-        ["check_history sustains >10k events/sec at 100k events",
-         "DSG construction and cycle search scale near-linearly"],
-    )

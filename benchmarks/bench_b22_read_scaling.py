@@ -87,7 +87,7 @@ def _contended_mix(snapshot_readers):
     }
 
 
-def test_b22_snapshot_reads_do_not_block(recorder, benchmark):
+def test_b22_snapshot_reads_do_not_block(benchmark):
     # Direct micro-proof: a writer holds the X-lock; the locked read
     # conflicts, the snapshot read answers from the version chain.
     db = Database()
@@ -122,15 +122,6 @@ def test_b22_snapshot_reads_do_not_block(recorder, benchmark):
 
     print_table(rows, title=f"B22a — contended B9 mix "
                             f"({MIX_TRANSACTIONS} txns, 75% reads)")
-    recorder.record(
-        "B22a", "MVCC snapshot reads vs locked reads on the contended "
-        "B9 composite mix (shared lock table, interleaved)", rows,
-        ["snapshot readers never abort on lock conflicts: strictly "
-         "fewer conflict retries on the same mix; a snapshot read "
-         "succeeds while a writer holds the X-lock that makes the "
-         "locked read fail; txn/sec recorded for both, the snapshot "
-         "side now bounded by its per-component image decode"],
-    )
 
     def kernel():
         return _contended_mix(snapshot_readers=True)
@@ -151,7 +142,7 @@ def _routed_reads(router, targets, count):
     return time.perf_counter() - started
 
 
-def test_b22_replica_read_scaling(tmp_path, recorder, benchmark):
+def test_b22_replica_read_scaling(tmp_path, benchmark):
     rows = []
     for count in REPLICA_COUNTS:
         store = tmp_path / f"primary-{count}"
@@ -219,14 +210,6 @@ def test_b22_replica_read_scaling(tmp_path, recorder, benchmark):
 
     print_table(rows, title=f"B22b — routed snapshot reads "
                             f"({ROUTED_READS} reads per configuration)")
-    recorder.record(
-        "B22b", "B9 read mix routed over 0/1/2/4 journal-shipping "
-        "replicas (read throughput, placement, advertised lag)", rows,
-        ["replicas absorb the whole read load once drained "
-         "(replica_reads == reads, zero lag fallbacks); the recorded "
-         "lag is the replica's advertised stale bound after a write "
-         "burst"],
-    )
 
     def kernel():
         db = DurableDatabase(str(tmp_path / "bench-kernel"),

@@ -62,7 +62,7 @@ def _best_of(build, change, attempts=3):
     return best
 
 
-def test_b2_d2_scan_cost_vs_d3(benchmark, recorder):
+def test_b2_d2_scan_cost_vs_d3(benchmark):
     rows = []
     for owners in (200, 800, 3200):
         d2_time = _best_of(
@@ -87,11 +87,6 @@ def test_b2_d2_scan_cost_vs_d3(benchmark, recorder):
     assert d3_growth < d2_growth
     print_table(rows, title="B2 — D2 (weak->shared: full scan) vs D3 "
                             "(shared->exclusive: reverse refs), 50 targets")
-    recorder.record(
-        "B2", "state-dependent change costs", rows,
-        ["D2 cost grows with the owning population (no reverse refs to "
-         "consult); D3 cost tracks only the referenced population"],
-    )
 
     def kernel():
         db, manager = _weak_db(200)

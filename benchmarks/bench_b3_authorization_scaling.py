@@ -25,7 +25,7 @@ def _timed(fn):
     return time.perf_counter() - start
 
 
-def test_b3_storage_and_grant_cost(benchmark, recorder):
+def test_b3_storage_and_grant_cost(benchmark):
     rows = []
     for fanout in (2, 4, 8):
         db = Database()
@@ -60,11 +60,6 @@ def test_b3_storage_and_grant_cost(benchmark, recorder):
     assert all(r["explicit_records"] == r["composite_size"] for r in rows)
     print_table(rows, title="B3 — implicit (composite unit) vs explicit "
                             "(per object) authorization")
-    recorder.record(
-        "B3", "authorization storage/grant scaling", rows,
-        ["implicit: 1 stored record per composite regardless of size; "
-         "explicit: one per component"],
-    )
 
     db = Database()
     tree = build_assembly(db, depth=2, fanout=4)

@@ -23,7 +23,7 @@ from repro.locking import (
 from repro.workloads.parts import build_assembly
 
 
-def test_b4_lock_calls_vs_composite_size(benchmark, recorder):
+def test_b4_lock_calls_vs_composite_size(benchmark):
     rows = []
     previous_composite = None
     for fanout in (2, 4, 8, 16):
@@ -48,11 +48,6 @@ def test_b4_lock_calls_vs_composite_size(benchmark, recorder):
     assert rows[-1]["instance_locking_calls"] == rows[-1]["composite_size"] + 2
     assert all(r["garz88_root_locks"] == 1 for r in rows)
     print_table(rows, title="B4a — lock calls to update one whole composite")
-    recorder.record(
-        "B4a", "lock calls vs composite size", rows,
-        ["composite protocol constant; instance locking linear; GARZ88 one "
-         "root lock"],
-    )
 
     db = Database()
     tree = build_assembly(db, depth=2, fanout=8)
@@ -66,7 +61,7 @@ def test_b4_lock_calls_vs_composite_size(benchmark, recorder):
     benchmark(kernel)
 
 
-def test_b4_acquire_time_vs_size(benchmark, recorder):
+def test_b4_acquire_time_vs_size(benchmark):
     rows = []
     for fanout in (4, 8, 16):
         db = Database()
@@ -96,10 +91,6 @@ def test_b4_acquire_time_vs_size(benchmark, recorder):
     assert rows[-1]["speedup"] > 2.0
     print_table(rows, title="B4b — wall-clock to lock+release one composite "
                             "(mean of 20)")
-    recorder.record(
-        "B4b", "lock acquisition time vs composite size", rows,
-        ["composite protocol speedup grows with composite size"],
-    )
 
     db = Database()
     tree = build_assembly(db, depth=2, fanout=8)

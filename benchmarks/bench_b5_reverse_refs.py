@@ -48,7 +48,7 @@ def _parents_by_scan(db, uid):
     return parents
 
 
-def test_b5_parents_of_latency(benchmark, recorder):
+def test_b5_parents_of_latency(benchmark):
     rows = []
     for holders in (100, 400, 1600):
         db, target = _shared_db(holders)
@@ -72,11 +72,6 @@ def test_b5_parents_of_latency(benchmark, recorder):
     assert rows[-1]["speedup"] > 10
     print_table(rows, title="B5a — parents-of via reverse references vs "
                             "full scan")
-    recorder.record(
-        "B5a", "parents-of latency", rows,
-        ["in-object reverse references keep parents-of O(fan-in); the scan "
-         "alternative grows with the database"],
-    )
 
     db, target = _shared_db(400)
 
@@ -86,7 +81,7 @@ def test_b5_parents_of_latency(benchmark, recorder):
     benchmark(kernel)
 
 
-def test_b5_object_size_overhead(benchmark, recorder):
+def test_b5_object_size_overhead(benchmark):
     def build(fan_in):
         db = Database()
         db.make_class("Doc")
@@ -118,9 +113,5 @@ def test_b5_object_size_overhead(benchmark, recorder):
               for i in range(len(rows) - 1)]
     assert max(deltas) - min(deltas) < 1e-9  # exactly linear
     print_table(rows, title="B5b — component object size vs composite fan-in")
-    recorder.record(
-        "B5b", "reverse-reference storage overhead", rows,
-        [f"linear overhead, ~{per_ref:.0f} bytes per reverse reference"],
-    )
 
     benchmark(lambda: build(16))

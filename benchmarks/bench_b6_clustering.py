@@ -49,7 +49,7 @@ def _traverse_faults(db, machine):
     return db.store.stats.page_faults
 
 
-def test_b6_page_faults_clustered_vs_scattered(benchmark, recorder):
+def test_b6_page_faults_clustered_vs_scattered(benchmark):
     rows = []
     for buffer_capacity in (4, 8, 32):
         clustered_db, clustered_machines = _interleaved_fleet(
@@ -70,11 +70,6 @@ def test_b6_page_faults_clustered_vs_scattered(benchmark, recorder):
     print_table(rows, title="B6 — page faults for one whole-composite "
                             "traversal (cold cache, 12 interleaved "
                             "composites x 24 parts)")
-    recorder.record(
-        "B6", "first-parent clustering", rows,
-        ["parent clustering cuts traversal page faults several-fold; gap "
-         "holds across buffer sizes"],
-    )
 
     db, machines = _interleaved_fleet("parent")
 
@@ -84,7 +79,7 @@ def test_b6_page_faults_clustered_vs_scattered(benchmark, recorder):
     benchmark.pedantic(kernel, rounds=5, iterations=1)
 
 
-def test_b6_cross_segment_hint_is_ignored(benchmark, recorder):
+def test_b6_cross_segment_hint_is_ignored(benchmark):
     """Clustering applies 'only if the classes ... are stored in the same
     physical segment' — with distinct segments the hint must be a no-op."""
     db = Database(paged=True, clustering="parent")
@@ -100,11 +95,6 @@ def test_b6_cross_segment_hint_is_ignored(benchmark, recorder):
     holder2 = db.make("Holder3")
     leaf2 = db.make("Leaf3", parents=[(holder2, "l")])
     assert db.store.page_of(leaf2) == db.store.page_of(holder2)
-    recorder.record(
-        "B6b", "same-segment precondition for clustering",
-        [{"cross_segment_clustered": False, "same_segment_clustered": True}],
-        ["hint honoured only within one physical segment (paper 2.3)"],
-    )
 
     def kernel():
         h = db.make("Holder3")

@@ -63,7 +63,7 @@ def _legacy_cycle(db, parts_per_assembly, cycles):
     return made, deleted
 
 
-def test_b7_reuse_vs_cascade(benchmark, recorder):
+def test_b7_reuse_vs_cascade(benchmark):
     parts_per_assembly, cycles = 20, 10
     extended_made, extended_deleted = _extended_cycle(
         _extended_db(), parts_per_assembly, cycles)
@@ -82,11 +82,6 @@ def test_b7_reuse_vs_cascade(benchmark, recorder):
     assert extended_deleted == cycles
     print_table(rows, title=f"B7a — {cycles} dismantle/rebuild cycles of a "
                             f"{parts_per_assembly}-part assembly")
-    recorder.record(
-        "B7a", "object churn: extended vs KIM87b", rows,
-        [f"extended creates {extended_made} objects vs {legacy_made} for the "
-         f"baseline ({legacy_made / extended_made:.1f}x churn)"],
-    )
 
     def kernel():
         _extended_cycle(_extended_db(), 10, 3)
@@ -94,7 +89,7 @@ def test_b7_reuse_vs_cascade(benchmark, recorder):
     benchmark.pedantic(kernel, rounds=5, iterations=1)
 
 
-def test_b7_shared_deletion_semantics(benchmark, recorder):
+def test_b7_shared_deletion_semantics(benchmark):
     """The document scenario: shared components survive until the last
     dependent parent goes (impossible to express in the baseline)."""
     from repro.workloads.documents import build_corpus
@@ -119,7 +114,3 @@ def test_b7_shared_deletion_semantics(benchmark, recorder):
             for i, alive in enumerate(survived_steps)]
     print_table(rows, title="B7b — shared sections alive while documents "
                             "are deleted one by one")
-    recorder.record(
-        "B7b", "dependent-shared survival curve", rows,
-        ["sections survive exactly until their last dependent parent dies"],
-    )

@@ -20,7 +20,7 @@ from repro.bench import print_table
 from repro.workloads.parts import build_part_tree
 
 
-def test_b8_capability_matrix(benchmark, recorder):
+def test_b8_capability_matrix(benchmark):
     def extended_workflow():
         db = Database()
         db.make_class("Comp")
@@ -56,11 +56,9 @@ def test_b8_capability_matrix(benchmark, recorder):
          "extended": "OK", "kim87b": "rejected"},
     ]
     print_table(rows, title="B8a — creation-order capability matrix")
-    recorder.record("B8a", "bottom-up creation capability", rows,
-                    ["baseline cannot assemble existing objects"])
 
 
-def test_b8_bottom_up_cost_parity(benchmark, recorder):
+def test_b8_bottom_up_cost_parity(benchmark):
     rows = []
     for size in (50, 200, 800):
         db = Database()
@@ -80,10 +78,6 @@ def test_b8_bottom_up_cost_parity(benchmark, recorder):
     # Shape: same order of magnitude — generality costs no asymptotics.
     assert all(0.2 < r["ratio"] < 5.0 for r in rows)
     print_table(rows, title="B8b — top-down vs bottom-up construction cost")
-    recorder.record(
-        "B8b", "bottom-up cost parity", rows,
-        ["bottom-up assembly is within a small constant of top-down"],
-    )
 
     def kernel():
         db = Database()

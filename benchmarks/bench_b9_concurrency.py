@@ -30,7 +30,7 @@ def _env(composites=6, fanout=4):
     return db, roots, components
 
 
-def test_b9_disjoint_writers(benchmark, recorder):
+def test_b9_disjoint_writers(benchmark):
     db, roots, _ = _env()
     rows = []
     results = {}
@@ -49,11 +49,6 @@ def test_b9_disjoint_writers(benchmark, recorder):
     assert results["instance"].lock_requests > 3 * results["composite"].lock_requests
     print_table(rows, title="B9a — disjoint writers (6 txns, one per "
                             "composite)")
-    recorder.record(
-        "B9a", "disjoint-writer concurrency", rows,
-        ["composite protocol: zero blocking; class lock serializes; "
-         "instance locking needs >3x the lock calls"],
-    )
 
     def kernel():
         scripts = disjoint_writers(roots, writers_per_root=1)
@@ -62,7 +57,7 @@ def test_b9_disjoint_writers(benchmark, recorder):
     benchmark.pedantic(kernel, rounds=5, iterations=1)
 
 
-def test_b9_mixed_workload(benchmark, recorder):
+def test_b9_mixed_workload(benchmark):
     db, roots, components = _env()
     rows = []
     results = {}
@@ -82,12 +77,6 @@ def test_b9_mixed_workload(benchmark, recorder):
     assert results["instance"].lock_requests > results["composite"].lock_requests
     print_table(rows, title="B9b — mixed composite/instance workload "
                             "(24 txns, 70% reads)")
-    recorder.record(
-        "B9b", "mixed workload under three disciplines", rows,
-        ["composite trades some blocking (composite-vs-direct exclusion) "
-         "for far fewer lock calls; class lock has fewest calls but most "
-         "serialization"],
-    )
 
     def kernel():
         scripts = composite_mix(roots, transactions=8,
@@ -97,7 +86,7 @@ def test_b9_mixed_workload(benchmark, recorder):
     benchmark.pedantic(kernel, rounds=3, iterations=1)
 
 
-def test_b9_scaling_with_composites(benchmark, recorder):
+def test_b9_scaling_with_composites(benchmark):
     """More distinct composites -> more parallelism for the composite
     protocol, none for the class lock."""
     rows = []
@@ -116,11 +105,6 @@ def test_b9_scaling_with_composites(benchmark, recorder):
     assert rows[-1]["class_slowdown"] > rows[0]["class_slowdown"]
     print_table(rows, title="B9c — serialization penalty of class-level "
                             "locking vs number of distinct composites")
-    recorder.record(
-        "B9c", "parallelism scaling", rows,
-        ["class-lock slowdown grows with composite count; the composite "
-         "protocol's wall-clock stays flat"],
-    )
 
     db, roots, _ = _env(composites=4, fanout=3)
 

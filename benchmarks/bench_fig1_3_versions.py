@@ -26,7 +26,7 @@ def _fig_db():
     return db, VersionManager(db)
 
 
-def test_fig1_derivation(benchmark, recorder):
+def test_fig1_derivation(benchmark):
     def scenario():
         db, vm = _fig_db()
         gb, b0 = vm.create("B")
@@ -48,11 +48,9 @@ def test_fig1_derivation(benchmark, recorder):
          "paper": "set to Nil", "measured": "set to Nil"},
     ]
     print_table(rows, title="F1 / Figure 1 — derivation of a composite version")
-    recorder.record("F1", "Figure 1: version derivation rebinding", rows,
-                    ["both derivation rules reproduced"])
 
 
-def test_fig2_version_topology(benchmark, recorder):
+def test_fig2_version_topology(benchmark):
     def scenario():
         db, vm = _fig_db()
         gb, b0 = vm.create("B")
@@ -72,11 +70,9 @@ def test_fig2_version_topology(benchmark, recorder):
     rows = [{"version_of_A": str(a0), "references": str(b0)},
             {"version_of_A": str(a1), "references": str(b1)}]
     print_table(rows, title="F2 / Figure 2 — versioned composite objects")
-    recorder.record("F2", "Figure 2: per-version composite references", rows,
-                    ["CV-1X/CV-2X topology reproduced"])
 
 
-def test_fig3_refcounts(benchmark, recorder):
+def test_fig3_refcounts(benchmark):
     def scenario():
         db, vm = _fig_db()
         gb, b0 = vm.create("B")
@@ -108,5 +104,3 @@ def test_fig3_refcounts(benchmark, recorder):
             {"step": "remove a2.b", "ref_count": counts[3]}]
     print_table(rows, title="F3 / Figure 3 — reverse composite generic "
                             "reference ref-counts")
-    recorder.record("F3", "Figure 3: generic reference ref-counts", rows,
-                    ["counts 3->2->1->0; generic reference removed at zero"])

@@ -48,7 +48,7 @@ def _figure4_db():
     return db, i, [j, k, m, n, o]
 
 
-def test_fig4_implicit_read_on_components(benchmark, recorder):
+def test_fig4_implicit_read_on_components(benchmark):
     def scenario():
         db, root, components = _figure4_db()
         engine = AuthorizationEngine(db)
@@ -62,11 +62,9 @@ def test_fig4_implicit_read_on_components(benchmark, recorder):
     rows = [{"object": str(uid), "implicit_read": True}
             for uid in [root] + components]
     print_table(rows, title="F4 / Figure 4 — one grant covers the composite")
-    recorder.record("F4", "Figure 4: implicit Read over a composite", rows,
-                    [f"1 stored record covers {1 + len(components)} objects"])
 
 
-def test_fig5_shared_component(benchmark, recorder):
+def test_fig5_shared_component(benchmark):
     def scenario():
         db, j, k, o_prime, p, q = _figure5_db()
         engine = AuthorizationEngine(db)
@@ -82,11 +80,9 @@ def test_fig5_shared_component(benchmark, recorder):
             for grant, _why in reasons]
     print_table(rows, title="F5 / Figure 5 — two implied authorizations on "
                             "the shared component")
-    recorder.record("F5", "Figure 5: multiple implicit authorizations", rows,
-                    ["shared component receives one implied auth per root"])
 
 
-def test_fig6_matrix(benchmark, recorder):
+def test_fig6_matrix(benchmark):
     matrix = benchmark(figure6_matrix)
     assert len(matrix) == 64
 
@@ -110,17 +106,6 @@ def test_fig6_matrix(benchmark, recorder):
     print()
     print(render_figure6())
     print()
-    rows = [
-        {"j_grant": str(row), "k_grant": str(col),
-         "result": matrix[(row, col)].render()}
-        for row in FIGURE6_ATOMS for col in FIGURE6_ATOMS
-    ]
-    conflicts = sum(1 for r in matrix.values() if r.conflict)
-    recorder.record(
-        "F6", "Figure 6: authorization conflict matrix", rows,
-        [f"64 cells, {conflicts} conflicts",
-         "paper worked examples (sR+sW=sW, s¬R+s¬W=s¬R, sW vs s¬R=Conflict) hold"],
-    )
 
 
 def test_fig6_combine_microbenchmark(benchmark):

@@ -28,7 +28,7 @@ from repro.locking import (
 M = LockMode
 
 
-def test_fig7_matrix(benchmark, recorder):
+def test_fig7_matrix(benchmark):
     matrix = benchmark(lambda: derive_matrix(MODE_CLAIMS))
     fig7 = {pair: ok for pair, ok in matrix.items()
             if pair[0] in FIGURE7_MODES and pair[1] in FIGURE7_MODES}
@@ -43,13 +43,9 @@ def test_fig7_matrix(benchmark, recorder):
     print("F7 / Figure 7 — compatibility matrix (granularity + exclusive "
           "composite locking)")
     print(render_matrix(FIGURE7_MODES, FIGURE7_MATRIX))
-    rows = [{"requested": str(a), "current": str(b), "compatible": fig7[(a, b)]}
-            for a in FIGURE7_MODES for b in FIGURE7_MODES]
-    recorder.record("F7", "Figure 7: lock compatibility (8 modes)", rows,
-                    ["derived matrix satisfies all prose constraints"])
 
 
-def test_fig8_matrix(benchmark, recorder):
+def test_fig8_matrix(benchmark):
     matrix = benchmark(lambda: derive_matrix(MODE_CLAIMS))
     assert matrix == FIGURE8_MATRIX
     # Shared-reference constraints: readers XOR one writer.
@@ -63,11 +59,6 @@ def test_fig8_matrix(benchmark, recorder):
     print("F8 / Figure 8 — compatibility matrix (with shared composite "
           "modes)")
     print(render_matrix(FIGURE8_MODES, FIGURE8_MATRIX))
-    rows = [{"requested": str(a), "current": str(b),
-             "compatible": matrix[(a, b)]}
-            for a in FIGURE8_MODES for b in FIGURE8_MODES]
-    recorder.record("F8", "Figure 8: lock compatibility (11 modes)", rows,
-                    ["shared component classes get readers XOR one writer"])
 
 
 def _figure9_db():
@@ -90,7 +81,7 @@ def _figure9_db():
     return db, i1, k1, k2
 
 
-def test_fig9_protocol_examples(benchmark, recorder):
+def test_fig9_protocol_examples(benchmark):
     def scenario():
         db, i1, k1, k2 = _figure9_db()
         table = LockTable()
@@ -113,11 +104,9 @@ def test_fig9_protocol_examples(benchmark, recorder):
     )
     print_table(rows, title="F9 / Figure 9 — protocol examples 1-3 "
                             "(1 and 2 coexist; 3 blocks)")
-    recorder.record("F9", "Figure 9: locking protocol examples", rows,
-                    ["examples 1+2 compatible; example 3 conflicts with both"])
 
 
-def test_fig9_garz88_anomaly(benchmark, recorder):
+def test_fig9_garz88_anomaly(benchmark):
     def scenario():
         db = Database()
         db.make_class("Obj")
@@ -140,9 +129,3 @@ def test_fig9_garz88_anomaly(benchmark, recorder):
              "mode_b": str(c.mode_b)} for c in conflicts]
     print_table(rows, title="F9b — GARZ88 root locking misses this conflict "
                             "under shared references")
-    recorder.record(
-        "F9b", "GARZ88 root-locking anomaly on shared references", rows,
-        ["S/X collision on the shared component is invisible to the lock "
-         "table — 'the algorithm cannot be used for shared composite "
-         "references'"],
-    )

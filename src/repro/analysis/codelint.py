@@ -1,130 +1,159 @@
 """AST discipline linter over ``src/repro`` itself (concurrency plane, part 3).
 
-PR 3's durability pipeline rests on conventions no runtime check can
-see: every mutating :class:`repro.core.database.Database` method must
-run inside the ``_operation()`` bracket (so ``on_op_end`` seals exactly
-one journal batch per operation), the transaction manager must wrap data
-operations in ``txn_context`` (so redo records land in the right commit
-batch), lock-table internals must stay inside ``locking/``, and journal
-hooks must only be attached or detached by the storage layer.  A
-violation compiles, imports, and passes most tests — it just corrupts
-batching semantics under exactly the crash/concurrency conditions the
-tests for *other* features never exercise.  So the conventions are
-enforced statically, over the package's own AST, in CI.
+The durability pipeline and the locking protocol rest on conventions no
+runtime check sees: every mutating ``Database`` method runs inside
+``self._operation()`` (one journal batch and one rollback scope per
+operation), the transaction manager wraps data operations in
+``self._db.txn_context(...)`` (redo records land in the commit batch),
+every grant goes through the lock table's compatibility matrix, and only
+the module that owns a format (journal records, wire framing) touches
+its internals.  A violation passes most tests and corrupts batching or
+grants only under crashes and contention, so CI checks the package's own
+AST.
 
-Rule ids (all carry ``file:line`` anchors in ``location`` and
-machine-readable ``file``/``line`` keys in ``detail``):
+Six rules are rows of two tables that one visitor walks: an
+:data:`OWNERSHIP` row says "these names belong to these modules" (a row
+may sanction a non-owner for one form of use: the history recorder and
+the MVCC manager may ``append``/``remove`` journal hooks, never replace
+them), a :data:`BRACKETS` row "these calls must sit inside this
+``with``".  Four rules stay code: ``CODE-EDIT-FUNNEL`` (in ``core/``, a
+raw edit outside the ``Database`` edit funnels, which alone record
+inverses on the undo stream), ``CODE-HOOK-LEAK`` (an observer attached
+but never removed in a :data:`DETACH_CONTEXTS` method or ``finally``
+block), ``CODE-BARE-EXCEPT`` and ``CODE-SYNTAX``.  :data:`RULES` gives
+each id one line, docs/ANALYSIS.md the full table.  Every finding has a
+``file:line`` location and ``file``/``line`` detail keys.
 
-``CODE-BARE-EXCEPT``
-    (error) a bare ``except:`` — swallows ``KeyboardInterrupt`` /
-    ``SystemExit`` and hides programming errors; name the exception.
-``CODE-OP-BRACKET``
-    (error) in ``core/database.py``, a public ``Database`` method calls
-    a mutation primitive (:data:`MUTATION_PRIMITIVES`, or
-    ``_deletion.delete``) outside ``with self._operation():`` — the
-    journal would never see the operation-end seal, and a failure could
-    not roll the mutation back.
-``CODE-EDIT-FUNNEL``
-    (error) in ``core/`` (but ``core/instance.py``, which defines the
-    primitives), a raw edit — a :data:`RAW_EDIT_CALLS` call such as
-    ``Instance.set``, an in-place change of ``_objects`` or
-    ``reverse_references``, or a ``.deleted`` assignment — outside the
-    ``Database`` edit funnels (:data:`EDIT_FUNNELS`).  Only the funnels
-    record inverses on the undo stream; any other edit survives a failed
-    operation and a transaction abort.
-``CODE-TXN-CONTEXT``
-    (error) in ``txn/manager.py``, a public ``TransactionManager``
-    method calls a mutating database op (``set_value``, ``insert_into``,
-    ``remove_from``, ``make``, ``delete``) outside
-    ``with self._db.txn_context(...):`` — redo records would bypass the
-    transaction's commit batch.
-``CODE-LOCK-STATE``
-    (error) outside ``locking/``, code touches private
-    :class:`~repro.locking.table.LockTable` state (``_granted`` /
-    ``_waiting``) or calls its internal ``_grant`` / ``_promote`` —
-    bypassing compatibility checks, FIFO fairness, stats, and observers.
-``CODE-JOURNAL-FORMAT``
-    (error) outside ``storage/``, code imports an underscore name (the
-    record kinds, the framing structs, the header and snapshot readers)
-    or a header constant (:data:`JOURNAL_FORMAT_NAMES`) from
-    ``repro.storage.journal``.  That module is the one owner of the
-    on-disk format; everything else reads it through
-    ``iter_frames`` / ``BatchReplayer`` / ``install_batch``, so a format
-    change is made once.
-``CODE-WIRE-FORMAT``
-    (error) outside ``server/protocol.py``, code calls ``readexactly``,
-    touches another object's ``_buffer`` (``reader._buffer``, or
-    ``getattr(reader, "_buffer")``), or imports an underscore name from
-    ``repro.server.protocol``.  That module owns the framing (the value
-    codec is :mod:`repro.storage.serializer`'s); every endpoint reads
-    the wire through ``FrameBuffer``, so a
-    framing change is made once and nobody probes a stream's private
-    state.  Outside the two wire endpoints (:data:`WIRE_ENDPOINTS`:
-    ``server/server.py`` and ``server/client.py``) it also flags the
-    calls that listen, connect or read frames off a stream
-    (``create_server``, ``start_server``, ``create_connection``,
-    ``open_connection``, ``read_frames``): every frontend serves through
-    ``WireServer``'s session loop and every upstream reads through
-    ``AsyncClient``, both on ``WireProtocol``, so a third listener,
-    connection or frame reader cannot come back.
-``CODE-JOURNAL-HOOKS``
-    (error) outside ``storage/``, code attaches, detaches, or replaces
-    the journal hook lists (``on_persist``, ``on_op_end``,
-    ``on_txn_commit``, ``on_txn_abort``).  Reading/iterating them is
-    fine; only the storage layer may rewire durability.  The isolation-
-    history recorder (``analysis/history.py``) is the one sanctioned
-    non-storage subscriber: it may ``append``/``remove`` (never replace)
-    — and ``CODE-HOOK-LEAK`` below holds it to the detach discipline.
-``CODE-HOOK-LEAK``
-    (error) a module attaches an observer to ``Database.on_op_end`` /
-    ``on_txn_commit`` / ``on_txn_abort`` or ``LockTable.observers``
-    (via ``.append``/``.extend``/``.insert``) but never ``.remove``\\ s
-    from the same hook inside a ``close()``/``detach()``/``stop()``/
-    ``__exit__()`` method or a ``finally`` block.  A leaked observer
-    outlives its owner: every later operation still calls it, keeping
-    dead recorders alive and double-counting their statistics.
-    ``storage/`` is exempt — the durability wiring is a permanent
-    subscription owned by the database itself.
-
-The linter is deliberately syntactic: it matches the discipline as
-written (``self._operation()``, ``self._db.txn_context(...)``), not a
-dataflow analysis.  Aliasing a primitive through a local variable evades
-it — and fails review, which is the second line of defense.
+The linter is deliberately syntactic: aliasing a primitive through a
+local variable evades it — and fails review, the second defense.
 """
 
 from __future__ import annotations
 
 import ast
+from itertools import product
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .findings import Report, Severity
 
 __all__ = [
-    "DB_MUTATORS",
-    "DETACH_CONTEXTS",
-    "EDIT_FUNNELS",
-    "HOOK_ATTACH_MODULES",
-    "JOURNAL_FORMAT_NAMES",
-    "JOURNAL_HOOKS",
-    "LEAK_HOOKS",
-    "LOCK_PRIVATE_ATTRS",
-    "LOCK_PRIVATE_CALLS",
-    "MUTATION_PRIMITIVES",
-    "RAW_EDIT_CALLS",
-    "RULES",
-    "WIRE_ENDPOINTS",
-    "WIRE_MODULE",
-    "lint_package",
-    "lint_paths",
-    "lint_source",
+    "BRACKETS", "DETACH_CONTEXTS", "EDIT_FUNNELS", "LEAK_HOOKS", "OWNERSHIP",
+    "RAW_EDIT_CALLS", "RULES", "lint_package", "lint_paths", "lint_source",
 ]
 
-#: Database-internal mutation primitives that must be bracketed.
-MUTATION_PRIMITIVES = frozenset({
-    "_make", "_assign", "_attach_child", "_add_member", "_link_component",
-    "_unlink_component", "_put", "_replay",
-})
+
+class Owned(NamedTuple):
+    """One "these names belong to these modules" rule row."""
+
+    rule: str
+    #: Package-relative path prefixes of the modules that own the names.
+    owners: tuple[str, ...]
+    #: Where a name is matched: ``attribute`` (``x.name``), ``method
+    #: call`` (``x.name()``), ``call`` (``name()`` or ``x.name()``),
+    #: ``getattr`` (``getattr(x, "name")``), ``from <module> import``
+    #: (dotted relative to ``repro``), ``hook mutator`` (``x.name.pop()``
+    #: or another list mutator) or ``hook assignment`` (``x.name = …``).
+    site: str
+    #: The owned names; :data:`ANY_PRIVATE` admits every ``_name``.
+    names: frozenset[str]
+    #: The finding message, formatted with ``name``, ``use`` and ``form``.
+    message: str
+    #: Detail keys: the first carries ``use``, a second ``form``.
+    detail: tuple[str, ...]
+    #: What was used, formatted with ``name``.
+    use: str = "{name}"
+    #: ``(module, form)`` pairs a non-owner may use; the form is a hook
+    #: mutator's method, or ``replaced`` / ``extended in place``.
+    sanctioned: frozenset[tuple[str, str]] = frozenset()
+    #: Whether uses on ``self`` (an object's own state) are exempt.
+    self_exempt: bool = False
+
+
+class Bracket(NamedTuple):
+    """One "these calls must sit inside this ``with``" rule row."""
+
+    rule: str
+    #: The module and class whose public methods are checked.
+    module: str
+    cls: str
+    #: The bracket call as written in the ``with`` statement.
+    bracket: str
+    #: The guarded calls, as dotted ``self.…`` names.
+    guarded: frozenset[str]
+    #: What goes wrong when a guarded call runs outside the bracket.
+    consequence: str
+
+
+#: In an :class:`Owned` row's names: every underscore name.
+ANY_PRIVATE = "_*"
+
+#: Mutating list-method names (on a hook list or an edited container).
+_LIST_MUTATORS = frozenset({"append", "remove", "extend", "insert", "clear", "pop"})
+
+#: Hook lists only the storage layer may rewire.
+_JOURNAL_HOOKS = frozenset({"on_persist", "on_op_end", "on_txn_commit", "on_txn_abort"})
+
+_WIRE = "{use} outside server/protocol.py — read the wire through FrameBuffer / WireProtocol"
+
+OWNERSHIP = (
+    Owned("CODE-LOCK-STATE", ("locking/",), "attribute",
+          frozenset({"_granted", "_held", "_waiting", "_covered"}),
+          "private LockTable state '{name}' touched outside locking/ — "
+          "use holders()/waiters()/modes_held()", ("attribute",)),
+    Owned("CODE-LOCK-STATE", ("locking/",), "method call",
+          frozenset({"_grant", "_promote"}),
+          "call of private LockTable method {name}() outside locking/ — "
+          "grants must go through acquire()/release_all()", ("call",)),
+    # Only the session loop and the clients listen, connect or read
+    # frames off a stream, both on WireProtocol.
+    Owned("CODE-WIRE-FORMAT", ("server/protocol.py", "server/server.py", "server/client.py"),
+          "call", frozenset({"create_server", "start_server", "create_connection",
+                             "open_connection", "read_frames"}),
+          "{use} outside server/client.py and server/server.py — serve "
+          "through WireServer, read a peer through AsyncClient", ("use",), use="{name}()"),
+    Owned("CODE-WIRE-FORMAT", ("server/protocol.py",), "method call",
+          frozenset({"readexactly"}), _WIRE, ("use",), use="{name}()"),
+    Owned("CODE-WIRE-FORMAT", ("server/protocol.py",), "attribute",
+          frozenset({"_buffer"}), _WIRE, ("use",),
+          use="another object's .{name}", self_exempt=True),
+    Owned("CODE-WIRE-FORMAT", ("server/protocol.py",), "getattr",
+          frozenset({"_buffer"}), _WIRE, ("use",),
+          use="getattr(..., '{name}')", self_exempt=True),
+    Owned("CODE-WIRE-FORMAT", ("server/protocol.py",),
+          "from server.protocol import", frozenset({ANY_PRIVATE}), _WIRE,
+          ("use",), use="'{name}' imported from repro.server.protocol"),
+    Owned("CODE-JOURNAL-FORMAT", ("storage/",), "from storage.journal import",
+          frozenset({ANY_PRIVATE, "JOURNAL_HEADER_SIZE", "JOURNAL_MAGIC"}),
+          "'{name}' imported from repro.storage.journal outside storage/ — "
+          "read the journal through iter_frames/BatchReplayer/install_batch", ("name",)),
+    Owned("CODE-JOURNAL-HOOKS", ("storage/",), "hook mutator", _JOURNAL_HOOKS,
+          "journal hook list '{name}' mutated via .{form}() outside storage/ — "
+          "only the journal may attach or detach durability hooks", ("hook", "mutator"),
+          sanctioned=frozenset(product(("analysis/history.py", "mvcc/manager.py"),
+                                       ("append", "remove")))),
+    Owned("CODE-JOURNAL-HOOKS", ("storage/",), "hook assignment", _JOURNAL_HOOKS,
+          "journal hook list '{name}' {form} outside storage/ — only the "
+          "journal may rewire durability hooks", ("hook",),
+          sanctioned=frozenset({("core/database.py", "replaced")})),
+)
+
+BRACKETS = (
+    Bracket("CODE-OP-BRACKET", "core/database.py", "Database",
+            "self._operation()", frozenset({
+                "self._make", "self._assign", "self._attach_child",
+                "self._add_member", "self._link_component",
+                "self._unlink_component", "self._put", "self._replay",
+                "self._deletion.delete",
+            }),
+            "the journal never sees the operation-end seal for this mutation"),
+    Bracket("CODE-TXN-CONTEXT", "txn/manager.py", "TransactionManager",
+            "self._db.txn_context(...)", frozenset({
+                "self._db.set_value", "self._db.insert_into",
+                "self._db.remove_from", "self._db.make", "self._db.delete",
+            }),
+            "its redo records bypass the transaction's commit batch"),
+)
 
 #: The ``Database`` methods that may edit instances and the object
 #: table directly: each records its inverse on the undo stream.
@@ -142,57 +171,8 @@ RAW_EDIT_CALLS = frozenset({
 #: Containers whose in-place change is a raw edit.
 _EDITED_CONTAINERS = frozenset({"_objects", "reverse_references"})
 
-#: Mutating Database entry points the transaction manager must wrap.
-DB_MUTATORS = frozenset({
-    "set_value", "insert_into", "remove_from", "make", "delete",
-})
-
-#: Private LockTable state nobody outside locking/ may read or write.
-LOCK_PRIVATE_ATTRS = frozenset(
-    {"_granted", "_held", "_waiting", "_covered"}
-)
-
-#: Private LockTable methods nobody outside locking/ may call.
-LOCK_PRIVATE_CALLS = frozenset({"_grant", "_promote"})
-
-#: Public journal-header constants nobody outside storage/ may import
-#: (underscore names are refused as well).
-JOURNAL_FORMAT_NAMES = frozenset({"JOURNAL_HEADER_SIZE", "JOURNAL_MAGIC"})
-
-#: The one module that may read the wire below ``FrameBuffer``.
-WIRE_MODULE = "server/protocol.py"
-
-#: The only modules that may listen, connect or read frames off a
-#: stream: the server's session loop and the clients.
-WIRE_ENDPOINTS = frozenset({"server/server.py", "server/client.py"})
-
-#: Calls that open a listener, a connection or a frame reader.
-_WIRE_ENDPOINT_CALLS = frozenset({
-    "create_server", "start_server", "create_connection",
-    "open_connection", "read_frames",
-})
-
-#: Hook lists only the storage layer may attach/detach/replace.
-JOURNAL_HOOKS = frozenset({
-    "on_persist", "on_op_end", "on_txn_commit", "on_txn_abort",
-})
-
-#: Mutating list-method names on a hook attribute.
-_LIST_MUTATORS = frozenset({
-    "append", "remove", "extend", "insert", "clear", "pop",
-})
-
-#: Non-storage modules sanctioned to ``append``/``remove`` (never
-#: replace) journal hook lists: the passive isolation-history recorder
-#: and the MVCC snapshot manager (which stamps version chains at the
-#: same commit/op-end boundaries the journal seals batches at).
-HOOK_ATTACH_MODULES = frozenset({"analysis/history.py", "mvcc/manager.py"})
-
-#: Observer hooks whose attachments must be paired with a detach
-#: (the CODE-HOOK-LEAK rule).
-LEAK_HOOKS = frozenset({
-    "on_op_end", "on_txn_commit", "on_txn_abort", "observers",
-})
+#: Observer hooks whose attachments must be paired with a detach.
+LEAK_HOOKS = frozenset({"on_op_end", "on_txn_commit", "on_txn_abort", "observers"})
 
 #: Method names that count as a sanctioned detach site.
 DETACH_CONTEXTS = frozenset({"close", "detach", "stop", "__exit__"})
@@ -201,57 +181,30 @@ DETACH_CONTEXTS = frozenset({"close", "detach", "stop", "__exit__"})
 RULES = {
     "CODE-SYNTAX": "file does not parse",
     "CODE-BARE-EXCEPT": "bare 'except:' swallows SystemExit and bugs alike",
-    "CODE-OP-BRACKET": "public Database method mutates outside "
-                       "'with self._operation():'",
+    "CODE-OP-BRACKET": "public Database method mutates outside 'with self._operation():'",
     "CODE-EDIT-FUNNEL": "raw instance/object-table edit in core/ outside "
                         "the Database edit funnels",
     "CODE-TXN-CONTEXT": "public TransactionManager method mutates outside "
                         "'with self._db.txn_context(...):'",
     "CODE-LOCK-STATE": "private LockTable state touched outside locking/",
-    "CODE-JOURNAL-FORMAT": "journal format internals imported outside "
-                           "storage/",
-    "CODE-WIRE-FORMAT": "wire framing internals used outside "
-                        "server/protocol.py, or a listener or frame "
-                        "reader outside server/server.py and "
-                        "server/client.py",
+    "CODE-JOURNAL-FORMAT": "journal format internals imported outside storage/",
+    "CODE-WIRE-FORMAT": "wire framing internals used outside server/protocol.py, or a "
+                        "listener or frame reader outside server/server.py and server/client.py",
     "CODE-JOURNAL-HOOKS": "journal hook lists rewired outside storage/",
     "CODE-HOOK-LEAK": "observer hook attached without a detach in a "
                       "close()/detach()/stop()/__exit__() or finally path",
 }
 
 
-def _is_self_attr(node: ast.expr, attr: str) -> bool:
-    """True for the expression ``self.<attr>``."""
-    return (
-        isinstance(node, ast.Attribute)
-        and node.attr == attr
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    )
-
-
-def _self_call_name(node: ast.Call) -> Optional[str]:
-    """``self.<name>(...)`` -> name, else None."""
-    func = node.func
-    if (
-        isinstance(func, ast.Attribute)
-        and isinstance(func.value, ast.Name)
-        and func.value.id == "self"
-    ):
-        return func.attr
-    return None
-
-
-def _self_chain_call(node: ast.Call, middle: str) -> Optional[str]:
-    """``self.<middle>.<name>(...)`` -> name, else None."""
-    func = node.func
-    if isinstance(func, ast.Attribute) and _is_self_attr(func.value, middle):
-        return func.attr
-    return None
-
-
-def _is_self(node: ast.expr) -> bool:
-    return isinstance(node, ast.Name) and node.id == "self"
+def _dotted(node: Optional[ast.expr]) -> Optional[str]:
+    """``a.b.c`` -> ``"a.b.c"`` for attributes on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id, *reversed(parts)])
 
 
 def _imported_module(node: ast.ImportFrom, rel_path: str) -> str:
@@ -267,44 +220,25 @@ def _imported_module(node: ast.ImportFrom, rel_path: str) -> str:
     return ".".join([*base, module] if module else base)
 
 
-def _is_operation_with(node: ast.With) -> bool:
-    """True for ``with self._operation():`` (possibly among other items)."""
-    for item in node.items:
-        expr = item.context_expr
-        if isinstance(expr, ast.Call) and _self_call_name(expr) == "_operation":
-            return True
-    return False
-
-
-def _is_txn_context_with(node: ast.With) -> bool:
-    """True for ``with self._db.txn_context(...):``."""
-    for item in node.items:
-        expr = item.context_expr
-        if (
-            isinstance(expr, ast.Call)
-            and _self_chain_call(expr, "_db") == "txn_context"
-        ):
-            return True
-    return False
-
-
 class _FileLinter(ast.NodeVisitor):
     """One file's traversal state."""
 
     def __init__(self, rel_path: str, report: Report) -> None:
         self.rel_path = rel_path
         self.report = report
-        self.in_locking = rel_path.startswith("locking/")
         self.in_storage = rel_path.startswith("storage/")
         self.is_database_module = rel_path == "core/database.py"
         self.checks_edits = rel_path.startswith("core/") and rel_path != "core/instance.py"
-        self.is_txn_manager_module = rel_path == "txn/manager.py"
-        self.is_wire_module = rel_path == WIRE_MODULE
-        self.is_wire_endpoint = self.is_wire_module or rel_path in WIRE_ENDPOINTS
+        #: site -> the OWNERSHIP rows this file does not own.
+        self._owned: dict[str, list[Owned]] = {}
+        for row in OWNERSHIP:
+            if not rel_path.startswith(row.owners):
+                self._owned.setdefault(row.site, []).append(row)
+        self._brackets = [row for row in BRACKETS if row.module == rel_path]
+        #: rule -> nesting inside that row's bracket.
+        self._bracket_depth = {row.rule: 0 for row in self._brackets}
         self._class_stack: list[str] = []
         self._method: Optional[str] = None
-        self._op_bracket_depth = 0
-        self._txn_context_depth = 0
         #: Nesting inside a sanctioned detach context (a function named
         #: in DETACH_CONTEXTS, or a ``finally`` block).
         self._detach_depth = 0
@@ -313,38 +247,42 @@ class _FileLinter(ast.NodeVisitor):
         #: hook attrs with a sanctioned ``.remove`` somewhere.
         self._hook_detaches: set[str] = set()
 
-    # -- helpers -----------------------------------------------------------
-
     def _add(self, rule: str, line: int, message: str, **detail: object) -> None:
-        self.report.add(
-            Severity.ERROR,
-            rule,
-            f"{self.rel_path}:{line}",
-            message,
-            file=self.rel_path,
-            line=line,
-            **detail,
-        )
+        self.report.add(Severity.ERROR, rule, f"{self.rel_path}:{line}",
+                        message, file=self.rel_path, line=line, **detail)
 
-    @property
-    def _in_public_database_method(self) -> bool:
-        return (
-            self.is_database_module
-            and bool(self._class_stack)
-            and self._class_stack[-1] == "Database"
-            and self._method is not None
-            and not self._method.startswith("_")
-        )
+    # -- the tables --------------------------------------------------------
 
-    @property
-    def _in_public_manager_method(self) -> bool:
-        return (
-            self.is_txn_manager_module
-            and bool(self._class_stack)
-            and self._class_stack[-1] == "TransactionManager"
-            and self._method is not None
-            and not self._method.startswith("_")
-        )
+    def _own(self, site: str, line: int, name: object,
+             receiver: Optional[ast.expr] = None, form: str = "") -> None:
+        """Check one use of *name* at *site* against the OWNERSHIP rows."""
+        for row in self._owned.get(site, ()):
+            if not (
+                name in row.names
+                or ANY_PRIVATE in row.names and str(name).startswith("_")
+            ) or (self.rel_path, form) in row.sanctioned or (
+                row.self_exempt and _dotted(receiver) == "self"
+            ):
+                continue
+            use = row.use.format(name=name)
+            self._add(row.rule, line,
+                      row.message.format(name=name, use=use, form=form),
+                      **dict(zip(row.detail, (use, form))))
+
+    def _check_brackets(self, node: ast.Call) -> None:
+        method = self._method
+        for row in self._brackets:
+            call = _dotted(node.func)
+            if (
+                self._class_stack[-1:] == [row.cls]
+                and method is not None and not method.startswith("_")
+                and not self._bracket_depth[row.rule]
+                and call in row.guarded
+            ):
+                self._add(row.rule, node.lineno,
+                          f"{row.cls}.{method} calls {call}() outside "
+                          f"'with {row.bracket}:' — {row.consequence}",
+                          method=method, call=call)
 
     # -- structure ---------------------------------------------------------
 
@@ -353,7 +291,7 @@ class _FileLinter(ast.NodeVisitor):
         self.generic_visit(node)
         self._class_stack.pop()
 
-    def _visit_function(
+    def visit_FunctionDef(
         self, node: Union[ast.FunctionDef, ast.AsyncFunctionDef]
     ) -> None:
         outer = self._method
@@ -367,75 +305,94 @@ class _FileLinter(ast.NodeVisitor):
         self._detach_depth -= is_detach
         self._method = outer
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._visit_function(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._visit_function(node)
+    visit_AsyncFunctionDef = visit_FunctionDef
 
     def visit_With(self, node: ast.With) -> None:
-        is_op = _is_operation_with(node)
-        is_txn = _is_txn_context_with(node)
-        self._op_bracket_depth += is_op
-        self._txn_context_depth += is_txn
+        called = {
+            _dotted(item.context_expr.func) for item in node.items
+            if isinstance(item.context_expr, ast.Call)
+        }
+        entered = [
+            row.rule for row in self._brackets
+            if row.bracket.partition("(")[0] in called
+        ]
+        for rule in entered:
+            self._bracket_depth[rule] += 1
         self.generic_visit(node)
-        self._op_bracket_depth -= is_op
-        self._txn_context_depth -= is_txn
+        for rule in entered:
+            self._bracket_depth[rule] -= 1
 
     def visit_Try(self, node: ast.Try) -> None:
         # A ``finally`` block is a sanctioned detach context.
-        for child in node.body:
-            self.visit(child)
-        for handler in node.handlers:
-            self.visit(handler)
-        for child in node.orelse:
+        for child in (*node.body, *node.handlers, *node.orelse):
             self.visit(child)
         self._detach_depth += 1
         for child in node.finalbody:
             self.visit(child)
         self._detach_depth -= 1
 
-    # -- rules -------------------------------------------------------------
+    # -- sites -------------------------------------------------------------
 
     def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
         if node.type is None:
-            self._add(
-                "CODE-BARE-EXCEPT",
-                node.lineno,
-                "bare 'except:' — name the exception "
-                "(it also catches SystemExit and KeyboardInterrupt)",
-            )
+            self._add("CODE-BARE-EXCEPT", node.lineno,
+                      "bare 'except:' — name the exception "
+                      "(it also catches SystemExit and KeyboardInterrupt)")
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
-        self._check_op_bracket(node)
+        self._check_brackets(node)
         self._check_raw_edit(node)
-        self._check_txn_context(node)
-        self._check_lock_private_call(node)
-        self._check_hook_mutation_call(node)
-        self._check_hook_leak(node)
-        self._check_wire_read(node)
+        func, line = node.func, node.lineno
+        if isinstance(func, ast.Attribute):
+            self._own("method call", line, func.attr, func.value)
+            self._own("call", line, func.attr, func.value)
+            if isinstance(func.value, ast.Attribute):
+                if func.attr in _LIST_MUTATORS:
+                    self._own("hook mutator", line, func.value.attr,
+                              form=func.attr)
+                self._check_hook_leak(line, func.value.attr, func.attr)
+        elif isinstance(func, ast.Name):
+            self._own("call", line, func.id)
+            if (
+                func.id == "getattr" and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                self._own("getattr", line, node.args[1].value, node.args[0])
         self.generic_visit(node)
 
-    def _check_op_bracket(self, node: ast.Call) -> None:
-        if not self._in_public_database_method or self._op_bracket_depth:
-            return
-        name = _self_call_name(node)
-        primitive: Optional[str] = None
-        if name in MUTATION_PRIMITIVES:
-            primitive = f"self.{name}"
-        elif _self_chain_call(node, "_deletion") == "delete":
-            primitive = "self._deletion.delete"
-        if primitive is not None:
-            self._add(
-                "CODE-OP-BRACKET",
-                node.lineno,
-                f"Database.{self._method} calls {primitive}() outside "
-                f"'with self._operation():' — the journal never sees the "
-                f"operation-end seal for this mutation",
-                method=self._method,
-                call=primitive,
-            )
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        self._own("attribute", node.lineno, node.attr, node.value)
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        site = f"from {_imported_module(node, self.rel_path)} import"
+        for alias in node.names:
+            self._own(site, node.lineno, alias.name)
+        self.generic_visit(node)
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        for target in node.targets:
+            if isinstance(target, ast.Attribute):
+                self._own("hook assignment", node.lineno, target.attr,
+                          form="replaced")
+        for target in node.targets:
+            self._check_raw_edit(target)
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        if isinstance(node.target, ast.Attribute):
+            self._own("hook assignment", node.lineno, node.target.attr,
+                      form="extended in place")
+        self._check_raw_edit(node.target)
+        self.generic_visit(node)
+
+    def visit_Delete(self, node: ast.Delete) -> None:
+        for target in node.targets:
+            self._check_raw_edit(target)
+        self.generic_visit(node)
+
+    # -- the rules that stay code -----------------------------------------
 
     def _check_raw_edit(self, node: ast.expr) -> None:
         """CODE-EDIT-FUNNEL for one call or assignment/``del`` target."""
@@ -465,232 +422,30 @@ class _FileLinter(ast.NodeVisitor):
         elif isinstance(node, ast.Attribute) and node.attr == "deleted":
             edit = ".deleted ="
         if edit is not None:
-            self._add(
-                "CODE-EDIT-FUNNEL",
-                node.lineno,
-                f"raw edit {edit} outside the Database edit funnels — the "
-                f"undo stream never sees it, so neither a failed operation "
-                f"nor an abort can undo it",
-                edit=edit,
-            )
+            self._add("CODE-EDIT-FUNNEL", node.lineno,
+                      f"raw edit {edit} outside the Database edit funnels — the undo stream "
+                      f"never sees it, so neither a failed operation nor an abort can undo it",
+                      edit=edit)
 
-    def _check_txn_context(self, node: ast.Call) -> None:
-        if not self._in_public_manager_method or self._txn_context_depth:
-            return
-        name = _self_chain_call(node, "_db")
-        if name in DB_MUTATORS:
-            self._add(
-                "CODE-TXN-CONTEXT",
-                node.lineno,
-                f"TransactionManager.{self._method} calls "
-                f"self._db.{name}() outside "
-                f"'with self._db.txn_context(...):' — its redo records "
-                f"bypass the transaction's commit batch",
-                method=self._method,
-                call=f"self._db.{name}",
-            )
-
-    def _check_lock_private_call(self, node: ast.Call) -> None:
-        if self.in_locking:
-            return
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in LOCK_PRIVATE_CALLS
-        ):
-            self._add(
-                "CODE-LOCK-STATE",
-                node.lineno,
-                f"call of private LockTable method {func.attr}() outside "
-                f"locking/ — grants must go through acquire()/release_all()",
-                call=func.attr,
-            )
-
-    def _check_hook_mutation_call(self, node: ast.Call) -> None:
-        if self.in_storage:
-            return
-        func = node.func
-        if not (
-            isinstance(func, ast.Attribute) and func.attr in _LIST_MUTATORS
-        ):
-            return
-        target = func.value
-        if isinstance(target, ast.Attribute) and target.attr in JOURNAL_HOOKS:
-            # The isolation-history recorder subscribes/unsubscribes —
-            # but only with the paired append/remove the HOOK-LEAK rule
-            # verifies; wholesale rewiring stays forbidden even there.
-            if (
-                self.rel_path in HOOK_ATTACH_MODULES
-                and func.attr in ("append", "remove")
-            ):
-                return
-            self._add(
-                "CODE-JOURNAL-HOOKS",
-                node.lineno,
-                f"journal hook list '{target.attr}' mutated via "
-                f".{func.attr}() outside storage/ — only the journal may "
-                f"attach or detach durability hooks",
-                hook=target.attr,
-                mutator=func.attr,
-            )
-
-    def _check_hook_leak(self, node: ast.Call) -> None:
+    def _check_hook_leak(self, line: int, hook: str, method: str) -> None:
         # The storage layer owns the durability wiring for the life of
         # the database — permanent subscription is its job, not a leak.
-        if self.in_storage:
+        if self.in_storage or hook not in LEAK_HOOKS:
             return
-        func = node.func
-        if not isinstance(func, ast.Attribute):
-            return
-        target = func.value
-        if not (
-            isinstance(target, ast.Attribute) and target.attr in LEAK_HOOKS
-        ):
-            return
-        if func.attr in ("append", "extend", "insert"):
-            self._hook_attaches.setdefault(
-                target.attr, (node.lineno, func.attr)
-            )
-        elif func.attr == "remove" and self._detach_depth:
-            self._hook_detaches.add(target.attr)
-
-    def _add_wire(self, line: int, what: str) -> None:
-        self._add(
-            "CODE-WIRE-FORMAT",
-            line,
-            f"{what} outside {WIRE_MODULE} — read the wire through "
-            f"FrameBuffer / WireProtocol",
-            use=what,
-        )
-
-    def _check_wire_read(self, node: ast.Call) -> None:
-        func = node.func
-        name = getattr(func, "attr", None) or getattr(func, "id", None)
-        if name in _WIRE_ENDPOINT_CALLS and not self.is_wire_endpoint:
-            self._add(
-                "CODE-WIRE-FORMAT",
-                node.lineno,
-                f"{name}() outside {' and '.join(sorted(WIRE_ENDPOINTS))}"
-                f" — serve through WireServer, read a peer through "
-                f"AsyncClient",
-                use=f"{name}()",
-            )
-        if self.is_wire_module:
-            return
-        if isinstance(func, ast.Attribute) and func.attr == "readexactly":
-            self._add_wire(node.lineno, "readexactly()")
-        elif (
-            isinstance(func, ast.Name)
-            and func.id == "getattr"
-            and len(node.args) >= 2
-            and isinstance(node.args[1], ast.Constant)
-            and node.args[1].value == "_buffer"
-            and not _is_self(node.args[0])
-        ):
-            self._add_wire(node.lineno, "getattr(..., '_buffer')")
+        if method in ("append", "extend", "insert"):
+            self._hook_attaches.setdefault(hook, (line, method))
+        elif method == "remove" and self._detach_depth:
+            self._hook_detaches.add(hook)
 
     def finish(self) -> None:
         """Module-level checks that need the whole file seen first."""
-        for attr, (line, mutator) in sorted(self._hook_attaches.items()):
-            if attr in self._hook_detaches:
-                continue
-            self._add(
-                "CODE-HOOK-LEAK",
-                line,
-                f"observer hook '{attr}' attached via .{mutator}() but "
-                f"never .remove()d inside a close()/detach()/stop()/"
-                f"__exit__() method or finally block — the observer "
-                f"outlives its owner and keeps firing on a dead object",
-                hook=attr,
-                mutator=mutator,
-            )
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        module = _imported_module(node, self.rel_path)
-        if module == "server.protocol" and not self.is_wire_module:
-            for alias in node.names:
-                if alias.name.startswith("_"):
-                    self._add_wire(
-                        node.lineno,
-                        f"'{alias.name}' imported from repro.server.protocol",
-                    )
-        if module == "storage.journal" and not self.in_storage:
-            for alias in node.names:
-                if (
-                    alias.name.startswith("_")
-                    or alias.name in JOURNAL_FORMAT_NAMES
-                ):
-                    self._add(
-                        "CODE-JOURNAL-FORMAT",
-                        node.lineno,
-                        f"'{alias.name}' imported from repro.storage.journal "
-                        f"outside storage/ — read the journal through "
-                        f"iter_frames/BatchReplayer/install_batch",
-                        name=alias.name,
-                    )
-        self.generic_visit(node)
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if not self.in_locking and node.attr in LOCK_PRIVATE_ATTRS:
-            self._add(
-                "CODE-LOCK-STATE",
-                node.lineno,
-                f"private LockTable state '{node.attr}' touched outside "
-                f"locking/ — use holders()/waiters()/modes_held()",
-                attribute=node.attr,
-            )
-        if (
-            node.attr == "_buffer"
-            and not self.is_wire_module
-            and not _is_self(node.value)
-        ):
-            self._add_wire(node.lineno, "another object's ._buffer")
-        self.generic_visit(node)
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        self._check_hook_assignment(node.targets, node.lineno)
-        for target in node.targets:
-            self._check_raw_edit(target)
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._check_hook_assignment([node.target], node.lineno, augmented=True)
-        self._check_raw_edit(node.target)
-        self.generic_visit(node)
-
-    def visit_Delete(self, node: ast.Delete) -> None:
-        for target in node.targets:
-            self._check_raw_edit(target)
-        self.generic_visit(node)
-
-    def _check_hook_assignment(
-        self,
-        targets: Iterable[ast.expr],
-        line: int,
-        augmented: bool = False,
-    ) -> None:
-        if self.in_storage:
-            return
-        for target in targets:
-            if not (
-                isinstance(target, ast.Attribute)
-                and target.attr in JOURNAL_HOOKS
-            ):
-                continue
-            # The Database constructor *defines* the hook lists; that
-            # single site is the one legitimate assignment outside
-            # storage/.
-            if self.is_database_module and not augmented:
-                continue
-            self._add(
-                "CODE-JOURNAL-HOOKS",
-                line,
-                f"journal hook list '{target.attr}' "
-                f"{'extended in place' if augmented else 'replaced'} "
-                f"outside storage/ — only the journal may rewire "
-                f"durability hooks",
-                hook=target.attr,
-            )
+        for hook, (line, mutator) in sorted(self._hook_attaches.items()):
+            if hook not in self._hook_detaches:
+                self._add("CODE-HOOK-LEAK", line,
+                          f"observer hook '{hook}' attached via .{mutator}() but never "
+                          f".remove()d inside a close()/detach()/stop()/__exit__() method "
+                          f"or finally block — the observer outlives its owner and keeps "
+                          f"firing on a dead object", hook=hook, mutator=mutator)
 
 
 def lint_source(source: str, rel_path: str, report: Optional[Report] = None) -> Report:
@@ -707,26 +462,19 @@ def lint_source(source: str, rel_path: str, report: Optional[Report] = None) -> 
     try:
         tree = ast.parse(source, filename=rel_path)
     except SyntaxError as error:
-        report.add(
-            Severity.ERROR,
-            "CODE-SYNTAX",
-            f"{rel_path}:{error.lineno or 0}",
-            f"file does not parse: {error.msg}",
-            file=rel_path,
-            line=error.lineno or 0,
-        )
-        report.checked += 1
-        return report
-    linter = _FileLinter(rel_path, report)
-    linter.visit(tree)
-    linter.finish()
+        line = error.lineno or 0
+        report.add(Severity.ERROR, "CODE-SYNTAX", f"{rel_path}:{line}",
+                   f"file does not parse: {error.msg}",
+                   file=rel_path, line=line)
+    else:
+        linter = _FileLinter(rel_path, report)
+        linter.visit(tree)
+        linter.finish()
     report.checked += 1
     return report
 
 
-def lint_paths(
-    paths: Iterable[Path], root: Path, report: Optional[Report] = None
-) -> Report:
+def lint_paths(paths: Iterable[Path], root: Path, report: Optional[Report] = None) -> Report:
     """Lint *paths* (absolute) with rule applicability relative to *root*."""
     if report is None:
         report = Report(plane="code")
@@ -747,8 +495,5 @@ def lint_package(root: Union[str, Path, None] = None) -> Report:
 
         root = Path(repro.__file__).resolve().parent
     root = Path(root)
-    paths = [
-        path for path in root.rglob("*.py")
-        if "__pycache__" not in path.parts
-    ]
+    paths = [path for path in root.rglob("*.py") if "__pycache__" not in path.parts]
     return lint_paths(paths, root)

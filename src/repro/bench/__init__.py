@@ -1,15 +1,8 @@
-"""Benchmark harness utilities: table rendering and result recording."""
+"""Benchmark harness utilities: table rendering."""
 
-from .recorder import GLOBAL_RECORDER, ExperimentRecord, Recorder
-from .report import render_report, render_report_file
 from .tables import format_table, print_table
 
 __all__ = [
-    "ExperimentRecord",
-    "GLOBAL_RECORDER",
-    "Recorder",
     "format_table",
     "print_table",
-    "render_report",
-    "render_report_file",
 ]

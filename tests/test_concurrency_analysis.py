@@ -21,9 +21,18 @@ Plus direct unit tests for the wait-for-graph machinery in
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
-from repro.analysis.codelint import RULES, lint_package, lint_source
+from repro.analysis.codelint import (
+    BRACKETS,
+    OWNERSHIP,
+    RULES,
+    lint_package,
+    lint_source,
+)
 from repro.analysis.lockdep import (
     Acquisition,
     LockOrderGraph,
@@ -478,11 +487,133 @@ class TestCodeLint:
         assert report.by_rule("CODE-SYNTAX")
 
     def test_every_emitted_rule_is_documented(self):
-        assert {
-            "CODE-BARE-EXCEPT", "CODE-OP-BRACKET", "CODE-TXN-CONTEXT",
-            "CODE-LOCK-STATE", "CODE-JOURNAL-HOOKS", "CODE-SYNTAX",
-            "CODE-JOURNAL-FORMAT", "CODE-WIRE-FORMAT",
-        } <= set(RULES)
+        code_rules = {
+            "CODE-EDIT-FUNNEL", "CODE-HOOK-LEAK", "CODE-BARE-EXCEPT",
+            "CODE-SYNTAX",
+        }
+        table_rules = {row.rule for row in (*OWNERSHIP, *BRACKETS)}
+        assert table_rules | code_rules == set(RULES)
+
+    def test_analysis_doc_table_lists_exactly_the_rules(self):
+        doc = (Path(__file__).resolve().parent.parent / "docs"
+               / "ANALYSIS.md").read_text(encoding="utf-8")
+        section = doc.split("### `code`", 1)[1].split("\n## ", 1)[0]
+        assert set(re.findall(r"^\| `(CODE-[A-Z-]+)` \|", section,
+                              re.MULTILINE)) == set(RULES)
+
+
+#: One seeded violation per table row, in table order (OWNERSHIP, then
+#: BRACKETS): (source, path, the whole expected finding).  The expected
+#: findings were taken from the hand-written rule checks the tables
+#: replaced, so a row that drifts in message, detail or key order fails.
+TABLE_ROW_CASES = [
+    ("def f(table):\n    return table._held\n", "server/dispatch.py",
+     ("CODE-LOCK-STATE", "server/dispatch.py:2",
+      "private LockTable state '_held' touched outside locking/ — use "
+      "holders()/waiters()/modes_held()",
+      {"file": "server/dispatch.py", "line": 2, "attribute": "_held"})),
+    ("def f(table, txn):\n    table._promote(txn, 'r')\n", "txn/manager.py",
+     ("CODE-LOCK-STATE", "txn/manager.py:2",
+      "call of private LockTable method _promote() outside locking/ — "
+      "grants must go through acquire()/release_all()",
+      {"file": "txn/manager.py", "line": 2, "call": "_promote"})),
+    ("async def f(loop, factory):\n"
+     "    await loop.create_connection(factory, 'h', 1)\n",
+     "shard/router.py",
+     ("CODE-WIRE-FORMAT", "shard/router.py:2",
+      "create_connection() outside server/client.py and server/server.py "
+      "— serve through WireServer, read a peer through AsyncClient",
+      {"file": "shard/router.py", "line": 2,
+       "use": "create_connection()"})),
+    ("async def f(reader):\n    return await reader.readexactly(4)\n",
+     "mvcc/replica.py",
+     ("CODE-WIRE-FORMAT", "mvcc/replica.py:2",
+      "readexactly() outside server/protocol.py — read the wire through "
+      "FrameBuffer / WireProtocol",
+      {"file": "mvcc/replica.py", "line": 2, "use": "readexactly()"})),
+    ("def f(reader):\n    return reader._buffer\n", "server/server.py",
+     ("CODE-WIRE-FORMAT", "server/server.py:2",
+      "another object's ._buffer outside server/protocol.py — read the "
+      "wire through FrameBuffer / WireProtocol",
+      {"file": "server/server.py", "line": 2,
+       "use": "another object's ._buffer"})),
+    ("def f(reader):\n    return getattr(reader, '_buffer')\n",
+     "server/client.py",
+     ("CODE-WIRE-FORMAT", "server/client.py:2",
+      "getattr(..., '_buffer') outside server/protocol.py — read the wire "
+      "through FrameBuffer / WireProtocol",
+      {"file": "server/client.py", "line": 2,
+       "use": "getattr(..., '_buffer')"})),
+    ("from .protocol import FrameBuffer, _u32_at\n", "server/dispatch.py",
+     ("CODE-WIRE-FORMAT", "server/dispatch.py:1",
+      "'_u32_at' imported from repro.server.protocol outside "
+      "server/protocol.py — read the wire through FrameBuffer / "
+      "WireProtocol",
+      {"file": "server/dispatch.py", "line": 1,
+       "use": "'_u32_at' imported from repro.server.protocol"})),
+    ("from ..storage.journal import iter_frames, JOURNAL_MAGIC\n",
+     "mvcc/replica.py",
+     ("CODE-JOURNAL-FORMAT", "mvcc/replica.py:1",
+      "'JOURNAL_MAGIC' imported from repro.storage.journal outside "
+      "storage/ — read the journal through "
+      "iter_frames/BatchReplayer/install_batch",
+      {"file": "mvcc/replica.py", "line": 1, "name": "JOURNAL_MAGIC"})),
+    # The history recorder may append/remove, never clear.
+    ("def f(db, cb):\n    db.on_txn_abort.clear()\n"
+     "    db.on_op_end.append(cb)\n"
+     "def close(db, cb):\n    db.on_op_end.remove(cb)\n",
+     "analysis/history.py",
+     ("CODE-JOURNAL-HOOKS", "analysis/history.py:2",
+      "journal hook list 'on_txn_abort' mutated via .clear() outside "
+      "storage/ — only the journal may attach or detach durability hooks",
+      {"file": "analysis/history.py", "line": 2, "hook": "on_txn_abort",
+       "mutator": "clear"})),
+    # Database.__init__ may define a hook list, never extend it in place.
+    ("class Database:\n    def __init__(self):\n"
+     "        self.on_persist = []\n        self.on_txn_commit += []\n",
+     "core/database.py",
+     ("CODE-JOURNAL-HOOKS", "core/database.py:4",
+      "journal hook list 'on_txn_commit' extended in place outside "
+      "storage/ — only the journal may rewire durability hooks",
+      {"file": "core/database.py", "line": 4, "hook": "on_txn_commit"})),
+    ("class Database:\n    def insert_into(self, uid, attr, value):\n"
+     "        self._add_member(uid, attr, value)\n",
+     "core/database.py",
+     ("CODE-OP-BRACKET", "core/database.py:3",
+      "Database.insert_into calls self._add_member() outside "
+      "'with self._operation():' — the journal never sees the "
+      "operation-end seal for this mutation",
+      {"file": "core/database.py", "line": 3, "method": "insert_into",
+       "call": "self._add_member"})),
+    ("class TransactionManager:\n"
+     "    def remove(self, txn, uid, attr, value):\n"
+     "        return self._db.remove_from(uid, attr, value)\n",
+     "txn/manager.py",
+     ("CODE-TXN-CONTEXT", "txn/manager.py:3",
+      "TransactionManager.remove calls self._db.remove_from() outside "
+      "'with self._db.txn_context(...):' — its redo records bypass the "
+      "transaction's commit batch",
+      {"file": "txn/manager.py", "line": 3, "method": "remove",
+       "call": "self._db.remove_from"})),
+]
+
+
+def test_every_table_row_has_one_case():
+    assert [case[2][0] for case in TABLE_ROW_CASES] == [
+        row.rule for row in (*OWNERSHIP, *BRACKETS)
+    ]
+
+
+@pytest.mark.parametrize(
+    "source, path, expected", TABLE_ROW_CASES,
+    ids=[f"{i}-{case[2][0]}" for i, case in enumerate(TABLE_ROW_CASES)],
+)
+def test_table_row_finding_is_pinned(source, path, expected):
+    findings = lint_source(source, path).findings
+    assert [
+        (f.rule, f.location, f.message, list(f.detail.items()))
+        for f in findings
+    ] == [(*expected[:3], list(expected[3].items()))]
 
 
 # ---------------------------------------------------------------------------

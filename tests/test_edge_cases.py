@@ -1,5 +1,5 @@
 """Edge-case sweep across subsystems: version-aware authorization, the
-operation-log registry, simulator internals, recorder, lock stats."""
+operation-log registry, simulator internals, lock stats."""
 
 import pytest
 
@@ -127,15 +127,6 @@ class TestLockStatsAndRecorder:
         stats.buffer_hits += 7
         delta = before.delta(stats.snapshot())
         assert delta.page_faults == 3 and delta.buffer_hits == 7
-
-    def test_recorder_overwrites_same_id(self):
-        from repro.bench import Recorder
-
-        recorder = Recorder()
-        recorder.record("X", "first", rows=[{"a": 1}])
-        recorder.record("X", "second", rows=[{"a": 2}])
-        assert recorder.get("X").description == "second"
-        assert len(recorder.all_records()) == 1
 
 
 class TestSimulatorInternals:

@@ -193,40 +193,3 @@ class TestBenchTables:
 
         text = format_table([{"a": 1}, {"a": 2, "b": 3}], columns=["a", "b"])
         assert "b" in text
-
-
-class TestBenchReport:
-    def test_render_report(self, tmp_path):
-        import json
-
-        from repro.bench.report import render_report, render_report_file
-
-        records = [
-            {"experiment_id": "B1", "description": "demo",
-             "rows": [{"n": 10, "ok": True, "x": 1.23456}],
-             "conclusions": ["it works"]},
-            {"experiment_id": "F6", "description": "big matrix",
-             "rows": [{"cell": i} for i in range(64)],
-             "conclusions": []},
-        ]
-        text = render_report(records, title="T")
-        assert "# T" in text and "## B1 — demo" in text
-        assert "| n | ok | x |" in text and "yes" in text
-        assert "64 rows" in text  # big tables summarized
-        path = tmp_path / "r.json"
-        path.write_text(json.dumps(records))
-        assert render_report_file(path) .startswith("# Benchmark report")
-
-    def test_cli_main(self, tmp_path, capsys):
-        import json
-
-        from repro.bench.report import main
-
-        path = tmp_path / "r.json"
-        path.write_text(json.dumps([
-            {"experiment_id": "X", "description": "d", "rows": [],
-             "conclusions": []},
-        ]))
-        assert main([str(path)]) == 0
-        assert "## X — d" in capsys.readouterr().out
-        assert main([]) == 1

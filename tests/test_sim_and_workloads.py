@@ -192,20 +192,6 @@ class TestBenchUtils:
 
         assert "(no rows)" in format_table([])
 
-    def test_recorder_roundtrip(self, tmp_path):
-        from repro.bench import Recorder
-
-        recorder = Recorder()
-        recorder.record("F6", "figure 6", rows=[{"cell": "sW"}],
-                        conclusions=["matches"])
-        assert recorder.get("F6").rows == [{"cell": "sW"}]
-        path = recorder.dump(tmp_path / "out.json")
-        assert path.exists() if hasattr(path, "exists") else True
-        import json
-
-        payload = json.loads((tmp_path / "out.json").read_text())
-        assert payload[0]["experiment_id"] == "F6"
-
 
 class TestFigureBuilders:
     def test_figure4_shape(self, db):
