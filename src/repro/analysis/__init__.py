@@ -33,27 +33,10 @@ The ``repro-check`` console script (:mod:`repro.analysis.cli`) and the
 server's ``check`` op expose all five planes; the
 :data:`~repro.analysis.findings.PLANES` registry keeps the three
 surfaces from drifting apart.
-"""
 
-from .codelint import lint_package, lint_source
-from .findings import Finding, PlaneSpec, PLANES, Report, Severity
-from .fsck import fsck_database
-from .history import Event, History, HistoryRecorder
-from .isocheck import check_history, predict_isolation
-from .lockdep import LockOrderGraph, LockOrderRecorder
-from .locklint import TransactionTemplate, analyze_templates
-from .proto_model import Scope
-from .protocheck import (
-    check_protocol,
-    conform_trace,
-    conform_traces,
-    explore,
-    extract_trace,
-    lint_protocol_sites,
-    lint_wire_ops,
-)
-from .query_check import check_query
-from .schema_check import EVOLUTION_CHANGES, SchemaAnalyzer
+Exports resolve on first use, so a process that runs one plane (the
+server runs only :mod:`~repro.analysis.lockdep`) loads only that plane.
+"""
 
 __all__ = [
     "EVOLUTION_CHANGES",
@@ -85,3 +68,29 @@ __all__ = [
     "lint_wire_ops",
     "predict_isolation",
 ]
+
+
+#: Lazily exported name -> the submodule defining it.
+_LAZY = {
+    "lint_package": "codelint", "lint_source": "codelint",
+    "Finding": "findings", "PlaneSpec": "findings", "PLANES": "findings",
+    "Report": "findings", "Severity": "findings", "fsck_database": "fsck",
+    "Event": "history", "History": "history", "HistoryRecorder": "history",
+    "check_history": "isocheck", "predict_isolation": "isocheck",
+    "LockOrderGraph": "lockdep", "LockOrderRecorder": "lockdep",
+    "TransactionTemplate": "locklint", "analyze_templates": "locklint",
+    "Scope": "proto_model", "check_protocol": "protocheck",
+    "conform_trace": "protocheck", "conform_traces": "protocheck",
+    "explore": "protocheck", "extract_trace": "protocheck",
+    "lint_protocol_sites": "protocheck", "lint_wire_ops": "protocheck",
+    "check_query": "query_check", "EVOLUTION_CHANGES": "schema_check",
+    "SchemaAnalyzer": "schema_check",
+}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        from importlib import import_module
+
+        return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

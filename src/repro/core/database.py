@@ -19,8 +19,6 @@ The public surface mirrors ORION's message API with Pythonic names::
 
 from __future__ import annotations
 
-import contextlib
-
 from ..errors import (
     ClassDefinitionError,
     DomainError,
@@ -222,7 +220,6 @@ class Database:
     # Operation / transaction scoping (durability batching)
     # ------------------------------------------------------------------
 
-    @contextlib.contextmanager
     def _operation(self):
         """Bracket one mutating operation and make it atomic.
 
@@ -235,22 +232,7 @@ class Database:
         on success *and* on failure, because a failed operation may have
         journaled compensating images that must still reach disk.
         """
-        log = self._undo
-        mark = len(log)
-        self._op_depth += 1
-        try:
-            yield
-        except BaseException:
-            self._replay(log, mark)
-            raise
-        finally:
-            self._op_depth -= 1
-            if self._op_depth == 0:
-                if self.current_txn is not None:
-                    self.current_txn.undo_log += log
-                log.clear()
-                for callback in self.on_op_end:
-                    callback()
+        return _OpScope(self)
 
     def rollback(self, log):
         """Undo a transaction's undo *log* (the transaction manager's abort)."""
@@ -968,6 +950,39 @@ class Database:
 
     def __contains__(self, uid):
         return self.exists(uid)
+
+
+class _OpScope:
+    """One :meth:`Database._operation` bracket.  A plain object rather
+    than a generator, because every edit of a committed operation runs
+    inside one."""
+
+    __slots__ = ("_db", "_log", "_mark")
+
+    def __init__(self, db):
+        self._db = db
+
+    def __enter__(self):
+        db = self._db
+        log = self._log = db._undo
+        self._mark = len(log)
+        db._op_depth += 1
+
+    def __exit__(self, kind, _error, _tb):
+        db = self._db
+        log = self._log
+        try:
+            if kind is not None:
+                db._replay(log, self._mark)
+        finally:
+            db._op_depth -= 1
+            if db._op_depth == 0:
+                if db.current_txn is not None:
+                    db.current_txn.undo_log += log
+                log.clear()
+                for callback in db.on_op_end:
+                    callback()
+        return False
 
 
 class _TxnScope:

@@ -83,6 +83,10 @@ _COVER = (
 
 _Step = tuple[Hashable, LockMode]
 
+#: What an access its transaction already covers acquires: nothing.  One
+#: shared plan, so its steps are a tuple and it cannot be extended.
+_COVERED = LockPlan(())
+
 
 class CompositeLockingProtocol:
     """The Section 7 protocol: a composite object is one lockable granule.
@@ -195,7 +199,7 @@ class CompositeLockingProtocol:
     ) -> LockPlan:
         plan = self.pending(txn, uid, intent, composite)
         if plan is None:
-            return LockPlan()
+            return _COVERED
         acquire = self.table.acquire
         complete = True
         for resource, mode in plan.steps:

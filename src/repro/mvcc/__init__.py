@@ -12,11 +12,10 @@ architecture of docs/REPLICATION.md:
 * :mod:`repro.mvcc.crashsim` — replica failover drills (kill-replica /
   kill-primary-mid-ship), the ``replica`` scenario of the drill engine
   (:mod:`repro.faults.drill`, ``repro-sweep replica``).
-"""
 
-from .crashsim import ReplicaDrill
-from .manager import SnapshotManager
-from .replica import JournalFollower, ReadRouter, ReplicaServer, ReplicaThread
+Exports resolve on first use, so the server, which runs only the
+:class:`SnapshotManager`, loads neither the replica nor its drills.
+"""
 
 __all__ = [
     "JournalFollower",
@@ -26,3 +25,19 @@ __all__ = [
     "ReplicaThread",
     "SnapshotManager",
 ]
+
+
+#: Lazily exported name -> the submodule defining it.
+_LAZY = {
+    "ReplicaDrill": "crashsim", "SnapshotManager": "manager",
+    "JournalFollower": "replica", "ReadRouter": "replica",
+    "ReplicaServer": "replica", "ReplicaThread": "replica",
+}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        from importlib import import_module
+
+        return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,17 +13,10 @@
 
 Run a standalone server with ``repro-server`` (or
 ``python -m repro.server``); see docs/SERVER.md for the wire format.
-"""
 
-from .client import AsyncClient, Client, Pipeline, PipelineResult
-from .protocol import (
-    MAX_FRAME_BYTES,
-    ProtocolError,
-    SUPPORTED_VERSIONS,
-    build_error,
-    decode_payload,
-)
-from .server import ReproServer, ServerStats, ServerThread, SessionStats
+Exports resolve on first use, so the server process does not load the
+clients, nor a client process the server.
+"""
 
 __all__ = [
     "AsyncClient",
@@ -40,3 +33,22 @@ __all__ = [
     "build_error",
     "decode_payload",
 ]
+
+
+#: Lazily exported name -> the submodule defining it.
+_LAZY = {
+    "AsyncClient": "client", "Client": "client", "Pipeline": "client",
+    "PipelineResult": "client", "MAX_FRAME_BYTES": "protocol",
+    "ProtocolError": "protocol", "SUPPORTED_VERSIONS": "protocol",
+    "build_error": "protocol", "decode_payload": "protocol",
+    "ReproServer": "server", "ServerStats": "server", "ServerThread": "server",
+    "SessionStats": "server",
+}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        from importlib import import_module
+
+        return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -205,6 +205,13 @@ class LockService:
         """
         if self.table.acquire(txn, resource, mode, wait=True):
             return True
+        await self._wait(txn, resource, mode, timeout)
+        return False
+
+    async def _wait(self, txn, resource, mode, timeout):
+        """Suspend until *txn*'s queued request for *mode* on *resource*
+        is granted; raise the deadlock victim's error or, after
+        *timeout*, :class:`LockConflictError`."""
         self.stats.lock_waits += 1
         self._check_deadlock()
         timeout = self.wait_timeout if timeout is None else timeout
@@ -219,7 +226,7 @@ class LockService:
                     self.table.cancel(txn, resource, mode)
                     raise error
                 if self.table.acquire(txn, resource, mode, wait=True):
-                    return False
+                    return
                 remaining = deadline - loop.time()
                 if remaining <= 0:
                     self.stats.lock_timeouts += 1
@@ -244,10 +251,15 @@ class LockService:
             self._waiter_events.remove(event)
 
     async def acquire_plan(self, txn, plan, timeout=None):
-        """Acquire every (resource, mode) step; return the wait count."""
+        """Acquire every (resource, mode) step; return the wait count.
+
+        Each step is one table request, decided inline; only a step that
+        queued enters the waiting path."""
         waits = 0
-        for resource, mode in plan:
-            if not await self.acquire(txn, resource, mode, timeout=timeout):
+        acquire = self.table.acquire
+        for resource, mode in plan.steps:
+            if not acquire(txn, resource, mode, wait=True):
+                await self._wait(txn, resource, mode, timeout)
                 waits += 1
         return waits
 
@@ -304,11 +316,11 @@ class Session:
 
     # -- locking ----------------------------------------------------------
 
-    async def lock_instance(self, txn, uid, intent):
-        await self._lock(txn, uid, intent, composite=False)
+    def lock_instance(self, txn, uid, intent):
+        return self._lock(txn, uid, intent, False)
 
-    async def lock_composite(self, txn, root_uid, intent):
-        await self._lock(txn, root_uid, intent, composite=True)
+    def lock_composite(self, txn, root_uid, intent):
+        return self._lock(txn, root_uid, intent, True)
 
     async def _lock(self, txn, uid, intent, composite):
         """The locking protocol's own decision, with its steps awaited
@@ -364,52 +376,11 @@ class Session:
         self.stats.aborts += 1
         return txn.txn_id
 
-    @contextlib.asynccontextmanager
-    async def txn_scope(self):
-        """The session's transaction, or a per-request auto-commit one.
-
-        A deadlock abort always tears the transaction down (the victim
-        *must* release its locks to break the cycle); other errors roll
-        back auto-commit scopes but leave an explicit transaction active
-        for the client to abort or retry.
-        """
-        if self.txn is not None:
-            if self.prepared_gtid is not None:
-                raise TransactionStateError(
-                    f"transaction is prepared for 2PC as "
-                    f"{self.prepared_gtid!r}; no further operations until "
-                    f"the decision"
-                )
-            if not self.txn.active:
-                raise TransactionStateError(
-                    f"transaction {self.txn.txn_id} is "
-                    f"{self.txn.state.value}; abort it first"
-                )
-            self._stamp(self.txn)
-            try:
-                yield self.txn
-            except DeadlockError:
-                self.abort()
-                self.stats.deadlock_aborts += 1
-                self.server.stats.deadlock_aborts += 1
-                raise
-            return
-        txn = self.server.tm.begin()
-        self._stamp(txn)
-        try:
-            yield txn
-        except Exception as error:
-            self.server.finish(txn, commit=False)
-            self.stats.aborts += 1
-            if isinstance(error, DeadlockError):
-                self.stats.deadlock_aborts += 1
-                self.server.stats.deadlock_aborts += 1
-            raise
-        else:
-            self.server.finish(txn, commit=True)
-            self.stats.commits += 1
-            # Auto-commit acks like any commit: after the group fsync.
-            await self.durability_point()
+    def txn_scope(self):
+        """The session's transaction, or a per-request auto-commit one
+        (``async with session.txn_scope() as txn``; see
+        :class:`_RequestScope`)."""
+        return _RequestScope(self)
 
     def _stamp(self, txn):
         """Name the op and session as *txn*'s acquisition site (the
@@ -460,6 +431,68 @@ class Session:
                 self.server.finish(self.txn, commit=False)
             self.stats.aborts += 1
         self.txn = None
+
+
+class _RequestScope:
+    """One request's :meth:`Session.txn_scope`: the session's explicit
+    transaction, or an auto-commit one begun on entry and finished on
+    the way out.
+
+    A deadlock abort always tears the transaction down (the victim
+    *must* release its locks to break the cycle); other errors roll
+    back auto-commit scopes but leave an explicit transaction active
+    for the client to abort or retry.  A ``BaseException`` (a
+    cancelled request) finishes neither.  A plain object rather than an
+    async generator, because every data request enters one.
+    """
+
+    __slots__ = ("_session", "_txn", "_auto")
+
+    def __init__(self, session):
+        self._session = session
+
+    async def __aenter__(self):
+        session = self._session
+        txn = session.txn
+        self._auto = txn is None
+        if txn is None:
+            txn = session.server.tm.begin()
+        elif session.prepared_gtid is not None:
+            raise TransactionStateError(
+                f"transaction is prepared for 2PC as "
+                f"{session.prepared_gtid!r}; no further operations until "
+                f"the decision"
+            )
+        elif not txn.active:
+            raise TransactionStateError(
+                f"transaction {txn.txn_id} is "
+                f"{txn.state.value}; abort it first"
+            )
+        self._txn = txn
+        session._stamp(txn)
+        return txn
+
+    async def __aexit__(self, kind, _error, _tb):
+        session = self._session
+        if kind is None:
+            if self._auto:
+                session.server.finish(self._txn, commit=True)
+                session.stats.commits += 1
+                # Auto-commit acks like any commit: after the group fsync.
+                await session.durability_point()
+            return False
+        deadlock = issubclass(kind, DeadlockError)
+        if self._auto:
+            if not issubclass(kind, Exception):
+                return False
+            session.server.finish(self._txn, commit=False)
+            session.stats.aborts += 1
+        elif deadlock:
+            session.abort()
+        if deadlock:
+            session.stats.deadlock_aborts += 1
+            session.server.stats.deadlock_aborts += 1
+        return False
 
 
 class Preframed:

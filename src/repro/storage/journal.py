@@ -69,7 +69,7 @@ import hashlib
 import json
 import os
 import struct
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from pathlib import Path
 
 from ..errors import StorageError
@@ -412,6 +412,45 @@ class _Batch:
         return len(self.records)
 
 
+class _IOGuard:
+    """One :meth:`Journal._io_guard` scope."""
+
+    __slots__ = ("_journal", "_what")
+
+    def __init__(self, journal, what):
+        self._journal = journal
+        self._what = what
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, error, _tb):
+        if kind is not None and issubclass(kind, OSError):
+            journal = self._journal
+            journal.failed = True
+            raise StorageError(
+                f"journal IO failed while trying to {self._what} "
+                f"at {journal.directory}: {error}"
+            ) from error
+        return False
+
+
+class _BarrierScope:
+    """A journal's :meth:`Journal.synced_by_barrier` scope (one per
+    journal: it holds no per-commit state)."""
+
+    __slots__ = ("_journal",)
+
+    def __init__(self, journal):
+        self._journal = journal
+
+    def __enter__(self):
+        self._journal._barrier_owned = True
+
+    def __exit__(self, *_exc):
+        self._journal._barrier_owned = False
+
+
 class Journal:
     """Checkpoint/journal persistence for one database.
 
@@ -483,6 +522,7 @@ class Journal:
         self.compensated = False
         #: True while a server commit seals (:meth:`synced_by_barrier`).
         self._barrier_owned = False
+        self._barrier_scope = _BarrierScope(self)
         #: True when flushed bytes await an fsync (group/none policies).
         self._dirty = False
         self._unsynced_seals = 0
@@ -551,7 +591,6 @@ class Journal:
                 f"fail-stop; cannot {what}"
             )
 
-    @contextmanager
     def _io_guard(self, what):
         """Surface journal IO failures as fail-stop :class:`StorageError`.
 
@@ -561,14 +600,7 @@ class Journal:
         wrapped.  Errors never pass silently out of a journal write
         path.
         """
-        try:
-            yield
-        except OSError as error:
-            self.failed = True
-            raise StorageError(
-                f"journal IO failed while trying to {what} "
-                f"at {self.directory}: {error}"
-            ) from error
+        return _IOGuard(self, what)
 
     # -- journaling ----------------------------------------------------------
 
@@ -669,7 +701,6 @@ class Journal:
             self._dirty = True
         return True
 
-    @contextmanager
     def synced_by_barrier(self):
         """Seal the enclosed commit without the ``group_size`` count.
 
@@ -679,11 +710,7 @@ class Journal:
         embedded commit, an abort's compensating records -- still counts
         toward ``group_size``.
         """
-        self._barrier_owned = True
-        try:
-            yield
-        finally:
-            self._barrier_owned = False
+        return self._barrier_scope
 
     def _fsync(self):
         # A "skip" directive is the lying-fsync fault: counters advance
