@@ -30,8 +30,8 @@ and reports the classic phenomena as typed findings:
 =====================  ======================================================
 
 Every cycle finding carries a **shortest witness**: the minimal cycle of
-transaction keys through the offending edge (per-edge BFS, like
-protocheck's counterexamples) plus every conflicting edge along it.
+transaction keys through the offending edge (per-edge BFS,
+:func:`repro.graph.shortest_cycles`) plus every conflicting edge on it.
 
 **Static** — :func:`predict_isolation` asks the same question of
 :class:`~repro.analysis.locklint.TransactionTemplate` lock plans
@@ -46,10 +46,11 @@ about today's behavior.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Hashable, Iterable, Optional, Sequence, Union
 
+from ..graph import shortest_cycles
 from ..locking.modes import COMPATIBILITY, LockMode
 from .findings import Report, Severity
 from .history import Event, History, INITIAL_VERSION
@@ -263,14 +264,11 @@ def _check_epoch(
 def _report_cycles(
     edges: list[Edge], report: Report, epoch: Optional[int]
 ) -> None:
-    adjacency: dict[str, set[str]] = defaultdict(set)
     by_pair: dict[tuple[str, str], list[Edge]] = defaultdict(list)
     for edge in edges:
-        adjacency[edge.src].add(edge.dst)
         by_pair[(edge.src, edge.dst)].append(edge)
 
-    cycles = _shortest_cycles(edges, adjacency)
-    for cycle in cycles:
+    for cycle in shortest_cycles(by_pair):
         hops: list[list[Edge]] = []
         for index, src in enumerate(cycle):
             dst = cycle[(index + 1) % len(cycle)]
@@ -346,115 +344,6 @@ def _classify_two_cycle(
                 edges=[anti_a.to_dict(), anti_b.to_dict()],
                 **_epoch_detail(epoch),
             )
-
-
-def _shortest_cycles(
-    edges: Iterable[Edge], adjacency: dict[str, set[str]]
-) -> list[tuple[str, ...]]:
-    """Minimal witness cycles: for each edge ``u -> v``, the shortest
-    path back ``v -> u`` closes the smallest cycle through that edge;
-    rotation-canonicalized and deduplicated.
-
-    Every cycle lives inside one strongly connected component, so edges
-    whose endpoints sit in different SCCs are skipped before the BFS —
-    on a serializable history (no cycles, every SCC trivial) the whole
-    pass degenerates to the linear SCC computation, which is what lets
-    CI check 100k-event sweep histories in seconds."""
-    component = _scc_index(adjacency)
-    seen: set[tuple[str, ...]] = set()
-    cycles: list[tuple[str, ...]] = []
-    for edge in edges:
-        if component.get(edge.src) != component.get(edge.dst):
-            continue
-        path = _shortest_path(adjacency, edge.dst, edge.src)
-        if path is None:
-            continue
-        cycle = _rotate_min([edge.src] + path[:-1])
-        if cycle not in seen:
-            seen.add(cycle)
-            cycles.append(cycle)
-    cycles.sort(key=lambda cycle: (len(cycle), cycle))
-    return cycles
-
-
-def _scc_index(adjacency: dict[str, set[str]]) -> dict[str, int]:
-    """Tarjan's SCC, iteratively: node -> component id (unique per
-    component, so two nodes compare equal iff they share a cycle or are
-    the same node)."""
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    component: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    counter = 0
-    components = 0
-    for root in adjacency:
-        if root in index:
-            continue
-        work: list[tuple[str, Iterator[str]]] = []
-        node = root
-        successors: Optional[Iterator[str]] = None
-        while True:
-            if successors is None:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-                successors = iter(sorted(adjacency.get(node, ())))
-            descended = False
-            for successor in successors:
-                if successor not in index:
-                    work.append((node, successors))
-                    node, successors = successor, None
-                    descended = True
-                    break
-                if successor in on_stack:
-                    lowlink[node] = min(lowlink[node], index[successor])
-            if descended:
-                continue
-            if lowlink[node] == index[node]:
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component[member] = components
-                    if member == node:
-                        break
-                components += 1
-            if not work:
-                break
-            finished = node
-            node, successors = work.pop()
-            lowlink[node] = min(lowlink[node], lowlink[finished])
-    return component
-
-
-def _shortest_path(
-    adjacency: dict[str, set[str]], start: str, goal: str
-) -> Optional[list[str]]:
-    """BFS path ``start .. goal`` inclusive, or ``None``."""
-    if goal in adjacency.get(start, ()):
-        return [start, goal]
-    parents: dict[str, str] = {start: start}
-    queue: deque[str] = deque([start])
-    while queue:
-        node = queue.popleft()
-        for successor in sorted(adjacency.get(node, ())):
-            if successor in parents:
-                continue
-            parents[successor] = node
-            if successor == goal:
-                path = [successor]
-                while path[-1] != start:
-                    path.append(parents[path[-1]])
-                path.reverse()
-                return path
-            queue.append(successor)
-    return None
-
-
-def _rotate_min(cycle: list[str]) -> tuple[str, ...]:
-    pivot = cycle.index(min(cycle))
-    return tuple(cycle[pivot:] + cycle[:pivot])
 
 
 def _location(core: str, epoch: Optional[int]) -> str:
@@ -625,7 +514,6 @@ def _report_template_cycles(
     hazards: dict[tuple[int, int], set[Hashable]],
     report: Report,
 ) -> None:
-    adjacency: dict[str, set[str]] = defaultdict(set)
     labels: dict[tuple[str, str], list[str]] = {}
     for (a_index, b_index), resources in hazards.items():
         if a_index == b_index:
@@ -633,15 +521,10 @@ def _report_template_cycles(
         a_name, b_name = named[a_index][0], named[b_index][0]
         if a_name == b_name:
             continue
-        adjacency[a_name].add(b_name)
         labels[(a_name, b_name)] = sorted(
             _resource_label(resource) for resource in resources
         )
-    pseudo_edges = [
-        Edge(src=src, dst=dst, kind="rw", uid=names[0] if names else "")
-        for (src, dst), names in sorted(labels.items())
-    ]
-    for cycle in _shortest_cycles(pseudo_edges, adjacency):
+    for cycle in shortest_cycles(labels):
         if len(cycle) < 3:
             continue  # 2-cycles are the skew/lost-update findings above
         path = " -> ".join(cycle + (cycle[0],))
@@ -650,7 +533,7 @@ def _report_template_cycles(
             dst = cycle[(index + 1) % len(cycle)]
             witness.append({
                 "from": src, "to": dst,
-                "resources": labels.get((src, dst), []),
+                "resources": labels[(src, dst)],
             })
         report.add(
             Severity.WARNING, "ISO-TEMPLATE-CYCLE", path,

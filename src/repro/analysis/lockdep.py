@@ -61,7 +61,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable, NamedTuple, Optional, cast
 
-from ..locking.deadlock import find_cycle
+from ..graph import first_cycle
 from ..locking.modes import COMPATIBILITY, LockMode
 from ..locking.table import LockObserver, LockTable
 from .findings import Report, Severity
@@ -444,7 +444,7 @@ class LockOrderGraph:
             src, dst = key >> _PAIR_SHIFT, key & _PAIR_LOW
             if dst << _PAIR_SHIFT | src not in edges:
                 long_edges.append((src, dst))
-        cycle = cast(Optional[list[int]], find_cycle(long_edges))
+        cycle = cast(Optional[list[int]], first_cycle(long_edges))
         if not cycle or len(cycle) < 3:
             return
         labels = [_resource_label(self._resources[rid]) for rid in cycle]

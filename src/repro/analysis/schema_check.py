@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from ..graph import shortest_cycles
 from ..schema.attribute import PRIMITIVE_DOMAINS
 from .findings import Report, Severity
 
@@ -178,20 +179,19 @@ class SchemaAnalyzer:
         multi-class cycle whose edges are all *dependent* is reported as a
         warning: instances wired around such a cycle are mutually
         existence-dependent, and a deletion entering the cycle anywhere
-        cascades all the way around it.
+        cascades all the way around it.  Each cycle is the shortest one
+        through some composite edge (:func:`repro.graph.shortest_cycles`).
         """
-        edges = {}
         edge_info = {}
         for owner, attr, domain, exclusive, dependent in (
             self.composite_declarations()
         ):
             if domain not in self.lattice:
                 continue
-            edges.setdefault(owner, []).append(domain)
             edge_info.setdefault((owner, domain), []).append(
                 (attr, exclusive, dependent)
             )
-        for cycle in _find_cycles(edges):
+        for cycle in shortest_cycles(edge_info):
             links = list(zip(cycle, cycle[1:] + cycle[:1], strict=True))
             all_dependent = all(
                 any(dep for _attr, _excl, dep in edge_info[link])
@@ -202,7 +202,7 @@ class SchemaAnalyzer:
                 if all_dependent and len(cycle) > 1
                 else Severity.INFO
             )
-            path = " -> ".join(cycle + [cycle[0]])
+            path = " -> ".join(cycle + cycle[:1])
             report.add(
                 severity,
                 "SCH-COMPOSITE-CYCLE",
@@ -211,7 +211,7 @@ class SchemaAnalyzer:
                 + ("; every edge is dependent, so a deletion entering the "
                    "cycle cascades around it" if all_dependent and len(cycle) > 1
                    else ""),
-                cycle=cycle,
+                cycle=list(cycle),
                 all_dependent=all_dependent,
             )
 
@@ -434,28 +434,3 @@ class SchemaAnalyzer:
                 competing=[f"{o}.{a}" for o, a, *_rest in exclusive_others],
             )
 
-
-def _find_cycles(edges: Any) -> Any:
-    """Elementary cycles of a small digraph, canonicalized.
-
-    Iterative DFS per start node; each cycle is rotated to start at its
-    smallest member and deduplicated, so ``A -> B -> A`` reports once.
-    """
-    cycles = []
-    seen = set()
-    for start in sorted(edges):
-        stack = [(start, [start])]
-        while stack:
-            node, path = stack.pop()
-            for target in edges.get(node, ()):
-                if target == start:
-                    rotation = min(range(len(path)), key=lambda i: path[i])
-                    canon = tuple(path[rotation:] + path[:rotation])
-                    if canon not in seen:
-                        seen.add(canon)
-                        cycles.append(list(canon))
-                elif target not in path and target > start:
-                    # Only explore upward: the cycle through its smallest
-                    # member is found when that member is the start node.
-                    stack.append((target, path + [target]))
-    return cycles

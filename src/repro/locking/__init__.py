@@ -4,7 +4,7 @@ conversions, wait-for-graph deadlock detection, and the composite-object
 locking protocols."""
 
 from .claims import Claim, Op, Scope, derive_matrix, modes_compatible
-from .deadlock import DeadlockDetector, choose_victim, find_cycle
+from .deadlock import DeadlockDetector, choose_victim
 from .modes import (
     COMPATIBILITY,
     FIGURE7_MATRIX,
@@ -50,7 +50,6 @@ __all__ = [
     "choose_victim",
     "compatible",
     "derive_matrix",
-    "find_cycle",
     "modes_compatible",
     "render_matrix",
     "supremum",

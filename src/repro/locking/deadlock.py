@@ -1,63 +1,17 @@
 """Wait-for-graph deadlock detection.
 
-The lock table exposes its wait-for edges; the detector finds cycles and
-nominates a victim.  Victim policy is *youngest transaction in the cycle*
-(highest transaction id), the classic low-cost choice: the youngest has
-done the least work to redo.
+The lock table exposes its wait-for edges; the detector finds a cycle
+(:func:`repro.graph.first_cycle`) and nominates a victim.  Victim policy
+is *youngest transaction in the cycle* (highest transaction id), the
+classic low-cost choice: the youngest has done the least work to redo.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable, Iterable, Optional
+from typing import Any, Callable, Iterable
 
 from ..errors import DeadlockError
-
-
-def find_cycle(
-    edges: Iterable[tuple[Hashable, Hashable]],
-) -> Optional[list[Hashable]]:
-    """Find one cycle in the directed graph given as (src, dst) pairs.
-
-    Returns the cycle as an ordered list of nodes (first node repeated
-    implicitly), or None when the graph is acyclic.  Iterative DFS with
-    colouring — the graphs here are small but may be built frequently, so
-    no recursion and no allocation beyond the stacks.
-    """
-    graph: dict[Hashable, list[Hashable]] = {}
-    for src, dst in edges:
-        graph.setdefault(src, []).append(dst)
-        graph.setdefault(dst, [])
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {node: WHITE for node in graph}
-    parent: dict[Hashable, Hashable] = {}
-    for start in graph:
-        if colour[start] is not WHITE:
-            continue
-        stack = [(start, iter(graph[start]))]
-        colour[start] = GREY
-        while stack:
-            node, children = stack[-1]
-            advanced = False
-            for child in children:
-                if colour[child] == WHITE:
-                    colour[child] = GREY
-                    parent[child] = node
-                    stack.append((child, iter(graph[child])))
-                    advanced = True
-                    break
-                if colour[child] == GREY:
-                    # Found a back edge: reconstruct node -> ... -> child.
-                    cycle = [node]
-                    walker = node
-                    while walker != child:
-                        walker = parent[walker]
-                        cycle.append(walker)
-                    cycle.reverse()
-                    return cycle
-            if not advanced:
-                colour[node] = BLACK
-                stack.pop()
-    return None
+from ..graph import first_cycle
 
 
 def choose_victim(
@@ -82,7 +36,7 @@ class DeadlockDetector:
         With *raise_on_deadlock*, raises :class:`DeadlockError` carrying
         the cycle and victim instead of returning.
         """
-        cycle = find_cycle(self._table.wait_for_edges())
+        cycle = first_cycle(self._table.wait_for_edges())
         if cycle is None:
             return None
         self.detections += 1

@@ -324,7 +324,8 @@ class WireProtocol(asyncio.BufferedProtocol):
             self._error = exc
         _wake(self._waiter)
         _wake(self._drainer)
-        self._closed.set_result(None)
+        # A cancelled close() has cancelled the future already.
+        _wake(self._closed)
 
     def pause_writing(self):
         self._writing = False

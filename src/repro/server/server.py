@@ -441,9 +441,11 @@ class _RequestScope:
     A deadlock abort always tears the transaction down (the victim
     *must* release its locks to break the cycle); other errors roll
     back auto-commit scopes but leave an explicit transaction active
-    for the client to abort or retry.  A ``BaseException`` (a
-    cancelled request) finishes neither.  A plain object rather than an
-    async generator, because every data request enters one.
+    for the client to abort or retry.  A ``BaseException`` (a request
+    cancelled, say, in its lock wait) aborts an auto-commit scope as a
+    disconnect does, and leaves an explicit transaction to the
+    session's close.  A plain object rather than an async generator,
+    because every data request enters one.
     """
 
     __slots__ = ("_session", "_txn", "_auto")
@@ -483,9 +485,13 @@ class _RequestScope:
             return False
         deadlock = issubclass(kind, DeadlockError)
         if self._auto:
-            if not issubclass(kind, Exception):
-                return False
-            session.server.finish(self._txn, commit=False)
+            if issubclass(kind, Exception):
+                session.server.finish(self._txn, commit=False)
+            else:
+                # The abort also withdraws a queued lock request; what
+                # propagates is the cancellation, not a journal failure.
+                with contextlib.suppress(StorageError):
+                    session.server.finish(self._txn, commit=False)
             session.stats.aborts += 1
         elif deadlock:
             session.abort()

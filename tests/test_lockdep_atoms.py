@@ -35,7 +35,7 @@ from repro.analysis.lockdep import (
     capture_stack,
 )
 from repro.core.identity import UID
-from repro.locking.deadlock import find_cycle
+from repro.graph import first_cycle
 from repro.locking.modes import COMPATIBILITY, LockMode
 from repro.locking.table import LockObserver
 
@@ -202,7 +202,7 @@ class ReferenceGraph:
             for (src, dst) in self._edges
             if frozenset((src, dst)) not in two_cycles
         ]
-        cycle = find_cycle(long_edges)
+        cycle = first_cycle(long_edges)
         if not cycle or len(cycle) < 3:
             return
         labels = [_resource_label(resource) for resource in cycle]

@@ -365,6 +365,36 @@ class TestAsyncHandshakeFailure:
         assert hung_up == [True]
 
 
+class TestCancelledClose:
+    def test_connection_lost_after_a_cancelled_close_logs_nothing(self):
+        """A ``close()`` cancelled while it waits for the loss (a stop
+        that cancels its tasks) has cancelled the closed future; the loss
+        that then arrives must not set a result on it."""
+        logged = []
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(
+                lambda _loop, context: logged.append(context))
+            ours, theirs = socket.socketpair()
+            try:
+                _transport, wire = await loop.create_connection(
+                    WireProtocol, sock=ours)
+                closing = asyncio.ensure_future(wire.close())
+                await asyncio.sleep(0)
+                closing.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await closing
+                for _ in range(3):
+                    await asyncio.sleep(0)
+                assert wire._lost
+            finally:
+                theirs.close()
+
+        asyncio.run(scenario())
+        assert logged == []
+
+
 # ---------------------------------------------------------------------------
 # Bounded receive memory
 # ---------------------------------------------------------------------------

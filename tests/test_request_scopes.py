@@ -55,9 +55,8 @@ RAISED = {
 #: (scope, outcome) -> txn state, held lock resources, the session still
 #: holds the txn, session (commits, aborts, deadlock_aborts), server
 #: (commits, aborts, deadlock_aborts), sync_pending, the stamp afterwards.
-#: A cancelled request leaves its transaction as it was: an explicit one
-#: stays with the session (its disconnect aborts it), an autocommit one
-#: is neither committed nor aborted.
+#: A cancelled request aborts its autocommit transaction; an explicit one
+#: stays with the session (its disconnect aborts it).
 EXPECTED = {
     ("auto", "return"):
         ("committed", 0, False, (1, 0, 0), (1, 0, 0), True, 7),
@@ -66,7 +65,7 @@ EXPECTED = {
     ("auto", "deadlock"):
         ("aborted", 0, False, (0, 1, 1), (0, 1, 1), False, 0),
     ("auto", "cancelled"):
-        ("active", 2, False, (0, 0, 0), (0, 0, 0), False, 7),
+        ("aborted", 0, False, (0, 1, 0), (0, 1, 0), False, 0),
     ("explicit", "return"):
         ("active", 2, True, (0, 0, 0), (0, 0, 0), False, 7),
     ("explicit", "protocol"):
@@ -134,8 +133,35 @@ def test_request_scope_exit_paths(served, scope, outcome):
         server.db.value(root, STAMP),
     )
     assert observed == EXPECTED[scope, outcome]
-    if outcome == "cancelled" and scope == "auto":
-        server.finish(txn, commit=False)  # what no exit path did
+
+
+def test_request_cancelled_in_its_lock_wait_aborts_and_withdraws(served):
+    server, holder, root = served
+    waiter = server._open_session(2, None)
+    holder.begin()
+    seen = []
+
+    async def request():
+        async with waiter.txn_scope() as txn:
+            seen.append(txn)
+            await waiter.lock_instance(txn, root, "write")
+
+    async def scenario():
+        await holder.lock_instance(holder.txn, root, "write")
+        task = asyncio.ensure_future(request())
+        while not server.tm.table.wait_for_edges():
+            await asyncio.sleep(0)
+        task.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await task
+
+    asyncio.run(scenario())
+    (txn,) = seen
+    assert txn.state is TxnState.ABORTED
+    assert server.tm.table.held_resources(txn) == []
+    assert server.tm.table.wait_for_edges() == []
+    assert (waiter.stats.aborts, server.stats.aborts) == (1, 1)
+    waiter.close()
 
 
 def test_request_scope_refuses_a_prepared_or_finished_txn(served):

@@ -28,7 +28,7 @@ SERVED_MODULES = frozenset({
     "repro.core.deletion", "repro.core.identity", "repro.core.instance",
     "repro.core.legacy", "repro.core.operations", "repro.core.references",
     "repro.core.topology",
-    "repro.faults", "repro.faults.registry",
+    "repro.faults", "repro.faults.registry", "repro.graph",
     "repro.locking", "repro.locking.claims", "repro.locking.deadlock",
     "repro.locking.modes", "repro.locking.protocol", "repro.locking.table",
     "repro.mvcc", "repro.mvcc.manager",
