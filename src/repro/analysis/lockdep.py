@@ -100,6 +100,12 @@ _CONFLICT_MASKS = tuple(
     for mode in _MODES
 )
 
+#: Added to a mode index in a trace: a grant that could not have waited
+#: (:meth:`LockObserver.on_grant_new`).  It is held from then on, so
+#: edges lead out of it, but none into it: as for a kernel trylock, no
+#: transaction can have waited for it while holding another lock.
+_NEW = len(_MODES)
+
 #: An edge key is ``src_id << _PAIR_SHIFT | dst_id``.
 _PAIR_SHIFT = 32
 _PAIR_LOW = (1 << _PAIR_SHIFT) - 1
@@ -278,6 +284,10 @@ class LockOrderGraph:
         held: dict[int, int] = {}  # resource id -> held mask
         first_site: dict[int, int] = {}
         for rid, mode, site in trace:
+            if mode >= _NEW:
+                held[rid] = _BITS[mode - _NEW]
+                first_site[rid] = site
+                continue
             bit = _BITS[mode]
             mask = held.get(rid)
             if mask is not None:
@@ -543,6 +553,12 @@ class LockOrderRecorder(LockObserver):
         if rid is None:
             rid = graph._resource_id(resource)
         trace.append((rid, _MODE_INDEX[mode], site))
+
+    def on_grant_new(self, txn: Any, resource: Hashable, mode: LockMode) -> None:
+        self.on_grant(txn, resource, mode)
+        trace = self._live[txn]
+        rid, index, site = trace[-1]
+        trace[-1] = (rid, index + _NEW, site)
 
     def on_release(self, txn: Any) -> None:
         trace = self._live.pop(txn, None)

@@ -125,15 +125,13 @@ class CompositeLockingProtocol:
         self.table.uncover()
         return True
 
-    def _plan(self, uid: Any, intent: str, composite: bool) -> LockPlan:
-        db = self._db
-        # The live instance's own UID, not the caller's (a decoded
-        # request's copy): the lock table, coverage and lock-order
-        # recorder then hold no second copy of the identity.
-        instance = db.resolve(uid)
-        uid = instance.uid
-        class_name = instance.class_name
-        if db.lattice.version != self._version:
+    def _steps(
+        self, class_name: str, intent: str
+    ) -> tuple[_Step, LockMode, tuple[_Step, ...]]:
+        """The class step, instance mode and component-class steps of
+        *intent* on an instance of *class_name*, derived once per
+        lattice version."""
+        if self._db.lattice.version != self._version:
             self._schema_moved()
         steps = self._class_steps.get((class_name, intent))
         if steps is None:
@@ -148,6 +146,15 @@ class CompositeLockingProtocol:
                 instance_mode,
                 tuple(components),
             )
+        return steps
+
+    def _plan(self, uid: Any, intent: str, composite: bool) -> LockPlan:
+        # The live instance's own UID, not the caller's (a decoded
+        # request's copy): the lock table, coverage and lock-order
+        # recorder then hold no second copy of the identity.
+        instance = self._db.resolve(uid)
+        uid = instance.uid
+        steps = self._steps(instance.class_name, intent)
         return LockPlan(
             [steps[0], (("instance", uid), steps[1]), *(steps[2] if composite else ())],
             uid,
@@ -185,6 +192,27 @@ class CompositeLockingProtocol:
             return None
         plan = self.plan_composite if composite else self.plan_instance
         return plan(uid, intent)
+
+    def free(self, uid: Any, intent: str, composite: bool) -> bool:
+        """True when a transaction holding nothing would be granted every
+        step of this access's plan (:meth:`_plan`'s steps, unbuilt) right
+        now (:meth:`LockTable.free`).
+        On the server's single-threaded loop such an access can run
+        without taking the plan: nothing else runs until it is done, so
+        no other transaction could see its locks."""
+        instance = self._db.resolve(uid)
+        class_step, instance_mode, components = self._steps(
+            instance.class_name, intent
+        )
+        free = self.table.free
+        if not (free(*class_step)
+                and free(("instance", instance.uid), instance_mode)):
+            return False
+        if composite:
+            for resource, mode in components:
+                if not free(resource, mode):
+                    return False
+        return True
 
     def granted(self, txn: Any, plan: LockPlan) -> None:
         """Every step of *plan* is now held by *txn*: the granule is
@@ -227,6 +255,21 @@ class CompositeLockingProtocol:
     ) -> LockPlan:
         """Acquire a direct-access plan for one instance."""
         return self._lock(txn, uid, intent, wait, False)
+
+    def class_step(self, class_name: str, intent: str) -> _Step:
+        """The class step of *intent*'s plan on an instance of
+        *class_name*: what a ``make`` locks before its instance exists."""
+        return self._steps(class_name, intent)[0]
+
+    def lock_made(self, txn: Any, uid: Any) -> None:
+        """The instance step of the write plan on the object *txn* has
+        just made (*uid* as the make returned it), whose
+        :meth:`class_step` *txn* holds: X, granted as new
+        (:meth:`LockTable.grant_new`), since nobody can hold or wait for
+        a fresh UID, and the granule covered."""
+        self.table.grant_new(txn, ("instance", uid), _INTENT_MODES["write"][1])
+        if self._version == self._db.lattice.version:
+            self.table.cover(txn, uid, _COVER[False]["write"][0])
 
     def release(self, txn: Any) -> list[Any]:
         """Release everything *txn* holds."""

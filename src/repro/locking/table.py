@@ -40,6 +40,13 @@ class LockObserver:
     def on_grant(self, txn: Any, resource: Hashable, mode: LockMode) -> None:
         """Called when *mode* on *resource* is newly granted to *txn*."""
 
+    def on_grant_new(self, txn: Any, resource: Hashable, mode: LockMode) -> None:
+        """Called instead of :meth:`on_grant` when *mode* is granted on a
+        resource nobody could hold or wait for before (an object *txn*
+        has just made): a grant that could not have waited, like a
+        kernel trylock.  Defaults to :meth:`on_grant`."""
+        self.on_grant(txn, resource, mode)
+
     def on_release(self, txn: Any) -> None:
         """Called when every lock of *txn* has been released."""
 
@@ -75,13 +82,23 @@ class LockStats:
         self.covered = 0
 
 
-def _grantable(
+def _admits(
     grants: Optional[dict[Any, set[LockMode]]],
+    queue: Optional[deque[LockRequest]],
     txn: Any,
+    fresh: bool,
     conflicts: frozenset[LockMode],
 ) -> bool:
-    """True when no holder in *grants* other than *txn* holds a mode in
-    *conflicts* (own locks never conflict; that is a conversion)."""
+    """The grant rule.  True when no holder in *grants* other than *txn*
+    holds a mode in *conflicts* (own locks never conflict; that is a
+    conversion) and, for a *fresh* request (*txn* holds nothing on the
+    resource yet), no request of another transaction queued in *queue*
+    before it asks for one either: FIFO, so a fresh request never barges
+    past a waiter."""
+    if queue and fresh:
+        for pending in queue:
+            if pending.txn is not txn and pending.mode in conflicts:
+                return False
     if grants:
         for holder, modes in grants.items():
             if holder is not txn and not conflicts.isdisjoint(modes):
@@ -156,7 +173,21 @@ class LockTable:
         self, txn: Any, resource: Hashable, mode: LockMode
     ) -> bool:
         """True when granting (*txn*, *mode*) now would not conflict."""
-        return _grantable(self._granted.get(resource), txn, CONFLICTS[mode])
+        return _admits(
+            self._granted.get(resource), None, txn, False, CONFLICTS[mode]
+        )
+
+    def free(self, resource: Hashable, mode: LockMode) -> bool:
+        """True when a transaction holding nothing would be granted
+        *mode* on *resource* right now: :meth:`acquire`'s rule, with no
+        holder of its own and behind every queued request."""
+        return _admits(
+            self._granted.get(resource),
+            self._waiting.get(resource) if self._waiting else None,
+            None,
+            True,
+            CONFLICTS[mode],
+        )
 
     # -- coverage ---------------------------------------------------------
 
@@ -209,21 +240,14 @@ class LockTable:
         if held is not None and mode in held:
             stats.grants += 1
             return True
-        conflicts = CONFLICTS[mode]
-        behind_waiter = False
         queue = self._waiting.get(resource) if self._waiting else None
         if queue:
             for pending in queue:
                 # A re-issued request that is already queued stays queued
                 # once (pollers retry without duplicating their entry).
-                if pending.txn is txn:
-                    if pending.mode is mode:
-                        return False
-                # FIFO fairness: a fresh (non-conversion) request must
-                # also wait behind earlier incompatible waiters.
-                elif held is None and pending.mode in conflicts:
-                    behind_waiter = True
-        if not behind_waiter and _grantable(grants, txn, conflicts):
+                if pending.txn is txn and pending.mode is mode:
+                    return False
+        if _admits(grants, queue, txn, held is None, CONFLICTS[mode]):
             self._grant(txn, resource, mode, grants)
             stats.grants += 1
             return True
@@ -261,6 +285,18 @@ class LockTable:
             self._held.setdefault(txn, []).append(resource)
         for observer in self.observers:
             observer.on_grant(txn, resource, mode)
+
+    def grant_new(self, txn: Any, resource: Hashable, mode: LockMode) -> None:
+        """Grant *mode* on a *resource* that no transaction can hold or
+        wait for yet -- the instance lock of an object *txn* has just
+        made -- with no conflict check.  One request and one grant;
+        observers see it through :meth:`LockObserver.on_grant_new`."""
+        self.stats.requests += 1
+        self.stats.grants += 1
+        self._granted[resource] = {txn: {mode}}
+        self._held.setdefault(txn, []).append(resource)
+        for observer in self.observers:
+            observer.on_grant_new(txn, resource, mode)
 
     def cancel(
         self,
@@ -337,16 +373,9 @@ class LockTable:
             for request in queue:
                 # A request may run only if compatible with current grants
                 # AND with earlier still-blocked requests (fairness).
-                conflicts = CONFLICTS[request.mode]
-                blocked_behind = any(
-                    prior.mode in conflicts
-                    for prior in still_waiting
-                    if prior.txn is not request.txn
-                )
                 grants = self._granted.get(resource)
-                if not blocked_behind and _grantable(
-                    grants, request.txn, conflicts
-                ):
+                if _admits(grants, still_waiting, request.txn, True,
+                           CONFLICTS[request.mode]):
                     self._grant(request.txn, resource, request.mode, grants)
                     request.granted = True
                     granted.append(request)

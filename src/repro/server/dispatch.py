@@ -15,7 +15,9 @@ Handlers are responsible for three things, in order:
    undo-logged and strict-2PL holds to commit/abort.
 
 Ops that run outside an explicit ``begin``/``commit`` scope auto-commit:
-the session wraps them in a transaction of their own.
+the session wraps them in a transaction of their own -- except a read
+op (:func:`_read_op`) whose lock plan is free, which runs without one
+(:meth:`repro.server.server.Session.read`).
 """
 
 from __future__ import annotations
@@ -139,53 +141,50 @@ async def _op_make(session, args):
     async with session.txn_scope() as txn:
         for parent_uid, _attribute in parents:
             await session.lock_instance(txn, parent_uid, "write")
+        # The class step is awaited too, so a make behind an extent
+        # scan's S waits instead of being refused.  The manager then
+        # X-locks the new instance: a fresh UID, so that never waits.
+        await session.lock_class(txn, class_name, "write")
         return session.server.tm.make(
             txn, class_name, values=values, parents=parents
         )
 
 
-async def _op_resolve(session, args):
-    (uid,) = _require(args, "uid")
-    session.authorize(READ, uid)
-    async with session.txn_scope() as txn:
-        await session.lock_instance(txn, uid, "read")
-        db = session.server.db
-        instance = db.resolve(uid)
-        if db.on_read:
-            # Guarded: an unobserved resolve, the hottest wire read, enters
-            # no txn_context and makes no hook call.
-            with db.txn_context(txn):
-                db.note_reads((uid,))
-        cache = session.server.image_cache
-        if cache is not None:
-            # The journal already fingerprints every persisted image for
-            # write dedup; an unchanged object's wire snapshot is byte-
-            # identical, so encode it once and splice the cached bytes.
-            # The key carries the class's attribute shape: a schema
-            # change alters the snapshot without touching the image.
-            digest = session.server.journal.image_digest(uid)
-            if digest is not None:
-                classdef = db.lattice.get(instance.class_name)
-                key = (digest, tuple(
-                    (spec.name, bool(spec.is_set))
-                    for spec in classdef.attributes()
-                ))
-                encoded = cache.get(key)
-                if encoded is None:
-                    encoded = PreEncoded(_snapshot(db, instance))
-                    cache.put(key, encoded)
-                return encoded
-        return _snapshot(db, instance)
+def _resolve(session, txn, uid, args):
+    db = session.server.db
+    instance = db.resolve(uid)
+    if db.on_read:
+        # Guarded: an unobserved resolve, the hottest wire read, enters
+        # no txn_context and makes no hook call.
+        with db.txn_context(txn):
+            db.note_reads((uid,))
+    cache = session.server.image_cache
+    if cache is not None:
+        # The journal already fingerprints every persisted image for
+        # write dedup; an unchanged object's wire snapshot is byte-
+        # identical, so encode it once and splice the cached bytes.
+        # The key carries the class's attribute shape: a schema
+        # change alters the snapshot without touching the image.
+        digest = session.server.journal.image_digest(uid)
+        if digest is not None:
+            classdef = db.lattice.get(instance.class_name)
+            key = (digest, tuple(
+                (spec.name, bool(spec.is_set))
+                for spec in classdef.attributes()
+            ))
+            encoded = cache.get(key)
+            if encoded is None:
+                encoded = PreEncoded(_snapshot(db, instance))
+                cache.put(key, encoded)
+            return encoded
+    return _snapshot(db, instance)
 
 
-async def _op_value(session, args):
-    uid, attribute = _require(args, "uid", "attribute")
-    session.authorize(READ, uid)
-    async with session.txn_scope() as txn:
-        tm = session.server.tm
-        if not tm.reads_snapshot(txn, uid):
-            await session.lock_instance(txn, uid, "read")
-        return tm.read(txn, uid, attribute)
+def _value(session, txn, uid, args):
+    if txn is None:
+        return session.server.db.value(uid, args["attribute"])
+    # The manager reads a snapshot transaction's value at its epoch.
+    return session.server.tm.read(txn, uid, args["attribute"])
 
 
 async def _op_set_value(session, args):
@@ -259,31 +258,49 @@ async def _op_delete(session, args):
         }
 
 
-async def _op_components_of(session, args):
-    (uid,) = _require(args, "uid")
-    session.authorize(READ, uid)
-    async with session.txn_scope() as txn:
-        await session.lock_composite(txn, uid, "read")
+def _components_of(session, txn, uid, args):
+    db = session.server.db
+    # txn_context so observers (the isolation-history recorder)
+    # attribute the traversal's reads to this transaction.
+    with db.txn_context(txn):
+        return db.components_of(
+            uid,
+            classes=args.get("classes"),
+            exclusive=bool(args.get("exclusive", False)),
+            shared=bool(args.get("shared", False)),
+            level=args.get("level"),
+        )
+
+
+def _navigate(method):
+    """The body of a navigation read: ``Database.<method>(uid)``."""
+    def body(session, txn, uid, args):
         db = session.server.db
         # txn_context so observers (the isolation-history recorder)
-        # attribute the traversal's reads to this transaction.
+        # attribute the reads the method reports to this transaction.
         with db.txn_context(txn):
-            return db.components_of(
-                uid,
-                classes=args.get("classes"),
-                exclusive=bool(args.get("exclusive", False)),
-                shared=bool(args.get("shared", False)),
-                level=args.get("level"),
-            )
+            return getattr(db, method)(uid)
+
+    return body
 
 
-async def _lock_object(session, txn, uid):
-    await session.lock_instance(txn, uid, "read")
+def _read_op(body, composite=False, snapshot=False, required=()):
+    """A read op: ``body(session, txn, uid, args)`` reads *uid* under the
+    Section 7 read plan -- the composite plan when *composite*, else the
+    instance plan -- behind the one wrapper every such op shares.
 
+    The wrapper checks the arguments (``uid`` and *required*) and
+    authorizes; :meth:`Session.read` then runs the body, unlocked (with
+    *txn* None) when the request has no explicit transaction and the
+    plan is free, otherwise in the request's scope once the plan is
+    held.  With *snapshot*, a snapshot transaction's read takes no
+    locks (the transaction manager's ``reads_snapshot``)."""
+    async def handler(session, args):
+        uid = _require(args, "uid", *required)[0]
+        session.authorize(READ, uid)
+        return await session.read(body, uid, args, composite, snapshot)
 
-async def _lock_children(session, txn, uid):
-    # The children's whole objects are read: the composite read plan.
-    await session.lock_composite(txn, uid, "read")
+    return handler
 
 
 async def _lock_ancestry(session, txn, uid):
@@ -304,21 +321,18 @@ async def _lock_ancestry(session, txn, uid):
             locked.add(ancestor)
 
 
-def _navigation(method, lock):
-    """A navigation op: *lock* covers every object *method* records as
-    read, so the recorded footprint is the locked one."""
+def _ancestry(method):
+    """``ancestors_of`` / ``roots_of``: their footprint is found while
+    locking (:func:`_lock_ancestry`), so they always run in a scope."""
     async def handler(session, args):
         (uid,) = _require(args, "uid")
         session.authorize(READ, uid)
         async with session.txn_scope() as txn:
-            await lock(session, txn, uid)
+            await _lock_ancestry(session, txn, uid)
             db = session.server.db
-            # txn_context so observers (the isolation-history recorder)
-            # attribute the reads the method reports to this transaction.
             with db.txn_context(txn):
                 return getattr(db, method)(uid)
 
-    handler.__name__ = f"_op_{method}"
     return handler
 
 
@@ -644,19 +658,20 @@ COMMANDS = {
     "make_class": _op_make_class,
     "describe": _op_describe,
     "make": _op_make,
-    "resolve": _op_resolve,
-    "value": _op_value,
+    "resolve": _read_op(_resolve),
+    "value": _read_op(_value, snapshot=True, required=("attribute",)),
     "set_value": _op_set_value,
     "insert_into": _op_insert_into,
     "remove_from": _op_remove_from,
     "make_part_of": _op_make_part_of,
     "remove_part_of": _op_remove_part_of,
     "delete": _op_delete,
-    "components_of": _op_components_of,
-    "children_of": _navigation("children_of", _lock_children),
-    "parents_of": _navigation("parents_of", _lock_object),
-    "ancestors_of": _navigation("ancestors_of", _lock_ancestry),
-    "roots_of": _navigation("roots_of", _lock_ancestry),
+    "components_of": _read_op(_components_of, composite=True),
+    # The children's whole objects are read: the composite read plan.
+    "children_of": _read_op(_navigate("children_of"), composite=True),
+    "parents_of": _read_op(_navigate("parents_of")),
+    "ancestors_of": _ancestry("ancestors_of"),
+    "roots_of": _ancestry("roots_of"),
     "instances_of": _op_instances_of,
     "query": _op_query,
     "snapshot_read": _op_snapshot_read,

@@ -94,6 +94,9 @@ class ServerStats:
     lock_timeouts: int = 0
     pipelined_batches: int = 0
     pipelined_requests: int = 0
+    #: Auto-commit reads answered without a transaction (their plan was
+    #: free; :meth:`Session.read`).  Each also counts as a commit.
+    unlocked_reads: int = 0
 
     def row(self):
         return dataclasses.asdict(self)
@@ -322,6 +325,14 @@ class Session:
     def lock_composite(self, txn, root_uid, intent):
         return self._lock(txn, root_uid, intent, True)
 
+    async def lock_class(self, txn, class_name, intent):
+        """The class step of a make's plan, awaited like a plan step."""
+        resource, mode = self.server.tm.protocol.class_step(
+            class_name, intent
+        )
+        if not await self.server.locks.acquire(txn, resource, mode):
+            self.stats.lock_waits += 1
+
     async def _lock(self, txn, uid, intent, composite):
         """The locking protocol's own decision, with its steps awaited
         instead of refused: the transaction manager's no-wait lock call
@@ -333,6 +344,44 @@ class Session:
                 txn, plan
             )
             protocol.granted(txn, plan)
+
+    # -- reads ------------------------------------------------------------
+
+    async def read(self, body, uid, args, composite, snapshot):
+        """Run the read op ``body(self, txn, uid, args)`` on *uid* (see
+        ``dispatch._read_op``).
+
+        A request with no explicit transaction whose read plan is free
+        (:meth:`CompositeLockingProtocol.free`) is answered in one step:
+        the body runs with *txn* None -- no transaction, no grant, no
+        commit, no release.  Nothing else runs on the loop between the
+        check and the read, so this is the locked path's acquire, read
+        and release with nothing in between.  It counts as the
+        auto-commit it replaces (a commit, or an abort when it raises)
+        and acks after the same durability point: the read may have
+        seen a commit not yet fsynced.  Otherwise the body runs in the
+        request's scope once the plan is held.
+        """
+        server = self.server
+        if self.txn is None:
+            try:
+                free = server.tm.protocol.free(uid, "read", composite)
+                if free:
+                    result = body(self, None, uid, args)
+            except Exception:
+                self.stats.aborts += 1
+                server.stats.aborts += 1
+                raise
+            if free:
+                self.stats.commits += 1
+                server.stats.commits += 1
+                server.stats.unlocked_reads += 1
+                await self.durability_point()
+                return result
+        async with _RequestScope(self) as txn:
+            if not (snapshot and server.tm.reads_snapshot(txn, uid)):
+                await self._lock(txn, uid, "read", composite)
+            return body(self, txn, uid, args)
 
     # -- transactions -----------------------------------------------------
 

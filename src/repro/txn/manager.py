@@ -189,16 +189,23 @@ class TransactionManager:
         return removed
 
     def make(self, txn, class_name, values=None, parents=(), **kw_values):
-        """Create an instance; its parents are X-locked first."""
+        """Create an instance under the write plan: its parents X-locked
+        and its class IX-locked first, so a conflict refuses the make
+        before anything changes, then X on the new instance before the
+        call returns, so no other transaction can see it uncommitted."""
         txn.ensure_active()
+        protocol = self.protocol
         for parent_uid, _attribute in parents:
-            self.protocol.lock_instance(txn, parent_uid, "write", wait=False)
+            protocol.lock_instance(txn, parent_uid, "write", wait=False)
+        resource, mode = protocol.class_step(class_name, "write")
+        self.table.acquire(txn, resource, mode, wait=False)
         for parent_uid, _attribute in parents:
             self._check_snapshot_write(txn, parent_uid)
         with self._db.txn_context(txn):
             uid = self._db.make(
                 class_name, values=values, parents=parents, **kw_values
             )
+        protocol.lock_made(txn, uid)
         txn.written_uids.add(uid)
         for parent_uid, _attribute in parents:
             txn.written_uids.add(parent_uid)

@@ -8,11 +8,13 @@ through a real :class:`repro.server.client.Client` connection, turning
 each script into one explicit ``begin``/``commit`` transaction against a
 live server (or a shard router: benchmark B18 and the cluster tests
 drive exactly this workload through ``repro-router``);
-:func:`run_tcp_clients` runs them over several connections at once, and
+:func:`run_tcp_clients` runs them over several connections at once,
 :func:`navigation_mix` builds scripts that read through the navigation
-ops (``children_of`` … ``roots_of``) as well.  The in-process
-half — :func:`memory_fixture` and :func:`run_tm_mix` — replays them
-through a :class:`repro.txn.manager.TransactionManager` with genuinely
+ops (``children_of`` … ``roots_of``) as well, and
+:func:`autocommit_reads` a script of auto-commit reads to run beside a
+transactional mix.  The in-process half — :func:`memory_fixture` and
+:func:`run_tm_mix` — replays them through a
+:class:`repro.txn.manager.TransactionManager` with genuinely
 interleaved transactions (round-robin, one step per round), which is
 what the isolation plane's recorder observes and its property tests
 drive: strict 2PL must yield histories that check clean.
@@ -103,6 +105,28 @@ def navigation_mix(roots, components_by_root, transactions=20,
     return scripts
 
 
+#: Read steps that send one wire read each: ``read_composite`` is
+#: ``components_of``, ``read_instance`` is ``resolve`` and ``read_value``
+#: is ``value`` of the stamp.
+AUTOCOMMIT_READS = ("read_composite", "read_instance", "read_value")
+
+
+def autocommit_reads(roots, components_by_root, reads=60, seed=42):
+    """One script of *reads* single-read steps on the composites of
+    *roots* and their components, for :func:`run_tcp_mix` with
+    ``autocommit=True``: a client reading beside a transactional mix, one
+    auto-commit request per step."""
+    rng = random.Random(seed)
+    steps = []
+    for _ in range(reads):
+        root = rng.choice(roots)
+        action = rng.choice(AUTOCOMMIT_READS)
+        target = (root if action == "read_composite"
+                  else rng.choice([root, *components_by_root[root]]))
+        steps.append(Step(action=action, target=target))
+    return [steps]
+
+
 def single_root_mix(roots, transactions=20, steps_per_txn=3,
                     read_ratio=0.7, seed=42):
     """Scripts whose steps all touch *one* composite root each.
@@ -183,15 +207,17 @@ def tcp_fixture(client, roots=8, parts_per_root=3):
     return root_uids, components
 
 
-def run_tcp_mix(client, scripts, max_retries=10):
+def run_tcp_mix(client, scripts, max_retries=10, autocommit=False):
     """Execute simulator *scripts* through a live client connection.
 
-    Each script runs as one explicit transaction: ``read_composite``
-    becomes ``components_of``, ``read_instance`` becomes ``resolve``, a
-    :data:`NAVIGATION_ACTIONS` step the op it names, and both update
-    actions ``set_value`` the target's stamp.  A
-    deadlock victim retries its whole scope (the server already rolled
-    it back), up to *max_retries* times.  Returns counters::
+    Each script runs as one explicit transaction (with *autocommit*, each
+    step is a request of its own instead): ``read_composite`` becomes
+    ``components_of``, ``read_instance`` becomes ``resolve``,
+    ``read_value`` the stamp's ``value``, a :data:`NAVIGATION_ACTIONS`
+    step the op it names, and both update actions ``set_value`` the
+    target's stamp.  A deadlock victim retries its whole scope (the
+    server already rolled it back), up to *max_retries* times.  Returns
+    counters::
 
         {"transactions": ..., "ops": ..., "deadlock_retries": ...}
     """
@@ -199,15 +225,20 @@ def run_tcp_mix(client, scripts, max_retries=10):
 
     stats = {"transactions": 0, "ops": 0, "deadlock_retries": 0}
     stamp = 0
+    if autocommit:
+        scripts = [[step] for steps in scripts for step in steps]
     for steps in scripts:
         for attempt in range(max_retries + 1):
             try:
-                client.begin()
+                if not autocommit:
+                    client.begin()
                 for step in steps:
                     if step.action == "read_composite":
                         client.components_of(step.target)
                     elif step.action == "read_instance":
                         client.resolve(step.target)
+                    elif step.action == "read_value":
+                        client.value(step.target, STAMP_ATTRIBUTE)
                     elif step.action in NAVIGATION_ACTIONS:
                         getattr(client, step.action)(step.target)
                     else:
@@ -216,7 +247,8 @@ def run_tcp_mix(client, scripts, max_retries=10):
                             step.target, STAMP_ATTRIBUTE, stamp
                         )
                     stats["ops"] += 1
-                client.commit()
+                if not autocommit:
+                    client.commit()
                 break
             except DeadlockError:
                 stats["deadlock_retries"] += 1
@@ -227,10 +259,12 @@ def run_tcp_mix(client, scripts, max_retries=10):
 
 
 def run_tcp_clients(port, scripts, clients=2, host="127.0.0.1",
-                    max_retries=10):
+                    max_retries=10, autocommit=()):
     """:func:`run_tcp_mix` over *clients* connections at once, one thread
-    each; script *i* runs on connection ``i % clients``.  Returns the
-    summed counters; the first driver error is re-raised."""
+    each; script *i* runs on connection ``i % clients``.  The scripts in
+    *autocommit* run beside them on one more connection, each step an
+    auto-commit request.  Returns the summed counters; the first driver
+    error is re-raised."""
     import threading
 
     from ..server.client import Client
@@ -239,10 +273,10 @@ def run_tcp_clients(port, scripts, clients=2, host="127.0.0.1",
     errors = []
     guard = threading.Lock()
 
-    def drive(share):
+    def drive(share, auto=False):
         try:
             with Client(host=host, port=port) as client:
-                stats = run_tcp_mix(client, share, max_retries)
+                stats = run_tcp_mix(client, share, max_retries, auto)
         except Exception as error:
             errors.append(error)
             return
@@ -252,6 +286,9 @@ def run_tcp_clients(port, scripts, clients=2, host="127.0.0.1",
 
     threads = [threading.Thread(target=drive, args=(scripts[i::clients],))
                for i in range(clients)]
+    if autocommit:
+        threads.append(threading.Thread(target=drive,
+                                        args=(list(autocommit), True)))
     for thread in threads:
         thread.start()
     for thread in threads:

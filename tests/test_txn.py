@@ -226,13 +226,6 @@ class TestStrict2PL:
         with pytest.raises(LockConflictError):
             manager.write(t2, box, "Name", "b")
 
-    @pytest.mark.xfail(
-        strict=True, raises=KeyError,
-        reason="TransactionManager.make locks the parents but not the new "
-               "object, so another transaction can delete it before the "
-               "creator aborts; the abort's undo then fails on the missing "
-               "UID",
-    )
     def test_abort_after_another_txn_deleted_the_new_object(self):
         database = Database()
         database.make_class("Cell", attributes=[
@@ -241,7 +234,7 @@ class TestStrict2PL:
         manager = TransactionManager(database)
         t0, t1 = manager.begin(), manager.begin()
         cell = manager.make(t0, "Cell")
-        # Strict 2PL should refuse t1 here; today it is let through.
+        # Strict 2PL refuses t1: t0 holds X on the object it made.
         try:
             manager.write(t1, cell, "Tag", "x")
             manager.delete(t1, cell)
