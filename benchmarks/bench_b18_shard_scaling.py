@@ -18,11 +18,12 @@ them in its event loop).
 
 Expected shape, host-independent: every commit stays on the fast path
 (zero 2PC), and sharding does not collapse throughput — 2 shards reach
->= 0.9x of 1 and 4 shards >= 0.85x of 2.  How far *above* 1x the curve
-goes is a property of the host (vCPUs that truly run in parallel, fsync
-latency): only the fsync-wait fraction of the timeline overlaps on
-shared cores, so the rows record the measured speedup and the CPU count
-without gating on them.
+>= 0.9x of 1 and 4 shards >= 0.85x of 2, each shard count timed as the
+fastest of three fresh clusters, in rounds that interleave the counts.
+How far *above* 1x the curve goes is a property of the host (vCPUs
+that truly run in parallel, fsync latency): only the fsync-wait
+fraction of the timeline overlaps on shared cores, so the rows record
+the measured speedup and the CPU count without gating on them.
 """
 
 from __future__ import annotations
@@ -99,9 +100,24 @@ def _measure(tmp_root, shards, sync_policy="always", steps_per_txn=6,
     }
 
 
+def _fastest(tmp_root, runs=3):
+    """One row per shard count: the fastest of *runs* fresh clusters.
+    One run is not enough: time stolen from the host during it lands in
+    the ratio of two runs as if sharding had cost it.  The rounds
+    interleave the shard counts, so that a slow spell of the host
+    longer than one run does not fall on every run of one count."""
+    best = {}
+    for run in range(runs):
+        for shards in SHARD_COUNTS:
+            row = _measure(tmp_root / f"s{shards}-run{run}", shards)
+            if (shards not in best
+                    or row["ops_per_sec"] > best[shards]["ops_per_sec"]):
+                best[shards] = row
+    return [best[shards] for shards in SHARD_COUNTS]
+
+
 def test_b18_shard_scaling(benchmark, tmp_path):
-    rows = [_measure(tmp_path / f"s{shards}", shards)
-            for shards in SHARD_COUNTS]
+    rows = _fastest(tmp_path)
     by_shards = {row["shards"]: row for row in rows}
 
     # Placement spread the disjoint hierarchies over every worker.

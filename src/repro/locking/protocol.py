@@ -27,8 +27,9 @@ Three lockers over the same :class:`repro.locking.table.LockTable`:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterator, Optional
+from typing import Any, Hashable, Iterable, Iterator, Optional
 
+from ..errors import UnknownObjectError
 from .modes import LockMode
 from .table import LockTable
 
@@ -148,11 +149,28 @@ class CompositeLockingProtocol:
             )
         return steps
 
-    def _plan(self, uid: Any, intent: str, composite: bool) -> LockPlan:
+    def _plan(
+        self, uid: Any, intent: str, composite: bool, txn: Any = None
+    ) -> LockPlan:
+        try:
+            instance = self._db.resolve(uid)
+        except UnknownObjectError:
+            # Absent: deleted, perhaps by a transaction that has not
+            # committed yet and still holds the instance lock.  Then the
+            # access waits for that holder: a plan of the class step and
+            # the instance step with no granule, after which the caller
+            # plans again (UNKNOWN_OBJECT after a commit, the whole plan
+            # after an abort brought the object back).
+            mode = _modes_for(intent)[1]
+            if self.table.is_compatible(txn, ("instance", uid), mode):
+                raise
+            return LockPlan([
+                self._steps(uid.class_name, intent)[0],
+                (("instance", uid), mode),
+            ])
         # The live instance's own UID, not the caller's (a decoded
         # request's copy): the lock table, coverage and lock-order
         # recorder then hold no second copy of the identity.
-        instance = self._db.resolve(uid)
         uid = instance.uid
         steps = self._steps(instance.class_name, intent)
         return LockPlan(
@@ -162,17 +180,23 @@ class CompositeLockingProtocol:
             self._version,
         )
 
-    def plan_composite(self, root_uid: Any, intent: str = "read") -> LockPlan:
+    def plan_composite(
+        self, root_uid: Any, intent: str = "read", txn: Any = None
+    ) -> LockPlan:
         """The locks required to read/update the whole composite at *root_uid*.
 
         Component classes reached through both exclusive and shared links
-        are locked in both corresponding modes (the claims union).
+        are locked in both corresponding modes (the claims union).  With
+        *txn*, an absent root that another transaction holds plans a
+        wait for it (:meth:`_plan`).
         """
-        return self._plan(root_uid, intent, True)
+        return self._plan(root_uid, intent, True, txn)
 
-    def plan_instance(self, uid: Any, intent: str = "read") -> LockPlan:
+    def plan_instance(
+        self, uid: Any, intent: str = "read", txn: Any = None
+    ) -> LockPlan:
         """Direct access to a single instance: class intent + instance lock."""
-        return self._plan(uid, intent, False)
+        return self._plan(uid, intent, False, txn)
 
     def pending(
         self, txn: Any, uid: Any, intent: str, composite: bool
@@ -181,7 +205,9 @@ class CompositeLockingProtocol:
         when it already covers the granule.  The caller acquires every
         step, then reports the plan :meth:`granted`: :meth:`lock_instance`
         and :meth:`lock_composite` without waiting, the network server
-        awaiting each step."""
+        awaiting each step.  A plan with no ``granule`` waits for an
+        uncommitted delete of *uid* (:meth:`_plan`): once it is held the
+        caller asks again."""
         cover = _COVER[composite].get(intent)
         if (
             cover is not None
@@ -191,32 +217,51 @@ class CompositeLockingProtocol:
             self.table.stats.covered += 1
             return None
         plan = self.plan_composite if composite else self.plan_instance
-        return plan(uid, intent)
+        return plan(uid, intent, txn)
 
-    def free(self, uid: Any, intent: str, composite: bool) -> bool:
-        """True when a transaction holding nothing would be granted every
-        step of this access's plan (:meth:`_plan`'s steps, unbuilt) right
-        now (:meth:`LockTable.free`).
+    def free(
+        self,
+        uids: Iterable[Any],
+        intent: str,
+        composite: bool = False,
+        class_name: Optional[str] = None,
+    ) -> bool:
+        """True when a transaction holding nothing would be granted right
+        now (:meth:`LockTable.free`) every step of *intent*'s plan on
+        each of *uids* -- the composite plan when *composite* -- and,
+        with *class_name*, the class step of a ``make`` of that class:
+        :meth:`_plan`'s steps, unbuilt.
         On the server's single-threaded loop such an access can run
         without taking the plan: nothing else runs until it is done, so
-        no other transaction could see its locks."""
-        instance = self._db.resolve(uid)
-        class_step, instance_mode, components = self._steps(
-            instance.class_name, intent
-        )
+        no other transaction could see its locks.  An absent UID raises
+        :class:`UnknownObjectError`, unless another transaction holds or
+        awaits its instance lock (an uncommitted delete): then the
+        access is not free, and waits for it."""
         free = self.table.free
-        if not (free(*class_step)
-                and free(("instance", instance.uid), instance_mode)):
-            return False
-        if composite:
-            for resource, mode in components:
-                if not free(resource, mode):
-                    return False
-        return True
+        resolve = self._db.resolve
+        for uid in uids:
+            try:
+                instance = resolve(uid)
+            except UnknownObjectError:
+                if free(("instance", uid), _modes_for(intent)[1]):
+                    raise
+                return False
+            class_step, instance_mode, components = self._steps(
+                instance.class_name, intent
+            )
+            if not (free(*class_step)
+                    and free(("instance", instance.uid), instance_mode)):
+                return False
+            if composite:
+                for resource, mode in components:
+                    if not free(resource, mode):
+                        return False
+        return class_name is None or free(*self._steps(class_name, intent)[0])
 
     def granted(self, txn: Any, plan: LockPlan) -> None:
         """Every step of *plan* is now held by *txn*: the granule is
-        covered, unless the schema moved while the steps were awaited."""
+        covered, unless the schema moved while the steps were awaited
+        (or the plan has no granule)."""
         if plan.version == self._db.lattice.version:
             self.table.cover(txn, plan.granule, plan.bit)
 

@@ -15,9 +15,10 @@ Handlers are responsible for three things, in order:
    undo-logged and strict-2PL holds to commit/abort.
 
 Ops that run outside an explicit ``begin``/``commit`` scope auto-commit:
-the session wraps them in a transaction of their own -- except a read
-op (:func:`_read_op`) whose lock plan is free, which runs without one
-(:meth:`repro.server.server.Session.read`).
+the session wraps them in a transaction of their own -- except a data
+op (:func:`_read_op`, :func:`_write_op` and ``make``) whose lock plan is
+free, which runs in one step without one
+(:meth:`repro.server.server.Session.run`).
 """
 
 from __future__ import annotations
@@ -138,19 +139,21 @@ async def _op_make(session, args):
     parents = [tuple(pair) for pair in args.get("parents", ())]
     for parent_uid, _attribute in parents:
         session.authorize(WRITE, parent_uid)
-    async with session.txn_scope() as txn:
-        for parent_uid, _attribute in parents:
-            await session.lock_instance(txn, parent_uid, "write")
-        # The class step is awaited too, so a make behind an extent
-        # scan's S waits instead of being refused.  The manager then
-        # X-locks the new instance: a fresh UID, so that never waits.
-        await session.lock_class(txn, class_name, "write")
-        return session.server.tm.make(
-            txn, class_name, values=values, parents=parents
-        )
+    # The write plan of each parent, and the class step of the new object.
+    return await session.run(
+        _make, (class_name, values, parents),
+        [parent_uid for parent_uid, _attribute in parents], "write",
+        class_name=class_name,
+    )
 
 
-def _resolve(session, txn, uid, args):
+def _make(session, tm, txn, args):
+    class_name, values, parents = args
+    return tm.make(txn, class_name, values=values, parents=parents)
+
+
+def _resolve(session, tm, txn, args):
+    uid = args["uid"]
     db = session.server.db
     instance = db.resolve(uid)
     if db.on_read:
@@ -180,36 +183,22 @@ def _resolve(session, txn, uid, args):
     return _snapshot(db, instance)
 
 
-def _value(session, txn, uid, args):
-    if txn is None:
-        return session.server.db.value(uid, args["attribute"])
+def _value(session, tm, txn, args):
     # The manager reads a snapshot transaction's value at its epoch.
-    return session.server.tm.read(txn, uid, args["attribute"])
+    return tm.read(txn, args["uid"], args["attribute"])
 
 
-async def _op_set_value(session, args):
-    uid, attribute = _require(args, "uid", "attribute")
-    session.authorize(WRITE, uid)
-    async with session.txn_scope() as txn:
-        await session.lock_instance(txn, uid, "write")
-        session.server.tm.write(txn, uid, attribute, args.get("value"))
-        return True
+def _set_value(session, tm, txn, args):
+    tm.write(txn, args["uid"], args["attribute"], args.get("value"))
+    return True
 
 
-async def _op_insert_into(session, args):
-    uid, attribute, member = _require(args, "uid", "attribute", "member")
-    session.authorize(WRITE, uid)
-    async with session.txn_scope() as txn:
-        await session.lock_instance(txn, uid, "write")
-        return session.server.tm.insert(txn, uid, attribute, member)
+def _insert_into(session, tm, txn, args):
+    return tm.insert(txn, args["uid"], args["attribute"], args["member"])
 
 
-async def _op_remove_from(session, args):
-    uid, attribute, member = _require(args, "uid", "attribute", "member")
-    session.authorize(WRITE, uid)
-    async with session.txn_scope() as txn:
-        await session.lock_instance(txn, uid, "write")
-        return session.server.tm.remove(txn, uid, attribute, member)
+def _remove_from(session, tm, txn, args):
+    return tm.remove(txn, args["uid"], args["attribute"], args["member"])
 
 
 def _parent_spec(db, parent_uid, attribute):
@@ -218,53 +207,41 @@ def _parent_spec(db, parent_uid, attribute):
     return classdef.attribute(attribute)
 
 
-async def _op_make_part_of(session, args):
-    child, parent, attribute = _require(args, "child", "parent", "attribute")
-    session.authorize(WRITE, parent)
-    async with session.txn_scope() as txn:
-        await session.lock_instance(txn, parent, "write")
-        spec = _parent_spec(session.server.db, parent, attribute)
-        if spec.is_set:
-            return session.server.tm.insert(txn, parent, attribute, child)
-        session.server.tm.write(txn, parent, attribute, child)
-        return True
+def _make_part_of(session, tm, txn, args):
+    child, parent, attribute = args["child"], args["parent"], args["attribute"]
+    if _parent_spec(session.server.db, parent, attribute).is_set:
+        return tm.insert(txn, parent, attribute, child)
+    tm.write(txn, parent, attribute, child)
+    return True
 
 
-async def _op_remove_part_of(session, args):
-    child, parent, attribute = _require(args, "child", "parent", "attribute")
-    session.authorize(WRITE, parent)
-    async with session.txn_scope() as txn:
-        await session.lock_instance(txn, parent, "write")
-        db = session.server.db
-        spec = _parent_spec(db, parent, attribute)
-        if spec.is_set:
-            return session.server.tm.remove(txn, parent, attribute, child)
-        if db.resolve(parent).get(attribute) != child:
-            return False
-        session.server.tm.write(txn, parent, attribute, None)
-        return True
+def _remove_part_of(session, tm, txn, args):
+    child, parent, attribute = args["child"], args["parent"], args["attribute"]
+    db = session.server.db
+    if _parent_spec(db, parent, attribute).is_set:
+        return tm.remove(txn, parent, attribute, child)
+    if db.resolve(parent).get(attribute) != child:
+        return False
+    tm.write(txn, parent, attribute, None)
+    return True
 
 
-async def _op_delete(session, args):
-    (uid,) = _require(args, "uid")
-    session.authorize(WRITE, uid)
-    async with session.txn_scope() as txn:
-        await session.lock_composite(txn, uid, "write")
-        report = session.server.tm.delete(txn, uid)
-        return {
-            "deleted": list(report.deleted),
-            "preserved_independent": list(report.preserved_independent),
-            "preserved_shared": list(report.preserved_shared),
-        }
+def _delete(session, tm, txn, args):
+    report = tm.delete(txn, args["uid"])
+    return {
+        "deleted": list(report.deleted),
+        "preserved_independent": list(report.preserved_independent),
+        "preserved_shared": list(report.preserved_shared),
+    }
 
 
-def _components_of(session, txn, uid, args):
+def _components_of(session, tm, txn, args):
     db = session.server.db
     # txn_context so observers (the isolation-history recorder)
     # attribute the traversal's reads to this transaction.
     with db.txn_context(txn):
         return db.components_of(
-            uid,
+            args["uid"],
             classes=args.get("classes"),
             exclusive=bool(args.get("exclusive", False)),
             shared=bool(args.get("shared", False)),
@@ -274,33 +251,54 @@ def _components_of(session, txn, uid, args):
 
 def _navigate(method):
     """The body of a navigation read: ``Database.<method>(uid)``."""
-    def body(session, txn, uid, args):
+    def body(session, tm, txn, args):
         db = session.server.db
         # txn_context so observers (the isolation-history recorder)
         # attribute the reads the method reports to this transaction.
         with db.txn_context(txn):
-            return getattr(db, method)(uid)
+            return getattr(db, method)(args["uid"])
 
     return body
 
 
+def _data_op(body, intent, required, key, composite, snapshot):
+    auth_type = READ if intent == "read" else WRITE
+
+    async def handler(session, args):
+        _require(args, *required)
+        uid = args[key]
+        session.authorize(auth_type, uid)
+        return await session.run(
+            body, args, (uid,), intent, composite, snapshot
+        )
+
+    return handler
+
+
 def _read_op(body, composite=False, snapshot=False, required=()):
-    """A read op: ``body(session, txn, uid, args)`` reads *uid* under the
-    Section 7 read plan -- the composite plan when *composite*, else the
-    instance plan -- behind the one wrapper every such op shares.
+    """A read op: ``body(session, tm, txn, args)`` reads ``args["uid"]``
+    under the Section 7 read plan -- the composite plan when
+    *composite*, else the instance plan -- behind the one wrapper every
+    data op shares.
 
     The wrapper checks the arguments (``uid`` and *required*) and
-    authorizes; :meth:`Session.read` then runs the body, unlocked (with
+    authorizes; :meth:`Session.run` then runs the body in one step (with
     *txn* None) when the request has no explicit transaction and the
     plan is free, otherwise in the request's scope once the plan is
     held.  With *snapshot*, a snapshot transaction's read takes no
     locks (the transaction manager's ``reads_snapshot``)."""
-    async def handler(session, args):
-        uid = _require(args, "uid", *required)[0]
-        session.authorize(READ, uid)
-        return await session.read(body, uid, args, composite, snapshot)
+    return _data_op(body, "read", ("uid", *required), "uid", composite,
+                    snapshot)
 
-    return handler
+
+def _write_op(body, required=("uid",), key="uid", composite=False):
+    """A write op: ``body(session, tm, txn, args)`` writes ``args[key]``
+    under the Section 7 write plan -- the composite plan when
+    *composite*, else the instance plan -- through *tm*, the transaction
+    manager's data ops, behind the same wrapper as :func:`_read_op`: in
+    one step when the request has no explicit transaction and the plan
+    is free, otherwise in the request's scope once the plan is held."""
+    return _data_op(body, "write", required, key, composite, False)
 
 
 async def _lock_ancestry(session, txn, uid):
@@ -660,12 +658,16 @@ COMMANDS = {
     "make": _op_make,
     "resolve": _read_op(_resolve),
     "value": _read_op(_value, snapshot=True, required=("attribute",)),
-    "set_value": _op_set_value,
-    "insert_into": _op_insert_into,
-    "remove_from": _op_remove_from,
-    "make_part_of": _op_make_part_of,
-    "remove_part_of": _op_remove_part_of,
-    "delete": _op_delete,
+    "set_value": _write_op(_set_value, ("uid", "attribute")),
+    "insert_into": _write_op(_insert_into, ("uid", "attribute", "member")),
+    "remove_from": _write_op(_remove_from, ("uid", "attribute", "member")),
+    "make_part_of": _write_op(
+        _make_part_of, ("child", "parent", "attribute"), key="parent"),
+    "remove_part_of": _write_op(
+        _remove_part_of, ("child", "parent", "attribute"), key="parent"),
+    # Deleting a composite deletes its dependent components too: the
+    # composite write plan.
+    "delete": _write_op(_delete, composite=True),
     "components_of": _read_op(_components_of, composite=True),
     # The children's whole objects are read: the composite read plan.
     "children_of": _read_op(_navigate("children_of"), composite=True),

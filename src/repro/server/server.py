@@ -94,9 +94,11 @@ class ServerStats:
     lock_timeouts: int = 0
     pipelined_batches: int = 0
     pipelined_requests: int = 0
-    #: Auto-commit reads answered without a transaction (their plan was
-    #: free; :meth:`Session.read`).  Each also counts as a commit.
+    #: Auto-commit reads and writes run in one step, without a
+    #: transaction (their plan was free; :meth:`Session.run`).  Each
+    #: also counts as a commit.
     unlocked_reads: int = 0
+    unlocked_writes: int = 0
 
     def row(self):
         return dataclasses.asdict(self)
@@ -322,66 +324,91 @@ class Session:
     def lock_instance(self, txn, uid, intent):
         return self._lock(txn, uid, intent, False)
 
-    def lock_composite(self, txn, root_uid, intent):
-        return self._lock(txn, root_uid, intent, True)
-
-    async def lock_class(self, txn, class_name, intent):
-        """The class step of a make's plan, awaited like a plan step."""
-        resource, mode = self.server.tm.protocol.class_step(
-            class_name, intent
-        )
-        if not await self.server.locks.acquire(txn, resource, mode):
-            self.stats.lock_waits += 1
-
     async def _lock(self, txn, uid, intent, composite):
         """The locking protocol's own decision, with its steps awaited
         instead of refused: the transaction manager's no-wait lock call
         that follows finds the granule covered."""
         protocol = self.server.tm.protocol
         plan = protocol.pending(txn, uid, intent, composite)
-        if plan is not None:
+        while plan is not None:
             self.stats.lock_waits += await self.server.locks.acquire_plan(
                 txn, plan
             )
-            protocol.granted(txn, plan)
+            if plan.granule is not None:
+                protocol.granted(txn, plan)
+                return
+            # The object was absent under another transaction's lock (an
+            # uncommitted delete), which is now released: look again.
+            plan = protocol.pending(txn, uid, intent, composite)
 
-    # -- reads ------------------------------------------------------------
+    # -- data ops ---------------------------------------------------------
 
-    async def read(self, body, uid, args, composite, snapshot):
-        """Run the read op ``body(self, txn, uid, args)`` on *uid* (see
-        ``dispatch._read_op``).
+    async def run(self, body, args, uids, intent, composite=False,
+                  snapshot=False, class_name=None):
+        """Run the data op ``body(self, tm, txn, args)`` under *intent*'s
+        Section 7 plan on each of *uids* (the composite plan when
+        *composite*) and, with *class_name*, a make's class step (see
+        ``dispatch._read_op`` and ``dispatch._write_op``).
 
-        A request with no explicit transaction whose read plan is free
-        (:meth:`CompositeLockingProtocol.free`) is answered in one step:
-        the body runs with *txn* None -- no transaction, no grant, no
-        commit, no release.  Nothing else runs on the loop between the
-        check and the read, so this is the locked path's acquire, read
-        and release with nothing in between.  It counts as the
-        auto-commit it replaces (a commit, or an abort when it raises)
-        and acks after the same durability point: the read may have
-        seen a commit not yet fsynced.  Otherwise the body runs in the
-        request's scope once the plan is held.
+        A request with no explicit transaction whose plan is free
+        (:meth:`CompositeLockingProtocol.free`) runs in one step: the
+        body runs with *txn* None and *tm* the manager's
+        :class:`~repro.txn.manager.OneStep` -- no transaction, no grant,
+        no commit, no release.  Nothing else runs on the loop between
+        the check and the op, so this is the locked path's acquire, op
+        and release with nothing in between.  A write is then one
+        ``Database`` operation: its own bracket rolls it back if it
+        fails, the journal seals it as an auto batch (inside
+        ``synced_by_barrier``, as :meth:`ReproServer.finish` seals a
+        commit), MVCC stamps it and the history recorder commits it as
+        an auto-transaction ``b<n>`` when it ends.  It counts as the
+        auto-commit it replaces (a commit, or an abort when it raises;
+        a journal failure turns the server read-only) and acks after
+        the same durability point.  Otherwise the body runs in the
+        request's scope, with the real manager, once the plan is held;
+        with *snapshot*, a snapshot transaction's read takes no locks
+        (the manager's ``reads_snapshot``).
         """
         server = self.server
+        tm = server.tm
         if self.txn is None:
             try:
-                free = server.tm.protocol.free(uid, "read", composite)
+                free = tm.protocol.free(uids, intent, composite, class_name)
                 if free:
-                    result = body(self, None, uid, args)
-            except Exception:
+                    if server.gate is None or intent == "read":
+                        result = body(self, tm.one_step, None, args)
+                    else:
+                        with server.journal.synced_by_barrier():
+                            result = body(self, tm.one_step, None, args)
+            except Exception as error:
                 self.stats.aborts += 1
                 server.stats.aborts += 1
+                if intent == "write" and isinstance(error, StorageError):
+                    # The write's seal failed, as a failed commit's would.
+                    server._note_journal_failure()
                 raise
             if free:
                 self.stats.commits += 1
                 server.stats.commits += 1
-                server.stats.unlocked_reads += 1
+                if intent == "read":
+                    server.stats.unlocked_reads += 1
+                else:
+                    server.stats.unlocked_writes += 1
                 await self.durability_point()
                 return result
         async with _RequestScope(self) as txn:
-            if not (snapshot and server.tm.reads_snapshot(txn, uid)):
-                await self._lock(txn, uid, "read", composite)
-            return body(self, txn, uid, args)
+            if not (snapshot and tm.reads_snapshot(txn, uids[0])):
+                for uid in uids:
+                    await self._lock(txn, uid, intent, composite)
+            if class_name is not None:
+                # A make's class step is awaited too, so a make behind
+                # an extent scan's S waits instead of being refused.
+                # The manager then X-locks the new instance: a fresh
+                # UID, so that never waits.
+                resource, mode = tm.protocol.class_step(class_name, intent)
+                if not await server.locks.acquire(txn, resource, mode):
+                    self.stats.lock_waits += 1
+            return body(self, tm, txn, args)
 
     # -- transactions -----------------------------------------------------
 

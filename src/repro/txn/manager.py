@@ -26,6 +26,8 @@ class TransactionManager:
         self._db = database
         self.table = lock_table if lock_table is not None else LockTable()
         self.protocol = CompositeLockingProtocol(database, self.table)
+        #: The data operations of an access with no transaction.
+        self.one_step = OneStep(database)
         #: Commit / abort counters.
         self.commits = 0
         self.aborts = 0
@@ -241,3 +243,35 @@ class TransactionManager:
         instance locks for components of this composite's classes)."""
         txn.ensure_active()
         return self.protocol.lock_composite(txn, root_uid, "write", wait=False)
+
+
+class OneStep:
+    """The manager's data operations, with its signatures, for an access
+    that runs in one step with no transaction (*txn* is None): each is
+    the ``Database`` operation itself, atomic in its own operation
+    bracket, and takes no lock.  Only for an access whose whole plan is
+    free (:meth:`CompositeLockingProtocol.free`) and that nothing can
+    interleave with -- the network server's ``Session.run``."""
+
+    __slots__ = ("_db",)
+
+    def __init__(self, database):
+        self._db = database
+
+    def read(self, _txn, uid, attribute):
+        return self._db.value(uid, attribute)
+
+    def write(self, _txn, uid, attribute, value):
+        self._db.set_value(uid, attribute, value)
+
+    def insert(self, _txn, uid, attribute, member):
+        return self._db.insert_into(uid, attribute, member)
+
+    def remove(self, _txn, uid, attribute, member):
+        return self._db.remove_from(uid, attribute, member)
+
+    def make(self, _txn, class_name, values=None, parents=()):
+        return self._db.make(class_name, values=values, parents=parents)
+
+    def delete(self, _txn, uid):
+        return self._db.delete(uid)

@@ -11,13 +11,13 @@ drive exactly this workload through ``repro-router``);
 :func:`run_tcp_clients` runs them over several connections at once,
 :func:`navigation_mix` builds scripts that read through the navigation
 ops (``children_of`` … ``roots_of``) as well, and
-:func:`autocommit_reads` a script of auto-commit reads to run beside a
-transactional mix.  The in-process half — :func:`memory_fixture` and
-:func:`run_tm_mix` — replays them through a
-:class:`repro.txn.manager.TransactionManager` with genuinely
-interleaved transactions (round-robin, one step per round), which is
-what the isolation plane's recorder observes and its property tests
-drive: strict 2PL must yield histories that check clean.
+:func:`autocommit_reads` and :func:`autocommit_writes` scripts of
+auto-commit reads and writes to run beside a transactional mix.  The
+in-process half — :func:`memory_fixture` and :func:`run_tm_mix` —
+replays them through a :class:`repro.txn.manager.TransactionManager`
+with genuinely interleaved transactions (round-robin, one step per
+round), which is what the isolation plane's recorder observes and its
+property tests drive: strict 2PL must yield histories that check clean.
 
 ``python -m repro.workloads.txmix --port N`` drives the TCP mix against
 a live server — CI pairs it with ``repro-server --record-history`` and
@@ -127,6 +127,35 @@ def autocommit_reads(roots, components_by_root, reads=60, seed=42):
     return [steps]
 
 
+#: Write steps :func:`autocommit_writes` draws, one auto-commit request
+#: each: ``set_value`` stamps its target, ``make`` adds a part to its
+#: target root, and ``remove_from`` takes a part (target ``(root,
+#: part)``) out of its root's ``Parts``, which the next step,
+#: ``insert_into``, puts it back into.
+AUTOCOMMIT_WRITES = ("set_value", "make", "remove_from")
+
+
+def autocommit_writes(roots, components_by_root, writes=60, seed=42):
+    """One script of at least *writes* single-write steps on the
+    composites of *roots* and their components, for :func:`run_tcp_mix`
+    with ``autocommit=True``: a client writing beside a transactional
+    mix, one auto-commit request per step."""
+    rng = random.Random(seed)
+    steps = []
+    while len(steps) < writes:
+        root = rng.choice(roots)
+        part = rng.choice(components_by_root[root])
+        action = rng.choice(AUTOCOMMIT_WRITES)
+        if action == "set_value":
+            steps.append(Step(action=action, target=rng.choice((root, part))))
+        elif action == "make":
+            steps.append(Step(action=action, target=root))
+        else:
+            steps.append(Step(action=action, target=(root, part)))
+            steps.append(Step(action="insert_into", target=(root, part)))
+    return [steps]
+
+
 def single_root_mix(roots, transactions=20, steps_per_txn=3,
                     read_ratio=0.7, seed=42):
     """Scripts whose steps all touch *one* composite root each.
@@ -214,10 +243,11 @@ def run_tcp_mix(client, scripts, max_retries=10, autocommit=False):
     step is a request of its own instead): ``read_composite`` becomes
     ``components_of``, ``read_instance`` becomes ``resolve``,
     ``read_value`` the stamp's ``value``, a :data:`NAVIGATION_ACTIONS`
-    step the op it names, and both update actions ``set_value`` the
-    target's stamp.  A deadlock victim retries its whole scope (the
-    server already rolled it back), up to *max_retries* times.  Returns
-    counters::
+    step the op it names, an :data:`AUTOCOMMIT_WRITES` step or
+    ``insert_into`` the op it names (on the target root's ``Parts``),
+    and both update actions ``set_value`` the target's stamp.  A
+    deadlock victim retries its whole scope (the server already rolled
+    it back), up to *max_retries* times.  Returns counters::
 
         {"transactions": ..., "ops": ..., "deadlock_retries": ...}
     """
@@ -241,6 +271,12 @@ def run_tcp_mix(client, scripts, max_retries=10, autocommit=False):
                         client.value(step.target, STAMP_ATTRIBUTE)
                     elif step.action in NAVIGATION_ACTIONS:
                         getattr(client, step.action)(step.target)
+                    elif step.action == "make":
+                        client.make("MixPart", values={STAMP_ATTRIBUTE: 0},
+                                    parents=[(step.target, "Parts")])
+                    elif step.action in ("remove_from", "insert_into"):
+                        root, part = step.target
+                        getattr(client, step.action)(root, "Parts", part)
                     else:
                         stamp += 1
                         client.set_value(

@@ -9,9 +9,14 @@ Each fixture builds one of the paper's worked scenarios:
 * ``figure5_db`` — the Figure 5 topology (two composite roots sharing a
   component), used by authorization and locking tests;
 * ``figure9_db`` — the Figure 9 class graph for the locking protocol.
+
+``owns_nothing`` is the first brick of the ownership oracle (ROADMAP 3),
+for the wire test modules that name it in ``pytestmark``.
 """
 
 from __future__ import annotations
+
+import asyncio
 
 import pytest
 
@@ -143,3 +148,45 @@ def figure9_db():
     k2 = database.make("K", values={"cs": [c2]})
     return database, {"i1": i1, "k1": k1, "k2": k2, "c1": c1, "c2": c2,
                       "w1": w1, "w2": w2}
+
+
+@pytest.fixture
+def owns_nothing(monkeypatch):
+    """Every ``ReproServer`` the test builds must end owning nothing, and
+    no event loop may log an exception.
+
+    At teardown -- after the test's own fixtures closed their sessions,
+    and after ``ServerThread.stop``, which closes every session -- each
+    server's lock table holds no granted lock, queued request or
+    coverage entry, and its lock-order recorder no open trace.  Any
+    context an event loop (the test's, or a server thread's) passes to
+    its exception handler, which asyncio would only log, fails the
+    test."""
+    from repro.server.server import ReproServer
+
+    servers = []
+    logged = []
+    build = ReproServer.__init__
+    report = asyncio.BaseEventLoop.call_exception_handler
+
+    def init(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        servers.append(self)
+
+    def handler(loop, context):
+        logged.append(context)
+        report(loop, context)
+
+    monkeypatch.setattr(ReproServer, "__init__", init)
+    monkeypatch.setattr(asyncio.BaseEventLoop, "call_exception_handler",
+                        handler)
+    yield
+    assert not logged, f"an event loop logged: {logged}"
+    for server in servers:
+        table = server.tm.table
+        assert not table._granted, table._granted
+        assert not table._held, table._held
+        assert not table._waiting, table._waiting
+        assert not table._covered, table._covered
+        if server.lockdep is not None:
+            assert server.lockdep.stats_row()["open_traces"] == 0

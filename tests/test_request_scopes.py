@@ -40,6 +40,8 @@ from repro.storage.durable import DurableDatabase
 from repro.txn.transaction import Transaction, TxnState
 from repro.workloads.txmix import STAMP_ATTRIBUTE as STAMP, memory_fixture
 
+pytestmark = pytest.mark.usefixtures("owns_nothing")
+
 # ---------------------------------------------------------------------------
 # Session.txn_scope
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 A ``ReproServer`` on a ``DurableDatabase`` (authorization on, the
 always-on lock-order recorder, MVCC chains) serves pipelined batches of
-makes, set_values and resolves through ``_serve_batch``, in autocommit
-and in explicit transactions, exactly as the wire hands it requests:
+makes (in explicit transactions), then set_values and resolves (in
+autocommit, and in an explicit transaction) through ``_serve_batch``,
+exactly as the wire hands it requests:
 every UID and class name in a request is the decoder's fresh copy.
 Afterwards:
 
@@ -64,13 +65,24 @@ async def _serve(server, session, requests):
     return results
 
 
+async def _in_txn(server, session, requests):
+    """Serve *requests* as one explicit transaction; their results."""
+    results = await _serve(
+        server, session, [("begin", {}), *requests, ("commit", {})]
+    )
+    return results[1:-1]
+
+
 async def _ingest(server, session):
     await _serve(server, session, [("login", {"user": USER})])
-    roots = await _serve(server, session, [
+    # The fixture is made in explicit transactions, so that each make
+    # takes its locks and the lock-order recorder sees every object (an
+    # autocommit make whose plan is free takes none).
+    roots = await _in_txn(server, session, [
         ("make", {"class_name": "MixRoot", "values": {STAMP: n}})
         for n in range(ROOTS)
     ])
-    parts = await _serve(server, session, [
+    parts = await _in_txn(server, session, [
         ("make", {"class_name": "MixPart", "values": {STAMP: n},
                   "parents": [[root, "Parts"]]})
         for n, root in enumerate(roots * PARTS_PER_ROOT)

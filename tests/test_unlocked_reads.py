@@ -1,7 +1,7 @@
 """Auto-commit reads answered without a transaction.
 
 A request with no explicit transaction whose Section 7 read plan would be
-granted right now runs unlocked (``Session.read``): no ``Transaction``, no
+granted right now runs unlocked (``Session.run``): no ``Transaction``, no
 lock-table request, no commit.  A plan that is not free -- a writer holds
 X, or a queued request conflicts -- takes the locked path and waits.  The
 last test is the differential: random two-session scripts give the same
@@ -23,6 +23,8 @@ from repro.server.protocol import decode_payload, encode_request_bytes
 from repro.server.server import ReproServer
 from repro.txn.transaction import Transaction
 from repro.workloads.txmix import STAMP_ATTRIBUTE as STAMP, memory_fixture
+
+pytestmark = pytest.mark.usefixtures("owns_nothing")
 
 #: The read ops behind the one wrapper, with their arguments.
 READS = {
@@ -308,7 +310,7 @@ def _run_script(turns, scripts):
 def test_unlocked_reads_change_no_reply_and_no_state(scripts, turns):
     shipped = _run_script(turns, scripts)
     original = CompositeLockingProtocol.free
-    CompositeLockingProtocol.free = lambda self, uid, intent, composite: False
+    CompositeLockingProtocol.free = lambda self, *_plan: False
     try:
         locked = _run_script(turns, scripts)
     finally:
