@@ -58,7 +58,6 @@ class LockRequest:
     txn: object
     resource: object
     mode: LockMode
-    granted: bool = False
 
 
 @dataclass
@@ -244,7 +243,7 @@ class LockTable:
         if queue:
             for pending in queue:
                 # A re-issued request that is already queued stays queued
-                # once (pollers retry without duplicating their entry).
+                # once (the simulator re-issues a blocked step each tick).
                 if pending.txn is txn and pending.mode is mode:
                     return False
         if _admits(grants, queue, txn, held is None, CONFLICTS[mode]):
@@ -377,7 +376,6 @@ class LockTable:
                 if _admits(grants, still_waiting, request.txn, True,
                            CONFLICTS[request.mode]):
                     self._grant(request.txn, resource, request.mode, grants)
-                    request.granted = True
                     granted.append(request)
                     self.stats.grants += 1
                 else:

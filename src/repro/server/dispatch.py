@@ -339,8 +339,8 @@ async def _op_instances_of(session, args):
     async with session.txn_scope() as txn:
         # An extent scan reads every instance of the class: S on the class
         # (conflicts with any writer's IX) is the right single granule.
-        await session.server.locks.acquire(
-            txn, ("class", class_name), LockMode.S
+        session.stats.lock_waits += await session.server.locks.acquire_plan(
+            txn, ((("class", class_name), LockMode.S),)
         )
         instances = session.server.db.instances_of(
             class_name,

@@ -14,10 +14,11 @@ detector mediate *real* cross-client conflicts: all sessions share one
 The synchronous transaction layer never blocks (no-wait locking); the
 server adds waiting on top with :class:`LockService`: lock plans are
 acquired step-by-step with ``wait=True`` (queueing in the table's FIFO
-queues), and a blocked session suspends on the event loop until a release
-promotes its request, a deadlock check names its transaction the victim,
-or the wait times out.  Because the data operations themselves run on the
-single event-loop thread, the database needs no internal locking.
+queues), and a blocked session suspends on the event loop until the grant
+that promotes its request resumes it, a deadlock check names its
+transaction the victim, or the wait times out.  Because the data
+operations themselves run on the single event-loop thread, the database
+needs no internal locking.
 
 The transport half (listener, handshake, pipelined session loop, one
 write per batch) is :class:`WireServer`; :class:`ReproServer` and the
@@ -46,6 +47,7 @@ from ..errors import (
 )
 from ..faults.registry import fire as _fire
 from ..locking.deadlock import DeadlockDetector
+from ..locking.table import LockObserver
 from ..txn.manager import TransactionManager
 from .dispatch import dispatch
 from .protocol import (
@@ -165,112 +167,99 @@ class GroupCommitGate:
             self.flushes += 1
 
 
-class LockService:
+class LockService(LockObserver):
     """Asynchronous lock waiting over the shared no-wait lock table.
 
-    ``acquire`` queues in the table (FIFO fairness and wait-for edges come
-    for free) and suspends the session until the request is granted.  On
-    every queue transition — a block that may complete a wait-for cycle —
-    the deadlock detector runs; the victim (youngest in the cycle, as in
-    :mod:`repro.locking.deadlock`) is flagged and woken, and raises
-    :class:`DeadlockError` out of its own ``acquire``, whose session then
-    aborts the transaction, releasing its locks and unblocking the rest.
-    """
+    :meth:`acquire_plan` requests each step in the table; a request that
+    conflicts queues there (FIFO fairness and wait-for edges come for
+    free) and parks its session on one future.  The grant that promotes
+    the request resumes that future and no other: while any session is
+    parked the service observes the table's grants, so every path that
+    grants a queued request hands it over the same way -- the release
+    in :meth:`ReproServer.finish` (a commit, an abort, a commit whose
+    journal failed: the manager releases regardless) and the
+    :meth:`LockTable.cancel` of a request queued ahead of it (a wait
+    that timed out, a deadlock victim, a request cancelled while it
+    waits).  Nothing polls, and no waiter asks the table twice.
 
-    #: Upper bound on one sleep; bounds victim-notice latency even if a
-    #: wake-up is missed.
-    _POLL = 0.05
+    Each new wait runs the deadlock detector.  The victim (youngest in
+    the cycle, as in :mod:`repro.locking.deadlock`) has its future
+    failed with :class:`DeadlockError`; it withdraws its request, and
+    its session aborts the transaction, releasing its locks.  A wait
+    longer than the timeout withdraws its request and raises
+    :class:`LockConflictError`.
+    """
 
     def __init__(self, table, stats, wait_timeout=30.0):
         self.table = table
         self.stats = stats
         self.wait_timeout = wait_timeout
         self.detector = DeadlockDetector(table)
-        self._victims = {}
-        self._waiter_events = []
+        #: txn -> the future its one queued request parks it on.  The
+        #: service observes the table only while this is not empty.
+        self._waiters = {}
 
-    def wake(self):
-        """Wake every blocked acquirer to re-examine the table."""
-        for event in self._waiter_events:
-            event.set()
+    def on_grant(self, txn, resource, mode):
+        """Resume *txn* if it is parked: the grant is its queued request
+        (a parked transaction requests nothing else)."""
+        waiter = self._waiters.get(txn)
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
 
-    def _check_deadlock(self):
-        victim = self.detector.check(raise_on_deadlock=False)
-        if victim is not None and victim not in self._victims:
-            self._victims[victim] = DeadlockError(
-                f"transaction {victim.txn_id} chosen as deadlock victim",
-                victim=victim.txn_id,
-            )
-            self.wake()
-
-    async def acquire(self, txn, resource, mode, timeout=None):
-        """Grant *mode* on *resource* to *txn*, waiting as needed.
-
-        Returns True when the grant was immediate, False after a wait.
-        """
-        if self.table.acquire(txn, resource, mode, wait=True):
-            return True
-        await self._wait(txn, resource, mode, timeout)
-        return False
-
-    async def _wait(self, txn, resource, mode, timeout):
-        """Suspend until *txn*'s queued request for *mode* on *resource*
-        is granted; raise the deadlock victim's error or, after
-        *timeout*, :class:`LockConflictError`."""
-        self.stats.lock_waits += 1
-        self._check_deadlock()
-        timeout = self.wait_timeout if timeout is None else timeout
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + timeout
-        event = asyncio.Event()
-        self._waiter_events.append(event)
-        try:
-            while True:
-                error = self._victims.pop(txn, None)
-                if error is not None:
-                    self.table.cancel(txn, resource, mode)
-                    raise error
-                if self.table.acquire(txn, resource, mode, wait=True):
-                    return
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    self.stats.lock_timeouts += 1
-                    if self.table.cancel(txn, resource, mode):
-                        self.wake()
-                    raise LockConflictError(
-                        f"timed out after {timeout:.2f}s waiting for {mode} "
-                        f"on {resource!r}",
-                        resource=resource,
-                        requested=mode,
-                        holders=[
-                            getattr(holder, "txn_id", holder)
-                            for holder in self.table.holders(resource)
-                        ],
-                    )
-                event.clear()
-                with contextlib.suppress(asyncio.TimeoutError):
-                    await asyncio.wait_for(
-                        event.wait(), min(remaining, self._POLL)
-                    )
-        finally:
-            self._waiter_events.remove(event)
-
-    async def acquire_plan(self, txn, plan, timeout=None):
-        """Acquire every (resource, mode) step; return the wait count.
+    async def acquire_plan(self, txn, steps, timeout=None):
+        """Acquire every (resource, mode) of *steps* in order; return the
+        number of steps that waited.
 
         Each step is one table request, decided inline; only a step that
-        queued enters the waiting path."""
+        queued parks."""
         waits = 0
         acquire = self.table.acquire
-        for resource, mode in plan.steps:
+        for resource, mode in steps:
             if not acquire(txn, resource, mode, wait=True):
                 await self._wait(txn, resource, mode, timeout)
                 waits += 1
         return waits
 
-    def forget(self, txn):
-        """Drop any pending victim flag for *txn* (post-abort cleanup)."""
-        self._victims.pop(txn, None)
+    async def _wait(self, txn, resource, mode, timeout):
+        """Park until *txn*'s queued request for *mode* on *resource* is
+        granted; raise the deadlock victim's error or, after *timeout*,
+        :class:`LockConflictError`."""
+        self.stats.lock_waits += 1
+        waiter = asyncio.get_running_loop().create_future()
+        if not self._waiters:
+            self.table.observers.append(self)
+        self._waiters[txn] = waiter
+        timeout = self.wait_timeout if timeout is None else timeout
+        try:
+            victim = self.detector.check(raise_on_deadlock=False)
+            if victim is not None:
+                parked = self._waiters.get(victim)
+                if parked is not None and not parked.done():
+                    parked.set_exception(DeadlockError(
+                        f"transaction {victim.txn_id} chosen as deadlock "
+                        f"victim",
+                        victim=victim.txn_id,
+                    ))
+            await asyncio.wait_for(waiter, timeout)
+        except asyncio.TimeoutError:
+            self.stats.lock_timeouts += 1
+            raise LockConflictError(
+                f"timed out after {timeout:.2f}s waiting for {mode} "
+                f"on {resource!r}",
+                resource=resource,
+                requested=mode,
+                holders=[
+                    getattr(holder, "txn_id", holder)
+                    for holder in self.table.holders(resource)
+                ],
+            ) from None
+        finally:
+            del self._waiters[txn]
+            # Withdraw the request unless it was granted.  The withdrawal
+            # may grant requests queued behind it, resuming their waiters.
+            self.table.cancel(txn, resource, mode)
+            if not self._waiters:
+                self.table.observers.remove(self)
 
 
 class Session:
@@ -332,7 +321,7 @@ class Session:
         plan = protocol.pending(txn, uid, intent, composite)
         while plan is not None:
             self.stats.lock_waits += await self.server.locks.acquire_plan(
-                txn, plan
+                txn, plan.steps
             )
             if plan.granule is not None:
                 protocol.granted(txn, plan)
@@ -405,9 +394,9 @@ class Session:
                 # an extent scan's S waits instead of being refused.
                 # The manager then X-locks the new instance: a fresh
                 # UID, so that never waits.
-                resource, mode = tm.protocol.class_step(class_name, intent)
-                if not await server.locks.acquire(txn, resource, mode):
-                    self.stats.lock_waits += 1
+                self.stats.lock_waits += await server.locks.acquire_plan(
+                    txn, (tm.protocol.class_step(class_name, intent),)
+                )
             return body(self, tm, txn, args)
 
     # -- transactions -----------------------------------------------------
@@ -1047,7 +1036,10 @@ class ReproServer(WireServer):
     def _request(self, session, op, args, raw):
         return dispatch(session, op, args)
 
-    # -- transaction completion (single funnel so waiters always wake) ----
+    # -- transaction completion ------------------------------------------
+    # The manager releases the transaction's locks even when the journal
+    # fails; each queued request that release grants resumes its own
+    # waiter (LockService.on_grant), so nothing here wakes anyone.
 
     def finish(self, txn, commit):
         try:
@@ -1067,11 +1059,6 @@ class ReproServer(WireServer):
         except StorageError:
             self._note_journal_failure()
             raise
-        finally:
-            # Waiters must wake even when the journal failed: the
-            # manager released the transaction's locks regardless.
-            self.locks.forget(txn)
-            self.locks.wake()
 
     # -- 2PC: parked prepared transactions --------------------------------
 

@@ -158,10 +158,10 @@ def owns_nothing(monkeypatch):
     At teardown -- after the test's own fixtures closed their sessions,
     and after ``ServerThread.stop``, which closes every session -- each
     server's lock table holds no granted lock, queued request or
-    coverage entry, and its lock-order recorder no open trace.  Any
-    context an event loop (the test's, or a server thread's) passes to
-    its exception handler, which asyncio would only log, fails the
-    test."""
+    coverage entry, its lock service no parked waiter, and its
+    lock-order recorder no open trace.  Any context an event loop (the
+    test's, or a server thread's) passes to its exception handler,
+    which asyncio would only log, fails the test."""
     from repro.server.server import ReproServer
 
     servers = []
@@ -188,5 +188,6 @@ def owns_nothing(monkeypatch):
         assert not table._held, table._held
         assert not table._waiting, table._waiting
         assert not table._covered, table._covered
+        assert not server.locks._waiters, server.locks._waiters
         if server.lockdep is not None:
             assert server.lockdep.stats_row()["open_traces"] == 0

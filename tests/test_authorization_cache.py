@@ -39,6 +39,8 @@ from repro.errors import AccessDenied
 from repro.schema.evolution import SchemaEvolutionManager
 from repro.txn.manager import TransactionManager
 
+pytestmark = pytest.mark.usefixtures("owns_nothing")
+
 USERS = ("u", "v")
 
 

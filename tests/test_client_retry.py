@@ -14,6 +14,8 @@ from repro.server.dispatch import MUTATING_OPS
 from repro.server.protocol import WIRE_OPS
 from repro.server.server import ServerThread
 
+pytestmark = pytest.mark.usefixtures("owns_nothing")
+
 
 def _start_server(port=0):
     handle = ServerThread(database=Database(), port=port)

@@ -28,6 +28,8 @@ from repro.storage.journal import (
 from repro.storage.serializer import encode_instance
 from repro.txn import TransactionManager
 
+pytestmark = pytest.mark.usefixtures("owns_nothing")
+
 _U32 = struct.Struct(">I")
 
 

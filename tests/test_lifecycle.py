@@ -26,6 +26,8 @@ from repro.server.server import ReproServer, ServerThread
 from repro.shard.placement import ensure_manifest
 from repro.storage.durable import DurableDatabase
 
+pytestmark = pytest.mark.usefixtures("owns_nothing")
+
 DOC = [{"name": "Title", "domain": "string"}]
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 

@@ -62,6 +62,8 @@ from repro.storage.serializer import decode_instance, encode_instance
 from repro.txn.manager import TransactionManager
 from repro.workloads.txmix import composite_mix, memory_fixture, run_tm_mix
 
+pytestmark = pytest.mark.usefixtures("owns_nothing")
+
 
 def _cell_db(max_versions=16):
     db = Database()

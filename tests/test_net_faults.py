@@ -39,6 +39,8 @@ from repro.server.protocol import (
 )
 from repro.storage.durable import DurableDatabase
 
+pytestmark = pytest.mark.usefixtures("owns_nothing")
+
 STRING_ATTR = {"name": "Text", "domain": "string"}
 
 

@@ -252,6 +252,8 @@ def _call_into(client, op, uid, seen):
     try:
         if op == "components_of":
             seen.append(client.components_of(uid))
+        elif op == "resolve":
+            seen.append(client.resolve(uid))
         else:
             seen.append(client.set_value(uid, STAMP, 8))
     except UnknownObjectError as error:
@@ -292,6 +294,36 @@ class TestUncommittedDelete:
             stats = other.stats()
             assert stats["session"]["lock_waits"] == 1
             assert stats["server"]["unlocked_writes"] == made
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "open defect, CHANGES.md FOUND on src/repro/locking/protocol.py / "
+        "src/repro/core/database.py: the parts a composite delete removes "
+        "are locked only through class-level composite modes, so another "
+        "session reads their uncommitted delete (UNKNOWN_OBJECT at once, "
+        "the part back after an abort)"))
+    def test_an_access_to_a_deleted_part_waits_for_the_deleter(self):
+        from repro.server import Client, ServerThread
+        from repro.workloads.txmix import tcp_fixture
+
+        with ServerThread(lock_wait_timeout=10.0) as handle, \
+                Client(port=handle.port, timeout=20.0) as deleter, \
+                Client(port=handle.port, timeout=20.0) as other:
+            (root,), components = tcp_fixture(deleter, roots=1,
+                                              parts_per_root=2)
+            part = components[root][0]
+            deleter.begin()
+            deleter.delete(root)
+            seen = []
+            thread = threading.Thread(target=_call_into,
+                                      args=(other, "resolve", part, seen))
+            thread.start()
+            thread.join(timeout=0.4)
+            answered_early = list(seen)
+            deleter.abort()
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+            assert answered_early == []  # it waited for the deleter
+            assert seen[0]["uid"] == part
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,8 @@ from repro.server.protocol import (
     is_error_payload,
 )
 
+pytestmark = pytest.mark.usefixtures("owns_nothing")
+
 # ---------------------------------------------------------------------------
 # Value strategies
 # ---------------------------------------------------------------------------

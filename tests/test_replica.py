@@ -53,6 +53,8 @@ from repro.storage.journal import (
 from repro.storage.serializer import decode_instance, encode_instance
 from repro.txn.manager import TransactionManager
 
+pytestmark = pytest.mark.usefixtures("owns_nothing")
+
 SMOKE_SEED = 20260807
 
 

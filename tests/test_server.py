@@ -41,6 +41,8 @@ from repro.server.protocol import (
     frame_length,
 )
 
+pytestmark = pytest.mark.usefixtures("owns_nothing")
+
 
 # ---------------------------------------------------------------------------
 # Codec

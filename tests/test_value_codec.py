@@ -27,6 +27,8 @@ from repro.server.protocol import ProtocolError
 from repro.storage.durable import DurableDatabase
 from repro.storage.serializer import decode_instance, encode_instance
 
+pytestmark = pytest.mark.usefixtures("owns_nothing")
+
 # ---------------------------------------------------------------------------
 # The reference: the image codec before the merge
 # ---------------------------------------------------------------------------
