@@ -14,11 +14,11 @@ Handlers are responsible for three things, in order:
    :class:`repro.txn.manager.TransactionManager`, so every change is
    undo-logged and strict-2PL holds to commit/abort.
 
-Ops that run outside an explicit ``begin``/``commit`` scope auto-commit:
-the session wraps them in a transaction of their own -- except a data
-op (:func:`_read_op`, :func:`_write_op` and ``make``) whose lock plan is
-free, which runs in one step without one
-(:meth:`repro.server.server.Session.run`).
+A data op outside an explicit ``begin``/``commit`` scope auto-commits as
+one step: a single atomic ``Database`` operation, run at once when its
+lock plan is free and otherwise once a bare lock owner holds the plan
+(:meth:`repro.server.server.Session.run`, which every data op goes
+through).
 """
 
 from __future__ import annotations
@@ -283,10 +283,10 @@ def _read_op(body, composite=False, snapshot=False, required=()):
 
     The wrapper checks the arguments (``uid`` and *required*) and
     authorizes; :meth:`Session.run` then runs the body in one step (with
-    *txn* None) when the request has no explicit transaction and the
-    plan is free, otherwise in the request's scope once the plan is
-    held.  With *snapshot*, a snapshot transaction's read takes no
-    locks (the transaction manager's ``reads_snapshot``)."""
+    *txn* None) when the request has no explicit transaction, otherwise
+    in that transaction once the plan is held.  With *snapshot*, a
+    snapshot transaction's read takes no locks (the transaction
+    manager's ``reads_snapshot``)."""
     return _data_op(body, "read", ("uid", *required), "uid", composite,
                     snapshot)
 
@@ -295,16 +295,15 @@ def _write_op(body, required=("uid",), key="uid", composite=False):
     """A write op: ``body(session, tm, txn, args)`` writes ``args[key]``
     under the Section 7 write plan -- the composite plan when
     *composite*, else the instance plan -- through *tm*, the transaction
-    manager's data ops, behind the same wrapper as :func:`_read_op`: in
-    one step when the request has no explicit transaction and the plan
-    is free, otherwise in the request's scope once the plan is held."""
+    manager's data ops, behind the same wrapper as :func:`_read_op`."""
     return _data_op(body, "write", required, key, composite, False)
 
 
-async def _lock_ancestry(session, txn, uid):
-    """S on *uid* and on every ancestor the upward walk reads.  A parent
-    may link a new ancestor in while a lock is awaited, so walk again
-    until a walk finds every ancestor it read locked."""
+async def _lock_ancestry(session, txn, args):
+    """S on ``args["uid"]`` and on every ancestor the upward walk reads.
+    A parent may link a new ancestor in while a lock is awaited, so walk
+    again until a walk finds every ancestor it read locked."""
+    uid = args["uid"]
     await session.lock_instance(txn, uid, "read")
     db = session.server.db
     locked = {uid}
@@ -321,37 +320,42 @@ async def _lock_ancestry(session, txn, uid):
 
 def _ancestry(method):
     """``ancestors_of`` / ``roots_of``: their footprint is found while
-    locking (:func:`_lock_ancestry`), so they always run in a scope."""
+    locking (:func:`_lock_ancestry`), so they always take locks."""
+    body = _navigate(method)
+
     async def handler(session, args):
         (uid,) = _require(args, "uid")
         session.authorize(READ, uid)
-        async with session.txn_scope() as txn:
-            await _lock_ancestry(session, txn, uid)
-            db = session.server.db
-            with db.txn_context(txn):
-                return getattr(db, method)(uid)
+        return await session.run(body, args, lock=_lock_ancestry)
 
     return handler
 
 
+async def _lock_extent(session, txn, args):
+    # An extent scan reads every instance of the class: S on the class
+    # (conflicts with any writer's IX) is the right single granule.
+    session.stats.lock_waits += await session.server.locks.acquire_plan(
+        txn, ((("class", args["class_name"]), LockMode.S),)
+    )
+
+
+def _instances_of(session, tm, txn, args):
+    server = session.server
+    instances = server.db.instances_of(
+        args["class_name"],
+        include_subclasses=bool(args.get("include_subclasses", True)),
+    )
+    if server.auth is not None:
+        instances = [
+            inst for inst in instances
+            if server.auth.check(session.user, READ, inst.uid)
+        ]
+    return [inst.uid for inst in instances]
+
+
 async def _op_instances_of(session, args):
-    (class_name,) = _require(args, "class_name")
-    async with session.txn_scope() as txn:
-        # An extent scan reads every instance of the class: S on the class
-        # (conflicts with any writer's IX) is the right single granule.
-        session.stats.lock_waits += await session.server.locks.acquire_plan(
-            txn, ((("class", class_name), LockMode.S),)
-        )
-        instances = session.server.db.instances_of(
-            class_name,
-            include_subclasses=bool(args.get("include_subclasses", True)),
-        )
-        if session.server.auth is not None:
-            instances = [
-                inst for inst in instances
-                if session.server.auth.check(session.user, READ, inst.uid)
-            ]
-        return [inst.uid for inst in instances]
+    _require(args, "class_name")
+    return await session.run(_instances_of, args, lock=_lock_extent)
 
 
 async def _op_query(session, args):
@@ -416,11 +420,15 @@ async def _op_snapshot_read(session, args):
             applied_epoch=current, min_epoch=floor,
         )
     at = current if epoch is None else int(epoch)
-    async with session.txn_scope() as txn:
-        # txn_context (not a lock) so the history recorder attributes
-        # the snapshot read to this transaction.
-        with session.server.db.txn_context(txn):
-            value = manager.read_at(uid, attribute, at)
+    return await session.run(_snapshot_read, (manager, uid, attribute, at))
+
+
+def _snapshot_read(session, tm, txn, args):
+    manager, uid, attribute, at = args
+    # txn_context (not a lock) so the history recorder attributes the
+    # snapshot read to this transaction.
+    with session.server.db.txn_context(txn):
+        value = manager.read_at(uid, attribute, at)
     return {"value": value, "epoch": at}
 
 
@@ -533,9 +541,8 @@ async def _op_indoubt(session, args):
 async def _op_commit(session, args):
     txn_id = session.commit()
     # Under the journal's group policy the commit's batch is sealed but
-    # not yet fsynced; acknowledge only after the shared window flush
-    # (deferred to the batch barrier inside a pipelined batch).
-    await session.durability_point()
+    # not yet fsynced; acknowledge only after the batch barrier's flush.
+    session.durability_point()
     return {"txn": txn_id}
 
 

@@ -4,10 +4,11 @@ Architecture
 ------------
 
 Every connection gets a :class:`Session`.  A session owns at most one
-:class:`repro.txn.transaction.Transaction` at a time — either an explicit
-``begin``/``commit`` scope or a per-request auto-commit transaction — so
-the Section 7 composite locking protocol and the wait-for-graph deadlock
-detector mediate *real* cross-client conflicts: all sessions share one
+:class:`repro.txn.transaction.Transaction` at a time, its explicit
+``begin``/``commit`` scope; a data op outside one is a single atomic
+``Database`` operation (:meth:`Session.run`).  The Section 7 composite
+locking protocol and the wait-for-graph deadlock detector mediate *real*
+cross-client conflicts: all sessions share one
 :class:`repro.locking.table.LockTable` through one
 :class:`repro.txn.manager.TransactionManager`.
 
@@ -49,6 +50,7 @@ from ..faults.registry import fire as _fire
 from ..locking.deadlock import DeadlockDetector
 from ..locking.table import LockObserver
 from ..txn.manager import TransactionManager
+from ..txn.transaction import Transaction
 from .dispatch import dispatch
 from .protocol import (
     SUPPORTED_VERSIONS,
@@ -185,7 +187,8 @@ class LockService(LockObserver):
     Each new wait runs the deadlock detector.  The victim (youngest in
     the cycle, as in :mod:`repro.locking.deadlock`) has its future
     failed with :class:`DeadlockError`; it withdraws its request, and
-    its session aborts the transaction, releasing its locks.  A wait
+    its session aborts the transaction (or drops a one-step op's lock
+    owner), releasing its locks.  A wait
     longer than the timeout withdraws its request and raises
     :class:`LockConflictError`.
     """
@@ -270,17 +273,14 @@ class Session:
         self.session_id = session_id
         self.peer = peer
         self.user = None
-        #: True while the server is executing this session's pipelined
-        #: batch: commit acks defer their durability barrier to one
-        #: shared batch-end wait (see ``_serve_session``).
-        self.defer_sync = False
-        #: Set by a commit whose barrier was deferred; the serve loop
-        #: reads it per request to know which acks need the batch fsync.
+        #: Set by a request whose ack needs the batch's durability
+        #: barrier (:meth:`durability_point`); the serve loop reads it
+        #: per request.
         self.sync_pending = False
         self.txn = None
         #: The wire op being executed (set by ``dispatch``); with the
-        #: session it is the acquisition site :meth:`txn_scope` stamps
-        #: on the transaction for the lock-order recorder.
+        #: session it is the acquisition site :meth:`_stamp` names on a
+        #: transaction for the lock-order recorder.
         self.op = ""
         self._label = f"session {session_id}"
         #: Gtid of a 2PC-prepared transaction awaiting its decision
@@ -332,72 +332,119 @@ class Session:
 
     # -- data ops ---------------------------------------------------------
 
-    async def run(self, body, args, uids, intent, composite=False,
-                  snapshot=False, class_name=None):
+    async def run(self, body, args, uids=(), intent="read", composite=False,
+                  snapshot=False, class_name=None, lock=None):
         """Run the data op ``body(self, tm, txn, args)`` under *intent*'s
         Section 7 plan on each of *uids* (the composite plan when
-        *composite*) and, with *class_name*, a make's class step (see
-        ``dispatch._read_op`` and ``dispatch._write_op``).
+        *composite*), with *class_name* a make's class step and with
+        *lock* -- ``await lock(self, txn, args)`` -- the locks of an op
+        that finds its footprint while locking it (see ``dispatch``).
 
-        A request with no explicit transaction whose plan is free
-        (:meth:`CompositeLockingProtocol.free`) runs in one step: the
-        body runs with *txn* None and *tm* the manager's
-        :class:`~repro.txn.manager.OneStep` -- no transaction, no grant,
-        no commit, no release.  Nothing else runs on the loop between
-        the check and the op, so this is the locked path's acquire, op
-        and release with nothing in between.  A write is then one
-        ``Database`` operation: its own bracket rolls it back if it
+        In the session's explicit transaction the body runs with the
+        real manager once the plan is held; with *snapshot*, a snapshot
+        transaction's read takes no locks (the manager's
+        ``reads_snapshot``).  A deadlock aborts the transaction (the
+        victim must release its locks to break the cycle); any other
+        error leaves it to the client to abort or retry.
+
+        With no explicit transaction the op is one step: the body runs
+        with *txn* None and *tm* the manager's
+        :class:`~repro.txn.manager.OneStep`, so a write is one
+        ``Database`` operation -- its own bracket rolls it back if it
         fails, the journal seals it as an auto batch (inside
         ``synced_by_barrier``, as :meth:`ReproServer.finish` seals a
         commit), MVCC stamps it and the history recorder commits it as
-        an auto-transaction ``b<n>`` when it ends.  It counts as the
-        auto-commit it replaces (a commit, or an abort when it raises;
-        a journal failure turns the server read-only) and acks after
-        the same durability point.  Otherwise the body runs in the
-        request's scope, with the real manager, once the plan is held;
-        with *snapshot*, a snapshot transaction's read takes no locks
-        (the manager's ``reads_snapshot``).
+        an auto-transaction ``b<n>`` when it ends.  A free plan
+        (:meth:`CompositeLockingProtocol.free`, and no *lock*) takes no
+        lock: nothing else runs on the loop between the check and the
+        op.  Otherwise a bare :class:`Transaction`, never begun or
+        committed, owns the locks: they are awaited, the body runs with
+        no ``await`` after the last grant, and they are released
+        whatever happens (a deadlock, a timeout, a cancellation).  The
+        step counts as a commit (and as ``unlocked_*`` when it took no
+        lock), or as an abort when it raises; a journal failure turns
+        the server read-only; the ack waits for the batch's barrier.
         """
         server = self.server
         tm = server.tm
-        if self.txn is None:
-            try:
-                free = tm.protocol.free(uids, intent, composite, class_name)
-                if free:
-                    if server.gate is None or intent == "read":
-                        result = body(self, tm.one_step, None, args)
-                    else:
-                        with server.journal.synced_by_barrier():
-                            result = body(self, tm.one_step, None, args)
-            except Exception as error:
-                self.stats.aborts += 1
-                server.stats.aborts += 1
-                if intent == "write" and isinstance(error, StorageError):
-                    # The write's seal failed, as a failed commit's would.
-                    server._note_journal_failure()
-                raise
-            if free:
-                self.stats.commits += 1
-                server.stats.commits += 1
-                if intent == "read":
-                    server.stats.unlocked_reads += 1
-                else:
-                    server.stats.unlocked_writes += 1
-                await self.durability_point()
-                return result
-        async with _RequestScope(self) as txn:
-            if not (snapshot and tm.reads_snapshot(txn, uids[0])):
-                for uid in uids:
-                    await self._lock(txn, uid, intent, composite)
-            if class_name is not None:
-                # A make's class step is awaited too, so a make behind
-                # an extent scan's S waits instead of being refused.
-                # The manager then X-locks the new instance: a fresh
-                # UID, so that never waits.
-                self.stats.lock_waits += await server.locks.acquire_plan(
-                    txn, (tm.protocol.class_step(class_name, intent),)
+        txn = self.txn
+        if txn is not None:
+            if self.prepared_gtid is not None:
+                raise TransactionStateError(
+                    f"transaction is prepared for 2PC as "
+                    f"{self.prepared_gtid!r}; no further operations until "
+                    f"the decision"
                 )
-            return body(self, tm, txn, args)
+            if not txn.active:
+                raise TransactionStateError(
+                    f"transaction {txn.txn_id} is {txn.state.value}; "
+                    f"abort it first"
+                )
+            self._stamp(txn)
+            try:
+                if not (snapshot and tm.reads_snapshot(txn, uids[0])):
+                    await self._acquire(txn, args, uids, intent, composite,
+                                        class_name, lock)
+                return body(self, tm, txn, args)
+            except DeadlockError:
+                self.abort()
+                self._count_deadlock()
+                raise
+        owner = None
+        try:
+            if lock is not None or not tm.protocol.free(
+                    uids, intent, composite, class_name):
+                owner = Transaction()
+                self._stamp(owner)
+                await self._acquire(owner, args, uids, intent, composite,
+                                    class_name, lock)
+            if server.gate is None or intent == "read":
+                result = body(self, tm.one_step, None, args)
+            else:
+                with server.journal.synced_by_barrier():
+                    result = body(self, tm.one_step, None, args)
+        except BaseException as error:
+            self.stats.aborts += 1
+            server.stats.aborts += 1
+            if isinstance(error, DeadlockError):
+                self._count_deadlock()
+            elif intent == "write" and isinstance(error, StorageError):
+                # The write's seal failed, as a failed commit's would.
+                server._note_journal_failure()
+            raise
+        finally:
+            if owner is not None:
+                tm.table.release_all(owner)
+        self.stats.commits += 1
+        server.stats.commits += 1
+        if owner is None:
+            if intent == "read":
+                server.stats.unlocked_reads += 1
+            else:
+                server.stats.unlocked_writes += 1
+        self.durability_point()
+        return result
+
+    async def _acquire(self, txn, args, uids, intent, composite, class_name,
+                       lock):
+        """Await :meth:`run`'s plan for *txn*."""
+        for uid in uids:
+            await self._lock(txn, uid, intent, composite)
+        if class_name is not None:
+            # A make's class step is awaited too, so a make behind an
+            # extent scan's S waits instead of being refused.  The
+            # manager then X-locks the new instance: a fresh UID, so
+            # that never waits.
+            server = self.server
+            self.stats.lock_waits += await server.locks.acquire_plan(
+                txn, (server.tm.protocol.class_step(class_name, intent),)
+            )
+        if lock is not None:
+            await lock(self, txn, args)
+
+    def _count_deadlock(self):
+        self.stats.deadlock_aborts += 1
+        self.server.stats.deadlock_aborts += 1
 
     # -- transactions -----------------------------------------------------
 
@@ -441,12 +488,6 @@ class Session:
         self.stats.aborts += 1
         return txn.txn_id
 
-    def txn_scope(self):
-        """The session's transaction, or a per-request auto-commit one
-        (``async with session.txn_scope() as txn``; see
-        :class:`_RequestScope`)."""
-        return _RequestScope(self)
-
     def _stamp(self, txn):
         """Name the op and session as *txn*'s acquisition site (the
         lock-order recorder adds the transaction when it renders one):
@@ -456,23 +497,13 @@ class Session:
         per grant.  The graph interns equal sites to one id."""
         txn.site = (self.op, self._label)
 
-    async def durability_point(self):
-        """A commit acknowledgement's durability barrier.
-
-        Serial requests await the group-commit gate right here, exactly
-        as before pipelining existed.  Inside a pipelined batch the wait
-        is deferred: the request is only *marked* as needing the fsync,
-        and the serve loop runs one shared barrier after the whole batch
-        — N commits in a batch then cost one gate wait instead of N
-        sequential window sleeps.  Safety is unchanged either way: no
-        response marked ``sync_pending`` is written to the socket before
-        the batch barrier returns (or is replaced by a typed error when
-        the barrier fails).
-        """
-        if self.defer_sync:
-            self.sync_pending = True
-        else:
-            await self.server.durability_barrier()
+    def durability_point(self):
+        """Mark the request's ack as waiting for the durability barrier:
+        the serve loop runs one barrier after the whole batch (a batch
+        of one too) and writes no ``sync_pending`` ack before it returns
+        -- or replaces each such ack with the typed error when it fails.
+        N commits in a pipelined batch then cost one gate wait."""
+        self.sync_pending = True
 
     def close(self):
         """Release everything on disconnect.
@@ -498,74 +529,6 @@ class Session:
         self.txn = None
 
 
-class _RequestScope:
-    """One request's :meth:`Session.txn_scope`: the session's explicit
-    transaction, or an auto-commit one begun on entry and finished on
-    the way out.
-
-    A deadlock abort always tears the transaction down (the victim
-    *must* release its locks to break the cycle); other errors roll
-    back auto-commit scopes but leave an explicit transaction active
-    for the client to abort or retry.  A ``BaseException`` (a request
-    cancelled, say, in its lock wait) aborts an auto-commit scope as a
-    disconnect does, and leaves an explicit transaction to the
-    session's close.  A plain object rather than an async generator,
-    because every data request enters one.
-    """
-
-    __slots__ = ("_session", "_txn", "_auto")
-
-    def __init__(self, session):
-        self._session = session
-
-    async def __aenter__(self):
-        session = self._session
-        txn = session.txn
-        self._auto = txn is None
-        if txn is None:
-            txn = session.server.tm.begin()
-        elif session.prepared_gtid is not None:
-            raise TransactionStateError(
-                f"transaction is prepared for 2PC as "
-                f"{session.prepared_gtid!r}; no further operations until "
-                f"the decision"
-            )
-        elif not txn.active:
-            raise TransactionStateError(
-                f"transaction {txn.txn_id} is "
-                f"{txn.state.value}; abort it first"
-            )
-        self._txn = txn
-        session._stamp(txn)
-        return txn
-
-    async def __aexit__(self, kind, _error, _tb):
-        session = self._session
-        if kind is None:
-            if self._auto:
-                session.server.finish(self._txn, commit=True)
-                session.stats.commits += 1
-                # Auto-commit acks like any commit: after the group fsync.
-                await session.durability_point()
-            return False
-        deadlock = issubclass(kind, DeadlockError)
-        if self._auto:
-            if issubclass(kind, Exception):
-                session.server.finish(self._txn, commit=False)
-            else:
-                # The abort also withdraws a queued lock request; what
-                # propagates is the cancellation, not a journal failure.
-                with contextlib.suppress(StorageError):
-                    session.server.finish(self._txn, commit=False)
-            session.stats.aborts += 1
-        elif deadlock:
-            session.abort()
-        if deadlock:
-            session.stats.deadlock_aborts += 1
-            session.server.stats.deadlock_aborts += 1
-        return False
-
-
 class Preframed:
     """A handler result that is already a whole response frame (request
     id and length prefix included): the session loop writes it verbatim.
@@ -589,8 +552,8 @@ class WireServer:
     * :attr:`name` and :meth:`_hello_fields` for the handshake;
     * ``_open_session(session_id, peer)`` and the coroutine
       ``_close_session(session)``: its session type (carrying
-      ``session_id``, ``stats``, ``defer_sync`` and ``sync_pending``) and
-      its disconnect cleanup;
+      ``session_id``, ``stats`` and ``sync_pending``) and its disconnect
+      cleanup;
     * ``_request(session, op, args, raw)``: the awaitable answering one
       checked request (*raw* is its undecoded payload) with a result
       value or a :class:`Preframed` response;
@@ -771,11 +734,7 @@ class WireServer:
             if len(batch) > 1:
                 self.stats.pipelined_batches += 1
                 self.stats.pipelined_requests += len(batch)
-            session.defer_sync = len(batch) > 1
-            try:
-                responses = await self._serve_batch(session, batch)
-            finally:
-                session.defer_sync = False
+            responses = await self._serve_batch(session, batch)
             await self._write_frames(
                 session, wire, [data for data, _sync, _rid in responses]
             )
@@ -783,12 +742,13 @@ class WireServer:
     async def _serve_batch(self, session, batch):
         """Execute one batch of raw request frames, in order.
 
-        Returns the encoded responses as ``(wire bytes, needs_sync)``
-        pairs.  When any request in the batch committed under the group
-        sync policy, the single shared durability barrier runs *before*
-        returning — and if that fsync fails, every acknowledgement that
-        depended on it is replaced by the typed storage error (a commit
-        must never be acked and then lost).
+        Returns the encoded responses as ``(wire bytes, needs_sync,
+        request id)`` triples.  When any request in the batch marked its
+        ack ``sync_pending``, the batch's one durability barrier -- the
+        only caller of ``durability_barrier`` -- runs *before* returning,
+        and if that fsync fails, every acknowledgement that depended on
+        it is replaced by the typed storage error (a commit must never
+        be acked and then lost), counted as an error.
         """
         responses = []
         for raw in batch:
@@ -829,10 +789,13 @@ class WireServer:
                 self.stats.errors += 1
                 response = encode_error_bytes(VERSION, request_id, error)
             responses.append((response, session.sync_pending, request_id))
-        if any(needs_sync for _, needs_sync, _ in responses):
+        synced = sum(needs_sync for _, needs_sync, _ in responses)
+        if synced:
             try:
                 await self.durability_barrier()
             except StorageError as error:
+                session.stats.errors += synced
+                self.stats.errors += synced
                 responses = [
                     (encode_error_bytes(VERSION, rid, error), False, rid)
                     if needs_sync else (data, needs_sync, rid)

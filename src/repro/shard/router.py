@@ -167,9 +167,8 @@ class _RouterSession:
         self.peer = peer
         self.user = None
         self.stats = SessionStats()
-        #: The session loop's durability flags; routing never sets
-        #: ``sync_pending`` (each worker acks its own commits durably).
-        self.defer_sync = False
+        #: The session loop's durability flag; routing never sets it
+        #: (each worker acks its own commits durably).
         self.sync_pending = False
         #: shard_id -> _Upstream, opened lazily.
         self.upstreams = {}

@@ -158,14 +158,31 @@ def owns_nothing(monkeypatch):
     At teardown -- after the test's own fixtures closed their sessions,
     and after ``ServerThread.stop``, which closes every session -- each
     server's lock table holds no granted lock, queued request or
-    coverage entry, its lock service no parked waiter, and its
-    lock-order recorder no open trace.  Any context an event loop (the
-    test's, or a server thread's) passes to its exception handler,
-    which asyncio would only log, fails the test."""
+    coverage entry, its lock service no parked waiter, its lock-order
+    recorder no open trace, and the journal of a durable database it
+    serves no buffered record (:func:`_journal_leaks`) -- checked also
+    when that journal closes or is abandoned, since a close seals and
+    forgets what it buffered.  Any context an event loop (the test's,
+    or a server thread's) passes to its exception handler, which
+    asyncio would only log, fails the test."""
     from repro.server.server import ReproServer
+    from repro.storage.journal import Journal
 
     servers = []
     logged = []
+    leaks = []
+
+    def closing(original):
+        def close(journal, *args, **kwargs):
+            for server in servers:
+                if server.journal is journal:
+                    leaks.extend(_journal_leaks(server))
+            return original(journal, *args, **kwargs)
+
+        return close
+
+    monkeypatch.setattr(Journal, "close", closing(Journal.close))
+    monkeypatch.setattr(Journal, "abandon", closing(Journal.abandon))
     build = ReproServer.__init__
     report = asyncio.BaseEventLoop.call_exception_handler
 
@@ -191,3 +208,21 @@ def owns_nothing(monkeypatch):
         assert not server.locks._waiters, server.locks._waiters
         if server.lockdep is not None:
             assert server.lockdep.stats_row()["open_traces"] == 0
+        leaks.extend(_journal_leaks(server))
+    assert not leaks, leaks
+
+
+def _journal_leaks(server):
+    """What the journal of *server*'s durable database still buffers:
+    a transaction batch (even an empty one keeps its transaction) or
+    an auto-batch record.  A server with parked 2PC-prepared
+    transactions keeps their batches by design and is exempt, as is a
+    closed journal."""
+    journal = server.journal
+    if journal is None or journal.closed or server.parked:
+        return []
+    leaks = [f"batch of {txn!r}: {len(batch)} record(s)"
+             for txn, batch in journal._txn_batches.items()]
+    if journal._auto_batch.records:
+        leaks.append(f"auto batch: {len(journal._auto_batch)} record(s)")
+    return leaks

@@ -8,7 +8,8 @@ runs as one ``Database`` operation (``Session.run``): no
 the batch barrier, costs a pipelined batch one fsync, rolls back when it
 fails, and turns the server read-only when the journal fails.  A plan
 that is not free -- a lock held, or a conflicting request queued --
-takes the locked path and waits.  An access to an object that another
+waits under a bare lock owner, then runs as the same one step.  An
+access to an object that another
 open transaction has deleted waits for that delete's outcome.  The last
 test is the differential: random two-session scripts give the same
 replies, counters, final state and fsck whether the one-step path runs
@@ -27,6 +28,7 @@ from repro.core.identity import UID
 from repro.errors import ReadOnlyError, StorageError, UnknownObjectError
 from repro.faults import fault_scope
 from repro.locking.protocol import CompositeLockingProtocol
+from repro.mvcc import SnapshotManager
 from repro.server.server import ReproServer
 from repro.storage.durable import DurableDatabase
 from repro.txn.transaction import Transaction
@@ -55,14 +57,7 @@ def _make(root=None):
 
 def _ingest(server, session, requests):
     """*requests* as one pipelined batch on *session*."""
-    async def run():
-        session.defer_sync = True
-        try:
-            return await _serve(server, session, requests)
-        finally:
-            session.defer_sync = False
-
-    return asyncio.run(run())
+    return asyncio.run(_serve(server, session, requests))
 
 
 class TestFreeWrite:
@@ -179,6 +174,82 @@ class TestLockedWrites:
         assert written[0][0] is True
         assert isinstance(made[0][0], UID)
         assert server.stats.unlocked_writes == 0
+
+
+class TestWaitedOneStep:
+    """A plan that is not free is awaited by a bare lock owner, and the
+    op then still runs as one step: one ``b<n>`` in the history, no
+    ``t<n>``, no commit."""
+
+    @pytest.mark.parametrize("outcome", ["commit", "abort"])
+    def test_a_waiting_write_records_as_one_auto_transaction(self, outcome):
+        db, server, (a, b, _c), roots, _ = _setup(record_history=True)
+
+        async def run():
+            await _serve(server, a, [("begin", {}), _write(roots[0], 5)])
+            holder = f"t{a.txn.txn_id}"
+            writer = asyncio.create_task(_serve(server, b, [
+                _write(roots[0], 9)]))
+            await _settle()
+            assert not writer.done()
+            await _serve(server, a, [(outcome, {})])
+            return holder, await writer
+
+        holder, replies = asyncio.run(run())
+        events = [(event.kind, event.txn) for event in server.history.history
+                  if event.kind != "boot"]
+        assert replies == [(True, True)]
+        assert db.value(roots[0], STAMP) == 9
+        (step,) = {txn for _kind, txn in events if txn != holder}
+        assert step.startswith("b")
+        assert events == [("write", holder), (outcome, holder),
+                          ("write", step), ("commit", step)]
+        assert (b.stats.lock_waits, b.stats.commits) == (1, 1)
+        assert server.stats.unlocked_writes == 0
+        assert server.tm.table.lock_count() == 0
+
+    def test_ancestry_and_extent_reads_wait_for_a_writer_then_answer(self):
+        db, server, (a, *readers), roots, components = _setup()
+        readers.append(server._open_session(4, None))
+        root = roots[0]
+        part = components[root][0]
+        requests = [("ancestors_of", {"uid": part}),
+                    ("roots_of", {"uid": part}),
+                    ("instances_of", {"class_name": "MixPart"})]
+
+        async def run():
+            await _serve(server, a, [("begin", {}), _write(part, 5)])
+            tasks = [asyncio.create_task(_serve(server, session, [request]))
+                     for session, request in zip(readers, requests)]
+            await _settle()
+            assert not any(task.done() for task in tasks)
+            await _serve(server, a, [("commit", {})])
+            return [(await task)[0] for task in tasks]
+
+        ancestors, found_roots, extent = asyncio.run(run())
+        assert ancestors == found_roots == ([root], True)
+        assert sorted(extent[0]) == sorted(
+            uid for parts in components.values() for uid in parts)
+        assert [session.stats.lock_waits for session in readers] == [1] * 3
+        assert [session.stats.commits for session in readers] == [1] * 3
+        assert server.stats.unlocked_reads == 0
+        assert server.tm.table.lock_count() == 0
+
+    def test_a_snapshot_read_outside_a_transaction_creates_none(self):
+        db, server, (a, *_), roots, _ = _setup()
+        manager = SnapshotManager(db)
+        try:
+            next_txn, requests = (Transaction._next_id,
+                                  server.tm.table.stats.requests)
+            replies = asyncio.run(_serve(server, a, [
+                _write(roots[0], 4),
+                ("snapshot_read", {"uid": roots[0], "attribute": STAMP})]))
+            assert replies[1][0]["value"] == 4
+            assert Transaction._next_id == next_txn
+            assert server.tm.table.stats.requests == requests
+            assert (server.stats.unlocked_reads, a.stats.commits) == (1, 2)
+        finally:
+            manager.close()
 
 
 class TestFailingWrite:

@@ -2,8 +2,9 @@
 
 Four scopes bracket each served request and each committed operation:
 
-* ``Session.txn_scope`` -- the request's transaction (the session's
-  explicit one, or an autocommit one of its own);
+* ``Session.run`` -- one data op: a single step outside an explicit
+  transaction (at once when its lock plan is free, else once a bare lock
+  owner holds the plan), or a step of the session's explicit one;
 * ``Database._operation`` -- one atomic operation (replay on failure);
 * ``Journal._io_guard`` -- an IO failure becomes a fail-stop
   ``StorageError``;
@@ -12,11 +13,12 @@ Four scopes bracket each served request and each committed operation:
 
 Each is checked here on a normal exit, an ``Exception``, a
 ``DeadlockError`` and a ``BaseException`` (``CancelledError``,
-``KeyboardInterrupt``).  Then a guard: serving requests through
+``KeyboardInterrupt``).  Then the served path: serving requests through
 ``_serve_batch`` builds no generator context manager and first-iterates
-no async generator, and a scripted two-session conflict and deadlock
-count lock requests, blocks, waits and lock-order edges exactly as
-pinned below.
+no async generator, a single request's ack waits for the same batch
+barrier as a pipelined one, and a scripted two-session conflict and
+deadlock count lock requests, blocks, waits and lock-order edges exactly
+as pinned below.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import pytest
 
 from repro import Database
 from repro.errors import DeadlockError, StorageError, TransactionStateError
+from repro.faults import fault_scope
 from repro.schema.attribute import AttributeSpec
 from repro.server.protocol import (
     ProtocolError,
@@ -43,7 +46,7 @@ from repro.workloads.txmix import STAMP_ATTRIBUTE as STAMP, memory_fixture
 pytestmark = pytest.mark.usefixtures("owns_nothing")
 
 # ---------------------------------------------------------------------------
-# Session.txn_scope
+# Session.run
 # ---------------------------------------------------------------------------
 
 #: What each outcome raises out of the request body.
@@ -54,146 +57,177 @@ RAISED = {
     "cancelled": asyncio.CancelledError,
 }
 
-#: (scope, outcome) -> txn state, held lock resources, the session still
-#: holds the txn, session (commits, aborts, deadlock_aborts), server
-#: (commits, aborts, deadlock_aborts), sync_pending, the stamp afterwards.
-#: A cancelled request aborts its autocommit transaction; an explicit one
-#: stays with the session (its disconnect aborts it).
+#: (row, outcome) -> the session's txn state afterwards (None: it has
+#: none), locks still granted, Transactions created by the request,
+#: session (commits, aborts, deadlock_aborts), server (commits, aborts,
+#: deadlock_aborts, unlocked_writes), sync_pending, the stamp afterwards,
+#: and the history key the write recorded under (None: no write).  Rows:
+#: ``auto`` -- no explicit transaction, a free plan; ``waited`` -- no
+#: explicit transaction, a plan that is not free; ``explicit``.  The body
+#: raises before it writes, as a refusal is decided before an op changes
+#: anything (or inside the op's own bracket).  A one-step request ends
+#: owning nothing on every path; a cancelled request leaves an explicit
+#: transaction with the session (its disconnect aborts it).
 EXPECTED = {
     ("auto", "return"):
-        ("committed", 0, False, (1, 0, 0), (1, 0, 0), True, 7),
+        (None, 0, 0, (1, 0, 0), (1, 0, 0, 1), True, 7, "b"),
     ("auto", "protocol"):
-        ("aborted", 0, False, (0, 1, 0), (0, 1, 0), False, 0),
+        (None, 0, 0, (0, 1, 0), (0, 1, 0, 0), False, 0, None),
     ("auto", "deadlock"):
-        ("aborted", 0, False, (0, 1, 1), (0, 1, 1), False, 0),
+        (None, 0, 0, (0, 1, 1), (0, 1, 1, 0), False, 0, None),
     ("auto", "cancelled"):
-        ("aborted", 0, False, (0, 1, 0), (0, 1, 0), False, 0),
+        (None, 0, 0, (0, 1, 0), (0, 1, 0, 0), False, 0, None),
+    ("waited", "return"):
+        (None, 0, 1, (1, 0, 0), (1, 0, 0, 0), True, 7, "b"),
+    ("waited", "protocol"):
+        (None, 0, 1, (0, 1, 0), (0, 1, 0, 0), False, 0, None),
+    ("waited", "deadlock"):
+        (None, 0, 1, (0, 1, 1), (0, 1, 1, 0), False, 0, None),
+    ("waited", "cancelled"):
+        (None, 0, 1, (0, 1, 0), (0, 1, 0, 0), False, 0, None),
     ("explicit", "return"):
-        ("active", 2, True, (0, 0, 0), (0, 0, 0), False, 7),
+        ("active", 2, 0, (0, 0, 0), (0, 0, 0, 0), False, 7, "t"),
     ("explicit", "protocol"):
-        ("active", 2, True, (0, 0, 0), (0, 0, 0), False, 7),
+        ("active", 2, 0, (0, 0, 0), (0, 0, 0, 0), False, 0, None),
     ("explicit", "deadlock"):
-        ("aborted", 0, False, (0, 1, 1), (0, 1, 1), False, 0),
+        (None, 0, 0, (0, 1, 1), (0, 1, 1, 0), False, 0, None),
     ("explicit", "cancelled"):
-        ("active", 2, True, (0, 0, 0), (0, 0, 0), False, 7),
+        ("active", 2, 0, (0, 0, 0), (0, 0, 0, 0), False, 0, None),
 }
 
 
 @pytest.fixture
 def served(tmp_path):
-    """A group-committing server over one MixRoot, and one session."""
+    """A group-committing, history-recording server over one MixRoot,
+    and one session."""
     db = DurableDatabase(tmp_path, sync_policy="group")
     (root,), _ = memory_fixture(db, roots=1, parts_per_root=1)
-    server = ReproServer(db, mvcc=False)
+    server = ReproServer(db, mvcc=False, record_history=True)
     session = server._open_session(1, None)
     yield server, session, root
     session.close()
+    server.history.close()
     db.close()
 
 
+def _not_free(server, monkeypatch):
+    """Make every plan wait for a lock owner (nothing holds a lock, so
+    the owner is granted at once)."""
+    monkeypatch.setattr(server.tm.protocol, "free", lambda *args: False)
+
+
 @pytest.mark.parametrize("outcome", list(RAISED))
-@pytest.mark.parametrize("scope", ["auto", "explicit"])
-def test_request_scope_exit_paths(served, scope, outcome):
+@pytest.mark.parametrize("scope", ["auto", "waited", "explicit"])
+def test_request_scope_exit_paths(served, monkeypatch, scope, outcome):
     server, session, root = served
     if scope == "explicit":
         session.begin()
-    seen = []
+    elif scope == "waited":
+        _not_free(server, monkeypatch)
 
-    async def request():
-        async with session.txn_scope() as txn:
-            seen.append(txn)
-            await session.lock_instance(txn, root, "write")
-            server.tm.write(txn, root, STAMP, 7)
-            if RAISED[outcome] is not None:
-                raise RAISED[outcome]("raised by the request body")
-            return True
+    def body(session, tm, txn, args):
+        if RAISED[outcome] is not None:
+            raise RAISED[outcome]("raised by the request body")
+        tm.write(txn, root, STAMP, 7)
+        return True
 
-    async def serve():
-        # Inside a pipelined batch: a commit marks its ack sync_pending.
-        session.defer_sync = True
-        session.sync_pending = False
-        try:
-            return await request()
-        finally:
-            session.defer_sync = False
-
+    next_txn = Transaction._next_id
+    session.sync_pending = False
+    run = session.run(body, {}, (root,), "write")
     if RAISED[outcome] is None:
-        assert asyncio.run(serve()) is True
+        assert asyncio.run(run) is True
     else:
         with pytest.raises(RAISED[outcome]):
-            asyncio.run(serve())
+            asyncio.run(run)
 
-    (txn,) = seen
+    writes = {event.txn[0] for event in server.history.history
+              if event.kind == "write"}
     counters = ("commits", "aborts", "deadlock_aborts")
     observed = (
-        txn.state.value,
-        len(server.tm.table.held_resources(txn)),
-        session.txn is txn,
+        session.txn.state.value if session.txn is not None else None,
+        server.tm.table.lock_count(),
+        Transaction._next_id - next_txn,
         tuple(getattr(session.stats, name) for name in counters),
-        tuple(getattr(server.stats, name) for name in counters),
+        tuple(getattr(server.stats, name)
+              for name in (*counters, "unlocked_writes")),
         session.sync_pending,
         server.db.value(root, STAMP),
+        writes.pop() if writes else None,
     )
+    assert not writes
     assert observed == EXPECTED[scope, outcome]
 
 
 def test_request_cancelled_in_its_lock_wait_aborts_and_withdraws(served):
     server, holder, root = served
     waiter = server._open_session(2, None)
+    table = server.tm.table
     holder.begin()
-    seen = []
+    owners = []
 
-    async def request():
-        async with waiter.txn_scope() as txn:
-            seen.append(txn)
-            await waiter.lock_instance(txn, root, "write")
+    def body(session, tm, txn, args):
+        raise AssertionError("the body must not run")
 
     async def scenario():
-        await holder.lock_instance(holder.txn, root, "write")
-        task = asyncio.ensure_future(request())
-        while not server.tm.table.wait_for_edges():
+        await holder._lock(holder.txn, root, "write", False)
+        task = asyncio.ensure_future(waiter.run(body, {}, (root,), "write"))
+        while not table.wait_for_edges():
             await asyncio.sleep(0)
+        owners.extend(server.locks._waiters)
         task.cancel()
         with pytest.raises(asyncio.CancelledError):
             await task
 
     asyncio.run(scenario())
-    (txn,) = seen
-    assert txn.state is TxnState.ABORTED
-    assert server.tm.table.held_resources(txn) == []
-    assert server.tm.table.wait_for_edges() == []
+    (owner,) = owners
+    assert owner is not holder.txn and owner.state is TxnState.ACTIVE
+    assert table.held_resources(owner) == []
+    assert not table._waiting
+    assert table.wait_for_edges() == []
     assert (waiter.stats.aborts, server.stats.aborts) == (1, 1)
+    assert server.stats.commits == 0
     waiter.close()
 
 
 def test_request_scope_refuses_a_prepared_or_finished_txn(served):
     server, session, root = served
 
-    async def request():
-        async with session.txn_scope():
-            raise AssertionError("the body must not run")
+    def body(session, tm, txn, args):
+        raise AssertionError("the body must not run")
+
+    def request():
+        return asyncio.run(session.run(body, {}, (root,), "write"))
 
     session.begin()
     session.prepared_gtid = "g1"
     with pytest.raises(TransactionStateError, match="prepared for 2PC"):
-        asyncio.run(request())
+        request()
     session.prepared_gtid = None
     session.txn.state = TxnState.ABORTED
     with pytest.raises(TransactionStateError, match="abort it first"):
-        asyncio.run(request())
+        request()
     assert (session.stats.commits, session.stats.aborts) == (0, 0)
+    assert server.tm.table.lock_count() == 0
 
 
 def test_request_scope_stamps_the_acquisition_site(served):
     server, session, root = served
     session.op = "set_value"
+    owners = []
 
-    async def request():
-        async with session.txn_scope() as txn:
-            return txn
+    async def lock(session, txn, args):
+        owners.append(txn)
 
-    txn = asyncio.run(request())
-    assert txn.site == ("set_value", "session 1")
+    def request():
+        asyncio.run(session.run(lambda *args: True, {}, (root,), "write",
+                                lock=lock))
+
+    request()  # one step, through a bare lock owner
+    session.begin()
+    request()
+    owner, txn = owners
+    assert owner is not txn and txn is session.txn
+    assert owner.site == txn.site == ("set_value", "session 1")
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +407,6 @@ def test_served_requests_build_no_generator_scaffolding(tmp_path):
         await _serve(server, session, [("login", {"user": "designer"})])
         with _counting_scaffolding() as counts:
             # Pipelined: the durable_ingest shape, batches of 16.
-            session.defer_sync = True
             roots = await _serve(server, session, [
                 ("make", {"class_name": "MixRoot", "values": {STAMP: n}})
                 for n in range(16)
@@ -385,7 +418,6 @@ def test_served_requests_build_no_generator_scaffolding(tmp_path):
             await _serve(server, session, [
                 ("resolve", {"uid": uid}) for uid in roots
             ], start=33)
-            session.defer_sync = False
             # Depth 1, autocommit and explicit.
             await _serve(server, session, [("value", {
                 "uid": roots[0], "attribute": STAMP})], start=49)
@@ -408,13 +440,47 @@ def test_served_requests_build_no_generator_scaffolding(tmp_path):
         db.close()
 
 
+@pytest.mark.parametrize("scope", ["auto", "explicit"])
+def test_a_single_request_barrier_failure_replies_the_storage_error(
+        tmp_path, scope):
+    """A batch of one acks after the batch barrier too: when its group
+    fsync fails, the auto-commit write or the commit replies with the
+    typed StorageError, never an ack, and the server turns read-only."""
+    db = DurableDatabase(tmp_path, sync_policy="group")
+    (root,), _ = memory_fixture(db, roots=1, parts_per_root=0)
+    server = ReproServer(db, mvcc=False)
+    session = server._open_session(1, None)
+    write = ("set_value", {"uid": root, "attribute": STAMP, "value": 7})
+
+    async def run():
+        last = write
+        if scope == "explicit":
+            assert await _serve(server, session, [("begin", {})]) != []
+            assert await _serve(server, session, [write], start=1) == [True]
+            last = ("commit", {})
+        with fault_scope() as faults:
+            faults.add("journal.fsync", "error", count=None)
+            return await _serve(server, session, [last], start=2)
+
+    try:
+        (reply,) = asyncio.run(run())
+        assert reply["code"] == StorageError.code
+        assert server.read_only
+        assert (session.stats.errors, server.stats.errors) == (1, 1)
+    finally:
+        session.close()
+        db.journal.abandon()
+
+
 #: LockTable.stats, ServerStats.lock_waits and lockdep's stats_row() after
 #: the scripted conflicts below.  Each of the three waits costs one
 #: request: the grant that promotes it resumes the waiter, which does not
-#: ask the table again.
+#: ask the table again.  ``covered`` counts the explicit writes' manager
+#: calls; the waiting auto-commit writer runs in one step, which asks
+#: nothing.
 PINNED_LOCKS = {
     "requests": 12, "grants": 11, "blocks": 3, "denials": 0,
-    "releases": 9, "covered": 5,
+    "releases": 9, "covered": 4,
 }
 PINNED_LOCK_WAITS = 3
 PINNED_LOCKDEP = {

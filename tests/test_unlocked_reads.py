@@ -3,7 +3,7 @@
 A request with no explicit transaction whose Section 7 read plan would be
 granted right now runs unlocked (``Session.run``): no ``Transaction``, no
 lock-table request, no commit.  A plan that is not free -- a writer holds
-X, or a queued request conflicts -- takes the locked path and waits.  The
+X, or a queued request conflicts -- waits under a bare lock owner.  The
 last test is the differential: random two-session scripts give the same
 replies, counters, final state and fsck whether the unlocked step runs or
 ``CompositeLockingProtocol.free`` is patched to refuse it.
@@ -78,7 +78,6 @@ class TestFreeRead:
         part = components[root][0]
 
         async def run():
-            a.defer_sync = True  # inside a pipelined batch
             targets = {"parents_of": part}
             requests = [(op, args(targets.get(op, root)))
                         for op, args in READS.items()]
